@@ -158,11 +158,25 @@ class DiskKernelEvaluator:
     def num_vars(self) -> int:
         return self.f.num_vars
 
+    def _xi_tables(self, pts: np.ndarray, ks) -> list[np.ndarray]:
+        """xi_k at a batch of disk points for each k in ks, from one psi evaluation."""
+        ps = self.kernels.psi(disk_to_halfplane(pts))
+        return [(np.sqrt(2.0) / (1.0 - pts[:, k]))[:, None, None] * (self.kernels.factors[k] @ ps)
+                for k in ks]
+
+    def _theta_tables(self, pts: np.ndarray, ks) -> list[np.ndarray]:
+        """theta_k for each k in ks: one psi, one F(w), one guard, one solve for all k."""
+        xs = self._xi_tables(pts, ks)
+        fv = self.view.eval_F(pts)
+        eye = np.eye(fv.shape[-1], dtype=complex)
+        plus = fv + eye
+        _refuse_ill_conditioned(plus, self.pol, "F(w) + I")
+        rhs = np.concatenate(xs, axis=1)  # (B, sum m_k, n)
+        sol = np.linalg.solve(plus.transpose(0, 2, 1), rhs.transpose(0, 2, 1)).transpose(0, 2, 1)
+        return np.split(np.sqrt(2.0) * sol, np.cumsum([x.shape[1] for x in xs])[:-1], axis=1)
+
     def xi(self, k: int, w) -> np.ndarray:
-        pts = _as_points(w, self.num_vars)
-        z = disk_to_halfplane(pts)
-        fac = self.kernels.phi_factor(k, z)
-        out = (np.sqrt(2.0) / (1.0 - pts[:, k]))[:, None, None] * fac
+        out = self._xi_tables(_as_points(w, self.num_vars), [k])[0]
         return out[0] if np.asarray(w).ndim == 1 else out
 
     def xi_kernel(self, k: int, w, omega) -> np.ndarray:
@@ -171,19 +185,11 @@ class DiskKernelEvaluator:
         return np.squeeze(xo.conj().swapaxes(-1, -2) @ xw)
 
     def theta(self, k: int, w) -> np.ndarray:
-        pts = _as_points(w, self.num_vars)
-        xw = self.xi(k, pts)
-        fv = self.view.eval_F(pts)
-        eye = np.eye(fv.shape[-1], dtype=complex)
-        plus = fv + eye
-        _refuse_ill_conditioned(plus, self.pol, "F(w) + I")
-        sol = np.linalg.solve(plus.transpose(0, 2, 1), xw.transpose(0, 2, 1)).transpose(0, 2, 1)
-        out = np.sqrt(2.0) * sol
+        out = self._theta_tables(_as_points(w, self.num_vars), [k])[0]
         return out[0] if np.asarray(w).ndim == 1 else out
 
     def theta_table(self, grid) -> list[np.ndarray]:
-        pts = _as_points(grid, self.num_vars)
-        return [self.theta(k, pts) for k in range(self.num_vars)]
+        return self._theta_tables(_as_points(grid, self.num_vars), range(self.num_vars))
 
     def theta_kernel(self, k: int, w, omega) -> np.ndarray:
         tw = np.atleast_3d(self.theta(k, w))
@@ -197,7 +203,7 @@ class DiskKernelEvaluator:
         minus: F(w) - F(o)* = sum_k (w_k - conj(o_k)) Xi_k(w, o)
         """
         pts = _as_points(grid, self.num_vars)
-        tables = [self.xi(k, pts) for k in range(self.num_vars)]
+        tables = self._xi_tables(pts, range(self.num_vars))
         fv = self.view.eval_F(pts)
         return _two_point_residuals(pts, tables, fv, np.eye(0))
 

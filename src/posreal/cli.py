@@ -458,6 +458,17 @@ def _cmd_hunt(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for sizes: an integer of at least 1 (usage error, exit 2, otherwise)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="posreal",
@@ -468,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, pencil=True):
         if pencil:
             p.add_argument("--pencil", required=True, help="pencil JSON file")
-        p.add_argument("--grid", type=int, default=25, help="sample grid size")
+        p.add_argument("--grid", type=_positive_int, default=25, help="sample grid size")
         p.add_argument("--seed", type=int, default=0, help="randomness seed (echoed in reports)")
         p.add_argument("--tol", type=float, default=None, help="override residual tolerance")
         p.add_argument("--out", default=None, help="write the result to this file")
@@ -494,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernels", help="sample factored kernels, or rebuild a pencil from samples")
     p.add_argument("--pencil", default=None, help="pencil JSON file (for sampling)")
     p.add_argument("--rebuild", default=None, help="kernel sample JSON to rebuild from")
-    p.add_argument("--grid", type=int, default=25)
+    p.add_argument("--grid", type=_positive_int, default=25)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--out", default=None)
@@ -504,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="synthesize a selfadjoint unitary colligation, or check one")
     p.add_argument("--pencil", default=None, help="pencil JSON file (for synthesis)")
     p.add_argument("--colligation", default=None, help="existing colligation JSON to check")
-    p.add_argument("--grid", type=int, default=25)
+    p.add_argument("--grid", type=_positive_int, default=25)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--out", default=None)

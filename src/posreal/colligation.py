@@ -32,6 +32,7 @@ from .pencil import _as_points, _refuse_ill_conditioned
 __all__ = [
     "AglerColligation",
     "transfer_eval",
+    "transfer_condition_bound",
     "agler_identity_residual",
     "spectrum_condition",
     "ColligationSynthesis",
@@ -101,6 +102,9 @@ def transfer_eval(c: AglerColligation, w, pol: TolerancePolicy = DEFAULT_POLICY)
 
     Strictly inside the polydisk I - A P(w) is invertible for unitary U;
     a singular system therefore signals corrupted data and is refused.
+    The guard first tries the certificate of ``transfer_condition_bound``
+    and falls back to the computed condition number where it does not
+    clear, so the decision is the same.
     """
     pts = _as_points(w, c.num_vars)
     a, b, cc, d = c.blocks()
@@ -110,11 +114,27 @@ def transfer_eval(c: AglerColligation, w, pol: TolerancePolicy = DEFAULT_POLICY)
         return out[0] if np.asarray(w).ndim == 1 else out
     pw = c.state_weights(pts)  # (B, x)
     sys = np.broadcast_to(np.eye(x, dtype=complex), (len(pts), x, x)) - a[None] * pw[:, None, :]
-    _refuse_ill_conditioned(sys, pol, "I - A P(w)")
+    _refuse_ill_conditioned(sys, pol, "I - A P(w)", bound=transfer_condition_bound(c, pts))
     rhs = np.broadcast_to(b, (len(pts),) + b.shape)
     sol = np.linalg.solve(sys, rhs)  # (B, x, n)
     out = d[None] + cc[None] @ (pw[:, :, None] * sol)
     return out[0] if np.asarray(w).ndim == 1 else out
+
+
+def transfer_condition_bound(c: AglerColligation, w) -> np.ndarray:
+    """Certified upper bound on cond(I - A P(w)) at each point; +inf where none is proven.
+
+    With rho = ||A|| max_k |w_k| >= ||A P(w)||, the Neumann series gives
+    sigma_min(I - A P(w)) >= 1 - rho and ||I - A P(w)|| <= 1 + rho, so
+    cond <= (1 + rho) / (1 - rho) when rho < 1.  ||A|| is computed, not
+    assumed to be at most 1.
+    """
+    pts = _as_points(w, c.num_vars)
+    rho = operator_norm(c.blocks()[0]) * np.max(np.abs(pts), axis=1, initial=0.0)
+    out = np.full(len(pts), np.inf)
+    ok = rho < 1.0
+    out[ok] = (1.0 + rho[ok]) / (1.0 - rho[ok])
+    return out
 
 
 def _state_kernels(c: AglerColligation, pts: np.ndarray, pol: TolerancePolicy) -> np.ndarray:
@@ -213,6 +233,14 @@ def build_colligation(grid, theta_tables, schur_samples,
     unitary U; by construction U d(w, u) = r(w, u) makes the transfer
     interpolate S at every grid node.
 
+    The Gram residual is computed in the small space, never forming the
+    2gn x 2gn Grams: with one thin QR  [D ; R]* = Q [R1 | R2]  of the
+    stacked generator matrices D = dmat and R = rmat, Q has orthonormal
+    columns, so exactly in arithmetic ||D* D|| = ||D||^2,
+    ||D* D - R* R|| = ||R1 R1* - R2 R2*|| and
+    ||D* R - R* D|| = ||R1 R2* - R2 R1*||.  These are identities, not
+    bounds, so both gates below keep their meaning.
+
     When the data satisfies the identities only approximately (Gram
     residual above residual_tol but below 1e-6) the swap is replaced by
     the closest involutive unitary and the achieved residuals are
@@ -237,11 +265,11 @@ def build_colligation(grid, theta_tables, schur_samples,
     dmat = np.hstack(list(d_vecs) + list(r_vecs))  # (m+n, 2 g n)
     rmat = np.hstack(list(r_vecs) + list(d_vecs))
 
-    gram_d = dmat.conj().T @ dmat
-    gram_r = rmat.conj().T @ rmat
-    cross = dmat.conj().T @ rmat
-    scale = 1.0 + operator_norm(gram_d)
-    gram_res = max(operator_norm(gram_d - gram_r), operator_norm(cross - cross.conj().T)) / scale
+    r12 = np.linalg.qr(np.vstack([dmat, rmat]).conj().T, mode="r")
+    r1, r2 = r12[:, :m + n], r12[:, m + n:]
+    scale = 1.0 + operator_norm(r1) ** 2
+    gram_res = max(operator_norm(r1 @ r1.conj().T - r2 @ r2.conj().T),
+                   operator_norm(r1 @ r2.conj().T - r2 @ r1.conj().T)) / scale
     if gram_res > 1e-6:
         raise ValidationError(
             f"samples violate the transfer identities (Gram residual {gram_res:.3e})")

@@ -22,6 +22,7 @@ __all__ = [
     "hermitian_part",
     "skew_part",
     "operator_norm",
+    "argument_arc",
     "scale_of",
     "is_hermitian",
     "PsdReport",
@@ -103,6 +104,23 @@ def operator_norm(m) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
+
+
+def argument_arc(pts) -> tuple[np.ndarray, np.ndarray]:
+    """Shortest circular arc holding the coordinate arguments of each point.
+
+    ``pts`` is a (B, N) batch.  Returns ``(start, gap)`` per point, with
+    ``gap`` the largest circular gap between the sorted arguments: the
+    arguments lie in [start, start + 2 pi - gap] modulo 2 pi.  A point
+    lies in some rotated open polyhalfplane iff no coordinate vanishes
+    and gap > pi.
+    """
+    beta = np.sort(np.mod(np.angle(np.asarray(pts, dtype=complex)), 2.0 * np.pi), axis=-1)
+    gaps = np.diff(beta, axis=-1, append=beta[..., :1] + 2.0 * np.pi)
+    imax = np.argmax(gaps, axis=-1)[..., None]
+    gap = np.take_along_axis(gaps, imax, axis=-1)[..., 0]
+    start = np.take_along_axis(beta, (imax + 1) % beta.shape[-1], axis=-1)[..., 0]
+    return start, gap
 
 
 def scale_of(m) -> float:

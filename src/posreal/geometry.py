@@ -20,6 +20,7 @@ from .core import (
     ShapeError,
     TolerancePolicy,
     ValidationError,
+    argument_arc,
     as_matrix,
     hermitian_part,
     eigh_or_refuse,
@@ -53,20 +54,16 @@ def in_right_polyhalfplane(z) -> bool:
     return bool(np.all(z.real > 0))
 
 
-def _coverage_arc(args: np.ndarray) -> tuple[float, float] | None:
-    """Open arc of directions theta covering all arguments within pi/2.
+def _coverage_arc(z: np.ndarray) -> tuple[float, float] | None:
+    """Open arc of directions theta covering all arguments of z within pi/2.
 
     Returns (lo, hi) with hi - lo < pi describing {theta : all args lie
     in (theta - pi/2, theta + pi/2)}, or None when empty.  The arc is
     computed from the largest circular gap between sorted arguments.
     """
-    beta = np.sort(np.mod(args, 2.0 * np.pi))
-    gaps = np.diff(beta, append=beta[0] + 2.0 * np.pi)
-    imax = int(np.argmax(gaps))
-    gap = float(gaps[imax])
+    start, gap = (float(v[0]) for v in argument_arc(z[None, :]))
     if gap <= np.pi:
         return None
-    start = float(beta[(imax + 1) % len(beta)])  # first point after the gap
     spread = 2.0 * np.pi - gap                   # points occupy [start, start+spread]
     return start + spread - np.pi / 2.0, start + np.pi / 2.0
 
@@ -82,7 +79,7 @@ def in_omega(z) -> bool:
     z = np.asarray(z, dtype=complex).ravel()
     if z.size == 0 or np.any(z == 0):
         return False
-    return _coverage_arc(np.angle(z)) is not None
+    return _coverage_arc(z) is not None
 
 
 def in_omega_oracle(z, resolution: int = 100_000) -> bool:
@@ -143,7 +140,7 @@ def in_omega_plus(z) -> bool:
         return True
     if np.any(z == 0):
         return False
-    arc = _coverage_arc(np.angle(z))
+    arc = _coverage_arc(z)
     if arc is None:
         return False
     lo, hi = arc

@@ -29,7 +29,7 @@ from .core import (
     psd_sqrt,
     scale_of,
 )
-from .pencil import PsdPencil, RealizedFunction, _as_points, _refuse_ill_conditioned
+from .pencil import PsdPencil, RealizedFunction, _as_points, _refuse_ill_conditioned, d_condition_bound
 
 __all__ = [
     "KernelEvaluator",
@@ -56,7 +56,7 @@ def psi(f: RealizedFunction, z, pol: TolerancePolicy = DEFAULT_POLICY) -> np.nda
     if p:
         az = np.tensordot(pts, f.pencil.stacked(), axes=(1, 0))
         c, d = az[:, n:, :n], az[:, n:, n:]
-        _refuse_ill_conditioned(d, pol, "d(z)")
+        _refuse_ill_conditioned(d, pol, "d(z)", bound=d_condition_bound(f, pts))
         out[:, n:, :] = -np.linalg.solve(d, c)
     return out[0] if np.asarray(z).ndim == 1 else out
 

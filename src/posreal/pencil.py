@@ -23,6 +23,7 @@ from .core import (
     ShapeError,
     TolerancePolicy,
     ValidationError,
+    argument_arc,
     as_matrix,
     hermitian_part,
     eigh_or_refuse,
@@ -37,6 +38,7 @@ __all__ = [
     "eval_pencil",
     "compress",
     "eval_schur",
+    "d_condition_bound",
     "eval_long_resolvent",
     "sum_realization",
     "diagonal_realization",
@@ -185,23 +187,93 @@ def _blocks_at(f: RealizedFunction, pts: np.ndarray):
     return az[:, :n, :n], az[:, :n, n:], az[:, n:, :n], az[:, n:, n:]
 
 
-def _refuse_ill_conditioned(mats: np.ndarray, pol: TolerancePolicy, what: str) -> None:
+def _refuse_ill_conditioned(mats: np.ndarray, pol: TolerancePolicy, what: str,
+                            bound=None) -> None:
+    """Refuse a stack of square matrices if any is numerically singular.
+
+    The decision is the computed condition number: a matrix is refused
+    when ``np.linalg.cond`` exceeds 1/psd_slack (or is not finite).
+    ``bound`` optionally gives a certified upper bound on each matrix's
+    condition number (+inf where nothing is proven).  A matrix whose
+    bound, padded for roundoff, is at most 1/(2 psd_slack) is accepted
+    without the estimate: its condition number is at most half the
+    refusal threshold, and the pad plus the factor 2 absorb the
+    roundoff in forming the matrix and the bound.  Every other matrix
+    goes through ``np.linalg.cond`` exactly as without a bound.  A
+    bound may only skip the estimate, never loosen the decision, and a
+    refused matrix (condition above 1/psd_slack) is never one that the
+    bound accepted, so the worst condition reported is unchanged.
+    """
     if mats.shape[-1] == 0:
         return
+    limit = 1.0 / pol.psd_slack
+    if bound is not None:
+        b = np.minimum(np.asarray(bound, dtype=float), limit)
+        proven = b * (1.0 + 16.0 * mats.shape[-1] * np.finfo(float).eps * b) <= 0.5 * limit
+        if np.all(proven):
+            return
+        mats = mats[~proven]
     conds = np.linalg.cond(mats)
     worst = float(np.max(conds))
-    if not np.isfinite(worst) or worst > 1.0 / pol.psd_slack:
+    if not np.isfinite(worst) or worst > limit:
         raise NumericalRefusalError(
             f"{what} is numerically singular (condition {worst:.3e}); "
             "boundary or outside-domain evaluation")
+
+
+def d_condition_bound(f: RealizedFunction, z) -> np.ndarray:
+    """Certified upper bound on cond d(z) at each point; +inf where none is proven.
+
+    With theta the midpoint of the shortest arc holding the arguments of
+    z and mu = min_k Re(exp(-i theta) z_k), every unit vector x gives
+    |x* d(z) x| >= Re(exp(-i theta) x* d(z) x) >= mu x* (sum_k d_k) x for
+    PSD d_k, so sigma_min d(z) >= mu lambda_min(sum_k d_k), while
+    ||d(z)|| <= sum_k |z_k| ||d_k||.  Hence
+
+        cond d(z) <= sum_k |z_k| ||d_k|| / (mu lambda_min(sum_k d_k)),
+
+    on every rotated polyhalfplane.  Coefficients that are not exactly
+    Hermitian PSD (unchecked pencils, roundoff after compression) are
+    covered by subtracting (Re(exp(-i theta) z_k) - mu) times their most
+    negative eigenvalue and |z_k| times the Frobenius norm of their skew
+    part from the denominator.  The bound is +inf when mu <= 0 (off the
+    domain) or the denominator is not positive.
+    """
+    pts = _as_points(z, f.num_vars)
+    n = f.dim_u
+    if f.dim_h == 0:
+        return np.ones(len(pts))
+    ds = [m[n:, n:] for m in f.pencil.coeffs]
+    herm = [hermitian_part(d) for d in ds]
+    eigs = [eigh_or_refuse(h)[0] for h in herm]
+    lam = float(eigh_or_refuse(sum(herm))[0][0])
+    skew = np.array([np.linalg.norm(d - h) for d, h in zip(ds, herm)])
+    norms = np.array([max(-w[0], w[-1]) for w in eigs]) + skew
+    neg = np.array([max(-w[0], 0.0) for w in eigs])
+
+    start, gap = argument_arc(pts)
+    theta = start + (np.pi - gap / 2.0)
+    re = (np.exp(-1j * theta)[:, None] * pts).real  # (B, N)
+    mu = np.min(re, axis=1)
+    mags = np.abs(pts)
+    num = mags @ norms
+    den = mu * lam - (re - mu[:, None]) @ neg - mags @ skew
+    out = np.full(len(pts), np.inf)
+    ok = (mu > 0) & (den > 0)
+    out[ok] = num[ok] / den[ok]
+    return out
 
 
 def eval_schur(f: RealizedFunction, z, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """f(z) = a(z) - b(z) d(z)^{-1} c(z); batched over points.
 
     d(z) is inverted by LU with partial pivoting; evaluation is refused
-    (never regularized) when the estimated condition exceeds
-    1/psd_slack, so boundary evaluations stay detectable.
+    (never regularized) when the condition of d(z) exceeds 1/psd_slack,
+    so boundary evaluations stay detectable.  The guard first tries the
+    certificate of ``d_condition_bound`` (proof: on a rotated
+    polyhalfplane Re(exp(-i theta) d(z)) dominates mu(z) sum_k d_k, which
+    bounds sigma_min d(z) from below); points it does not clear fall
+    back to the computed condition number, so the decision is the same.
     """
     if not f.compressed:
         raise ValidationError("realization must be compressed before Schur evaluation")
@@ -210,7 +282,7 @@ def eval_schur(f: RealizedFunction, z, pol: TolerancePolicy = DEFAULT_POLICY) ->
     if f.dim_h == 0:
         out = a
     else:
-        _refuse_ill_conditioned(d, pol, "d(z)")
+        _refuse_ill_conditioned(d, pol, "d(z)", bound=d_condition_bound(f, pts))
         out = a - b @ np.linalg.solve(d, c)
     return out[0] if np.asarray(z).ndim == 1 else out
 
@@ -283,7 +355,7 @@ def ldu_factor_residual(f: RealizedFunction, z, pol: TolerancePolicy = DEFAULT_P
         return 0.0
     a, b, c, d = _blocks_at(f, pts)
     az = np.tensordot(pts, f.pencil.stacked(), axes=(1, 0))
-    _refuse_ill_conditioned(d, pol, "d(z)")
+    _refuse_ill_conditioned(d, pol, "d(z)", bound=d_condition_bound(f, pts))
     dinv_c = np.linalg.solve(d, c)
     b_dinv = np.linalg.solve(d.conj().transpose(0, 2, 1), b.conj().transpose(0, 2, 1))
     b_dinv = b_dinv.conj().transpose(0, 2, 1)

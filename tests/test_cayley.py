@@ -130,6 +130,19 @@ class TestKernelTransforms:
         sp, sm = dk.schur_identity_residuals(ws)
         assert max(hp, hm, sp, sm) < 1e-10
 
+    def test_theta_table_matches_per_variable_formula(self, rng):
+        # theta_k(w) = sqrt(2) xi_k(w) (F(w) + I)^{-1}, one variable at a time
+        f = random_pencil(rng, 3, 2, 4)
+        dk = DiskKernelEvaluator(f)
+        ws = disk_grid(3, 12, seed=8)
+        plus = dk.view.eval_F(ws) + np.eye(2)
+        table = dk.theta_table(ws)
+        for k in range(3):
+            expect = np.sqrt(2.0) * np.linalg.solve(plus.transpose(0, 2, 1),
+                                                    dk.xi(k, ws).transpose(0, 2, 1)).transpose(0, 2, 1)
+            assert np.allclose(table[k], expect, rtol=1e-13, atol=1e-13)
+            assert np.allclose(dk.theta(k, ws[3]), table[k][3], rtol=1e-13, atol=1e-13)
+
     def test_theta_kernel_value_map_conjugation(self, rng):
         # Theta_k(w, o) must equal 2 (F(o)* + I)^{-1} Xi_k(w, o) (F(w) + I)^{-1}
         f = random_pencil(rng, 2, 2, 3)

@@ -160,3 +160,23 @@ class TestHunt:
         with pytest.raises(SystemExit) as err:
             main(["hunt", "--trials", "not-a-number"])
         assert err.value.code == 2
+
+
+class TestGridSize:
+    @pytest.mark.parametrize("command,grid", [
+        ("verify", "0"), ("verify", "-3"), ("cayley", "0"), ("calculus", "-1"),
+        ("kernels", "0"), ("kernels", "-3"), ("colligate", "0"), ("colligate", "-3"),
+    ])
+    def test_nonpositive_grid_is_usage_error(self, parallel_file, capsys, command, grid):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--pencil", parallel_file, "--grid", grid])
+        assert err.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    def test_non_integer_grid_is_usage_error(self, parallel_file):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--pencil", parallel_file, "--grid", "2.5"])
+        assert err.value.code == 2
+
+    def test_grid_of_one_runs(self, parallel_file):
+        assert main(["colligate", "--pencil", parallel_file, "--grid", "1"]) == 0
