@@ -291,9 +291,9 @@ def herglotz_taylor_from_schur(schur: TaylorCoefficients,
                                sup_radius: float | None = None) -> TaylorCoefficients:
     """Coefficients of F = (I + S)(I - S)^{-1} from the coefficients of S.
 
-    Exact series algebra: with G = (I - S)^{-1}, the Cauchy products
-    give (I - S_0) G_t = [t = 0] I + sum_{0 < s <= t} S_s G_{t-s} and
-    F_t = G_t + sum_{s <= t} S_s G_{t-s}.
+    Exact series algebra: with G = (I - S)^{-1}, the Cauchy product
+    gives (I - S_0) G_t = [t = 0] I + sum_{0 < s <= t} S_s G_{t-s}, and
+    (I - S) G = I gives F = (I + S) G = 2 G - I, so F_t = 2 G_t - [t = 0] I.
     """
     n = schur.dim
     eye = np.eye(n, dtype=complex)
@@ -311,11 +311,7 @@ def herglotz_taylor_from_schur(schur: TaylorCoefficients,
             rest = tuple(a - b for a, b in zip(t, s))
             rhs = rhs + schur.coeff(s) @ g[rest]
         g[t] = np.linalg.solve(base, rhs)
-        ft = g[t].copy()
-        for s in _sub_indices(t):
-            rest = tuple(a - b for a, b in zip(t, s))
-            ft = ft + schur.coeff(s) @ g[rest]
-        f[t] = ft
+        f[t] = 2.0 * g[t] - eye if sum(t) == 0 else 2.0 * g[t]
     out = TaylorCoefficients(schur.num_vars, n, schur.degree,
                              {t: m for t, m in f.items() if np.linalg.norm(m) > 0})
     if sup_bound is not None and sup_radius is not None:

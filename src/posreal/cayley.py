@@ -18,9 +18,12 @@ from .core import (
     TolerancePolicy,
     ValidationError,
     as_matrix,
+    as_points,
+    cross_gram_residual,
 )
+from .colligation import transfer_identity_residuals
 from .kernels import KernelEvaluator
-from .pencil import RealizedFunction, _as_points, _refuse_ill_conditioned
+from .pencil import RealizedFunction, _refuse_ill_conditioned
 
 __all__ = [
     "BOUNDARY_GUARD",
@@ -98,7 +101,7 @@ class DiskFunctionView:
 
     def eval_F(self, w) -> np.ndarray:
         """Herglotz-side value F(w); batched over disk points."""
-        pts = _as_points(w, self.num_vars)
+        pts = as_points(w, self.num_vars)
         z = disk_to_halfplane(pts)
         out = np.asarray(self._eval(z), dtype=complex)
         if out.ndim == 2:
@@ -107,7 +110,7 @@ class DiskFunctionView:
 
     def eval_double_cayley(self, w) -> np.ndarray:
         """Schur-side value (F(w) - I)(F(w) + I)^{-1}; contractive on the class."""
-        pts = _as_points(w, self.num_vars)
+        pts = as_points(w, self.num_vars)
         fv = self.eval_F(pts)
         out = _value_cayley(fv, self.pol)
         return out[0] if np.asarray(w).ndim == 1 else out
@@ -176,7 +179,7 @@ class DiskKernelEvaluator:
         return np.split(np.sqrt(2.0) * sol, np.cumsum([x.shape[1] for x in xs])[:-1], axis=1)
 
     def xi(self, k: int, w) -> np.ndarray:
-        out = self._xi_tables(_as_points(w, self.num_vars), [k])[0]
+        out = self._xi_tables(as_points(w, self.num_vars), [k])[0]
         return out[0] if np.asarray(w).ndim == 1 else out
 
     def xi_kernel(self, k: int, w, omega) -> np.ndarray:
@@ -185,11 +188,11 @@ class DiskKernelEvaluator:
         return np.squeeze(xo.conj().swapaxes(-1, -2) @ xw)
 
     def theta(self, k: int, w) -> np.ndarray:
-        out = self._theta_tables(_as_points(w, self.num_vars), [k])[0]
+        out = self._theta_tables(as_points(w, self.num_vars), [k])[0]
         return out[0] if np.asarray(w).ndim == 1 else out
 
     def theta_table(self, grid) -> list[np.ndarray]:
-        return self._theta_tables(_as_points(grid, self.num_vars), range(self.num_vars))
+        return self._theta_tables(as_points(grid, self.num_vars), range(self.num_vars))
 
     def theta_kernel(self, k: int, w, omega) -> np.ndarray:
         tw = np.atleast_3d(self.theta(k, w))
@@ -202,10 +205,17 @@ class DiskKernelEvaluator:
         plus:  F(w) + F(o)* = sum_k (1 - conj(o_k) w_k) Xi_k(w, o)
         minus: F(w) - F(o)* = sum_k (w_k - conj(o_k)) Xi_k(w, o)
         """
-        pts = _as_points(grid, self.num_vars)
-        tables = self._xi_tables(pts, range(self.num_vars))
+        pts = as_points(grid, self.num_vars)
+        xis = np.concatenate(self._xi_tables(pts, range(self.num_vars)), axis=1)
+        wxis = np.repeat(pts, self.kernels.factor_ranks, axis=1)[:, :, None] * xis
         fv = self.view.eval_F(pts)
-        return _two_point_residuals(pts, tables, fv, np.eye(0))
+        eye = np.broadcast_to(np.eye(fv.shape[-1], dtype=complex), fv.shape)
+        scale = 1.0 + np.linalg.norm(fv, axis=(1, 2))
+        plus = cross_gram_residual(np.concatenate([xis, -wxis, eye, fv], axis=1),
+                                   np.concatenate([xis, wxis, -fv, -eye], axis=1), scale)
+        minus = cross_gram_residual(np.concatenate([xis, -wxis, eye, -fv], axis=1),
+                                    np.concatenate([wxis, xis, -fv, -eye], axis=1), scale)
+        return plus, minus
 
     def schur_identity_residuals(self, grid) -> tuple[float, float]:
         """Residuals of the disk-side identities for the double Cayley transform.
@@ -213,32 +223,9 @@ class DiskKernelEvaluator:
         plus:  I - S(o)* S(w) = sum_k (1 - conj(o_k) w_k) Theta_k(w, o)
         minus: S(w) - S(o)*   = sum_k (w_k - conj(o_k)) Theta_k(w, o)
         """
-        pts = _as_points(grid, self.num_vars)
-        tables = self.theta_table(pts)
+        pts = as_points(grid, self.num_vars)
+        thetas = np.concatenate(self.theta_table(pts), axis=1)
         sv = self.view.eval_double_cayley(pts)
-        return _two_point_residuals(pts, tables, sv, np.eye(sv.shape[-1], dtype=complex))
-
-
-def _two_point_residuals(pts, tables, vals, eye) -> tuple[float, float]:
-    """Shared residual computation for the Herglotz and Schur identity pairs.
-
-    With an empty ``eye`` the plus-target is F(w) + F(o)*; otherwise it
-    is I - S(o)* S(w).  The minus-target is always vals(w) - vals(o)*.
-    """
-    kern = np.stack([np.einsum("cmi,bmj->bcij", tab.conj(), tab) for tab in tables])
-    vstar = vals.conj().transpose(0, 2, 1)
-    den = 1.0 + np.linalg.norm(vals, axis=(1, 2))
-
-    wplus = 1.0 - pts.conj()[None, :, :] * pts[:, None, :]
-    lhs_plus = np.einsum("bck,kbcij->bcij", wplus, kern)
-    if eye.size:
-        tgt_plus = eye - np.einsum("cij,bjl->bcil", vstar, vals)
-    else:
-        tgt_plus = vals[:, None] + vstar[None, :]
-    res_plus = np.linalg.norm(lhs_plus - tgt_plus, axis=(2, 3)) / den[:, None]
-
-    wminus = pts[:, None, :] - pts.conj()[None, :, :]
-    lhs_minus = np.einsum("bck,kbcij->bcij", wminus, kern)
-    tgt_minus = vals[:, None] - vstar[None, :]
-    res_minus = np.linalg.norm(lhs_minus - tgt_minus, axis=(2, 3)) / den[:, None]
-    return float(np.max(res_plus)), float(np.max(res_minus))
+        weights = np.repeat(pts, self.kernels.factor_ranks, axis=1)
+        return transfer_identity_residuals(weights, thetas, thetas, sv,
+                                           1.0 + np.linalg.norm(sv, axis=(1, 2)))

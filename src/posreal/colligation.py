@@ -23,17 +23,20 @@ from .core import (
     TolerancePolicy,
     ValidationError,
     as_matrix,
+    as_points,
+    cross_gram_residual,
     hermitian_part,
     eigh_or_refuse,
     operator_norm,
 )
-from .pencil import _as_points, _refuse_ill_conditioned
+from .pencil import _refuse_ill_conditioned
 
 __all__ = [
     "AglerColligation",
     "transfer_eval",
     "transfer_condition_bound",
     "agler_identity_residual",
+    "transfer_identity_residuals",
     "spectrum_condition",
     "ColligationSynthesis",
     "build_colligation",
@@ -106,7 +109,7 @@ def transfer_eval(c: AglerColligation, w, pol: TolerancePolicy = DEFAULT_POLICY)
     and falls back to the computed condition number where it does not
     clear, so the decision is the same.
     """
-    pts = _as_points(w, c.num_vars)
+    pts = as_points(w, c.num_vars)
     a, b, cc, d = c.blocks()
     x = c.dim_state
     if x == 0:
@@ -129,7 +132,7 @@ def transfer_condition_bound(c: AglerColligation, w) -> np.ndarray:
     cond <= (1 + rho) / (1 - rho) when rho < 1.  ||A|| is computed, not
     assumed to be at most 1.
     """
-    pts = _as_points(w, c.num_vars)
+    pts = as_points(w, c.num_vars)
     rho = operator_norm(c.blocks()[0]) * np.max(np.abs(pts), axis=1, initial=0.0)
     out = np.full(len(pts), np.inf)
     ok = rho < 1.0
@@ -137,25 +140,23 @@ def transfer_condition_bound(c: AglerColligation, w) -> np.ndarray:
     return out
 
 
-def _state_kernels(c: AglerColligation, pts: np.ndarray, pol: TolerancePolicy) -> np.ndarray:
-    """G_k(w, o) = B* (I - P(conj o) A)^{-1} P_k (I - A P(w))^{-1} B as (N, B, C, n, n)."""
-    a, b, _, _ = c.blocks()
-    x = c.dim_state
-    if x == 0:
-        return np.zeros((c.num_vars, len(pts), len(pts), c.n, c.n), dtype=complex)
-    pw = c.state_weights(pts)
-    eye = np.broadcast_to(np.eye(x, dtype=complex), (len(pts), x, x))
-    right = np.linalg.solve(eye - a[None] * pw[:, None, :], np.broadcast_to(b, (len(pts),) + b.shape))
-    # B* (I - P(conj o) A)^{-1} = [(I - A* P(o))^{-1} B]*, since the adjoint of
-    # the diagonal P(conj o) is P(o).
-    left_sys = eye - a.conj().T[None] * pw[:, None, :]
-    left = np.linalg.solve(left_sys, np.broadcast_to(b, (len(pts),) + b.shape))
-    offsets = np.concatenate([[0], np.cumsum(c.dims)])
-    out = []
-    for k in range(c.num_vars):
-        sel = slice(offsets[k], offsets[k + 1])
-        out.append(np.einsum("cxi,bxj->bcij", left[:, sel, :].conj(), right[:, sel, :]))
-    return np.stack(out)
+def transfer_identity_residuals(weights, left, right, values, scale=None) -> tuple[float, float]:
+    """Residuals of the disk-side transfer identities over grid x grid.
+
+    plus:  I - S(o)* S(w) = sum_k (1 - conj(o_k) w_k) left_k(o)* right_k(w)
+    minus: S(w) - S(o)*   = sum_k (w_k - conj(o_k)) left_k(o)* right_k(w)
+
+    ``left`` and ``right`` stack the blocks k of the factor tables (g, M, n),
+    ``weights`` (g, M) repeats w_k over the rows of block k, ``values`` is S
+    on the grid (g, n, n), and ``scale`` is passed to ``cross_gram_residual``.
+    """
+    wl, wr = weights[:, :, None] * left, weights[:, :, None] * right
+    eye = np.broadcast_to(np.eye(values.shape[-1], dtype=complex), values.shape)
+    plus = cross_gram_residual(np.concatenate([left, -wl, eye, values], axis=1),
+                               np.concatenate([right, wr, -eye, values], axis=1), scale)
+    minus = cross_gram_residual(np.concatenate([left, -wl, eye, -values], axis=1),
+                                np.concatenate([wr, right, -values, -eye], axis=1), scale)
+    return plus, minus
 
 
 def agler_identity_residual(c: AglerColligation, grid,
@@ -170,22 +171,16 @@ def agler_identity_residual(c: AglerColligation, grid,
     """
     if not c.selfadjoint:
         raise ValidationError("identity residuals are defined for selfadjoint colligations")
-    pts = _as_points(grid, c.num_vars)
-    kern = _state_kernels(c, pts, pol)
-    sv = transfer_eval(c, pts, pol)
-    svstar = sv.conj().transpose(0, 2, 1)
-    eye = np.eye(c.n, dtype=complex)
-
-    wplus = 1.0 - pts.conj()[None, :, :] * pts[:, None, :]
-    lhs_plus = np.einsum("bck,kbcij->bcij", wplus, kern)
-    tgt_plus = eye - np.einsum("cij,bjl->bcil", svstar, sv)
-    res_plus = float(np.max(np.linalg.norm(lhs_plus - tgt_plus, axis=(2, 3))))
-
-    wminus = pts[:, None, :] - pts.conj()[None, :, :]
-    lhs_minus = np.einsum("bck,kbcij->bcij", wminus, kern)
-    tgt_minus = sv[:, None] - svstar[None, :]
-    res_minus = float(np.max(np.linalg.norm(lhs_minus - tgt_minus, axis=(2, 3))))
-    return res_plus, res_minus
+    pts = as_points(grid, c.num_vars)
+    a, b, _, _ = c.blocks()
+    pw = c.state_weights(pts)
+    rhs = np.broadcast_to(b, (len(pts),) + b.shape)
+    # G_k(w, o) = B* (I - P(conj o) A)^{-1} P_k (I - A P(w))^{-1} B is block k of
+    # left(o)* right(w): B* (I - P(conj o) A)^{-1} = [(I - A* P(o))^{-1} B]*, since
+    # the adjoint of the diagonal P(conj o) is P(o).
+    left = np.linalg.solve(np.eye(c.dim_state) - a.conj().T[None] * pw[:, None, :], rhs)
+    right = np.linalg.solve(np.eye(c.dim_state) - a[None] * pw[:, None, :], rhs)
+    return transfer_identity_residuals(pw, left, right, transfer_eval(c, pts, pol))
 
 
 def spectrum_condition(c: AglerColligation, pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[bool, float]:
@@ -247,7 +242,7 @@ def build_colligation(grid, theta_tables, schur_samples,
     reported in the result rather than hidden.  Larger residuals are
     rejected.
     """
-    pts = _as_points(grid, len(theta_tables))
+    pts = as_points(grid, len(theta_tables))
     g, num_vars = pts.shape
     svals = np.asarray(schur_samples, dtype=complex)
     if svals.shape[0] != g:

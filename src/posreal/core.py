@@ -19,10 +19,12 @@ __all__ = [
     "ValidationError",
     "NumericalRefusalError",
     "as_matrix",
+    "as_points",
     "hermitian_part",
     "skew_part",
     "operator_norm",
     "argument_arc",
+    "cross_gram_residual",
     "scale_of",
     "is_hermitian",
     "PsdReport",
@@ -85,6 +87,9 @@ class TolerancePolicy:
 
 DEFAULT_POLICY = TolerancePolicy()
 
+# Grid points b per block of the Gram formed in ``cross_gram_residual``.
+_ROW_BLOCK = 32
+
 
 def as_matrix(m, square: bool = False) -> np.ndarray:
     """Coerce to a finite 2-d complex array."""
@@ -96,6 +101,16 @@ def as_matrix(m, square: bool = False) -> np.ndarray:
     if square and a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
     return a
+
+
+def as_points(z, num_vars: int) -> np.ndarray:
+    """Coerce one point or a batch of points to shape (B, N)."""
+    pts = np.asarray(z, dtype=complex)
+    if pts.ndim == 1:
+        pts = pts[None, :]
+    if pts.ndim != 2 or pts.shape[1] != num_vars:
+        raise ShapeError(f"expected points with {num_vars} coordinates, got shape {pts.shape}")
+    return pts
 
 
 def operator_norm(m) -> float:
@@ -121,6 +136,33 @@ def argument_arc(pts) -> tuple[np.ndarray, np.ndarray]:
     gap = np.take_along_axis(gaps, imax, axis=-1)[..., 0]
     start = np.take_along_axis(beta, (imax + 1) % beta.shape[-1], axis=-1)[..., 0]
     return start, gap
+
+
+def cross_gram_residual(x, y, scale=None) -> float:
+    """Largest ||x(c)* y(b)|| / scale(b) over all pairs of grid points (b, c).
+
+    ``x`` and ``y`` stack one M x n matrix per grid point, shape (g, M, n);
+    the norm is the Frobenius norm and ``scale`` (g,) defaults to 1.  A
+    two-point identity "weighted kernels sum to a target" holds exactly
+    when such a cross-Gram vanishes, with the factor tables, the weights
+    and the target stacked into x and y.  The Gram is formed _ROW_BLOCK
+    points b at a time, one matrix product each, so memory is
+    O(_ROW_BLOCK g n^2), not O(g^2 n^2).
+    """
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    if x.ndim != 3 or x.shape != y.shape:
+        raise ShapeError(f"expected two (g, M, n) families of one shape, got {x.shape}, {y.shape}")
+    g, m, n = x.shape
+    scale = np.ones(g) if scale is None else np.asarray(scale, dtype=float)
+    xh = x.transpose(0, 2, 1).reshape(g * n, m).conj()  # rows (c, i)
+    yt = y.transpose(1, 0, 2).reshape(m, g * n)  # columns (b, j)
+    worst = 0.0
+    for b in range(0, g, _ROW_BLOCK):
+        gram = (xh @ yt[:, b * n:(b + _ROW_BLOCK) * n]).reshape(g, n, -1, n)
+        res = np.linalg.norm(gram, axis=(1, 3)) / scale[b:b + _ROW_BLOCK]
+        worst = np.maximum(worst, np.max(res))  # unlike max(), keeps a NaN
+    return float(worst)
 
 
 def scale_of(m) -> float:

@@ -22,6 +22,7 @@ from .core import (
     ValidationError,
     argument_arc,
     as_matrix,
+    as_points,
     hermitian_part,
     eigh_or_refuse,
     operator_norm,
@@ -204,15 +205,10 @@ class DehomogenizedView:
     num_vars: int   # variables of the underlying homogeneous function
 
     def __call__(self, zp, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-        pts = np.asarray(zp, dtype=complex)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
-        if pts.shape[1] != self.num_vars - 1:
-            raise ShapeError(f"expected {self.num_vars - 1} coordinates")
+        pts = as_points(zp, self.num_vars - 1)
         full = np.concatenate([pts, np.ones((len(pts), 1), dtype=complex)], axis=1)
         vals = _eval_source(self.source, full, pol)
-        return vals[0] if single else vals
+        return vals[0] if np.asarray(zp).ndim == 1 else vals
 
 
 def _eval_source(source, pts, pol):
@@ -239,12 +235,7 @@ def homogenize(g, num_vars: int):
     """
 
     def evaluate(z, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-        pts = np.asarray(z, dtype=complex)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
-        if pts.shape[1] != num_vars:
-            raise ShapeError(f"expected {num_vars} coordinates")
+        pts = as_points(z, num_vars)
         last = pts[:, -1]
         if np.any(last == 0):
             raise ValidationError("homogenization requires a nonzero last coordinate")
@@ -254,7 +245,7 @@ def homogenize(g, num_vars: int):
                 raise ValidationError("quotient point outside the de-homogenized domain")
         vals = np.asarray(g(quot) if not hasattr(g, "pencil") else g(quot, pol), dtype=complex)
         out = last[:, None, None] * vals
-        return out[0] if single else out
+        return out[0] if np.asarray(z).ndim == 1 else out
 
     return evaluate
 

@@ -23,13 +23,15 @@ from .core import (
     TolerancePolicy,
     ValidationError,
     as_matrix,
+    as_points,
+    cross_gram_residual,
     hermitian_part,
     eigh_or_refuse,
     is_hermitian,
     psd_sqrt,
     scale_of,
 )
-from .pencil import PsdPencil, RealizedFunction, _as_points, _refuse_ill_conditioned, d_condition_bound
+from .pencil import PsdPencil, RealizedFunction, _refuse_ill_conditioned, d_condition_bound
 
 __all__ = [
     "KernelEvaluator",
@@ -49,7 +51,7 @@ def psi(f: RealizedFunction, z, pol: TolerancePolicy = DEFAULT_POLICY) -> np.nda
     """The (n+p) x n column [I ; -d(z)^{-1} c(z)]; batched over points."""
     if not f.compressed:
         raise ValidationError("kernel evaluation needs a compressed realization")
-    pts = _as_points(z, f.num_vars)
+    pts = as_points(z, f.num_vars)
     n, p = f.dim_u, f.dim_h
     out = np.zeros((len(pts), n + p, n), dtype=complex)
     out[:, :n, :n] = np.eye(n)
@@ -96,7 +98,7 @@ class KernelEvaluator:
 
     def phi_table(self, grid) -> list[np.ndarray]:
         """phi_k at every grid point, as one (g, m_k, n) array per k."""
-        pts = _as_points(grid, self.f.num_vars)
+        pts = as_points(grid, self.f.num_vars)
         ps = self.psi(pts)
         return [s @ ps for s in self.factors]
 
@@ -106,13 +108,20 @@ def phi(f: RealizedFunction, k: int, z, zeta, pol: TolerancePolicy = DEFAULT_POL
     return KernelEvaluator(f, pol).phi(k, z, zeta)
 
 
-def _pair_sums(factor_table, grid_pts) -> np.ndarray:
-    """sum_k weight-free kernel values Phi_k(z_b, z_c) as (N, B, C, n, n)."""
-    out = []
-    for tab in factor_table:
-        # tab: (g, m_k, n); Phi_k(z_b, z_c) = tab[c]* tab[b]
-        out.append(np.einsum("cmi,bmj->bcij", tab.conj(), tab))
-    return np.stack(out)
+def _stacked_factors(pts, tables) -> tuple[np.ndarray, np.ndarray]:
+    """phi = [phi_1; ...; phi_N] and z.phi (block k scaled by z_k) at every point."""
+    phis = np.concatenate(tables, axis=1)
+    weights = np.repeat(pts, [t.shape[1] for t in tables], axis=1)
+    return phis, weights[:, :, None] * phis
+
+
+def _identity_residual(pts, tables, fvals) -> float:
+    """Max over (b, c) of ||sum_k z_k(b) phi_k(c)* phi_k(b) - f(b)|| / (1 + ||f(b)||)."""
+    phis, zphis = _stacked_factors(pts, tables)
+    eye = np.broadcast_to(np.eye(fvals.shape[-1], dtype=complex), fvals.shape)
+    return cross_gram_residual(np.concatenate([phis, eye], axis=1),
+                               np.concatenate([zphis, -fvals], axis=1),
+                               1.0 + np.linalg.norm(fvals, axis=(1, 2)))
 
 
 def kernel_identity_residual(f: RealizedFunction, grid,
@@ -120,14 +129,8 @@ def kernel_identity_residual(f: RealizedFunction, grid,
                              evaluator: KernelEvaluator | None = None) -> float:
     """Max over grid x grid of ||f(z) - sum_k z_k Phi_k(z, zeta)|| / (1+||f(z)||)."""
     ev = evaluator or KernelEvaluator(f, pol)
-    pts = _as_points(grid, f.num_vars)
-    table = ev.phi_table(pts)
-    phis = _pair_sums(table, pts)  # (N, B, C, n, n)
-    fvals = f(pts, pol)
-    lhs = np.einsum("bk,kbcij->bcij", pts, phis)
-    num = np.linalg.norm(lhs - fvals[:, None], axis=(2, 3))
-    den = 1.0 + np.linalg.norm(fvals, axis=(1, 2))
-    return float(np.max(num / den[:, None]))
+    pts = as_points(grid, f.num_vars)
+    return _identity_residual(pts, ev.phi_table(pts), f(pts, pol))
 
 
 def plus_minus_residuals(f: RealizedFunction, grid,
@@ -140,23 +143,15 @@ def plus_minus_residuals(f: RealizedFunction, grid,
     Together they are equivalent to the defining identity.
     """
     ev = evaluator or KernelEvaluator(f, pol)
-    pts = _as_points(grid, f.num_vars)
-    table = ev.phi_table(pts)
-    phis = _pair_sums(table, pts)
+    pts = as_points(grid, f.num_vars)
+    phis, zphis = _stacked_factors(pts, ev.phi_table(pts))
     fvals = f(pts, pol)
-    fstar = fvals.conj().transpose(0, 2, 1)
-    den = (1.0 + np.linalg.norm(fvals, axis=(1, 2)))[:, None]
-
-    wplus = pts[:, None, :] + pts.conj()[None, :, :]  # (B, C, N)
-    lhs_plus = np.einsum("bck,kbcij->bcij", wplus, phis)
-    tgt_plus = fvals[:, None] + fstar[None, :]
-    res_plus = np.linalg.norm(lhs_plus - tgt_plus, axis=(2, 3)) / den
-
-    wminus = pts[:, None, :] - pts.conj()[None, :, :]
-    lhs_minus = np.einsum("bck,kbcij->bcij", wminus, phis)
-    tgt_minus = fvals[:, None] - fstar[None, :]
-    res_minus = np.linalg.norm(lhs_minus - tgt_minus, axis=(2, 3)) / den
-    return float(np.max(res_plus)), float(np.max(res_minus))
+    eye = np.broadcast_to(np.eye(f.dim_u, dtype=complex), fvals.shape)
+    scale = 1.0 + np.linalg.norm(fvals, axis=(1, 2))
+    right = np.concatenate([zphis, phis, -fvals, -eye], axis=1)
+    plus = cross_gram_residual(np.concatenate([phis, zphis, eye, fvals], axis=1), right, scale)
+    minus = cross_gram_residual(np.concatenate([phis, -zphis, eye, -fvals], axis=1), right, scale)
+    return plus, minus
 
 
 def block_gram(samples) -> np.ndarray:
@@ -258,17 +253,13 @@ class KernelSampleSet:
 
     def identity_residual(self) -> float:
         """Residual of f(z) = sum_k z_k phi_k(zeta)* phi_k(z) over grid x grid."""
-        phis = _pair_sums(self.factors, self.grid)
-        lhs = np.einsum("bk,kbcij->bcij", self.grid, phis)
-        num = np.linalg.norm(lhs - self.f_samples[:, None], axis=(2, 3))
-        den = 1.0 + np.linalg.norm(self.f_samples, axis=(1, 2))
-        return float(np.max(num / den[:, None]))
+        return _identity_residual(self.grid, self.factors, self.f_samples)
 
 
 def sample_kernels(f: RealizedFunction, grid, pol: TolerancePolicy = DEFAULT_POLICY) -> KernelSampleSet:
     """Sample factored kernels and function values of a realization."""
     ev = KernelEvaluator(f, pol)
-    pts = _as_points(grid, f.num_vars)
+    pts = as_points(grid, f.num_vars)
     return KernelSampleSet(pts, tuple(ev.phi_table(pts)), f(pts, pol))
 
 

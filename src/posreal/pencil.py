@@ -25,6 +25,7 @@ from .core import (
     ValidationError,
     argument_arc,
     as_matrix,
+    as_points,
     hermitian_part,
     eigh_or_refuse,
     is_hermitian,
@@ -44,16 +45,6 @@ __all__ = [
     "diagonal_realization",
     "realize",
 ]
-
-
-def _as_points(z, num_vars: int) -> np.ndarray:
-    """Coerce one point or a batch of points to shape (B, N)."""
-    pts = np.asarray(z, dtype=complex)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    if pts.ndim != 2 or pts.shape[1] != num_vars:
-        raise ShapeError(f"expected points with {num_vars} coordinates, got shape {pts.shape}")
-    return pts
 
 
 @dataclass(frozen=True)
@@ -114,7 +105,7 @@ class PsdPencil:
 
 def eval_pencil(pencil: PsdPencil, z) -> np.ndarray:
     """A(z) = sum_k z_k A_k; batched over points."""
-    pts = _as_points(z, pencil.num_vars)
+    pts = as_points(z, pencil.num_vars)
     out = np.tensordot(pts, pencil.stacked(), axes=(1, 0))
     return out[0] if np.asarray(z).ndim == 1 else out
 
@@ -239,7 +230,7 @@ def d_condition_bound(f: RealizedFunction, z) -> np.ndarray:
     part from the denominator.  The bound is +inf when mu <= 0 (off the
     domain) or the denominator is not positive.
     """
-    pts = _as_points(z, f.num_vars)
+    pts = as_points(z, f.num_vars)
     n = f.dim_u
     if f.dim_h == 0:
         return np.ones(len(pts))
@@ -277,7 +268,7 @@ def eval_schur(f: RealizedFunction, z, pol: TolerancePolicy = DEFAULT_POLICY) ->
     """
     if not f.compressed:
         raise ValidationError("realization must be compressed before Schur evaluation")
-    pts = _as_points(z, f.num_vars)
+    pts = as_points(z, f.num_vars)
     a, b, c, d = _blocks_at(f, pts)
     if f.dim_h == 0:
         out = a
@@ -294,7 +285,7 @@ def eval_long_resolvent(f: RealizedFunction, z, pol: TolerancePolicy = DEFAULT_P
     A(z) and the corner itself to be invertible, otherwise refuses
     (f(z) can be non-invertible while the Schur form is still valid).
     """
-    pts = _as_points(z, f.num_vars)
+    pts = as_points(z, f.num_vars)
     n = f.dim_u
     az = np.tensordot(pts, f.pencil.stacked(), axes=(1, 0))
     _refuse_ill_conditioned(az, pol, "A(z)")
@@ -349,7 +340,7 @@ def ldu_factor_residual(f: RealizedFunction, z, pol: TolerancePolicy = DEFAULT_P
     Assembling [[I, -b d^{-1}], [0, I]] A(z) [[I, 0], [-d^{-1} c, I]]
     must reproduce diag(f(z), d(z)).
     """
-    pts = _as_points(z, f.num_vars)
+    pts = as_points(z, f.num_vars)
     n, p = f.dim_u, f.dim_h
     if p == 0:
         return 0.0

@@ -63,7 +63,10 @@ def points_to_json(pts) -> list:
 
 
 def points_from_json(data) -> np.ndarray:
-    a = np.asarray(data, dtype=float)
+    try:
+        a = np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed points JSON: {exc}") from exc
     if a.ndim != 3 or a.shape[-1] != 2:
         raise ValidationError("points JSON must be a list of [re, im] coordinate lists")
     return a[..., 0] + 1j * a[..., 1]

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -217,6 +218,27 @@ class TestTaylorSources:
                                              grid_size=128)
         for t_idx, m in by_recursion.coeffs.items():
             assert np.linalg.norm(m - by_quadrature.coeff(t_idx)) < 1e-10
+
+    @pytest.mark.parametrize("num_vars, degree", [(2, 12), (3, 6)])
+    def test_herglotz_coefficients_equal_cauchy_product(self, rng, num_vars, degree):
+        f = random_pencil(rng, num_vars, 2, 3)
+        sch = taylor_from_function(DiskFunctionView(f).eval_double_cayley, num_vars, 2,
+                                   degree=degree)
+        idx = sorted((t for t in itertools.product(range(degree + 1), repeat=num_vars)
+                      if sum(t) <= degree), key=sum)
+        eye = np.eye(2)
+
+        def below(t):
+            return [(s, tuple(np.subtract(t, s))) for s in idx if all(np.less_equal(s, t))]
+
+        g = {}  # G = (I - S)^{-1}, solved one coefficient at a time
+        for t in idx:
+            rhs = eye * (sum(t) == 0) + sum(sch.coeff(s) @ g[r] for s, r in below(t) if sum(s))
+            g[t] = np.linalg.solve(eye - sch.coeff(idx[0]), rhs)
+        herglotz = herglotz_taylor_from_schur(sch)
+        for t in idx:
+            want = g[t] + sum(sch.coeff(s) @ g[r] for s, r in below(t))  # F = (I + S) G
+            assert np.linalg.norm(herglotz.coeff(t) - want) <= 1e-12 * (1.0 + np.linalg.norm(want))
 
     def test_herglotz_series_inverts_cayley(self, rng):
         f = random_pencil(rng, 2, 1, 2)

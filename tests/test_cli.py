@@ -161,6 +161,14 @@ class TestHunt:
             main(["hunt", "--trials", "not-a-number"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("candidate, code", [("pencil-control-0", 1), ("pkg.mod:f", 0)])
+    def test_control_violation_fails_the_run(self, monkeypatch, capsys, candidate, code):
+        record = {"trial": 0, "candidate": candidate, "tuple": [], "norm": 1.5,
+                  "tail": 0.0, "violation": True}
+        monkeypatch.setattr("posreal.cli.hunt", lambda config, candidates, pol: iter([record]))
+        assert main(["hunt", "--trials", "1", "--candidates", "1"]) == code
+        assert "violations: 1" in capsys.readouterr().err
+
 
 class TestGridSize:
     @pytest.mark.parametrize("command,grid", [
@@ -180,3 +188,28 @@ class TestGridSize:
 
     def test_grid_of_one_runs(self, parallel_file):
         assert main(["colligate", "--pencil", parallel_file, "--grid", "1"]) == 0
+
+
+class TestInputErrors:
+    def test_ragged_points_json_is_input_error(self, parallel_file, tmp_path, capsys):
+        pts = tmp_path / "ragged.json"
+        pts.write_text(json.dumps([[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0]]]))
+        assert main(["eval", "--pencil", parallel_file, "--points", str(pts)]) == 2
+        assert "malformed points JSON" in capsys.readouterr().err
+
+    def test_pencil_directory_is_input_error(self, tmp_path, capsys):
+        assert main(["eval", "--pencil", str(tmp_path), "--point", "1,1"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["calculus", "--degree", "-1"], ["calculus", "--degree", "0"],
+        ["calculus", "--dim", "0"], ["calculus", "--tuples", "0"],
+        ["hunt", "--dim", "0"], ["hunt", "--trials", "-2"], ["hunt", "--degree", "0"],
+    ])
+    def test_nonpositive_size_is_usage_error(self, parallel_file, capsys, argv):
+        if argv[0] == "calculus":
+            argv = argv + ["--pencil", parallel_file]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
