@@ -40,6 +40,7 @@ __all__ = [
     "operator_cayley",
     "inverse_operator_cayley",
     "TaylorCoefficients",
+    "TAYLOR_MAX_POINTS",
     "taylor_from_function",
     "taylor_from_colligation",
     "herglotz_taylor_from_schur",
@@ -206,6 +207,29 @@ class TaylorCoefficients:
         return self.sup_bound * total
 
 
+# Largest polytorus, in points, that ``taylor_from_function`` samples:
+# grid_size ** num_vars with grid_size the power of two >= 2(degree + 1)
+# (at least 32).  It admits N = 2 up to degree 1023, N = 3 up to degree
+# 63 (the CLI default is 40) and N = 4 up to degree 15; larger tables are
+# refused before any sampling.
+TAYLOR_MAX_POINTS = 2 ** 22
+
+
+def _taylor_grid_size(num_vars: int, degree: int, grid_size: int | None = None) -> int:
+    """Points per circle of the Taylor quadrature, within TAYLOR_MAX_POINTS."""
+    if grid_size is None:
+        grid_size = 1
+        while grid_size < max(2 * (degree + 1), 32):
+            grid_size *= 2
+    if grid_size <= degree:
+        raise ValidationError("grid_size must exceed the requested degree")
+    if grid_size ** num_vars > TAYLOR_MAX_POINTS:
+        raise ValidationError(
+            f"a degree-{degree} Taylor table in {num_vars} variables samples "
+            f"{grid_size}^{num_vars} points, above the cap of {TAYLOR_MAX_POINTS}")
+    return grid_size
+
+
 def taylor_from_function(evaluator, num_vars: int, dim: int, degree: int,
                          radius: float = 0.6, sup_radius: float = 0.9,
                          grid_size: int | None = None,
@@ -217,12 +241,7 @@ def taylor_from_function(evaluator, num_vars: int, dim: int, degree: int,
     (radius / holomorphy radius)^grid_size.  The sup bound for the tail
     estimate is sampled on the larger ``sup_radius`` torus.
     """
-    if grid_size is None:
-        grid_size = 1
-        while grid_size < max(2 * (degree + 1), 32):
-            grid_size *= 2
-    if grid_size <= degree:
-        raise ValidationError("grid_size must exceed the requested degree")
+    grid_size = _taylor_grid_size(num_vars, degree, grid_size)
     angles = 2.0 * np.pi * np.arange(grid_size) / grid_size
     ring = radius * np.exp(1j * angles)
     axes = np.meshgrid(*([ring] * num_vars), indexing="ij")
@@ -463,6 +482,7 @@ class HuntConfig:
         # allowed as a negative-control regime where the classes coincide
         if self.num_vars < 2:
             raise ValidationError("the hunt needs at least two variables")
+        _taylor_grid_size(self.num_vars, self.degree)
 
 
 def hunt(config: HuntConfig, candidates, pol: TolerancePolicy = DEFAULT_POLICY):

@@ -263,8 +263,7 @@ def _write_or_print(data: dict, out: str | None) -> None:
     if out:
         serialize.dump(data, out)
     else:
-        json.dump(data, sys.stdout, indent=1)
-        print()
+        print(serialize.dumps(data))
 
 
 def _load_iota(path: str | None):
@@ -364,7 +363,7 @@ def _cmd_colligate(args) -> int:
         verdict = unit <= pol.residual_tol and margin >= pol.margin
         if coll.selfadjoint:
             verdict = verdict and sa <= pol.residual_tol
-            plus, minus = agler_identity_residual(coll, ws[: min(len(ws), 5)], pol)
+            plus, minus = agler_identity_residual(coll, ws, pol)
             print(f"identity residuals:       plus={plus:.3e} minus={minus:.3e}")
             verdict = verdict and max(plus, minus) <= pol.residual_tol
         print(f"verdict: {'pass' if verdict else 'FAIL'}")
@@ -376,7 +375,7 @@ def _cmd_colligate(args) -> int:
     disk = DiskKernelEvaluator(f, pol)
     syn = build_colligation(ws, disk.theta_table(ws), disk.view.eval_double_cayley(ws), pol)
     coll = syn.colligation
-    plus, minus = agler_identity_residual(coll, ws[: min(len(ws), 5)], pol)
+    plus, minus = agler_identity_residual(coll, ws, pol)
     print(f"state dims: {list(coll.dims)}  io dim: {coll.n}")
     print(f"unitarity residual:       {coll.unitarity_residual():.3e}")
     print(f"selfadjointness residual: {coll.selfadjointness_residual():.3e}")
@@ -449,8 +448,7 @@ def _cmd_hunt(args) -> int:
         for record in hunt(config, candidates, pol):
             if record["violation"]:
                 violations.append(record["candidate"])
-            json.dump(record, sink)
-            sink.write("\n")
+            sink.write(serialize.dumps(record) + "\n")
     finally:
         if args.out:
             sink.close()

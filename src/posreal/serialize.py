@@ -2,7 +2,8 @@
 
 Complex matrices serialize as row-major arrays of [re, im] pairs; the
 pencil, colligation, and kernel-sample formats wrap them with their
-shape metadata.
+shape metadata.  Arrays are encoded and decoded whole, never one entry
+at a time, and every file is written in one compact form (``dumps``).
 """
 
 from __future__ import annotations
@@ -27,14 +28,37 @@ __all__ = [
     "colligation_from_json",
     "kernel_samples_to_json",
     "kernel_samples_from_json",
+    "dumps",
     "dump",
     "load",
 ]
 
 
+def _pairs(a: np.ndarray) -> list:
+    """Nested lists of [re, im] float pairs, one per entry of the complex array ``a``."""
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
+def _from_pairs(data, ndim: int, what: str, layout: str) -> np.ndarray:
+    """Complex array of ``ndim`` axes from nested [re, im] pairs.
+
+    The pairs are reinterpreted as complex128 in place, so every float,
+    including -0.0, comes back bit for bit.
+    """
+    try:
+        a = np.ascontiguousarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed {what} JSON: {exc}") from exc
+    if a.ndim != ndim + 1 or a.shape[-1] != 2:
+        raise ValidationError(f"{what} JSON must be {layout}")
+    return a.view(complex)[..., 0]
+
+
+_MATRIX_LAYOUT = "rows of [re, im] pairs"
+
+
 def matrix_to_json(m) -> list:
-    a = as_matrix(m)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in a]
+    return _pairs(as_matrix(m))
 
 
 def matrix_from_json(data, rows: int | None = None, cols: int | None = None) -> np.ndarray:
@@ -44,10 +68,8 @@ def matrix_from_json(data, rows: int | None = None, cols: int | None = None) -> 
         raise ValidationError(f"malformed matrix JSON: {exc}") from exc
     if a.size == 0:
         out = np.zeros((a.shape[0] if a.ndim >= 2 else 0, 0), dtype=complex)
-    elif a.ndim == 3 and a.shape[-1] == 2:
-        out = a[..., 0] + 1j * a[..., 1]
     else:
-        raise ValidationError("matrix JSON must be rows of [re, im] pairs")
+        out = _from_pairs(a, 2, "matrix", _MATRIX_LAYOUT)
     if rows is not None and out.shape[0] != rows:
         raise ShapeError(f"expected {rows} rows, got {out.shape[0]}")
     if cols is not None and out.shape[1] != cols:
@@ -59,17 +81,11 @@ def points_to_json(pts) -> list:
     p = np.asarray(pts, dtype=complex)
     if p.ndim == 1:
         p = p[None, :]
-    return [[[float(x.real), float(x.imag)] for x in row] for row in p]
+    return _pairs(p)
 
 
 def points_from_json(data) -> np.ndarray:
-    try:
-        a = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed points JSON: {exc}") from exc
-    if a.ndim != 3 or a.shape[-1] != 2:
-        raise ValidationError("points JSON must be a list of [re, im] coordinate lists")
-    return a[..., 0] + 1j * a[..., 1]
+    return _from_pairs(data, 2, "points", "a list of [re, im] coordinate lists")
 
 
 def pencil_to_json(obj) -> dict:
@@ -117,32 +133,48 @@ def colligation_from_json(data: dict) -> AglerColligation:
 
 
 def kernel_samples_to_json(ks: KernelSampleSet) -> dict:
+    for a in (*ks.factors, ks.f_samples):
+        if not np.isfinite(a).all():
+            raise ValidationError("matrix contains NaN or Inf entries")
     return {
         "grid": points_to_json(ks.grid),
-        "factors": [[matrix_to_json(tab[j]) for j in range(len(ks.grid))] for tab in ks.factors],
-        "f_samples": [matrix_to_json(m) for m in ks.f_samples],
+        "factors": [_pairs(tab) for tab in ks.factors],
+        "f_samples": _pairs(ks.f_samples),
     }
 
 
 def kernel_samples_from_json(data: dict) -> KernelSampleSet:
     try:
         grid = points_from_json(data["grid"])
-        f_samples = np.stack([matrix_from_json(m) for m in data["f_samples"]])
+        f_samples = _from_pairs(np.asarray(data["f_samples"], dtype=float), 3, "matrix",
+                                _MATRIX_LAYOUT)
         factors = []
         for tab in data["factors"]:
-            mats = [matrix_from_json(m) for m in tab]
-            if len(mats) != len(grid):
+            if len(tab) != len(grid):
                 raise ValidationError("factor table length disagrees with the grid")
-            rows = mats[0].shape[0]
-            factors.append(np.stack(mats) if rows else np.zeros((len(grid), 0, f_samples.shape[1]), dtype=complex))
+            a = np.asarray(tab, dtype=float)
+            if a.shape == (len(grid), 0):
+                # an empty factor block: every grid point has zero rows
+                factors.append(np.zeros((len(grid), 0, f_samples.shape[1]), dtype=complex))
+            else:
+                factors.append(_from_pairs(a, 3, "matrix", _MATRIX_LAYOUT))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed kernel sample JSON: {exc}") from exc
     return KernelSampleSet(grid, tuple(factors), f_samples)
 
 
+def dumps(obj) -> str:
+    """The one text form of every JSON file and stream: compact, on one line.
+
+    ``json.dumps`` without indent runs CPython's C encoder; floats are
+    written with ``repr`` and so load back exactly.
+    """
+    return json.dumps(obj, separators=(",", ":"))
+
+
 def dump(obj, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1)
+        fh.write(dumps(obj))
         fh.write("\n")
 
 

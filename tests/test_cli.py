@@ -169,6 +169,15 @@ class TestHunt:
         assert main(["hunt", "--trials", "1", "--candidates", "1"]) == code
         assert "violations: 1" in capsys.readouterr().err
 
+    def test_records_are_compact_lines(self, monkeypatch, tmp_path, capsys):
+        record = {"trial": 0, "candidate": "pencil-control-0", "tuple": [[[[0.5, -0.0]]]],
+                  "norm": 0.25, "tail": 1e-17, "violation": False}
+        monkeypatch.setattr("posreal.cli.hunt", lambda config, candidates, pol: iter([record]))
+        out = tmp_path / "hunt.ndjson"
+        assert main(["hunt", "--trials", "1", "--candidates", "1", "--out", str(out)]) == 0
+        assert out.read_text() == serialize.dumps(record) + "\n"
+        assert " " not in out.read_text()
+
 
 class TestGridSize:
     @pytest.mark.parametrize("command,grid", [
@@ -213,3 +222,61 @@ class TestInputErrors:
             main(argv)
         assert err.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
+
+
+class TestAglerGrid:
+    @pytest.fixture
+    def received(self, monkeypatch):
+        """Records the number of points each Agler identity check is given."""
+        from posreal import cli
+
+        seen = []
+        real = cli.agler_identity_residual
+
+        def spy(coll, ws, pol):
+            seen.append(len(ws))
+            return real(coll, ws, pol)
+
+        monkeypatch.setattr(cli, "agler_identity_residual", spy)
+        return seen
+
+    # disk_grid(N, g) holds g points for odd g: (g - 1) / 2 draws, their
+    # conjugates and the center
+    def test_synthesis_checks_the_whole_grid(self, parallel_file, received, capsys):
+        assert main(["colligate", "--pencil", parallel_file, "--grid", "13"]) == 0
+        assert received == [13]
+
+    def test_check_mode_checks_the_whole_grid(self, parallel_file, tmp_path, received, capsys):
+        out = tmp_path / "coll.json"
+        assert main(["colligate", "--pencil", parallel_file, "--grid", "7",
+                     "--out", str(out)]) == 0
+        assert main(["colligate", "--colligation", str(out), "--grid", "9"]) == 0
+        assert received == [7, 9]
+
+
+class TestTaylorCap:
+    @pytest.fixture
+    def no_sampling(self, monkeypatch):
+        def refuse(self, w):
+            raise AssertionError("the Taylor table was sampled")
+
+        monkeypatch.setattr("posreal.cayley.DiskFunctionView.eval_double_cayley", refuse)
+
+    def test_hunt_degree_beyond_cap_is_input_error(self, no_sampling, capsys):
+        assert main(["hunt", "--trials", "1", "--degree", "2000"]) == 2
+        assert "above the cap" in capsys.readouterr().err
+
+    def test_calculus_degree_beyond_cap_is_input_error(self, parallel_file, no_sampling, capsys):
+        assert main(["calculus", "--pencil", parallel_file, "--degree", "2000"]) == 2
+        assert "above the cap" in capsys.readouterr().err
+
+    def test_cli_defaults_fit_under_the_cap(self):
+        from posreal.calculus import HuntConfig
+        from posreal.cli import build_parser
+        from posreal.core import ValidationError
+
+        args = build_parser().parse_args(["hunt"])
+        HuntConfig(num_vars=args.num_vars, degree=args.degree)
+        HuntConfig(num_vars=3, degree=63)  # a 128^3 table, the largest admitted at N = 3
+        with pytest.raises(ValidationError, match="above the cap"):
+            HuntConfig(num_vars=3, degree=64)
