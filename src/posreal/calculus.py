@@ -230,6 +230,28 @@ def _taylor_grid_size(num_vars: int, degree: int, grid_size: int | None = None) 
     return grid_size
 
 
+# Polytorus points per evaluator call in ``taylor_from_function``: the
+# evaluator's working memory (e.g. one (n + p) x (n + p) pencil per point)
+# then stays bounded however large the torus is.
+_POINT_BLOCK = 8192
+
+
+def _torus_values(evaluator, ring: np.ndarray, num_vars: int, dim: int) -> np.ndarray:
+    """Values (len(ring)^N, dim, dim) on the polytorus ring^N in C order.
+
+    Points are formed and evaluated _POINT_BLOCK at a time into one
+    preallocated array, so the evaluator never sees more than one block.
+    """
+    shape = (len(ring),) * num_vars
+    total = math.prod(shape)
+    vals = np.empty((total, dim, dim), dtype=complex)
+    for start in range(0, total, _POINT_BLOCK):
+        idx = np.unravel_index(np.arange(start, min(start + _POINT_BLOCK, total)), shape)
+        pts = np.stack([ring[i] for i in idx], axis=1)
+        vals[start:start + len(pts)] = np.asarray(evaluator(pts), dtype=complex).reshape(-1, dim, dim)
+    return vals
+
+
 def taylor_from_function(evaluator, num_vars: int, dim: int, degree: int,
                          radius: float = 0.6, sup_radius: float = 0.9,
                          grid_size: int | None = None,
@@ -239,15 +261,13 @@ def taylor_from_function(evaluator, num_vars: int, dim: int, degree: int,
     Samples the evaluator on a uniform polytorus of the given radius and
     reads coefficients off a multidimensional FFT; aliasing decays like
     (radius / holomorphy radius)^grid_size.  The sup bound for the tail
-    estimate is sampled on the larger ``sup_radius`` torus.
+    estimate is sampled on the larger ``sup_radius`` torus.  Both tori
+    are evaluated in blocks of _POINT_BLOCK points.
     """
     grid_size = _taylor_grid_size(num_vars, degree, grid_size)
     angles = 2.0 * np.pi * np.arange(grid_size) / grid_size
     ring = radius * np.exp(1j * angles)
-    axes = np.meshgrid(*([ring] * num_vars), indexing="ij")
-    pts = np.stack([a.ravel() for a in axes], axis=1)
-    vals = np.asarray(evaluator(pts), dtype=complex)
-    vals = vals.reshape((grid_size,) * num_vars + (dim, dim))
+    vals = _torus_values(evaluator, ring, num_vars, dim).reshape((grid_size,) * num_vars + (dim, dim))
     hat = np.fft.fftn(vals, axes=tuple(range(num_vars))) / grid_size ** num_vars
 
     coeffs = {}
@@ -258,9 +278,7 @@ def taylor_from_function(evaluator, num_vars: int, dim: int, degree: int,
 
     sup_angles = 2.0 * np.pi * np.arange(max(8, grid_size // 4)) / max(8, grid_size // 4)
     sup_ring = sup_radius * np.exp(1j * sup_angles)
-    sup_axes = np.meshgrid(*([sup_ring] * num_vars), indexing="ij")
-    sup_pts = np.stack([a.ravel() for a in sup_axes], axis=1)
-    sup_vals = np.asarray(evaluator(sup_pts), dtype=complex)
+    sup_vals = _torus_values(evaluator, sup_ring, num_vars, dim)
     sup = float(np.max(np.linalg.norm(sup_vals, ord=2, axis=(1, 2)))) if sup_vals.size else 0.0
     return TaylorCoefficients(num_vars, dim, degree, coeffs,
                               sup_radius=sup_radius, sup_bound=sup_safety * sup)

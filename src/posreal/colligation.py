@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     DEFAULT_POLICY,
@@ -242,6 +241,8 @@ def build_colligation(grid, theta_tables, schur_samples,
     reported in the result rather than hidden.  Larger residuals are
     rejected.
     """
+    import scipy.linalg  # pivoted QR and gelsd; loaded on first use to keep import light
+
     pts = as_points(grid, len(theta_tables))
     g, num_vars = pts.shape
     svals = np.asarray(schur_samples, dtype=complex)

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     DEFAULT_POLICY,
@@ -280,6 +279,8 @@ def pencil_from_kernel_samples(ks: KernelSampleSet,
     samples at every grid point, and reproduces the generating function
     off-grid once the grid saturates the difference span.
     """
+    import scipy.linalg  # pivoted QR; loaded on first use to keep import light
+
     res = ks.identity_residual()
     if res > pol.residual_tol:
         raise ValidationError(

@@ -9,8 +9,9 @@ that CLI runs and tests share one deterministic source.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.stats import qmc
 
 from .cayley import disk_to_halfplane
 from .core import DEFAULT_POLICY, TolerancePolicy
@@ -27,6 +28,44 @@ __all__ = [
 ]
 
 
+def _primes(count: int) -> list[int]:
+    """The first ``count`` primes, by trial division."""
+    primes: list[int] = []
+    k = 2
+    while len(primes) < count:
+        if all(k % q for q in primes if q * q <= k):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def _halton(d: int, n: int, seed: int) -> np.ndarray:
+    """First n points (n, d) of the scrambled Halton sequence.
+
+    Owen's randomized Halton sequence (arXiv:1706.02808): coordinate k
+    is the radical inverse in the k-th prime b with each digit passed
+    through its own random permutation of range(b), one permutation per
+    digit position while b^-j > 2^-54.  The permutations are drawn from
+    ``np.random.default_rng(seed)`` base by base and row by row, and the
+    digits are summed from the lowest up, so the points are bit for bit
+    those of ``scipy.stats.qmc.Halton(d, seed=seed).random(n)``.
+    """
+    rng = np.random.default_rng(seed)
+    u = np.zeros((n, d))
+    for k, b in enumerate(_primes(d)):
+        perms = np.tile(np.arange(b), (math.ceil(54 / math.log2(b)) - 1, 1))
+        for row in perms:
+            rng.shuffle(row)
+        q = np.arange(n)
+        b2r = 1.0 / b
+        col = u[:, k]
+        for row in perms:
+            col += row[q % b] * b2r
+            q //= b
+            b2r /= b
+    return u
+
+
 def disk_grid(num_vars: int, count: int = 25, seed: int = 0,
               conjugate_closed: bool = True, include_zero: bool = True,
               max_radius: float = 0.85) -> np.ndarray:
@@ -37,8 +76,7 @@ def disk_grid(num_vars: int, count: int = 25, seed: int = 0,
     """
     remaining = count - (1 if include_zero else 0)
     base = max(remaining, 0) // 2 if conjugate_closed else max(remaining, 0)
-    eng = qmc.Halton(d=2 * num_vars, seed=seed)
-    u = eng.random(max(base, 1))[:base] if base else np.zeros((0, 2 * num_vars))
+    u = _halton(2 * num_vars, base, seed)
     radii = 0.1 + (max_radius - 0.1) * u[:, :num_vars]
     angles = 2.0 * np.pi * u[:, num_vars:]
     pts = radii * np.exp(1j * angles)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import posreal.calculus as calculus
 from posreal.calculus import (
     CommutingTuple,
     HuntConfig,
@@ -275,3 +276,41 @@ class TestHunt:
             again = json.loads(json.dumps(record))
             assert set(again) == {"trial", "candidate", "tuple", "norm", "tail", "violation"}
             assert isinstance(again["norm"], float) and isinstance(again["violation"], bool)
+
+
+class TestTaylorBlocks:
+    """taylor_from_function samples both tori _POINT_BLOCK points at a time."""
+
+    def test_evaluator_never_receives_more_than_one_block(self, rng):
+        f = random_pencil(rng, 2, 2, 3)
+        view = DiskFunctionView(f)
+        seen = []
+
+        def spy(pts):
+            seen.append(np.array(pts))
+            return view.eval_double_cayley(pts)
+
+        taylor_from_function(spy, 2, 2, degree=45)  # 128^2 + 32^2 points
+        assert max(len(p) for p in seen) <= calculus._POINT_BLOCK
+        assert len(seen) > 2
+        pts = np.concatenate(seen)
+        for m, radius, block in ((128, 0.6, pts[:128 ** 2]), (32, 0.9, pts[128 ** 2:])):
+            ring = radius * np.exp(2j * np.pi * np.arange(m) / m)
+            axes = np.meshgrid(ring, ring, indexing="ij")
+            assert np.array_equal(block, np.stack([a.ravel() for a in axes], axis=1))
+
+    def test_small_blocks_match_one_call(self, rng, monkeypatch):
+        f = random_pencil(rng, 3, 2, 3)
+        view = DiskFunctionView(f)
+
+        def ev(pts):  # S(-w): its sup on the torus lies past the first blocks
+            return view.eval_double_cayley(-pts)
+
+        monkeypatch.setattr(calculus, "_POINT_BLOCK", 64 ** 3)
+        whole = taylor_from_function(ev, 3, 2, degree=12)  # one call per torus
+        monkeypatch.setattr(calculus, "_POINT_BLOCK", 100)  # last block of each torus partial
+        blocked = taylor_from_function(ev, 3, 2, degree=12)
+        assert blocked.coeffs.keys() == whole.coeffs.keys()
+        diff = max(np.max(np.abs(blocked.coeffs[t] - c)) for t, c in whole.coeffs.items())
+        assert diff <= 1e-15
+        assert blocked.sup_bound == pytest.approx(whole.sup_bound, rel=1e-15, abs=0)
