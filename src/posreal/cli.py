@@ -459,15 +459,21 @@ def _cmd_hunt(args) -> int:
     return 1 if any(name.startswith("pencil-control-") for name in violations) else 0
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for sizes: an integer of at least 1 (usage error, exit 2, otherwise)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(lower: int):
+    """argparse type: an integer of at least ``lower`` (usage error, exit 2, otherwise)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lower:
+            raise argparse.ArgumentTypeError(f"must be at least {lower}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)  # sizes
+_seed = _int_at_least(0)  # numpy generators take non-negative seeds only
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -481,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
         if pencil:
             p.add_argument("--pencil", required=True, help="pencil JSON file")
         p.add_argument("--grid", type=_positive_int, default=25, help="sample grid size")
-        p.add_argument("--seed", type=int, default=0, help="randomness seed (echoed in reports)")
+        p.add_argument("--seed", type=_seed, default=0, help="randomness seed (echoed in reports)")
         p.add_argument("--tol", type=float, default=None, help="override residual tolerance")
         p.add_argument("--out", default=None, help="write the result to this file")
 
@@ -507,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pencil", default=None, help="pencil JSON file (for sampling)")
     p.add_argument("--rebuild", default=None, help="kernel sample JSON to rebuild from")
     p.add_argument("--grid", type=_positive_int, default=25)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_kernels)
@@ -517,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pencil", default=None, help="pencil JSON file (for synthesis)")
     p.add_argument("--colligation", default=None, help="existing colligation JSON to check")
     p.add_argument("--grid", type=_positive_int, default=25)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_colligate)
@@ -539,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--num-vars", type=int, default=3)
     p.add_argument("--dim", type=_positive_int, default=4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--degree", type=_positive_int, default=40)
     p.add_argument("--candidates", type=int, default=2, help="number of pencil negative controls")
     p.add_argument("--candidate", default=None,

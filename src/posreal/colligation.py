@@ -227,13 +227,21 @@ def build_colligation(grid, theta_tables, schur_samples,
     unitary U; by construction U d(w, u) = r(w, u) makes the transfer
     interpolate S at every grid node.
 
-    The Gram residual is computed in the small space, never forming the
-    2gn x 2gn Grams: with one thin QR  [D ; R]* = Q [R1 | R2]  of the
-    stacked generator matrices D = dmat and R = rmat, Q has orthonormal
-    columns, so exactly in arithmetic ||D* D|| = ||D||^2,
+    The gates and the swap are computed in the small space, never
+    forming the 2gn x 2gn Grams: with one thin QR  [D ; R]* = Q [R1 | R2]
+    of the stacked generator matrices D = dmat and R = rmat, Q has
+    orthonormal columns, so exactly in arithmetic ||D* D|| = ||D||^2,
     ||D* D - R* R|| = ||R1 R1* - R2 R2*|| and
     ||D* R - R* D|| = ||R1 R2* - R2 R1*||.  These are identities, not
     bounds, so both gates below keep their meaning.
+
+    The same QR carries the range of D = R1* Q*.  With the SVD
+    R1* = W S V* of the (m+n)-row factor, Q V has orthonormal columns,
+    so S are the singular values of D and W its left singular vectors.
+    The rank r counts S_i > psd_slack S_1, and q = W_r spans the range.
+    In that basis x = q* D = S_r (Q V_r)* and y = q* R = q* R2* Q*, so
+    the swap y x^+ is  W0 = q* R2* V_r S_r^{-1}.  U does not depend on
+    which orthonormal basis of the range is used.
 
     When the data satisfies the identities only approximately (Gram
     residual above residual_tol but below 1e-6) the swap is replaced by
@@ -241,8 +249,6 @@ def build_colligation(grid, theta_tables, schur_samples,
     reported in the result rather than hidden.  Larger residuals are
     rejected.
     """
-    import scipy.linalg  # pivoted QR and gelsd; loaded on first use to keep import light
-
     pts = as_points(grid, len(theta_tables))
     g, num_vars = pts.shape
     svals = np.asarray(schur_samples, dtype=complex)
@@ -263,28 +269,22 @@ def build_colligation(grid, theta_tables, schur_samples,
 
     r12 = np.linalg.qr(np.vstack([dmat, rmat]).conj().T, mode="r")
     r1, r2 = r12[:, :m + n], r12[:, m + n:]
-    scale = 1.0 + operator_norm(r1) ** 2
+    svecs, sing, vh = np.linalg.svd(r1.conj().T, full_matrices=False)
+    top = sing.max(initial=0.0)
+    scale = 1.0 + top ** 2
     gram_res = max(operator_norm(r1 @ r1.conj().T - r2 @ r2.conj().T),
                    operator_norm(r1 @ r2.conj().T - r2 @ r1.conj().T)) / scale
     if gram_res > 1e-6:
         raise ValidationError(
             f"samples violate the transfer identities (Gram residual {gram_res:.3e})")
 
-    q, r, _ = scipy.linalg.qr(dmat, mode="economic", pivoting=True)
-    pivots = np.abs(np.diag(r)) if r.size else np.zeros(0)
-    rank = 0
-    if pivots.size and pivots[0] > 0:
-        rank = int(np.sum(pivots > pol.psd_slack * pivots[0]))
+    rank = int(np.sum(sing > pol.psd_slack * top))
     if rank == 0 and m + n > 0 and g > 0:
         raise NumericalRefusalError("rank collapse: generator span is empty")
-    q = q[:, :rank]
-
-    x = q.conj().T @ dmat
-    y = q.conj().T @ rmat
-    # Least-squares swap on the span, then projection to the nearest
-    # selfadjoint unitary: the unitary factor of the Hermitian part is
-    # the eigenvalue sign function.
-    w0 = scipy.linalg.lstsq(x.conj().T, y.conj().T, lapack_driver="gelsd")[0].conj().T
+    q = svecs[:, :rank]
+    # Swap on the span, then projection to the nearest selfadjoint unitary:
+    # the unitary factor of the Hermitian part is the eigenvalue sign function.
+    w0 = (q.conj().T @ r2.conj().T @ vh[:rank].conj().T) / sing[:rank]
     herm = hermitian_part(w0)
     evals, evecs = eigh_or_refuse(herm)
     if np.any(np.abs(evals) < 0.5):

@@ -104,12 +104,14 @@ def as_matrix(m, square: bool = False) -> np.ndarray:
 
 
 def as_points(z, num_vars: int) -> np.ndarray:
-    """Coerce one point or a batch of points to shape (B, N)."""
+    """Coerce one point or a batch of points to shape (B, N); NaN or Inf is refused."""
     pts = np.asarray(z, dtype=complex)
     if pts.ndim == 1:
         pts = pts[None, :]
     if pts.ndim != 2 or pts.shape[1] != num_vars:
         raise ShapeError(f"expected points with {num_vars} coordinates, got shape {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise ValidationError("points must have finite coordinates")
     return pts
 
 

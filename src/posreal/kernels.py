@@ -274,13 +274,13 @@ def pencil_from_kernel_samples(ks: KernelSampleSet,
         A_k = V* P_k V,   V = [phi(e), Q_H],
 
     with P_k the coordinate projector onto the k-th factor block and
-    Q_H an orthonormal basis (pivoted QR, rank decided on pivot
-    magnitudes) of the difference span.  The result interpolates the
-    samples at every grid point, and reproduces the generating function
-    off-grid once the grid saturates the difference span.
+    Q_H the leading left singular vectors of the stacked differences, an
+    orthonormal basis of their span: the rank counts the singular values
+    above psd_slack max(sigma_1, scale of phi(e)).  The result
+    interpolates the samples at every grid point, and reproduces the
+    generating function off-grid once the grid saturates the difference
+    span.
     """
-    import scipy.linalg  # pivoted QR; loaded on first use to keep import light
-
     res = ks.identity_residual()
     if res > pol.residual_tol:
         raise ValidationError(
@@ -291,14 +291,11 @@ def pencil_from_kernel_samples(ks: KernelSampleSet,
     diffs = [ks.stacked_factor(j) - phi_e for j in range(len(ks.grid)) if j != base]
     if diffs:
         stacked = np.hstack(diffs)
-        q, r, _ = scipy.linalg.qr(stacked, mode="economic", pivoting=True)
-        pivots = np.abs(np.diag(r)) if r.size else np.zeros(0)
-        rank = 0
-        if pivots.size:
-            # floor at the factor scale so all-roundoff difference columns
-            # (constant psi, e.g. one variable) do not fake rank
-            floor = pol.psd_slack * max(pivots[0], scale_of(phi_e))
-            rank = int(np.sum(pivots > floor))
+        q, sing, _ = np.linalg.svd(stacked, full_matrices=False)
+        # floor at the factor scale so all-roundoff difference columns
+        # (constant psi, e.g. one variable) do not fake rank
+        floor = pol.psd_slack * max(sing.max(initial=0.0), scale_of(phi_e))
+        rank = int(np.sum(sing > floor))
         qh = q[:, :rank]
     else:
         qh = np.zeros((phi_e.shape[0], 0), dtype=complex)

@@ -223,6 +223,26 @@ class TestInputErrors:
         assert err.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--grid", "5"], ["hunt", "--trials", "1", "--degree", "5"],
+        ["kernels", "--grid", "5"], ["colligate", "--grid", "5"],
+    ])
+    def test_negative_seed_is_usage_error(self, parallel_file, capsys, argv):
+        if argv[0] != "hunt":
+            argv = argv + ["--pencil", parallel_file]
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--seed", "-1"])
+        assert err.value.code == 2
+        assert "must be at least 0, got -1" in capsys.readouterr().err
+
+    def test_seed_zero_runs(self, parallel_file):
+        assert main(["verify", "--pencil", parallel_file, "--grid", "3", "--seed", "0"]) == 0
+
+    @pytest.mark.parametrize("point", ["nan,1", "inf,1", "1,-inf"])
+    def test_non_finite_point_is_input_error(self, parallel_file, capsys, point):
+        assert main(["eval", "--pencil", parallel_file, "--point", point]) == 2
+        assert "finite coordinates" in capsys.readouterr().err
+
 
 class TestAglerGrid:
     @pytest.fixture

@@ -9,7 +9,7 @@ from posreal.colligation import (
     spectrum_condition,
     transfer_eval,
 )
-from posreal.core import ValidationError
+from posreal.core import DEFAULT_POLICY, ValidationError
 from posreal.kernels import factor_kernel_samples
 from posreal.pencil import eval_schur
 from posreal.sampling import disk_grid, random_pencil
@@ -155,3 +155,59 @@ class TestSynthesis:
         target = eval_schur(f, disk_to_halfplane(ws))
         err = np.linalg.norm(rec - target, axis=(1, 2))
         assert np.max(err / (1 + np.linalg.norm(target, axis=(1, 2)))) < 1e-9
+
+
+def _dense_synthesis(grid, tables, svals, pol=DEFAULT_POLICY):
+    """Dense reference route: SVD basis of the explicit generator matrix,
+    least-squares swap, eigen-sign projection.  Returns (U, rank)."""
+    n = svals.shape[1]
+    h = np.concatenate(tables, axis=1)
+    wh = np.repeat(grid, [t.shape[1] for t in tables], axis=1)[:, :, None] * h
+    d_cols = np.concatenate([wh, np.broadcast_to(np.eye(n), svals.shape)], axis=1)
+    r_cols = np.concatenate([h, svals], axis=1)
+    dmat = np.hstack(list(d_cols) + list(r_cols))
+    rmat = np.hstack(list(r_cols) + list(d_cols))
+    u, s, _ = np.linalg.svd(dmat, full_matrices=False)
+    rank = int(np.sum(s > pol.psd_slack * s[0]))
+    q = u[:, :rank]
+    x, y = q.conj().T @ dmat, q.conj().T @ rmat
+    swap = np.linalg.lstsq(x.conj().T, y.conj().T, rcond=np.finfo(float).eps)[0].conj().T
+    evals, evecs = np.linalg.eigh((swap + swap.conj().T) / 2)
+    swap = (evecs * np.sign(evals)) @ evecs.conj().T
+    return np.eye(len(u)) + q @ (swap - np.eye(rank)) @ q.conj().T, rank
+
+
+class TestDenseReference:
+    """build_colligation works from a QR and a small SVD; the dense route must agree."""
+
+    @pytest.mark.parametrize("shape, rank_deficient, grid_size, redundant", [
+        ((2, 1, 2), False, 5, False), ((3, 2, 3), False, 25, False),
+        ((3, 1, 4), True, 5, False), ((3, 2, 3), True, 25, False),
+        ((2, 2, 0), False, 5, False), ((3, 1, 0), False, 25, False),
+        ((2, 1, 2), False, 25, True), ((2, 2, 0), False, 25, True),
+    ])
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_matches_dense_route(self, shape, rank_deficient, grid_size, redundant, perturbed):
+        rng = np.random.default_rng(sum(shape) + grid_size)
+        f = random_pencil(rng, *shape, rank_deficient=rank_deficient)
+        dk = DiskKernelEvaluator(f)
+        ws = disk_grid(shape[0], grid_size, seed=grid_size)
+        tables, svals = dk.theta_table(ws), dk.view.eval_double_cayley(ws)
+        if redundant:
+            # [theta; theta] / sqrt(2) keeps every kernel, so the generator
+            # span has numerical rank below m + n however large the grid
+            tables = [np.concatenate([t, t], axis=1) / np.sqrt(2) for t in tables]
+        if perturbed:
+            # data off the identities by ~1e-8: the nearest-involution path
+            svals = svals + 1e-8 * (rng.standard_normal(svals.shape)
+                                    + 1j * rng.standard_normal(svals.shape))
+        syn = build_colligation(ws, tables, svals)
+        if perturbed:
+            assert DEFAULT_POLICY.residual_tol < syn.gram_residual <= 1e-6
+        else:
+            assert syn.gram_residual <= DEFAULT_POLICY.residual_tol
+        u_ref, rank_ref = _dense_synthesis(ws, tables, svals)
+        assert syn.rank == rank_ref
+        if redundant:
+            assert syn.rank < syn.colligation.U.shape[0]
+        assert np.max(np.abs(syn.colligation.U - u_ref)) < 1e-9

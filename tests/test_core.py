@@ -7,6 +7,7 @@ from posreal.core import (
     TolerancePolicy,
     ShapeError,
     ValidationError,
+    as_points,
     hermitian_part,
     is_psd,
     operator_norm,
@@ -17,6 +18,13 @@ from posreal.core import (
 def test_tolerances_must_be_nonnegative():
     with pytest.raises(ValidationError):
         TolerancePolicy(psd_slack=-1e-3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan), complex(np.inf, 0.0)])
+def test_as_points_refuses_non_finite_coordinates(bad):
+    with pytest.raises(ValidationError, match="finite"):
+        as_points([[1.0, 2.0], [3.0, bad]], 2)
+    assert as_points([1.0, 2.0j], 2).shape == (1, 2)
 
 
 class TestHermitianPart:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from posreal.core import ValidationError
+from posreal import realize
+from posreal.core import DEFAULT_POLICY, ValidationError
 from posreal.kernels import (
     KernelEvaluator,
     KernelSampleSet,
@@ -16,7 +17,7 @@ from posreal.kernels import (
     sample_kernels,
 )
 from posreal.pencil import diagonal_realization, eval_schur
-from posreal.sampling import halfplane_grid, random_pencil
+from posreal.sampling import halfplane_grid, random_pencil, random_psd
 
 
 class TestPsi:
@@ -145,6 +146,22 @@ class TestFactorKernelSamples:
 
 
 class TestReconstruction:
+    @pytest.mark.parametrize("shape, rank_deficient, grid_size", [
+        ((2, 1, 3), False, 3), ((2, 1, 3), False, 25), ((3, 2, 4), True, 6),
+        ((3, 2, 4), True, 40), ((2, 2, 0), False, 10),
+    ])
+    def test_dim_h_is_rank_of_difference_span(self, shape, rank_deficient, grid_size):
+        rng = np.random.default_rng(sum(shape) + grid_size)
+        f = random_pencil(rng, *shape, rank_deficient=rank_deficient)
+        ks = sample_kernels(f, halfplane_grid(shape[0], grid_size, seed=grid_size))
+        base = ks.base_index()
+        phi_e = ks.stacked_factor(base)
+        diffs = np.hstack([ks.stacked_factor(j) - phi_e
+                           for j in range(len(ks.grid)) if j != base])
+        floor = DEFAULT_POLICY.psd_slack * max(np.linalg.norm(diffs, 2),
+                                               1.0 + np.linalg.norm(phi_e, 2))
+        assert pencil_from_kernel_samples(ks).dim_h == np.linalg.matrix_rank(diffs, tol=floor)
+
     def test_parallel_roundtrip(self, parallel, rng):
         grid = halfplane_grid(2, 6, seed=4)
         ks = sample_kernels(parallel, grid)
@@ -159,6 +176,17 @@ class TestReconstruction:
         rebuilt = pencil_from_kernel_samples(sample_kernels(f, grid))
         assert rebuilt.dim_h == 0
         z = np.array([2.0, 3.0])
+        assert np.allclose(rebuilt(z), f(z))
+
+    def test_constant_psi_rebuilds_without_state(self, rng):
+        # proportional coefficients make psi constant, so the factor
+        # differences are pure roundoff and must not count as rank
+        a = random_psd(rng, 4, rank=4)
+        f = realize([a, 2.0 * a, 0.5 * a], 2)
+        assert f.dim_h == 2
+        rebuilt = pencil_from_kernel_samples(sample_kernels(f, halfplane_grid(3, 20, seed=1)))
+        assert rebuilt.dim_h == 0
+        z = np.array([1.5, 0.5 + 1j, 2.0])
         assert np.allclose(rebuilt(z), f(z))
 
     def test_single_variable_content(self):

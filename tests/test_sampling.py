@@ -94,10 +94,21 @@ def test_grids_golden_values():
 
 
 def test_import_leaves_scipy_stats_and_linalg_unloaded():
-    """Cold start: neither scipy.stats nor scipy.linalg loads with posreal."""
+    """Cold start: no scipy module loads with posreal, nor in synthesis or rebuild."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = ("import sys, posreal\n"
-            "print(sorted(m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules))")
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from posreal import realize\n"
+            "from posreal.cayley import DiskKernelEvaluator\n"
+            "from posreal.colligation import build_colligation\n"
+            "from posreal.kernels import pencil_from_kernel_samples, sample_kernels\n"
+            "from posreal.sampling import disk_grid, halfplane_grid\n"
+            "f = realize([np.array([[1.0, 1.0], [1.0, 1.0]]), np.diag([0.0, 1.0])], 1)\n"
+            "ws = disk_grid(2, 4, 0)\n"
+            "dk = DiskKernelEvaluator(f)\n"
+            "build_colligation(ws, dk.theta_table(ws), dk.view.eval_double_cayley(ws))\n"
+            "pencil_from_kernel_samples(sample_kernels(f, halfplane_grid(2, 4, 0)))\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
