@@ -60,6 +60,8 @@ from .cayley import (
     halfplane_to_disk,
     inv_cayley_matrix,
     inv_double_cayley,
+    inv_value_cayley,
+    value_cayley,
 )
 from .colligation import (
     AglerColligation,

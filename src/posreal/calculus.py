@@ -78,14 +78,16 @@ class CommutingTuple:
         return self.mats[0].shape[0]
 
 
-def _max_commutator(mats) -> float:
-    worst = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            den = 1.0 + operator_norm(mats[i]) * operator_norm(mats[j])
-            worst = max(worst, operator_norm(comm) / den)
-    return worst
+def _max_commutator(mats: np.ndarray, norms: np.ndarray) -> float:
+    """Largest ||[M_i, M_j]|| / (1 + ||M_i|| ||M_j||) over pairs i < j of a (K, n, n) stack.
+
+    ``norms`` holds the operator norms ||M_k||.  All pairs go through one
+    stacked product and one stacked norm.
+    """
+    i, j = np.triu_indices(len(mats), k=1)
+    comm = mats[i] @ mats[j] - mats[j] @ mats[i]
+    ratios = np.linalg.norm(comm, 2, axis=(1, 2)) / (1.0 + norms[i] * norms[j])
+    return float(np.max(ratios, initial=0.0))
 
 
 def make_tuple(mats, pol: TolerancePolicy = DEFAULT_POLICY, require: str | None = None) -> CommutingTuple:
@@ -100,12 +102,13 @@ def make_tuple(mats, pol: TolerancePolicy = DEFAULT_POLICY, require: str | None 
     dim = ms[0].shape[0]
     if any(m.shape[0] != dim for m in ms):
         raise ShapeError("tuple members must share one dimension")
-    comm = _max_commutator(ms)
+    stack = np.stack(ms)
+    norms = np.linalg.norm(stack, 2, axis=(1, 2))
+    comm = _max_commutator(stack, norms)
     if comm > pol.commutator_tol:
         raise ValidationError(f"commutator norm {comm:.3e} exceeds tolerance")
-    norms = [operator_norm(m) for m in ms]
-    rho = max(norms)
-    accr = min(float(eigh_or_refuse(hermitian_part(m) * 2.0)[0][0]) for m in ms)
+    rho = float(np.max(norms))
+    accr = float(np.min(eigh_or_refuse(hermitian_part(stack) * 2.0)[0][:, 0]))
     if rho <= 1.0 - pol.margin:
         kind, bound = "contraction", rho
     elif accr >= pol.margin:

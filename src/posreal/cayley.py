@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_POLICY,
+    ShapeError,
     TolerancePolicy,
     ValidationError,
     as_matrix,
@@ -31,6 +32,8 @@ __all__ = [
     "halfplane_to_disk",
     "cayley_matrix",
     "inv_cayley_matrix",
+    "value_cayley",
+    "inv_value_cayley",
     "DiskFunctionView",
     "inv_double_cayley",
     "DiskKernelEvaluator",
@@ -72,12 +75,28 @@ def inv_cayley_matrix(r) -> np.ndarray:
     return np.linalg.solve((r + eye).T, (r - eye).T).T
 
 
-def _value_cayley(f_vals: np.ndarray, pol: TolerancePolicy) -> np.ndarray:
-    """(F - I)(F + I)^{-1} batched over stacked values."""
+def value_cayley(values, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
+    """S = (F - I)(F + I)^{-1} on stacked values F (B, n, n).
+
+    Refuses when -1 sits in the spectrum of some F (F + I singular).
+    """
+    f_vals = np.asarray(values, dtype=complex)
     eye = np.eye(f_vals.shape[-1], dtype=complex)
     plus = f_vals + eye
     _refuse_ill_conditioned(plus, pol, "F(w) + I")
     return np.linalg.solve(plus.transpose(0, 2, 1), (f_vals - eye).transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
+def inv_value_cayley(values, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
+    """F = (I + S)(I - S)^{-1} on stacked values S (B, n, n); inverse of ``value_cayley``.
+
+    Refuses when 1 sits in the spectrum of some S (I - S singular).
+    """
+    sv = np.asarray(values, dtype=complex)
+    eye = np.eye(sv.shape[-1], dtype=complex)
+    minus = eye - sv
+    _refuse_ill_conditioned(minus, pol, "I - S(w)")
+    return np.linalg.solve(minus.transpose(0, 2, 1), (eye + sv).transpose(0, 2, 1)).transpose(0, 2, 1)
 
 
 class DiskFunctionView:
@@ -110,9 +129,7 @@ class DiskFunctionView:
 
     def eval_double_cayley(self, w) -> np.ndarray:
         """Schur-side value (F(w) - I)(F(w) + I)^{-1}; contractive on the class."""
-        pts = as_points(w, self.num_vars)
-        fv = self.eval_F(pts)
-        out = _value_cayley(fv, self.pol)
+        out = value_cayley(self.eval_F(as_points(w, self.num_vars)), self.pol)
         return out[0] if np.asarray(w).ndim == 1 else out
 
     def __call__(self, w) -> np.ndarray:
@@ -130,12 +147,7 @@ def inv_double_cayley(schur_eval, w, pol: TolerancePolicy = DEFAULT_POLICY) -> n
     if single:
         pts = pts[None, :]
     sv = np.asarray(schur_eval(pts), dtype=complex)
-    if sv.ndim == 2:
-        sv = sv[None]
-    eye = np.eye(sv.shape[-1], dtype=complex)
-    minus = eye - sv
-    _refuse_ill_conditioned(minus, pol, "I - S(w)")
-    out = np.linalg.solve(minus.transpose(0, 2, 1), (eye + sv).transpose(0, 2, 1)).transpose(0, 2, 1)
+    out = inv_value_cayley(sv[None] if sv.ndim == 2 else sv, pol)
     return out[0] if single else out
 
 
@@ -167,10 +179,14 @@ class DiskKernelEvaluator:
         return [(np.sqrt(2.0) / (1.0 - pts[:, k]))[:, None, None] * (self.kernels.factors[k] @ ps)
                 for k in ks]
 
-    def _theta_tables(self, pts: np.ndarray, ks) -> list[np.ndarray]:
-        """theta_k for each k in ks: one psi, one F(w), one guard, one solve for all k."""
+    def _theta_tables(self, pts: np.ndarray, ks, fv=None) -> list[np.ndarray]:
+        """theta_k for each k in ks: one psi, one F(w) unless given, one guard, one solve."""
         xs = self._xi_tables(pts, ks)
-        fv = self.view.eval_F(pts)
+        if fv is None:
+            fv = self.view.eval_F(pts)
+        elif np.shape(fv) != (len(pts), self.f.dim_u, self.f.dim_u):
+            raise ShapeError(f"expected F values of shape {(len(pts),) + (self.f.dim_u,) * 2}, "
+                             f"got {np.shape(fv)}")
         eye = np.eye(fv.shape[-1], dtype=complex)
         plus = fv + eye
         _refuse_ill_conditioned(plus, self.pol, "F(w) + I")
@@ -191,8 +207,13 @@ class DiskKernelEvaluator:
         out = self._theta_tables(as_points(w, self.num_vars), [k])[0]
         return out[0] if np.asarray(w).ndim == 1 else out
 
-    def theta_table(self, grid) -> list[np.ndarray]:
-        return self._theta_tables(as_points(grid, self.num_vars), range(self.num_vars))
+    def theta_table(self, grid, f_values=None) -> list[np.ndarray]:
+        """theta_k on the grid for every k, one (g, m_k, n) array each.
+
+        ``f_values`` is F on the same grid when the caller already has it;
+        F is then not evaluated again.
+        """
+        return self._theta_tables(as_points(grid, self.num_vars), range(self.num_vars), f_values)
 
     def theta_kernel(self, k: int, w, omega) -> np.ndarray:
         tw = np.atleast_3d(self.theta(k, w))
@@ -224,8 +245,9 @@ class DiskKernelEvaluator:
         minus: S(w) - S(o)*   = sum_k (w_k - conj(o_k)) Theta_k(w, o)
         """
         pts = as_points(grid, self.num_vars)
-        thetas = np.concatenate(self.theta_table(pts), axis=1)
-        sv = self.view.eval_double_cayley(pts)
+        fv = self.view.eval_F(pts)
+        thetas = np.concatenate(self.theta_table(pts, fv), axis=1)
+        sv = value_cayley(fv, self.pol)
         weights = np.repeat(pts, self.kernels.factor_ranks, axis=1)
         return transfer_identity_residuals(weights, thetas, thetas, sv,
                                            1.0 + np.linalg.norm(sv, axis=(1, 2)))

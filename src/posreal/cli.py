@@ -28,8 +28,8 @@ from .calculus import (
     operator_cayley,
     taylor_from_function,
 )
-from .cayley import DiskFunctionView, DiskKernelEvaluator, disk_to_halfplane, inv_double_cayley
-from .colligation import agler_identity_residual, build_colligation, spectrum_condition, transfer_eval
+from .cayley import DiskFunctionView, DiskKernelEvaluator, inv_value_cayley, value_cayley
+from .colligation import agler_identity_residual, build_colligation, spectrum_condition
 from .core import DEFAULT_POLICY, NumericalRefusalError, PosrealError, TolerancePolicy, ValidationError, hermitian_part, eigh_or_refuse
 from .geometry import (
     AntiUnitaryInvolution,
@@ -153,8 +153,7 @@ def run_verification(f: RealizedFunction, seed: int = 0, grid_size: int = 25,
              lambda: float(np.max(np.linalg.norm(
                  f(zs.conj(), pol) - vals.conj().transpose(0, 2, 1), axis=(1, 2)) / scales)))
     margin("positivity-min-re-eigenvalue", -pol.psd_slack,
-           lambda: min(float(eigh_or_refuse(hermitian_part(v))[0][0]) / s
-                       for v, s in zip(vals, scales)))
+           lambda: float(np.min(eigh_or_refuse(hermitian_part(vals))[0][:, 0] / scales)))
     residual("kernel-identity", pol.residual_tol,
              lambda: kernel_identity_residual(f, zs, pol))
     margin("four-quadrant-conditions", 1.0,
@@ -170,12 +169,15 @@ def run_verification(f: RealizedFunction, seed: int = 0, grid_size: int = 25,
 
     margin("calculus-positivity-min-eig", -pol.psd_slack, calculus_floor)
 
+    # F on the disk grid is evaluated once: it feeds the theta tables, the
+    # Schur-side samples and the recovery target; the synthesis hands back
+    # its transfer values and residuals.
     ws = disk_grid(f.num_vars, grid_size, seed)
     coll = None
     try:
         disk = DiskKernelEvaluator(f, pol)
-        syn = build_colligation(ws, disk.theta_table(ws),
-                                disk.view.eval_double_cayley(ws), pol)
+        fvals = disk.view.eval_F(ws)
+        syn = build_colligation(ws, disk.theta_table(ws, fvals), value_cayley(fvals, pol), pol)
         coll = syn.colligation
     except PosrealError as exc:
         for name in ("colligation-unitarity", "colligation-selfadjointness",
@@ -183,8 +185,8 @@ def run_verification(f: RealizedFunction, seed: int = 0, grid_size: int = 25,
             report.add_error(name, pol.residual_tol, exc)
         report.add_error("colligation-spectrum-margin", pol.margin, exc, margin=True)
     if coll is not None:
-        report.add_residual("colligation-unitarity", coll.unitarity_residual(), pol.residual_tol)
-        report.add_residual("colligation-selfadjointness", coll.selfadjointness_residual(),
+        report.add_residual("colligation-unitarity", syn.unitarity_residual, pol.residual_tol)
+        report.add_residual("colligation-selfadjointness", syn.selfadjointness_residual,
                             pol.residual_tol)
         report.add_residual("colligation-transfer-match", syn.interpolation_residual,
                             pol.residual_tol)
@@ -192,8 +194,7 @@ def run_verification(f: RealizedFunction, seed: int = 0, grid_size: int = 25,
                lambda: spectrum_condition(coll, pol)[1])
 
         def recovery():
-            rec = inv_double_cayley(lambda pts: transfer_eval(coll, pts, pol), ws, pol)
-            fvals = f(disk_to_halfplane(ws), pol)
+            rec = inv_value_cayley(syn.values, pol)
             return float(np.max(np.linalg.norm(rec - fvals, axis=(1, 2)) /
                                 (1.0 + np.linalg.norm(fvals, axis=(1, 2)))))
 
@@ -373,12 +374,13 @@ def _cmd_colligate(args) -> int:
     f = _load_pencil(args.pencil, pol)
     ws = disk_grid(f.num_vars, args.grid, args.seed)
     disk = DiskKernelEvaluator(f, pol)
-    syn = build_colligation(ws, disk.theta_table(ws), disk.view.eval_double_cayley(ws), pol)
+    fvals = disk.view.eval_F(ws)
+    syn = build_colligation(ws, disk.theta_table(ws, fvals), value_cayley(fvals, pol), pol)
     coll = syn.colligation
     plus, minus = agler_identity_residual(coll, ws, pol)
     print(f"state dims: {list(coll.dims)}  io dim: {coll.n}")
-    print(f"unitarity residual:       {coll.unitarity_residual():.3e}")
-    print(f"selfadjointness residual: {coll.selfadjointness_residual():.3e}")
+    print(f"unitarity residual:       {syn.unitarity_residual:.3e}")
+    print(f"selfadjointness residual: {syn.selfadjointness_residual:.3e}")
     print(f"transfer interpolation:   {syn.interpolation_residual:.3e}")
     print(f"identity residuals:       plus={plus:.3e} minus={minus:.3e}")
     _write_or_print(serialize.colligation_to_json(coll), args.out)
@@ -547,7 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=_positive_int, default=4)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--degree", type=_positive_int, default=40)
-    p.add_argument("--candidates", type=int, default=2, help="number of pencil negative controls")
+    p.add_argument("--candidates", type=_int_at_least(0), default=2,
+                   help="number of pencil negative controls")
     p.add_argument("--candidate", default=None,
                    help="module:attr of a black-box positive-real evaluator to include")
     p.add_argument("--tol", type=float, default=None)

@@ -67,11 +67,18 @@ class AglerColligation:
         object.__setattr__(self, "U", u)
         object.__setattr__(self, "dims", dims)
 
-    def validate(self, pol: TolerancePolicy = DEFAULT_POLICY) -> None:
-        if self.unitarity_residual() > pol.residual_tol:
+    def validate(self, pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[float, float]:
+        """Refuse U unless unitary (and selfadjoint when asserted) within residual_tol.
+
+        Returns the unitarity and selfadjointness residuals it measured.
+        """
+        unit = self.unitarity_residual()
+        if unit > pol.residual_tol:
             raise ValidationError("colligation operator is not unitary")
-        if self.selfadjoint and self.selfadjointness_residual() > pol.residual_tol:
+        sa = self.selfadjointness_residual()
+        if self.selfadjoint and sa > pol.residual_tol:
             raise ValidationError("colligation operator is not selfadjoint")
+        return unit, sa
 
     @property
     def num_vars(self) -> int:
@@ -109,18 +116,29 @@ def transfer_eval(c: AglerColligation, w, pol: TolerancePolicy = DEFAULT_POLICY)
     clear, so the decision is the same.
     """
     pts = as_points(w, c.num_vars)
-    a, b, cc, d = c.blocks()
-    x = c.dim_state
-    if x == 0:
+    d = c.blocks()[3]
+    if c.dim_state == 0:
         out = np.broadcast_to(d, (len(pts),) + d.shape).copy()
-        return out[0] if np.asarray(w).ndim == 1 else out
-    pw = c.state_weights(pts)  # (B, x)
+    else:
+        out = _transfer_from_state(c, *_state_solve(c, pts, pol))
+    return out[0] if np.asarray(w).ndim == 1 else out
+
+
+def _state_solve(c: AglerColligation, pts: np.ndarray,
+                 pol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
+    """P(w) as state weights (B, x) and (I - A P(w))^{-1} B (B, x, n), behind the guard."""
+    a, b, _, _ = c.blocks()
+    x = c.dim_state
+    pw = c.state_weights(pts)
     sys = np.broadcast_to(np.eye(x, dtype=complex), (len(pts), x, x)) - a[None] * pw[:, None, :]
     _refuse_ill_conditioned(sys, pol, "I - A P(w)", bound=transfer_condition_bound(c, pts))
-    rhs = np.broadcast_to(b, (len(pts),) + b.shape)
-    sol = np.linalg.solve(sys, rhs)  # (B, x, n)
-    out = d[None] + cc[None] @ (pw[:, :, None] * sol)
-    return out[0] if np.asarray(w).ndim == 1 else out
+    return pw, np.linalg.solve(sys, np.broadcast_to(b, (len(pts),) + b.shape))
+
+
+def _transfer_from_state(c: AglerColligation, pw: np.ndarray, sol: np.ndarray) -> np.ndarray:
+    """S(w) = D + C P(w) sol from the state solve sol = (I - A P(w))^{-1} B."""
+    _, _, cc, d = c.blocks()
+    return d[None] + cc[None] @ (pw[:, :, None] * sol)
 
 
 def transfer_condition_bound(c: AglerColligation, w) -> np.ndarray:
@@ -172,14 +190,13 @@ def agler_identity_residual(c: AglerColligation, grid,
         raise ValidationError("identity residuals are defined for selfadjoint colligations")
     pts = as_points(grid, c.num_vars)
     a, b, _, _ = c.blocks()
-    pw = c.state_weights(pts)
-    rhs = np.broadcast_to(b, (len(pts),) + b.shape)
     # G_k(w, o) = B* (I - P(conj o) A)^{-1} P_k (I - A P(w))^{-1} B is block k of
     # left(o)* right(w): B* (I - P(conj o) A)^{-1} = [(I - A* P(o))^{-1} B]*, since
-    # the adjoint of the diagonal P(conj o) is P(o).
-    left = np.linalg.solve(np.eye(c.dim_state) - a.conj().T[None] * pw[:, None, :], rhs)
-    right = np.linalg.solve(np.eye(c.dim_state) - a[None] * pw[:, None, :], rhs)
-    return transfer_identity_residuals(pw, left, right, transfer_eval(c, pts, pol))
+    # the adjoint of the diagonal P(conj o) is P(o).  The right solve also gives S(w).
+    pw, right = _state_solve(c, pts, pol)
+    left = np.linalg.solve(np.eye(c.dim_state) - a.conj().T[None] * pw[:, None, :],
+                           np.broadcast_to(b, (len(pts),) + b.shape))
+    return transfer_identity_residuals(pw, left, right, _transfer_from_state(c, pw, right))
 
 
 def spectrum_condition(c: AglerColligation, pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[bool, float]:
@@ -198,12 +215,20 @@ def spectrum_condition(c: AglerColligation, pol: TolerancePolicy = DEFAULT_POLIC
 
 @dataclass(frozen=True)
 class ColligationSynthesis:
-    """Synthesized colligation plus the residuals achieved on the input data."""
+    """Synthesized colligation plus the residuals achieved on the input data.
+
+    ``values`` is its transfer function S on the synthesis grid (g, n, n);
+    the unitarity and selfadjointness residuals are those of U that
+    ``validate`` measured.
+    """
 
     colligation: AglerColligation
     interpolation_residual: float
     gram_residual: float
     rank: int
+    values: np.ndarray
+    unitarity_residual: float
+    selfadjointness_residual: float
 
 
 def build_colligation(grid, theta_tables, schur_samples,
@@ -293,7 +318,7 @@ def build_colligation(grid, theta_tables, schur_samples,
 
     u_full = np.eye(m + n, dtype=complex) + q @ (w0 - np.eye(rank, dtype=complex)) @ q.conj().T
     coll = AglerColligation(dims, n, u_full, selfadjoint=True)
-    coll.validate(pol)
+    unit, sa = coll.validate(pol)
 
     tv = transfer_eval(coll, pts, pol)
     interp = float(np.max(np.linalg.norm(tv - svals, axis=(1, 2)) /
@@ -301,4 +326,4 @@ def build_colligation(grid, theta_tables, schur_samples,
     if gram_res <= pol.residual_tol and interp > pol.residual_tol:
         raise NumericalRefusalError(
             f"synthesized colligation fails to interpolate (residual {interp:.3e})")
-    return ColligationSynthesis(coll, interp, gram_res, rank)
+    return ColligationSynthesis(coll, interp, gram_res, rank, tv, unit, sa)

@@ -81,7 +81,8 @@ class TolerancePolicy:
 
     def __post_init__(self):
         for name in ("psd_slack", "residual_tol", "commutator_tol", "margin"):
-            if getattr(self, name) < 0:
+            # NaN compares false both ways; every gate would then silently fail
+            if not getattr(self, name) >= 0:
                 raise ValidationError(f"tolerance {name} must be nonnegative")
 
 
@@ -91,14 +92,15 @@ DEFAULT_POLICY = TolerancePolicy()
 _ROW_BLOCK = 32
 
 
-def as_matrix(m, square: bool = False) -> np.ndarray:
-    """Coerce to a finite 2-d complex array."""
+def as_matrix(m, square: bool = False, stack: bool = False) -> np.ndarray:
+    """Coerce to a finite 2-d complex array, or with ``stack`` to a (B, r, c) stack of them."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-d matrix, got ndim={a.ndim}")
+    if a.ndim != (3 if stack else 2):
+        what = "a (B, r, c) stack of matrices" if stack else "a 2-d matrix"
+        raise ShapeError(f"expected {what}, got ndim={a.ndim}")
     if a.size and not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
         raise ValidationError("matrix contains NaN or Inf entries")
-    if square and a.shape[0] != a.shape[1]:
+    if square and a.shape[-2] != a.shape[-1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
     return a
 
@@ -173,9 +175,9 @@ def scale_of(m) -> float:
 
 
 def hermitian_part(m) -> np.ndarray:
-    """(M + M*) / 2 of a square matrix."""
-    a = as_matrix(m, square=True)
-    return (a + a.conj().T) / 2.0
+    """(M + M*) / 2 of a square matrix, or of each matrix of a (B, n, n) stack."""
+    a = as_matrix(m, square=True, stack=np.ndim(m) == 3)
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
 def skew_part(m) -> np.ndarray:
@@ -192,7 +194,7 @@ def is_hermitian(m, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
 
 
 def eigh_or_refuse(m) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian eigendecomposition; converts LAPACK breakdown to a refusal."""
+    """Hermitian eigendecomposition of a matrix or a stack; LAPACK breakdown becomes a refusal."""
     try:
         return np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger

@@ -178,9 +178,6 @@ def four_quadrant_check(evaluator, num_vars: int, rng, samples: int = 50,
     base = rng.standard_normal((samples, num_vars)) ** 2 + 0.05
     base = base + 1j * rng.standard_normal((samples, num_vars))
 
-    def min_eig(vals):
-        return np.array([eigh_or_refuse(hermitian_part(v))[0][0] for v in vals])
-
     for rot, sign, part in (
         (1.0, 1.0, "herm"), (-1.0, -1.0, "herm"),
         (1j, 1.0, "skew"), (-1j, -1.0, "skew"),
@@ -192,7 +189,7 @@ def four_quadrant_check(evaluator, num_vars: int, rng, samples: int = 50,
         else:
             test = 1j * (vals.conj().transpose(0, 2, 1) - vals)
         slack = pol.psd_slack * (1.0 + np.linalg.norm(vals, axis=(1, 2)))
-        if np.any(min_eig(sign * test) < -slack):
+        if np.any(eigh_or_refuse(hermitian_part(sign * test))[0][:, 0] < -slack):
             return False
     return True
 

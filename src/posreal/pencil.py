@@ -14,6 +14,7 @@ degenerate H directions, and composes realizations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -137,6 +138,23 @@ class RealizedFunction:
     def __call__(self, z, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
         return eval_schur(self, z, pol)
 
+    @cached_property
+    def _d_bound_constants(self) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+        """Point-independent part of ``d_condition_bound``, computed once per realization.
+
+        (lambda_min(sum_k Re d_k), per-k norm bounds, per-k negative
+        eigenvalue parts, per-k skew Frobenius norms); see that function.
+        """
+        n = self.dim_u
+        ds = [m[n:, n:] for m in self.pencil.coeffs]
+        herm = [hermitian_part(d) for d in ds]
+        eigs = [eigh_or_refuse(h)[0] for h in herm]
+        lam = float(eigh_or_refuse(sum(herm))[0][0])
+        skew = np.array([np.linalg.norm(d - h) for d, h in zip(ds, herm)])
+        norms = np.array([max(-w[0], w[-1]) for w in eigs]) + skew
+        neg = np.array([max(-w[0], 0.0) for w in eigs])
+        return lam, norms, neg, skew
+
 
 def realize(coeffs, dim_u: int, pol: TolerancePolicy = DEFAULT_POLICY) -> RealizedFunction:
     """Validate coefficients and return the compressed realization."""
@@ -231,16 +249,9 @@ def d_condition_bound(f: RealizedFunction, z) -> np.ndarray:
     domain) or the denominator is not positive.
     """
     pts = as_points(z, f.num_vars)
-    n = f.dim_u
     if f.dim_h == 0:
         return np.ones(len(pts))
-    ds = [m[n:, n:] for m in f.pencil.coeffs]
-    herm = [hermitian_part(d) for d in ds]
-    eigs = [eigh_or_refuse(h)[0] for h in herm]
-    lam = float(eigh_or_refuse(sum(herm))[0][0])
-    skew = np.array([np.linalg.norm(d - h) for d, h in zip(ds, herm)])
-    norms = np.array([max(-w[0], w[-1]) for w in eigs]) + skew
-    neg = np.array([max(-w[0], 0.0) for w in eigs])
+    lam, norms, neg, skew = f._d_bound_constants
 
     start, gap = argument_arc(pts)
     theta = start + (np.pi - gap / 2.0)

@@ -23,7 +23,14 @@ from posreal.calculus import (
 )
 from posreal.cayley import DiskFunctionView, DiskKernelEvaluator
 from posreal.colligation import build_colligation
-from posreal.core import NumericalRefusalError, ValidationError
+from posreal.core import (
+    NumericalRefusalError,
+    TolerancePolicy,
+    ValidationError,
+    eigh_or_refuse,
+    hermitian_part,
+    operator_norm,
+)
 from posreal.pencil import PsdPencil, RealizedFunction, diagonal_realization, realize
 from posreal.sampling import (
     disk_grid,
@@ -66,6 +73,34 @@ class TestMakeTuple:
         b = np.array([[0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(ValidationError):
             make_tuple([a, b])
+
+    @staticmethod
+    def _per_matrix_loop(mats):
+        """(commutator norm, largest norm, accretivity bound) with one norm or eigh per matrix."""
+        worst = 0.0
+        for i in range(len(mats)):
+            for j in range(i + 1, len(mats)):
+                comm = mats[i] @ mats[j] - mats[j] @ mats[i]
+                den = 1.0 + operator_norm(mats[i]) * operator_norm(mats[j])
+                worst = max(worst, operator_norm(comm) / den)
+        rho = max(operator_norm(m) for m in mats)
+        accr = min(float(eigh_or_refuse(hermitian_part(m) * 2.0)[0][0]) for m in mats)
+        return worst, rho, accr
+
+    def test_stacked_certificate_equals_per_matrix_loop(self):
+        rng = np.random.default_rng(8)
+        loose = TolerancePolicy(commutator_tol=10.0)  # admits non-commuting families
+        families = [random_contraction_tuple(rng, 3, 4).mats, random_accretive_tuple(rng, 2, 3).mats,
+                    [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(4)],
+                    [np.diag([0.5, -2.0])], [np.eye(2), 3.0 * np.eye(2)]]
+        for mats in families:
+            t = make_tuple(mats, loose)
+            comm, rho, accr = self._per_matrix_loop([np.asarray(m, dtype=complex) for m in mats])
+            assert t.commutator_norm == comm
+            expected = ("contraction", rho) if rho <= 1.0 - loose.margin else (
+                ("accretive", accr) if accr >= loose.margin else ("none", 0.0))
+            assert (t.kind, t.bound) == expected
+        assert {make_tuple(m, loose).kind for m in families} == {"contraction", "accretive", "none"}
 
 
 class TestCalcSeries:

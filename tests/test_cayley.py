@@ -10,8 +10,10 @@ from posreal.cayley import (
     halfplane_to_disk,
     inv_cayley_matrix,
     inv_double_cayley,
+    inv_value_cayley,
+    value_cayley,
 )
-from posreal.core import ValidationError
+from posreal.core import NumericalRefusalError, ShapeError, ValidationError
 from posreal.pencil import diagonal_realization, eval_schur, realize
 from posreal.sampling import disk_grid, random_pencil
 
@@ -71,6 +73,27 @@ class TestInverseDoubleCayley:
         rec = inv_double_cayley(view.eval_double_cayley, ws)
         fv = eval_schur(parallel, disk_to_halfplane(ws))
         assert np.max(np.abs(rec - fv)) < 1e-12
+
+
+class TestBatchedValueMaps:
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (3, 1, 2), (2, 3, 0)])
+    def test_equal_the_evaluator_routes_bit_for_bit(self, shape):
+        f = random_pencil(np.random.default_rng(sum(shape)), *shape)
+        view = DiskFunctionView(f)
+        ws = disk_grid(f.num_vars, 15, seed=4)
+        fv = view.eval_F(ws)
+        sv = value_cayley(fv)
+        assert np.array_equal(sv, view.eval_double_cayley(ws))
+        schur = view.eval_double_cayley
+        assert np.array_equal(inv_value_cayley(sv), inv_double_cayley(schur, ws))
+        assert np.array_equal(inv_double_cayley(schur, ws[0]), inv_value_cayley(schur(ws[:1]))[0])
+        assert np.max(np.abs(inv_value_cayley(sv) - fv)) < 1e-12
+
+    def test_guards(self):
+        with pytest.raises(NumericalRefusalError, match=r"F\(w\) \+ I is numerically singular"):
+            value_cayley(-np.eye(2)[None])
+        with pytest.raises(NumericalRefusalError, match=r"I - S\(w\) is numerically singular"):
+            inv_value_cayley(np.eye(2)[None])
 
 
 class TestOperatorCayley:
@@ -142,6 +165,22 @@ class TestKernelTransforms:
                                                     dk.xi(k, ws).transpose(0, 2, 1)).transpose(0, 2, 1)
             assert np.allclose(table[k], expect, rtol=1e-13, atol=1e-13)
             assert np.allclose(dk.theta(k, ws[3]), table[k][3], rtol=1e-13, atol=1e-13)
+
+    def test_theta_table_reuses_given_f_values(self, rng, monkeypatch):
+        f = random_pencil(rng, 3, 2, 4)
+        dk = DiskKernelEvaluator(f)
+        ws = disk_grid(3, 12, seed=8)
+        fv = dk.view.eval_F(ws)
+        table = dk.theta_table(ws)
+
+        def second_evaluation(w):
+            raise AssertionError("F evaluated again")
+
+        monkeypatch.setattr(dk.view, "eval_F", second_evaluation)
+        for got, expect in zip(dk.theta_table(ws, fv), table):
+            assert np.array_equal(got, expect)
+        with pytest.raises(ShapeError, match="F values of shape"):
+            dk.theta_table(ws, fv[1:])
 
     def test_theta_kernel_value_map_conjugation(self, rng):
         # Theta_k(w, o) must equal 2 (F(o)* + I)^{-1} Xi_k(w, o) (F(w) + I)^{-1}

@@ -1,11 +1,16 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from posreal import serialize
-from posreal.cli import main
+from posreal.cayley import DiskKernelEvaluator, disk_to_halfplane, inv_double_cayley
+from posreal.cli import main, run_verification
+from posreal.colligation import build_colligation, transfer_eval
+from posreal.core import DEFAULT_POLICY, eigh_or_refuse, hermitian_part
 from posreal.pencil import PsdPencil
+from posreal.sampling import disk_grid, halfplane_grid, random_pencil
 
 
 @pytest.fixture
@@ -63,6 +68,89 @@ class TestVerify:
         serialize.dump(iota, str(path))
         assert main(["verify", "--pencil", parallel_file, "--grid", "10",
                      "--iota", str(path)]) == 0
+
+
+# Every row of run_verification(random_pencil(default_rng(2026), 2, 2, 3),
+# seed=3, grid_size=12) as (name, value.hex(), tol.hex(), pass), recorded
+# before the battery reused the synthesis values (numpy 2.4, OpenBLAS
+# 0.3.31, x86-64).  Reusing values must not move a single bit; a BLAS
+# build that rounds differently would need the table recorded again.
+GOLDEN_ROWS = [
+    ("pencil-coefficients-psd", "0x0.0p+0", "0x1.b7cdfd9d7bdbbp-34", True),
+    ("homogeneity", "0x1.2a6c38dfdde4ep-52", "0x1.12e0be826d695p-30", True),
+    ("conjugate-symmetry", "0x1.c02e79bef6d8fp-53", "0x1.12e0be826d695p-30", True),
+    ("positivity-min-re-eigenvalue", "0x1.5937371cd0606p-3", "-0x1.b7cdfd9d7bdbbp-34", True),
+    ("kernel-identity", "0x1.09ae489d44e12p-49", "0x1.12e0be826d695p-30", True),
+    ("four-quadrant-conditions", "0x1.0000000000000p+0", "0x1.0000000000000p+0", True),
+    ("calculus-positivity-min-eig", "0x1.10a6ed0d9b4a3p+1", "-0x1.b7cdfd9d7bdbbp-34", True),
+    ("colligation-unitarity", "0x1.c1134f07ccdb8p-48", "0x1.12e0be826d695p-30", True),
+    ("colligation-selfadjointness", "0x1.0a3c366f71facp-51", "0x1.12e0be826d695p-30", True),
+    ("colligation-transfer-match", "0x1.25ce3b31bd4d3p-50", "0x1.12e0be826d695p-30", True),
+    ("colligation-spectrum-margin", "0x1.ad2de616b97e4p-2", "0x1.0c6f7a0b5ed8dp-20", True),
+    ("inverse-double-cayley-recovery", "0x1.844554b2dfb0ep-49", "0x1.12e0be826d695p-30", True),
+]
+
+
+def _separate_evaluation_rows(f, seed, grid_size, pol=DEFAULT_POLICY):
+    """The rows that reuse grid values, each computed on its own as before the reuse.
+
+    Positivity takes one eigendecomposition per point; the synthesis gets
+    F twice (theta tables, Schur values); the colligation residuals are
+    measured again on U; recovery solves the transfer function again and
+    evaluates F a third time.
+    """
+    zs = halfplane_grid(f.num_vars, grid_size, seed)
+    vals = f(zs, pol)
+    scales = 1.0 + np.linalg.norm(vals, axis=(1, 2))
+    rows = {"positivity-min-re-eigenvalue": min(
+        float(eigh_or_refuse(hermitian_part(v))[0][0]) / s for v, s in zip(vals, scales))}
+    ws = disk_grid(f.num_vars, grid_size, seed)
+    disk = DiskKernelEvaluator(f, pol)
+    syn = build_colligation(ws, disk.theta_table(ws), disk.view.eval_double_cayley(ws), pol)
+    coll = syn.colligation
+    rec = inv_double_cayley(lambda pts: transfer_eval(coll, pts, pol), ws, pol)
+    fvals = f(disk_to_halfplane(ws), pol)
+    rows.update({
+        "colligation-unitarity": coll.unitarity_residual(),
+        "colligation-selfadjointness": coll.selfadjointness_residual(),
+        "colligation-transfer-match": syn.interpolation_residual,
+        "inverse-double-cayley-recovery": float(np.max(
+            np.linalg.norm(rec - fvals, axis=(1, 2)) / (1.0 + np.linalg.norm(fvals, axis=(1, 2))))),
+    })
+    return rows
+
+
+class TestVerificationReuse:
+    def test_rows_match_golden_bits(self):
+        f = random_pencil(np.random.default_rng(2026), 2, 2, 3)
+        report = run_verification(f, seed=3, grid_size=12)
+        got = [(r.name, r.value.hex(), r.tol.hex(), r.passed) for r in report.checks]
+        assert got == GOLDEN_ROWS
+
+    @pytest.mark.parametrize("shape, rank_deficient", [
+        ((2, 2, 3), False), ((3, 1, 2), False), ((2, 2, 0), False), ((3, 2, 4), True),
+    ])
+    def test_reused_rows_equal_separate_evaluation(self, shape, rank_deficient):
+        f = random_pencil(np.random.default_rng(sum(shape)), *shape, rank_deficient=rank_deficient)
+        report = {r.name: r.value for r in run_verification(f, seed=5, grid_size=15).checks}
+        for name, value in _separate_evaluation_rows(f, 5, 15).items():
+            assert report[name] == value, name
+
+    def test_transfer_function_is_solved_once(self, monkeypatch):
+        calls = []
+
+        def spy(c, w, pol=DEFAULT_POLICY):
+            calls.append(len(np.atleast_2d(w)))
+            return transfer_eval(c, w, pol)
+
+        # every binding, the defining module's and each from-import copy
+        for name, module in list(sys.modules.items()):
+            if name.startswith("posreal") and getattr(module, "transfer_eval", None) is transfer_eval:
+                monkeypatch.setattr(module, "transfer_eval", spy)
+        f = random_pencil(np.random.default_rng(3), 2, 2, 3)
+        report = run_verification(f, seed=1, grid_size=9)
+        assert report.verdict
+        assert calls == [9]
 
 
 class TestEval:
@@ -234,6 +322,21 @@ class TestInputErrors:
             main(argv + ["--seed", "-1"])
         assert err.value.code == 2
         assert "must be at least 0, got -1" in capsys.readouterr().err
+
+    def test_nan_tolerance_is_input_error(self, parallel_file, capsys):
+        assert main(["verify", "--pencil", parallel_file, "--grid", "5", "--tol", "nan"]) == 2
+        assert "tolerance residual_tol must be nonnegative" in capsys.readouterr().err
+
+    def test_negative_candidates_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["hunt", "--trials", "1", "--degree", "3", "--candidates", "-1"])
+        assert err.value.code == 2
+        assert "must be at least 0, got -1" in capsys.readouterr().err
+
+    def test_zero_candidates_accepted(self):
+        from posreal.cli import build_parser
+
+        assert build_parser().parse_args(["hunt", "--candidates", "0"]).candidates == 0
 
     def test_seed_zero_runs(self, parallel_file):
         assert main(["verify", "--pencil", parallel_file, "--grid", "3", "--seed", "0"]) == 0

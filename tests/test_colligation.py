@@ -9,7 +9,7 @@ from posreal.colligation import (
     spectrum_condition,
     transfer_eval,
 )
-from posreal.core import DEFAULT_POLICY, ValidationError
+from posreal.core import DEFAULT_POLICY, NumericalRefusalError, ValidationError
 from posreal.kernels import factor_kernel_samples
 from posreal.pencil import eval_schur
 from posreal.sampling import disk_grid, random_pencil
@@ -58,6 +58,36 @@ class TestIdentities:
         syn = build_colligation(ws, dk.theta_table(ws), dk.view.eval_double_cayley(ws))
         rp, rm = agler_identity_residual(syn.colligation, ws[:5])
         assert max(rp, rm) < 1e-9
+
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (3, 1, 2), (2, 2, 0)])
+    def test_transfer_from_the_identity_solve_equals_transfer_eval(self, monkeypatch, shape):
+        import posreal.colligation as colligation
+
+        f = random_pencil(np.random.default_rng(sum(shape)), *shape)
+        ws = disk_grid(f.num_vars, 11, seed=2)
+        dk = DiskKernelEvaluator(f)
+        c = build_colligation(ws, dk.theta_table(ws), dk.view.eval_double_cayley(ws)).colligation
+        expected = transfer_eval(c, ws)
+        seen = []
+        real = colligation.transfer_identity_residuals
+
+        def spy(weights, left, right, values, scale=None):
+            seen.append(values)
+            return real(weights, left, right, values, scale)
+
+        def second_solve(*args, **kwargs):
+            raise AssertionError("S(w) solved apart from the identity's own solve")
+
+        monkeypatch.setattr(colligation, "transfer_identity_residuals", spy)
+        monkeypatch.setattr(colligation, "transfer_eval", second_solve)
+        agler_identity_residual(c, ws)
+        assert np.array_equal(seen[0], expected)
+
+    def test_singular_state_system_refused_before_solving(self):
+        # selfadjoint but not unitary: ||A|| = 2 makes I - A P(w) singular at w = 1/2
+        c = AglerColligation((1,), 1, np.diag([2.0, 1.0]), selfadjoint=True)
+        with pytest.raises(NumericalRefusalError, match=r"I - A P\(w\) is numerically singular"):
+            agler_identity_residual(c, np.array([[0.1], [0.5]]))
 
     def test_detects_broken_unitarity(self, flip):
         u = flip.U.copy()
@@ -128,6 +158,18 @@ class TestSynthesis:
         holdout = disk_grid(2, 5, seed=55, include_zero=False)
         expected = dk.view.eval_double_cayley(holdout)
         assert np.max(np.abs(transfer_eval(c, holdout) - expected)) < 1e-8
+
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (3, 2, 0)])
+    def test_hands_back_grid_values_and_residuals(self, shape):
+        f = random_pencil(np.random.default_rng(sum(shape)), *shape)
+        ws = disk_grid(f.num_vars, 9, seed=1)
+        dk = DiskKernelEvaluator(f)
+        syn = build_colligation(ws, dk.theta_table(ws), dk.view.eval_double_cayley(ws))
+        c = syn.colligation
+        assert np.array_equal(syn.values, transfer_eval(c, ws))
+        assert syn.unitarity_residual == c.unitarity_residual()
+        assert syn.selfadjointness_residual == c.selfadjointness_residual()
+        assert (syn.unitarity_residual, syn.selfadjointness_residual) == c.validate()
 
     def test_rejects_inconsistent_samples(self):
         grid = np.array([[0.0], [0.5], [-0.5]], dtype=complex)

@@ -17,7 +17,14 @@ from posreal.colligation import (
     transfer_condition_bound,
     transfer_eval,
 )
-from posreal.core import DEFAULT_POLICY, NumericalRefusalError, ValidationError
+from posreal.core import (
+    DEFAULT_POLICY,
+    NumericalRefusalError,
+    ValidationError,
+    argument_arc,
+    eigh_or_refuse,
+    hermitian_part,
+)
 from posreal.kernels import psi
 from posreal.pencil import (
     PsdPencil,
@@ -81,6 +88,51 @@ class TestDConditionBound:
             f = RealizedFunction(PsdPencil.from_coeffs(coeffs, 1, validate=False), compressed=True)
             for pts in _point_sets(rng, 2).values():
                 _assert_sound(d_condition_bound(f, pts), _d_blocks(f, pts))
+
+    @staticmethod
+    def _per_call_bound(f, pts):
+        """The bound with its pencil-only constants rebuilt on every call."""
+        n = f.dim_u
+        ds = [m[n:, n:] for m in f.pencil.coeffs]
+        herm = [hermitian_part(d) for d in ds]
+        eigs = [eigh_or_refuse(h)[0] for h in herm]
+        lam = float(eigh_or_refuse(sum(herm))[0][0])
+        skew = np.array([np.linalg.norm(d - h) for d, h in zip(ds, herm)])
+        norms = np.array([max(-w[0], w[-1]) for w in eigs]) + skew
+        neg = np.array([max(-w[0], 0.0) for w in eigs])
+        start, gap = argument_arc(pts)
+        theta = start + (np.pi - gap / 2.0)
+        re = (np.exp(-1j * theta)[:, None] * pts).real
+        mu = np.min(re, axis=1)
+        mags = np.abs(pts)
+        den = mu * lam - (re - mu[:, None]) @ neg - mags @ skew
+        out = np.full(len(pts), np.inf)
+        ok = (mu > 0) & (den > 0)
+        out[ok] = (mags @ norms)[ok] / den[ok]
+        return out
+
+    @pytest.mark.parametrize("validated", [True, False])
+    def test_constants_computed_once_per_realization(self, monkeypatch, validated):
+        import posreal.pencil as pencil
+
+        rng = np.random.default_rng(21)
+        if validated:
+            f = random_pencil(rng, 3, 2, 4, rank_deficient=True)
+        else:
+            coeffs = [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(2)]
+            f = RealizedFunction(PsdPencil.from_coeffs(coeffs, 1, validate=False), compressed=True)
+        calls = []
+
+        def counting(m):
+            calls.append(np.shape(m))
+            return eigh_or_refuse(m)
+
+        monkeypatch.setattr(pencil, "eigh_or_refuse", counting)
+        for pts in _point_sets(rng, f.num_vars).values():
+            got = d_condition_bound(f, pts)
+            assert got.tobytes() == self._per_call_bound(f, pts).tobytes()
+        # one eigendecomposition per Re d_k and one of their sum, on the first call only
+        assert len(calls) == f.num_vars + 1
 
     def test_indefinite_block_singular_inside_halfplane(self):
         # d(z) = diag(z1, z2 - z1/2) is singular at (1, 1/2) although the

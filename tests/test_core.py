@@ -20,6 +20,13 @@ def test_tolerances_must_be_nonnegative():
         TolerancePolicy(psd_slack=-1e-3)
 
 
+@pytest.mark.parametrize("name", ["psd_slack", "residual_tol", "commutator_tol", "margin"])
+def test_nan_tolerance_is_refused(name):
+    # a NaN tolerance fails every comparison, so each gate would silently fail
+    with pytest.raises(ValidationError, match=f"tolerance {name} must be nonnegative"):
+        TolerancePolicy(**{name: float("nan")})
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan), complex(np.inf, 0.0)])
 def test_as_points_refuses_non_finite_coordinates(bad):
     with pytest.raises(ValidationError, match="finite"):
@@ -30,6 +37,19 @@ def test_as_points_refuses_non_finite_coordinates(bad):
 class TestHermitianPart:
     def test_skew_part_cancels(self):
         assert np.allclose(hermitian_part([[1j]]), [[0.0]])
+
+    def test_stack_equals_per_matrix(self, rng):
+        stack = rng.standard_normal((7, 4, 4)) + 1j * rng.standard_normal((7, 4, 4))
+        assert np.array_equal(hermitian_part(stack), np.stack([hermitian_part(m) for m in stack]))
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.full((2, 3, 3), np.nan), ValidationError),
+        (np.zeros((2, 3, 4)), ShapeError),
+        (np.zeros((2, 2, 3, 3)), ShapeError),
+    ])
+    def test_stack_input_checks(self, bad, error):
+        with pytest.raises(error):
+            hermitian_part(bad)
 
     def test_symmetrization(self):
         assert np.allclose(hermitian_part([[1, 2], [0, 1]]), [[1, 1], [1, 1]])

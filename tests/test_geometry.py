@@ -3,7 +3,7 @@ import pytest
 
 from posreal.cayley import DiskKernelEvaluator
 from posreal.colligation import AglerColligation, build_colligation
-from posreal.core import ShapeError, ValidationError
+from posreal.core import DEFAULT_POLICY, ShapeError, ValidationError, eigh_or_refuse, hermitian_part
 from posreal.geometry import (
     AntiUnitaryInvolution,
     check_real_colligation,
@@ -116,6 +116,50 @@ class TestFourQuadrant:
     def test_non_homogeneous_rejected(self, rng):
         bad = lambda pts: (pts[:, 0] ** 2 + 1)[:, None, None]
         assert not four_quadrant_check(bad, 1, rng)
+
+    @staticmethod
+    def _per_matrix_loop(evaluator, num_vars, rng, samples, pol=DEFAULT_POLICY):
+        """The check with one eigendecomposition per sample: (verdict, min eigenvalues per quadrant)."""
+        base = rng.standard_normal((samples, num_vars)) ** 2 + 0.05
+        base = base + 1j * rng.standard_normal((samples, num_vars))
+        seen = []
+        for rot, sign, part in ((1.0, 1.0, "herm"), (-1.0, -1.0, "herm"),
+                                (1j, 1.0, "skew"), (-1j, -1.0, "skew")):
+            vals = np.asarray(evaluator(rot * base), dtype=complex)
+            if part == "herm":
+                test = vals + vals.conj().transpose(0, 2, 1)
+            else:
+                test = 1j * (vals.conj().transpose(0, 2, 1) - vals)
+            slack = pol.psd_slack * (1.0 + np.linalg.norm(vals, axis=(1, 2)))
+            seen.append(np.array([eigh_or_refuse(hermitian_part(v))[0][0] for v in sign * test]))
+            if np.any(seen[-1] < -slack):
+                return False, seen
+        return True, seen
+
+    @pytest.mark.parametrize("case", ["pencil", "rank-deficient", "non-homogeneous"])
+    def test_stacked_eigenvalues_equal_per_matrix_loop(self, monkeypatch, case):
+        import posreal.geometry as geometry
+
+        if case == "non-homogeneous":
+            evaluator, num_vars = (lambda pts: (pts[:, :1] ** 2 + 1)[:, :, None] * np.eye(2)), 2
+        else:
+            f = random_pencil(np.random.default_rng(11), 3, 2, 3,
+                              rank_deficient=case == "rank-deficient")
+            evaluator, num_vars = (lambda pts: f(pts)), 3
+        stacked = []
+
+        def spy(m):
+            out = eigh_or_refuse(m)
+            stacked.append(out[0][:, 0])
+            return out
+
+        monkeypatch.setattr(geometry, "eigh_or_refuse", spy)
+        verdict = four_quadrant_check(evaluator, num_vars, np.random.default_rng(5), samples=40)
+        expected, loop = self._per_matrix_loop(evaluator, num_vars, np.random.default_rng(5), 40)
+        assert verdict == expected == (case != "non-homogeneous")
+        assert len(stacked) == len(loop)
+        for a, b in zip(stacked, loop):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestDehomogenization:

@@ -1,0 +1,51 @@
+"""Module layout rules of src/posreal, checked on the source text.
+
+Private helpers (names with a leading underscore) are not imported
+across modules: a helper that another module needs becomes public.  The
+one exception is the conditioning guard ``_refuse_ill_conditioned``,
+whose home the benchmark tracer pins until the guard moves to ``core``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "posreal"
+ALLOWED = {"_refuse_ill_conditioned"}
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def private_imports(source: str) -> list[tuple[int, str, str]]:
+    """(line, module, name) of every ``from <posreal module> import _name``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module != "posreal" and not module.startswith("posreal."):
+            continue
+        for alias in node.names:
+            if alias.name.startswith("_") and alias.name not in ALLOWED:
+                found.append((node.lineno, "." * node.level + module, alias.name))
+    return found
+
+
+def test_package_modules_found():
+    assert len(MODULES) > 10
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_cross_module_imports(path):
+    assert private_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("source, hits", [
+    ("from .pencil import _blocks_at\n", [(1, ".pencil", "_blocks_at")]),
+    ("from posreal.core import _ROW_BLOCK\n", [(1, "posreal.core", "_ROW_BLOCK")]),
+    ("from .pencil import RealizedFunction, _refuse_ill_conditioned\n", []),
+    ("from __future__ import annotations\nfrom numpy import _NoValue\n", []),
+    ("def f():\n    from .cayley import _helper\n", [(2, ".cayley", "_helper")]),
+])
+def test_rule_detects_private_imports(source, hits):
+    assert private_imports(source) == hits
