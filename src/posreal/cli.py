@@ -155,7 +155,7 @@ def run_verification(f: RealizedFunction, seed: int = 0, grid_size: int = 25,
     margin("positivity-min-re-eigenvalue", -pol.psd_slack,
            lambda: float(np.min(eigh_or_refuse(hermitian_part(vals))[0][:, 0] / scales)))
     residual("kernel-identity", pol.residual_tol,
-             lambda: kernel_identity_residual(f, zs, pol))
+             lambda: kernel_identity_residual(f, zs, pol, f_values=vals))
     margin("four-quadrant-conditions", 1.0,
            lambda: 1.0 if four_quadrant_check(lambda pts: f(pts, pol), f.num_vars, rng,
                                               samples=grid_size, pol=pol) else 0.0)

@@ -125,11 +125,21 @@ def _identity_residual(pts, tables, fvals) -> float:
 
 def kernel_identity_residual(f: RealizedFunction, grid,
                              pol: TolerancePolicy = DEFAULT_POLICY,
-                             evaluator: KernelEvaluator | None = None) -> float:
-    """Max over grid x grid of ||f(z) - sum_k z_k Phi_k(z, zeta)|| / (1+||f(z)||)."""
+                             evaluator: KernelEvaluator | None = None,
+                             f_values=None) -> float:
+    """Max over grid x grid of ||f(z) - sum_k z_k Phi_k(z, zeta)|| / (1+||f(z)||).
+
+    ``f_values`` is f on the same grid when the caller already has it;
+    f is then not evaluated again.
+    """
     ev = evaluator or KernelEvaluator(f, pol)
     pts = as_points(grid, f.num_vars)
-    return _identity_residual(pts, ev.phi_table(pts), f(pts, pol))
+    if f_values is None:
+        f_values = f(pts, pol)
+    elif np.shape(f_values) != (len(pts), f.dim_u, f.dim_u):
+        raise ShapeError(f"expected f values of shape {(len(pts),) + (f.dim_u,) * 2}, "
+                         f"got {np.shape(f_values)}")
+    return _identity_residual(pts, ev.phi_table(pts), f_values)
 
 
 def plus_minus_residuals(f: RealizedFunction, grid,
@@ -222,14 +232,16 @@ class KernelSampleSet:
         if len(self.factors) != grid.shape[1]:
             raise ShapeError("one factor table per variable required")
         n = fs.shape[1]
-        for tab in self.factors:
-            t = np.asarray(tab, dtype=complex)
+        factors = tuple(np.asarray(t, dtype=complex) for t in self.factors)
+        for t in factors:
             if t.ndim != 3 or t.shape[0] != g or t.shape[2] != n:
                 raise ShapeError("factor tables must have shape (g, m_k, n)")
+        if not all(np.isfinite(a).all() for a in (grid, fs, *factors)):
+            raise ValidationError("kernel samples contain NaN or Inf entries")
         if len({tuple(np.round(zz, 12)) for zz in map(tuple, grid)}) != g:
             raise ValidationError("grid points must be pairwise distinct")
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "factors", tuple(np.asarray(t, dtype=complex) for t in self.factors))
+        object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "f_samples", fs)
 
     @property
@@ -282,7 +294,7 @@ def pencil_from_kernel_samples(ks: KernelSampleSet,
     span.
     """
     res = ks.identity_residual()
-    if res > pol.residual_tol:
+    if not res <= pol.residual_tol:  # a NaN residual fails too
         raise ValidationError(
             f"kernel identity violated on input samples (residual {res:.3e})")
     base = ks.base_index()
@@ -314,7 +326,7 @@ def pencil_from_kernel_samples(ks: KernelSampleSet,
     num = np.linalg.norm(vals - ks.f_samples, axis=(1, 2))
     den = 1.0 + np.linalg.norm(ks.f_samples, axis=(1, 2))
     worst = float(np.max(num / den))
-    if worst > pol.residual_tol:
+    if not worst <= pol.residual_tol:
         # valid input data that the sampled spans cannot realize faithfully
         # (rank collapse in the embedding)
         raise NumericalRefusalError(

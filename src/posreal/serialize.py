@@ -4,10 +4,28 @@ Complex matrices serialize as row-major arrays of [re, im] pairs; the
 pencil, colligation, and kernel-sample formats wrap them with their
 shape metadata.  Arrays are encoded and decoded whole, never one entry
 at a time, and every file is written in one compact form (``dumps``).
+
+The two bulk arrays of a kernel-sample document, each ``factors[k]``
+table (g, m_k, n) and ``f_samples`` (g, n, n), are written packed:
+
+    {"shape": [g, m, n], "complex128_le_base64": "<payload>"}
+
+where the payload is standard base64, without line breaks, of the
+C-order little-endian complex128 bytes of the array.  An empty block
+packs to an empty payload.  Any numpy reads such a table with
+
+    import base64, numpy as np
+    raw = base64.b64decode(table["complex128_le_base64"])
+    a = np.frombuffer(raw, "<c16").reshape(table["shape"])
+
+The ``grid`` stays a list of [re, im] pairs.  The loader picks the
+decoder for each table from its JSON type, so tables written as nested
+[re, im] pairs (earlier versions and other tools) still load.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 
 import numpy as np
@@ -132,24 +150,70 @@ def colligation_from_json(data: dict) -> AglerColligation:
     return AglerColligation(dims, n, u, selfadjoint=sa)
 
 
+_PACKED = "complex128_le_base64"
+
+
+def _pack(a: np.ndarray) -> dict:
+    """One packed table: its shape and the base64 of its little-endian complex128 bytes."""
+    raw = np.ascontiguousarray(a, dtype="<c16")
+    return {"shape": list(raw.shape), _PACKED: base64.b64encode(raw).decode("ascii")}
+
+
+def _unpack(data: dict, rows: int, cols: int | None, what: str) -> np.ndarray:
+    """A writable native complex128 array of three axes from a packed table.
+
+    The table must have ``rows`` rows and ``cols`` entries on its last
+    axis (``cols=None``: as many as on its middle axis).  The values are
+    checked for finiteness by ``KernelSampleSet``, which every decoded
+    table goes into.
+    """
+    shape = data.get("shape")
+    if not (isinstance(shape, list) and len(shape) == 3
+            and all(type(s) is int and s >= 0 for s in shape)):
+        raise ValidationError(f"packed {what} shape must be three non-negative integers")
+    payload = data.get(_PACKED)
+    if not isinstance(payload, str):
+        raise ValidationError(f"packed {what} needs a {_PACKED} string")
+    try:
+        raw = base64.b64decode(payload, validate=True)
+    except ValueError as exc:
+        raise ValidationError(f"packed {what} is not valid base64: {exc}") from exc
+    need = 16 * shape[0] * shape[1] * shape[2]  # Python ints: no overflow
+    if len(raw) != need:
+        raise ValidationError(f"packed {what} of shape {shape} needs {need} bytes, "
+                              f"got {len(raw)}")
+    if shape[0] != rows:
+        raise ValidationError(f"packed {what} has {shape[0]} rows, the grid has {rows}")
+    if shape[2] != (shape[1] if cols is None else cols):
+        raise ValidationError(f"packed {what} of shape {shape} has the wrong last axis")
+    return np.frombuffer(raw, dtype="<c16").astype(complex).reshape(shape)
+
+
 def kernel_samples_to_json(ks: KernelSampleSet) -> dict:
     for a in (*ks.factors, ks.f_samples):
         if not np.isfinite(a).all():
             raise ValidationError("matrix contains NaN or Inf entries")
     return {
         "grid": points_to_json(ks.grid),
-        "factors": [_pairs(tab) for tab in ks.factors],
-        "f_samples": _pairs(ks.f_samples),
+        "factors": [_pack(tab) for tab in ks.factors],
+        "f_samples": _pack(ks.f_samples),
     }
 
 
 def kernel_samples_from_json(data: dict) -> KernelSampleSet:
+    """Decode a kernel-sample document; each table may be packed or nested pairs."""
     try:
         grid = points_from_json(data["grid"])
-        f_samples = _from_pairs(np.asarray(data["f_samples"], dtype=float), 3, "matrix",
-                                _MATRIX_LAYOUT)
+        raw = data["f_samples"]
+        if isinstance(raw, dict):
+            f_samples = _unpack(raw, len(grid), None, "f_samples")
+        else:
+            f_samples = _from_pairs(np.asarray(raw, dtype=float), 3, "matrix", _MATRIX_LAYOUT)
         factors = []
         for tab in data["factors"]:
+            if isinstance(tab, dict):
+                factors.append(_unpack(tab, len(grid), f_samples.shape[1], "factor table"))
+                continue
             if len(tab) != len(grid):
                 raise ValidationError("factor table length disagrees with the grid")
             a = np.asarray(tab, dtype=float)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from posreal import realize
-from posreal.core import DEFAULT_POLICY, ValidationError
+from posreal.core import DEFAULT_POLICY, ShapeError, ValidationError
 from posreal.kernels import (
     KernelEvaluator,
     KernelSampleSet,
@@ -75,6 +75,20 @@ class TestIdentityResiduals:
                 lhs = sum(z[k] * phis[k] for k in range(2))
                 worst = max(worst, np.linalg.norm(lhs - fz) / (1 + np.linalg.norm(fz)))
         assert worst >= 0.05
+
+    def test_identity_reuses_given_f_values(self, rng, monkeypatch):
+        f = random_pencil(rng, 3, 2, 4)
+        grid = halfplane_grid(3, 8, seed=5)
+        fv = f(grid)
+        expect = kernel_identity_residual(f, grid)
+
+        def second_evaluation(self, z, pol=DEFAULT_POLICY):
+            raise AssertionError("f evaluated again")
+
+        monkeypatch.setattr(type(f), "__call__", second_evaluation)
+        assert kernel_identity_residual(f, grid, f_values=fv) == expect
+        with pytest.raises(ShapeError, match="f values of shape"):
+            kernel_identity_residual(f, grid, f_values=fv[1:])
 
     def test_plus_minus_valid(self, parallel, rng):
         grid = halfplane_grid(2, 8, seed=3)
@@ -205,6 +219,18 @@ class TestReconstruction:
         bad = KernelSampleSet(ks.grid, ks.factors, ks.f_samples + 0.3)
         with pytest.raises(ValidationError):
             pencil_from_kernel_samples(bad)
+
+    def test_rejects_overflowing_samples(self, parallel):
+        # finite samples whose identity residual overflows to NaN are an
+        # input error, not passed on to the rebuild
+        ks = sample_kernels(parallel, halfplane_grid(2, 6, seed=4))
+        table = ks.factors[0].copy()
+        table[2, 0, 0] = 1e160
+        bad = KernelSampleSet(ks.grid, (table, ks.factors[1]), ks.f_samples)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(bad.identity_residual())
+            with pytest.raises(ValidationError, match="residual nan"):
+                pencil_from_kernel_samples(bad)
 
     def test_requires_base_point(self, parallel):
         grid = halfplane_grid(2, 6, seed=4, include_base=False) + 0.3

@@ -1,4 +1,6 @@
+import base64
 import json
+import os
 
 import numpy as np
 import pytest
@@ -122,11 +124,23 @@ def test_matrix_and_points_encode_as_before(rng):
     assert _same(serialize.points_to_json(m[0]), _old_matrix(m[:1]))
 
 
+def _assert_same_samples(back, ks):
+    _assert_bitwise(back.grid, ks.grid)
+    _assert_bitwise(back.f_samples, ks.f_samples)
+    assert len(back.factors) == len(ks.factors)
+    for a, b in zip(back.factors, ks.factors):
+        _assert_bitwise(a, b)
+
+
 def test_kernel_samples_encode_as_before(parallel):
-    ks = sample_kernels(parallel, halfplane_grid(2, 6, seed=2))
-    assert _same(serialize.kernel_samples_to_json(ks), _old_kernel_samples(ks))
-    ks = _signed_zero_samples()
-    assert _same(serialize.kernel_samples_to_json(ks), _old_kernel_samples(ks))
+    for ks in (sample_kernels(parallel, halfplane_grid(2, 6, seed=2)), _signed_zero_samples()):
+        # the nested-pairs document of earlier versions decodes bitwise
+        _assert_same_samples(serialize.kernel_samples_from_json(_old_kernel_samples(ks)), ks)
+        # the writer emits packed tables, which decode bitwise
+        data = serialize.kernel_samples_to_json(ks)
+        assert _same(data["grid"], _old_matrix(ks.grid))
+        assert all(isinstance(t, dict) for t in (*data["factors"], data["f_samples"]))
+        _assert_same_samples(serialize.kernel_samples_from_json(data), ks)
 
 
 def test_non_finite_kernel_samples_are_refused():
@@ -186,7 +200,7 @@ def test_dump_load_roundtrips_exactly(tmp_path, rng):
 
 
 def _corrupt(kind):
-    data = serialize.kernel_samples_to_json(_signed_zero_samples())
+    data = _old_kernel_samples(_signed_zero_samples())
     if kind == "ragged-table":
         data["factors"][0][1].append([[1.0, 0.0]])
     elif kind == "ragged-f-samples":
@@ -233,3 +247,178 @@ def test_rebuild_from_malformed_samples_is_input_error(tmp_path, capsys, kind):
     serialize.dump(_corrupt(kind), str(bad))
     assert main(["kernels", "--rebuild", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# -- packed tables --------------------------------------------------------
+
+def _packed(a):
+    """The packed form, written here independently of the library."""
+    a = np.asarray(a, dtype=complex)
+    return {"shape": list(a.shape),
+            "complex128_le_base64": base64.b64encode(a.astype("<c16").tobytes()).decode()}
+
+
+def test_packed_tables_roundtrip_bitwise():
+    ks = _signed_zero_samples()
+    data = serialize.kernel_samples_to_json(ks)
+    assert data["factors"] == [_packed(t) for t in ks.factors]
+    assert data["f_samples"] == _packed(ks.f_samples)
+    # the empty factor block packs to an empty payload
+    assert data["factors"][1] == {"shape": [2, 0, 1], "complex128_le_base64": ""}
+    back = serialize.kernel_samples_from_json(json.loads(serialize.dumps(data)))
+    _assert_same_samples(back, ks)
+    for a in (back.grid, back.f_samples, *back.factors):
+        assert a.dtype == np.complex128 and a.dtype.isnative and a.flags.writeable
+
+
+def _valid_samples(f):
+    # samples that rebuild, so each refusal below comes from the decoder
+    return sample_kernels(f, halfplane_grid(2, 6, seed=2))
+
+
+def _bad_packed(f, kind):
+    data = serialize.kernel_samples_to_json(_valid_samples(f))
+    tab = data["factors"][0]
+    g, m, n = tab["shape"]
+    payload = base64.b64decode(tab["complex128_le_base64"])
+    if kind == "bad-base64":
+        tab["complex128_le_base64"] = "!" + tab["complex128_le_base64"][1:]
+    elif kind == "line-break":
+        text = tab["complex128_le_base64"]
+        tab["complex128_le_base64"] = text[:8] + "\n" + text[8:]
+    elif kind == "short-payload":
+        tab["complex128_le_base64"] = base64.b64encode(payload[:-16]).decode()
+    elif kind == "long-payload":
+        tab["complex128_le_base64"] = base64.b64encode(payload + bytes(16)).decode()
+    elif kind == "two-axes":
+        tab["shape"] = [g, m * n]
+    elif kind == "negative-shape":
+        tab["shape"] = [g, -m, -n]
+    elif kind == "non-int-shape":
+        tab["shape"] = [g, float(m), n]
+    elif kind == "huge-shape":
+        tab["shape"] = [g, 2 ** 62, 2 ** 62]
+    elif kind == "row-count":
+        data["factors"][0] = _packed(np.ones((g + 1, m, n)))
+    elif kind == "n-mismatch":
+        data["factors"][0] = _packed(np.ones((g, m, n + 1)))
+    elif kind == "f-samples-not-square":
+        data["f_samples"] = _packed(np.ones((g, n, n + 1)))
+    elif kind == "missing-payload":
+        del tab["complex128_le_base64"]
+    return data
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("bad-base64", "not valid base64"),
+    ("line-break", "not valid base64"),
+    ("short-payload", "needs"),
+    ("long-payload", "needs"),
+    ("two-axes", "three non-negative integers"),
+    ("negative-shape", "three non-negative integers"),
+    ("non-int-shape", "three non-negative integers"),
+    ("huge-shape", "needs"),
+    ("row-count", "rows, the grid has"),
+    ("n-mismatch", "wrong last axis"),
+    ("f-samples-not-square", "wrong last axis"),
+    ("missing-payload", "complex128_le_base64"),
+])
+def test_rebuild_from_malformed_packed_tables_is_input_error(tmp_path, capsys, parallel,
+                                                            kind, message):
+    bad = tmp_path / "bad.json"
+    serialize.dump(_bad_packed(parallel, kind), str(bad))
+    assert main(["kernels", "--rebuild", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def _non_finite(f, layout, where):
+    ks = _valid_samples(f)
+    f_samples, factors = ks.f_samples.copy(), [t.copy() for t in ks.factors]
+    if where == "nan-f-samples":
+        f_samples[2, 0, 0] = complex(np.nan, 0.0)
+    else:
+        factors[1][3, 0, 0] = complex(1.0, np.inf)
+    if layout == "nested":
+        return {"grid": _old_matrix(ks.grid),
+                "factors": [[_old_matrix(m) for m in t] for t in factors],
+                "f_samples": [_old_matrix(m) for m in f_samples]}
+    return {"grid": _old_matrix(ks.grid), "factors": [_packed(t) for t in factors],
+            "f_samples": _packed(f_samples)}
+
+
+@pytest.mark.parametrize("layout", ["nested", "packed"])
+@pytest.mark.parametrize("where", ["nan-f-samples", "inf-factor"])
+def test_rebuild_from_non_finite_samples_is_input_error(tmp_path, capsys, parallel,
+                                                        layout, where):
+    path = tmp_path / "bad.json"
+    serialize.dump(_non_finite(parallel, layout, where), str(path))
+    assert main(["kernels", "--rebuild", str(path)]) == 2
+    assert "NaN or Inf" in capsys.readouterr().err
+
+
+def test_kernel_sample_set_refuses_non_finite_entries(parallel):
+    ks = _valid_samples(parallel)
+    grid, table, fs = ks.grid.copy(), ks.factors[1].copy(), ks.f_samples.copy()
+    grid[1, 0] = complex(np.nan, 1.0)
+    table[0, 0, 0] = complex(-np.inf, 0.0)
+    fs[3, 0, 0] = complex(0.5, np.nan)
+    for bad in ((grid, ks.factors, ks.f_samples),
+                (ks.grid, (ks.factors[0], table), ks.f_samples),
+                (ks.grid, ks.factors, fs)):
+        with pytest.raises(ValidationError, match="NaN or Inf"):
+            KernelSampleSet(*bad)
+
+
+# A nested-pairs file written by the nested-pairs writer of earlier versions:
+# `posreal kernels --pencil series.json --grid 6` on the series network
+# "branch P M z1 1 / branch M GND z2 1" of `posreal netlist`.
+LEGACY_FILE = os.path.join(os.path.dirname(__file__), "data", "series_kernels_grid6.json")
+
+LEGACY_GRID = [
+    "0x1.b39042ef16896p-1 0x1.2975e582e36c8p-2 0x1.f1208cf2cfae4p-1 -0x1.1cb0b91b2b9e9p-2",
+    "0x1.b4faefab1f943p-2 -0x1.477d71ea26c9cp-1 0x1.c4b5c245328eap-3 0x1.702f67e83515fp-4",
+    "0x1.b39042ef16896p-1 -0x1.2975e582e36c8p-2 0x1.f1208cf2cfae4p-1 0x1.1cb0b91b2b9e9p-2",
+    "0x1.b4faefab1f943p-2 0x1.477d71ea26c9cp-1 0x1.c4b5c245328eap-3 -0x1.702f67e83515fp-4",
+    "0x1.0000000000000p+0 0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0",
+]
+LEGACY_FACTORS = [[
+    "-0x1.105996a27f74cp-1 0x1.4004e3589ba53p-3",
+    "-0x1.0a109440029b4p-3 -0x1.fdfadc5fbc5d7p-3",
+    "-0x1.105996a27f74cp-1 -0x1.4004e3589ba53p-3",
+    "-0x1.0a109440029b4p-3 0x1.fdfadc5fbc5d7p-3",
+    "-0x1.0000000000000p-1 0x0.0p+0",
+], [
+    "0x1.df4cd2bb01168p-2 0x1.4004e3589ba53p-3",
+    "0x1.bd7bdaefff593p-1 -0x1.fdfadc5fbc5d7p-3",
+    "0x1.df4cd2bb01168p-2 -0x1.4004e3589ba53p-3",
+    "0x1.bd7bdaefff593p-1 0x1.fdfadc5fbc5d7p-3",
+    "0x1.0000000000000p-1 0x0.0p+0",
+]]
+LEGACY_F = [
+    "0x1.fddcd62d04b56p-2 0x1.61b8540fb3f20p-6",
+    "0x1.b7bced6651e99p-3 0x1.7b90101569120p-6",
+    "0x1.fddcd62d04b56p-2 -0x1.61b8540fb3f20p-6",
+    "0x1.b7bced6651e99p-3 -0x1.7b90101569120p-6",
+    "0x1.0000000000000p-1 0x0.0p+0",
+]
+
+
+def _from_hex(rows, shape):
+    floats = np.array([float.fromhex(x) for row in rows for x in row.split()])
+    return floats.view(complex).reshape(shape)
+
+
+def test_legacy_nested_file_loads_bitwise_and_rebuilds(tmp_path, capsys):
+    with open(LEGACY_FILE) as fh:
+        data = json.load(fh)
+    assert isinstance(data["f_samples"], list) and isinstance(data["factors"][0], list)
+    ks = serialize.kernel_samples_from_json(data)
+    _assert_bitwise(ks.grid, _from_hex(LEGACY_GRID, (5, 2)))
+    _assert_bitwise(ks.f_samples, _from_hex(LEGACY_F, (5, 1, 1)))
+    assert len(ks.factors) == 2
+    for a, rows in zip(ks.factors, LEGACY_FACTORS):
+        _assert_bitwise(a, _from_hex(rows, (5, 1, 1)))
+    out = tmp_path / "rebuilt.json"
+    assert main(["kernels", "--rebuild", LEGACY_FILE, "--out", str(out)]) == 0
+    assert "rebuilt pencil: N=2 n=1 p=1" in capsys.readouterr().out
