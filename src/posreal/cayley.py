@@ -20,7 +20,7 @@ from .core import (
     ValidationError,
     as_matrix,
     as_points,
-    cross_gram_residual,
+    hermitian_split_residuals,
 )
 from .colligation import transfer_identity_residuals
 from .kernels import KernelEvaluator
@@ -228,15 +228,14 @@ class DiskKernelEvaluator:
         """
         pts = as_points(grid, self.num_vars)
         xis = np.concatenate(self._xi_tables(pts, range(self.num_vars)), axis=1)
-        wxis = np.repeat(pts, self.kernels.factor_ranks, axis=1)[:, :, None] * xis
+        ws = np.repeat(pts, self.kernels.factor_ranks, axis=1)[:, :, None]
         fv = self.view.eval_F(pts)
         eye = np.broadcast_to(np.eye(fv.shape[-1], dtype=complex), fv.shape)
-        scale = 1.0 + np.linalg.norm(fv, axis=(1, 2))
-        plus = cross_gram_residual(np.concatenate([xis, -wxis, eye, fv], axis=1),
-                                   np.concatenate([xis, wxis, -fv, -eye], axis=1), scale)
-        minus = cross_gram_residual(np.concatenate([xis, -wxis, eye, -fv], axis=1),
-                                    np.concatenate([wxis, xis, -fv, -eye], axis=1), scale)
-        return plus, minus
+        # the Hermitian and skew parts of this family carry the weights
+        # 1 - conj(o) w and w - conj(o) (see hermitian_split_residuals)
+        return hermitian_split_residuals(np.concatenate([(1.0 - ws) * xis, eye], axis=1),
+                                         np.concatenate([(1.0 + ws) / 2.0 * xis, -fv], axis=1),
+                                         1.0 + np.linalg.norm(fv, axis=(1, 2)))
 
     def schur_identity_residuals(self, grid) -> tuple[float, float]:
         """Residuals of the disk-side identities for the double Cayley transform.

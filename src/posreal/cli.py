@@ -131,6 +131,14 @@ def run_verification(f: RealizedFunction, seed: int = 0, grid_size: int = 25,
         except PosrealError as exc:
             report.add_error(name, floor, exc, margin=True)
 
+    # one KernelEvaluator (a psd_sqrt per coefficient) serves the kernel
+    # identity and the disk-side tables; a failure to build it fails the
+    # rows that need it, each with the same message
+    try:
+        disk, disk_error = DiskKernelEvaluator(f, pol), None
+    except PosrealError as exc:
+        disk, disk_error = None, exc
+
     psd_worst = 0.0
     for a in f.pencil.coeffs:
         lo = float(eigh_or_refuse(hermitian_part(a))[0][0])
@@ -154,8 +162,13 @@ def run_verification(f: RealizedFunction, seed: int = 0, grid_size: int = 25,
                  f(zs.conj(), pol) - vals.conj().transpose(0, 2, 1), axis=(1, 2)) / scales)))
     margin("positivity-min-re-eigenvalue", -pol.psd_slack,
            lambda: float(np.min(eigh_or_refuse(hermitian_part(vals))[0][:, 0] / scales)))
-    residual("kernel-identity", pol.residual_tol,
-             lambda: kernel_identity_residual(f, zs, pol, f_values=vals))
+
+    def kernel_identity():
+        if disk_error is not None:
+            raise disk_error
+        return kernel_identity_residual(f, zs, pol, evaluator=disk.kernels, f_values=vals)
+
+    residual("kernel-identity", pol.residual_tol, kernel_identity)
     margin("four-quadrant-conditions", 1.0,
            lambda: 1.0 if four_quadrant_check(lambda pts: f(pts, pol), f.num_vars, rng,
                                               samples=grid_size, pol=pol) else 0.0)
@@ -175,7 +188,8 @@ def run_verification(f: RealizedFunction, seed: int = 0, grid_size: int = 25,
     ws = disk_grid(f.num_vars, grid_size, seed)
     coll = None
     try:
-        disk = DiskKernelEvaluator(f, pol)
+        if disk_error is not None:
+            raise disk_error
         fvals = disk.view.eval_F(ws)
         syn = build_colligation(ws, disk.theta_table(ws, fvals), value_cayley(fvals, pol), pol)
         coll = syn.colligation

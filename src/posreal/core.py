@@ -25,6 +25,7 @@ __all__ = [
     "operator_norm",
     "argument_arc",
     "cross_gram_residual",
+    "hermitian_split_residuals",
     "scale_of",
     "is_hermitian",
     "PsdReport",
@@ -88,7 +89,8 @@ class TolerancePolicy:
 
 DEFAULT_POLICY = TolerancePolicy()
 
-# Grid points b per block of the Gram formed in ``cross_gram_residual``.
+# Grid points b per block of the Gram formed in ``cross_gram_residual`` and
+# ``hermitian_split_residuals``.
 _ROW_BLOCK = 32
 
 
@@ -142,6 +144,33 @@ def argument_arc(pts) -> tuple[np.ndarray, np.ndarray]:
     return start, gap
 
 
+def _families(x, y, scale):
+    """Two (g, M, n) families of one shape as complex arrays, and the (g,) scale."""
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    if x.ndim != 3 or x.shape != y.shape:
+        raise ShapeError(f"expected two (g, M, n) families of one shape, got {x.shape}, {y.shape}")
+    return x, y, np.ones(len(x)) if scale is None else np.asarray(scale, dtype=float)
+
+
+def _adjoint_rows(a) -> np.ndarray:
+    """(g n, M) matrix whose row (c, i) is column i of a(c)*, conjugated."""
+    g, m, n = a.shape
+    return np.conjugate(a.transpose(0, 2, 1), order="C").reshape(g * n, m)  # one copy
+
+
+def _columns(a) -> np.ndarray:
+    """(M, g n) matrix whose column (b, j) is column j of a(b)."""
+    g, m, n = a.shape
+    return a.transpose(1, 0, 2).reshape(m, g * n)
+
+
+def _block_norms(gram, n: int) -> np.ndarray:
+    """Frobenius norms of the n x n blocks of a C-contiguous complex matrix."""
+    v = gram.view(float).reshape(gram.shape[0] // n, n, -1, 2 * n)
+    return np.sqrt(np.einsum("aibj,aibj->ab", v, v))
+
+
 def cross_gram_residual(x, y, scale=None) -> float:
     """Largest ||x(c)* y(b)|| / scale(b) over all pairs of grid points (b, c).
 
@@ -151,22 +180,60 @@ def cross_gram_residual(x, y, scale=None) -> float:
     when such a cross-Gram vanishes, with the factor tables, the weights
     and the target stacked into x and y.  The Gram is formed _ROW_BLOCK
     points b at a time, one matrix product each, so memory is
-    O(_ROW_BLOCK g n^2), not O(g^2 n^2).
+    O(_ROW_BLOCK g n^2), not O(g^2 n^2).  Entries that overflow give a
+    NaN or Inf residual, silently: a NaN is kept, so the caller refuses.
     """
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    if x.ndim != 3 or x.shape != y.shape:
-        raise ShapeError(f"expected two (g, M, n) families of one shape, got {x.shape}, {y.shape}")
-    g, m, n = x.shape
-    scale = np.ones(g) if scale is None else np.asarray(scale, dtype=float)
-    xh = x.transpose(0, 2, 1).reshape(g * n, m).conj()  # rows (c, i)
-    yt = y.transpose(1, 0, 2).reshape(m, g * n)  # columns (b, j)
+    x, y, scale = _families(x, y, scale)
+    n = x.shape[-1]
+    xh, yt = _adjoint_rows(x), _columns(y)
     worst = 0.0
-    for b in range(0, g, _ROW_BLOCK):
-        gram = (xh @ yt[:, b * n:(b + _ROW_BLOCK) * n]).reshape(g, n, -1, n)
-        res = np.linalg.norm(gram, axis=(1, 3)) / scale[b:b + _ROW_BLOCK]
-        worst = np.maximum(worst, np.max(res))  # unlike max(), keeps a NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in range(0, len(scale), _ROW_BLOCK):
+            res = _block_norms(xh @ yt[:, b * n:(b + _ROW_BLOCK) * n], n) / scale[b:b + _ROW_BLOCK]
+            worst = np.maximum(worst, np.max(res))  # unlike max(), keeps a NaN
     return float(worst)
+
+
+def hermitian_split_residuals(x, y, scale=None) -> tuple[float, float]:
+    """Largest ||E(c, b) + E(b, c)*|| / scale(b) and ||E(c, b) - E(b, c)*|| / scale(b).
+
+    E(c, b) = x(c)* y(b) is the cross-Gram of ``cross_gram_residual``
+    (same shapes, norm and scale); the two residuals are its Hermitian
+    and skew-Hermitian parts over all pairs (b, c).  A sum/difference
+    pair of two-point identities is such a split of one kernel identity:
+    with x = [phi; I] and y = [z.phi; -f], E(c, b) + E(b, c)* is
+    sum_k (z_k + conj(zeta_k)) Phi_k(z, zeta) - f(z) - f(zeta)* and the
+    difference carries the weights z_k - conj(zeta_k).  On the disk, the
+    weights (1 - w_k) in x and (1 + w_k) / 2 in y give the pair
+    (1 + w)(1 - conj(o)) / 2 + conj of the swap = 1 - conj(o) w and
+    difference w - conj(o), the Herglotz sum/difference weights.
+
+    The pair (b, c) mirrors (c, b): its blocks are the adjoints, of the
+    same norm, divided by scale(c).  So E is formed in tiles of
+    _ROW_BLOCK x _ROW_BLOCK points, and only the tiles C <= B, each once:
+    one product gives E[C, B], one E[B, C]*, and the block norms of their
+    sum and difference serve both (C, B) and (B, C).  That is a quarter
+    of the work of two cross-Grams of inner dimension 2M, in memory
+    O(_ROW_BLOCK^2 n^2) beyond the families.
+    """
+    x, y, scale = _families(x, y, scale)
+    n = x.shape[-1]
+    xh, yt = _adjoint_rows(x), _columns(y)
+    yh, xt = _adjoint_rows(y), _columns(x)
+    worst = np.zeros(2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in range(0, len(scale), _ROW_BLOCK):
+            rows_b = slice(b * n, (b + _ROW_BLOCK) * n)
+            for c in range(0, b + 1, _ROW_BLOCK):
+                rows_c = slice(c * n, (c + _ROW_BLOCK) * n)
+                tile = xh[rows_c] @ yt[:, rows_b]  # E(c, b)
+                mirror = yh[rows_c] @ xt[:, rows_b]  # E(b, c)*
+                for i, norms in enumerate((_block_norms(tile + mirror, n),
+                                           _block_norms(tile - mirror, n))):
+                    worst[i] = np.maximum.reduce([  # keeps a NaN
+                        worst[i], np.max(norms / scale[b:b + _ROW_BLOCK]),
+                        np.max(norms / scale[c:c + _ROW_BLOCK, None])])
+    return float(worst[0]), float(worst[1])
 
 
 def scale_of(m) -> float:

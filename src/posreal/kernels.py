@@ -24,6 +24,7 @@ from .core import (
     as_matrix,
     as_points,
     cross_gram_residual,
+    hermitian_split_residuals,
     hermitian_part,
     eigh_or_refuse,
     is_hermitian,
@@ -114,13 +115,21 @@ def _stacked_factors(pts, tables) -> tuple[np.ndarray, np.ndarray]:
     return phis, weights[:, :, None] * phis
 
 
-def _identity_residual(pts, tables, fvals) -> float:
-    """Max over (b, c) of ||sum_k z_k(b) phi_k(c)* phi_k(b) - f(b)|| / (1 + ||f(b)||)."""
+def _identity_families(pts, tables, fvals):
+    """x = [phi; I], y = [z.phi; -f] and the scale 1 + ||f(b)|| of the kernel identity.
+
+    x(c)* y(b) = sum_k z_k(b) phi_k(c)* phi_k(b) - f(b) vanishes on every
+    pair of grid points exactly when the identity holds.
+    """
     phis, zphis = _stacked_factors(pts, tables)
     eye = np.broadcast_to(np.eye(fvals.shape[-1], dtype=complex), fvals.shape)
-    return cross_gram_residual(np.concatenate([phis, eye], axis=1),
-                               np.concatenate([zphis, -fvals], axis=1),
-                               1.0 + np.linalg.norm(fvals, axis=(1, 2)))
+    return (np.concatenate([phis, eye], axis=1), np.concatenate([zphis, -fvals], axis=1),
+            1.0 + np.linalg.norm(fvals, axis=(1, 2)))
+
+
+def _identity_residual(pts, tables, fvals) -> float:
+    """Max over (b, c) of ||sum_k z_k(b) phi_k(c)* phi_k(b) - f(b)|| / (1 + ||f(b)||)."""
+    return cross_gram_residual(*_identity_families(pts, tables, fvals))
 
 
 def kernel_identity_residual(f: RealizedFunction, grid,
@@ -149,18 +158,12 @@ def plus_minus_residuals(f: RealizedFunction, grid,
 
     The plus identity expands f(z) + f(zeta)* over the kernels with
     weights z_k + conj(zeta_k); the minus identity uses z_k - conj(zeta_k).
-    Together they are equivalent to the defining identity.
+    Together they are equivalent to the defining identity, and they are
+    the Hermitian and skew-Hermitian parts of its two-point residual.
     """
     ev = evaluator or KernelEvaluator(f, pol)
     pts = as_points(grid, f.num_vars)
-    phis, zphis = _stacked_factors(pts, ev.phi_table(pts))
-    fvals = f(pts, pol)
-    eye = np.broadcast_to(np.eye(f.dim_u, dtype=complex), fvals.shape)
-    scale = 1.0 + np.linalg.norm(fvals, axis=(1, 2))
-    right = np.concatenate([zphis, phis, -fvals, -eye], axis=1)
-    plus = cross_gram_residual(np.concatenate([phis, zphis, eye, fvals], axis=1), right, scale)
-    minus = cross_gram_residual(np.concatenate([phis, -zphis, eye, -fvals], axis=1), right, scale)
-    return plus, minus
+    return hermitian_split_residuals(*_identity_families(pts, ev.phi_table(pts), f(pts, pol)))
 
 
 def block_gram(samples) -> np.ndarray:
@@ -238,7 +241,11 @@ class KernelSampleSet:
                 raise ShapeError("factor tables must have shape (g, m_k, n)")
         if not all(np.isfinite(a).all() for a in (grid, fs, *factors)):
             raise ValidationError("kernel samples contain NaN or Inf entries")
-        if len({tuple(np.round(zz, 12)) for zz in map(tuple, grid)}) != g:
+        # + 0.0 turns -0.0 into +0.0, so points equal up to a signed zero
+        # collide; asking for counts keeps np.unique from importing numpy.ma
+        # (10 ms on its first call)
+        counts = np.unique(np.round(grid, 12) + 0.0, axis=0, return_counts=True)[1]
+        if np.any(counts > 1):
             raise ValidationError("grid points must be pairwise distinct")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "factors", factors)

@@ -1,10 +1,11 @@
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from posreal import serialize
+from posreal import kernels, serialize
 from posreal.cayley import DiskKernelEvaluator, disk_to_halfplane, inv_double_cayley
 from posreal.cli import main, run_verification
 from posreal.colligation import build_colligation, transfer_eval
@@ -136,6 +137,19 @@ class TestVerificationReuse:
         for name, value in _separate_evaluation_rows(f, 5, 15).items():
             assert report[name] == value, name
 
+    def test_kernel_evaluator_is_built_once(self, monkeypatch):
+        calls = []
+        init = kernels.KernelEvaluator.__init__
+
+        def spy(self, *args, **kwargs):
+            calls.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(kernels.KernelEvaluator, "__init__", spy)
+        f = random_pencil(np.random.default_rng(3), 2, 2, 3)
+        assert run_verification(f, seed=1, grid_size=9).verdict
+        assert len(calls) == 1
+
     def test_transfer_function_is_solved_once(self, monkeypatch):
         calls = []
 
@@ -193,6 +207,19 @@ class TestPipelines:
         assert main(["kernels", "--rebuild", str(samples), "--out", str(rebuilt)]) == 0
         assert main(["eval", "--pencil", str(rebuilt), "--point", "1,1"]) == 0
         assert "0.5" in capsys.readouterr().out
+
+    def test_rebuild_of_overflowing_samples_is_quiet_input_error(self, parallel, tmp_path,
+                                                                 capsys):
+        ks = kernels.sample_kernels(parallel, halfplane_grid(2, 6, seed=4))
+        table = ks.factors[0].copy()
+        table[2, 0, 0] = 1e160  # finite, but its kernel products overflow
+        bad = kernels.KernelSampleSet(ks.grid, (table, ks.factors[1]), ks.f_samples)
+        path = tmp_path / "overflow.json"
+        serialize.dump(serialize.kernel_samples_to_json(bad), str(path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["kernels", "--rebuild", str(path)]) == 2
+        assert "residual nan" in capsys.readouterr().err
 
     def test_colligate_output_schema(self, parallel_file, tmp_path, capsys):
         out = tmp_path / "coll.json"

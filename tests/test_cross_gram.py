@@ -7,6 +7,7 @@ library values must agree with them to roundoff.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from posreal import core, sampling
 from posreal.cayley import DiskKernelEvaluator
 from posreal.colligation import AglerColligation, agler_identity_residual, build_colligation
-from posreal.core import ShapeError, cross_gram_residual
+from posreal.core import ShapeError, cross_gram_residual, hermitian_split_residuals
 from posreal.kernels import (
     KernelEvaluator,
     kernel_identity_residual,
@@ -177,4 +178,66 @@ def test_memory_stays_blockwise():
     finally:
         tracemalloc.stop()
     assert res < 1e-12
+    assert peak < dense_bytes / 10
+
+
+def _brute_split(x, y, scale):
+    """(plus, minus, argmax of plus) over all pairs (c, b), from the dense (g, g, n, n) Gram."""
+    e = np.einsum("cmi,bmj->cbij", x.conj(), y)  # e[c, b] = x(c)* y(b)
+    adj = e.conj().transpose(1, 0, 3, 2)  # adj[c, b] = e[b, c]*
+    plus = np.linalg.norm(e + adj, axis=(2, 3)) / scale[None, :]
+    minus = np.linalg.norm(e - adj, axis=(2, 3)) / scale[None, :]
+    return plus.max(), minus.max(), np.unravel_index(np.argmax(plus), plus.shape)
+
+
+@pytest.mark.parametrize("g", [1, 5, 2 * core._ROW_BLOCK + 3])
+def test_split_on_explicit_families(g):
+    rng = np.random.default_rng(100 + g)
+    x = rng.standard_normal((g, 3, 2)) + 1j * rng.standard_normal((g, 3, 2))
+    y = rng.standard_normal((g, 3, 2)) + 1j * rng.standard_normal((g, 3, 2))
+    scale = 1.0 + rng.random(g)
+    scale[0] = 1e-3  # the largest ratios divide by the first point's scale ...
+    x[-1] *= 10.0  # ... and pair it with the last point
+    y[-1] *= 10.0
+    plus, minus, (c, b) = _brute_split(x, y, scale)
+    if g > core._ROW_BLOCK:
+        # the worst pair (c, b) has b in an earlier tile than c: only the
+        # mirror of the tile (b, c) covers it
+        assert b // core._ROW_BLOCK < c // core._ROW_BLOCK
+    got = hermitian_split_residuals(x, y, scale)
+    assert got[0] == pytest.approx(plus, rel=1e-13)
+    assert got[1] == pytest.approx(minus, rel=1e-13)
+    want = _brute_split(x, y, np.ones(g))
+    assert hermitian_split_residuals(x, y) == pytest.approx(want[:2], rel=1e-13)
+    with pytest.raises(ShapeError):
+        hermitian_split_residuals(x, y[:, :2])
+
+
+@pytest.mark.parametrize("where", [0, -1])
+def test_split_keeps_a_nan(where):
+    g = 2 * core._ROW_BLOCK + 3
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((g, 3, 2)) + 1j * rng.standard_normal((g, 3, 2))
+    y = rng.standard_normal((g, 3, 2)) + 1j * rng.standard_normal((g, 3, 2))
+    x[where, 1, 0] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(np.isnan(hermitian_split_residuals(x, y)))
+        assert np.isnan(cross_gram_residual(x, y))
+        y[where, 1, 0] = 1e160  # overflow in the products is silent
+        x[where, 1, 0] = 1e160
+        assert not np.any(np.isfinite(hermitian_split_residuals(x, y)))
+
+
+def test_split_memory_stays_tilewise():
+    f = sampling.random_pencil(np.random.default_rng(1), 3, 4, 4)
+    zs = sampling.halfplane_grid(3, 600, 1)
+    dense_bytes = 3 * 600 ** 2 * 4 ** 2 * 16  # one (N, g, g, n, n) complex tensor
+    tracemalloc.start()
+    try:
+        res = plus_minus_residuals(f, zs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(res) < 1e-12
     assert peak < dense_bytes / 10

@@ -232,6 +232,17 @@ class TestReconstruction:
             with pytest.raises(ValidationError, match="residual nan"):
                 pencil_from_kernel_samples(bad)
 
+    def test_refuses_points_equal_up_to_signed_zero(self, parallel):
+        ks = sample_kernels(parallel, halfplane_grid(2, 6, seed=4))
+        grid = ks.grid.copy()
+        # after rounding to 12 digits the imaginary parts are +0.0 and -0.0
+        grid[1] = [2.0 + 1e-14j, 3.0 - 4e-13j]
+        grid[2] = [2.0 - 1e-14j, 3.0 + 0j]
+        with pytest.raises(ValidationError, match="pairwise distinct"):
+            KernelSampleSet(grid, ks.factors, ks.f_samples)
+        grid[2, 1] = 3.0 + 1e-11j  # distinct at 12 digits
+        KernelSampleSet(grid, ks.factors, ks.f_samples)
+
     def test_requires_base_point(self, parallel):
         grid = halfplane_grid(2, 6, seed=4, include_base=False) + 0.3
         ks = sample_kernels(parallel, grid)
