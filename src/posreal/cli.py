@@ -443,6 +443,19 @@ def _cmd_netlist(args) -> int:
     return 0
 
 
+def _load_candidate(spec: str):
+    """The object named by ``module:attr``; a malformed or unresolvable name is an input error."""
+    import importlib
+
+    module_name, sep, attr = spec.partition(":")
+    if not (sep and module_name and attr) or module_name.startswith("."):
+        raise ValidationError(f"--candidate {spec!r} is not of the form module:attr")
+    try:
+        return getattr(importlib.import_module(module_name), attr)
+    except (ImportError, AttributeError) as exc:
+        raise ValidationError(f"cannot load --candidate {spec!r}: {exc}") from exc
+
+
 def _cmd_hunt(args) -> int:
     pol = _policy_from(args)
     config = HuntConfig(num_vars=args.num_vars, trials=args.trials, dim=args.dim,
@@ -453,11 +466,7 @@ def _cmd_hunt(args) -> int:
         f = random_pencil(rng, args.num_vars, 1, 3, pol=pol)
         candidates.append((f"pencil-control-{i}", f))
     if args.candidate:
-        import importlib
-
-        module_name, _, attr = args.candidate.partition(":")
-        obj = getattr(importlib.import_module(module_name), attr)
-        candidates.append((args.candidate, obj))
+        candidates.append((args.candidate, _load_candidate(args.candidate)))
     sink = open(args.out, "w") if args.out else sys.stdout
     violations = []
     try:

@@ -7,11 +7,21 @@ P(w) = sum_k w_k P_k.  Transfer functions of *selfadjoint* unitary
 colligations with 1 outside the spectrum of S(0) are exactly the double
 Cayley transforms of realized functions; synthesis from grid data uses
 the finite lurking-isometry model.
+
+A selfadjoint unitary U is a reflection U = I - 2 V V* with V* V = I_r,
+r the multiplicity of its eigenvalue -1.  Synthesis holds V exactly and
+attaches it to the colligation; inside the open polydisk the transfer
+function is then S(w) = I - 2 V_u M(w)^{-1} V_u* with the r x r pencil
+M(w) = V_u* V_u + sum_k z_k V_k* V_k, z_k = (1 + w_k) / (1 - w_k): the
+double Cayley transform of a linear pencil with PSD coefficients.  The
+state-size solve stays for colligations without the factor (loaded or
+built by hand) and is the cross-check of the reflection route.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,12 +60,17 @@ class AglerColligation:
     n:           input/output dimension
     U:           (sum(dims) + n) square unitary matrix
     selfadjoint: whether U = U* is asserted (and then validated)
+    reflection:  optional factor V with U = I - 2 V V* and V* V = I, both
+                 within the default residual_tol (Frobenius norm); only a
+                 selfadjoint colligation may carry one.  ``transfer_eval``
+                 uses it inside the open polydisk.
     """
 
     dims: tuple
     n: int
     U: np.ndarray
     selfadjoint: bool = False
+    reflection: np.ndarray | None = field(default=None, compare=False, repr=False, kw_only=True)
 
     def __post_init__(self):
         u = as_matrix(self.U, square=True)
@@ -66,6 +81,8 @@ class AglerColligation:
             raise ShapeError("U dimension must equal state dim + io dim")
         object.__setattr__(self, "U", u)
         object.__setattr__(self, "dims", dims)
+        if self.reflection is not None:
+            object.__setattr__(self, "reflection", _checked_reflection(self.reflection, u, self.selfadjoint))
 
     def validate(self, pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[float, float]:
         """Refuse U unless unitary (and selfadjoint when asserted) within residual_tol.
@@ -105,33 +122,117 @@ class AglerColligation:
     def __call__(self, w, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
         return transfer_eval(self, w, pol)
 
+    @cached_property
+    def _reflection_constants(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """Grams G = (V_u* V_u, V_1* V_1, ..., V_N* V_N), their norms, lambda_min(sum G)."""
+        v = self.reflection
+        bounds = np.cumsum((0,) + self.dims)
+        blocks = [v[self.dim_state:]] + [v[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+        grams = hermitian_part(np.stack([blk.conj().T @ blk for blk in blocks]))
+        norms = np.max(np.abs(np.linalg.eigvalsh(grams)), axis=1, initial=0.0)
+        return grams, norms, float(np.min(np.linalg.eigvalsh(grams.sum(axis=0)), initial=np.inf))
+
+
+def _checked_reflection(factor, u: np.ndarray, selfadjoint: bool) -> np.ndarray:
+    """The factor V as a complex array, refused unless U = I - 2 V V* and V* V = I."""
+    v = np.asarray(factor, dtype=complex)
+    if v.ndim != 2 or v.shape[0] != u.shape[0]:
+        raise ValidationError("reflection factor needs one row per row of U")
+    if not np.all(np.isfinite(v)):
+        raise ValidationError("reflection factor contains NaN or Inf entries")
+    if not selfadjoint:
+        raise ValidationError("only a selfadjoint colligation has a reflection factor")
+    tol = DEFAULT_POLICY.residual_tol
+    if np.linalg.norm(u - np.eye(len(u)) + 2.0 * (v @ v.conj().T)) > tol:
+        raise ValidationError("U is not I - 2 V V* for the given reflection factor")
+    if np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1])) > tol:
+        raise ValidationError("reflection factor does not have orthonormal columns")
+    return v
+
 
 def transfer_eval(c: AglerColligation, w, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """S(w) = D + C P(w) (I - A P(w))^{-1} B; batched over disk points.
 
-    Strictly inside the polydisk I - A P(w) is invertible for unitary U;
-    a singular system therefore signals corrupted data and is refused.
-    The guard first tries the certificate of ``transfer_condition_bound``
-    and falls back to the computed condition number where it does not
-    clear, so the decision is the same.
+    With a reflection factor and every point in the open polydisk the
+    value comes from r x r solves.  Split the rows of V as
+    (V_x; V_u) = (V_1; ...; V_N; V_u).  S(w) u = y where (x; y) =
+    U (P x; u), and U = I - 2 V V* turns this into x = P x - 2 V_x t and
+    y = u - 2 V_u t with t = V_x* P x + V_u* u.  Since 1 - w_k != 0,
+    (I - P) x = -2 V_x t makes block k of P x equal to
+    -2 w_k / (1 - w_k) V_k t, hence (I + 2 sum_k w_k / (1 - w_k) V_k* V_k) t
+    = V_u* u; with V* V = I the left side is M(w) t for
+
+        M(w) = V_u* V_u + sum_k z_k V_k* V_k,   z_k = (1 + w_k) / (1 - w_k),
+
+    so S(w) = I - 2 V_u M(w)^{-1} V_u* (the Woodbury identity).  The same
+    step gives I - A P(w) = (I - P) (I + 2 (I - P)^{-1} V_x V_x* P) and, by
+    Sylvester's determinant identity,
+
+        det(I - A P(w)) = prod_k (1 - w_k)^{d_k} det M(w),
+
+    so inside the polydisk the two systems are singular together.  The
+    guard on M(w) is certified: Re z_k = (1 - |w_k|^2) / |1 - w_k|^2 > 0,
+    so with mu = min(1, min_k Re z_k) every unit x has
+    |x* M x| >= Re x* M x >= mu x* V* V x, whence sigma_min M >=
+    mu lambda_min(V* V), while ||M|| <= ||V_u||^2 + sum_k |z_k| ||V_k||^2.
+
+    Otherwise (no factor, or a point on or outside the torus) the state
+    system is solved.  Strictly inside the polydisk I - A P(w) is
+    invertible for unitary U; a singular system therefore signals
+    corrupted data and is refused.  That guard first tries the
+    certificate of ``transfer_condition_bound`` and falls back to the
+    computed condition number where it does not clear, so the decision
+    is the same.
     """
-    pts = as_points(w, c.num_vars)
-    d = c.blocks()[3]
-    if c.dim_state == 0:
-        out = np.broadcast_to(d, (len(pts),) + d.shape).copy()
-    else:
-        out = _transfer_from_state(c, *_state_solve(c, pts, pol))
+    out = _transfer_values(c, as_points(w, c.num_vars), pol)
     return out[0] if np.asarray(w).ndim == 1 else out
 
 
-def _state_solve(c: AglerColligation, pts: np.ndarray,
-                 pol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
-    """P(w) as state weights (B, x) and (I - A P(w))^{-1} B (B, x, n), behind the guard."""
+def _transfer_values(c: AglerColligation, pts: np.ndarray, pol: TolerancePolicy,
+                     state: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """S on the points (B, n, n) by the route ``transfer_eval`` documents.
+
+    ``state`` is an already guarded dense solve ``_state_solve(c, pts, pol)``;
+    it is used only where the dense route is taken.
+    """
+    d = c.blocks()[3]
+    if c.dim_state == 0:
+        return np.broadcast_to(d, (len(pts),) + d.shape).copy()
+    if c.reflection is not None and np.all(np.abs(pts) < 1.0):
+        return _reflection_transfer(c, pts, pol)
+    if state is None:
+        state = _state_solve(c, pts, pol)
+    return _transfer_from_state(c, *state)
+
+
+def _reflection_transfer(c: AglerColligation, pts: np.ndarray, pol: TolerancePolicy) -> np.ndarray:
+    """S(w) = I - 2 V_u M(w)^{-1} V_u* at points inside the open polydisk, behind the guard."""
+    grams, norms, lam = c._reflection_constants
+    vu = c.reflection[c.dim_state:]
+    z = (1.0 + pts) / (1.0 - pts)
+    m = grams[0] + np.tensordot(z, grams[1:], axes=(1, 0))
+    mu = np.minimum(1.0, np.min(z.real, axis=1))
+    _refuse_ill_conditioned(m, pol, "M(w)", bound=(norms[0] + np.abs(z) @ norms[1:]) / (mu * lam))
+    sol = np.linalg.solve(m, np.broadcast_to(vu.conj().T, (len(pts),) + vu.T.shape))
+    return np.eye(c.n) - 2.0 * (vu @ sol)
+
+
+def _state_solve(c: AglerColligation, pts: np.ndarray, pol: TolerancePolicy,
+                 adjoint: bool = False, bound=None) -> tuple[np.ndarray, np.ndarray]:
+    """P(w) as state weights (B, x) and (I - A P(w))^{-1} B (B, x, n), behind the guard.
+
+    With ``adjoint`` the system is I - A* P(w).  ``transfer_condition_bound``
+    certifies both, since ||A*|| = ||A||; ``bound`` passes it in when it is
+    already computed.
+    """
     a, b, _, _ = c.blocks()
+    if adjoint:
+        a = a.conj().T
     x = c.dim_state
     pw = c.state_weights(pts)
     sys = np.broadcast_to(np.eye(x, dtype=complex), (len(pts), x, x)) - a[None] * pw[:, None, :]
-    _refuse_ill_conditioned(sys, pol, "I - A P(w)", bound=transfer_condition_bound(c, pts))
+    _refuse_ill_conditioned(sys, pol, "I - A* P(w)" if adjoint else "I - A P(w)",
+                            bound=transfer_condition_bound(c, pts) if bound is None else bound)
     return pw, np.linalg.solve(sys, np.broadcast_to(b, (len(pts),) + b.shape))
 
 
@@ -184,19 +285,23 @@ def agler_identity_residual(c: AglerColligation, grid,
     minus: S(w) - S(o)*   = sum_k (w_k - conj(o_k)) G_k(w, o)
 
     Both hold exactly for selfadjoint unitary U; the residual grows with
-    any unitarity or selfadjointness defect.
+    any unitarity or selfadjointness defect.  S(w) is the value
+    ``transfer_eval`` gives; the factors come from state solves on U, so
+    for a colligation with a reflection factor the identities also check
+    V against the blocks of U.
     """
     if not c.selfadjoint:
         raise ValidationError("identity residuals are defined for selfadjoint colligations")
     pts = as_points(grid, c.num_vars)
-    a, b, _, _ = c.blocks()
     # G_k(w, o) = B* (I - P(conj o) A)^{-1} P_k (I - A P(w))^{-1} B is block k of
     # left(o)* right(w): B* (I - P(conj o) A)^{-1} = [(I - A* P(o))^{-1} B]*, since
-    # the adjoint of the diagonal P(conj o) is P(o).  The right solve also gives S(w).
-    pw, right = _state_solve(c, pts, pol)
-    left = np.linalg.solve(np.eye(c.dim_state) - a.conj().T[None] * pw[:, None, :],
-                           np.broadcast_to(b, (len(pts),) + b.shape))
-    return transfer_identity_residuals(pw, left, right, _transfer_from_state(c, pw, right))
+    # the adjoint of the diagonal P(conj o) is P(o).  Without a reflection factor
+    # the right solve also gives S(w).
+    bound = transfer_condition_bound(c, pts)
+    pw, right = _state_solve(c, pts, pol, bound=bound)
+    left = _state_solve(c, pts, pol, adjoint=True, bound=bound)[1]
+    values = _transfer_values(c, pts, pol, state=(pw, right))
+    return transfer_identity_residuals(pw, left, right, values)
 
 
 def spectrum_condition(c: AglerColligation, pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[bool, float]:
@@ -316,8 +421,10 @@ def build_colligation(grid, theta_tables, schur_samples,
         raise NumericalRefusalError("swap isometry is not close to an involution")
     w0 = (evecs * np.sign(evals)) @ evecs.conj().T
 
+    # w0 - I = -2 E_- E_-* with E_- the eigenvectors of negative eigenvalues,
+    # so U = I - 2 V V* with V = q E_-: the factor of the transfer route.
     u_full = np.eye(m + n, dtype=complex) + q @ (w0 - np.eye(rank, dtype=complex)) @ q.conj().T
-    coll = AglerColligation(dims, n, u_full, selfadjoint=True)
+    coll = AglerColligation(dims, n, u_full, selfadjoint=True, reflection=q @ evecs[:, evals < 0])
     unit, sa = coll.validate(pol)
 
     tv = transfer_eval(coll, pts, pol)

@@ -75,7 +75,9 @@ class TestVerify:
 # seed=3, grid_size=12) as (name, value.hex(), tol.hex(), pass), recorded
 # before the battery reused the synthesis values (numpy 2.4, OpenBLAS
 # 0.3.31, x86-64).  Reusing values must not move a single bit; a BLAS
-# build that rounds differently would need the table recorded again.
+# build that rounds differently would need the table recorded again.  The
+# transfer-match and recovery rows were recorded again when synthesized
+# colligations began to evaluate S through their reflection factor.
 GOLDEN_ROWS = [
     ("pencil-coefficients-psd", "0x0.0p+0", "0x1.b7cdfd9d7bdbbp-34", True),
     ("homogeneity", "0x1.2a6c38dfdde4ep-52", "0x1.12e0be826d695p-30", True),
@@ -86,9 +88,9 @@ GOLDEN_ROWS = [
     ("calculus-positivity-min-eig", "0x1.10a6ed0d9b4a3p+1", "-0x1.b7cdfd9d7bdbbp-34", True),
     ("colligation-unitarity", "0x1.c1134f07ccdb8p-48", "0x1.12e0be826d695p-30", True),
     ("colligation-selfadjointness", "0x1.0a3c366f71facp-51", "0x1.12e0be826d695p-30", True),
-    ("colligation-transfer-match", "0x1.25ce3b31bd4d3p-50", "0x1.12e0be826d695p-30", True),
+    ("colligation-transfer-match", "0x1.6ae253663f1b8p-51", "0x1.12e0be826d695p-30", True),
     ("colligation-spectrum-margin", "0x1.ad2de616b97e4p-2", "0x1.0c6f7a0b5ed8dp-20", True),
-    ("inverse-double-cayley-recovery", "0x1.844554b2dfb0ep-49", "0x1.12e0be826d695p-30", True),
+    ("inverse-double-cayley-recovery", "0x1.53ed426d9c154p-50", "0x1.12e0be826d695p-30", True),
 ]
 
 
@@ -283,6 +285,19 @@ class TestHunt:
         monkeypatch.setattr("posreal.cli.hunt", lambda config, candidates, pol: iter([record]))
         assert main(["hunt", "--trials", "1", "--candidates", "1"]) == code
         assert "violations: 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, message", [
+        ("nosuchmod:f", "cannot load --candidate 'nosuchmod:f'"),
+        ("posreal", "is not of the form module:attr"),
+        ("posreal:no_such_attribute", "cannot load --candidate 'posreal:no_such_attribute'"),
+    ])
+    def test_malformed_candidate_is_input_error(self, monkeypatch, capsys, spec, message):
+        def refuse(config, candidates, pol):
+            raise AssertionError("the hunt ran")
+
+        monkeypatch.setattr("posreal.cli.hunt", refuse)
+        assert main(["hunt", "--trials", "1", "--candidates", "0", "--candidate", spec]) == 2
+        assert message in capsys.readouterr().err
 
     def test_records_are_compact_lines(self, monkeypatch, tmp_path, capsys):
         record = {"trial": 0, "candidate": "pencil-control-0", "tuple": [[[[0.5, -0.0]]]],

@@ -1,3 +1,7 @@
+import dataclasses
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,8 +15,10 @@ from posreal.colligation import (
 )
 from posreal.core import DEFAULT_POLICY, NumericalRefusalError, ValidationError
 from posreal.kernels import factor_kernel_samples
+from posreal.netlist import network_pencil, parse_netlist
 from posreal.pencil import eval_schur
 from posreal.sampling import disk_grid, random_pencil
+from posreal.serialize import colligation_from_json, colligation_to_json, dumps
 
 
 @pytest.fixture
@@ -253,3 +259,104 @@ class TestDenseReference:
         if redundant:
             assert syn.rank < syn.colligation.U.shape[0]
         assert np.max(np.abs(syn.colligation.U - u_ref)) < 1e-9
+
+
+BRIDGE = "ports A B\nbranch A M z1 1\nbranch M GND z2 2\nbranch B M z3 1\nbranch A B z1 0.5\n"
+
+
+def _pencil(kind):
+    rng = np.random.default_rng(17)
+    if kind == "netlist":
+        return network_pencil(parse_netlist(BRIDGE))
+    shape = {"random": (2, 2, 3), "rank-deficient": (3, 2, 4), "p=0": (2, 2, 0)}[kind]
+    return random_pencil(rng, *shape, rank_deficient=kind == "rank-deficient")
+
+
+def _synthesis(f, grid_size=15, seed=3):
+    ws = disk_grid(f.num_vars, grid_size, seed=seed)
+    dk = DiskKernelEvaluator(f)
+    return build_colligation(ws, dk.theta_table(ws), dk.view.eval_double_cayley(ws)), ws
+
+
+def _dense(c):
+    """The same colligation without its reflection factor: S by the state solve."""
+    return dataclasses.replace(c, reflection=None)
+
+
+class TestReflectionRoute:
+    """Synthesized colligations carry V with U = I - 2 V V*; the dense state solve cross-checks it."""
+
+    @pytest.mark.parametrize("kind", ["random", "rank-deficient", "p=0", "netlist"])
+    def test_matches_the_dense_route(self, monkeypatch, kind):
+        import posreal.colligation as colligation
+
+        syn, ws = _synthesis(_pencil(kind))
+        c = syn.colligation
+        rng = np.random.default_rng(4)
+        edge = 0.999 * np.exp(2j * np.pi * rng.random((30, c.num_vars)))
+        expected = [transfer_eval(_dense(c), pts) for pts in (ws, edge)]
+
+        def no_state_solve(*args, **kwargs):
+            raise AssertionError("the state system was solved")
+
+        monkeypatch.setattr(colligation, "_state_solve", no_state_solve)
+        for pts, want in zip((ws, edge), expected):
+            got = transfer_eval(c, pts)
+            assert np.max(np.abs(got - want)) < 1e-11
+
+    def test_points_off_the_open_polydisk_take_the_dense_route(self):
+        syn, ws = _synthesis(_pencil("random"))
+        c = syn.colligation
+        pts = np.concatenate([ws, [[1j, 0.3]]])
+        assert np.array_equal(transfer_eval(c, pts), transfer_eval(_dense(c), pts))
+
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (3, 1, 2), (2, 2, 0), (3, 2, 4)])
+    def test_rank_at_most_n_plus_p(self, shape):
+        f = random_pencil(np.random.default_rng(sum(shape)), *shape, rank_deficient=shape == (3, 2, 4))
+        c = _synthesis(f)[0].colligation
+        assert c.reflection.shape[1] <= f.dim_u + f.dim_h
+
+    def test_json_round_trip_drops_the_factor(self):
+        syn, ws = _synthesis(_pencil("rank-deficient"))
+        c = syn.colligation
+        loaded = colligation_from_json(json.loads(dumps(colligation_to_json(c))))
+        assert loaded.reflection is None
+        assert np.array_equal(loaded.U, c.U)
+        assert np.array_equal(transfer_eval(loaded, ws), transfer_eval(_dense(c), ws))
+
+    def test_hand_built_factor(self, flip):
+        v = np.array([[1.0], [-1.0]]) / np.sqrt(2.0)
+        c = AglerColligation((1,), 1, flip.U, selfadjoint=True, reflection=v)
+        ws = disk_grid(1, 9, seed=2)
+        assert np.max(np.abs(transfer_eval(c, ws) - ws[:, :, None])) < 1e-15
+
+    @pytest.mark.parametrize("factor, selfadjoint, message", [
+        (np.ones((3, 1)), True, "one row per row of U"),
+        (np.array([[np.nan], [1.0]]), True, "NaN or Inf"),
+        (np.array([[1.0], [-1.0]]) / np.sqrt(2.0), False, "only a selfadjoint colligation"),
+        (np.array([[1.0], [1.0]]) / np.sqrt(2.0), True, "U is not I - 2 V V*"),
+        (np.array([[1.0, 0.0], [-1.0, 0.0]]) / np.sqrt(2.0), True, "orthonormal columns"),
+    ])
+    def test_refused_factors(self, flip, factor, selfadjoint, message):
+        with pytest.raises(ValidationError, match=message):
+            AglerColligation((1,), 1, flip.U, selfadjoint=selfadjoint, reflection=factor)
+
+    def test_transfer_memory_stays_at_the_factor_size(self):
+        # the dense route peaks at about 36 MiB here: (99, 108, 108) stacks
+        f = random_pencil(np.random.default_rng(0), 3, 4, 32)
+        syn, ws = _synthesis(f, grid_size=100, seed=1)
+        tracemalloc.start()
+        try:
+            transfer_eval(syn.colligation, ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2 ** 20
+
+
+class TestLeftSolveGuard:
+    def test_singular_adjoint_system_refused(self):
+        # I - A P(w) = 2 at w = 0.5j, but I - A* P(w) = 1 - (-2j)(0.5j) = 0
+        c = AglerColligation((1,), 1, [[2j, 0.3], [0.3, 1]], selfadjoint=True)
+        with pytest.raises(NumericalRefusalError, match=r"I - A\* P\(w\) is numerically singular"):
+            agler_identity_residual(c, [[0.5j]])

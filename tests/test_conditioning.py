@@ -291,3 +291,55 @@ class TestGramResidual:
             assert _gate(syn.gram_residual) == expected, (target, dense, syn.gram_residual)
             assert abs(syn.gram_residual - dense) <= 1e-12
         assert seen == {"exact", "approximate", "reject"}
+
+
+class TestReflectionConditionBound:
+    """The M(w) certificate of the reflection route, read off the guard it is given to."""
+
+    @pytest.fixture
+    def guarded(self, monkeypatch):
+        import posreal.colligation as colligation
+
+        seen = []
+
+        def spy(mats, pol, what, bound=None):
+            seen.append((what, mats.copy(), None if bound is None else np.array(bound)))
+            return _refuse_ill_conditioned(mats, pol, what, bound=bound)
+
+        monkeypatch.setattr(colligation, "_refuse_ill_conditioned", spy)
+        return seen
+
+    @pytest.mark.parametrize("shape, rank_deficient", [
+        ((2, 2, 3), False), ((3, 2, 4), True), ((3, 1, 0), False), ((2, 1, 5), False),
+        ((1, 2, 2), False),
+    ])
+    def test_bound_dominates_condition(self, rng, guarded, shape, rank_deficient):
+        f = random_pencil(rng, *shape, rank_deficient=rank_deficient)
+        ws = disk_grid(shape[0], 20, seed=int(rng.integers(1000)))
+        dk = DiskKernelEvaluator(f)
+        c = build_colligation(ws, dk.theta_table(ws), dk.view.eval_double_cayley(ws)).colligation
+        edge = 0.999 * np.exp(2j * np.pi * rng.random((40, shape[0])))
+        mixed = np.concatenate([0.999 * np.exp(2j * np.pi * rng.random((20, 1))),
+                                0.2 * rng.random((20, shape[0] - 1))], axis=1)
+        # every Re z_k > 1 here, so mu = 1 comes from the V_u* V_u term
+        near_one = 0.9 + 0.05 * (rng.random((20, shape[0])) + 1j * rng.random((20, shape[0])))
+        guarded.clear()
+        for pts in (ws, edge, mixed, near_one):
+            transfer_eval(c, pts)
+        assert [what for what, _, _ in guarded] == ["M(w)"] * 4
+        for _, mats, bound in guarded:
+            assert np.all(np.isfinite(bound))
+            _assert_sound(bound, mats)
+
+    def test_clears_on_disk_grids_without_the_estimate(self, monkeypatch, rng):
+        f = random_pencil(rng, 3, 2, 4)
+        ws = disk_grid(3, 60, seed=8)
+        dk = DiskKernelEvaluator(f)
+        c = build_colligation(ws, dk.theta_table(ws), dk.view.eval_double_cayley(ws)).colligation
+
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("the condition estimate was called")
+
+        monkeypatch.setattr(np.linalg, "cond", no_estimate)
+        for seed in range(4):
+            transfer_eval(c, disk_grid(3, 50, seed=seed))
