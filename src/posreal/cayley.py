@@ -173,15 +173,18 @@ class DiskKernelEvaluator:
     def num_vars(self) -> int:
         return self.f.num_vars
 
-    def _xi_tables(self, pts: np.ndarray, ks) -> list[np.ndarray]:
-        """xi_k at a batch of disk points for each k in ks, from one psi evaluation."""
-        ps = self.kernels.psi(disk_to_halfplane(pts))
+    def _xi_tables(self, pts: np.ndarray, ks, solve=None) -> list[np.ndarray]:
+        """xi_k at a batch of disk points for each k in ks, from one psi evaluation.
+
+        ``solve`` is passed to ``psi`` at the halfplane images z(w).
+        """
+        ps = self.kernels.psi(disk_to_halfplane(pts), solve)
         return [(np.sqrt(2.0) / (1.0 - pts[:, k]))[:, None, None] * (self.kernels.factors[k] @ ps)
                 for k in ks]
 
-    def _theta_tables(self, pts: np.ndarray, ks, fv=None) -> list[np.ndarray]:
+    def _theta_tables(self, pts: np.ndarray, ks, fv=None, solve=None) -> list[np.ndarray]:
         """theta_k for each k in ks: one psi, one F(w) unless given, one guard, one solve."""
-        xs = self._xi_tables(pts, ks)
+        xs = self._xi_tables(pts, ks, solve)
         if fv is None:
             fv = self.view.eval_F(pts)
         elif np.shape(fv) != (len(pts), self.f.dim_u, self.f.dim_u):
@@ -207,13 +210,16 @@ class DiskKernelEvaluator:
         out = self._theta_tables(as_points(w, self.num_vars), [k])[0]
         return out[0] if np.asarray(w).ndim == 1 else out
 
-    def theta_table(self, grid, f_values=None) -> list[np.ndarray]:
+    def theta_table(self, grid, f_values=None, solve=None) -> list[np.ndarray]:
         """theta_k on the grid for every k, one (g, m_k, n) array each.
 
         ``f_values`` is F on the same grid when the caller already has it;
-        F is then not evaluated again.
+        F is then not evaluated again.  ``solve`` is d(z)^{-1} c(z) at the
+        halfplane images z(w) of the grid (``pencil.schur_solve`` gives it
+        with F(w) = f(z(w))); d(z) is then not solved again.
         """
-        return self._theta_tables(as_points(grid, self.num_vars), range(self.num_vars), f_values)
+        return self._theta_tables(as_points(grid, self.num_vars), range(self.num_vars),
+                                  f_values, solve)
 
     def theta_kernel(self, k: int, w, omega) -> np.ndarray:
         tw = np.atleast_3d(self.theta(k, w))

@@ -28,7 +28,13 @@ from .calculus import (
     operator_cayley,
     taylor_from_function,
 )
-from .cayley import DiskFunctionView, DiskKernelEvaluator, inv_value_cayley, value_cayley
+from .cayley import (
+    DiskFunctionView,
+    DiskKernelEvaluator,
+    disk_to_halfplane,
+    inv_value_cayley,
+    value_cayley,
+)
 from .colligation import agler_identity_residual, build_colligation, spectrum_condition
 from .core import DEFAULT_POLICY, NumericalRefusalError, PosrealError, TolerancePolicy, ValidationError, hermitian_part, eigh_or_refuse
 from .geometry import (
@@ -40,7 +46,7 @@ from .geometry import (
 )
 from .kernels import kernel_identity_residual, pencil_from_kernel_samples, sample_kernels
 from .netlist import network_pencil, parse_netlist
-from .pencil import RealizedFunction, compress_realization, eval_schur
+from .pencil import RealizedFunction, compress_realization, eval_schur, schur_solve
 from .sampling import disk_grid, halfplane_grid, random_accretive_tuple, random_pencil
 
 __all__ = ["main", "run_verification", "VerificationReport"]
@@ -146,8 +152,12 @@ def run_verification(f: RealizedFunction, seed: int = 0, grid_size: int = 25,
         psd_worst = max(psd_worst, -lo / scale)
     report.add_residual("pencil-coefficients-psd", psd_worst, pol.psd_slack)
 
-    zs = halfplane_grid(f.num_vars, grid_size, seed)
-    vals = f(zs, pol)
+    # The halfplane grid is the Cayley image of the disk grid, so one d(z)
+    # solve on zs gives f there, F on ws (F(w) = f(z(w))) and psi for the
+    # kernel identity and the theta tables.
+    ws = disk_grid(f.num_vars, grid_size, seed)
+    zs = disk_to_halfplane(ws)
+    vals, dinv_c = schur_solve(f, zs, pol)
     scales = 1.0 + np.linalg.norm(vals, axis=(1, 2))
 
     def homogeneity():
@@ -166,7 +176,8 @@ def run_verification(f: RealizedFunction, seed: int = 0, grid_size: int = 25,
     def kernel_identity():
         if disk_error is not None:
             raise disk_error
-        return kernel_identity_residual(f, zs, pol, evaluator=disk.kernels, f_values=vals)
+        return kernel_identity_residual(f, zs, pol, evaluator=disk.kernels, f_values=vals,
+                                        solve=dinv_c)
 
     residual("kernel-identity", pol.residual_tol, kernel_identity)
     margin("four-quadrant-conditions", 1.0,
@@ -182,16 +193,14 @@ def run_verification(f: RealizedFunction, seed: int = 0, grid_size: int = 25,
 
     margin("calculus-positivity-min-eig", -pol.psd_slack, calculus_floor)
 
-    # F on the disk grid is evaluated once: it feeds the theta tables, the
+    # F on the disk grid (the values on zs) feeds the theta tables, the
     # Schur-side samples and the recovery target; the synthesis hands back
     # its transfer values and residuals.
-    ws = disk_grid(f.num_vars, grid_size, seed)
     coll = None
     try:
         if disk_error is not None:
             raise disk_error
-        fvals = disk.view.eval_F(ws)
-        syn = build_colligation(ws, disk.theta_table(ws, fvals), value_cayley(fvals, pol), pol)
+        syn = build_colligation(ws, disk.theta_table(ws, vals, dinv_c), value_cayley(vals, pol), pol)
         coll = syn.colligation
     except PosrealError as exc:
         for name in ("colligation-unitarity", "colligation-selfadjointness",
@@ -209,8 +218,7 @@ def run_verification(f: RealizedFunction, seed: int = 0, grid_size: int = 25,
 
         def recovery():
             rec = inv_value_cayley(syn.values, pol)
-            return float(np.max(np.linalg.norm(rec - fvals, axis=(1, 2)) /
-                                (1.0 + np.linalg.norm(fvals, axis=(1, 2)))))
+            return float(np.max(np.linalg.norm(rec - vals, axis=(1, 2)) / scales))
 
         residual("inverse-double-cayley-recovery", pol.residual_tol, recovery)
 
@@ -388,8 +396,9 @@ def _cmd_colligate(args) -> int:
     f = _load_pencil(args.pencil, pol)
     ws = disk_grid(f.num_vars, args.grid, args.seed)
     disk = DiskKernelEvaluator(f, pol)
-    fvals = disk.view.eval_F(ws)
-    syn = build_colligation(ws, disk.theta_table(ws, fvals), value_cayley(fvals, pol), pol)
+    # one d(z) solve at z(w) gives F(w) = f(z(w)) and psi for the theta tables
+    fvals, dinv_c = schur_solve(f, disk_to_halfplane(ws), pol)
+    syn = build_colligation(ws, disk.theta_table(ws, fvals, dinv_c), value_cayley(fvals, pol), pol)
     coll = syn.colligation
     plus, minus = agler_identity_residual(coll, ws, pol)
     print(f"state dims: {list(coll.dims)}  io dim: {coll.n}")

@@ -358,14 +358,25 @@ def build_colligation(grid, theta_tables, schur_samples,
     interpolate S at every grid node.
 
     The gates and the swap are computed in the small space, never
-    forming the 2gn x 2gn Grams: with one thin QR  [D ; R]* = Q [R1 | R2]
-    of the stacked generator matrices D = dmat and R = rmat, Q has
-    orthonormal columns, so exactly in arithmetic ||D* D|| = ||D||^2,
-    ||D* D - R* R|| = ||R1 R1* - R2 R2*|| and
-    ||D* R - R* D|| = ||R1 R2* - R2 R1*||.  These are identities, not
-    bounds, so both gates below keep their meaning.
+    forming the 2gn x 2gn Grams.  The stacked generator matrices
+    D = [D_d R_r] and R = [R_r D_d] (n columns per grid point, D_d of the
+    d-vectors, R_r of the r-vectors) differ by a block swap, so with the
+    orthogonal T = [[I, I], [I, -I]] / sqrt(2)
 
-    The same QR carries the range of D = R1* Q*.  With the SVD
+        [D ; R]* = T diag(P*, M*) T,   P = D_d + R_r,  M = D_d - R_r,
+
+    where P and M stack (col_k((w_k + 1) theta_k(w)); I + S(w)) and
+    (col_k((w_k - 1) theta_k(w)); I - S(w)).  One batched thin QR of the
+    two half-size adjoints, P* = Q_P R_P and M* = Q_M R_M, gives
+    [D ; R]* = Q [R1 | R2] with Q = T diag(Q_P, Q_M) orthonormal columns,
+    R1 = [R_P ; R_M] / sqrt(2) and R2 = [R_P ; -R_M] / sqrt(2).  Exactly in
+    arithmetic ||D* D|| = ||R1||^2, and both gate matrices reduce to one:
+    R1 R1* - R2 R2* and R1 R2* - R2 R1* are [[0, +-R_P R_M*], [R_M R_P*, 0]],
+    so ||D* D - R* R|| = ||D* R - R* D|| = ||R_P R_M*||, an (m+n)-square
+    norm.  These are identities, not bounds, so both gates below keep
+    their meaning.
+
+    The same factor carries the range of D = R1* Q*.  With the SVD
     R1* = W S V* of the (m+n)-row factor, Q V has orthonormal columns,
     so S are the singular values of D and W its left singular vectors.
     The rank r counts S_i > psd_slack S_1, and q = W_r spans the range.
@@ -381,29 +392,30 @@ def build_colligation(grid, theta_tables, schur_samples,
     """
     pts = as_points(grid, len(theta_tables))
     g, num_vars = pts.shape
+    if g == 0:
+        raise ShapeError("colligation synthesis needs at least one grid point")
     svals = np.asarray(schur_samples, dtype=complex)
     if svals.shape[0] != g:
         raise ShapeError("one Schur-side sample per grid point required")
     n = svals.shape[1]
     tables = [np.asarray(t, dtype=complex) for t in theta_tables]
+    if not all(np.isfinite(a).all() for a in (svals, *tables)):
+        raise ValidationError("colligation samples contain NaN or Inf entries")
     dims = tuple(t.shape[1] for t in tables)
     m = sum(dims)
 
-    # Generator matrices, n columns per grid point.
+    # P and M, n columns per grid point: (g, m+n, n) each.
     h = np.concatenate(tables, axis=1) if m else np.zeros((g, 0, n), dtype=complex)
-    weights = np.repeat(pts, dims, axis=1)  # (g, m)
-    d_vecs = np.concatenate([weights[:, :, None] * h, np.broadcast_to(np.eye(n, dtype=complex), (g, n, n))], axis=1)
-    r_vecs = np.concatenate([h, svals], axis=1)
-    dmat = np.hstack(list(d_vecs) + list(r_vecs))  # (m+n, 2 g n)
-    rmat = np.hstack(list(r_vecs) + list(d_vecs))
-
-    r12 = np.linalg.qr(np.vstack([dmat, rmat]).conj().T, mode="r")
-    r1, r2 = r12[:, :m + n], r12[:, m + n:]
+    weights = np.repeat(pts, dims, axis=1)[:, :, None]  # (g, m, 1)
+    eye = np.eye(n)
+    pm = np.stack([np.concatenate([(weights + 1.0) * h, eye + svals], axis=1),
+                   np.concatenate([(weights - 1.0) * h, eye - svals], axis=1)])
+    rp, rm = np.linalg.qr(pm.conj().transpose(0, 1, 3, 2).reshape(2, g * n, m + n), mode="r")
+    r1 = np.concatenate([rp, rm]) / np.sqrt(2.0)
+    r2 = np.concatenate([rp, -rm]) / np.sqrt(2.0)
     svecs, sing, vh = np.linalg.svd(r1.conj().T, full_matrices=False)
     top = sing.max(initial=0.0)
-    scale = 1.0 + top ** 2
-    gram_res = max(operator_norm(r1 @ r1.conj().T - r2 @ r2.conj().T),
-                   operator_norm(r1 @ r2.conj().T - r2 @ r1.conj().T)) / scale
+    gram_res = operator_norm(rp @ rm.conj().T) / (1.0 + top ** 2)
     if gram_res > 1e-6:
         raise ValidationError(
             f"samples violate the transfer identities (Gram residual {gram_res:.3e})")

@@ -31,7 +31,10 @@ from .core import (
     psd_sqrt,
     scale_of,
 )
-from .pencil import PsdPencil, RealizedFunction, _refuse_ill_conditioned, d_condition_bound
+from .pencil import PsdPencil, RealizedFunction, schur_solve
+# kernels solves d(z) through schur_solve and no longer calls the guard; the
+# binding stays because perfbench/tests checks that the tracer rebinds this copy
+from .pencil import _refuse_ill_conditioned  # noqa: F401
 
 __all__ = [
     "KernelEvaluator",
@@ -47,19 +50,25 @@ __all__ = [
 ]
 
 
-def psi(f: RealizedFunction, z, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """The (n+p) x n column [I ; -d(z)^{-1} c(z)]; batched over points."""
+def psi(f: RealizedFunction, z, pol: TolerancePolicy = DEFAULT_POLICY, solve=None) -> np.ndarray:
+    """The (n+p) x n column [I ; -d(z)^{-1} c(z)]; batched over points.
+
+    ``solve`` is d(z)^{-1} c(z) on the same points, the second part of
+    ``schur_solve``, when the caller already has it; d(z) is then not
+    solved again.
+    """
     if not f.compressed:
         raise ValidationError("kernel evaluation needs a compressed realization")
     pts = as_points(z, f.num_vars)
     n, p = f.dim_u, f.dim_h
+    if solve is None:
+        solve = schur_solve(f, pts, pol)[1]
+    elif np.shape(solve) != (len(pts), p, n):
+        raise ShapeError(f"expected d(z)^-1 c(z) of shape {(len(pts), p, n)}, "
+                         f"got {np.shape(solve)}")
     out = np.zeros((len(pts), n + p, n), dtype=complex)
     out[:, :n, :n] = np.eye(n)
-    if p:
-        az = np.tensordot(pts, f.pencil.stacked(), axes=(1, 0))
-        c, d = az[:, n:, :n], az[:, n:, n:]
-        _refuse_ill_conditioned(d, pol, "d(z)", bound=d_condition_bound(f, pts))
-        out[:, n:, :] = -np.linalg.solve(d, c)
+    out[:, n:, :] = -solve
     return out[0] if np.asarray(z).ndim == 1 else out
 
 
@@ -82,8 +91,8 @@ class KernelEvaluator:
     def factor_ranks(self) -> tuple[int, ...]:
         return tuple(s.shape[0] for s in self.factors)
 
-    def psi(self, z) -> np.ndarray:
-        return psi(self.f, z, self.pol)
+    def psi(self, z, solve=None) -> np.ndarray:
+        return psi(self.f, z, self.pol, solve)
 
     def phi_factor(self, k: int, z) -> np.ndarray:
         """phi_k(z), an m_k x n matrix; batched over points."""
@@ -96,10 +105,13 @@ class KernelEvaluator:
         fzeta = self.phi_factor(k, zeta)
         return np.swapaxes(fzeta, -1, -2).conj() @ fz
 
-    def phi_table(self, grid) -> list[np.ndarray]:
-        """phi_k at every grid point, as one (g, m_k, n) array per k."""
+    def phi_table(self, grid, solve=None) -> list[np.ndarray]:
+        """phi_k at every grid point, as one (g, m_k, n) array per k.
+
+        ``solve`` is passed to ``psi``.
+        """
         pts = as_points(grid, self.f.num_vars)
-        ps = self.psi(pts)
+        ps = self.psi(pts, solve)
         return [s @ ps for s in self.factors]
 
 
@@ -135,11 +147,12 @@ def _identity_residual(pts, tables, fvals) -> float:
 def kernel_identity_residual(f: RealizedFunction, grid,
                              pol: TolerancePolicy = DEFAULT_POLICY,
                              evaluator: KernelEvaluator | None = None,
-                             f_values=None) -> float:
+                             f_values=None, solve=None) -> float:
     """Max over grid x grid of ||f(z) - sum_k z_k Phi_k(z, zeta)|| / (1+||f(z)||).
 
     ``f_values`` is f on the same grid when the caller already has it;
-    f is then not evaluated again.
+    f is then not evaluated again.  ``solve`` is d(z)^{-1} c(z) on the
+    grid, passed to ``psi``; ``schur_solve`` gives both at once.
     """
     ev = evaluator or KernelEvaluator(f, pol)
     pts = as_points(grid, f.num_vars)
@@ -148,7 +161,7 @@ def kernel_identity_residual(f: RealizedFunction, grid,
     elif np.shape(f_values) != (len(pts), f.dim_u, f.dim_u):
         raise ShapeError(f"expected f values of shape {(len(pts),) + (f.dim_u,) * 2}, "
                          f"got {np.shape(f_values)}")
-    return _identity_residual(pts, ev.phi_table(pts), f_values)
+    return _identity_residual(pts, ev.phi_table(pts, solve), f_values)
 
 
 def plus_minus_residuals(f: RealizedFunction, grid,

@@ -40,6 +40,7 @@ __all__ = [
     "eval_pencil",
     "compress",
     "eval_schur",
+    "schur_solve",
     "d_condition_bound",
     "eval_long_resolvent",
     "sum_realization",
@@ -269,6 +270,21 @@ def d_condition_bound(f: RealizedFunction, z) -> np.ndarray:
 def eval_schur(f: RealizedFunction, z, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """f(z) = a(z) - b(z) d(z)^{-1} c(z); batched over points.
 
+    The value comes from ``schur_solve``, whose guard refuses (never
+    regularizes) boundary evaluations.
+    """
+    out = schur_solve(f, z, pol)[0]
+    return out[0] if np.asarray(z).ndim == 1 else out
+
+
+def schur_solve(f: RealizedFunction, z,
+                pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[np.ndarray, np.ndarray]:
+    """f(z) (B, n, n) and d(z)^{-1} c(z) (B, p, n) on a batch of points, from one d(z) solve.
+
+    The one implementation of the d(z) solve: ``eval_schur`` returns the
+    first part and ``kernels.psi`` builds [I ; -d(z)^{-1} c(z)] from the
+    second, so a caller that needs both solves d(z) once.
+
     d(z) is inverted by LU with partial pivoting; evaluation is refused
     (never regularized) when the condition of d(z) exceeds 1/psd_slack,
     so boundary evaluations stay detectable.  The guard first tries the
@@ -282,11 +298,10 @@ def eval_schur(f: RealizedFunction, z, pol: TolerancePolicy = DEFAULT_POLICY) ->
     pts = as_points(z, f.num_vars)
     a, b, c, d = _blocks_at(f, pts)
     if f.dim_h == 0:
-        out = a
-    else:
-        _refuse_ill_conditioned(d, pol, "d(z)", bound=d_condition_bound(f, pts))
-        out = a - b @ np.linalg.solve(d, c)
-    return out[0] if np.asarray(z).ndim == 1 else out
+        return a, c
+    _refuse_ill_conditioned(d, pol, "d(z)", bound=d_condition_bound(f, pts))
+    sol = np.linalg.solve(d, c)
+    return a - b @ sol, sol
 
 
 def eval_long_resolvent(f: RealizedFunction, z, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:

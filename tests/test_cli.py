@@ -77,7 +77,10 @@ class TestVerify:
 # 0.3.31, x86-64).  Reusing values must not move a single bit; a BLAS
 # build that rounds differently would need the table recorded again.  The
 # transfer-match and recovery rows were recorded again when synthesized
-# colligations began to evaluate S through their reflection factor.
+# colligations began to evaluate S through their reflection factor, and
+# the five colligation rows when the synthesis moved to the half-size QR
+# of the sum and difference generator families (a new orthonormal basis
+# of the same span: U moves in its last bits).
 GOLDEN_ROWS = [
     ("pencil-coefficients-psd", "0x0.0p+0", "0x1.b7cdfd9d7bdbbp-34", True),
     ("homogeneity", "0x1.2a6c38dfdde4ep-52", "0x1.12e0be826d695p-30", True),
@@ -86,11 +89,11 @@ GOLDEN_ROWS = [
     ("kernel-identity", "0x1.09ae489d44e12p-49", "0x1.12e0be826d695p-30", True),
     ("four-quadrant-conditions", "0x1.0000000000000p+0", "0x1.0000000000000p+0", True),
     ("calculus-positivity-min-eig", "0x1.10a6ed0d9b4a3p+1", "-0x1.b7cdfd9d7bdbbp-34", True),
-    ("colligation-unitarity", "0x1.c1134f07ccdb8p-48", "0x1.12e0be826d695p-30", True),
-    ("colligation-selfadjointness", "0x1.0a3c366f71facp-51", "0x1.12e0be826d695p-30", True),
-    ("colligation-transfer-match", "0x1.6ae253663f1b8p-51", "0x1.12e0be826d695p-30", True),
-    ("colligation-spectrum-margin", "0x1.ad2de616b97e4p-2", "0x1.0c6f7a0b5ed8dp-20", True),
-    ("inverse-double-cayley-recovery", "0x1.53ed426d9c154p-50", "0x1.12e0be826d695p-30", True),
+    ("colligation-unitarity", "0x1.4f2806769d042p-48", "0x1.12e0be826d695p-30", True),
+    ("colligation-selfadjointness", "0x1.48a8e423e052bp-51", "0x1.12e0be826d695p-30", True),
+    ("colligation-transfer-match", "0x1.58814b4836d62p-51", "0x1.12e0be826d695p-30", True),
+    ("colligation-spectrum-margin", "0x1.ad2de616b97e6p-2", "0x1.0c6f7a0b5ed8dp-20", True),
+    ("inverse-double-cayley-recovery", "0x1.04269354f88e0p-50", "0x1.12e0be826d695p-30", True),
 ]
 
 
@@ -167,6 +170,24 @@ class TestVerificationReuse:
         report = run_verification(f, seed=1, grid_size=9)
         assert report.verdict
         assert calls == [9]
+
+    @pytest.mark.parametrize("shape", [(3, 2, 4), (2, 1, 0)])
+    def test_d_on_the_halfplane_grid_is_solved_once(self, monkeypatch, shape):
+        f = random_pencil(np.random.default_rng(4), *shape)
+        zs = halfplane_grid(f.num_vars, 12, 1)
+        n = f.dim_u
+        d_zs = np.tensordot(zs, f.pencil.stacked(), axes=(1, 0))[:, n:, n:]
+        solves = []
+        real = np.linalg.solve
+
+        def spy(a, b):
+            solves.append(np.shape(a) == d_zs.shape and np.array_equal(a, d_zs))
+            return real(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        assert run_verification(f, seed=1, grid_size=12).verdict
+        # f(zs) and psi(zs) share one solve; with p = 0 there is none
+        assert sum(solves) == (1 if f.dim_h else 0)
 
 
 class TestEval:
@@ -417,6 +438,21 @@ class TestAglerGrid:
                      "--out", str(out)]) == 0
         assert main(["colligate", "--colligation", str(out), "--grid", "9"]) == 0
         assert received == [7, 9]
+
+
+def test_colligate_writes_the_synthesis_of_separately_evaluated_data(tmp_path, capsys):
+    # the command shares one d(z) solve between F(w) and the theta tables;
+    # U must equal the synthesis from data evaluated apart, bit for bit
+    f = random_pencil(np.random.default_rng(6), 3, 2, 4)
+    pencil_path, out = tmp_path / "pencil.json", tmp_path / "coll.json"
+    serialize.dump(serialize.pencil_to_json(f), str(pencil_path))
+    assert main(["colligate", "--pencil", str(pencil_path), "--grid", "11", "--seed", "2",
+                 "--out", str(out)]) == 0
+    loaded = serialize.colligation_from_json(serialize.load(str(out)))
+    ws = disk_grid(f.num_vars, 11, 2)
+    disk = DiskKernelEvaluator(f)
+    syn = build_colligation(ws, disk.theta_table(ws), disk.view.eval_double_cayley(ws))
+    assert np.array_equal(loaded.U, syn.colligation.U)
 
 
 class TestTaylorCap:

@@ -13,7 +13,7 @@ from posreal.colligation import (
     spectrum_condition,
     transfer_eval,
 )
-from posreal.core import DEFAULT_POLICY, NumericalRefusalError, ValidationError
+from posreal.core import DEFAULT_POLICY, NumericalRefusalError, ShapeError, ValidationError
 from posreal.kernels import factor_kernel_samples
 from posreal.netlist import network_pencil, parse_netlist
 from posreal.pencil import eval_schur
@@ -177,6 +177,29 @@ class TestSynthesis:
         assert syn.selfadjointness_residual == c.selfadjointness_residual()
         assert (syn.unitarity_residual, syn.selfadjointness_residual) == c.validate()
 
+    def test_empty_grid_is_a_shape_error(self):
+        with pytest.raises(ShapeError, match="at least one grid point"):
+            build_colligation(np.zeros((0, 2)), [np.zeros((0, 1, 1))] * 2, np.zeros((0, 1, 1)))
+
+    @pytest.mark.parametrize("where", ["samples", "tables"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_refused_before_factorizing(self, monkeypatch, parallel, where, bad):
+        dk = DiskKernelEvaluator(parallel)
+        ws = disk_grid(2, 6, seed=5)
+        tables, svals = dk.theta_table(ws), dk.view.eval_double_cayley(ws)
+        if where == "samples":
+            svals[2, 0, 0] = bad
+        else:
+            tables[1][3, 0, 0] = bad
+
+        def factorized(*args, **kwargs):
+            raise AssertionError("non-finite data reached a factorization")
+
+        for name in ("qr", "svd", "eigh"):
+            monkeypatch.setattr(np.linalg, name, factorized)
+        with pytest.raises(ValidationError, match="NaN or Inf"):
+            build_colligation(ws, tables, svals)
+
     def test_rejects_inconsistent_samples(self):
         grid = np.array([[0.0], [0.5], [-0.5]], dtype=complex)
         thetas = [np.ones((3, 1, 1), dtype=complex)]
@@ -205,16 +228,51 @@ class TestSynthesis:
         assert np.max(err / (1 + np.linalg.norm(target, axis=(1, 2)))) < 1e-9
 
 
-def _dense_synthesis(grid, tables, svals, pol=DEFAULT_POLICY):
-    """Dense reference route: SVD basis of the explicit generator matrix,
-    least-squares swap, eigen-sign projection.  Returns (U, rank)."""
+def _dense_generators(grid, tables, svals):
+    """The explicit generator matrices D = [D_d R_r] and R = [R_r D_d], (m+n, 2gn) each."""
     n = svals.shape[1]
     h = np.concatenate(tables, axis=1)
     wh = np.repeat(grid, [t.shape[1] for t in tables], axis=1)[:, :, None] * h
     d_cols = np.concatenate([wh, np.broadcast_to(np.eye(n), svals.shape)], axis=1)
     r_cols = np.concatenate([h, svals], axis=1)
-    dmat = np.hstack(list(d_cols) + list(r_cols))
-    rmat = np.hstack(list(r_cols) + list(d_cols))
+    return np.hstack(list(d_cols) + list(r_cols)), np.hstack(list(r_cols) + list(d_cols))
+
+
+def _dense_gate(grid, tables, svals):
+    """max(||D* D - R* R||, ||D* R - R* D||) / (1 + ||D||^2) from the explicit matrices."""
+    dmat, rmat = _dense_generators(grid, tables, svals)
+    dh, rh = dmat.conj().T, rmat.conj().T
+    return max(np.linalg.norm(dh @ dmat - rh @ rmat, 2),
+               np.linalg.norm(dh @ rmat - rh @ dmat, 2)) / (1.0 + np.linalg.norm(dmat, 2) ** 2)
+
+
+def _dense_case(shape, rank_deficient, grid_size, redundant, noise):
+    """Grid, theta tables and Schur samples of one TestDenseReference case, off by ``noise``."""
+    rng = np.random.default_rng(sum(shape) + grid_size)
+    f = random_pencil(rng, *shape, rank_deficient=rank_deficient)
+    dk = DiskKernelEvaluator(f)
+    ws = disk_grid(shape[0], grid_size, seed=grid_size)
+    tables, svals = dk.theta_table(ws), dk.view.eval_double_cayley(ws)
+    if redundant:
+        tables = [np.concatenate([t, t], axis=1) / np.sqrt(2) for t in tables]
+    if noise:
+        svals = svals + noise * (rng.standard_normal(svals.shape)
+                                 + 1j * rng.standard_normal(svals.shape))
+    return ws, tables, svals
+
+
+DENSE_CASES = [
+    ((2, 1, 2), False, 5, False), ((3, 2, 3), False, 25, False),
+    ((3, 1, 4), True, 5, False), ((3, 2, 3), True, 25, False),
+    ((2, 2, 0), False, 5, False), ((3, 1, 0), False, 25, False),
+    ((2, 1, 2), False, 25, True), ((2, 2, 0), False, 25, True),
+]
+
+
+def _dense_synthesis(grid, tables, svals, pol=DEFAULT_POLICY):
+    """Dense reference route: SVD basis of the explicit generator matrix,
+    least-squares swap, eigen-sign projection.  Returns (U, rank)."""
+    dmat, rmat = _dense_generators(grid, tables, svals)
     u, s, _ = np.linalg.svd(dmat, full_matrices=False)
     rank = int(np.sum(s > pol.psd_slack * s[0]))
     q = u[:, :rank]
@@ -228,12 +286,7 @@ def _dense_synthesis(grid, tables, svals, pol=DEFAULT_POLICY):
 class TestDenseReference:
     """build_colligation works from a QR and a small SVD; the dense route must agree."""
 
-    @pytest.mark.parametrize("shape, rank_deficient, grid_size, redundant", [
-        ((2, 1, 2), False, 5, False), ((3, 2, 3), False, 25, False),
-        ((3, 1, 4), True, 5, False), ((3, 2, 3), True, 25, False),
-        ((2, 2, 0), False, 5, False), ((3, 1, 0), False, 25, False),
-        ((2, 1, 2), False, 25, True), ((2, 2, 0), False, 25, True),
-    ])
+    @pytest.mark.parametrize("shape, rank_deficient, grid_size, redundant", DENSE_CASES)
     @pytest.mark.parametrize("perturbed", [False, True])
     def test_matches_dense_route(self, shape, rank_deficient, grid_size, redundant, perturbed):
         rng = np.random.default_rng(sum(shape) + grid_size)
@@ -259,6 +312,22 @@ class TestDenseReference:
         if redundant:
             assert syn.rank < syn.colligation.U.shape[0]
         assert np.max(np.abs(syn.colligation.U - u_ref)) < 1e-9
+
+    @pytest.mark.parametrize("shape, rank_deficient, grid_size, redundant", DENSE_CASES)
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_gate_equals_the_dense_gram_residual(self, shape, rank_deficient, grid_size,
+                                                 redundant, perturbed):
+        # the one half-size gate norm is the value of both explicit Gram gates
+        data = _dense_case(shape, rank_deficient, grid_size, redundant, 1e-8 if perturbed else 0.0)
+        ref = _dense_gate(*data)
+        assert abs(build_colligation(*data).gram_residual - ref) <= 1e-12 + 1e-6 * ref
+
+    @pytest.mark.parametrize("shape, rank_deficient, grid_size, redundant", DENSE_CASES[:4])
+    def test_data_off_by_1e_5_still_refused(self, shape, rank_deficient, grid_size, redundant):
+        data = _dense_case(shape, rank_deficient, grid_size, redundant, 1e-5)
+        assert _dense_gate(*data) > 1e-6
+        with pytest.raises(ValidationError, match="Gram residual"):
+            build_colligation(*data)
 
 
 BRIDGE = "ports A B\nbranch A M z1 1\nbranch M GND z2 2\nbranch B M z3 1\nbranch A B z1 0.5\n"

@@ -16,7 +16,7 @@ from posreal.kernels import (
     psi,
     sample_kernels,
 )
-from posreal.pencil import diagonal_realization, eval_schur
+from posreal.pencil import diagonal_realization, eval_schur, schur_solve
 from posreal.sampling import halfplane_grid, random_pencil, random_psd
 
 
@@ -89,6 +89,22 @@ class TestIdentityResiduals:
         assert kernel_identity_residual(f, grid, f_values=fv) == expect
         with pytest.raises(ShapeError, match="f values of shape"):
             kernel_identity_residual(f, grid, f_values=fv[1:])
+
+    def test_identity_reuses_given_solve(self, rng, monkeypatch):
+        import posreal.kernels as kernels_module
+
+        f = random_pencil(rng, 3, 2, 4)
+        grid = halfplane_grid(3, 8, seed=5)
+        fv, sol = schur_solve(f, grid)
+        expect = kernel_identity_residual(f, grid)
+
+        def second_solve(*args, **kwargs):
+            raise AssertionError("d(z) solved again")
+
+        monkeypatch.setattr(kernels_module, "schur_solve", second_solve)
+        assert kernel_identity_residual(f, grid, f_values=fv, solve=sol) == expect
+        with pytest.raises(ShapeError, match=r"d\(z\)\^-1 c\(z\) of shape"):
+            kernel_identity_residual(f, grid, f_values=fv, solve=sol[:, 1:])
 
     def test_plus_minus_valid(self, parallel, rng):
         grid = halfplane_grid(2, 8, seed=3)

@@ -13,6 +13,7 @@ from posreal.pencil import (
     eval_schur,
     ldu_factor_residual,
     realize,
+    schur_solve,
     sum_realization,
 )
 from posreal.sampling import halfplane_grid, random_pencil
@@ -102,6 +103,17 @@ class TestEvalSchur:
         # d(z) = z1 + z2 vanishes on the anti-diagonal
         with pytest.raises(NumericalRefusalError):
             eval_schur(parallel, [1, -1])
+
+    @pytest.mark.parametrize("shape", [(3, 2, 4), (2, 2, 0)])
+    def test_schur_solve_parts(self, shape):
+        f = random_pencil(np.random.default_rng(sum(shape)), *shape)
+        zs = halfplane_grid(f.num_vars, 7, seed=2)
+        vals, sol = schur_solve(f, zs)
+        assert np.array_equal(vals, eval_schur(f, zs))
+        assert sol.shape == (len(zs), f.dim_h, f.dim_u)
+        n = f.dim_u
+        az = np.tensordot(zs, f.pencil.stacked(), axes=(1, 0))
+        assert np.allclose(az[:, n:, n:] @ sol, az[:, n:, :n])
 
 
 class TestLongResolvent:
