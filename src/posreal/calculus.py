@@ -13,13 +13,13 @@ candidate counterexamples.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cayley import cayley_matrix, inv_cayley_matrix
+from .cayley import DiskFunctionView, cayley_matrix, inv_cayley_matrix
 from .core import (
     DEFAULT_POLICY,
     NumericalRefusalError,
@@ -33,6 +33,8 @@ from .core import (
     scale_of,
 )
 from .pencil import RealizedFunction, _refuse_ill_conditioned
+from .sampling import random_contraction_tuple
+from .serialize import matrix_to_json
 
 __all__ = [
     "CommutingTuple",
@@ -144,36 +146,55 @@ def inverse_operator_cayley(r: CommutingTuple, pol: TolerancePolicy = DEFAULT_PO
 # Taylor coefficients of polydisk functions
 
 
-def _multi_indices(num_vars: int, degree: int):
-    for total in range(degree + 1):
-        for head in itertools.combinations(range(total + num_vars - 1), num_vars - 1):
-            idx = []
-            prev = -1
-            for h in head:
-                idx.append(h - prev - 1)
-                prev = h
-            idx.append(total + num_vars - 1 - prev - 1)
-            yield tuple(idx)
+def _total_degree(num_vars: int, degree: int) -> np.ndarray:
+    """|t| = t_1 + ... + t_N at every multi-index t of the (degree + 1)^N cube."""
+    return np.indices((degree + 1,) * num_vars).sum(axis=0)
+
+
+# a process indexes tables of a few (N, degree) pairs; the bound keeps it
+# from holding the index list of every table it ever built
+@functools.lru_cache(maxsize=8)
+def _simplex(num_vars: int, degree: int) -> tuple:
+    """The multi-indices with |t| <= degree, in C order.
+
+    In C order every t comes after each t - s with 0 <= s <= t, so one
+    pass in this order sees each recursion's inputs before its output.
+    """
+    return tuple(map(tuple, np.argwhere(_total_degree(num_vars, degree) <= degree).tolist()))
 
 
 @dataclass
 class TaylorCoefficients:
     """Taylor table of a holomorphic polydisk function up to a degree.
 
-    ``sup_radius``/``sup_bound`` feed the Cauchy tail estimate: the sup
-    of the function norm on the polytorus of that radius (sampled on a
-    coarse grid, padded by a safety factor).
+    ``coeffs`` is one complex array of shape (degree + 1,)^num_vars +
+    (dim, dim): F_t is ``coeffs[t]``, and every entry with |t| > degree
+    is zero.  ``sup_radius``/``sup_bound`` feed the Cauchy tail
+    estimate: the sup of the function norm on the polytorus of that
+    radius (sampled on a coarse grid, padded by a safety factor).
     """
 
     num_vars: int
     dim: int
     degree: int
-    coeffs: dict = field(default_factory=dict)
+    coeffs: np.ndarray
     sup_radius: float = 0.0
     sup_bound: float = math.inf
 
+    def __post_init__(self):
+        self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
+        shape = (self.degree + 1,) * self.num_vars + (self.dim, self.dim)
+        if self.coeffs.shape != shape:
+            raise ShapeError(f"Taylor table of shape {self.coeffs.shape}; "
+                             f"{self.num_vars} variables, dimension {self.dim} "
+                             f"and degree {self.degree} need {shape}")
+        # calc_series sums the whole cube, and tail_bound assumes the
+        # table stops at the degree
+        if np.any(self.coeffs[_total_degree(self.num_vars, self.degree) > self.degree]):
+            raise ValidationError(f"Taylor table has a nonzero entry above degree {self.degree}")
+
     def coeff(self, t: tuple) -> np.ndarray:
-        return self.coeffs.get(t, np.zeros((self.dim, self.dim), dtype=complex))
+        return self.coeffs[tuple(t)]
 
     def tail_bound(self, rho: float) -> float:
         """Bound on sum_{|t| > degree} ||F_t|| rho^{|t|} by Cauchy estimates.
@@ -272,12 +293,10 @@ def taylor_from_function(evaluator, num_vars: int, dim: int, degree: int,
     ring = radius * np.exp(1j * angles)
     vals = _torus_values(evaluator, ring, num_vars, dim).reshape((grid_size,) * num_vars + (dim, dim))
     hat = np.fft.fftn(vals, axes=tuple(range(num_vars))) / grid_size ** num_vars
-
-    coeffs = {}
-    for t in _multi_indices(num_vars, degree):
-        c = hat[t] / radius ** sum(t)
-        if np.linalg.norm(c) > 0:
-            coeffs[t] = c
+    total = _total_degree(num_vars, degree)
+    low = total <= degree
+    coeffs = np.zeros(total.shape + (dim, dim), dtype=complex)
+    coeffs[low] = hat[(slice(degree + 1),) * num_vars][low] / radius ** total[low][:, None, None]
 
     sup_angles = 2.0 * np.pi * np.arange(max(8, grid_size // 4)) / max(8, grid_size // 4)
     sup_ring = sup_radius * np.exp(1j * sup_angles)
@@ -299,30 +318,18 @@ def taylor_from_colligation(c, degree: int) -> TaylorCoefficients:
     a, b, cc, d = c.blocks()
     num_vars, n = c.num_vars, c.n
     offsets = np.concatenate([[0], np.cumsum(c.dims)])
-
-    def project(k, mat):
-        out = np.zeros_like(mat)
-        out[offsets[k]:offsets[k + 1]] = mat[offsets[k]:offsets[k + 1]]
-        return out
-
-    states = {tuple([0] * num_vars): b}
-    coeffs = {tuple([0] * num_vars): d.copy()}
-    for t in _multi_indices(num_vars, degree):
-        if sum(t) == 0:
-            continue
-        xt = np.zeros_like(b)
-        st = np.zeros((n, n), dtype=complex)
+    simplex = _simplex(num_vars, degree)
+    cube = (degree + 1,) * num_vars
+    states = np.zeros(cube + b.shape, dtype=complex)
+    coeffs = np.zeros(cube + (n, n), dtype=complex)
+    states[simplex[0]], coeffs[simplex[0]] = b, d
+    for t in simplex[1:]:
         for k in range(num_vars):
-            if t[k] == 0:
-                continue
-            prev = list(t)
-            prev[k] -= 1
-            pk_x = project(k, states[tuple(prev)])
-            xt += a @ pk_x
-            st += cc @ pk_x
-        states[t] = xt
-        if np.linalg.norm(st) > 0:
-            coeffs[t] = st
+            if t[k]:
+                blk = slice(offsets[k], offsets[k + 1])
+                prev = states[t[:k] + (t[k] - 1,) + t[k + 1:]][blk]
+                states[t] += a[:, blk] @ prev
+                coeffs[t] += cc[:, blk] @ prev
     return TaylorCoefficients(num_vars, n, degree, coeffs, sup_radius=1.0, sup_bound=1.0)
 
 
@@ -337,31 +344,26 @@ def herglotz_taylor_from_schur(schur: TaylorCoefficients,
     """
     n = schur.dim
     eye = np.eye(n, dtype=complex)
-    s0 = schur.coeff(tuple([0] * schur.num_vars))
-    base = eye - s0
+    sch = schur.coeffs
+    simplex = _simplex(schur.num_vars, schur.degree)
+    base = eye - sch[simplex[0]]
     if np.linalg.cond(base) > 1e12:
         raise NumericalRefusalError("1 is (numerically) in the spectrum of S(0)")
-    g: dict = {}
-    f: dict = {}
-    for t in _multi_indices(schur.num_vars, schur.degree):
-        rhs = eye.copy() if sum(t) == 0 else np.zeros((n, n), dtype=complex)
-        for s in _sub_indices(t):
-            if sum(s) == 0:
-                continue
-            rest = tuple(a - b for a, b in zip(t, s))
-            rhs = rhs + schur.coeff(s) @ g[rest]
-        g[t] = np.linalg.solve(base, rhs)
-        f[t] = 2.0 * g[t] - eye if sum(t) == 0 else 2.0 * g[t]
-    out = TaylorCoefficients(schur.num_vars, n, schur.degree,
-                             {t: m for t, m in f.items() if np.linalg.norm(m) > 0})
+    g = np.zeros_like(sch)
+    g[simplex[0]] = np.linalg.solve(base, eye)
+    for t in simplex[1:]:
+        # sum_{s <= t} S_s G_{t-s} over the box s <= t; the s = 0 term
+        # is zero because G_t is not yet filled in
+        box = tuple(slice(v + 1) for v in t)
+        rev = tuple(slice(v, None, -1) for v in t)
+        g[t] = np.linalg.solve(base, np.einsum("sij,sjk->ik", sch[box].reshape(-1, n, n),
+                                               g[rev].reshape(-1, n, n)))
+    f = 2.0 * g
+    f[simplex[0]] -= eye
+    out = TaylorCoefficients(schur.num_vars, n, schur.degree, f)
     if sup_bound is not None and sup_radius is not None:
         out.sup_bound, out.sup_radius = sup_bound, sup_radius
     return out
-
-
-def _sub_indices(t):
-    ranges = [range(v + 1) for v in t]
-    return itertools.product(*ranges)
 
 
 # ---------------------------------------------------------------------------
@@ -382,17 +384,15 @@ def calc_series(coeffs: TaylorCoefficients, t: CommutingTuple,
     n = coeffs.dim
     if coeffs.num_vars != t.num_vars:
         raise ShapeError("coefficient table and tuple disagree on the number of variables")
-    powers = {tuple([0] * t.num_vars): np.eye(m, dtype=complex)}
-    out = np.zeros((n * m, n * m), dtype=complex)
-    for idx in _multi_indices(t.num_vars, coeffs.degree):
-        if sum(idx) > 0:
-            k = next(i for i, v in enumerate(idx) if v > 0)
-            prev = list(idx)
-            prev[k] -= 1
-            powers[idx] = t.mats[k] @ powers[tuple(prev)]
-        ft = coeffs.coeffs.get(idx)
-        if ft is not None:
-            out += np.kron(ft, powers[idx])
+    simplex = _simplex(t.num_vars, coeffs.degree)
+    powers = np.zeros(coeffs.coeffs.shape[:-2] + (m, m), dtype=complex)
+    powers[simplex[0]] = np.eye(m)
+    for idx in simplex[1:]:
+        k = next(i for i, v in enumerate(idx) if v)
+        powers[idx] = t.mats[k] @ powers[idx[:k] + (idx[k] - 1,) + idx[k + 1:]]
+    # sum_t F_t[i, j] T^t[a, b] as one product, then into the kron layout (i a, j b)
+    out = coeffs.coeffs.reshape(-1, n * n).T @ powers.reshape(-1, m * m)
+    out = out.reshape(n, n, m, m).transpose(0, 2, 1, 3).reshape(n * m, n * m)
     tail = coeffs.tail_bound(t.bound)
     if not math.isfinite(tail):
         raise NumericalRefusalError("tail bound unavailable for the requested radius")
@@ -514,9 +514,6 @@ def hunt(config: HuntConfig, candidates, pol: TolerancePolicy = DEFAULT_POLICY):
     (callable, dim_u attribute optional; scalar assumed).  Records carry
     full reproduction data.
     """
-    from .cayley import DiskFunctionView
-    from .sampling import random_contraction_tuple
-
     rng = np.random.default_rng(config.seed)
     prepared = []
     for name, source in candidates:
@@ -529,8 +526,6 @@ def hunt(config: HuntConfig, candidates, pol: TolerancePolicy = DEFAULT_POLICY):
         coeffs = taylor_from_function(view.eval_double_cayley, config.num_vars, dim,
                                       config.degree)
         prepared.append((name, coeffs))
-
-    from .serialize import matrix_to_json
 
     for trial in range(config.trials):
         t = random_contraction_tuple(rng, config.num_vars, config.dim,

@@ -339,7 +339,7 @@ def _cmd_cayley(args) -> int:
     else:
         ws = disk_grid(f.num_vars, args.grid, args.seed)
     fv = view.eval_F(ws)
-    sv = view.eval_double_cayley(ws)
+    sv = value_cayley(fv, pol)
     _print_matrices(ws, fv, "F")
     _print_matrices(ws, sv, "C(f)")
     if args.out:

@@ -21,7 +21,6 @@ __all__ = [
     "as_matrix",
     "as_points",
     "hermitian_part",
-    "skew_part",
     "operator_norm",
     "argument_arc",
     "cross_gram_residual",
@@ -245,12 +244,6 @@ def hermitian_part(m) -> np.ndarray:
     """(M + M*) / 2 of a square matrix, or of each matrix of a (B, n, n) stack."""
     a = as_matrix(m, square=True, stack=np.ndim(m) == 3)
     return (a + a.conj().swapaxes(-1, -2)) / 2.0
-
-
-def skew_part(m) -> np.ndarray:
-    """(M - M*) / 2 of a square matrix."""
-    a = as_matrix(m, square=True)
-    return (a - a.conj().T) / 2.0
 
 
 def is_hermitian(m, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:

@@ -30,7 +30,6 @@ from .core import (
 )
 
 __all__ = [
-    "in_right_polyhalfplane",
     "in_omega",
     "in_omega_oracle",
     "in_omega_plus",
@@ -48,11 +47,6 @@ __all__ = [
     "check_real_colligation",
     "taylor_realness_residual",
 ]
-
-
-def in_right_polyhalfplane(z) -> bool:
-    z = np.asarray(z, dtype=complex)
-    return bool(np.all(z.real > 0))
 
 
 def _coverage_arc(z: np.ndarray) -> tuple[float, float] | None:
@@ -280,9 +274,6 @@ class AntiUnitaryInvolution:
     def conjugation(cls, dim: int) -> "AntiUnitaryInvolution":
         """Entrywise complex conjugation (J = I)."""
         return cls(np.eye(dim, dtype=complex))
-
-    def apply(self, u) -> np.ndarray:
-        return self.J @ np.conj(np.asarray(u, dtype=complex))
 
     def conjugate_operator(self, a) -> np.ndarray:
         """The matrix of iota A iota."""

@@ -25,6 +25,7 @@ from posreal.cayley import DiskFunctionView, DiskKernelEvaluator
 from posreal.colligation import build_colligation
 from posreal.core import (
     NumericalRefusalError,
+    ShapeError,
     TolerancePolicy,
     ValidationError,
     eigh_or_refuse,
@@ -115,7 +116,7 @@ class TestCalcSeries:
 
     def test_constant_function(self):
         d0 = np.array([[0.25, 0.0], [0.0, -0.5]])
-        co = TaylorCoefficients(2, 2, 0, {(0, 0): d0}, sup_radius=1.0, sup_bound=0.5)
+        co = TaylorCoefficients(2, 2, 0, d0[None, None], sup_radius=1.0, sup_bound=0.5)
         t = make_tuple([np.zeros((3, 3)), 0.1 * np.eye(3)], require="contraction")
         val, tail = calc_series(co, t)
         assert np.allclose(val, np.kron(d0, np.eye(3)))
@@ -124,21 +125,38 @@ class TestCalcSeries:
         assert tail < 0.2
 
     def test_monomial(self, rng):
-        co = TaylorCoefficients(2, 1, 2, {(1, 1): np.eye(1)}, sup_radius=1.0, sup_bound=1.0)
+        mono = np.zeros((3, 3, 1, 1))
+        mono[1, 1] = np.eye(1)
+        co = TaylorCoefficients(2, 1, 2, mono, sup_radius=1.0, sup_bound=1.0)
         t = random_contraction_tuple(rng, 2, 3, target_norm=0.3)
         val, _ = calc_series(co, t)
         assert np.allclose(val, np.kron(np.eye(1), t.mats[0] @ t.mats[1]))
 
     def test_tail_decreases_with_degree(self):
-        co_short = TaylorCoefficients(1, 1, 5, {}, sup_radius=0.9, sup_bound=3.0)
-        co_long = TaylorCoefficients(1, 1, 25, {}, sup_radius=0.9, sup_bound=3.0)
+        co_short = TaylorCoefficients(1, 1, 5, np.zeros((6, 1, 1)), sup_radius=0.9, sup_bound=3.0)
+        co_long = TaylorCoefficients(1, 1, 25, np.zeros((26, 1, 1)), sup_radius=0.9, sup_bound=3.0)
         assert co_long.tail_bound(0.4) < co_short.tail_bound(0.4) < 1.0
 
     def test_refuses_radius_at_or_beyond_bound(self):
-        co = TaylorCoefficients(1, 1, 5, {}, sup_radius=0.5, sup_bound=1.0)
+        co = TaylorCoefficients(1, 1, 5, np.zeros((6, 1, 1)), sup_radius=0.5, sup_bound=1.0)
         t = CommutingTuple((np.diag([0.6]),), 0.0, "contraction", 0.6)
         with pytest.raises(NumericalRefusalError):
             calc_series(co, t)
+
+    def test_single_product_equals_kron_loop(self, rng):
+        # n = 2 != m = 3 pins the reshape and transpose into the kron layout
+        degree = 5
+        shape = (degree + 1,) * 3 + (2, 2)
+        table = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        table[np.indices(shape[:3]).sum(axis=0) > degree] = 0.0
+        idx = [t for t in itertools.product(range(degree + 1), repeat=3) if sum(t) <= degree]
+        co = TaylorCoefficients(3, 2, degree, table, sup_radius=1.0, sup_bound=1.0)
+        t = random_contraction_tuple(rng, 3, 3, target_norm=0.3)
+        val, _ = calc_series(co, t)
+        want = sum(np.kron(table[s], np.linalg.matrix_power(t.mats[0], s[0])
+                           @ np.linalg.matrix_power(t.mats[1], s[1])
+                           @ np.linalg.matrix_power(t.mats[2], s[2])) for s in idx)
+        assert np.linalg.norm(val - want) <= 1e-13 * np.linalg.norm(want)
 
 
 class TestCalcRealized:
@@ -219,7 +237,9 @@ class TestPositivity:
 
 class TestVonNeumann:
     def test_product_coordinate_ando_regime(self, rng):
-        co = TaylorCoefficients(2, 1, 2, {(1, 1): np.eye(1)}, sup_radius=1.0, sup_bound=1.0)
+        mono = np.zeros((3, 3, 1, 1))
+        mono[1, 1] = np.eye(1)
+        co = TaylorCoefficients(2, 1, 2, mono, sup_radius=1.0, sup_bound=1.0)
         for _ in range(10):
             t = random_contraction_tuple(rng, 2, int(rng.integers(2, 6)),
                                          target_norm=float(0.2 + 0.5 * rng.random()))
@@ -227,7 +247,7 @@ class TestVonNeumann:
             assert not violation and norm <= 1 + tail + 1e-9
 
     def test_zero_function(self, rng):
-        co = TaylorCoefficients(2, 1, 0, {}, sup_radius=1.0, sup_bound=0.0)
+        co = TaylorCoefficients(2, 1, 0, np.zeros((1, 1, 1, 1)), sup_radius=1.0, sup_bound=0.0)
         t = random_contraction_tuple(rng, 2, 3)
         norm, _, violation = von_neumann_check(co, t)
         assert norm == 0.0 and not violation
@@ -242,18 +262,38 @@ class TestVonNeumann:
             assert not violation
 
 
+class TestTaylorTable:
+    def test_float_table_becomes_complex128(self):
+        table = np.array([[1.0, 2.0], [3.0, 0.0]]).reshape(2, 2, 1, 1)  # 1 + 2 w_2 + 3 w_1
+        co = TaylorCoefficients(2, 1, 1, table)
+        assert co.coeffs.dtype == np.complex128
+        assert np.array_equal(co.coeffs, table)
+
+    @pytest.mark.parametrize("shape", [(3, 3, 1, 1), (2, 2, 1, 2), (2, 2, 2, 1, 1), (4, 1, 1)])
+    def test_wrong_shape_is_refused(self, shape):
+        with pytest.raises(ShapeError):
+            TaylorCoefficients(2, 1, 1, np.zeros(shape))
+
+    def test_entry_above_degree_is_refused(self):
+        table = np.zeros((2, 2, 1, 1))
+        table[1, 1] = 1e-300  # |t| = 2 > degree 1
+        with pytest.raises(ValidationError, match="above degree 1"):
+            TaylorCoefficients(2, 1, 1, table)
+
+
 class TestTaylorSources:
-    def test_colligation_recursion_matches_quadrature(self, rng):
-        f = random_pencil(rng, 2, 2, 3)
+    @pytest.mark.parametrize("num_vars, degree, grid_size", [(2, 10, 128), (3, 6, 64)])
+    def test_colligation_recursion_matches_quadrature(self, rng, num_vars, degree, grid_size):
+        f = random_pencil(rng, num_vars, 2, 3)
         view = DiskFunctionView(f)
         dk = DiskKernelEvaluator(f)
-        ws = disk_grid(2, 30, seed=3)
+        ws = disk_grid(num_vars, 30, seed=3)
         syn = build_colligation(ws, dk.theta_table(ws), view.eval_double_cayley(ws))
-        by_recursion = taylor_from_colligation(syn.colligation, 10)
-        by_quadrature = taylor_from_function(view.eval_double_cayley, 2, 2, degree=10,
-                                             grid_size=128)
-        for t_idx, m in by_recursion.coeffs.items():
-            assert np.linalg.norm(m - by_quadrature.coeff(t_idx)) < 1e-10
+        by_recursion = taylor_from_colligation(syn.colligation, degree)
+        by_quadrature = taylor_from_function(view.eval_double_cayley, num_vars, 2, degree=degree,
+                                             grid_size=grid_size)
+        for t_idx in np.ndindex(by_recursion.coeffs.shape[:num_vars]):
+            assert np.linalg.norm(by_recursion.coeff(t_idx) - by_quadrature.coeff(t_idx)) < 1e-10
 
     @pytest.mark.parametrize("num_vars, degree", [(2, 12), (3, 6)])
     def test_herglotz_coefficients_equal_cauchy_product(self, rng, num_vars, degree):
@@ -282,7 +322,8 @@ class TestTaylorSources:
         w = np.array([0.2 - 0.1j, 0.15 + 0.2j])
         view = DiskFunctionView(f)
         direct = view.eval_F(w)
-        summed = sum(m * w[0] ** t[0] * w[1] ** t[1] for t, m in co.coeffs.items())
+        summed = sum(co.coeff(t) * w[0] ** t[0] * w[1] ** t[1]
+                     for t in np.ndindex(co.coeffs.shape[:2]))
         assert np.linalg.norm(summed - direct) < 1e-10
 
 
@@ -345,7 +386,7 @@ class TestTaylorBlocks:
         whole = taylor_from_function(ev, 3, 2, degree=12)  # one call per torus
         monkeypatch.setattr(calculus, "_POINT_BLOCK", 100)  # last block of each torus partial
         blocked = taylor_from_function(ev, 3, 2, degree=12)
-        assert blocked.coeffs.keys() == whole.coeffs.keys()
-        diff = max(np.max(np.abs(blocked.coeffs[t] - c)) for t, c in whole.coeffs.items())
+        assert blocked.coeffs.shape == whole.coeffs.shape
+        diff = np.max(np.abs(blocked.coeffs - whole.coeffs))
         assert diff <= 1e-15
         assert blocked.sup_bound == pytest.approx(whole.sup_bound, rel=1e-15, abs=0)

@@ -189,6 +189,24 @@ class TestVerificationReuse:
         # f(zs) and psi(zs) share one solve; with p = 0 there is none
         assert sum(solves) == (1 if f.dim_h else 0)
 
+    def test_cayley_solves_d_once(self, monkeypatch, tmp_path):
+        f = random_pencil(np.random.default_rng(4), 2, 2, 3)
+        path = tmp_path / "pencil.json"
+        serialize.dump(serialize.pencil_to_json(f), str(path))
+        zs = disk_to_halfplane(disk_grid(f.num_vars, 9, 0))
+        d_zs = np.tensordot(zs, f.pencil.stacked(), axes=(1, 0))[:, 2:, 2:]
+        solves = []
+        real = np.linalg.solve
+
+        def spy(a, b):
+            solves.append(np.shape(a) == d_zs.shape and np.array_equal(a, d_zs))
+            return real(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        assert main(["cayley", "--pencil", str(path), "--grid", "9"]) == 0
+        # F and C(f) come from one evaluation of f on the disk grid
+        assert sum(solves) == 1
+
 
 class TestEval:
     def test_prints_value(self, parallel_file, capsys):
