@@ -272,7 +272,10 @@ def _torus_values(evaluator, ring: np.ndarray, num_vars: int, dim: int) -> np.nd
     for start in range(0, total, _POINT_BLOCK):
         idx = np.unravel_index(np.arange(start, min(start + _POINT_BLOCK, total)), shape)
         pts = np.stack([ring[i] for i in idx], axis=1)
-        vals[start:start + len(pts)] = np.asarray(evaluator(pts), dtype=complex).reshape(-1, dim, dim)
+        block = np.asarray(evaluator(pts), dtype=complex)
+        if block.shape != (len(pts), dim, dim):
+            raise ShapeError(f"evaluator returned shape {block.shape}, expected {(len(pts), dim, dim)}")
+        vals[start:start + len(pts)] = block
     return vals
 
 

@@ -23,7 +23,7 @@ from .core import (
     hermitian_split_residuals,
 )
 from .colligation import transfer_identity_residuals
-from .kernels import KernelEvaluator
+from .kernels import KernelEvaluator, KernelSampleSet
 from .pencil import RealizedFunction, _refuse_ill_conditioned
 
 __all__ = [
@@ -125,6 +125,9 @@ class DiskFunctionView:
         out = np.asarray(self._eval(z), dtype=complex)
         if out.ndim == 2:
             out = out[None]
+        if out.ndim != 3 or out.shape[0] != len(pts) or out.shape[1] != out.shape[2]:
+            raise ShapeError(f"evaluator returned shape {out.shape} for {len(pts)} points, "
+                             "expected one square matrix per point")
         return out[0] if np.asarray(w).ndim == 1 else out
 
     def eval_double_cayley(self, w) -> np.ndarray:
@@ -160,7 +163,9 @@ class DiskKernelEvaluator:
     Theta_k    = theta_k(o)* theta_k(w)      (Schur-side kernels)
 
     Everything is an evaluator view over the pencil; no power-series
-    coefficients are stored on this path.
+    coefficients are stored on this path.  Each table and identity
+    residual reads F(w) and every phi_k(z(w)) from one ``KernelSampleSet``
+    at the halfplane images z(w): one d(z) solve.
     """
 
     def __init__(self, f: RealizedFunction, pol: TolerancePolicy = DEFAULT_POLICY):
@@ -173,23 +178,15 @@ class DiskKernelEvaluator:
     def num_vars(self) -> int:
         return self.f.num_vars
 
-    def _xi_tables(self, pts: np.ndarray, ks, solve=None) -> list[np.ndarray]:
-        """xi_k at a batch of disk points for each k in ks, from one psi evaluation.
+    def _xi_tables(self, pts: np.ndarray, samples: KernelSampleSet) -> list[np.ndarray]:
+        """xi_k at a batch of disk points for every k, from the samples at z(w)."""
+        return [(np.sqrt(2.0) / (1.0 - pts[:, k]))[:, None, None] * t
+                for k, t in enumerate(samples.factors)]
 
-        ``solve`` is passed to ``psi`` at the halfplane images z(w).
-        """
-        ps = self.kernels.psi(disk_to_halfplane(pts), solve)
-        return [(np.sqrt(2.0) / (1.0 - pts[:, k]))[:, None, None] * (self.kernels.factors[k] @ ps)
-                for k in ks]
-
-    def _theta_tables(self, pts: np.ndarray, ks, fv=None, solve=None) -> list[np.ndarray]:
-        """theta_k for each k in ks: one psi, one F(w) unless given, one guard, one solve."""
-        xs = self._xi_tables(pts, ks, solve)
-        if fv is None:
-            fv = self.view.eval_F(pts)
-        elif np.shape(fv) != (len(pts), self.f.dim_u, self.f.dim_u):
-            raise ShapeError(f"expected F values of shape {(len(pts),) + (self.f.dim_u,) * 2}, "
-                             f"got {np.shape(fv)}")
+    def _theta_tables(self, pts: np.ndarray, samples: KernelSampleSet) -> list[np.ndarray]:
+        """theta_k for every k from the samples at z(w): one guard, one solve."""
+        xs = self._xi_tables(pts, samples)
+        fv = samples.f_samples
         eye = np.eye(fv.shape[-1], dtype=complex)
         plus = fv + eye
         _refuse_ill_conditioned(plus, self.pol, "F(w) + I")
@@ -198,7 +195,8 @@ class DiskKernelEvaluator:
         return np.split(np.sqrt(2.0) * sol, np.cumsum([x.shape[1] for x in xs])[:-1], axis=1)
 
     def xi(self, k: int, w) -> np.ndarray:
-        out = self._xi_tables(as_points(w, self.num_vars), [k])[0]
+        pts = as_points(w, self.num_vars)
+        out = self._xi_tables(pts, self.kernels.phi_table(disk_to_halfplane(pts)))[k]
         return out[0] if np.asarray(w).ndim == 1 else out
 
     def xi_kernel(self, k: int, w, omega) -> np.ndarray:
@@ -207,19 +205,24 @@ class DiskKernelEvaluator:
         return np.squeeze(xo.conj().swapaxes(-1, -2) @ xw)
 
     def theta(self, k: int, w) -> np.ndarray:
-        out = self._theta_tables(as_points(w, self.num_vars), [k])[0]
+        pts = as_points(w, self.num_vars)
+        out = self._theta_tables(pts, self.kernels.phi_table(disk_to_halfplane(pts)))[k]
         return out[0] if np.asarray(w).ndim == 1 else out
 
-    def theta_table(self, grid, f_values=None, solve=None) -> list[np.ndarray]:
+    def theta_table(self, grid, samples: KernelSampleSet | None = None) -> list[np.ndarray]:
         """theta_k on the grid for every k, one (g, m_k, n) array each.
 
-        ``f_values`` is F on the same grid when the caller already has it;
-        F is then not evaluated again.  ``solve`` is d(z)^{-1} c(z) at the
-        halfplane images z(w) of the grid (``pencil.schur_solve`` gives it
-        with F(w) = f(z(w))); d(z) is then not solved again.
+        ``samples`` is the ``KernelSampleSet`` that ``kernels.phi_table``
+        takes at the halfplane images z(w) = ``disk_to_halfplane(grid)``;
+        its ``f_samples`` are F(w), so d(z) is not solved again.  A set
+        taken at other points is refused.
         """
-        return self._theta_tables(as_points(grid, self.num_vars), range(self.num_vars),
-                                  f_values, solve)
+        pts = as_points(grid, self.num_vars)
+        if samples is None:
+            samples = self.kernels.phi_table(disk_to_halfplane(pts))
+        elif not np.array_equal(samples.grid, disk_to_halfplane(pts)):
+            raise ValidationError("kernel samples were not taken at the halfplane images of the grid")
+        return self._theta_tables(pts, samples)
 
     def theta_kernel(self, k: int, w, omega) -> np.ndarray:
         tw = np.atleast_3d(self.theta(k, w))
@@ -233,9 +236,10 @@ class DiskKernelEvaluator:
         minus: F(w) - F(o)* = sum_k (w_k - conj(o_k)) Xi_k(w, o)
         """
         pts = as_points(grid, self.num_vars)
-        xis = np.concatenate(self._xi_tables(pts, range(self.num_vars)), axis=1)
+        samples = self.kernels.phi_table(disk_to_halfplane(pts))
+        xis = np.concatenate(self._xi_tables(pts, samples), axis=1)
         ws = np.repeat(pts, self.kernels.factor_ranks, axis=1)[:, :, None]
-        fv = self.view.eval_F(pts)
+        fv = samples.f_samples
         eye = np.broadcast_to(np.eye(fv.shape[-1], dtype=complex), fv.shape)
         # the Hermitian and skew parts of this family carry the weights
         # 1 - conj(o) w and w - conj(o) (see hermitian_split_residuals)
@@ -250,9 +254,9 @@ class DiskKernelEvaluator:
         minus: S(w) - S(o)*   = sum_k (w_k - conj(o_k)) Theta_k(w, o)
         """
         pts = as_points(grid, self.num_vars)
-        fv = self.view.eval_F(pts)
-        thetas = np.concatenate(self.theta_table(pts, fv), axis=1)
-        sv = value_cayley(fv, self.pol)
+        samples = self.kernels.phi_table(disk_to_halfplane(pts))
+        thetas = np.concatenate(self._theta_tables(pts, samples), axis=1)
+        sv = value_cayley(samples.f_samples, self.pol)
         weights = np.repeat(pts, self.kernels.factor_ranks, axis=1)
         return transfer_identity_residuals(weights, thetas, thetas, sv,
                                            1.0 + np.linalg.norm(sv, axis=(1, 2)))

@@ -44,9 +44,9 @@ from .geometry import (
     four_quadrant_check,
     is_iota_real_function,
 )
-from .kernels import kernel_identity_residual, pencil_from_kernel_samples, sample_kernels
+from .kernels import pencil_from_kernel_samples, sample_kernels
 from .netlist import network_pencil, parse_netlist
-from .pencil import RealizedFunction, compress_realization, eval_schur, schur_solve
+from .pencil import RealizedFunction, compress_realization, eval_schur
 from .sampling import disk_grid, halfplane_grid, random_accretive_tuple, random_pencil
 
 __all__ = ["main", "run_verification", "VerificationReport"]
@@ -153,11 +153,15 @@ def run_verification(f: RealizedFunction, seed: int = 0, grid_size: int = 25,
     report.add_residual("pencil-coefficients-psd", psd_worst, pol.psd_slack)
 
     # The halfplane grid is the Cayley image of the disk grid, so one d(z)
-    # solve on zs gives f there, F on ws (F(w) = f(z(w))) and psi for the
-    # kernel identity and the theta tables.
+    # solve on zs gives f there, F on ws (F(w) = f(z(w))) and the phi
+    # tables for the kernel identity and the theta tables.
     ws = disk_grid(f.num_vars, grid_size, seed)
     zs = disk_to_halfplane(ws)
-    vals, dinv_c = schur_solve(f, zs, pol)
+    if disk_error is None:
+        samples = disk.kernels.phi_table(zs)
+        vals = samples.f_samples
+    else:
+        vals = f(zs, pol)
     scales = 1.0 + np.linalg.norm(vals, axis=(1, 2))
 
     def homogeneity():
@@ -176,8 +180,7 @@ def run_verification(f: RealizedFunction, seed: int = 0, grid_size: int = 25,
     def kernel_identity():
         if disk_error is not None:
             raise disk_error
-        return kernel_identity_residual(f, zs, pol, evaluator=disk.kernels, f_values=vals,
-                                        solve=dinv_c)
+        return samples.identity_residual()
 
     residual("kernel-identity", pol.residual_tol, kernel_identity)
     margin("four-quadrant-conditions", 1.0,
@@ -200,7 +203,9 @@ def run_verification(f: RealizedFunction, seed: int = 0, grid_size: int = 25,
     try:
         if disk_error is not None:
             raise disk_error
-        syn = build_colligation(ws, disk.theta_table(ws, vals, dinv_c), value_cayley(vals, pol), pol)
+        thetas = disk.theta_table(ws, samples)
+        del samples  # the phi tables are dead here; keep them out of the synthesis' peak memory
+        syn = build_colligation(ws, thetas, value_cayley(vals, pol), pol)
         coll = syn.colligation
     except PosrealError as exc:
         for name in ("colligation-unitarity", "colligation-selfadjointness",
@@ -396,9 +401,10 @@ def _cmd_colligate(args) -> int:
     f = _load_pencil(args.pencil, pol)
     ws = disk_grid(f.num_vars, args.grid, args.seed)
     disk = DiskKernelEvaluator(f, pol)
-    # one d(z) solve at z(w) gives F(w) = f(z(w)) and psi for the theta tables
-    fvals, dinv_c = schur_solve(f, disk_to_halfplane(ws), pol)
-    syn = build_colligation(ws, disk.theta_table(ws, fvals, dinv_c), value_cayley(fvals, pol), pol)
+    # one d(z) solve at z(w) gives F(w) = f(z(w)) and the phi tables behind theta
+    samples = disk.kernels.phi_table(disk_to_halfplane(ws))
+    syn = build_colligation(ws, disk.theta_table(ws, samples), value_cayley(samples.f_samples, pol),
+                            pol)
     coll = syn.colligation
     plus, minus = agler_identity_residual(coll, ws, pol)
     print(f"state dims: {list(coll.dims)}  io dim: {coll.n}")
@@ -460,9 +466,12 @@ def _load_candidate(spec: str):
     if not (sep and module_name and attr) or module_name.startswith("."):
         raise ValidationError(f"--candidate {spec!r} is not of the form module:attr")
     try:
-        return getattr(importlib.import_module(module_name), attr)
+        candidate = getattr(importlib.import_module(module_name), attr)
     except (ImportError, AttributeError) as exc:
         raise ValidationError(f"cannot load --candidate {spec!r}: {exc}") from exc
+    if not callable(candidate):
+        raise ValidationError(f"--candidate {spec!r} is not callable")
+    return candidate
 
 
 def _cmd_hunt(args) -> int:
@@ -546,20 +555,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernels", help="sample factored kernels, or rebuild a pencil from samples")
     p.add_argument("--pencil", default=None, help="pencil JSON file (for sampling)")
     p.add_argument("--rebuild", default=None, help="kernel sample JSON to rebuild from")
-    p.add_argument("--grid", type=_positive_int, default=25)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--out", default=None)
+    common(p, pencil=False)
     p.set_defaults(func=_cmd_kernels)
 
     p = sub.add_parser("colligate",
                        help="synthesize a selfadjoint unitary colligation, or check one")
     p.add_argument("--pencil", default=None, help="pencil JSON file (for synthesis)")
     p.add_argument("--colligation", default=None, help="existing colligation JSON to check")
-    p.add_argument("--grid", type=_positive_int, default=25)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--out", default=None)
+    common(p, pencil=False)
     p.set_defaults(func=_cmd_colligate)
 
     p = sub.add_parser("calculus", help="functional-calculus cross-checks on random tuples")

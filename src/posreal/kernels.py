@@ -7,6 +7,11 @@ their Gram factors analytically from a pencil, verifies the defining
 identities on grids, certifies and factors sampled kernels, and rebuilds
 a pencil from kernel samples through the embedding of the sampled factor
 spans.
+
+f and psi share the solve d(z)^{-1} c(z), so sampling a grid is one
+``pencil.schur_solve``: ``KernelEvaluator.phi_table`` returns f and every
+phi_k on the grid as one ``KernelSampleSet``, and each grid residual here
+reads that set.
 """
 
 from __future__ import annotations
@@ -50,25 +55,22 @@ __all__ = [
 ]
 
 
-def psi(f: RealizedFunction, z, pol: TolerancePolicy = DEFAULT_POLICY, solve=None) -> np.ndarray:
-    """The (n+p) x n column [I ; -d(z)^{-1} c(z)]; batched over points.
-
-    ``solve`` is d(z)^{-1} c(z) on the same points, the second part of
-    ``schur_solve``, when the caller already has it; d(z) is then not
-    solved again.
-    """
-    if not f.compressed:
-        raise ValidationError("kernel evaluation needs a compressed realization")
-    pts = as_points(z, f.num_vars)
+def _f_and_psi(f: RealizedFunction, pts: np.ndarray,
+               pol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
+    """f and [I ; -X] at a batch of points, from the one solve X = d(z)^{-1} c(z)."""
+    vals, solve = schur_solve(f, pts, pol)
     n, p = f.dim_u, f.dim_h
-    if solve is None:
-        solve = schur_solve(f, pts, pol)[1]
-    elif np.shape(solve) != (len(pts), p, n):
-        raise ShapeError(f"expected d(z)^-1 c(z) of shape {(len(pts), p, n)}, "
-                         f"got {np.shape(solve)}")
     out = np.zeros((len(pts), n + p, n), dtype=complex)
     out[:, :n, :n] = np.eye(n)
     out[:, n:, :] = -solve
+    return vals, out
+
+
+def psi(f: RealizedFunction, z, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
+    """The (n+p) x n column [I ; -d(z)^{-1} c(z)]; batched over points."""
+    if not f.compressed:
+        raise ValidationError("kernel evaluation needs a compressed realization")
+    out = _f_and_psi(f, as_points(z, f.num_vars), pol)[1]
     return out[0] if np.asarray(z).ndim == 1 else out
 
 
@@ -91,8 +93,8 @@ class KernelEvaluator:
     def factor_ranks(self) -> tuple[int, ...]:
         return tuple(s.shape[0] for s in self.factors)
 
-    def psi(self, z, solve=None) -> np.ndarray:
-        return psi(self.f, z, self.pol, solve)
+    def psi(self, z) -> np.ndarray:
+        return psi(self.f, z, self.pol)
 
     def phi_factor(self, k: int, z) -> np.ndarray:
         """phi_k(z), an m_k x n matrix; batched over points."""
@@ -105,14 +107,15 @@ class KernelEvaluator:
         fzeta = self.phi_factor(k, zeta)
         return np.swapaxes(fzeta, -1, -2).conj() @ fz
 
-    def phi_table(self, grid, solve=None) -> list[np.ndarray]:
-        """phi_k at every grid point, as one (g, m_k, n) array per k.
+    def phi_table(self, grid) -> KernelSampleSet:
+        """f and every phi_k on a grid, from one d(z) solve.
 
-        ``solve`` is passed to ``psi``.
+        ``factors[k]`` of the result is the (g, m_k, n) table of phi_k and
+        ``f_samples`` holds f; one ``schur_solve`` gives f and psi.
         """
         pts = as_points(grid, self.f.num_vars)
-        ps = self.psi(pts, solve)
-        return [s @ ps for s in self.factors]
+        vals, ps = _f_and_psi(self.f, pts, self.pol)
+        return KernelSampleSet(pts, tuple(s @ ps for s in self.factors), vals)
 
 
 def phi(f: RealizedFunction, k: int, z, zeta, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
@@ -127,46 +130,27 @@ def _stacked_factors(pts, tables) -> tuple[np.ndarray, np.ndarray]:
     return phis, weights[:, :, None] * phis
 
 
-def _identity_families(pts, tables, fvals):
+def _identity_families(ks: KernelSampleSet):
     """x = [phi; I], y = [z.phi; -f] and the scale 1 + ||f(b)|| of the kernel identity.
 
     x(c)* y(b) = sum_k z_k(b) phi_k(c)* phi_k(b) - f(b) vanishes on every
     pair of grid points exactly when the identity holds.
     """
-    phis, zphis = _stacked_factors(pts, tables)
+    phis, zphis = _stacked_factors(ks.grid, ks.factors)
+    fvals = ks.f_samples
     eye = np.broadcast_to(np.eye(fvals.shape[-1], dtype=complex), fvals.shape)
     return (np.concatenate([phis, eye], axis=1), np.concatenate([zphis, -fvals], axis=1),
             1.0 + np.linalg.norm(fvals, axis=(1, 2)))
 
 
-def _identity_residual(pts, tables, fvals) -> float:
-    """Max over (b, c) of ||sum_k z_k(b) phi_k(c)* phi_k(b) - f(b)|| / (1 + ||f(b)||)."""
-    return cross_gram_residual(*_identity_families(pts, tables, fvals))
-
-
 def kernel_identity_residual(f: RealizedFunction, grid,
-                             pol: TolerancePolicy = DEFAULT_POLICY,
-                             evaluator: KernelEvaluator | None = None,
-                             f_values=None, solve=None) -> float:
-    """Max over grid x grid of ||f(z) - sum_k z_k Phi_k(z, zeta)|| / (1+||f(z)||).
-
-    ``f_values`` is f on the same grid when the caller already has it;
-    f is then not evaluated again.  ``solve`` is d(z)^{-1} c(z) on the
-    grid, passed to ``psi``; ``schur_solve`` gives both at once.
-    """
-    ev = evaluator or KernelEvaluator(f, pol)
-    pts = as_points(grid, f.num_vars)
-    if f_values is None:
-        f_values = f(pts, pol)
-    elif np.shape(f_values) != (len(pts), f.dim_u, f.dim_u):
-        raise ShapeError(f"expected f values of shape {(len(pts),) + (f.dim_u,) * 2}, "
-                         f"got {np.shape(f_values)}")
-    return _identity_residual(pts, ev.phi_table(pts, solve), f_values)
+                             pol: TolerancePolicy = DEFAULT_POLICY) -> float:
+    """Max over grid x grid of ||f(z) - sum_k z_k Phi_k(z, zeta)|| / (1+||f(z)||)."""
+    return cross_gram_residual(*_identity_families(KernelEvaluator(f, pol).phi_table(grid)))
 
 
 def plus_minus_residuals(f: RealizedFunction, grid,
-                         pol: TolerancePolicy = DEFAULT_POLICY,
-                         evaluator: KernelEvaluator | None = None) -> tuple[float, float]:
+                         pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[float, float]:
     """Residuals of the two-point sum and difference identities.
 
     The plus identity expands f(z) + f(zeta)* over the kernels with
@@ -174,9 +158,7 @@ def plus_minus_residuals(f: RealizedFunction, grid,
     Together they are equivalent to the defining identity, and they are
     the Hermitian and skew-Hermitian parts of its two-point residual.
     """
-    ev = evaluator or KernelEvaluator(f, pol)
-    pts = as_points(grid, f.num_vars)
-    return hermitian_split_residuals(*_identity_families(pts, ev.phi_table(pts), f(pts, pol)))
+    return hermitian_split_residuals(*_identity_families(KernelEvaluator(f, pol).phi_table(grid)))
 
 
 def block_gram(samples) -> np.ndarray:
@@ -284,14 +266,12 @@ class KernelSampleSet:
 
     def identity_residual(self) -> float:
         """Residual of f(z) = sum_k z_k phi_k(zeta)* phi_k(z) over grid x grid."""
-        return _identity_residual(self.grid, self.factors, self.f_samples)
+        return cross_gram_residual(*_identity_families(self))
 
 
 def sample_kernels(f: RealizedFunction, grid, pol: TolerancePolicy = DEFAULT_POLICY) -> KernelSampleSet:
     """Sample factored kernels and function values of a realization."""
-    ev = KernelEvaluator(f, pol)
-    pts = as_points(grid, f.num_vars)
-    return KernelSampleSet(pts, tuple(ev.phi_table(pts)), f(pts, pol))
+    return KernelEvaluator(f, pol).phi_table(grid)
 
 
 def pencil_from_kernel_samples(ks: KernelSampleSet,

@@ -282,8 +282,9 @@ def schur_solve(f: RealizedFunction, z,
     """f(z) (B, n, n) and d(z)^{-1} c(z) (B, p, n) on a batch of points, from one d(z) solve.
 
     The one implementation of the d(z) solve: ``eval_schur`` returns the
-    first part and ``kernels.psi`` builds [I ; -d(z)^{-1} c(z)] from the
-    second, so a caller that needs both solves d(z) once.
+    first part, and ``kernels.KernelEvaluator.phi_table`` builds the
+    kernel columns [I ; -d(z)^{-1} c(z)] from the second with f from the
+    first, so sampling f and its kernels on a grid solves d(z) once.
 
     d(z) is inverted by LU with partial pivoting; evaluation is refused
     (never regularized) when the condition of d(z) exceeds 1/psd_slack,
@@ -364,26 +365,25 @@ def ldu_factor_residual(f: RealizedFunction, z, pol: TolerancePolicy = DEFAULT_P
     """Residual of the block LDU identity behind the long resolvent form.
 
     Assembling [[I, -b d^{-1}], [0, I]] A(z) [[I, 0], [-d^{-1} c, I]]
-    must reproduce diag(f(z), d(z)).
+    must reproduce diag(f(z), d(z)).  f(z) and d^{-1} c come from
+    ``schur_solve``, so the realization must be compressed.
     """
     pts = as_points(z, f.num_vars)
     n, p = f.dim_u, f.dim_h
     if p == 0:
         return 0.0
-    a, b, c, d = _blocks_at(f, pts)
+    fz, dinv_c = schur_solve(f, pts, pol)
     az = np.tensordot(pts, f.pencil.stacked(), axes=(1, 0))
-    _refuse_ill_conditioned(d, pol, "d(z)", bound=d_condition_bound(f, pts))
-    dinv_c = np.linalg.solve(d, c)
+    b, d = az[:, :n, n:], az[:, n:, n:]
     b_dinv = np.linalg.solve(d.conj().transpose(0, 2, 1), b.conj().transpose(0, 2, 1))
     b_dinv = b_dinv.conj().transpose(0, 2, 1)
-    eye = np.broadcast_to(np.eye(n + p, dtype=complex), az.shape).copy()
-    left = eye.copy()
+    left = np.broadcast_to(np.eye(n + p, dtype=complex), az.shape).copy()
+    right = left.copy()
     left[:, :n, n:] = -b_dinv
-    right = eye.copy()
     right[:, n:, :n] = -dinv_c
     formed = left @ az @ right
     target = np.zeros_like(az)
-    target[:, :n, :n] = a - b @ dinv_c
+    target[:, :n, :n] = fz
     target[:, n:, n:] = d
     num = np.linalg.norm(formed - target, axis=(1, 2))
     den = 1.0 + np.linalg.norm(target, axis=(1, 2))

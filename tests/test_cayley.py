@@ -13,9 +13,44 @@ from posreal.cayley import (
     inv_value_cayley,
     value_cayley,
 )
-from posreal.core import NumericalRefusalError, ShapeError, ValidationError
+from posreal.core import NumericalRefusalError, ValidationError
+from posreal.kernels import kernel_identity_residual, plus_minus_residuals, sample_kernels
 from posreal.pencil import diagonal_realization, eval_schur, realize
 from posreal.sampling import disk_grid, random_pencil
+
+
+def _spy_d_solves(monkeypatch, f, zs):
+    """A list that gets one entry per np.linalg.solve call, True when it solves d(zs)."""
+    n = f.dim_u
+    d_zs = np.tensordot(zs, f.pencil.stacked(), axes=(1, 0))[:, n:, n:]
+    solves = []
+    real = np.linalg.solve
+
+    def spy(a, b):
+        solves.append(np.shape(a) == d_zs.shape and np.array_equal(a, d_zs))
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    return solves
+
+
+@pytest.mark.parametrize("call", [
+    lambda f, ws, zs: sample_kernels(f, zs),
+    lambda f, ws, zs: kernel_identity_residual(f, zs),
+    lambda f, ws, zs: plus_minus_residuals(f, zs),
+    lambda f, ws, zs: DiskKernelEvaluator(f).theta_table(ws),
+    lambda f, ws, zs: DiskKernelEvaluator(f).herglotz_identity_residuals(ws),
+    lambda f, ws, zs: DiskKernelEvaluator(f).schur_identity_residuals(ws),
+], ids=["sample_kernels", "kernel_identity_residual", "plus_minus_residuals", "theta_table",
+        "herglotz_identity_residuals", "schur_identity_residuals"])
+def test_d_on_the_grid_is_solved_once(monkeypatch, call):
+    # f and the phi tables come from one KernelSampleSet, so one d(z) solve
+    f = random_pencil(np.random.default_rng(4), 3, 2, 4)
+    ws = disk_grid(f.num_vars, 12, seed=1)
+    zs = disk_to_halfplane(ws)
+    solves = _spy_d_solves(monkeypatch, f, zs)
+    call(f, ws, zs)
+    assert sum(solves) == 1
 
 
 class TestVariableCayley:
@@ -166,21 +201,19 @@ class TestKernelTransforms:
             assert np.allclose(table[k], expect, rtol=1e-13, atol=1e-13)
             assert np.allclose(dk.theta(k, ws[3]), table[k][3], rtol=1e-13, atol=1e-13)
 
-    def test_theta_table_reuses_given_f_values(self, rng, monkeypatch):
+    def test_theta_table_reads_given_samples(self, rng, monkeypatch):
         f = random_pencil(rng, 3, 2, 4)
         dk = DiskKernelEvaluator(f)
         ws = disk_grid(3, 12, seed=8)
-        fv = dk.view.eval_F(ws)
         table = dk.theta_table(ws)
-
-        def second_evaluation(w):
-            raise AssertionError("F evaluated again")
-
-        monkeypatch.setattr(dk.view, "eval_F", second_evaluation)
-        for got, expect in zip(dk.theta_table(ws, fv), table):
+        samples = dk.kernels.phi_table(disk_to_halfplane(ws))
+        solves = _spy_d_solves(monkeypatch, f, disk_to_halfplane(ws))
+        for got, expect in zip(dk.theta_table(ws, samples), table):
             assert np.array_equal(got, expect)
-        with pytest.raises(ShapeError, match="F values of shape"):
-            dk.theta_table(ws, fv[1:])
+        assert sum(solves) == 0
+        other = dk.kernels.phi_table(disk_to_halfplane(disk_grid(3, 12, seed=9)))
+        with pytest.raises(ValidationError, match="halfplane images of the grid"):
+            dk.theta_table(ws, other)
 
     def test_theta_kernel_value_map_conjugation(self, rng):
         # Theta_k(w, o) must equal 2 (F(o)* + I)^{-1} Xi_k(w, o) (F(w) + I)^{-1}

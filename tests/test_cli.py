@@ -329,6 +329,7 @@ class TestHunt:
         ("nosuchmod:f", "cannot load --candidate 'nosuchmod:f'"),
         ("posreal", "is not of the form module:attr"),
         ("posreal:no_such_attribute", "cannot load --candidate 'posreal:no_such_attribute'"),
+        ("numpy:pi", "not callable"),
     ])
     def test_malformed_candidate_is_input_error(self, monkeypatch, capsys, spec, message):
         def refuse(config, candidates, pol):
@@ -337,6 +338,13 @@ class TestHunt:
         monkeypatch.setattr("posreal.cli.hunt", refuse)
         assert main(["hunt", "--trials", "1", "--candidates", "0", "--candidate", spec]) == 2
         assert message in capsys.readouterr().err
+
+    def test_candidate_of_wrong_value_shape_is_input_error(self, capsys):
+        # numpy.conj returns the (B, N) points, not one matrix per point
+        code = main(["hunt", "--trials", "1", "--degree", "2", "--num-vars", "2",
+                     "--candidates", "0", "--candidate", "numpy:conj"])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_records_are_compact_lines(self, monkeypatch, tmp_path, capsys):
         record = {"trial": 0, "candidate": "pencil-control-0", "tuple": [[[[0.5, -0.0]]]],

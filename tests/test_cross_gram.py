@@ -96,7 +96,7 @@ def _library_and_dense(identity, f, g):
     zs = sampling.halfplane_grid(f.num_vars, g, 3)
     ws = sampling.disk_grid(f.num_vars, g, 3)
     if identity in ("kernel", "sample-set", "plus-minus"):
-        tables = KernelEvaluator(f).phi_table(zs)
+        tables = KernelEvaluator(f).phi_table(zs).factors
         fvals = f(zs)
         if identity == "kernel":
             return kernel_identity_residual(f, zs), dense_kernel(zs, tables, fvals)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from posreal import realize
-from posreal.core import DEFAULT_POLICY, ShapeError, ValidationError
+from posreal.core import DEFAULT_POLICY, ValidationError
 from posreal.kernels import (
     KernelEvaluator,
     KernelSampleSet,
@@ -16,7 +16,7 @@ from posreal.kernels import (
     psi,
     sample_kernels,
 )
-from posreal.pencil import diagonal_realization, eval_schur, schur_solve
+from posreal.pencil import diagonal_realization, eval_schur
 from posreal.sampling import halfplane_grid, random_pencil, random_psd
 
 
@@ -49,6 +49,18 @@ class TestPhi:
         assert np.allclose(phi(f, 0, za, zb), e1)
         assert np.allclose(phi(f, 0, zb, za), e1)
 
+    @pytest.mark.parametrize("shape", [(3, 2, 4), (2, 1, 0)])
+    def test_phi_table_is_factors_times_psi_and_f(self, shape):
+        f = random_pencil(np.random.default_rng(6), *shape)
+        ev = KernelEvaluator(f)
+        grid = halfplane_grid(f.num_vars, 10, seed=2)
+        ks = ev.phi_table(grid)
+        assert isinstance(ks, KernelSampleSet)
+        ps = ev.psi(grid)
+        for k in range(f.num_vars):
+            assert np.array_equal(ks.factors[k], ev.factors[k] @ ps)
+        assert np.array_equal(ks.f_samples, f(grid))
+
 
 class TestIdentityResiduals:
     def test_valid_pencil_small(self, parallel):
@@ -75,36 +87,6 @@ class TestIdentityResiduals:
                 lhs = sum(z[k] * phis[k] for k in range(2))
                 worst = max(worst, np.linalg.norm(lhs - fz) / (1 + np.linalg.norm(fz)))
         assert worst >= 0.05
-
-    def test_identity_reuses_given_f_values(self, rng, monkeypatch):
-        f = random_pencil(rng, 3, 2, 4)
-        grid = halfplane_grid(3, 8, seed=5)
-        fv = f(grid)
-        expect = kernel_identity_residual(f, grid)
-
-        def second_evaluation(self, z, pol=DEFAULT_POLICY):
-            raise AssertionError("f evaluated again")
-
-        monkeypatch.setattr(type(f), "__call__", second_evaluation)
-        assert kernel_identity_residual(f, grid, f_values=fv) == expect
-        with pytest.raises(ShapeError, match="f values of shape"):
-            kernel_identity_residual(f, grid, f_values=fv[1:])
-
-    def test_identity_reuses_given_solve(self, rng, monkeypatch):
-        import posreal.kernels as kernels_module
-
-        f = random_pencil(rng, 3, 2, 4)
-        grid = halfplane_grid(3, 8, seed=5)
-        fv, sol = schur_solve(f, grid)
-        expect = kernel_identity_residual(f, grid)
-
-        def second_solve(*args, **kwargs):
-            raise AssertionError("d(z) solved again")
-
-        monkeypatch.setattr(kernels_module, "schur_solve", second_solve)
-        assert kernel_identity_residual(f, grid, f_values=fv, solve=sol) == expect
-        with pytest.raises(ShapeError, match=r"d\(z\)\^-1 c\(z\) of shape"):
-            kernel_identity_residual(f, grid, f_values=fv, solve=sol[:, 1:])
 
     def test_plus_minus_valid(self, parallel, rng):
         grid = halfplane_grid(2, 8, seed=3)

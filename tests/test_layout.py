@@ -4,6 +4,9 @@ Private helpers (names with a leading underscore) are not imported
 across modules: a helper that another module needs becomes public.  The
 one exception is the conditioning guard ``_refuse_ill_conditioned``,
 whose home the benchmark tracer pins until the guard moves to ``core``.
+
+Every name a module lists in ``__all__`` is bound at its top level, so
+deleting a function or class also means deleting its export.
 """
 
 import ast
@@ -31,6 +34,23 @@ def private_imports(source: str) -> list[tuple[int, str, str]]:
     return found
 
 
+def unbound_exports(source: str) -> list[str]:
+    """Names in ``__all__`` that no top-level def, class, assignment or import binds."""
+    exported, bound = [], set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            bound |= names
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    return [name for name in exported if name not in bound]
+
+
 def test_package_modules_found():
     assert len(MODULES) > 10
 
@@ -38,6 +58,22 @@ def test_package_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_cross_module_imports(path):
     assert private_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_export_is_bound(path):
+    assert unbound_exports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("source, missing", [
+    ("__all__ = ['f', 'C', 'X', 'np']\nimport numpy as np\ndef f(): pass\nclass C: pass\nX = 1\n", []),
+    ("__all__ = ['f', 'gone']\ndef f(): pass\n", ["gone"]),
+    ("__all__ = ['helper']\ndef outer():\n    def helper(): pass\n", ["helper"]),
+    ("from .pencil import schur_solve as solve\n__all__: list = ['solve', 'schur_solve']\n",
+     ["schur_solve"]),
+])
+def test_rule_detects_unbound_exports(source, missing):
+    assert unbound_exports(source) == missing
 
 
 @pytest.mark.parametrize("source, hits", [
