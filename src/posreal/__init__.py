@@ -55,10 +55,8 @@ from .kernels import (
 from .cayley import (
     DiskFunctionView,
     DiskKernelEvaluator,
-    cayley_matrix,
     disk_to_halfplane,
     halfplane_to_disk,
-    inv_cayley_matrix,
     inv_double_cayley,
     inv_value_cayley,
     value_cayley,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cayley import DiskFunctionView, cayley_matrix, inv_cayley_matrix
+from .cayley import DiskFunctionView, inv_value_cayley, value_cayley
 from .core import (
     DEFAULT_POLICY,
     NumericalRefusalError,
@@ -132,14 +132,14 @@ def operator_cayley(t: CommutingTuple, pol: TolerancePolicy = DEFAULT_POLICY) ->
     """R_k = (I + T_k)(I - T_k)^{-1}: strict contractions to strictly accretive."""
     if t.kind != "contraction":
         raise ValidationError("operator Cayley transform needs a strict contraction tuple")
-    return make_tuple([cayley_matrix(m) for m in t.mats], pol, require="accretive")
+    return make_tuple(inv_value_cayley(np.stack(t.mats), pol), pol, require="accretive")
 
 
 def inverse_operator_cayley(r: CommutingTuple, pol: TolerancePolicy = DEFAULT_POLICY) -> CommutingTuple:
     """T_k = (R_k - I)(R_k + I)^{-1}: strictly accretive to strict contractions."""
     if r.kind != "accretive":
         raise ValidationError("inverse operator Cayley transform needs a strictly accretive tuple")
-    return make_tuple([inv_cayley_matrix(m) for m in r.mats], pol, require="contraction")
+    return make_tuple(value_cayley(np.stack(r.mats), pol), pol, require="contraction")
 
 
 # ---------------------------------------------------------------------------

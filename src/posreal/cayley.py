@@ -4,9 +4,8 @@ Four related maps live here: the per-coordinate variable Cayley map
 between the open right half-plane and the unit disk, the value map
 F -> (F - I)(F + I)^{-1} on operator values, their composition (the
 double Cayley transform of a realized function), and the induced
-transforms of the kernel factors.  The operator Cayley map on matrix
-tuples is exposed at matrix level; tuple wrappers live in the calculus
-module.
+transforms of the kernel factors.  The operator Cayley maps of the
+calculus module are the value maps applied to a stacked tuple.
 """
 
 from __future__ import annotations
@@ -18,20 +17,16 @@ from .core import (
     ShapeError,
     TolerancePolicy,
     ValidationError,
-    as_matrix,
     as_points,
-    hermitian_split_residuals,
 )
 from .colligation import transfer_identity_residuals
-from .kernels import KernelEvaluator, KernelSampleSet
+from .kernels import KernelEvaluator, KernelSampleSet, plus_minus_residuals
 from .pencil import RealizedFunction, _refuse_ill_conditioned
 
 __all__ = [
     "BOUNDARY_GUARD",
     "disk_to_halfplane",
     "halfplane_to_disk",
-    "cayley_matrix",
-    "inv_cayley_matrix",
     "value_cayley",
     "inv_value_cayley",
     "DiskFunctionView",
@@ -59,20 +54,6 @@ def halfplane_to_disk(z) -> np.ndarray:
     if np.any(z.real <= BOUNDARY_GUARD):
         raise ValidationError("halfplane point too close to the imaginary axis")
     return (z - 1.0) / (z + 1.0)
-
-
-def cayley_matrix(t) -> np.ndarray:
-    """(I + T)(I - T)^{-1} for a single matrix."""
-    t = as_matrix(t, square=True)
-    eye = np.eye(t.shape[0], dtype=complex)
-    return np.linalg.solve((eye - t).T, (eye + t).T).T
-
-
-def inv_cayley_matrix(r) -> np.ndarray:
-    """(R - I)(R + I)^{-1}, inverse of ``cayley_matrix``."""
-    r = as_matrix(r, square=True)
-    eye = np.eye(r.shape[0], dtype=complex)
-    return np.linalg.solve((r + eye).T, (r - eye).T).T
 
 
 def value_cayley(values, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
@@ -234,18 +215,14 @@ class DiskKernelEvaluator:
 
         plus:  F(w) + F(o)* = sum_k (1 - conj(o_k) w_k) Xi_k(w, o)
         minus: F(w) - F(o)* = sum_k (w_k - conj(o_k)) Xi_k(w, o)
+
+        This is the halfplane pair of ``kernels.plus_minus_residuals`` at
+        z = z(w), zeta = z(o): (1 - w_k) xi_k(w) = sqrt(2) phi_k(z) and
+        (1 + w_k) xi_k(w) / 2 = z_k phi_k(z) / sqrt(2) give the same
+        cross-Gram, and 1 + ||F(w)|| = 1 + ||f(z)|| the same scale.
         """
         pts = as_points(grid, self.num_vars)
-        samples = self.kernels.phi_table(disk_to_halfplane(pts))
-        xis = np.concatenate(self._xi_tables(pts, samples), axis=1)
-        ws = np.repeat(pts, self.kernels.factor_ranks, axis=1)[:, :, None]
-        fv = samples.f_samples
-        eye = np.broadcast_to(np.eye(fv.shape[-1], dtype=complex), fv.shape)
-        # the Hermitian and skew parts of this family carry the weights
-        # 1 - conj(o) w and w - conj(o) (see hermitian_split_residuals)
-        return hermitian_split_residuals(np.concatenate([(1.0 - ws) * xis, eye], axis=1),
-                                         np.concatenate([(1.0 + ws) / 2.0 * xis, -fv], axis=1),
-                                         1.0 + np.linalg.norm(fv, axis=(1, 2)))
+        return plus_minus_residuals(self.f, disk_to_halfplane(pts), self.pol)
 
     def schur_identity_residuals(self, grid) -> tuple[float, float]:
         """Residuals of the disk-side identities for the double Cayley transform.
@@ -258,5 +235,5 @@ class DiskKernelEvaluator:
         thetas = np.concatenate(self._theta_tables(pts, samples), axis=1)
         sv = value_cayley(samples.f_samples, self.pol)
         weights = np.repeat(pts, self.kernels.factor_ranks, axis=1)
-        return transfer_identity_residuals(weights, thetas, thetas, sv,
+        return transfer_identity_residuals(weights, thetas, sv,
                                            1.0 + np.linalg.norm(sv, axis=(1, 2)))

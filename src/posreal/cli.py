@@ -364,8 +364,6 @@ def _cmd_kernels(args) -> int:
         print(f"rebuilt pencil: N={rebuilt.num_vars} n={rebuilt.dim_u} p={rebuilt.dim_h}")
         _write_or_print(serialize.pencil_to_json(rebuilt), args.out)
         return 0
-    if not args.pencil:
-        raise ValidationError("either --pencil or --rebuild is required")
     f = _load_pencil(args.pencil, pol)
     grid = halfplane_grid(f.num_vars, args.grid, args.seed)
     ks = sample_kernels(f, grid, pol)
@@ -396,8 +394,6 @@ def _cmd_colligate(args) -> int:
             verdict = verdict and max(plus, minus) <= pol.residual_tol
         print(f"verdict: {'pass' if verdict else 'FAIL'}")
         return 0 if verdict else 1
-    if not args.pencil:
-        raise ValidationError("either --pencil or --colligation is required")
     f = _load_pencil(args.pencil, pol)
     ws = disk_grid(f.num_vars, args.grid, args.seed)
     disk = DiskKernelEvaluator(f, pol)
@@ -553,15 +549,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cayley)
 
     p = sub.add_parser("kernels", help="sample factored kernels, or rebuild a pencil from samples")
-    p.add_argument("--pencil", default=None, help="pencil JSON file (for sampling)")
-    p.add_argument("--rebuild", default=None, help="kernel sample JSON to rebuild from")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--pencil", default=None, help="pencil JSON file (for sampling)")
+    mode.add_argument("--rebuild", default=None, help="kernel sample JSON to rebuild from")
     common(p, pencil=False)
     p.set_defaults(func=_cmd_kernels)
 
     p = sub.add_parser("colligate",
                        help="synthesize a selfadjoint unitary colligation, or check one")
-    p.add_argument("--pencil", default=None, help="pencil JSON file (for synthesis)")
-    p.add_argument("--colligation", default=None, help="existing colligation JSON to check")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--pencil", default=None, help="pencil JSON file (for synthesis)")
+    mode.add_argument("--colligation", default=None, help="existing colligation JSON to check")
     common(p, pencil=False)
     p.set_defaults(func=_cmd_colligate)
 

@@ -33,8 +33,8 @@ from .core import (
     ValidationError,
     as_matrix,
     as_points,
-    cross_gram_residual,
     hermitian_part,
+    hermitian_split_residuals,
     eigh_or_refuse,
     operator_norm,
 )
@@ -217,22 +217,14 @@ def _reflection_transfer(c: AglerColligation, pts: np.ndarray, pol: TolerancePol
     return np.eye(c.n) - 2.0 * (vu @ sol)
 
 
-def _state_solve(c: AglerColligation, pts: np.ndarray, pol: TolerancePolicy,
-                 adjoint: bool = False, bound=None) -> tuple[np.ndarray, np.ndarray]:
-    """P(w) as state weights (B, x) and (I - A P(w))^{-1} B (B, x, n), behind the guard.
-
-    With ``adjoint`` the system is I - A* P(w).  ``transfer_condition_bound``
-    certifies both, since ||A*|| = ||A||; ``bound`` passes it in when it is
-    already computed.
-    """
+def _state_solve(c: AglerColligation, pts: np.ndarray,
+                 pol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
+    """P(w) as state weights (B, x) and (I - A P(w))^{-1} B (B, x, n), behind the guard."""
     a, b, _, _ = c.blocks()
-    if adjoint:
-        a = a.conj().T
     x = c.dim_state
     pw = c.state_weights(pts)
     sys = np.broadcast_to(np.eye(x, dtype=complex), (len(pts), x, x)) - a[None] * pw[:, None, :]
-    _refuse_ill_conditioned(sys, pol, "I - A* P(w)" if adjoint else "I - A P(w)",
-                            bound=transfer_condition_bound(c, pts) if bound is None else bound)
+    _refuse_ill_conditioned(sys, pol, "I - A P(w)", bound=transfer_condition_bound(c, pts))
     return pw, np.linalg.solve(sys, np.broadcast_to(b, (len(pts),) + b.shape))
 
 
@@ -258,50 +250,56 @@ def transfer_condition_bound(c: AglerColligation, w) -> np.ndarray:
     return out
 
 
-def transfer_identity_residuals(weights, left, right, values, scale=None) -> tuple[float, float]:
+def _transfer_families(weights, factors, values) -> tuple[np.ndarray, np.ndarray]:
+    """P = (col_k((w_k + 1) h_k); I + S) and M = (col_k((w_k - 1) h_k); I - S), (g, m+n, n) each.
+
+    ``factors`` stacks the blocks h_k of the factor tables (g, m, n),
+    ``weights`` (g, m) repeats w_k over the rows of block k and ``values``
+    is S on the grid (g, n, n).
+    """
+    wts = weights[:, :, None]
+    eye = np.eye(values.shape[-1])
+    return (np.concatenate([(wts + 1.0) * factors, eye + values], axis=1),
+            np.concatenate([(wts - 1.0) * factors, eye - values], axis=1))
+
+
+def transfer_identity_residuals(weights, factors, values, scale=None) -> tuple[float, float]:
     """Residuals of the disk-side transfer identities over grid x grid.
 
-    plus:  I - S(o)* S(w) = sum_k (1 - conj(o_k) w_k) left_k(o)* right_k(w)
-    minus: S(w) - S(o)*   = sum_k (w_k - conj(o_k)) left_k(o)* right_k(w)
+    plus:  I - S(o)* S(w) = sum_k (1 - conj(o_k) w_k) h_k(o)* h_k(w)
+    minus: S(w) - S(o)*   = sum_k (w_k - conj(o_k)) h_k(o)* h_k(w)
 
-    ``left`` and ``right`` stack the blocks k of the factor tables (g, M, n),
-    ``weights`` (g, M) repeats w_k over the rows of block k, ``values`` is S
-    on the grid (g, n, n), and ``scale`` is passed to ``cross_gram_residual``.
+    Arguments are those of ``_transfer_families``; ``scale`` is passed to
+    ``hermitian_split_residuals``.  The pair is the Hermitian split of
+    E(o, w) = M(o)* P(w) / 2: the sum E(o, w) + E(w, o)* is
+    -sum_k (1 - conj(o_k) w_k) h_k(o)* h_k(w) + I - S(o)* S(w), and the
+    difference is -sum_k (w_k - conj(o_k)) h_k(o)* h_k(w) + S(w) - S(o)*.
     """
-    wl, wr = weights[:, :, None] * left, weights[:, :, None] * right
-    eye = np.broadcast_to(np.eye(values.shape[-1], dtype=complex), values.shape)
-    plus = cross_gram_residual(np.concatenate([left, -wl, eye, values], axis=1),
-                               np.concatenate([right, wr, -eye, values], axis=1), scale)
-    minus = cross_gram_residual(np.concatenate([left, -wl, eye, -values], axis=1),
-                                np.concatenate([wr, right, -values, -eye], axis=1), scale)
-    return plus, minus
+    p, m = _transfer_families(weights, factors, values)
+    return hermitian_split_residuals(m, p / 2.0, scale)
 
 
 def agler_identity_residual(c: AglerColligation, grid,
                             pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[float, float]:
     """Residuals of the two transfer-function identities over grid x grid.
 
-    plus:  I - S(o)* S(w) = sum_k (1 - conj(o_k) w_k) G_k(w, o)
-    minus: S(w) - S(o)*   = sum_k (w_k - conj(o_k)) G_k(w, o)
+    plus:  I - S(o)* S(w) = sum_k (1 - conj(o_k) w_k) h_k(o)* h_k(w)
+    minus: S(w) - S(o)*   = sum_k (w_k - conj(o_k)) h_k(o)* h_k(w)
 
-    Both hold exactly for selfadjoint unitary U; the residual grows with
-    any unitarity or selfadjointness defect.  S(w) is the value
-    ``transfer_eval`` gives; the factors come from state solves on U, so
-    for a colligation with a reflection factor the identities also check
-    V against the blocks of U.
+    with h(w) = (I - A P(w))^{-1} B from one state solve, h_k its block k.
+    For unitary U the plus identity holds: (h(w); S(w)) = U (P(w) h(w); I).
+    The minus identity holds when U is also selfadjoint, so the residual
+    grows with any unitarity or selfadjointness defect.  S(w) is the value
+    ``transfer_eval`` gives; the factors come from the state solve on U,
+    so for a colligation with a reflection factor the identities also
+    check V against the blocks of U.
     """
     if not c.selfadjoint:
         raise ValidationError("identity residuals are defined for selfadjoint colligations")
     pts = as_points(grid, c.num_vars)
-    # G_k(w, o) = B* (I - P(conj o) A)^{-1} P_k (I - A P(w))^{-1} B is block k of
-    # left(o)* right(w): B* (I - P(conj o) A)^{-1} = [(I - A* P(o))^{-1} B]*, since
-    # the adjoint of the diagonal P(conj o) is P(o).  Without a reflection factor
-    # the right solve also gives S(w).
-    bound = transfer_condition_bound(c, pts)
-    pw, right = _state_solve(c, pts, pol, bound=bound)
-    left = _state_solve(c, pts, pol, adjoint=True, bound=bound)[1]
-    values = _transfer_values(c, pts, pol, state=(pw, right))
-    return transfer_identity_residuals(pw, left, right, values)
+    # without a reflection factor the state solve also gives S(w)
+    pw, h = _state_solve(c, pts, pol)
+    return transfer_identity_residuals(pw, h, _transfer_values(c, pts, pol, state=(pw, h)))
 
 
 def spectrum_condition(c: AglerColligation, pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[bool, float]:
@@ -366,7 +364,8 @@ def build_colligation(grid, theta_tables, schur_samples,
         [D ; R]* = T diag(P*, M*) T,   P = D_d + R_r,  M = D_d - R_r,
 
     where P and M stack (col_k((w_k + 1) theta_k(w)); I + S(w)) and
-    (col_k((w_k - 1) theta_k(w)); I - S(w)).  One batched thin QR of the
+    (col_k((w_k - 1) theta_k(w)); I - S(w)), the families whose Hermitian
+    split ``transfer_identity_residuals`` takes.  One batched thin QR of the
     two half-size adjoints, P* = Q_P R_P and M* = Q_M R_M, gives
     [D ; R]* = Q [R1 | R2] with Q = T diag(Q_P, Q_M) orthonormal columns,
     R1 = [R_P ; R_M] / sqrt(2) and R2 = [R_P ; -R_M] / sqrt(2).  Exactly in
@@ -406,10 +405,7 @@ def build_colligation(grid, theta_tables, schur_samples,
 
     # P and M, n columns per grid point: (g, m+n, n) each.
     h = np.concatenate(tables, axis=1) if m else np.zeros((g, 0, n), dtype=complex)
-    weights = np.repeat(pts, dims, axis=1)[:, :, None]  # (g, m, 1)
-    eye = np.eye(n)
-    pm = np.stack([np.concatenate([(weights + 1.0) * h, eye + svals], axis=1),
-                   np.concatenate([(weights - 1.0) * h, eye - svals], axis=1)])
+    pm = np.stack(_transfer_families(np.repeat(pts, dims, axis=1), h, svals))
     rp, rm = np.linalg.qr(pm.conj().transpose(0, 1, 3, 2).reshape(2, g * n, m + n), mode="r")
     r1 = np.concatenate([rp, rm]) / np.sqrt(2.0)
     r2 = np.concatenate([rp, -rm]) / np.sqrt(2.0)

@@ -46,7 +46,17 @@ __all__ = [
     "sum_realization",
     "diagonal_realization",
     "realize",
+    "MAX_COEFF_ENTRY",
 ]
+
+# Largest entry magnitude a pencil coefficient may have.  Evaluation
+# squares entries (Grams, norms, kernel products) and multiplies them by
+# grid coordinates.  Random (2, 1, 2), (3, 2, 4) and (3, 4, 32) pencils run
+# verify, kernels (grid 20 and 300) and colligate without overflow up to a
+# largest entry of 1e153.  Overflow first shows at 3e153 (the two larger
+# shapes) or 1e154, and the residuals then come out silently wrong (0,
+# then NaN).  The cap leaves 53 orders of magnitude below that onset.
+MAX_COEFF_ENTRY = 1e100
 
 
 @dataclass(frozen=True)
@@ -71,6 +81,8 @@ class PsdPencil:
 
         ``validate=False`` produces the explicit unchecked variant used
         only by search harnesses for deliberately invalid candidates.
+        Either way an entry of magnitude above ``MAX_COEFF_ENTRY`` is
+        refused.
         """
         mats = tuple(as_matrix(c, square=True) for c in coeffs)
         if not mats:
@@ -80,6 +92,12 @@ class PsdPencil:
             raise ShapeError("all pencil coefficients must share one dimension")
         if not 0 <= dim_u <= dim:
             raise ShapeError(f"dim_u={dim_u} outside [0, {dim}]")
+        with np.errstate(over="ignore"):  # |re + i im| of huge parts is inf, and refused
+            for k, m in enumerate(mats):
+                big = float(np.max(np.abs(m), initial=0.0))
+                if big > MAX_COEFF_ENTRY:
+                    raise ValidationError(f"coefficient {k + 1} has an entry of magnitude "
+                                          f"{big:.3e} above {MAX_COEFF_ENTRY:.0e}")
         if validate:
             for k, m in enumerate(mats):
                 if not is_hermitian(m, pol):

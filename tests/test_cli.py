@@ -282,10 +282,23 @@ class TestPipelines:
         assert main(["colligate", "--colligation", str(bad)]) == 1
 
     def test_colligate_requires_source(self):
-        assert main(["colligate"]) == 2
+        with pytest.raises(SystemExit) as err:
+            main(["colligate"])
+        assert err.value.code == 2
 
     def test_kernels_requires_source(self):
-        assert main(["kernels"]) == 2
+        with pytest.raises(SystemExit) as err:
+            main(["kernels"])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("command, other", [("kernels", "--rebuild"),
+                                                ("colligate", "--colligation")])
+    def test_conflicting_sources_are_usage_error(self, parallel_file, tmp_path, capsys,
+                                                 command, other):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--pencil", str(tmp_path / "missing.json"), other, parallel_file])
+        assert err.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_cayley_points(self, parallel_file, capsys):
         assert main(["cayley", "--pencil", parallel_file, "--point", "0,0"]) == 0
@@ -374,6 +387,39 @@ class TestGridSize:
 
     def test_grid_of_one_runs(self, parallel_file):
         assert main(["colligate", "--pencil", parallel_file, "--grid", "1"]) == 0
+
+
+def _scaled_pencil_file(tmp_path, largest):
+    """A random (2, 1, 2) pencil scaled so that its largest entry is ``largest``."""
+    f = random_pencil(np.random.default_rng(3), 2, 1, 2)
+    s = largest / max(np.max(np.abs(a)) for a in f.pencil.coeffs)
+    data = serialize.pencil_to_json(f)
+    data["coeffs"] = [[[[re * s, im * s] for re, im in row] for row in a] for a in data["coeffs"]]
+    path = tmp_path / f"scaled-{largest:g}.json"
+    serialize.dump(data, str(path))
+    return str(path)
+
+
+class TestHugePencil:
+    @pytest.mark.parametrize("largest", [6.6e160, 6.6e306])
+    @pytest.mark.parametrize("argv", [["verify"], ["kernels", "--grid", "20"], ["colligate"]])
+    def test_huge_entries_are_quiet_input_error(self, tmp_path, capsys, largest, argv):
+        path = _scaled_pencil_file(tmp_path, largest)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--pencil", path]) == 2
+        assert "above 1e+100" in capsys.readouterr().err
+
+    def test_entries_just_below_the_cap_verify_cleanly(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            main(["verify", "--pencil", _scaled_pencil_file(tmp_path, 9e99), "--out", str(out)])
+        rows = {row["name"]: row for row in json.loads(out.read_text())["checks"]}
+        assert all(np.isfinite(row["value"]) for row in rows.values())
+        # at overflow these read exactly 0 and passed falsely
+        for name in ("homogeneity", "conjugate-symmetry", "kernel-identity"):
+            assert rows[name]["pass"] and 0.0 < rows[name]["value"] <= 1e-12
 
 
 class TestInputErrors:

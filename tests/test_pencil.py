@@ -3,6 +3,7 @@ import pytest
 
 from posreal.core import NumericalRefusalError, ShapeError, ValidationError, hermitian_part, is_psd
 from posreal.pencil import (
+    MAX_COEFF_ENTRY,
     PsdPencil,
     RealizedFunction,
     compress,
@@ -31,6 +32,15 @@ class TestConstruction:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ShapeError):
             PsdPencil.from_coeffs([np.eye(2), np.eye(3)], 1)
+
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_rejects_entries_above_the_cap(self, validate):
+        big = np.array([[2.0, 1.0], [1.0, 1.0]]) * MAX_COEFF_ENTRY
+        with pytest.raises(ValidationError, match="above 1e\\+100"):
+            PsdPencil.from_coeffs([np.eye(2), big], 1, validate=validate)
+        with pytest.raises(ValidationError, match="above"):
+            PsdPencil.from_coeffs([np.array([[1e308 + 1e308j]])], 1, validate=validate)
+        assert PsdPencil.from_coeffs([np.eye(2), big / 2.0], 1, validate=validate).dim == 2
 
     def test_blocks_are_adjoint_pairs(self, parallel):
         a, b, c, d = parallel.pencil.coeff_blocks(0)
