@@ -43,6 +43,9 @@ __all__ = [
     "inverse_operator_cayley",
     "TaylorCoefficients",
     "TAYLOR_MAX_POINTS",
+    "TAYLOR_RADIUS",
+    "TAYLOR_SUP_RADIUS",
+    "TAYLOR_SUP_SAFETY",
     "taylor_from_function",
     "taylor_from_colligation",
     "herglotz_taylor_from_schur",
@@ -111,20 +114,16 @@ def make_tuple(mats, pol: TolerancePolicy = DEFAULT_POLICY, require: str | None 
         raise ValidationError(f"commutator norm {comm:.3e} exceeds tolerance")
     rho = float(np.max(norms))
     accr = float(np.min(eigh_or_refuse(hermitian_part(stack) * 2.0)[0][:, 0]))
-    if rho <= 1.0 - pol.margin:
+    # a tuple that is both is a contraction, unless accretive is required
+    if rho <= 1.0 - pol.margin and require != "accretive":
         kind, bound = "contraction", rho
     elif accr >= pol.margin:
         kind, bound = "accretive", accr
     else:
         kind, bound = "none", 0.0
     if require is not None and kind != require:
-        if require == "contraction" and rho <= 1.0 - pol.margin:
-            kind, bound = "contraction", rho
-        elif require == "accretive" and accr >= pol.margin:
-            kind, bound = "accretive", accr
-        else:
-            raise ValidationError(f"tuple is not a strict {require} tuple "
-                                  f"(max norm {rho:.6f}, accretivity bound {accr:.3e})")
+        raise ValidationError(f"tuple is not a strict {require} tuple "
+                              f"(max norm {rho:.6f}, accretivity bound {accr:.3e})")
     return CommutingTuple(ms, comm, kind, bound)
 
 
@@ -238,6 +237,12 @@ class TaylorCoefficients:
 # refused before any sampling.
 TAYLOR_MAX_POINTS = 2 ** 22
 
+# ``taylor_from_function`` samples the coefficients on the TAYLOR_RADIUS torus
+# and the tail's sup bound, padded by TAYLOR_SUP_SAFETY, on TAYLOR_SUP_RADIUS.
+TAYLOR_RADIUS = 0.6
+TAYLOR_SUP_RADIUS = 0.9
+TAYLOR_SUP_SAFETY = 2.0
+
 
 def _taylor_grid_size(num_vars: int, degree: int, grid_size: int | None = None) -> int:
     """Points per circle of the Taylor quadrature, within TAYLOR_MAX_POINTS."""
@@ -280,33 +285,33 @@ def _torus_values(evaluator, ring: np.ndarray, num_vars: int, dim: int) -> np.nd
 
 
 def taylor_from_function(evaluator, num_vars: int, dim: int, degree: int,
-                         radius: float = 0.6, sup_radius: float = 0.9,
-                         grid_size: int | None = None,
-                         sup_safety: float = 2.0) -> TaylorCoefficients:
+                         grid_size: int | None = None) -> TaylorCoefficients:
     """Taylor coefficients by discrete Cauchy integrals on a polytorus.
 
-    Samples the evaluator on a uniform polytorus of the given radius and
-    reads coefficients off a multidimensional FFT; aliasing decays like
-    (radius / holomorphy radius)^grid_size.  The sup bound for the tail
-    estimate is sampled on the larger ``sup_radius`` torus.  Both tori
-    are evaluated in blocks of _POINT_BLOCK points.
+    Samples the evaluator on a uniform polytorus of radius TAYLOR_RADIUS
+    and reads coefficients off a multidimensional FFT; aliasing decays
+    like (TAYLOR_RADIUS / holomorphy radius)^grid_size.  The sup bound for
+    the tail estimate is TAYLOR_SUP_SAFETY times the largest norm sampled
+    on the larger TAYLOR_SUP_RADIUS torus.  Both tori are evaluated in
+    blocks of _POINT_BLOCK points.
     """
     grid_size = _taylor_grid_size(num_vars, degree, grid_size)
     angles = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    ring = radius * np.exp(1j * angles)
+    ring = TAYLOR_RADIUS * np.exp(1j * angles)
     vals = _torus_values(evaluator, ring, num_vars, dim).reshape((grid_size,) * num_vars + (dim, dim))
     hat = np.fft.fftn(vals, axes=tuple(range(num_vars))) / grid_size ** num_vars
     total = _total_degree(num_vars, degree)
     low = total <= degree
     coeffs = np.zeros(total.shape + (dim, dim), dtype=complex)
-    coeffs[low] = hat[(slice(degree + 1),) * num_vars][low] / radius ** total[low][:, None, None]
+    coeffs[low] = (hat[(slice(degree + 1),) * num_vars][low]
+                   / TAYLOR_RADIUS ** total[low][:, None, None])
 
     sup_angles = 2.0 * np.pi * np.arange(max(8, grid_size // 4)) / max(8, grid_size // 4)
-    sup_ring = sup_radius * np.exp(1j * sup_angles)
+    sup_ring = TAYLOR_SUP_RADIUS * np.exp(1j * sup_angles)
     sup_vals = _torus_values(evaluator, sup_ring, num_vars, dim)
     sup = float(np.max(np.linalg.norm(sup_vals, ord=2, axis=(1, 2)))) if sup_vals.size else 0.0
     return TaylorCoefficients(num_vars, dim, degree, coeffs,
-                              sup_radius=sup_radius, sup_bound=sup_safety * sup)
+                              sup_radius=TAYLOR_SUP_RADIUS, sup_bound=TAYLOR_SUP_SAFETY * sup)
 
 
 def taylor_from_colligation(c, degree: int) -> TaylorCoefficients:
@@ -520,14 +525,9 @@ def hunt(config: HuntConfig, candidates, pol: TolerancePolicy = DEFAULT_POLICY):
     rng = np.random.default_rng(config.seed)
     prepared = []
     for name, source in candidates:
-        if isinstance(source, RealizedFunction):
-            view = DiskFunctionView(source, pol=pol)
-            dim = source.dim_u
-        else:
-            dim = getattr(source, "dim_u", 1)
-            view = DiskFunctionView(source, num_vars=config.num_vars, pol=pol)
-        coeffs = taylor_from_function(view.eval_double_cayley, config.num_vars, dim,
-                                      config.degree)
+        view = DiskFunctionView(source, num_vars=config.num_vars, pol=pol)
+        coeffs = taylor_from_function(view.eval_double_cayley, config.num_vars,
+                                      getattr(source, "dim_u", 1), config.degree)
         prepared.append((name, coeffs))
 
     for trial in range(config.trials):

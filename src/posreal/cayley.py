@@ -6,6 +6,8 @@ F -> (F - I)(F + I)^{-1} on operator values, their composition (the
 double Cayley transform of a realized function), and the induced
 transforms of the kernel factors.  The operator Cayley maps of the
 calculus module are the value maps applied to a stacked tuple.
+Every division by F + I (or I - S) is one guarded right division; the
+theta tables and S on a grid share one (``DiskKernelEvaluator.schur_tables``).
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ from .core import (
     TolerancePolicy,
     ValidationError,
     as_points,
+    like_points,
 )
 from .colligation import transfer_identity_residuals
 from .kernels import KernelEvaluator, KernelSampleSet, plus_minus_residuals
-from .pencil import RealizedFunction, _refuse_ill_conditioned
+from .pencil import RealizedFunction, _refuse_ill_conditioned, as_evaluator
 
 __all__ = [
     "BOUNDARY_GUARD",
@@ -56,6 +59,12 @@ def halfplane_to_disk(z) -> np.ndarray:
     return (z - 1.0) / (z + 1.0)
 
 
+def _right_divide(x: np.ndarray, y: np.ndarray, pol: TolerancePolicy, what: str) -> np.ndarray:
+    """X Y^{-1} on stacks (B, r, n) and (B, n, n): one guard on Y (named ``what``), one LU solve."""
+    _refuse_ill_conditioned(y, pol, what)
+    return np.linalg.solve(y.transpose(0, 2, 1), x.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
 def value_cayley(values, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """S = (F - I)(F + I)^{-1} on stacked values F (B, n, n).
 
@@ -63,9 +72,7 @@ def value_cayley(values, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """
     f_vals = np.asarray(values, dtype=complex)
     eye = np.eye(f_vals.shape[-1], dtype=complex)
-    plus = f_vals + eye
-    _refuse_ill_conditioned(plus, pol, "F(w) + I")
-    return np.linalg.solve(plus.transpose(0, 2, 1), (f_vals - eye).transpose(0, 2, 1)).transpose(0, 2, 1)
+    return _right_divide(f_vals - eye, f_vals + eye, pol, "F(w) + I")
 
 
 def inv_value_cayley(values, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
@@ -75,9 +82,7 @@ def inv_value_cayley(values, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarra
     """
     sv = np.asarray(values, dtype=complex)
     eye = np.eye(sv.shape[-1], dtype=complex)
-    minus = eye - sv
-    _refuse_ill_conditioned(minus, pol, "I - S(w)")
-    return np.linalg.solve(minus.transpose(0, 2, 1), (eye + sv).transpose(0, 2, 1)).transpose(0, 2, 1)
+    return _right_divide(eye + sv, eye - sv, pol, "I - S(w)")
 
 
 class DiskFunctionView:
@@ -89,32 +94,27 @@ class DiskFunctionView:
 
     def __init__(self, source, num_vars: int | None = None,
                  pol: TolerancePolicy = DEFAULT_POLICY):
-        if isinstance(source, RealizedFunction):
-            self.num_vars = source.num_vars
-            self._eval = lambda pts: source(pts, pol)
-        else:
-            if num_vars is None:
-                raise ValidationError("num_vars is required for callable sources")
-            self.num_vars = num_vars
-            self._eval = source
+        self.num_vars = getattr(source, "num_vars", None) if num_vars is None else num_vars
+        if self.num_vars is None:
+            raise ValidationError("num_vars is required for callable sources")
+        self._eval = as_evaluator(source, pol)
         self.pol = pol
 
     def eval_F(self, w) -> np.ndarray:
         """Herglotz-side value F(w); batched over disk points."""
         pts = as_points(w, self.num_vars)
         z = disk_to_halfplane(pts)
-        out = np.asarray(self._eval(z), dtype=complex)
+        out = self._eval(z)
         if out.ndim == 2:
             out = out[None]
         if out.ndim != 3 or out.shape[0] != len(pts) or out.shape[1] != out.shape[2]:
             raise ShapeError(f"evaluator returned shape {out.shape} for {len(pts)} points, "
                              "expected one square matrix per point")
-        return out[0] if np.asarray(w).ndim == 1 else out
+        return like_points(w, out)
 
     def eval_double_cayley(self, w) -> np.ndarray:
         """Schur-side value (F(w) - I)(F(w) + I)^{-1}; contractive on the class."""
-        out = value_cayley(self.eval_F(as_points(w, self.num_vars)), self.pol)
-        return out[0] if np.asarray(w).ndim == 1 else out
+        return like_points(w, value_cayley(self.eval_F(as_points(w, self.num_vars)), self.pol))
 
     def __call__(self, w) -> np.ndarray:
         return self.eval_double_cayley(w)
@@ -126,13 +126,8 @@ def inv_double_cayley(schur_eval, w, pol: TolerancePolicy = DEFAULT_POLICY) -> n
     ``schur_eval`` maps a batch of disk points to stacked values.
     Refuses when 1 sits in the spectrum of S(w) (I - S singular).
     """
-    pts = np.asarray(w, dtype=complex)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
-    sv = np.asarray(schur_eval(pts), dtype=complex)
-    out = inv_value_cayley(sv[None] if sv.ndim == 2 else sv, pol)
-    return out[0] if single else out
+    sv = np.asarray(schur_eval(np.atleast_2d(np.asarray(w, dtype=complex))), dtype=complex)
+    return like_points(w, inv_value_cayley(sv[None] if sv.ndim == 2 else sv, pol))
 
 
 class DiskKernelEvaluator:
@@ -146,7 +141,8 @@ class DiskKernelEvaluator:
     Everything is an evaluator view over the pencil; no power-series
     coefficients are stored on this path.  Each table and identity
     residual reads F(w) and every phi_k(z(w)) from one ``KernelSampleSet``
-    at the halfplane images z(w): one d(z) solve.
+    at the halfplane images z(w): one d(z) solve.  The theta tables and
+    S(w) then come from one division by F(w) + I (``schur_tables``).
     """
 
     def __init__(self, f: RealizedFunction, pol: TolerancePolicy = DEFAULT_POLICY):
@@ -164,21 +160,10 @@ class DiskKernelEvaluator:
         return [(np.sqrt(2.0) / (1.0 - pts[:, k]))[:, None, None] * t
                 for k, t in enumerate(samples.factors)]
 
-    def _theta_tables(self, pts: np.ndarray, samples: KernelSampleSet) -> list[np.ndarray]:
-        """theta_k for every k from the samples at z(w): one guard, one solve."""
-        xs = self._xi_tables(pts, samples)
-        fv = samples.f_samples
-        eye = np.eye(fv.shape[-1], dtype=complex)
-        plus = fv + eye
-        _refuse_ill_conditioned(plus, self.pol, "F(w) + I")
-        rhs = np.concatenate(xs, axis=1)  # (B, sum m_k, n)
-        sol = np.linalg.solve(plus.transpose(0, 2, 1), rhs.transpose(0, 2, 1)).transpose(0, 2, 1)
-        return np.split(np.sqrt(2.0) * sol, np.cumsum([x.shape[1] for x in xs])[:-1], axis=1)
-
     def xi(self, k: int, w) -> np.ndarray:
         pts = as_points(w, self.num_vars)
-        out = self._xi_tables(pts, self.kernels.phi_table(disk_to_halfplane(pts)))[k]
-        return out[0] if np.asarray(w).ndim == 1 else out
+        samples = self.kernels.phi_table(disk_to_halfplane(pts))
+        return like_points(w, self._xi_tables(pts, samples)[k])
 
     def xi_kernel(self, k: int, w, omega) -> np.ndarray:
         xw = np.atleast_3d(self.xi(k, w))
@@ -186,15 +171,15 @@ class DiskKernelEvaluator:
         return np.squeeze(xo.conj().swapaxes(-1, -2) @ xw)
 
     def theta(self, k: int, w) -> np.ndarray:
-        pts = as_points(w, self.num_vars)
-        out = self._theta_tables(pts, self.kernels.phi_table(disk_to_halfplane(pts)))[k]
-        return out[0] if np.asarray(w).ndim == 1 else out
+        return like_points(w, self.schur_tables(w)[0][k])
 
-    def theta_table(self, grid, samples: KernelSampleSet | None = None) -> list[np.ndarray]:
-        """theta_k on the grid for every k, one (g, m_k, n) array each.
+    def schur_tables(self, grid, samples: KernelSampleSet | None = None
+                     ) -> tuple[list[np.ndarray], np.ndarray]:
+        """Tables theta_k (g, m_k, n) for every k and S(w) (g, n, n) on the grid.
 
-        ``samples`` is the ``KernelSampleSet`` that ``kernels.phi_table``
-        takes at the halfplane images z(w) = ``disk_to_halfplane(grid)``;
+        One guard and one LU solve divide the rows [xi_1; ...; xi_N; F - I]
+        by F(w) + I.  ``samples`` is the ``KernelSampleSet`` that
+        ``kernels.phi_table`` takes at z(w) = ``disk_to_halfplane(grid)``;
         its ``f_samples`` are F(w), so d(z) is not solved again.  A set
         taken at other points is refused.
         """
@@ -203,7 +188,17 @@ class DiskKernelEvaluator:
             samples = self.kernels.phi_table(disk_to_halfplane(pts))
         elif not np.array_equal(samples.grid, disk_to_halfplane(pts)):
             raise ValidationError("kernel samples were not taken at the halfplane images of the grid")
-        return self._theta_tables(pts, samples)
+        xs = self._xi_tables(pts, samples)
+        fv = samples.f_samples
+        eye = np.eye(fv.shape[-1], dtype=complex)
+        sol = _right_divide(np.concatenate(xs + [fv - eye], axis=1), fv + eye, self.pol, "F(w) + I")
+        ends = np.cumsum([x.shape[1] for x in xs])
+        svals = sol[:, ends[-1]:].copy()  # not a view: the stacked solution dies here
+        return np.split(np.sqrt(2.0) * sol[:, :ends[-1]], ends[:-1], axis=1), svals
+
+    def theta_table(self, grid, samples: KernelSampleSet | None = None) -> list[np.ndarray]:
+        """theta_k on the grid for every k, one (g, m_k, n) array each; see ``schur_tables``."""
+        return self.schur_tables(grid, samples)[0]
 
     def theta_kernel(self, k: int, w, omega) -> np.ndarray:
         tw = np.atleast_3d(self.theta(k, w))
@@ -231,9 +226,7 @@ class DiskKernelEvaluator:
         minus: S(w) - S(o)*   = sum_k (w_k - conj(o_k)) Theta_k(w, o)
         """
         pts = as_points(grid, self.num_vars)
-        samples = self.kernels.phi_table(disk_to_halfplane(pts))
-        thetas = np.concatenate(self._theta_tables(pts, samples), axis=1)
-        sv = value_cayley(samples.f_samples, self.pol)
+        thetas, sv = self.schur_tables(pts)
         weights = np.repeat(pts, self.kernels.factor_ranks, axis=1)
-        return transfer_identity_residuals(weights, thetas, sv,
+        return transfer_identity_residuals(weights, np.concatenate(thetas, axis=1), sv,
                                            1.0 + np.linalg.norm(sv, axis=(1, 2)))

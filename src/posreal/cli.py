@@ -27,6 +27,7 @@ from .calculus import (
     inverse_operator_cayley,
     operator_cayley,
     taylor_from_function,
+    TAYLOR_SUP_RADIUS,
 )
 from .cayley import (
     DiskFunctionView,
@@ -46,7 +47,7 @@ from .geometry import (
 )
 from .kernels import pencil_from_kernel_samples, sample_kernels
 from .netlist import network_pencil, parse_netlist
-from .pencil import RealizedFunction, compress_realization, eval_schur
+from .pencil import RealizedFunction, as_evaluator, compress_realization, eval_schur
 from .sampling import disk_grid, halfplane_grid, random_accretive_tuple, random_pencil
 
 __all__ = ["main", "run_verification", "VerificationReport"]
@@ -184,7 +185,7 @@ def run_verification(f: RealizedFunction, seed: int = 0, grid_size: int = 25,
 
     residual("kernel-identity", pol.residual_tol, kernel_identity)
     margin("four-quadrant-conditions", 1.0,
-           lambda: 1.0 if four_quadrant_check(lambda pts: f(pts, pol), f.num_vars, rng,
+           lambda: 1.0 if four_quadrant_check(as_evaluator(f, pol), f.num_vars, rng,
                                               samples=grid_size, pol=pol) else 0.0)
 
     def calculus_floor():
@@ -196,16 +197,16 @@ def run_verification(f: RealizedFunction, seed: int = 0, grid_size: int = 25,
 
     margin("calculus-positivity-min-eig", -pol.psd_slack, calculus_floor)
 
-    # F on the disk grid (the values on zs) feeds the theta tables, the
-    # Schur-side samples and the recovery target; the synthesis hands back
-    # its transfer values and residuals.
+    # F on the disk grid (the values on zs) is the recovery target, and one
+    # division by F + I gives the theta tables and the Schur-side samples;
+    # the synthesis hands back its transfer values and residuals.
     coll = None
     try:
         if disk_error is not None:
             raise disk_error
-        thetas = disk.theta_table(ws, samples)
+        thetas, svals = disk.schur_tables(ws, samples)
         del samples  # the phi tables are dead here; keep them out of the synthesis' peak memory
-        syn = build_colligation(ws, thetas, value_cayley(vals, pol), pol)
+        syn = build_colligation(ws, thetas, svals, pol)
         coll = syn.colligation
     except PosrealError as exc:
         for name in ("colligation-unitarity", "colligation-selfadjointness",
@@ -233,7 +234,7 @@ def run_verification(f: RealizedFunction, seed: int = 0, grid_size: int = 25,
         margin("iota-real-pencil", 1.0,
                lambda: 1.0 if check_real_pencil(f, iota_u, iota_h, pol) else 0.0)
         margin("iota-real-function", 1.0,
-               lambda: 1.0 if is_iota_real_function(lambda pts: f(pts, pol), iota_u, zs, pol)
+               lambda: 1.0 if is_iota_real_function(as_evaluator(f, pol), iota_u, zs, pol)
                else 0.0)
         if coll is not None:
             iota_x = AntiUnitaryInvolution.conjugation(coll.dim_state)
@@ -397,10 +398,9 @@ def _cmd_colligate(args) -> int:
     f = _load_pencil(args.pencil, pol)
     ws = disk_grid(f.num_vars, args.grid, args.seed)
     disk = DiskKernelEvaluator(f, pol)
-    # one d(z) solve at z(w) gives F(w) = f(z(w)) and the phi tables behind theta
-    samples = disk.kernels.phi_table(disk_to_halfplane(ws))
-    syn = build_colligation(ws, disk.theta_table(ws, samples), value_cayley(samples.f_samples, pol),
-                            pol)
+    # one d(z) solve at z(w) and one division by F(w) + I give theta and S(w)
+    thetas, svals = disk.schur_tables(ws)
+    syn = build_colligation(ws, thetas, svals, pol)
     coll = syn.colligation
     plus, minus = agler_identity_residual(coll, ws, pol)
     print(f"state dims: {list(coll.dims)}  io dim: {coll.n}")
@@ -419,9 +419,10 @@ def _cmd_calculus(args) -> int:
     view = DiskFunctionView(f, pol=pol)
     schur_coeffs = taylor_from_function(view.eval_double_cayley, f.num_vars, f.dim_u,
                                         degree=args.degree)
-    sup_pts = 0.9 * disk_grid(f.num_vars, 16, args.seed)
+    sup_pts = TAYLOR_SUP_RADIUS * disk_grid(f.num_vars, 16, args.seed)
     sup_bound = 2.0 * float(np.max(np.linalg.norm(view.eval_F(sup_pts), ord=2, axis=(1, 2))))
-    fcoeffs = herglotz_taylor_from_schur(schur_coeffs, sup_bound=sup_bound, sup_radius=0.9)
+    fcoeffs = herglotz_taylor_from_schur(schur_coeffs, sup_bound=sup_bound,
+                                         sup_radius=TAYLOR_SUP_RADIUS)
     rows = []
     failed = False
     for i in range(args.tuples):

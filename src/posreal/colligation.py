@@ -33,6 +33,7 @@ from .core import (
     ValidationError,
     as_matrix,
     as_points,
+    like_points,
     hermitian_part,
     hermitian_split_residuals,
     eigh_or_refuse,
@@ -184,8 +185,7 @@ def transfer_eval(c: AglerColligation, w, pol: TolerancePolicy = DEFAULT_POLICY)
     computed condition number where it does not clear, so the decision
     is the same.
     """
-    out = _transfer_values(c, as_points(w, c.num_vars), pol)
-    return out[0] if np.asarray(w).ndim == 1 else out
+    return like_points(w, _transfer_values(c, as_points(w, c.num_vars), pol))
 
 
 def _transfer_values(c: AglerColligation, pts: np.ndarray, pol: TolerancePolicy,

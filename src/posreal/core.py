@@ -20,6 +20,7 @@ __all__ = [
     "NumericalRefusalError",
     "as_matrix",
     "as_points",
+    "like_points",
     "hermitian_part",
     "operator_norm",
     "argument_arc",
@@ -116,6 +117,11 @@ def as_points(z, num_vars: int) -> np.ndarray:
     if not np.all(np.isfinite(pts)):
         raise ValidationError("points must have finite coordinates")
     return pts
+
+
+def like_points(z, out):
+    """``out[0]`` when ``z`` is one point (1-d), else ``out``: the single-point convention."""
+    return out[0] if np.ndim(z) == 1 else out
 
 
 def operator_norm(m) -> float:

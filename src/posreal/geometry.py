@@ -23,11 +23,13 @@ from .core import (
     argument_arc,
     as_matrix,
     as_points,
+    like_points,
     hermitian_part,
     eigh_or_refuse,
     operator_norm,
     scale_of,
 )
+from .pencil import as_evaluator
 
 __all__ = [
     "in_omega",
@@ -198,15 +200,7 @@ class DehomogenizedView:
     def __call__(self, zp, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
         pts = as_points(zp, self.num_vars - 1)
         full = np.concatenate([pts, np.ones((len(pts), 1), dtype=complex)], axis=1)
-        vals = _eval_source(self.source, full, pol)
-        return vals[0] if np.asarray(zp).ndim == 1 else vals
-
-
-def _eval_source(source, pts, pol):
-    if hasattr(source, "pencil"):
-        return source(pts, pol)
-    out = np.asarray(source(pts), dtype=complex)
-    return out
+        return like_points(zp, as_evaluator(self.source, pol)(full))
 
 
 def dehomogenize(f, num_vars: int | None = None) -> DehomogenizedView:
@@ -234,9 +228,7 @@ def homogenize(g, num_vars: int):
         for q in quot:
             if not in_omega_plus(q):
                 raise ValidationError("quotient point outside the de-homogenized domain")
-        vals = np.asarray(g(quot) if not hasattr(g, "pencil") else g(quot, pol), dtype=complex)
-        out = last[:, None, None] * vals
-        return out[0] if np.asarray(z).ndim == 1 else out
+        return like_points(z, last[:, None, None] * as_evaluator(g, pol)(quot))
 
     return evaluate
 
@@ -367,12 +359,13 @@ def taylor_realness_residual(f, step: float = 1e-3,
     conjugation-real function the coefficients must be real symmetric.
     """
     n = f.num_vars
+    evaluate = as_evaluator(f, pol)
 
     def val(shifts) -> np.ndarray:
         z = np.ones(n, dtype=complex)
         for k, s in shifts:
             z[k] += s
-        return f(z, pol) if hasattr(f, "pencil") else np.asarray(f(z[None]), dtype=complex)[0]
+        return evaluate(z[None])[0]
 
     coeffs = [val([])]
     for k in range(n):

@@ -28,6 +28,7 @@ from .core import (
     ValidationError,
     as_matrix,
     as_points,
+    like_points,
     cross_gram_residual,
     hermitian_split_residuals,
     hermitian_part,
@@ -70,8 +71,7 @@ def psi(f: RealizedFunction, z, pol: TolerancePolicy = DEFAULT_POLICY) -> np.nda
     """The (n+p) x n column [I ; -d(z)^{-1} c(z)]; batched over points."""
     if not f.compressed:
         raise ValidationError("kernel evaluation needs a compressed realization")
-    out = _f_and_psi(f, as_points(z, f.num_vars), pol)[1]
-    return out[0] if np.asarray(z).ndim == 1 else out
+    return like_points(z, _f_and_psi(f, as_points(z, f.num_vars), pol)[1])
 
 
 class KernelEvaluator:
@@ -123,23 +123,19 @@ def phi(f: RealizedFunction, k: int, z, zeta, pol: TolerancePolicy = DEFAULT_POL
     return KernelEvaluator(f, pol).phi(k, z, zeta)
 
 
-def _stacked_factors(pts, tables) -> tuple[np.ndarray, np.ndarray]:
-    """phi = [phi_1; ...; phi_N] and z.phi (block k scaled by z_k) at every point."""
-    phis = np.concatenate(tables, axis=1)
-    weights = np.repeat(pts, [t.shape[1] for t in tables], axis=1)
-    return phis, weights[:, :, None] * phis
-
-
 def _identity_families(ks: KernelSampleSet):
     """x = [phi; I], y = [z.phi; -f] and the scale 1 + ||f(b)|| of the kernel identity.
 
+    phi = [phi_1; ...; phi_N] and z.phi scales block k by z_k; then
     x(c)* y(b) = sum_k z_k(b) phi_k(c)* phi_k(b) - f(b) vanishes on every
     pair of grid points exactly when the identity holds.
     """
-    phis, zphis = _stacked_factors(ks.grid, ks.factors)
+    phis = np.concatenate(ks.factors, axis=1)
+    weights = np.repeat(ks.grid, [t.shape[1] for t in ks.factors], axis=1)
     fvals = ks.f_samples
     eye = np.broadcast_to(np.eye(fvals.shape[-1], dtype=complex), fvals.shape)
-    return (np.concatenate([phis, eye], axis=1), np.concatenate([zphis, -fvals], axis=1),
+    return (np.concatenate([phis, eye], axis=1),
+            np.concatenate([weights[:, :, None] * phis, -fvals], axis=1),
             1.0 + np.linalg.norm(fvals, axis=(1, 2)))
 
 
@@ -299,10 +295,10 @@ def pencil_from_kernel_samples(ks: KernelSampleSet,
             f"kernel identity violated on input samples (residual {res:.3e})")
     base = ks.base_index()
     n = ks.dim_u
-    phi_e = ks.stacked_factor(base)
-    diffs = [ks.stacked_factor(j) - phi_e for j in range(len(ks.grid)) if j != base]
-    if diffs:
-        stacked = np.hstack(diffs)
+    phis = np.concatenate(ks.factors, axis=1)
+    phi_e = phis[base]
+    if len(phis) > 1:
+        stacked = np.hstack(np.delete(phis, base, axis=0) - phi_e)
         q, sing, _ = np.linalg.svd(stacked, full_matrices=False)
         # floor at the factor scale so all-roundoff difference columns
         # (constant psi, e.g. one variable) do not fake rank
@@ -336,10 +332,7 @@ def pencil_from_kernel_samples(ks: KernelSampleSet,
 
 def factor_orthogonality_residual(ks: KernelSampleSet) -> float:
     """Residual of sum_k (phi_k(zeta) - phi_k(e))* phi_k(e) = 0 over the grid."""
-    base = ks.base_index()
-    phi_e = ks.stacked_factor(base)
-    worst = 0.0
-    for j in range(len(ks.grid)):
-        d = ks.stacked_factor(j) - phi_e
-        worst = max(worst, float(np.linalg.norm(d.conj().T @ phi_e)))
-    return worst / scale_of(phi_e)
+    phis = np.concatenate(ks.factors, axis=1)
+    phi_e = phis[ks.base_index()]
+    grams = (phis - phi_e).conj().transpose(0, 2, 1) @ phi_e
+    return float(np.max(np.linalg.norm(grams, axis=(1, 2)))) / scale_of(phi_e)

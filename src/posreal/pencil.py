@@ -27,6 +27,7 @@ from .core import (
     argument_arc,
     as_matrix,
     as_points,
+    like_points,
     hermitian_part,
     eigh_or_refuse,
     is_hermitian,
@@ -37,6 +38,7 @@ from .core import (
 __all__ = [
     "PsdPencil",
     "RealizedFunction",
+    "as_evaluator",
     "eval_pencil",
     "compress",
     "eval_schur",
@@ -125,9 +127,7 @@ class PsdPencil:
 
 def eval_pencil(pencil: PsdPencil, z) -> np.ndarray:
     """A(z) = sum_k z_k A_k; batched over points."""
-    pts = as_points(z, pencil.num_vars)
-    out = np.tensordot(pts, pencil.stacked(), axes=(1, 0))
-    return out[0] if np.asarray(z).ndim == 1 else out
+    return like_points(z, np.tensordot(as_points(z, pencil.num_vars), pencil.stacked(), axes=(1, 0)))
 
 
 @dataclass(frozen=True)
@@ -173,6 +173,13 @@ class RealizedFunction:
         norms = np.array([max(-w[0], w[-1]) for w in eigs]) + skew
         neg = np.array([max(-w[0], 0.0) for w in eigs])
         return lam, norms, neg, skew
+
+
+def as_evaluator(source, pol: TolerancePolicy = DEFAULT_POLICY):
+    """pts -> (B, n, n) complex values of a RealizedFunction (under ``pol``) or a callable."""
+    if isinstance(source, RealizedFunction):
+        return lambda pts: source(pts, pol)
+    return lambda pts: np.asarray(source(pts), dtype=complex)
 
 
 def realize(coeffs, dim_u: int, pol: TolerancePolicy = DEFAULT_POLICY) -> RealizedFunction:
@@ -291,8 +298,7 @@ def eval_schur(f: RealizedFunction, z, pol: TolerancePolicy = DEFAULT_POLICY) ->
     The value comes from ``schur_solve``, whose guard refuses (never
     regularizes) boundary evaluations.
     """
-    out = schur_solve(f, z, pol)[0]
-    return out[0] if np.asarray(z).ndim == 1 else out
+    return like_points(z, schur_solve(f, z, pol)[0])
 
 
 def schur_solve(f: RealizedFunction, z,
@@ -336,8 +342,7 @@ def eval_long_resolvent(f: RealizedFunction, z, pol: TolerancePolicy = DEFAULT_P
     _refuse_ill_conditioned(az, pol, "A(z)")
     corner = np.linalg.inv(az)[:, :n, :n]
     _refuse_ill_conditioned(corner, pol, "the U-corner of A(z)^{-1}")
-    out = np.linalg.inv(corner)
-    return out[0] if np.asarray(z).ndim == 1 else out
+    return like_points(z, np.linalg.inv(corner))
 
 
 def sum_realization(f1: RealizedFunction, f2: RealizedFunction,

@@ -207,6 +207,30 @@ class TestVerificationReuse:
         # F and C(f) come from one evaluation of f on the disk grid
         assert sum(solves) == 1
 
+    @pytest.mark.parametrize("run", ["run_verification", "colligate", "schur_identity_residuals"])
+    def test_f_plus_i_on_the_disk_grid_is_solved_once(self, monkeypatch, tmp_path, run):
+        f = random_pencil(np.random.default_rng(4), 3, 2, 4)
+        path = tmp_path / "pencil.json"
+        serialize.dump(serialize.pencil_to_json(f), str(path))
+        ws = disk_grid(f.num_vars, 12, 1)
+        plus_t = (f(disk_to_halfplane(ws)) + np.eye(2)).transpose(0, 2, 1)
+        solves = []
+        real = np.linalg.solve
+
+        def spy(a, b):
+            solves.append(np.shape(a) == plus_t.shape and np.allclose(a, plus_t, rtol=1e-13, atol=0))
+            return real(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        if run == "run_verification":
+            assert run_verification(f, seed=1, grid_size=12).verdict
+        elif run == "colligate":
+            assert main(["colligate", "--pencil", str(path), "--grid", "12", "--seed", "1"]) == 0
+        else:
+            assert max(DiskKernelEvaluator(f).schur_identity_residuals(ws)) < 1e-10
+        # the theta tables and S(w) share one division by F(w) + I
+        assert sum(solves) == 1
+
 
 class TestEval:
     def test_prints_value(self, parallel_file, capsys):

@@ -254,6 +254,18 @@ class TestReconstruction:
         ks2 = sample_kernels(rebuilt, grid)
         assert factor_orthogonality_residual(ks2) < 1e-9
 
+    def test_factor_orthogonality_residual_matches_per_point_loop(self, rng):
+        # perturbed factors, so that the residual is far from roundoff
+        ks = sample_kernels(random_pencil(rng, 3, 2, 4), halfplane_grid(3, 12, seed=3))
+        ks = KernelSampleSet(ks.grid, tuple(t + 0.1 * rng.standard_normal(t.shape) for t in ks.factors),
+                             ks.f_samples)
+        phi_e = ks.stacked_factor(ks.base_index())
+        loop = max(np.linalg.norm((ks.stacked_factor(j) - phi_e).conj().T @ phi_e)
+                   for j in range(len(ks.grid)))
+        expect = loop / (1.0 + np.linalg.norm(phi_e, 2))
+        assert expect > 1e-3
+        assert factor_orthogonality_residual(ks) == pytest.approx(expect, rel=1e-12)
+
     def test_reconstructed_kernels_match_inputs_at_grid(self, rng):
         # the embedding preserves kernel values at the nodes, which is the
         # finite content of the vanishing of the lower block row

@@ -7,6 +7,10 @@ whose home the benchmark tracer pins until the guard moves to ``core``.
 
 Every name a module lists in ``__all__`` is bound at its top level, so
 deleting a function or class also means deleting its export.
+
+The single-point convention of batched evaluators (one point in, its
+value alone out) lives in ``core.like_points``; no other module spells
+it out as ``... if ....ndim == 1 else ...``.
 """
 
 import ast
@@ -51,6 +55,11 @@ def unbound_exports(source: str) -> list[str]:
     return [name for name in exported if name not in bound]
 
 
+def single_point_copies(source: str) -> list[int]:
+    """Lines that spell out the single-point convention instead of calling ``like_points``."""
+    return [i for i, line in enumerate(source.splitlines(), 1) if "ndim == 1 else" in line]
+
+
 def test_package_modules_found():
     assert len(MODULES) > 10
 
@@ -63,6 +72,11 @@ def test_no_private_cross_module_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_export_is_bound(path):
     assert unbound_exports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name)
+def test_single_point_convention_only_in_core(path):
+    assert single_point_copies(path.read_text()) == []
 
 
 @pytest.mark.parametrize("source, missing", [
@@ -85,3 +99,13 @@ def test_rule_detects_unbound_exports(source, missing):
 ])
 def test_rule_detects_private_imports(source, hits):
     assert private_imports(source) == hits
+
+
+@pytest.mark.parametrize("source, hits", [
+    ("def f(z):\n    return out[0] if np.asarray(z).ndim == 1 else out\n", [2]),
+    ("single = pts[None] if pts.ndim == 1 else pts\n", [1]),
+    ("if pts.ndim == 1:\n    pts = pts[None, :]\n", []),
+    ("return like_points(z, out)\n", []),
+])
+def test_rule_detects_single_point_copies(source, hits):
+    assert single_point_copies(source) == hits
