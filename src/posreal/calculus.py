@@ -32,7 +32,7 @@ from .core import (
     operator_norm,
     scale_of,
 )
-from .pencil import RealizedFunction, _refuse_ill_conditioned
+from .pencil import RealizedFunction, _refuse_ill_conditioned, d_tuple_condition_bound
 from .sampling import random_contraction_tuple
 from .serialize import matrix_to_json
 
@@ -413,7 +413,9 @@ def calc_realized(f: RealizedFunction, r: CommutingTuple,
 
     f(R) = a(R) - b(R) d(R)^{-1} c(R) with a(R) = sum_k a_k (x) R_k and
     so on.  Agrees with the series route through the operator Cayley
-    map within the certified truncation error.
+    map within the certified truncation error.  The guard on d(R) first
+    tries ``pencil.d_tuple_condition_bound``: Re d(R) dominates
+    (beta/2)(sum_k d_k) (x) I for the tuple's accretivity bound beta.
     """
     if not f.compressed:
         raise ValidationError("realized calculus needs a compressed realization")
@@ -421,22 +423,16 @@ def calc_realized(f: RealizedFunction, r: CommutingTuple,
         raise ShapeError("realization and tuple disagree on the number of variables")
     if r.kind != "accretive":
         raise ValidationError("realized calculus needs a strictly accretive tuple")
-    n, p, m = f.dim_u, f.dim_h, r.dim
-    a = np.zeros((n * m, n * m), dtype=complex)
-    b = np.zeros((n * m, p * m), dtype=complex)
-    c = np.zeros((p * m, n * m), dtype=complex)
-    d = np.zeros((p * m, p * m), dtype=complex)
-    for k in range(f.num_vars):
-        ak, bk, ck, dk = f.pencil.coeff_blocks(k)
-        rk = r.mats[k]
-        a += np.kron(ak, rk)
-        if p:
-            b += np.kron(bk, rk)
-            c += np.kron(ck, rk)
-            d += np.kron(dk, rk)
-    if p == 0:
-        return a
-    _refuse_ill_conditioned(d[None], pol, "d(R)")
+    nm = f.dim_u * r.dim
+    # A(R) = sum_k A_k (x) R_k; kron(A_k, R_k) keeps the U (+) H block
+    # partition, so a(R), b(R), c(R) and d(R) are its four corners
+    big = np.zeros((f.pencil.dim * r.dim,) * 2, dtype=complex)
+    for ak, rk in zip(f.pencil.coeffs, r.mats):
+        big += np.kron(ak, rk)
+    if f.dim_h == 0:
+        return big
+    a, b, c, d = big[:nm, :nm], big[:nm, nm:], big[nm:, :nm], big[nm:, nm:]
+    _refuse_ill_conditioned(d[None], pol, "d(R)", bound=[d_tuple_condition_bound(f, r.mats, r.bound)])
     return a - b @ np.linalg.solve(d, c)
 
 

@@ -6,8 +6,10 @@ F -> (F - I)(F + I)^{-1} on operator values, their composition (the
 double Cayley transform of a realized function), and the induced
 transforms of the kernel factors.  The operator Cayley maps of the
 calculus module are the value maps applied to a stacked tuple.
-Every division by F + I (or I - S) is one guarded right division; the
-theta tables and S on a grid share one (``DiskKernelEvaluator.schur_tables``).
+Every division by F + I (or I - S) is one guarded right division, whose
+guard first tries a proven condition bound (``f_plus_i_condition_bound``,
+``i_minus_s_condition_bound``); the theta tables and S on a grid share
+one division (``DiskKernelEvaluator.schur_tables``).
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ __all__ = [
     "halfplane_to_disk",
     "value_cayley",
     "inv_value_cayley",
+    "f_plus_i_condition_bound",
+    "i_minus_s_condition_bound",
     "DiskFunctionView",
     "inv_double_cayley",
     "DiskKernelEvaluator",
@@ -59,30 +63,73 @@ def halfplane_to_disk(z) -> np.ndarray:
     return (z - 1.0) / (z + 1.0)
 
 
-def _right_divide(x: np.ndarray, y: np.ndarray, pol: TolerancePolicy, what: str) -> np.ndarray:
-    """X Y^{-1} on stacks (B, r, n) and (B, n, n): one guard on Y (named ``what``), one LU solve."""
-    _refuse_ill_conditioned(y, pol, what)
+def f_plus_i_condition_bound(values) -> np.ndarray:
+    """Certified upper bound on cond(F + I) for stacked values F (B, n, n); +inf where none is proven.
+
+    Gershgorin's theorem on the Hermitian part H = (F + F*)/2 gives
+    lambda_min(H) >= lambda_G = min_i (H_ii - sum_{j != i} |H_ij|).  For
+    every unit vector x, |x* (F + I) x| >= Re x* (F + I) x >= 1 + lambda_G,
+    so sigma_min(F + I) >= 1 + lambda_G, while ||F + I|| <= ||F + I||_F.
+    Hence cond(F + I) <= ||F + I||_F / (1 + lambda_G) when lambda_G > -1.
+    """
+    fv = np.asarray(values, dtype=complex)
+    out = np.full(fv.shape[0], np.inf)
+    # huge or non-finite values overflow to inf or nan here: nothing is proven
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm = 0.5 * (fv + fv.conj().transpose(0, 2, 1))
+        diag = np.diagonal(herm, axis1=1, axis2=2).real
+        radius = np.abs(herm).sum(axis=2) - np.abs(diag)
+        low = 1.0 + np.min(diag - radius, axis=1, initial=np.inf)
+        num = np.linalg.norm(fv + np.eye(fv.shape[-1]), axis=(1, 2))
+        ok = low > 0
+        out[ok] = num[ok] / low[ok]
+    return out
+
+
+def i_minus_s_condition_bound(values) -> np.ndarray:
+    """Certified upper bound on cond(I - S) for stacked values S (B, n, n); +inf where none is proven.
+
+    With s = ||S||_F >= ||S|| < 1, sigma_min(I - S) >= 1 - s and
+    ||I - S|| <= 1 + s, so cond(I - S) <= (1 + s)/(1 - s).
+    """
+    sv = np.asarray(values, dtype=complex)
+    out = np.full(sv.shape[0], np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in f_plus_i_condition_bound
+        s = np.linalg.norm(sv, axis=(1, 2))
+        ok = s < 1.0
+        out[ok] = (1.0 + s[ok]) / (1.0 - s[ok])
+    return out
+
+
+def _right_divide(x: np.ndarray, y: np.ndarray, pol: TolerancePolicy, what: str,
+                  bound: np.ndarray) -> np.ndarray:
+    """X Y^{-1} on stacks (B, r, n) and (B, n, n): one guard on Y (named ``what``,
+    certified by ``bound`` where it clears), one LU solve."""
+    _refuse_ill_conditioned(y, pol, what, bound=bound)
     return np.linalg.solve(y.transpose(0, 2, 1), x.transpose(0, 2, 1)).transpose(0, 2, 1)
 
 
 def value_cayley(values, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """S = (F - I)(F + I)^{-1} on stacked values F (B, n, n).
 
-    Refuses when -1 sits in the spectrum of some F (F + I singular).
+    Refuses when -1 sits in the spectrum of some F (F + I singular); the
+    guard first tries ``f_plus_i_condition_bound``.
     """
     f_vals = np.asarray(values, dtype=complex)
     eye = np.eye(f_vals.shape[-1], dtype=complex)
-    return _right_divide(f_vals - eye, f_vals + eye, pol, "F(w) + I")
+    return _right_divide(f_vals - eye, f_vals + eye, pol, "F(w) + I",
+                         f_plus_i_condition_bound(f_vals))
 
 
 def inv_value_cayley(values, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """F = (I + S)(I - S)^{-1} on stacked values S (B, n, n); inverse of ``value_cayley``.
 
-    Refuses when 1 sits in the spectrum of some S (I - S singular).
+    Refuses when 1 sits in the spectrum of some S (I - S singular); the
+    guard first tries ``i_minus_s_condition_bound``.
     """
     sv = np.asarray(values, dtype=complex)
     eye = np.eye(sv.shape[-1], dtype=complex)
-    return _right_divide(eye + sv, eye - sv, pol, "I - S(w)")
+    return _right_divide(eye + sv, eye - sv, pol, "I - S(w)", i_minus_s_condition_bound(sv))
 
 
 class DiskFunctionView:
@@ -191,7 +238,8 @@ class DiskKernelEvaluator:
         xs = self._xi_tables(pts, samples)
         fv = samples.f_samples
         eye = np.eye(fv.shape[-1], dtype=complex)
-        sol = _right_divide(np.concatenate(xs + [fv - eye], axis=1), fv + eye, self.pol, "F(w) + I")
+        sol = _right_divide(np.concatenate(xs + [fv - eye], axis=1), fv + eye, self.pol, "F(w) + I",
+                            f_plus_i_condition_bound(fv))
         ends = np.cumsum([x.shape[1] for x in xs])
         svals = sol[:, ends[-1]:].copy()  # not a view: the stacked solution dies here
         return np.split(np.sqrt(2.0) * sol[:, :ends[-1]], ends[:-1], axis=1), svals

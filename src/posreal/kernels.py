@@ -328,11 +328,3 @@ def pencil_from_kernel_samples(ks: KernelSampleSet,
         raise NumericalRefusalError(
             f"reconstruction failed to interpolate the samples (residual {worst:.3e})")
     return rebuilt
-
-
-def factor_orthogonality_residual(ks: KernelSampleSet) -> float:
-    """Residual of sum_k (phi_k(zeta) - phi_k(e))* phi_k(e) = 0 over the grid."""
-    phis = np.concatenate(ks.factors, axis=1)
-    phi_e = phis[ks.base_index()]
-    grams = (phis - phi_e).conj().transpose(0, 2, 1) @ phi_e
-    return float(np.max(np.linalg.norm(grams, axis=(1, 2)))) / scale_of(phi_e)

@@ -44,6 +44,7 @@ __all__ = [
     "eval_schur",
     "schur_solve",
     "d_condition_bound",
+    "d_tuple_condition_bound",
     "eval_long_resolvent",
     "sum_realization",
     "diagonal_realization",
@@ -159,10 +160,10 @@ class RealizedFunction:
 
     @cached_property
     def _d_bound_constants(self) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-        """Point-independent part of ``d_condition_bound``, computed once per realization.
+        """Pencil-only part of ``d_condition_bound`` and ``d_tuple_condition_bound``, computed once.
 
         (lambda_min(sum_k Re d_k), per-k norm bounds, per-k negative
-        eigenvalue parts, per-k skew Frobenius norms); see that function.
+        eigenvalue parts, per-k skew Frobenius norms); see those functions.
         """
         n = self.dim_u
         ds = [m[n:, n:] for m in self.pencil.coeffs]
@@ -290,6 +291,38 @@ def d_condition_bound(f: RealizedFunction, z) -> np.ndarray:
     ok = (mu > 0) & (den > 0)
     out[ok] = num[ok] / den[ok]
     return out
+
+
+def d_tuple_condition_bound(f: RealizedFunction, mats, accretivity: float) -> float:
+    """Certified upper bound on cond d(R) for d(R) = sum_k d_k (x) R_k; +inf where none is proven.
+
+    ``mats`` are the members R_k of a tuple with R_k + R_k* >= beta I for
+    every k, beta = ``accretivity``.  For Hermitian PSD d_k,
+    Re d(R) = sum_k d_k (x) Re R_k, and each d_k (x) (Re R_k - beta/2 I)
+    is a Kronecker product of PSD matrices, so
+    Re d(R) >= (beta/2) (sum_k d_k) (x) I.  Then sigma_min d(R) >=
+    (beta/2) lambda_min(sum_k d_k), while ||d(R)|| <= sum_k ||d_k|| ||R_k||.
+    Hence
+
+        cond d(R) <= sum_k ||d_k|| ||R_k|| / ((beta/2) lambda_min(sum_k d_k)).
+
+    Coefficients that are not exactly Hermitian PSD are covered as in
+    ``d_condition_bound``: the denominator loses (||R_k|| - beta/2)
+    times the most negative eigenvalue of Re d_k (a bound on the
+    negative part of Re d_k (x) (Re R_k - beta/2 I)) and ||R_k|| times
+    the Frobenius norm of the skew part of d_k.  ||R_k|| is bounded by
+    its Frobenius norm.  The bound is +inf when beta <= 0 or the
+    denominator is not positive.
+    """
+    if f.dim_h == 0:
+        return 1.0
+    lam, norms, neg, skew = f._d_bound_constants
+    mags = np.linalg.norm(np.asarray(mats), axis=(1, 2))
+    half = 0.5 * accretivity
+    den = half * lam - (mags - half) @ neg - mags @ skew
+    if not (half > 0 and den > 0):
+        return np.inf
+    return float(mags @ norms / den)
 
 
 def eval_schur(f: RealizedFunction, z, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:

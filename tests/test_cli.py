@@ -10,7 +10,7 @@ from posreal.cayley import DiskKernelEvaluator, disk_to_halfplane, inv_double_ca
 from posreal.cli import main, run_verification
 from posreal.colligation import build_colligation, transfer_eval
 from posreal.core import DEFAULT_POLICY, eigh_or_refuse, hermitian_part
-from posreal.pencil import PsdPencil
+from posreal.pencil import PsdPencil, RealizedFunction, compress_realization
 from posreal.sampling import disk_grid, halfplane_grid, random_pencil
 
 
@@ -97,6 +97,29 @@ GOLDEN_ROWS = [
 ]
 
 
+# Every row of run_verification(random_pencil(default_rng(16), 3, 4, 32),
+# seed=5, grid_size=20), the shape of the benchmark's large pencil, as
+# (name, value.hex(), tol.hex(), pass); recorded while the d(R), F(w) + I
+# and I - S(w) guards still ran the condition estimate on every matrix
+# (numpy 2.4, OpenBLAS 0.3.31, x86-64).  A certificate may only skip the
+# estimate, and A(R) assembled from whole coefficients adds the same terms
+# in the same order, so no bit may move.
+GOLDEN_ROWS_BENCH_SHAPE = [
+    ('pencil-coefficients-psd', '0x0.0p+0', '0x1.b7cdfd9d7bdbbp-34', True),
+    ('homogeneity', '0x1.c237b67c38c37p-51', '0x1.12e0be826d695p-30', True),
+    ('conjugate-symmetry', '0x1.21e6a226bc2e2p-52', '0x1.12e0be826d695p-30', True),
+    ('positivity-min-re-eigenvalue', '0x1.2b739065ad313p-3', '-0x1.b7cdfd9d7bdbbp-34', True),
+    ('kernel-identity', '0x1.5390dfa34df9ep-49', '0x1.12e0be826d695p-30', True),
+    ('four-quadrant-conditions', '0x1.0000000000000p+0', '0x1.0000000000000p+0', True),
+    ('calculus-positivity-min-eig', '0x1.d869de8c9e022p+1', '-0x1.b7cdfd9d7bdbbp-34', True),
+    ('colligation-unitarity', '0x1.a099b872916edp-47', '0x1.12e0be826d695p-30', True),
+    ('colligation-selfadjointness', '0x1.2dcb5bb68c1e3p-49', '0x1.12e0be826d695p-30', True),
+    ('colligation-transfer-match', '0x1.1b97f99989f17p-51', '0x1.12e0be826d695p-30', True),
+    ('colligation-spectrum-margin', '0x1.31bd2b2e252a8p-2', '0x1.0c6f7a0b5ed8dp-20', True),
+    ('inverse-double-cayley-recovery', '0x1.9b2bea2b6d5e5p-50', '0x1.12e0be826d695p-30', True),
+]
+
+
 def _separate_evaluation_rows(f, seed, grid_size, pol=DEFAULT_POLICY):
     """The rows that reuse grid values, each computed on its own as before the reuse.
 
@@ -132,6 +155,17 @@ class TestVerificationReuse:
         report = run_verification(f, seed=3, grid_size=12)
         got = [(r.name, r.value.hex(), r.tol.hex(), r.passed) for r in report.checks]
         assert got == GOLDEN_ROWS
+
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_benchmark_shape_rows_match_golden_bits(self, validate):
+        f = random_pencil(np.random.default_rng(16), 3, 4, 32)
+        if not validate:
+            # the benchmark loads its pencils unchecked
+            f = compress_realization(RealizedFunction(
+                PsdPencil.from_coeffs(f.pencil.coeffs, f.dim_u, validate=False)))
+        report = run_verification(f, seed=5, grid_size=20)
+        got = [(r.name, r.value.hex(), r.tol.hex(), r.passed) for r in report.checks]
+        assert got == GOLDEN_ROWS_BENCH_SHAPE
 
     @pytest.mark.parametrize("shape, rank_deficient", [
         ((2, 2, 3), False), ((3, 1, 2), False), ((2, 2, 0), False), ((3, 2, 4), True),

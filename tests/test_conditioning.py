@@ -1,8 +1,8 @@
 """Certified conditioning bounds and the small-side Gram residual.
 
 The guard may skip its condition estimate only on a proven bound, so
-every bound is checked against ``np.linalg.cond`` on random pencils and
-colligations, on and off the evaluation domain.  The Gram residual of
+every bound is checked against ``np.linalg.cond`` on random pencils,
+tuples, value stacks and colligations, on and off the evaluation domain.  The Gram residual of
 colligation synthesis is checked against the dense 2gn x 2gn
 computation, written out here as the independent cross-check.
 """
@@ -10,7 +10,17 @@ computation, written out here as the independent cross-check.
 import numpy as np
 import pytest
 
-from posreal.cayley import DiskKernelEvaluator
+import posreal.calculus as calculus
+import posreal.cayley as cayley
+from posreal.calculus import calc_realized, make_tuple
+from posreal.cayley import (
+    DiskKernelEvaluator,
+    f_plus_i_condition_bound,
+    i_minus_s_condition_bound,
+    inv_value_cayley,
+    value_cayley,
+)
+from posreal.cli import run_verification
 from posreal.colligation import (
     AglerColligation,
     build_colligation,
@@ -32,10 +42,16 @@ from posreal.pencil import (
     _refuse_ill_conditioned,
     compress_realization,
     d_condition_bound,
+    d_tuple_condition_bound,
     eval_schur,
     ldu_factor_residual,
 )
-from posreal.sampling import disk_grid, random_pencil
+from posreal.sampling import (
+    disk_grid,
+    random_accretive_tuple,
+    random_diagonalizable_accretive_pair,
+    random_pencil,
+)
 
 SINGULAR = "d(z) is numerically singular (condition inf); boundary or outside-domain evaluation"
 
@@ -187,6 +203,213 @@ class TestGuard:
         with pytest.raises(NumericalRefusalError):
             _refuse_ill_conditioned(np.diag([1.0, 5e-11]).astype(complex)[None],
                                     DEFAULT_POLICY, "M", bound=np.array([0.6e10]))
+
+
+def _guard_outcome(call):
+    """The refusal message of ``call``, or None when it passes."""
+    try:
+        call()
+    except NumericalRefusalError as exc:
+        return str(exc)
+    return None
+
+
+def _accretive_mats(rng, num_vars, dim, skew=3.0):
+    """Non-commuting matrices with R_k + R_k* >= beta I, and beta."""
+    mats = []
+    for _ in range(num_vars):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        low = 0.05 + rng.random()
+        mats.append(g @ g.conj().T / dim + low * np.eye(dim) + skew * (h - h.conj().T))
+    beta = min(float(np.linalg.eigvalsh(m + m.conj().T)[0]) for m in mats)
+    return mats, beta
+
+
+def _d_of_tuple(f, mats):
+    n = f.dim_u
+    return sum(np.kron(a[n:, n:], r) for a, r in zip(f.pencil.coeffs, mats))
+
+
+class TestDTupleConditionBound:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bound_dominates_condition(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        num_vars = 1 + seed % 3
+        f = random_pencil(rng, num_vars, 1 + seed % 2, 2 + 4 * seed,
+                          rank_deficient=bool(seed % 2))
+        for dim in (1, 2, 3, 4):
+            tuples = [random_accretive_tuple(rng, num_vars, dim) for _ in range(3)]
+            tuples.append(random_diagonalizable_accretive_pair(rng, dim, num_vars)[0])
+            for r in tuples:
+                bound = d_tuple_condition_bound(f, r.mats, r.bound)
+                # a valid pencil under a certified accretive tuple is always covered
+                assert np.all(_assert_sound(np.array([bound]), _d_of_tuple(f, r.mats)[None]))
+            for _ in range(3):
+                mats, beta = _accretive_mats(rng, num_vars, dim)
+                bound = d_tuple_condition_bound(f, mats, beta)
+                assert np.all(_assert_sound(np.array([bound]), _d_of_tuple(f, mats)[None]))
+
+    def test_unvalidated_indefinite_and_skew_blocks(self):
+        rng = np.random.default_rng(12)
+        finite = 0
+        for trial in range(40):
+            coeffs = []
+            for _ in range(2):
+                g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+                s = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+                # slightly indefinite Hermitian part plus a skew part, both
+                # small enough that the correction terms often leave a bound
+                shift, skew = (0.02, 0.02) if trial % 2 else (0.3, 0.5)
+                coeffs.append(g @ g.conj().T - shift * np.eye(4) + skew * (s - s.conj().T))
+            f = RealizedFunction(PsdPencil.from_coeffs(coeffs, 1, validate=False), compressed=True)
+            for dim in (1, 2, 3):
+                mats, beta = _accretive_mats(rng, 2, dim, skew=0.1)
+                bound = d_tuple_condition_bound(f, mats, beta)
+                finite += int(np.all(_assert_sound(np.array([bound]), _d_of_tuple(f, mats)[None])))
+        assert finite > 0  # the corrections are exercised, not only the +inf fallback
+
+    def test_singular_d_under_accretive_tuple_is_not_certified(self):
+        # d(R) = d_1 (x) R_1 with an indefinite d_1 is singular for R_1 = I
+        coeffs = [np.diag([1.0, 1.0, -1.0]), np.diag([1.0, 0.0, 2.0])]
+        f = RealizedFunction(PsdPencil.from_coeffs(coeffs, 1, validate=False), compressed=True)
+        r = make_tuple([np.eye(2), 1e-3 * np.eye(2)], require="accretive")
+        assert d_tuple_condition_bound(f, r.mats, r.bound) == np.inf
+        assert d_tuple_condition_bound(f, r.mats, 0.0) == np.inf
+
+    def test_skew_d_blocks_singular_under_accretive_tuple(self):
+        # d_1 = 1 + i, d_2 = 1 - i have Re d_1 + Re d_2 = 2 > 0, yet with
+        # r_1 = (1 + i)/2 and r_2 = (1 - i)/2 (Re r_k = 1/2) d_1 r_1 + d_2 r_2 = 0,
+        # so d(R) = diag(0, 2) is singular under a tuple with beta = 1
+        coeffs = [np.diag([1.0, 1.0 + 1j]), np.diag([1.0, 1.0 - 1j])]
+        f = RealizedFunction(PsdPencil.from_coeffs(coeffs, 1, validate=False), compressed=True)
+        r = make_tuple([np.diag([0.5 + 0.5j, 1.0]), np.diag([0.5 - 0.5j, 1.0])], require="accretive")
+        assert r.bound == pytest.approx(1.0)
+        assert np.linalg.cond(_d_of_tuple(f, r.mats)) > 1e15
+        assert d_tuple_condition_bound(f, r.mats, r.bound) == np.inf
+        with pytest.raises(NumericalRefusalError):
+            calc_realized(f, r)
+
+    def test_p0_is_trivially_conditioned(self):
+        f = random_pencil(np.random.default_rng(2), 2, 2, 0)
+        assert d_tuple_condition_bound(f, [np.eye(2), np.eye(2)], 2.0) == 1.0
+
+    @pytest.mark.parametrize("eps", [1e-8, 3e-10, 1e-10, 4e-11, 1e-11])
+    def test_near_singular_d_keeps_the_decision(self, eps):
+        # d(R) = diag(1, eps) (x) R: its condition crosses 1/psd_slack as eps falls
+        coeffs = [np.diag([1.0, 1.0, eps]), np.diag([1.0, 0.5, eps])]
+        f = RealizedFunction(PsdPencil.from_coeffs(coeffs, 1, validate=False), compressed=True)
+        r = make_tuple([np.diag([1.0, 2.0]), np.diag([1.5, 1.0])], require="accretive")
+        d = _d_of_tuple(f, r.mats)
+        expect = _guard_outcome(lambda: _refuse_ill_conditioned(d[None], DEFAULT_POLICY, "d(R)"))
+        assert _guard_outcome(lambda: calc_realized(f, r)) == expect
+
+
+def _indefinite_values(rng, count, n):
+    """Random value stacks whose Hermitian parts are indefinite."""
+    g = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    return g * rng.uniform(0.1, 3.0, (count, 1, 1))
+
+
+class TestFPlusIConditionBound:
+    @pytest.mark.parametrize("shape", [(2, 1, 2), (3, 2, 4), (3, 4, 32), (2, 3, 3)])
+    def test_positive_real_values_are_covered(self, rng, shape):
+        f = random_pencil(rng, *shape, rank_deficient=shape[1] > 2)
+        fv = DiskKernelEvaluator(f).view.eval_F(disk_grid(shape[0], 60, seed=3))
+        n = fv.shape[-1]
+        finite = _assert_sound(f_plus_i_condition_bound(fv), fv + np.eye(n))
+        # Re F >= 0, but Gershgorin discs may still reach -1 for a few values
+        assert np.mean(finite) > 0.9
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 7])
+    def test_indefinite_real_parts(self, rng, n):
+        fv = _indefinite_values(rng, 200, n)
+        bound = f_plus_i_condition_bound(fv)
+        finite = _assert_sound(bound, fv + np.eye(n))
+        assert not np.all(finite)
+        # the bound is +inf wherever Re F may reach -1
+        herm = 0.5 * (fv + fv.conj().transpose(0, 2, 1))
+        assert np.all(np.isinf(bound[np.linalg.eigvalsh(herm)[:, 0] <= -1.0]))
+
+    def test_minus_one_in_the_spectrum(self):
+        fv = np.stack([np.diag([1.0, -1.0]), np.diag([2.0, 3.0])]).astype(complex)
+        assert f_plus_i_condition_bound(fv)[0] == np.inf
+        assert np.isfinite(f_plus_i_condition_bound(fv)[1])
+
+    def test_non_finite_values_prove_nothing(self):
+        fv = np.stack([np.full((2, 2), np.nan), np.diag([1e300, 1.0]), np.eye(2)]).astype(complex)
+        bound = f_plus_i_condition_bound(fv)
+        assert not np.isfinite(bound[0]) and not np.isfinite(bound[1])
+        assert bound[2] == np.sqrt(2.0)  # ||2I||_F / 2
+
+    @pytest.mark.parametrize("gap", [1e-6, 3e-10, 1.5e-10, 5e-11, 0.0])
+    def test_near_threshold_keeps_the_decision(self, rng, gap):
+        # F = diag(-1 + gap, 1) beside well-conditioned values; F + I nears singular
+        fv = np.concatenate([np.diag([-1.0 + gap, 1.0]).astype(complex)[None],
+                             np.stack([np.eye(2) * (1 + k) for k in range(5)])])
+        eye = np.eye(2)
+        expect = _guard_outcome(lambda: _refuse_ill_conditioned(fv + eye, DEFAULT_POLICY, "F(w) + I"))
+        assert _guard_outcome(lambda: value_cayley(fv)) == expect
+
+
+class TestIMinusSConditionBound:
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_contractive_stacks(self, rng, n):
+        sv = _indefinite_values(rng, 200, n)
+        sv *= (rng.uniform(0.0, 0.999, 200) / np.linalg.norm(sv, axis=(1, 2)))[:, None, None]
+        bound = i_minus_s_condition_bound(sv)
+        assert np.all(_assert_sound(bound, np.eye(n) - sv))
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_non_contractive_stacks(self, rng, n):
+        sv = _indefinite_values(rng, 200, n)
+        # Frobenius norms from 0.5 to 3: some below one, some with ||S|| < 1 <= ||S||_F
+        sv *= (rng.uniform(0.5, 3.0, 200) / np.linalg.norm(sv, axis=(1, 2)))[:, None, None]
+        bound = i_minus_s_condition_bound(sv)
+        finite = _assert_sound(bound, np.eye(n) - sv)
+        assert np.array_equal(finite, np.linalg.norm(sv, axis=(1, 2)) < 1.0)
+        assert 0 < np.sum(finite) < len(sv)
+
+    @pytest.mark.parametrize("gap", [1e-6, 3e-10, 1.5e-10, 5e-11, 0.0])
+    def test_near_threshold_keeps_the_decision(self, gap):
+        # S = diag(0, 1 - gap): cond(I - S) = 1/gap, bound (2 - gap)/gap
+        sv = np.concatenate([np.diag([0.0, 1.0 - gap]).astype(complex)[None],
+                             np.stack([np.eye(2) * 0.1 * k for k in range(5)])])
+        eye = np.eye(2)
+        expect = _guard_outcome(lambda: _refuse_ill_conditioned(eye - sv, DEFAULT_POLICY, "I - S(w)"))
+        assert _guard_outcome(lambda: inv_value_cayley(sv)) == expect
+
+
+class TestVerifyNeedsNoEstimate:
+    """On valid pencils the d(R) and F(w) + I guards of ``run_verification`` are certified."""
+
+    @pytest.mark.parametrize("shape, rank_deficient, grid", [
+        ((3, 4, 32), False, 20), ((3, 2, 4), True, 30), ((2, 1, 2), False, 25),
+        ((2, 2, 3), False, 25), ((3, 1, 3), True, 25), ((2, 2, 0), False, 12),
+    ])
+    def test_no_condition_estimate(self, monkeypatch, shape, rank_deficient, grid):
+        stages, estimated = [], []
+        real_cond = np.linalg.cond
+
+        def spy(mats, pol, what, bound=None):
+            stages.append(what)
+            try:
+                return _refuse_ill_conditioned(mats, pol, what, bound=bound)
+            finally:
+                stages.pop()
+
+        def cond(mats, *args, **kwargs):
+            estimated.append(stages[-1] if stages else None)
+            return real_cond(mats, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cond", cond)
+        monkeypatch.setattr(calculus, "_refuse_ill_conditioned", spy)
+        monkeypatch.setattr(cayley, "_refuse_ill_conditioned", spy)
+        f = random_pencil(np.random.default_rng(sum(shape)), *shape, rank_deficient=rank_deficient)
+        report = run_verification(f, seed=4, grid_size=grid)
+        assert report.verdict
+        assert "d(R)" not in estimated
+        assert "F(w) + I" not in estimated
 
 
 def _random_contraction(rng, dims, n, norm):

@@ -11,6 +11,11 @@ deleting a function or class also means deleting its export.
 The single-point convention of batched evaluators (one point in, its
 value alone out) lives in ``core.like_points``; no other module spells
 it out as ``... if ....ndim == 1 else ...``.
+
+Every call of the guard passes a certified ``bound=``, so the condition
+estimate runs only where no proven inequality clears a matrix.  The
+exceptions are the two guards of ``pencil.eval_long_resolvent``, which
+have no certificate yet and are listed by function and stage.
 """
 
 import ast
@@ -20,6 +25,12 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "posreal"
 ALLOWED = {"_refuse_ill_conditioned"}
+GUARD = "_refuse_ill_conditioned"
+# (function, stage) of the guard calls that may run the estimate alone
+UNCERTIFIED = {
+    ("eval_long_resolvent", "A(z)"),
+    ("eval_long_resolvent", "the U-corner of A(z)^{-1}"),
+}
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -60,6 +71,32 @@ def single_point_copies(source: str) -> list[int]:
     return [i for i, line in enumerate(source.splitlines(), 1) if "ndim == 1 else" in line]
 
 
+def unbounded_guard_calls(source: str) -> list[tuple[str, str]]:
+    """(enclosing function, stage) of every guard call without a ``bound=`` keyword.
+
+    The stage is the third positional argument when it is a string
+    literal, else its source text.
+    """
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+                if name == GUARD and not any(k.arg == "bound" for k in child.keywords):
+                    stage = child.args[2] if len(child.args) > 2 else None
+                    text = (stage.value if isinstance(stage, ast.Constant)
+                            else ast.unparse(stage) if stage is not None else "")
+                    found.append((func, text))
+            visit(child, func)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
 def test_package_modules_found():
     assert len(MODULES) > 10
 
@@ -77,6 +114,31 @@ def test_every_export_is_bound(path):
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name)
 def test_single_point_convention_only_in_core(path):
     assert single_point_copies(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_guard_call_passes_a_bound(path):
+    assert set(unbounded_guard_calls(path.read_text())) <= UNCERTIFIED
+
+
+def test_uncertified_guards_still_exist():
+    # an allow-list entry whose call is gone (or now certified) must be dropped
+    found = set()
+    for path in MODULES:
+        found |= set(unbounded_guard_calls(path.read_text()))
+    assert found == UNCERTIFIED
+
+
+@pytest.mark.parametrize("source, hits", [
+    ("def f(m, pol):\n    _refuse_ill_conditioned(m, pol, 'X')\n", [("f", "X")]),
+    ("def f(m, pol, b):\n    _refuse_ill_conditioned(m, pol, 'X', bound=b)\n", []),
+    ("def f(m, pol, w):\n    pencil._refuse_ill_conditioned(m, pol, w)\n", [("f", "w")]),
+    ("class C:\n    def g(self, m):\n        _refuse_ill_conditioned(m, self.pol, 'Y')\n",
+     [("g", "Y")]),
+    ("_refuse_ill_conditioned(m, pol, 'top')\n", [("<module>", "top")]),
+])
+def test_rule_detects_unbounded_guard_calls(source, hits):
+    assert unbounded_guard_calls(source) == hits
 
 
 @pytest.mark.parametrize("source, missing", [
