@@ -8,8 +8,8 @@ transforms of the kernel factors.  The operator Cayley maps of the
 calculus module are the value maps applied to a stacked tuple.
 Every division by F + I (or I - S) is one guarded right division, whose
 guard first tries a proven condition bound (``f_plus_i_condition_bound``,
-``i_minus_s_condition_bound``); the theta tables and S on a grid share
-one division (``DiskKernelEvaluator.schur_tables``).
+``i_minus_s_condition_bound``).  The theta tables and S of a pencil on a
+grid come from one M(w) solve instead (``DiskKernelEvaluator.schur_tables``).
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from .core import (
     as_points,
     like_points,
 )
-from .colligation import transfer_identity_residuals
-from .kernels import KernelEvaluator, KernelSampleSet, plus_minus_residuals
+from .colligation import reflection_transfer, transfer_identity_residuals
+from .kernels import KernelEvaluator, plus_minus_residuals
 from .pencil import RealizedFunction, _refuse_ill_conditioned, as_evaluator
 
 __all__ = [
@@ -89,13 +89,15 @@ def f_plus_i_condition_bound(values) -> np.ndarray:
 def i_minus_s_condition_bound(values) -> np.ndarray:
     """Certified upper bound on cond(I - S) for stacked values S (B, n, n); +inf where none is proven.
 
-    With s = ||S||_F >= ||S|| < 1, sigma_min(I - S) >= 1 - s and
-    ||I - S|| <= 1 + s, so cond(I - S) <= (1 + s)/(1 - s).
+    With s = min(||S||_F, sqrt(||S||_1 ||S||_inf)) >= ||S|| and s < 1,
+    sigma_min(I - S) >= 1 - s and ||I - S|| <= 1 + s, so cond(I - S) <= (1 + s)/(1 - s).
     """
     sv = np.asarray(values, dtype=complex)
     out = np.full(sv.shape[0], np.inf)
     with np.errstate(over="ignore", invalid="ignore"):  # as in f_plus_i_condition_bound
-        s = np.linalg.norm(sv, axis=(1, 2))
+        mags = np.abs(sv)  # ||S||_1 and ||S||_inf are the largest column and row sums of |S|
+        norm_1, norm_inf = (np.max(mags.sum(axis=a), axis=1, initial=0.0) for a in (1, 2))
+        s = np.minimum(np.linalg.norm(sv, axis=(1, 2)), np.sqrt(norm_1 * norm_inf))
         ok = s < 1.0
         out[ok] = (1.0 + s[ok]) / (1.0 - s[ok])
     return out
@@ -186,10 +188,9 @@ class DiskKernelEvaluator:
     Theta_k    = theta_k(o)* theta_k(w)      (Schur-side kernels)
 
     Everything is an evaluator view over the pencil; no power-series
-    coefficients are stored on this path.  Each table and identity
-    residual reads F(w) and every phi_k(z(w)) from one ``KernelSampleSet``
-    at the halfplane images z(w): one d(z) solve.  The theta tables and
-    S(w) then come from one division by F(w) + I (``schur_tables``).
+    coefficients are stored on this path.  The Herglotz side reads F(w)
+    and every phi_k(z(w)) from one ``KernelSampleSet`` at z(w): one d(z)
+    solve.  The theta tables and S(w) come from one M(w) solve (``schur_tables``).
     """
 
     def __init__(self, f: RealizedFunction, pol: TolerancePolicy = DEFAULT_POLICY):
@@ -197,20 +198,17 @@ class DiskKernelEvaluator:
         self.pol = pol
         self.kernels = KernelEvaluator(f, pol)
         self.view = DiskFunctionView(f, pol=pol)
+        # V = [L_1; ...; L_N; E*], E = [I_n; 0] the inclusion of U into U (+) H
+        self.factor = np.concatenate(self.kernels.factors + (np.eye(f.dim_u, f.pencil.dim),))
 
     @property
     def num_vars(self) -> int:
         return self.f.num_vars
 
-    def _xi_tables(self, pts: np.ndarray, samples: KernelSampleSet) -> list[np.ndarray]:
-        """xi_k at a batch of disk points for every k, from the samples at z(w)."""
-        return [(np.sqrt(2.0) / (1.0 - pts[:, k]))[:, None, None] * t
-                for k, t in enumerate(samples.factors)]
-
     def xi(self, k: int, w) -> np.ndarray:
         pts = as_points(w, self.num_vars)
-        samples = self.kernels.phi_table(disk_to_halfplane(pts))
-        return like_points(w, self._xi_tables(pts, samples)[k])
+        table = self.kernels.phi_table(disk_to_halfplane(pts)).factors[k]
+        return like_points(w, (np.sqrt(2.0) / (1.0 - pts[:, k]))[:, None, None] * table)
 
     def xi_kernel(self, k: int, w, omega) -> np.ndarray:
         xw = np.atleast_3d(self.xi(k, w))
@@ -220,33 +218,27 @@ class DiskKernelEvaluator:
     def theta(self, k: int, w) -> np.ndarray:
         return like_points(w, self.schur_tables(w)[0][k])
 
-    def schur_tables(self, grid, samples: KernelSampleSet | None = None
-                     ) -> tuple[list[np.ndarray], np.ndarray]:
+    def schur_tables(self, grid) -> tuple[list[np.ndarray], np.ndarray]:
         """Tables theta_k (g, m_k, n) for every k and S(w) (g, n, n) on the grid.
 
-        One guard and one LU solve divide the rows [xi_1; ...; xi_N; F - I]
-        by F(w) + I.  ``samples`` is the ``KernelSampleSet`` that
-        ``kernels.phi_table`` takes at z(w) = ``disk_to_halfplane(grid)``;
-        its ``f_samples`` are F(w), so d(z) is not solved again.  A set
-        taken at other points is refused.
+        ``colligation.reflection_transfer`` of V = [L_1; ...; L_N; E*], with
+        L_k* L_k = A_k (the ``psd_sqrt`` factors) and E = [I_n; 0], gives
+        T = M(w)^{-1} E for M(w) = A(z) + E E* at z = z(w), S = I - 2 E* T,
+        and theta_k = 2/(1 - w_k) L_k T.  Proof: A(z) psi = E f(z) and
+        E* psi = I for psi = [I ; -d(z)^{-1} c(z)], so M(w) psi = E (F + I),
+        T = psi (F + I)^{-1}, S = I - 2 (F + I)^{-1} = (F - I)(F + I)^{-1} and
+        L_k T = (1 - w_k)/sqrt(2) xi_k (F + I)^{-1}.  V* V = A(e) + E E* is
+        positive definite for a compressed pencil, so the M(w) guard clears.
         """
         pts = as_points(grid, self.num_vars)
-        if samples is None:
-            samples = self.kernels.phi_table(disk_to_halfplane(pts))
-        elif not np.array_equal(samples.grid, disk_to_halfplane(pts)):
-            raise ValidationError("kernel samples were not taken at the halfplane images of the grid")
-        xs = self._xi_tables(pts, samples)
-        fv = samples.f_samples
-        eye = np.eye(fv.shape[-1], dtype=complex)
-        sol = _right_divide(np.concatenate(xs + [fv - eye], axis=1), fv + eye, self.pol, "F(w) + I",
-                            f_plus_i_condition_bound(fv))
-        ends = np.cumsum([x.shape[1] for x in xs])
-        svals = sol[:, ends[-1]:].copy()  # not a view: the stacked solution dies here
-        return np.split(np.sqrt(2.0) * sol[:, :ends[-1]], ends[:-1], axis=1), svals
+        disk_to_halfplane(pts)  # refuses points near the unit circle
+        t, svals = reflection_transfer(self.factor, self.kernels.factor_ranks, pts, self.pol)
+        return [(2.0 / (1.0 - pts[:, k]))[:, None, None] * (lk @ t)
+                for k, lk in enumerate(self.kernels.factors)], svals
 
-    def theta_table(self, grid, samples: KernelSampleSet | None = None) -> list[np.ndarray]:
+    def theta_table(self, grid) -> list[np.ndarray]:
         """theta_k on the grid for every k, one (g, m_k, n) array each; see ``schur_tables``."""
-        return self.schur_tables(grid, samples)[0]
+        return self.schur_tables(grid)[0]
 
     def theta_kernel(self, k: int, w, omega) -> np.ndarray:
         tw = np.atleast_3d(self.theta(k, w))

@@ -37,7 +37,7 @@ from .cayley import (
     value_cayley,
 )
 from .colligation import agler_identity_residual, build_colligation, spectrum_condition
-from .core import DEFAULT_POLICY, NumericalRefusalError, PosrealError, TolerancePolicy, ValidationError, hermitian_part, eigh_or_refuse
+from .core import DEFAULT_POLICY, NumericalRefusalError, PosrealError, TolerancePolicy, ValidationError, hermitian_part, eigh_or_refuse, relative_residual
 from .geometry import (
     AntiUnitaryInvolution,
     check_real_colligation,
@@ -155,7 +155,7 @@ def run_verification(f: RealizedFunction, seed: int = 0, grid_size: int = 25,
 
     # The halfplane grid is the Cayley image of the disk grid, so one d(z)
     # solve on zs gives f there, F on ws (F(w) = f(z(w))) and the phi
-    # tables for the kernel identity and the theta tables.
+    # tables for the kernel identity.
     ws = disk_grid(f.num_vars, grid_size, seed)
     zs = disk_to_halfplane(ws)
     if disk_error is None:
@@ -198,14 +198,14 @@ def run_verification(f: RealizedFunction, seed: int = 0, grid_size: int = 25,
     margin("calculus-positivity-min-eig", -pol.psd_slack, calculus_floor)
 
     # F on the disk grid (the values on zs) is the recovery target, and one
-    # division by F + I gives the theta tables and the Schur-side samples;
-    # the synthesis hands back its transfer values and residuals.
+    # M(w) solve gives the theta tables and the Schur-side samples; the
+    # synthesis hands back its transfer values and residuals.
     coll = None
     try:
         if disk_error is not None:
             raise disk_error
-        thetas, svals = disk.schur_tables(ws, samples)
         del samples  # the phi tables are dead here; keep them out of the synthesis' peak memory
+        thetas, svals = disk.schur_tables(ws)
         syn = build_colligation(ws, thetas, svals, pol)
         coll = syn.colligation
     except PosrealError as exc:
@@ -222,11 +222,8 @@ def run_verification(f: RealizedFunction, seed: int = 0, grid_size: int = 25,
         margin("colligation-spectrum-margin", pol.margin,
                lambda: spectrum_condition(coll, pol)[1])
 
-        def recovery():
-            rec = inv_value_cayley(syn.values, pol)
-            return float(np.max(np.linalg.norm(rec - vals, axis=(1, 2)) / scales))
-
-        residual("inverse-double-cayley-recovery", pol.residual_tol, recovery)
+        residual("inverse-double-cayley-recovery", pol.residual_tol,
+                 lambda: relative_residual(inv_value_cayley(syn.values, pol), vals))
 
     if iota_u is not None:
         if iota_h is None:
@@ -398,7 +395,7 @@ def _cmd_colligate(args) -> int:
     f = _load_pencil(args.pencil, pol)
     ws = disk_grid(f.num_vars, args.grid, args.seed)
     disk = DiskKernelEvaluator(f, pol)
-    # one d(z) solve at z(w) and one division by F(w) + I give theta and S(w)
+    # one M(w) solve gives theta and S(w)
     thetas, svals = disk.schur_tables(ws)
     syn = build_colligation(ws, thetas, svals, pol)
     coll = syn.colligation

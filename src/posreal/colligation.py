@@ -21,7 +21,6 @@ built by hand) and is the cross-check of the reflection route.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -38,12 +37,14 @@ from .core import (
     hermitian_split_residuals,
     eigh_or_refuse,
     operator_norm,
+    relative_residual,
 )
 from .pencil import _refuse_ill_conditioned
 
 __all__ = [
     "AglerColligation",
     "transfer_eval",
+    "reflection_transfer",
     "transfer_condition_bound",
     "agler_identity_residual",
     "transfer_identity_residuals",
@@ -123,16 +124,6 @@ class AglerColligation:
     def __call__(self, w, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
         return transfer_eval(self, w, pol)
 
-    @cached_property
-    def _reflection_constants(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """Grams G = (V_u* V_u, V_1* V_1, ..., V_N* V_N), their norms, lambda_min(sum G)."""
-        v = self.reflection
-        bounds = np.cumsum((0,) + self.dims)
-        blocks = [v[self.dim_state:]] + [v[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-        grams = hermitian_part(np.stack([blk.conj().T @ blk for blk in blocks]))
-        norms = np.max(np.abs(np.linalg.eigvalsh(grams)), axis=1, initial=0.0)
-        return grams, norms, float(np.min(np.linalg.eigvalsh(grams.sum(axis=0)), initial=np.inf))
-
 
 def _checked_reflection(factor, u: np.ndarray, selfadjoint: bool) -> np.ndarray:
     """The factor V as a complex array, refused unless U = I - 2 V V* and V* V = I."""
@@ -172,10 +163,8 @@ def transfer_eval(c: AglerColligation, w, pol: TolerancePolicy = DEFAULT_POLICY)
         det(I - A P(w)) = prod_k (1 - w_k)^{d_k} det M(w),
 
     so inside the polydisk the two systems are singular together.  The
-    guard on M(w) is certified: Re z_k = (1 - |w_k|^2) / |1 - w_k|^2 > 0,
-    so with mu = min(1, min_k Re z_k) every unit x has
-    |x* M x| >= Re x* M x >= mu x* V* V x, whence sigma_min M >=
-    mu lambda_min(V* V), while ||M|| <= ||V_u||^2 + sum_k |z_k| ||V_k||^2.
+    value comes from ``reflection_transfer``, whose guard on M(w) is
+    certified.
 
     Otherwise (no factor, or a point on or outside the torus) the state
     system is solved.  Strictly inside the polydisk I - A P(w) is
@@ -199,22 +188,38 @@ def _transfer_values(c: AglerColligation, pts: np.ndarray, pol: TolerancePolicy,
     if c.dim_state == 0:
         return np.broadcast_to(d, (len(pts),) + d.shape).copy()
     if c.reflection is not None and np.all(np.abs(pts) < 1.0):
-        return _reflection_transfer(c, pts, pol)
+        return reflection_transfer(c.reflection, c.dims, pts, pol)[1]
     if state is None:
         state = _state_solve(c, pts, pol)
     return _transfer_from_state(c, *state)
 
 
-def _reflection_transfer(c: AglerColligation, pts: np.ndarray, pol: TolerancePolicy) -> np.ndarray:
-    """S(w) = I - 2 V_u M(w)^{-1} V_u* at points inside the open polydisk, behind the guard."""
-    grams, norms, lam = c._reflection_constants
-    vu = c.reflection[c.dim_state:]
+def reflection_transfer(v: np.ndarray, dims, pts: np.ndarray,
+                        pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[np.ndarray, np.ndarray]:
+    """T = M(w)^{-1} V_u* (B, r, n) and S(w) = I - 2 V_u T (B, n, n) on a batch of disk points.
+
+    ``v`` = (V_1; ...; V_N; V_u) has dims[k] rows in V_k, and
+    M(w) = V_u* V_u + sum_k z_k V_k* V_k, z_k = (1 + w_k) / (1 - w_k), is
+    formed and solved here only (``transfer_eval`` derives S from it).  Its
+    guard is certified: inside the open polydisk Re z_k > 0, so with
+    mu = min(1, min_k Re z_k) every unit x has |x* M x| >= Re x* M x >=
+    mu x* V* V x, whence sigma_min M >= mu lambda_min(V* V), while
+    ||M|| <= ||V_u||^2 + sum_k |z_k| ||V_k||^2 (+inf where mu lambda_min <= 0).
+    """
+    bounds = np.cumsum((0,) + tuple(dims))
+    vu = v[bounds[-1]:]
+    blocks = [vu] + [v[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    grams = hermitian_part(np.stack([blk.conj().T @ blk for blk in blocks]))
+    norms = np.max(np.abs(np.linalg.eigvalsh(grams)), axis=1, initial=0.0)
+    lam = np.min(np.linalg.eigvalsh(grams.sum(axis=0)), initial=np.inf)
     z = (1.0 + pts) / (1.0 - pts)
     m = grams[0] + np.tensordot(z, grams[1:], axes=(1, 0))
-    mu = np.minimum(1.0, np.min(z.real, axis=1))
-    _refuse_ill_conditioned(m, pol, "M(w)", bound=(norms[0] + np.abs(z) @ norms[1:]) / (mu * lam))
-    sol = np.linalg.solve(m, np.broadcast_to(vu.conj().T, (len(pts),) + vu.T.shape))
-    return np.eye(c.n) - 2.0 * (vu @ sol)
+    low = np.minimum(1.0, np.min(z.real, axis=1)) * lam
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = np.where(low > 0, (norms[0] + np.abs(z) @ norms[1:]) / low, np.inf)
+    _refuse_ill_conditioned(m, pol, "M(w)", bound=bound)
+    t = np.linalg.solve(m, np.broadcast_to(vu.conj().T, (len(pts),) + vu.T.shape))
+    return t, np.eye(len(vu)) - 2.0 * (vu @ t)
 
 
 def _state_solve(c: AglerColligation, pts: np.ndarray,
@@ -436,8 +441,7 @@ def build_colligation(grid, theta_tables, schur_samples,
     unit, sa = coll.validate(pol)
 
     tv = transfer_eval(coll, pts, pol)
-    interp = float(np.max(np.linalg.norm(tv - svals, axis=(1, 2)) /
-                          (1.0 + np.linalg.norm(svals, axis=(1, 2)))))
+    interp = relative_residual(tv, svals)
     if gram_res <= pol.residual_tol and interp > pol.residual_tol:
         raise NumericalRefusalError(
             f"synthesized colligation fails to interpolate (residual {interp:.3e})")

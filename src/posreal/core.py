@@ -26,6 +26,7 @@ __all__ = [
     "argument_arc",
     "cross_gram_residual",
     "hermitian_split_residuals",
+    "relative_residual",
     "scale_of",
     "is_hermitian",
     "PsdReport",
@@ -239,6 +240,12 @@ def hermitian_split_residuals(x, y, scale=None) -> tuple[float, float]:
                         worst[i], np.max(norms / scale[b:b + _ROW_BLOCK]),
                         np.max(norms / scale[c:c + _ROW_BLOCK, None])])
     return float(worst[0]), float(worst[1])
+
+
+def relative_residual(values, target) -> float:
+    """Largest ||values(b) - target(b)||_F / (1 + ||target(b)||_F) over two (B, n, n) stacks."""
+    num = np.linalg.norm(values - target, axis=(1, 2))
+    return float(np.max(num / (1.0 + np.linalg.norm(target, axis=(1, 2)))))
 
 
 def scale_of(m) -> float:

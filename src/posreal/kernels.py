@@ -35,6 +35,7 @@ from .core import (
     eigh_or_refuse,
     is_hermitian,
     psd_sqrt,
+    relative_residual,
     scale_of,
 )
 from .pencil import PsdPencil, RealizedFunction, schur_solve
@@ -318,10 +319,7 @@ def pencil_from_kernel_samples(ks: KernelSampleSet,
     pencil = PsdPencil(ks.num_vars, n, qh.shape[1], tuple(coeffs), validated=True)
     rebuilt = RealizedFunction(pencil, compressed=True)
 
-    vals = rebuilt(ks.grid, pol)
-    num = np.linalg.norm(vals - ks.f_samples, axis=(1, 2))
-    den = 1.0 + np.linalg.norm(ks.f_samples, axis=(1, 2))
-    worst = float(np.max(num / den))
+    worst = relative_residual(rebuilt(ks.grid, pol), ks.f_samples)
     if not worst <= pol.residual_tol:
         # valid input data that the sampled spans cannot realize faithfully
         # (rank collapse in the embedding)

@@ -32,6 +32,7 @@ from .core import (
     eigh_or_refuse,
     is_hermitian,
     is_psd,
+    relative_residual,
     scale_of,
 )
 
@@ -378,8 +379,7 @@ def eval_long_resolvent(f: RealizedFunction, z, pol: TolerancePolicy = DEFAULT_P
     return like_points(z, np.linalg.inv(corner))
 
 
-def sum_realization(f1: RealizedFunction, f2: RealizedFunction,
-                    pol: TolerancePolicy = DEFAULT_POLICY) -> RealizedFunction:
+def sum_realization(f1: RealizedFunction, f2: RealizedFunction) -> RealizedFunction:
     """Realization of f1 + f2 on U (+) (H1 (+) H2) (series connection).
 
     Each new coefficient is the sum of two PSD embeddings of the old
@@ -441,6 +441,4 @@ def ldu_factor_residual(f: RealizedFunction, z, pol: TolerancePolicy = DEFAULT_P
     target = np.zeros_like(az)
     target[:, :n, :n] = fz
     target[:, n:, n:] = d
-    num = np.linalg.norm(formed - target, axis=(1, 2))
-    den = 1.0 + np.linalg.norm(target, axis=(1, 2))
-    return float(np.max(num / den))
+    return relative_residual(formed, target)

@@ -32,23 +32,41 @@ def _spy_d_solves(monkeypatch, f, zs):
     return solves
 
 
-@pytest.mark.parametrize("call", [
-    lambda f, ws, zs: sample_kernels(f, zs),
-    lambda f, ws, zs: kernel_identity_residual(f, zs),
-    lambda f, ws, zs: plus_minus_residuals(f, zs),
-    lambda f, ws, zs: DiskKernelEvaluator(f).theta_table(ws),
-    lambda f, ws, zs: DiskKernelEvaluator(f).herglotz_identity_residuals(ws),
-    lambda f, ws, zs: DiskKernelEvaluator(f).schur_identity_residuals(ws),
+def _m_of(f, zs):
+    """M(w) = A(z) + E E* at the points zs = z(w), E = [I_n; 0]."""
+    az = np.tensordot(zs, f.pencil.stacked(), axes=(1, 0))
+    az[:, :f.dim_u, :f.dim_u] += np.eye(f.dim_u)
+    return az
+
+
+@pytest.mark.parametrize("call, d_solves", [
+    (lambda f, ws, zs: sample_kernels(f, zs), 1),
+    (lambda f, ws, zs: kernel_identity_residual(f, zs), 1),
+    (lambda f, ws, zs: plus_minus_residuals(f, zs), 1),
+    (lambda f, ws, zs: DiskKernelEvaluator(f).theta_table(ws), 0),
+    (lambda f, ws, zs: DiskKernelEvaluator(f).herglotz_identity_residuals(ws), 1),
+    (lambda f, ws, zs: DiskKernelEvaluator(f).schur_identity_residuals(ws), 0),
 ], ids=["sample_kernels", "kernel_identity_residual", "plus_minus_residuals", "theta_table",
         "herglotz_identity_residuals", "schur_identity_residuals"])
-def test_d_on_the_grid_is_solved_once(monkeypatch, call):
-    # f and the phi tables come from one KernelSampleSet, so one d(z) solve
+def test_d_on_the_grid_is_solved_once(monkeypatch, call, d_solves):
+    # f and the phi tables come from one KernelSampleSet, so one d(z) solve;
+    # the Schur side solves M(w) = A(z) + E E* once instead, and not d(z)
     f = random_pencil(np.random.default_rng(4), 3, 2, 4)
     ws = disk_grid(f.num_vars, 12, seed=1)
     zs = disk_to_halfplane(ws)
+    m_zs = _m_of(f, zs)
     solves = _spy_d_solves(monkeypatch, f, zs)
+    real = np.linalg.solve
+    m_solves = []
+
+    def spy(a, b):
+        m_solves.append(np.shape(a) == m_zs.shape and np.allclose(a, m_zs, rtol=1e-13, atol=1e-13))
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
     call(f, ws, zs)
-    assert sum(solves) == 1
+    assert sum(solves) == d_solves
+    assert sum(m_solves) == 1 - d_solves
 
 
 class TestVariableCayley:
@@ -199,19 +217,56 @@ class TestKernelTransforms:
             assert np.allclose(table[k], expect, rtol=1e-13, atol=1e-13)
             assert np.allclose(dk.theta(k, ws[3]), table[k][3], rtol=1e-13, atol=1e-13)
 
-    def test_theta_table_reads_given_samples(self, rng, monkeypatch):
-        f = random_pencil(rng, 3, 2, 4)
+    @pytest.mark.parametrize("shape", [(3, 1, 3), (2, 2, 3), (3, 4, 32), (2, 1, 0)])
+    def test_schur_tables_match_the_value_cayley_route(self, shape):
+        # the M(w) route against the division of xi and F - I by F + I,
+        # the independent cross-check that DiskFunctionView still computes
+        f = random_pencil(np.random.default_rng(sum(shape)), *shape)
         dk = DiskKernelEvaluator(f)
-        ws = disk_grid(3, 12, seed=8)
-        table = dk.theta_table(ws)
-        samples = dk.kernels.phi_table(disk_to_halfplane(ws))
-        solves = _spy_d_solves(monkeypatch, f, disk_to_halfplane(ws))
-        for got, expect in zip(dk.theta_table(ws, samples), table):
-            assert np.array_equal(got, expect)
-        assert sum(solves) == 0
-        other = dk.kernels.phi_table(disk_to_halfplane(disk_grid(3, 12, seed=9)))
-        with pytest.raises(ValidationError, match="halfplane images of the grid"):
-            dk.theta_table(ws, other)
+        ws = disk_grid(shape[0], 30, seed=2)
+        thetas, svals = dk.schur_tables(ws)
+        fv = dk.view.eval_F(ws)
+        plus_t = (fv + np.eye(shape[1])).transpose(0, 2, 1)
+
+        def rel(got, expect):
+            return np.max(np.linalg.norm(got - expect, axis=(1, 2))
+                          / np.linalg.norm(expect, axis=(1, 2)))
+
+        assert rel(svals, value_cayley(fv)) <= 1e-13
+        for k, table in enumerate(thetas):
+            expect = np.sqrt(2.0) * np.linalg.solve(
+                plus_t, dk.xi(k, ws).transpose(0, 2, 1)).transpose(0, 2, 1)
+            assert rel(table, expect) <= 1e-13
+
+    @pytest.mark.parametrize("shape, rank_deficient", [
+        ((3, 2, 4), False), ((3, 2, 4), True), ((2, 2, 0), False), ((3, 4, 32), False),
+    ])
+    def test_schur_tables_solve_neither_d_nor_estimate(self, monkeypatch, shape, rank_deficient):
+        import posreal.kernels as kernels
+        import posreal.pencil as pencil
+
+        f = random_pencil(np.random.default_rng(7), *shape, rank_deficient=rank_deficient)
+        dk = DiskKernelEvaluator(f)
+        ws = disk_grid(shape[0], 40, seed=3)
+        calls = []
+
+        def forbidden(name):
+            def spy(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} was called")
+            return spy
+
+        monkeypatch.setattr(pencil, "schur_solve", forbidden("schur_solve"))
+        monkeypatch.setattr(kernels, "schur_solve", forbidden("schur_solve"))
+        monkeypatch.setattr(np.linalg, "cond", forbidden("np.linalg.cond"))
+        thetas, svals = dk.schur_tables(ws)
+        assert calls == []
+        assert len(thetas) == shape[0] and svals.shape == (len(ws), shape[1], shape[1])
+
+    def test_schur_tables_refuse_points_near_the_circle(self, parallel):
+        dk = DiskKernelEvaluator(parallel)
+        with pytest.raises(ValidationError, match="too close to the unit circle"):
+            dk.schur_tables(np.array([[0.2, 1.0 - 1e-12]]))
 
     def test_theta_kernel_value_map_conjugation(self, rng):
         # Theta_k(w, o) must equal 2 (F(o)* + I)^{-1} Xi_k(w, o) (F(w) + I)^{-1}

@@ -77,10 +77,11 @@ class TestVerify:
 # 0.3.31, x86-64).  Reusing values must not move a single bit; a BLAS
 # build that rounds differently would need the table recorded again.  The
 # transfer-match and recovery rows were recorded again when synthesized
-# colligations began to evaluate S through their reflection factor, and
-# the five colligation rows when the synthesis moved to the half-size QR
-# of the sum and difference generator families (a new orthonormal basis
-# of the same span: U moves in its last bits).
+# colligations began to evaluate S through their reflection factor, the
+# five colligation rows when the synthesis moved to the half-size QR of
+# the sum and difference generator families (a new orthonormal basis of
+# the same span: U moves in its last bits), and again when the theta
+# tables and S(w) came from one M(w) solve instead of a division by F + I.
 GOLDEN_ROWS = [
     ("pencil-coefficients-psd", "0x0.0p+0", "0x1.b7cdfd9d7bdbbp-34", True),
     ("homogeneity", "0x1.2a6c38dfdde4ep-52", "0x1.12e0be826d695p-30", True),
@@ -89,11 +90,11 @@ GOLDEN_ROWS = [
     ("kernel-identity", "0x1.09ae489d44e12p-49", "0x1.12e0be826d695p-30", True),
     ("four-quadrant-conditions", "0x1.0000000000000p+0", "0x1.0000000000000p+0", True),
     ("calculus-positivity-min-eig", "0x1.10a6ed0d9b4a3p+1", "-0x1.b7cdfd9d7bdbbp-34", True),
-    ("colligation-unitarity", "0x1.4f2806769d042p-48", "0x1.12e0be826d695p-30", True),
-    ("colligation-selfadjointness", "0x1.48a8e423e052bp-51", "0x1.12e0be826d695p-30", True),
-    ("colligation-transfer-match", "0x1.58814b4836d62p-51", "0x1.12e0be826d695p-30", True),
-    ("colligation-spectrum-margin", "0x1.ad2de616b97e6p-2", "0x1.0c6f7a0b5ed8dp-20", True),
-    ("inverse-double-cayley-recovery", "0x1.04269354f88e0p-50", "0x1.12e0be826d695p-30", True),
+    ("colligation-unitarity", "0x1.d610278e610b9p-49", "0x1.12e0be826d695p-30", True),
+    ("colligation-selfadjointness", "0x1.70c73c0c05e07p-51", "0x1.12e0be826d695p-30", True),
+    ("colligation-transfer-match", "0x1.4971b7b714c6fp-52", "0x1.12e0be826d695p-30", True),
+    ("colligation-spectrum-margin", "0x1.ad2de616b97d6p-2", "0x1.0c6f7a0b5ed8dp-20", True),
+    ("inverse-double-cayley-recovery", "0x1.263f2c22f3a1ap-49", "0x1.12e0be826d695p-30", True),
 ]
 
 
@@ -103,7 +104,8 @@ GOLDEN_ROWS = [
 # and I - S(w) guards still ran the condition estimate on every matrix
 # (numpy 2.4, OpenBLAS 0.3.31, x86-64).  A certificate may only skip the
 # estimate, and A(R) assembled from whole coefficients adds the same terms
-# in the same order, so no bit may move.
+# in the same order, so no bit may move.  The five colligation rows were
+# re-recorded when the theta tables and S(w) moved to one M(w) solve.
 GOLDEN_ROWS_BENCH_SHAPE = [
     ('pencil-coefficients-psd', '0x0.0p+0', '0x1.b7cdfd9d7bdbbp-34', True),
     ('homogeneity', '0x1.c237b67c38c37p-51', '0x1.12e0be826d695p-30', True),
@@ -112,11 +114,11 @@ GOLDEN_ROWS_BENCH_SHAPE = [
     ('kernel-identity', '0x1.5390dfa34df9ep-49', '0x1.12e0be826d695p-30', True),
     ('four-quadrant-conditions', '0x1.0000000000000p+0', '0x1.0000000000000p+0', True),
     ('calculus-positivity-min-eig', '0x1.d869de8c9e022p+1', '-0x1.b7cdfd9d7bdbbp-34', True),
-    ('colligation-unitarity', '0x1.a099b872916edp-47', '0x1.12e0be826d695p-30', True),
-    ('colligation-selfadjointness', '0x1.2dcb5bb68c1e3p-49', '0x1.12e0be826d695p-30', True),
-    ('colligation-transfer-match', '0x1.1b97f99989f17p-51', '0x1.12e0be826d695p-30', True),
-    ('colligation-spectrum-margin', '0x1.31bd2b2e252a8p-2', '0x1.0c6f7a0b5ed8dp-20', True),
-    ('inverse-double-cayley-recovery', '0x1.9b2bea2b6d5e5p-50', '0x1.12e0be826d695p-30', True),
+    ('colligation-unitarity', '0x1.87f1e7616bf8fp-47', '0x1.12e0be826d695p-30', True),
+    ('colligation-selfadjointness', '0x1.2a9b7ca8a9541p-49', '0x1.12e0be826d695p-30', True),
+    ('colligation-transfer-match', '0x1.76fb2b160d2bep-51', '0x1.12e0be826d695p-30', True),
+    ('colligation-spectrum-margin', '0x1.31bd2b2e252a0p-2', '0x1.0c6f7a0b5ed8dp-20', True),
+    ('inverse-double-cayley-recovery', '0x1.221be4e8e382ap-49', '0x1.12e0be826d695p-30', True),
 ]
 
 
@@ -124,9 +126,9 @@ def _separate_evaluation_rows(f, seed, grid_size, pol=DEFAULT_POLICY):
     """The rows that reuse grid values, each computed on its own as before the reuse.
 
     Positivity takes one eigendecomposition per point; the synthesis gets
-    F twice (theta tables, Schur values); the colligation residuals are
-    measured again on U; recovery solves the transfer function again and
-    evaluates F a third time.
+    the theta tables and Schur values from their own M(w) solve; the
+    colligation residuals are measured again on U; recovery solves the
+    transfer function again and evaluates F again.
     """
     zs = halfplane_grid(f.num_vars, grid_size, seed)
     vals = f(zs, pol)
@@ -134,8 +136,7 @@ def _separate_evaluation_rows(f, seed, grid_size, pol=DEFAULT_POLICY):
     rows = {"positivity-min-re-eigenvalue": min(
         float(eigh_or_refuse(hermitian_part(v))[0][0]) / s for v, s in zip(vals, scales))}
     ws = disk_grid(f.num_vars, grid_size, seed)
-    disk = DiskKernelEvaluator(f, pol)
-    syn = build_colligation(ws, disk.theta_table(ws), disk.view.eval_double_cayley(ws), pol)
+    syn = build_colligation(ws, *DiskKernelEvaluator(f, pol).schur_tables(ws), pol)
     coll = syn.colligation
     rec = inv_double_cayley(lambda pts: transfer_eval(coll, pts, pol), ws, pol)
     fvals = f(disk_to_halfplane(ws), pol)
@@ -242,17 +243,23 @@ class TestVerificationReuse:
         assert sum(solves) == 1
 
     @pytest.mark.parametrize("run", ["run_verification", "colligate", "schur_identity_residuals"])
-    def test_f_plus_i_on_the_disk_grid_is_solved_once(self, monkeypatch, tmp_path, run):
+    def test_m_on_the_disk_grid_is_solved_once(self, monkeypatch, tmp_path, run):
         f = random_pencil(np.random.default_rng(4), 3, 2, 4)
         path = tmp_path / "pencil.json"
         serialize.dump(serialize.pencil_to_json(f), str(path))
         ws = disk_grid(f.num_vars, 12, 1)
-        plus_t = (f(disk_to_halfplane(ws)) + np.eye(2)).transpose(0, 2, 1)
-        solves = []
+        zs = disk_to_halfplane(ws)
+        plus_t = (f(zs) + np.eye(2)).transpose(0, 2, 1)
+        # M(w) = A(z) + E E*, E = [I_n; 0]
+        m_ws = np.tensordot(zs, f.pencil.stacked(), axes=(1, 0))
+        m_ws[:, :2, :2] += np.eye(2)
+        solves, plus_solves = [], []
         real = np.linalg.solve
 
         def spy(a, b):
-            solves.append(np.shape(a) == plus_t.shape and np.allclose(a, plus_t, rtol=1e-13, atol=0))
+            solves.append(np.shape(a) == m_ws.shape and np.allclose(a, m_ws, rtol=1e-13, atol=1e-13))
+            plus_solves.append(np.shape(a) == plus_t.shape
+                               and np.allclose(a, plus_t, rtol=1e-13, atol=0))
             return real(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", spy)
@@ -262,8 +269,9 @@ class TestVerificationReuse:
             assert main(["colligate", "--pencil", str(path), "--grid", "12", "--seed", "1"]) == 0
         else:
             assert max(DiskKernelEvaluator(f).schur_identity_residuals(ws)) < 1e-10
-        # the theta tables and S(w) share one division by F(w) + I
+        # the theta tables and S(w) share one M(w) solve, and nothing divides by F(w) + I
         assert sum(solves) == 1
+        assert sum(plus_solves) == 0
 
 
 class TestEval:
@@ -571,8 +579,8 @@ class TestAglerGrid:
 
 
 def test_colligate_writes_the_synthesis_of_separately_evaluated_data(tmp_path, capsys):
-    # the command shares one d(z) solve between F(w) and the theta tables;
-    # U must equal the synthesis from data evaluated apart, bit for bit
+    # U must equal the synthesis from the theta tables and S(w) of a
+    # separate schur_tables call, bit for bit
     f = random_pencil(np.random.default_rng(6), 3, 2, 4)
     pencil_path, out = tmp_path / "pencil.json", tmp_path / "coll.json"
     serialize.dump(serialize.pencil_to_json(f), str(pencil_path))
@@ -580,8 +588,7 @@ def test_colligate_writes_the_synthesis_of_separately_evaluated_data(tmp_path, c
                  "--out", str(out)]) == 0
     loaded = serialize.colligation_from_json(serialize.load(str(out)))
     ws = disk_grid(f.num_vars, 11, 2)
-    disk = DiskKernelEvaluator(f)
-    syn = build_colligation(ws, disk.theta_table(ws), disk.view.eval_double_cayley(ws))
+    syn = build_colligation(ws, *DiskKernelEvaluator(f).schur_tables(ws))
     assert np.array_equal(loaded.U, syn.colligation.U)
 
 

@@ -12,6 +12,7 @@ import pytest
 
 import posreal.calculus as calculus
 import posreal.cayley as cayley
+import posreal.colligation as colligation
 from posreal.calculus import calc_realized, make_tuple
 from posreal.cayley import (
     DiskKernelEvaluator,
@@ -367,8 +368,30 @@ class TestIMinusSConditionBound:
         sv *= (rng.uniform(0.5, 3.0, 200) / np.linalg.norm(sv, axis=(1, 2)))[:, None, None]
         bound = i_minus_s_condition_bound(sv)
         finite = _assert_sound(bound, np.eye(n) - sv)
-        assert np.array_equal(finite, np.linalg.norm(sv, axis=(1, 2)) < 1.0)
+        s = np.minimum(np.linalg.norm(sv, axis=(1, 2)), np.sqrt(
+            np.linalg.norm(sv, 1, axis=(1, 2)) * np.linalg.norm(sv, np.inf, axis=(1, 2))))
+        assert np.array_equal(finite, s < 1.0)
         assert 0 < np.sum(finite) < len(sv)
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_certified_where_only_the_row_and_column_sums_are_below_one(self, rng, n):
+        # ||S||_F >= 1 > sqrt(||S||_1 ||S||_inf): scaled identities, diagonal
+        # and permuted diagonal stacks, and random unitaries times a factor
+        # below one; the Frobenius norm alone proves nothing here
+        scales = rng.uniform(1.0 / np.sqrt(n), 0.999, 30)
+        phases = np.exp(2j * np.pi * rng.random((30, n)))
+        perm = np.eye(n)[rng.permutation(n)]
+        unitary = np.linalg.qr(rng.standard_normal((30, n, n)) + 1j * rng.standard_normal((30, n, n)))[0]
+        stacks = [scales[:, None, None] * np.eye(n),
+                  scales[:, None, None] * (phases[:, :, None] * np.eye(n)),
+                  scales[:, None, None] * (phases[:, :, None] * perm)]
+        for sv in stacks:
+            assert np.all(np.linalg.norm(sv, axis=(1, 2)) >= 1.0)
+            bound = i_minus_s_condition_bound(sv)
+            assert np.all(_assert_sound(bound, np.eye(n) - sv))
+        # a unitary has row sums above one, so it is certified only while ||S||_F < 1
+        sv = (0.999 / np.sqrt(n)) * unitary
+        assert np.all(_assert_sound(i_minus_s_condition_bound(sv), np.eye(n) - sv))
 
     @pytest.mark.parametrize("gap", [1e-6, 3e-10, 1.5e-10, 5e-11, 0.0])
     def test_near_threshold_keeps_the_decision(self, gap):
@@ -381,7 +404,7 @@ class TestIMinusSConditionBound:
 
 
 class TestVerifyNeedsNoEstimate:
-    """On valid pencils the d(R) and F(w) + I guards of ``run_verification`` are certified."""
+    """On valid pencils the d(R), F(w) + I and M(w) guards of ``run_verification`` are certified."""
 
     @pytest.mark.parametrize("shape, rank_deficient, grid", [
         ((3, 4, 32), False, 20), ((3, 2, 4), True, 30), ((2, 1, 2), False, 25),
@@ -405,11 +428,13 @@ class TestVerifyNeedsNoEstimate:
         monkeypatch.setattr(np.linalg, "cond", cond)
         monkeypatch.setattr(calculus, "_refuse_ill_conditioned", spy)
         monkeypatch.setattr(cayley, "_refuse_ill_conditioned", spy)
+        monkeypatch.setattr(colligation, "_refuse_ill_conditioned", spy)
         f = random_pencil(np.random.default_rng(sum(shape)), *shape, rank_deficient=rank_deficient)
         report = run_verification(f, seed=4, grid_size=grid)
         assert report.verdict
         assert "d(R)" not in estimated
         assert "F(w) + I" not in estimated
+        assert "M(w)" not in estimated
 
 
 def _random_contraction(rng, dims, n, norm):
@@ -521,8 +546,6 @@ class TestReflectionConditionBound:
 
     @pytest.fixture
     def guarded(self, monkeypatch):
-        import posreal.colligation as colligation
-
         seen = []
 
         def spy(mats, pol, what, bound=None):
@@ -553,6 +576,39 @@ class TestReflectionConditionBound:
         for _, mats, bound in guarded:
             assert np.all(np.isfinite(bound))
             _assert_sound(bound, mats)
+
+    @pytest.mark.parametrize("shape, rank_deficient", [
+        ((2, 2, 3), False), ((3, 2, 4), True), ((3, 1, 3), True), ((2, 2, 0), False),
+        ((3, 1, 0), False), ((3, 4, 32), False),
+    ])
+    def test_pencil_factor_bound_dominates_condition(self, rng, guarded, shape, rank_deficient):
+        # the Schur side of a pencil: V = [L_1; ...; L_N; E*], M(w) = A(z) + E E*
+        f = random_pencil(rng, *shape, rank_deficient=rank_deficient)
+        dk = DiskKernelEvaluator(f)
+        ws = disk_grid(shape[0], 30, seed=int(rng.integers(1000)))
+        edge = 0.999 * np.exp(2j * np.pi * rng.random((40, shape[0])))
+        mixed = np.concatenate([0.999 * np.exp(2j * np.pi * rng.random((20, 1))),
+                                0.2 * rng.random((20, shape[0] - 1))], axis=1)
+        for pts in (ws, edge, mixed):
+            dk.schur_tables(pts)
+        assert [what for what, _, _ in guarded] == ["M(w)"] * 3
+        for _, mats, bound in guarded:
+            assert mats.shape[1:] == (f.pencil.dim, f.pencil.dim)
+            assert np.all(np.isfinite(bound))
+            _assert_sound(bound, mats)
+
+    def test_off_polydisk_and_rank_deficient_factors_prove_nothing(self, guarded):
+        # V_1 = I and V_u = (1, 1): at w = 3, z = -2 and M = V_u* V_u - 2 I is
+        # singular; mu < 0 there, so the bound must be +inf, not negative
+        v = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], dtype=complex)
+        with pytest.raises(NumericalRefusalError, match="M"):
+            colligation.reflection_transfer(v, (2,), np.array([[0.5], [3.0]]))
+        bound = guarded[-1][2]
+        assert np.isfinite(bound[0]) and bound[1] == np.inf
+        # V_1 = 0: V* V = V_u* V_u is singular, and so is every M(w)
+        with pytest.raises(NumericalRefusalError, match="M"):
+            colligation.reflection_transfer(v[1:] * [[0.0], [1.0]], (1,), np.array([[0.5]]))
+        assert not guarded[-1][2][0] < 1e9
 
     def test_clears_on_disk_grids_without_the_estimate(self, monkeypatch, rng):
         f = random_pencil(rng, 3, 2, 4)

@@ -16,6 +16,14 @@ Every call of the guard passes a certified ``bound=``, so the condition
 estimate runs only where no proven inequality clears a matrix.  The
 exceptions are the two guards of ``pencil.eval_long_resolvent``, which
 have no certificate yet and are listed by function and stage.
+
+Every function that calls ``np.linalg.solve`` or ``np.linalg.inv`` also
+calls the guard, so no system is solved unguarded.  The exceptions are
+listed by function: the named cross-checks ``ldu_factor_residual`` and
+``pointwise_diagonal_oracle``, the Taylor recursion
+``herglotz_taylor_from_schur`` (guarded by its own condition check of
+I - S_0), and the sampler ``random_diagonalizable_accretive_pair``, which
+redraws a matrix whose condition exceeds 10 before inverting it.
 """
 
 import ast
@@ -31,6 +39,14 @@ UNCERTIFIED = {
     ("eval_long_resolvent", "A(z)"),
     ("eval_long_resolvent", "the U-corner of A(z)^{-1}"),
 }
+# functions that may solve or invert without the guard
+UNGUARDED_SOLVES = {
+    "ldu_factor_residual",
+    "pointwise_diagonal_oracle",
+    "herglotz_taylor_from_schur",
+    "random_diagonalizable_accretive_pair",
+}
+SOLVERS = {"np.linalg.solve", "np.linalg.inv"}
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -97,6 +113,29 @@ def unbounded_guard_calls(source: str) -> list[tuple[str, str]]:
     return found
 
 
+def unguarded_solves(source: str) -> list[str]:
+    """Functions that call ``np.linalg.solve`` or ``np.linalg.inv`` but not the guard.
+
+    A call counts for the innermost function that contains it.
+    """
+    calls: dict[str, set] = {}
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                name = ast.unparse(child.func)
+                kind = "solve" if name in SOLVERS else "guard" if name.split(".")[-1] == GUARD else None
+                if kind:
+                    calls.setdefault(func, set()).add(kind)
+            visit(child, func)
+
+    visit(ast.parse(source), "<module>")
+    return [func for func, kinds in calls.items() if kinds == {"solve"}]
+
+
 def test_package_modules_found():
     assert len(MODULES) > 10
 
@@ -139,6 +178,36 @@ def test_uncertified_guards_still_exist():
 ])
 def test_rule_detects_unbounded_guard_calls(source, hits):
     assert unbounded_guard_calls(source) == hits
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_solve_is_guarded(path):
+    assert set(unguarded_solves(path.read_text())) <= UNGUARDED_SOLVES
+
+
+def test_unguarded_solves_still_exist():
+    # an allow-list entry whose solve is gone (or now guarded) must be dropped
+    found = set()
+    for path in MODULES:
+        found |= set(unguarded_solves(path.read_text()))
+    assert found == UNGUARDED_SOLVES
+
+
+@pytest.mark.parametrize("source, hits", [
+    ("def f(m, b):\n    return np.linalg.solve(m, b)\n", ["f"]),
+    ("def f(m):\n    return np.linalg.inv(m)\n", ["f"]),
+    ("def f(m, b, pol):\n    _refuse_ill_conditioned(m, pol, 'X', bound=1.0)\n"
+     "    return np.linalg.solve(m, b)\n", []),
+    ("def f(m, b, pol):\n    pencil._refuse_ill_conditioned(m, pol, 'X', bound=1.0)\n"
+     "    return np.linalg.inv(m)\n", []),
+    # the guard of an enclosing function does not cover a nested one
+    ("def f(m, b, pol):\n    _refuse_ill_conditioned(m, pol, 'X', bound=1.0)\n"
+     "    def g():\n        return np.linalg.solve(m, b)\n    return g()\n", ["g"]),
+    ("class C:\n    def g(self, m):\n        return np.linalg.solve(m, m)\n", ["g"]),
+    ("def f(m):\n    return np.linalg.cond(m), np.linalg.eigh(m)\n", []),
+])
+def test_rule_detects_unguarded_solves(source, hits):
+    assert unguarded_solves(source) == hits
 
 
 @pytest.mark.parametrize("source, missing", [
