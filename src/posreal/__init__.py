@@ -19,7 +19,7 @@ from .core import (
     DEFAULT_POLICY,
     NumericalRefusalError,
     PosrealError,
-    PsdReport,
+    PsdSpectrum,
     ShapeError,
     TolerancePolicy,
     ValidationError,

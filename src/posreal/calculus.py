@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cayley import DiskFunctionView, inv_value_cayley, value_cayley
+from .cayley import DiskFunctionView, i_minus_s_condition_bound, inv_value_cayley, value_cayley
 from .core import (
     DEFAULT_POLICY,
     NumericalRefusalError,
@@ -73,6 +73,7 @@ class CommutingTuple:
     commutator_norm: float
     kind: str
     bound: float
+    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_vars(self) -> int:
@@ -81,6 +82,23 @@ class CommutingTuple:
     @property
     def dim(self) -> int:
         return self.mats[0].shape[0]
+
+    def powers(self, degree: int) -> np.ndarray:
+        """T^t on the (degree + 1)^N cube, zero above total degree ``degree``.
+
+        Formed once per degree and kept read-only: every series on this
+        tuple (each candidate of a hunt trial) shares the table.
+        """
+        if degree not in self._powers:
+            simplex = _simplex(self.num_vars, degree)
+            table = np.zeros((degree + 1,) * self.num_vars + (self.dim, self.dim), dtype=complex)
+            table[simplex[0]] = np.eye(self.dim)
+            for idx in simplex[1:]:
+                k = next(i for i, v in enumerate(idx) if v)
+                table[idx] = self.mats[k] @ table[idx[:k] + (idx[k] - 1,) + idx[k + 1:]]
+            table.flags.writeable = False
+            self._powers[degree] = table
+        return self._powers[degree]
 
 
 def _max_commutator(mats: np.ndarray, norms: np.ndarray) -> float:
@@ -198,8 +216,11 @@ class TaylorCoefficients:
     def tail_bound(self, rho: float) -> float:
         """Bound on sum_{|t| > degree} ||F_t|| rho^{|t|} by Cauchy estimates.
 
-        Uses ||F_t|| <= sup_bound / sup_radius^{|t|}; the series in the
-        total degree j has binom(j + N - 1, N - 1) terms.
+        Uses ||F_t|| <= sup_bound / sup_radius^{|t|}: with q = rho / sup_radius
+        < 1, sup_bound sum_{j > d} binom(j + N - 1, N - 1) q^j, which is
+        (1 - q)^{-N} P[Bin(d + N, q) >= d + 1] = sum_{m < N} binom(d + N, m)
+        q^{d + N - m} (1 - q)^{m - N}.  The N terms are formed in logs, so
+        nothing overflows, and padded for their roundoff.
         """
         if rho < 0:
             raise ValidationError("rho must be nonnegative")
@@ -210,24 +231,15 @@ class TaylorCoefficients:
         q = rho / self.sup_radius
         if q >= 1.0:
             return math.inf
-        n = self.num_vars
-        total = 0.0
-        j = self.degree + 1
-        term = math.comb(j + n - 1, n - 1) * q ** j
-        while True:
-            total += term
-            ratio = q * math.comb(j + n, n - 1) / math.comb(j + n - 1, n - 1)
-            j += 1
-            term *= ratio / 1.0
-            if term < 1e-18 * (1.0 + total):
-                # geometric majorant for the remainder
-                upper = q * (j + n) / (j + 1)
-                if upper < 1.0:
-                    total += term / (1.0 - upper)
-                break
-            if j > self.degree + 10000:
-                return math.inf
-        return self.sup_bound * total
+        n, d = self.num_vars, self.degree
+        m = np.arange(n)
+        parts = np.array([[math.log(math.comb(d + n, k)) for k in range(n)],
+                          (d + n - m) * math.log(q), (m - n) * math.log1p(-q)])
+        # each log is within 4 eps of its parts' magnitudes; exp, sum and products add a few eps
+        pad = 8.0 * np.finfo(float).eps * (float(np.max(np.abs(parts).sum(axis=0))) + n)
+        with np.errstate(over="ignore"):
+            total = float(np.sum(np.exp(parts.sum(axis=0))))
+        return self.sup_bound * total * (1.0 + pad)
 
 
 # Largest polytorus, in points, that ``taylor_from_function`` samples:
@@ -343,20 +355,22 @@ def taylor_from_colligation(c, degree: int) -> TaylorCoefficients:
 
 def herglotz_taylor_from_schur(schur: TaylorCoefficients,
                                sup_bound: float | None = None,
-                               sup_radius: float | None = None) -> TaylorCoefficients:
+                               sup_radius: float | None = None,
+                               pol: TolerancePolicy = DEFAULT_POLICY) -> TaylorCoefficients:
     """Coefficients of F = (I + S)(I - S)^{-1} from the coefficients of S.
 
     Exact series algebra: with G = (I - S)^{-1}, the Cauchy product
     gives (I - S_0) G_t = [t = 0] I + sum_{0 < s <= t} S_s G_{t-s}, and
     (I - S) G = I gives F = (I + S) G = 2 G - I, so F_t = 2 G_t - [t = 0] I.
+    The guard on I - S_0 is certified by ``cayley.i_minus_s_condition_bound``.
     """
     n = schur.dim
     eye = np.eye(n, dtype=complex)
     sch = schur.coeffs
     simplex = _simplex(schur.num_vars, schur.degree)
-    base = eye - sch[simplex[0]]
-    if np.linalg.cond(base) > 1e12:
-        raise NumericalRefusalError("1 is (numerically) in the spectrum of S(0)")
+    s0 = sch[simplex[0]]
+    base = eye - s0
+    _refuse_ill_conditioned(base[None], pol, "I - S(0)", bound=i_minus_s_condition_bound(s0[None]))
     g = np.zeros_like(sch)
     g[simplex[0]] = np.linalg.solve(base, eye)
     for t in simplex[1:]:
@@ -392,14 +406,8 @@ def calc_series(coeffs: TaylorCoefficients, t: CommutingTuple,
     n = coeffs.dim
     if coeffs.num_vars != t.num_vars:
         raise ShapeError("coefficient table and tuple disagree on the number of variables")
-    simplex = _simplex(t.num_vars, coeffs.degree)
-    powers = np.zeros(coeffs.coeffs.shape[:-2] + (m, m), dtype=complex)
-    powers[simplex[0]] = np.eye(m)
-    for idx in simplex[1:]:
-        k = next(i for i, v in enumerate(idx) if v)
-        powers[idx] = t.mats[k] @ powers[idx[:k] + (idx[k] - 1,) + idx[k + 1:]]
     # sum_t F_t[i, j] T^t[a, b] as one product, then into the kron layout (i a, j b)
-    out = coeffs.coeffs.reshape(-1, n * n).T @ powers.reshape(-1, m * m)
+    out = coeffs.coeffs.reshape(-1, n * n).T @ t.powers(coeffs.degree).reshape(-1, m * m)
     out = out.reshape(n, n, m, m).transpose(0, 2, 1, 3).reshape(n * m, n * m)
     tail = coeffs.tail_bound(t.bound)
     if not math.isfinite(tail):

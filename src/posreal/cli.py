@@ -37,7 +37,7 @@ from .cayley import (
     value_cayley,
 )
 from .colligation import agler_identity_residual, build_colligation, spectrum_condition
-from .core import DEFAULT_POLICY, NumericalRefusalError, PosrealError, TolerancePolicy, ValidationError, hermitian_part, eigh_or_refuse, relative_residual
+from .core import DEFAULT_POLICY, NumericalRefusalError, PosrealError, TolerancePolicy, ValidationError, hermitian_part, eigh_or_refuse, psd_spectrum, relative_residual
 from .geometry import (
     AntiUnitaryInvolution,
     check_real_colligation,
@@ -148,9 +148,8 @@ def run_verification(f: RealizedFunction, seed: int = 0, grid_size: int = 25,
 
     psd_worst = 0.0
     for a in f.pencil.coeffs:
-        lo = float(eigh_or_refuse(hermitian_part(a))[0][0])
-        scale = 1.0 + float(np.linalg.norm(a, 2)) if a.size else 1.0
-        psd_worst = max(psd_worst, -lo / scale)
+        spec = psd_spectrum(a, pol)  # an unchecked load may be non-Hermitian: no Hermitian test
+        psd_worst = max(psd_worst, -spec.min_eig / spec.scale)
     report.add_residual("pencil-coefficients-psd", psd_worst, pol.psd_slack)
 
     # The halfplane grid is the Cayley image of the disk grid, so one d(z)
@@ -419,7 +418,7 @@ def _cmd_calculus(args) -> int:
     sup_pts = TAYLOR_SUP_RADIUS * disk_grid(f.num_vars, 16, args.seed)
     sup_bound = 2.0 * float(np.max(np.linalg.norm(view.eval_F(sup_pts), ord=2, axis=(1, 2))))
     fcoeffs = herglotz_taylor_from_schur(schur_coeffs, sup_bound=sup_bound,
-                                         sup_radius=TAYLOR_SUP_RADIUS)
+                                         sup_radius=TAYLOR_SUP_RADIUS, pol=pol)
     rows = []
     failed = False
     for i in range(args.tuples):

@@ -3,6 +3,14 @@
 Hermitian symmetrization, PSD certification, PSD square roots, operator
 norms, and the tolerance policy.  All matrices are plain ``numpy`` arrays
 of ``complex128``; nothing here is aware of pencils or kernels.
+
+``psd_spectrum`` is the one PSD certificate: every Hermitian test, PSD
+decision and rank cut of a matrix M, in every module, reads its
+eigenvalues against the one scale 1 + ||M||.  Other scales keep their
+own checks: ``calculus.accretive_positivity_check`` (f(R) + f(R)*, so the
+routine would loosen it), the Frobenius-scaled positivity rows and
+``geometry.four_quadrant_check``, and the singular-value rank floors of
+``kernels.pencil_from_kernel_samples`` and ``colligation.build_colligation``.
 """
 
 from __future__ import annotations
@@ -28,8 +36,8 @@ __all__ = [
     "hermitian_split_residuals",
     "relative_residual",
     "scale_of",
-    "is_hermitian",
-    "PsdReport",
+    "PsdSpectrum",
+    "psd_spectrum",
     "is_psd",
     "psd_sqrt",
     "eigh_or_refuse",
@@ -259,13 +267,6 @@ def hermitian_part(m) -> np.ndarray:
     return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
-def is_hermitian(m, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    a = as_matrix(m, square=True)
-    if a.size == 0:
-        return True
-    return operator_norm(a - a.conj().T) <= pol.residual_tol * scale_of(a)
-
-
 def eigh_or_refuse(m) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian eigendecomposition of a matrix or a stack; LAPACK breakdown becomes a refusal."""
     try:
@@ -275,51 +276,75 @@ def eigh_or_refuse(m) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class PsdReport:
-    """Outcome of a PSD certification, with the witnessing minimal eigenvalue."""
+class PsdSpectrum:
+    """Eigen-decomposition of the Hermitian part of a square matrix M, and the scale 1 + ||M||.
 
-    ok: bool
-    min_eig: float
+    Every test reads that one scale: M is Hermitian when ||M - M*|| <=
+    residual_tol * scale (one more norm, taken only when asked for), PSD
+    (``ok``) when its least eigenvalue clears -``floor``, and ``kept``
+    marks the eigenvalues above ``floor`` = psd_slack * scale.
+    """
+
+    matrix: np.ndarray
+    eigvals: np.ndarray
+    eigvecs: np.ndarray
+    scale: float
+    pol: TolerancePolicy
+
+    @property
+    def floor(self) -> float:
+        return self.pol.psd_slack * self.scale
+
+    @property
+    def min_eig(self) -> float:
+        return float(self.eigvals[0]) if self.eigvals.size else 0.0
+
+    @property
+    def hermitian(self) -> bool:
+        return operator_norm(self.matrix - self.matrix.conj().T) <= self.pol.residual_tol * self.scale
+
+    @property
+    def ok(self) -> bool:
+        return self.min_eig >= -self.floor
+
+    @property
+    def kept(self) -> np.ndarray:
+        return self.eigvals > self.floor
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-def is_psd(m, pol: TolerancePolicy = DEFAULT_POLICY) -> PsdReport:
-    """Certify positive semidefiniteness of a Hermitian matrix.
+def psd_spectrum(m, pol: TolerancePolicy = DEFAULT_POLICY) -> PsdSpectrum:
+    """The one PSD certificate of a square matrix: one ``eigh`` and one norm.
 
-    Uses an eigendecomposition rather than Cholesky so that
-    rank-deficient PSD matrices are first-class citizens.  ``ok`` is
-    true iff the minimal eigenvalue clears ``-psd_slack`` relative to
-    the matrix norm.
+    An eigendecomposition rather than Cholesky, so that rank-deficient
+    PSD matrices are first-class citizens.
     """
     a = as_matrix(m, square=True)
-    if a.size == 0:
-        return PsdReport(True, 0.0)
-    if not is_hermitian(a, pol):
+    w, v = eigh_or_refuse(hermitian_part(a))
+    return PsdSpectrum(a, w, v, scale_of(a), pol)
+
+
+def is_psd(m, pol: TolerancePolicy = DEFAULT_POLICY) -> PsdSpectrum:
+    """``psd_spectrum`` of a matrix that must be Hermitian; ``ok`` certifies it PSD."""
+    spec = psd_spectrum(m, pol)
+    if not spec.hermitian:
         raise ValidationError("is_psd requires a Hermitian matrix")
-    w = eigh_or_refuse(hermitian_part(a))[0]
-    lo = float(w[0])
-    return PsdReport(lo >= -pol.psd_slack * scale_of(a), lo)
+    return spec
 
 
 def psd_sqrt(m, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """Rectangular factor S of a PSD matrix with ``S* S = M``.
 
-    S has one row per eigenvalue above the PSD slack, so its row count
-    is the numerical rank of M.  Eigenvalues inside
-    ``[-psd_slack, psd_slack]`` (relative) are clamped to zero;
-    anything below the floor is an error.
+    S has one row per eigenvalue above the PSD floor of ``psd_spectrum``,
+    so its row count is the numerical rank of M.  Eigenvalues inside
+    ``[-floor, floor]`` are clamped to zero; anything below is an error.
     """
-    a = as_matrix(m, square=True)
-    if a.size == 0:
-        return np.zeros((0, a.shape[0]), dtype=complex)
-    if not is_hermitian(a, pol):
+    spec = psd_spectrum(m, pol)
+    if not spec.hermitian:
         raise ValidationError("psd_sqrt requires a Hermitian matrix")
-    w, v = eigh_or_refuse(hermitian_part(a))
-    floor = pol.psd_slack * scale_of(a)
-    if w[0] < -floor:
-        raise ValidationError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
-    keep = w > floor
-    s = np.sqrt(w[keep])[:, None] * v[:, keep].conj().T
-    return s
+    if not spec.ok:
+        raise ValidationError(f"matrix is not PSD: min eigenvalue {spec.min_eig:.3e}")
+    keep = spec.kept
+    return np.sqrt(spec.eigvals[keep])[:, None] * spec.eigvecs[:, keep].conj().T

@@ -31,9 +31,7 @@ from .core import (
     like_points,
     cross_gram_residual,
     hermitian_split_residuals,
-    hermitian_part,
-    eigh_or_refuse,
-    is_hermitian,
+    psd_spectrum,
     psd_sqrt,
     relative_residual,
     scale_of,
@@ -179,11 +177,8 @@ def check_psd_kernel(samples, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
     Phi(z_mu, z_nu).  A Gram that fails Hermitian symmetry beyond
     tolerance is not a PSD kernel sample and yields False.
     """
-    g = block_gram(samples)
-    if not is_hermitian(g, pol):
-        return False
-    w = eigh_or_refuse(hermitian_part(g))[0]
-    return bool(w[0] >= -pol.psd_slack * scale_of(g))
+    spec = psd_spectrum(block_gram(samples), pol)
+    return spec.hermitian and spec.ok
 
 
 def factor_kernel_samples(gram, n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> list[np.ndarray]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_POLICY, TolerancePolicy, ValidationError, hermitian_part, eigh_or_refuse, scale_of
+from .core import DEFAULT_POLICY, TolerancePolicy, ValidationError, psd_spectrum
 from .pencil import PsdPencil, RealizedFunction
 
 __all__ = ["Branch", "Network", "parse_netlist", "network_pencil"]
@@ -126,12 +126,9 @@ def network_pencil(net: Network, pol: TolerancePolicy = DEFAULT_POLICY) -> Reali
         if b.node_b != GROUND:
             w[index[b.node_b]] = -1.0
         coeffs[b.var - 1] += b.weight * np.outer(w, w)
-    if p:
-        dsum = hermitian_part(sum(coeffs)[n:, n:])
-        lo = float(eigh_or_refuse(dsum)[0][0])
-        if lo <= pol.psd_slack * scale_of(dsum):
-            raise ValidationError(
-                "internal node block is singular for all z (island disconnected "
-                "from ports and ground)")
+    if p and not np.all(psd_spectrum(sum(coeffs)[n:, n:], pol).kept):
+        raise ValidationError(
+            "internal node block is singular for all z (island disconnected "
+            "from ports and ground)")
     pencil = PsdPencil.from_coeffs(coeffs, n, pol)
     return RealizedFunction(pencil, compressed=True)

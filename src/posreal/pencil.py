@@ -30,10 +30,8 @@ from .core import (
     like_points,
     hermitian_part,
     eigh_or_refuse,
-    is_hermitian,
-    is_psd,
+    psd_spectrum,
     relative_residual,
-    scale_of,
 )
 
 __all__ = [
@@ -104,12 +102,12 @@ class PsdPencil:
                                           f"{big:.3e} above {MAX_COEFF_ENTRY:.0e}")
         if validate:
             for k, m in enumerate(mats):
-                if not is_hermitian(m, pol):
+                spec = psd_spectrum(m, pol)
+                if not spec.hermitian:
                     raise ValidationError(f"coefficient {k + 1} is not Hermitian")
-                rep = is_psd(m, pol)
-                if not rep.ok:
+                if not spec.ok:
                     raise ValidationError(
-                        f"coefficient {k + 1} is not PSD (min eigenvalue {rep.min_eig:.3e})")
+                        f"coefficient {k + 1} is not PSD (min eigenvalue {spec.min_eig:.3e})")
             mats = tuple(hermitian_part(m) for m in mats)
         return cls(len(mats), dim_u, dim - dim_u, mats, validated=validate)
 
@@ -200,12 +198,11 @@ def compress(pencil: PsdPencil, pol: TolerancePolicy = DEFAULT_POLICY) -> PsdPen
     n, p = pencil.dim_u, pencil.dim_h
     if p == 0:
         return pencil
-    dsum = hermitian_part(sum(pencil.coeffs)[n:, n:])
-    w, v = eigh_or_refuse(dsum)
-    keep = w > pol.psd_slack * scale_of(dsum)
+    spec = psd_spectrum(hermitian_part(sum(pencil.coeffs)[n:, n:]), pol)
+    keep = spec.kept
     if np.all(keep):
         return pencil
-    basis = v[:, keep]
+    basis = spec.eigvecs[:, keep]
     t = np.zeros((n + p, n + basis.shape[1]), dtype=complex)
     t[:n, :n] = np.eye(n)
     t[n:, n:] = basis

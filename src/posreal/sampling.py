@@ -66,9 +66,12 @@ def _halton(d: int, n: int, seed: int) -> np.ndarray:
     return u
 
 
+# Coordinate moduli of ``disk_grid`` points lie in [0.1, _MAX_RADIUS).
+_MAX_RADIUS = 0.85
+
+
 def disk_grid(num_vars: int, count: int = 25, seed: int = 0,
-              conjugate_closed: bool = True, include_zero: bool = True,
-              max_radius: float = 0.85) -> np.ndarray:
+              conjugate_closed: bool = True, include_zero: bool = True) -> np.ndarray:
     """Low-discrepancy polydisk points, conjugate-closed, with the center.
 
     ``count`` is the target total; with conjugation closure roughly half
@@ -77,7 +80,7 @@ def disk_grid(num_vars: int, count: int = 25, seed: int = 0,
     remaining = count - (1 if include_zero else 0)
     base = max(remaining, 0) // 2 if conjugate_closed else max(remaining, 0)
     u = _halton(2 * num_vars, base, seed)
-    radii = 0.1 + (max_radius - 0.1) * u[:, :num_vars]
+    radii = 0.1 + (_MAX_RADIUS - 0.1) * u[:, :num_vars]
     angles = 2.0 * np.pi * u[:, num_vars:]
     pts = radii * np.exp(1j * angles)
     out = [pts]

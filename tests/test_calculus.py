@@ -1,5 +1,7 @@
 import itertools
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -136,6 +138,29 @@ class TestCalcSeries:
         co_short = TaylorCoefficients(1, 1, 5, np.zeros((6, 1, 1)), sup_radius=0.9, sup_bound=3.0)
         co_long = TaylorCoefficients(1, 1, 25, np.zeros((26, 1, 1)), sup_radius=0.9, sup_bound=3.0)
         assert co_long.tail_bound(0.4) < co_short.tail_bound(0.4) < 1.0
+
+    @pytest.mark.parametrize("num_vars, degree", [(1, 0), (1, 30), (2, 200), (3, 40), (4, 15), (7, 6)])
+    @pytest.mark.parametrize("q", [1e-3, 0.1, 0.5, 0.9, 0.99])
+    def test_tail_bound_is_the_exact_sum_rounded_up(self, num_vars, degree, q):
+        # sup_bound sum_{j > d} binom(j + N - 1, N - 1) q^j in exact rationals:
+        # the whole series is (1 - q)^{-N}, minus the terms up to degree d
+        co = TaylorCoefficients(num_vars, 0, degree, np.zeros((degree + 1,) * num_vars + (0, 0)),
+                                sup_radius=0.8, sup_bound=2.5)
+        qf = Fraction(q * 0.8) / Fraction(0.8)
+        head = sum(math.comb(j + num_vars - 1, num_vars - 1) * qf ** j for j in range(degree + 1))
+        exact = float(Fraction(2.5) * ((1 - qf) ** -num_vars - head))
+        tail = co.tail_bound(q * 0.8)
+        assert exact <= tail <= exact * (1.0 + 1e-11)
+
+    @pytest.mark.parametrize("num_vars, degree", [(1, 2 ** 21 - 1), (2, 1023), (3, 63), (4, 15)])
+    def test_tail_bound_stays_finite_on_the_largest_tables(self, num_vars, degree):
+        # the largest degree TAYLOR_MAX_POINTS admits for each N; dim 0 keeps the table empty
+        co = TaylorCoefficients(num_vars, 0, degree, np.zeros((degree + 1,) * num_vars + (0, 0)),
+                                sup_radius=1.0, sup_bound=1.0)
+        with np.errstate(invalid="raise", divide="raise"):  # terms below 1e-308 may underflow
+            tails = [co.tail_bound(q) for q in (1e-3, 0.5, 0.99, 1.0 - 1e-9)]
+        assert all(math.isfinite(t) and t >= 0 for t in tails)
+        assert tails == sorted(tails) and tails[-1] > 0
 
     def test_refuses_radius_at_or_beyond_bound(self):
         co = TaylorCoefficients(1, 1, 5, np.zeros((6, 1, 1)), sup_radius=0.5, sup_bound=1.0)
@@ -316,6 +341,26 @@ class TestTaylorSources:
             want = g[t] + sum(sch.coeff(s) @ g[r] for s, r in below(t))  # F = (I + S) G
             assert np.linalg.norm(herglotz.coeff(t) - want) <= 1e-12 * (1.0 + np.linalg.norm(want))
 
+    def test_herglotz_base_goes_through_the_guard(self):
+        # I - S_0 = diag(1e-11, 1): condition 1e11, above 1/psd_slack
+        sch = np.zeros((3, 2, 2), dtype=complex)
+        sch[0] = np.diag([1.0 - 1e-11, 0.0])
+        table = TaylorCoefficients(1, 2, 2, sch)
+        with pytest.raises(NumericalRefusalError,
+                           match=r"^I - S\(0\) is numerically singular \(condition 1\.000e\+11\)"):
+            herglotz_taylor_from_schur(table)
+        # the guard reads the policy it is given
+        herglotz_taylor_from_schur(table, pol=TolerancePolicy(psd_slack=1e-12))
+
+    def test_herglotz_base_of_a_pencil_needs_no_estimate(self, rng, monkeypatch):
+        f = random_pencil(rng, 2, 2, 3)
+        sch = taylor_from_function(DiskFunctionView(f).eval_double_cayley, 2, 2, degree=6)
+        calls = []
+        cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda m: calls.append(m) or cond(m))
+        herglotz_taylor_from_schur(sch)
+        assert calls == []
+
     def test_herglotz_series_inverts_cayley(self, rng):
         f = random_pencil(rng, 2, 1, 2)
         co = herglotz_coeffs_for(f, degree=40, seed=2)
@@ -344,6 +389,29 @@ class TestHunt:
         config = HuntConfig(num_vars=2, trials=10, dim=3, seed=8, degree=30)
         records = list(hunt(config, [("geometric-mean", geo_mean)]))
         assert not any(r["violation"] for r in records)
+
+    def test_each_trial_forms_its_powers_once(self, rng, monkeypatch):
+        controls = [("a", random_pencil(rng, 3, 1, 2)), ("b", random_pencil(rng, 3, 1, 3))]
+        config = HuntConfig(num_vars=3, trials=3, dim=2, seed=5, degree=6)
+        tuples, builds = [], []
+        draw, simplex = calculus.random_contraction_tuple, calculus._simplex
+
+        def keep(*args, **kwargs):
+            tuples.append(draw(*args, **kwargs))
+            return tuples[-1]
+
+        monkeypatch.setattr(calculus, "random_contraction_tuple", keep)
+        monkeypatch.setattr(calculus, "_simplex", lambda *a: builds.append(a) or simplex(*a))
+        records = list(hunt(config, controls))
+        assert builds == [(3, 6)] * 3  # one table per trial, shared by both candidates
+        # the same records as a series with a table of its own per candidate
+        tables = {name: taylor_from_function(DiskFunctionView(f).eval_double_cayley, 3, 1, 6)
+                  for name, f in controls}
+        for rec in records:
+            t = tuples[rec["trial"]]
+            fresh = CommutingTuple(t.mats, t.commutator_norm, t.kind, t.bound)
+            norm, tail, _ = von_neumann_check(tables[rec["candidate"]], fresh)
+            assert (rec["norm"], rec["tail"]) == (norm, tail)
 
     def test_log_roundtrips_through_json(self, rng):
         f = random_pencil(rng, 3, 1, 2)

@@ -20,10 +20,13 @@ have no certificate yet and are listed by function and stage.
 Every function that calls ``np.linalg.solve`` or ``np.linalg.inv`` also
 calls the guard, so no system is solved unguarded.  The exceptions are
 listed by function: the named cross-checks ``ldu_factor_residual`` and
-``pointwise_diagonal_oracle``, the Taylor recursion
-``herglotz_taylor_from_schur`` (guarded by its own condition check of
-I - S_0), and the sampler ``random_diagonalizable_accretive_pair``, which
-redraws a matrix whose condition exceeds 10 before inverting it.
+``pointwise_diagonal_oracle``, and the sampler
+``random_diagonalizable_accretive_pair``, which redraws a matrix whose
+condition exceeds 10 before inverting it.
+
+``np.linalg.cond`` is called only inside the guard, so there is one
+conditioning estimate and one refusal threshold.  The exception is that
+same sampler, whose redraw is not a refusal.
 """
 
 import ast
@@ -43,10 +46,11 @@ UNCERTIFIED = {
 UNGUARDED_SOLVES = {
     "ldu_factor_residual",
     "pointwise_diagonal_oracle",
-    "herglotz_taylor_from_schur",
     "random_diagonalizable_accretive_pair",
 }
 SOLVERS = {"np.linalg.solve", "np.linalg.inv"}
+# functions that may call the condition estimate
+ESTIMATORS = {GUARD, "random_diagonalizable_accretive_pair"}
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -87,12 +91,8 @@ def single_point_copies(source: str) -> list[int]:
     return [i for i, line in enumerate(source.splitlines(), 1) if "ndim == 1 else" in line]
 
 
-def unbounded_guard_calls(source: str) -> list[tuple[str, str]]:
-    """(enclosing function, stage) of every guard call without a ``bound=`` keyword.
-
-    The stage is the third positional argument when it is a string
-    literal, else its source text.
-    """
+def calls_by_function(source: str) -> list[tuple[str, ast.Call]]:
+    """(innermost enclosing function, call) of every call; "<module>" outside functions."""
     found = []
 
     def visit(node, func):
@@ -101,15 +101,27 @@ def unbounded_guard_calls(source: str) -> list[tuple[str, str]]:
                 visit(child, child.name)
                 continue
             if isinstance(child, ast.Call):
-                name = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
-                if name == GUARD and not any(k.arg == "bound" for k in child.keywords):
-                    stage = child.args[2] if len(child.args) > 2 else None
-                    text = (stage.value if isinstance(stage, ast.Constant)
-                            else ast.unparse(stage) if stage is not None else "")
-                    found.append((func, text))
+                found.append((func, child))
             visit(child, func)
 
     visit(ast.parse(source), "<module>")
+    return found
+
+
+def unbounded_guard_calls(source: str) -> list[tuple[str, str]]:
+    """(enclosing function, stage) of every guard call without a ``bound=`` keyword.
+
+    The stage is the third positional argument when it is a string
+    literal, else its source text.
+    """
+    found = []
+    for func, call in calls_by_function(source):
+        name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+        if name == GUARD and not any(k.arg == "bound" for k in call.keywords):
+            stage = call.args[2] if len(call.args) > 2 else None
+            text = (stage.value if isinstance(stage, ast.Constant)
+                    else ast.unparse(stage) if stage is not None else "")
+            found.append((func, text))
     return found
 
 
@@ -119,21 +131,21 @@ def unguarded_solves(source: str) -> list[str]:
     A call counts for the innermost function that contains it.
     """
     calls: dict[str, set] = {}
-
-    def visit(node, func):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            if isinstance(child, ast.Call):
-                name = ast.unparse(child.func)
-                kind = "solve" if name in SOLVERS else "guard" if name.split(".")[-1] == GUARD else None
-                if kind:
-                    calls.setdefault(func, set()).add(kind)
-            visit(child, func)
-
-    visit(ast.parse(source), "<module>")
+    for func, call in calls_by_function(source):
+        name = ast.unparse(call.func)
+        kind = "solve" if name in SOLVERS else "guard" if name.split(".")[-1] == GUARD else None
+        if kind:
+            calls.setdefault(func, set()).add(kind)
     return [func for func, kinds in calls.items() if kinds == {"solve"}]
+
+
+def condition_estimates(source: str) -> list[str]:
+    """Functions that call ``np.linalg.cond``, each listed once, in source order.
+
+    A call counts for the innermost function that contains it.
+    """
+    return list(dict.fromkeys(func for func, call in calls_by_function(source)
+                              if ast.unparse(call.func) == "np.linalg.cond"))
 
 
 def test_package_modules_found():
@@ -208,6 +220,31 @@ def test_unguarded_solves_still_exist():
 ])
 def test_rule_detects_unguarded_solves(source, hits):
     assert unguarded_solves(source) == hits
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_condition_estimate_only_in_the_guard(path):
+    assert set(condition_estimates(path.read_text())) <= ESTIMATORS
+
+
+def test_condition_estimators_still_exist():
+    # an allow-list entry whose estimate is gone must be dropped
+    found = set()
+    for path in MODULES:
+        found |= set(condition_estimates(path.read_text()))
+    assert found == ESTIMATORS
+
+
+@pytest.mark.parametrize("source, hits", [
+    ("def f(m):\n    return np.linalg.cond(m) > 1e12\n", ["f"]),
+    ('def f(m):\n    """np.linalg.cond(m), in prose"""\n    return np.linalg.norm(m)\n', []),
+    ("class C:\n    def g(self, m):\n        return np.linalg.cond(m), np.linalg.cond(m.T)\n", ["g"]),
+    # an estimate in a nested function counts for that function only
+    ("def f(m):\n    def g():\n        return np.linalg.cond(m)\n    return g()\n", ["g"]),
+    ("c = np.linalg.cond(m)\n", ["<module>"]),
+])
+def test_rule_detects_condition_estimates(source, hits):
+    assert condition_estimates(source) == hits
 
 
 @pytest.mark.parametrize("source, missing", [
