@@ -197,7 +197,6 @@ class DiskKernelEvaluator:
         self.f = f
         self.pol = pol
         self.kernels = KernelEvaluator(f, pol)
-        self.view = DiskFunctionView(f, pol=pol)
         # V = [L_1; ...; L_N; E*], E = [I_n; 0] the inclusion of U into U (+) H
         self.factor = np.concatenate(self.kernels.factors + (np.eye(f.dim_u, f.pencil.dim),))
 

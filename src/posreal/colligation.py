@@ -39,7 +39,7 @@ from .core import (
     operator_norm,
     relative_residual,
 )
-from .pencil import _refuse_ill_conditioned
+from .pencil import PencilBound, _refuse_ill_conditioned
 
 __all__ = [
     "AglerColligation",
@@ -201,23 +201,18 @@ def reflection_transfer(v: np.ndarray, dims, pts: np.ndarray,
     ``v`` = (V_1; ...; V_N; V_u) has dims[k] rows in V_k, and
     M(w) = V_u* V_u + sum_k z_k V_k* V_k, z_k = (1 + w_k) / (1 - w_k), is
     formed and solved here only (``transfer_eval`` derives S from it).  Its
-    guard is certified: inside the open polydisk Re z_k > 0, so with
-    mu = min(1, min_k Re z_k) every unit x has |x* M x| >= Re x* M x >=
-    mu x* V* V x, whence sigma_min M >= mu lambda_min(V* V), while
-    ||M|| <= ||V_u||^2 + sum_k |z_k| ||V_k||^2 (+inf where mu lambda_min <= 0).
+    guard is certified by ``pencil.PencilBound`` of the Grams (V_u* V_u,
+    V_1* V_1, ...) at weights (1, z_1, ...), which lie in the open right
+    halfplane inside the open polydisk (+inf where mu lambda_min(V* V) <= 0).
     """
     bounds = np.cumsum((0,) + tuple(dims))
     vu = v[bounds[-1]:]
     blocks = [vu] + [v[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
     grams = hermitian_part(np.stack([blk.conj().T @ blk for blk in blocks]))
-    norms = np.max(np.abs(np.linalg.eigvalsh(grams)), axis=1, initial=0.0)
-    lam = np.min(np.linalg.eigvalsh(grams.sum(axis=0)), initial=np.inf)
     z = (1.0 + pts) / (1.0 - pts)
     m = grams[0] + np.tensordot(z, grams[1:], axes=(1, 0))
-    low = np.minimum(1.0, np.min(z.real, axis=1)) * lam
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bound = np.where(low > 0, (norms[0] + np.abs(z) @ norms[1:]) / low, np.inf)
-    _refuse_ill_conditioned(m, pol, "M(w)", bound=bound)
+    weights = np.concatenate([np.ones((len(z), 1)), z], axis=1)
+    _refuse_ill_conditioned(m, pol, "M(w)", bound=PencilBound.of(grams).bound(weights))
     t = np.linalg.solve(m, np.broadcast_to(vu.conj().T, (len(pts),) + vu.T.shape))
     return t, np.eye(len(vu)) - 2.0 * (vu @ t)
 

@@ -36,6 +36,7 @@ from .core import (
 
 __all__ = [
     "PsdPencil",
+    "PencilBound",
     "RealizedFunction",
     "as_evaluator",
     "eval_pencil",
@@ -121,13 +122,80 @@ class PsdPencil:
         m = self.coeffs[k]
         return m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:]
 
+    @cached_property
     def stacked(self) -> np.ndarray:
-        return np.stack(self.coeffs)
+        """The (N, dim, dim) coefficient stack, formed once and read-only."""
+        stack = np.stack(self.coeffs)
+        stack.flags.writeable = False
+        return stack
 
 
 def eval_pencil(pencil: PsdPencil, z) -> np.ndarray:
     """A(z) = sum_k z_k A_k; batched over points."""
-    return like_points(z, np.tensordot(as_points(z, pencil.num_vars), pencil.stacked(), axes=(1, 0)))
+    return like_points(z, np.tensordot(as_points(z, pencil.num_vars), pencil.stacked, axes=(1, 0)))
+
+
+@dataclass(frozen=True)
+class PencilBound:
+    """Certified condition bounds for sums L = sum_j P_j (x) C_j over one stack P_1, ..., P_K.
+
+    ``of`` computes once: ``lam`` = lambda_min(sum_j H_j) for the Hermitian
+    parts H_j, ``norms`` >= ||P_j||, ``neg`` = max(-lambda_min H_j, 0) and
+    ``skew`` = ||P_j - H_j||_F.  ``bound`` takes scalar weights (d(z), A(z),
+    M(w)), ``tuple_bound`` matrix weights (d(R)).
+
+    Proof.  Let G_j = Re(exp(-i theta) C_j) with mu I <= G_j <= rho_j I and
+    ||C_j|| <= m_j.  The Hermitian part of exp(-i theta) L is mu sum_j H_j (x) I
+    >= mu lam I, plus sum_j H_j (x) (G_j - mu I) >= -sum_j (rho_j - mu) neg_j I,
+    plus the share of the skew parts, of norm at most sum_j m_j skew_j.  So
+    for every unit x
+
+        |x* L x| >= Re(exp(-i theta) x* L x) >= mu lam - sum_j ((rho_j - mu) neg_j + m_j skew_j).
+
+    That bounds sigma_min L from below, and ||L|| <= sum_j m_j norms_j; for
+    Hermitian PSD P_j, cond L <= sum_j m_j ||P_j|| / (mu lambda_min(sum_j P_j)).
+    The bound is +inf where mu <= 0 or the denominator is not positive.
+    """
+
+    lam: float
+    norms: np.ndarray
+    neg: np.ndarray
+    skew: np.ndarray
+
+    @classmethod
+    def of(cls, coeffs) -> "PencilBound":
+        """The constants of a (K, r, r) stack: one eigendecomposition per H_j and one of their sum."""
+        herm = [hermitian_part(p) for p in coeffs]
+        eigs = [eigh_or_refuse(h)[0] for h in herm]
+        skew = np.array([np.linalg.norm(p - h) for p, h in zip(coeffs, herm)])
+        return cls(lam=float(np.min(eigh_or_refuse(sum(herm))[0], initial=np.inf)),
+                   norms=np.array([np.max(np.abs(w), initial=0.0) for w in eigs]) + skew,
+                   neg=np.array([-np.min(w, initial=0.0) for w in eigs]),
+                   skew=skew)
+
+    def _quotient(self, mags, re, mu):
+        """The bound from m_j = ``mags``, rho_j = ``re`` and ``mu``; see the class."""
+        den = mu * self.lam - (re - mu[..., None]) @ self.neg - mags @ self.skew
+        out = np.full(np.shape(mu), np.inf)
+        np.divide(mags @ self.norms, den, out=out, where=(mu > 0) & (den > 0))
+        return out
+
+    def bound(self, weights) -> np.ndarray:
+        """Bound on cond(sum_j c_j P_j) for each row c of (B, K) weights.
+
+        theta is the midpoint of the shortest arc holding the arguments of c
+        (``core.argument_arc``), rho_j = Re(exp(-i theta) c_j), mu = min_j rho_j
+        and m_j = |c_j|: mu > 0 exactly on the rotated open polyhalfplanes.
+        """
+        start, gap = argument_arc(weights)
+        theta = start + (np.pi - gap / 2.0)
+        re = (np.exp(-1j * theta)[:, None] * weights).real  # (B, K)
+        return self._quotient(np.abs(weights), re, np.min(re, axis=1))
+
+    def tuple_bound(self, mats, accretivity: float) -> float:
+        """Bound on cond(sum_j P_j (x) R_j) if R_j + R_j* >= beta I: mu = beta/2, rho_j = m_j = ||R_j||_F."""
+        mags = np.linalg.norm(np.asarray(mats), axis=(1, 2))
+        return float(self._quotient(mags, mags, np.asarray(0.5 * accretivity)))
 
 
 @dataclass(frozen=True)
@@ -158,21 +226,15 @@ class RealizedFunction:
         return eval_schur(self, z, pol)
 
     @cached_property
-    def _d_bound_constants(self) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-        """Pencil-only part of ``d_condition_bound`` and ``d_tuple_condition_bound``, computed once.
-
-        (lambda_min(sum_k Re d_k), per-k norm bounds, per-k negative
-        eigenvalue parts, per-k skew Frobenius norms); see those functions.
-        """
+    def d_bound(self) -> PencilBound:
+        """The certificate of d(z) and d(R), from the d-blocks; formed on first use (p >= 1)."""
         n = self.dim_u
-        ds = [m[n:, n:] for m in self.pencil.coeffs]
-        herm = [hermitian_part(d) for d in ds]
-        eigs = [eigh_or_refuse(h)[0] for h in herm]
-        lam = float(eigh_or_refuse(sum(herm))[0][0])
-        skew = np.array([np.linalg.norm(d - h) for d, h in zip(ds, herm)])
-        norms = np.array([max(-w[0], w[-1]) for w in eigs]) + skew
-        neg = np.array([max(-w[0], 0.0) for w in eigs])
-        return lam, norms, neg, skew
+        return PencilBound.of(self.pencil.stacked[:, n:, n:])
+
+    @cached_property
+    def a_bound(self) -> PencilBound:
+        """The certificate of A(z), from the whole coefficients; formed on first use."""
+        return PencilBound.of(self.pencil.stacked)
 
 
 def as_evaluator(source, pol: TolerancePolicy = DEFAULT_POLICY):
@@ -214,13 +276,6 @@ def compress_realization(f: RealizedFunction, pol: TolerancePolicy = DEFAULT_POL
     return RealizedFunction(compress(f.pencil, pol), compressed=True)
 
 
-def _blocks_at(f: RealizedFunction, pts: np.ndarray):
-    """a(z), b(z), c(z), d(z) stacked over a batch of points."""
-    n = f.dim_u
-    az = np.tensordot(pts, f.pencil.stacked(), axes=(1, 0))
-    return az[:, :n, :n], az[:, :n, n:], az[:, n:, :n], az[:, n:, n:]
-
-
 def _refuse_ill_conditioned(mats: np.ndarray, pol: TolerancePolicy, what: str,
                             bound=None) -> None:
     """Refuse a stack of square matrices if any is numerically singular.
@@ -258,69 +313,18 @@ def _refuse_ill_conditioned(mats: np.ndarray, pol: TolerancePolicy, what: str,
 def d_condition_bound(f: RealizedFunction, z) -> np.ndarray:
     """Certified upper bound on cond d(z) at each point; +inf where none is proven.
 
-    With theta the midpoint of the shortest arc holding the arguments of
-    z and mu = min_k Re(exp(-i theta) z_k), every unit vector x gives
-    |x* d(z) x| >= Re(exp(-i theta) x* d(z) x) >= mu x* (sum_k d_k) x for
-    PSD d_k, so sigma_min d(z) >= mu lambda_min(sum_k d_k), while
-    ||d(z)|| <= sum_k |z_k| ||d_k||.  Hence
-
-        cond d(z) <= sum_k |z_k| ||d_k|| / (mu lambda_min(sum_k d_k)),
-
-    on every rotated polyhalfplane.  Coefficients that are not exactly
-    Hermitian PSD (unchecked pencils, roundoff after compression) are
-    covered by subtracting (Re(exp(-i theta) z_k) - mu) times their most
-    negative eigenvalue and |z_k| times the Frobenius norm of their skew
-    part from the denominator.  The bound is +inf when mu <= 0 (off the
-    domain) or the denominator is not positive.
+    ``PencilBound.bound`` of the d-blocks at weights z.
     """
     pts = as_points(z, f.num_vars)
-    if f.dim_h == 0:
-        return np.ones(len(pts))
-    lam, norms, neg, skew = f._d_bound_constants
-
-    start, gap = argument_arc(pts)
-    theta = start + (np.pi - gap / 2.0)
-    re = (np.exp(-1j * theta)[:, None] * pts).real  # (B, N)
-    mu = np.min(re, axis=1)
-    mags = np.abs(pts)
-    num = mags @ norms
-    den = mu * lam - (re - mu[:, None]) @ neg - mags @ skew
-    out = np.full(len(pts), np.inf)
-    ok = (mu > 0) & (den > 0)
-    out[ok] = num[ok] / den[ok]
-    return out
+    return np.ones(len(pts)) if f.dim_h == 0 else f.d_bound.bound(pts)
 
 
 def d_tuple_condition_bound(f: RealizedFunction, mats, accretivity: float) -> float:
-    """Certified upper bound on cond d(R) for d(R) = sum_k d_k (x) R_k; +inf where none is proven.
+    """Certified upper bound on cond d(R) for d(R) = sum_k d_k (x) R_k, R_k + R_k* >= ``accretivity`` I.
 
-    ``mats`` are the members R_k of a tuple with R_k + R_k* >= beta I for
-    every k, beta = ``accretivity``.  For Hermitian PSD d_k,
-    Re d(R) = sum_k d_k (x) Re R_k, and each d_k (x) (Re R_k - beta/2 I)
-    is a Kronecker product of PSD matrices, so
-    Re d(R) >= (beta/2) (sum_k d_k) (x) I.  Then sigma_min d(R) >=
-    (beta/2) lambda_min(sum_k d_k), while ||d(R)|| <= sum_k ||d_k|| ||R_k||.
-    Hence
-
-        cond d(R) <= sum_k ||d_k|| ||R_k|| / ((beta/2) lambda_min(sum_k d_k)).
-
-    Coefficients that are not exactly Hermitian PSD are covered as in
-    ``d_condition_bound``: the denominator loses (||R_k|| - beta/2)
-    times the most negative eigenvalue of Re d_k (a bound on the
-    negative part of Re d_k (x) (Re R_k - beta/2 I)) and ||R_k|| times
-    the Frobenius norm of the skew part of d_k.  ||R_k|| is bounded by
-    its Frobenius norm.  The bound is +inf when beta <= 0 or the
-    denominator is not positive.
+    ``PencilBound.tuple_bound`` of the d-blocks; +inf where none is proven.
     """
-    if f.dim_h == 0:
-        return 1.0
-    lam, norms, neg, skew = f._d_bound_constants
-    mags = np.linalg.norm(np.asarray(mats), axis=(1, 2))
-    half = 0.5 * accretivity
-    den = half * lam - (mags - half) @ neg - mags @ skew
-    if not (half > 0 and den > 0):
-        return np.inf
-    return float(mags @ norms / den)
+    return 1.0 if f.dim_h == 0 else f.d_bound.tuple_bound(mats, accretivity)
 
 
 def eval_schur(f: RealizedFunction, z, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
@@ -344,15 +348,15 @@ def schur_solve(f: RealizedFunction, z,
     d(z) is inverted by LU with partial pivoting; evaluation is refused
     (never regularized) when the condition of d(z) exceeds 1/psd_slack,
     so boundary evaluations stay detectable.  The guard first tries the
-    certificate of ``d_condition_bound`` (proof: on a rotated
-    polyhalfplane Re(exp(-i theta) d(z)) dominates mu(z) sum_k d_k, which
-    bounds sigma_min d(z) from below); points it does not clear fall
-    back to the computed condition number, so the decision is the same.
+    certificate ``d_condition_bound``; points it does not clear fall back
+    to the computed condition number, so the decision is the same.
     """
     if not f.compressed:
         raise ValidationError("realization must be compressed before Schur evaluation")
     pts = as_points(z, f.num_vars)
-    a, b, c, d = _blocks_at(f, pts)
+    n = f.dim_u
+    az = eval_pencil(f.pencil, pts)
+    a, b, c, d = az[:, :n, :n], az[:, :n, n:], az[:, n:, :n], az[:, n:, n:]
     if f.dim_h == 0:
         return a, c
     _refuse_ill_conditioned(d, pol, "d(z)", bound=d_condition_bound(f, pts))
@@ -369,8 +373,8 @@ def eval_long_resolvent(f: RealizedFunction, z, pol: TolerancePolicy = DEFAULT_P
     """
     pts = as_points(z, f.num_vars)
     n = f.dim_u
-    az = np.tensordot(pts, f.pencil.stacked(), axes=(1, 0))
-    _refuse_ill_conditioned(az, pol, "A(z)")
+    az = eval_pencil(f.pencil, pts)
+    _refuse_ill_conditioned(az, pol, "A(z)", bound=f.a_bound.bound(pts))
     corner = np.linalg.inv(az)[:, :n, :n]
     _refuse_ill_conditioned(corner, pol, "the U-corner of A(z)^{-1}")
     return like_points(z, np.linalg.inv(corner))
@@ -426,7 +430,7 @@ def ldu_factor_residual(f: RealizedFunction, z, pol: TolerancePolicy = DEFAULT_P
     if p == 0:
         return 0.0
     fz, dinv_c = schur_solve(f, pts, pol)
-    az = np.tensordot(pts, f.pencil.stacked(), axes=(1, 0))
+    az = eval_pencil(f.pencil, pts)
     b, d = az[:, :n, n:], az[:, n:, n:]
     b_dinv = np.linalg.solve(d.conj().transpose(0, 2, 1), b.conj().transpose(0, 2, 1))
     b_dinv = b_dinv.conj().transpose(0, 2, 1)

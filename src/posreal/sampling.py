@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .cayley import disk_to_halfplane
-from .core import DEFAULT_POLICY, TolerancePolicy
+from .core import DEFAULT_POLICY, PosrealError, TolerancePolicy
 from .pencil import PsdPencil, RealizedFunction, compress_realization
 
 __all__ = [
@@ -178,6 +178,6 @@ def random_diagonalizable_accretive_pair(rng, dim: int, num_vars: int = 2,
         mats = [v @ np.diag(eigs[:, k]) @ vinv for k in range(num_vars)]
         try:
             t = make_tuple(mats, pol, require="accretive")
-        except Exception:
+        except PosrealError:  # a draw that does not certify as accretive
             continue
         return t, v, eigs

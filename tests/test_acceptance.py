@@ -149,7 +149,7 @@ def synthesized_colligations():
         f = random_pencil(rng, nv, n, p, rank_deficient=True)
         ws = disk_grid(nv, 25, seed=int(rng.integers(1 << 30)))
         dk = DiskKernelEvaluator(f)
-        svals = dk.view.eval_double_cayley(ws)
+        svals = DiskFunctionView(f).eval_double_cayley(ws)
         syn = build_colligation(ws, dk.theta_table(ws), svals)
         out.append((f, ws, svals, syn))
     return out
@@ -315,7 +315,7 @@ def test_10_real_chain():
         chain_ok &= is_iota_real_function(lambda q: f(q), iu, pts)
         ws = disk_grid(nv, 16, seed=int(rng.integers(1 << 30)))  # conjugate-closed
         dk = DiskKernelEvaluator(f)
-        syn = build_colligation(ws, dk.theta_table(ws), dk.view.eval_double_cayley(ws))
+        syn = build_colligation(ws, dk.theta_table(ws), DiskFunctionView(f).eval_double_cayley(ws))
         ix = AntiUnitaryInvolution.conjugation(syn.colligation.dim_state)
         chain_ok &= check_real_colligation(syn.colligation, ix, iu)
         worst_taylor = max(worst_taylor, taylor_realness_residual(f))

@@ -20,7 +20,7 @@ from posreal.sampling import disk_grid, random_pencil
 def _spy_d_solves(monkeypatch, f, zs):
     """A list that gets one entry per np.linalg.solve call, True when it solves d(zs)."""
     n = f.dim_u
-    d_zs = np.tensordot(zs, f.pencil.stacked(), axes=(1, 0))[:, n:, n:]
+    d_zs = np.tensordot(zs, f.pencil.stacked, axes=(1, 0))[:, n:, n:]
     solves = []
     real = np.linalg.solve
 
@@ -34,7 +34,7 @@ def _spy_d_solves(monkeypatch, f, zs):
 
 def _m_of(f, zs):
     """M(w) = A(z) + E E* at the points zs = z(w), E = [I_n; 0]."""
-    az = np.tensordot(zs, f.pencil.stacked(), axes=(1, 0))
+    az = np.tensordot(zs, f.pencil.stacked, axes=(1, 0))
     az[:, :f.dim_u, :f.dim_u] += np.eye(f.dim_u)
     return az
 
@@ -209,7 +209,7 @@ class TestKernelTransforms:
         f = random_pencil(rng, 3, 2, 4)
         dk = DiskKernelEvaluator(f)
         ws = disk_grid(3, 12, seed=8)
-        plus = dk.view.eval_F(ws) + np.eye(2)
+        plus = DiskFunctionView(f).eval_F(ws) + np.eye(2)
         table = dk.theta_table(ws)
         for k in range(3):
             expect = np.sqrt(2.0) * np.linalg.solve(plus.transpose(0, 2, 1),
@@ -225,7 +225,7 @@ class TestKernelTransforms:
         dk = DiskKernelEvaluator(f)
         ws = disk_grid(shape[0], 30, seed=2)
         thetas, svals = dk.schur_tables(ws)
-        fv = dk.view.eval_F(ws)
+        fv = DiskFunctionView(f).eval_F(ws)
         plus_t = (fv + np.eye(shape[1])).transpose(0, 2, 1)
 
         def rel(got, expect):

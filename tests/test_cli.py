@@ -1,6 +1,9 @@
 import json
+import os
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from posreal.cayley import DiskKernelEvaluator, disk_to_halfplane, inv_double_ca
 from posreal.cli import main, run_verification
 from posreal.colligation import build_colligation, transfer_eval
 from posreal.core import DEFAULT_POLICY, eigh_or_refuse, hermitian_part
-from posreal.pencil import PsdPencil, RealizedFunction, compress_realization
+from posreal.pencil import PsdPencil
 from posreal.sampling import disk_grid, halfplane_grid, random_pencil
 
 
@@ -105,7 +108,10 @@ GOLDEN_ROWS = [
 # (numpy 2.4, OpenBLAS 0.3.31, x86-64).  A certificate may only skip the
 # estimate, and A(R) assembled from whole coefficients adds the same terms
 # in the same order, so no bit may move.  The five colligation rows were
-# re-recorded when the theta tables and S(w) moved to one M(w) solve.
+# re-recorded when the theta tables and S(w) moved to one M(w) solve, and
+# again under one BLAS thread: their last bits follow the thread count
+# and, within one process, the calls that ran before, so the rows are
+# computed in a fresh process with OMP_NUM_THREADS=OPENBLAS_NUM_THREADS=1.
 GOLDEN_ROWS_BENCH_SHAPE = [
     ('pencil-coefficients-psd', '0x0.0p+0', '0x1.b7cdfd9d7bdbbp-34', True),
     ('homogeneity', '0x1.c237b67c38c37p-51', '0x1.12e0be826d695p-30', True),
@@ -114,12 +120,27 @@ GOLDEN_ROWS_BENCH_SHAPE = [
     ('kernel-identity', '0x1.5390dfa34df9ep-49', '0x1.12e0be826d695p-30', True),
     ('four-quadrant-conditions', '0x1.0000000000000p+0', '0x1.0000000000000p+0', True),
     ('calculus-positivity-min-eig', '0x1.d869de8c9e022p+1', '-0x1.b7cdfd9d7bdbbp-34', True),
-    ('colligation-unitarity', '0x1.87f1e7616bf8fp-47', '0x1.12e0be826d695p-30', True),
-    ('colligation-selfadjointness', '0x1.2a9b7ca8a9541p-49', '0x1.12e0be826d695p-30', True),
-    ('colligation-transfer-match', '0x1.76fb2b160d2bep-51', '0x1.12e0be826d695p-30', True),
-    ('colligation-spectrum-margin', '0x1.31bd2b2e252a0p-2', '0x1.0c6f7a0b5ed8dp-20', True),
-    ('inverse-double-cayley-recovery', '0x1.221be4e8e382ap-49', '0x1.12e0be826d695p-30', True),
+    ('colligation-unitarity', '0x1.4bf0b3ef9d2a5p-47', '0x1.12e0be826d695p-30', True),
+    ('colligation-selfadjointness', '0x1.1889a789938cep-49', '0x1.12e0be826d695p-30', True),
+    ('colligation-transfer-match', '0x1.7b0bab7575875p-51', '0x1.12e0be826d695p-30', True),
+    ('colligation-spectrum-margin', '0x1.31bd2b2e252a4p-2', '0x1.0c6f7a0b5ed8dp-20', True),
+    ('inverse-double-cayley-recovery', '0x1.68cd412f50121p-49', '0x1.12e0be826d695p-30', True),
 ]
+
+# argv[1] is "True" for a validated load, "False" for the unchecked load the benchmark uses
+BENCH_SHAPE_ROWS = """
+import json, sys
+import numpy as np
+from posreal.cli import run_verification
+from posreal.pencil import PsdPencil, RealizedFunction, compress_realization
+from posreal.sampling import random_pencil
+f = random_pencil(np.random.default_rng(16), 3, 4, 32)
+if sys.argv[1] == "False":
+    f = compress_realization(RealizedFunction(
+        PsdPencil.from_coeffs(f.pencil.coeffs, f.dim_u, validate=False)))
+report = run_verification(f, seed=5, grid_size=20)
+print(json.dumps([(r.name, r.value.hex(), r.tol.hex(), r.passed) for r in report.checks]))
+"""
 
 
 def _separate_evaluation_rows(f, seed, grid_size, pol=DEFAULT_POLICY):
@@ -159,14 +180,11 @@ class TestVerificationReuse:
 
     @pytest.mark.parametrize("validate", [True, False])
     def test_benchmark_shape_rows_match_golden_bits(self, validate):
-        f = random_pencil(np.random.default_rng(16), 3, 4, 32)
-        if not validate:
-            # the benchmark loads its pencils unchecked
-            f = compress_realization(RealizedFunction(
-                PsdPencil.from_coeffs(f.pencil.coeffs, f.dim_u, validate=False)))
-        report = run_verification(f, seed=5, grid_size=20)
-        got = [(r.name, r.value.hex(), r.tol.hex(), r.passed) for r in report.checks]
-        assert got == GOLDEN_ROWS_BENCH_SHAPE
+        env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        out = subprocess.run([sys.executable, "-c", BENCH_SHAPE_ROWS, str(validate)], env=env,
+                             capture_output=True, text=True, check=True, timeout=300)
+        assert [tuple(row) for row in json.loads(out.stdout)] == GOLDEN_ROWS_BENCH_SHAPE
 
     @pytest.mark.parametrize("shape, rank_deficient", [
         ((2, 2, 3), False), ((3, 1, 2), False), ((2, 2, 0), False), ((3, 2, 4), True),
@@ -211,7 +229,7 @@ class TestVerificationReuse:
         f = random_pencil(np.random.default_rng(4), *shape)
         zs = halfplane_grid(f.num_vars, 12, 1)
         n = f.dim_u
-        d_zs = np.tensordot(zs, f.pencil.stacked(), axes=(1, 0))[:, n:, n:]
+        d_zs = np.tensordot(zs, f.pencil.stacked, axes=(1, 0))[:, n:, n:]
         solves = []
         real = np.linalg.solve
 
@@ -229,7 +247,7 @@ class TestVerificationReuse:
         path = tmp_path / "pencil.json"
         serialize.dump(serialize.pencil_to_json(f), str(path))
         zs = disk_to_halfplane(disk_grid(f.num_vars, 9, 0))
-        d_zs = np.tensordot(zs, f.pencil.stacked(), axes=(1, 0))[:, 2:, 2:]
+        d_zs = np.tensordot(zs, f.pencil.stacked, axes=(1, 0))[:, 2:, 2:]
         solves = []
         real = np.linalg.solve
 
@@ -251,7 +269,7 @@ class TestVerificationReuse:
         zs = disk_to_halfplane(ws)
         plus_t = (f(zs) + np.eye(2)).transpose(0, 2, 1)
         # M(w) = A(z) + E E*, E = [I_n; 0]
-        m_ws = np.tensordot(zs, f.pencil.stacked(), axes=(1, 0))
+        m_ws = np.tensordot(zs, f.pencil.stacked, axes=(1, 0))
         m_ws[:, :2, :2] += np.eye(2)
         solves, plus_solves = [], []
         real = np.linalg.solve

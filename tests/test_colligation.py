@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from posreal.cayley import DiskKernelEvaluator, disk_to_halfplane, inv_double_cayley
+from posreal.cayley import DiskFunctionView, DiskKernelEvaluator, disk_to_halfplane, inv_double_cayley
 from posreal.colligation import (
     AglerColligation,
     agler_identity_residual,
@@ -61,7 +61,7 @@ class TestIdentities:
     def test_synthesized_exact(self, parallel):
         dk = DiskKernelEvaluator(parallel)
         ws = disk_grid(2, 10, seed=3)
-        syn = build_colligation(ws, dk.theta_table(ws), dk.view.eval_double_cayley(ws))
+        syn = build_colligation(ws, dk.theta_table(ws), DiskFunctionView(parallel).eval_double_cayley(ws))
         rp, rm = agler_identity_residual(syn.colligation, ws[:5])
         assert max(rp, rm) < 1e-9
 
@@ -72,7 +72,7 @@ class TestIdentities:
         f = random_pencil(np.random.default_rng(sum(shape)), *shape)
         ws = disk_grid(f.num_vars, 11, seed=2)
         dk = DiskKernelEvaluator(f)
-        c = build_colligation(ws, dk.theta_table(ws), dk.view.eval_double_cayley(ws)).colligation
+        c = build_colligation(ws, dk.theta_table(ws), DiskFunctionView(f).eval_double_cayley(ws)).colligation
         expected = transfer_eval(c, ws)
         seen = []
         real = colligation.transfer_identity_residuals
@@ -156,13 +156,13 @@ class TestSynthesis:
         assert np.max(np.abs(transfer_eval(syn.colligation, probe) - d0)) < 1e-12
 
     def test_parallel_roundtrip_with_holdout(self, parallel):
-        dk = DiskKernelEvaluator(parallel)
+        dk, view = DiskKernelEvaluator(parallel), DiskFunctionView(parallel)
         base = disk_grid(2, 6, seed=5)
-        syn = build_colligation(base, dk.theta_table(base), dk.view.eval_double_cayley(base))
+        syn = build_colligation(base, dk.theta_table(base), view.eval_double_cayley(base))
         c = syn.colligation
         assert c.unitarity_residual() < 1e-10 and c.selfadjointness_residual() < 1e-10
         holdout = disk_grid(2, 5, seed=55, include_zero=False)
-        expected = dk.view.eval_double_cayley(holdout)
+        expected = view.eval_double_cayley(holdout)
         assert np.max(np.abs(transfer_eval(c, holdout) - expected)) < 1e-8
 
     @pytest.mark.parametrize("shape", [(2, 2, 3), (3, 2, 0)])
@@ -170,7 +170,7 @@ class TestSynthesis:
         f = random_pencil(np.random.default_rng(sum(shape)), *shape)
         ws = disk_grid(f.num_vars, 9, seed=1)
         dk = DiskKernelEvaluator(f)
-        syn = build_colligation(ws, dk.theta_table(ws), dk.view.eval_double_cayley(ws))
+        syn = build_colligation(ws, dk.theta_table(ws), DiskFunctionView(f).eval_double_cayley(ws))
         c = syn.colligation
         assert np.array_equal(syn.values, transfer_eval(c, ws))
         assert syn.unitarity_residual == c.unitarity_residual()
@@ -186,7 +186,7 @@ class TestSynthesis:
     def test_non_finite_data_refused_before_factorizing(self, monkeypatch, parallel, where, bad):
         dk = DiskKernelEvaluator(parallel)
         ws = disk_grid(2, 6, seed=5)
-        tables, svals = dk.theta_table(ws), dk.view.eval_double_cayley(ws)
+        tables, svals = dk.theta_table(ws), DiskFunctionView(parallel).eval_double_cayley(ws)
         if where == "samples":
             svals[2, 0, 0] = bad
         else:
@@ -210,7 +210,7 @@ class TestSynthesis:
     def test_transfer_conjugate_symmetry(self, parallel, rng):
         dk = DiskKernelEvaluator(parallel)
         ws = disk_grid(2, 8, seed=6)
-        syn = build_colligation(ws, dk.theta_table(ws), dk.view.eval_double_cayley(ws))
+        syn = build_colligation(ws, dk.theta_table(ws), DiskFunctionView(parallel).eval_double_cayley(ws))
         probe = disk_grid(2, 6, seed=66)
         for w in probe:
             a = transfer_eval(syn.colligation, w.conj())
@@ -221,7 +221,7 @@ class TestSynthesis:
         f = random_pencil(rng, 2, 2, 3, rank_deficient=True)
         dk = DiskKernelEvaluator(f)
         ws = disk_grid(2, 12, seed=7)
-        syn = build_colligation(ws, dk.theta_table(ws), dk.view.eval_double_cayley(ws))
+        syn = build_colligation(ws, dk.theta_table(ws), DiskFunctionView(f).eval_double_cayley(ws))
         rec = inv_double_cayley(lambda pts: transfer_eval(syn.colligation, pts), ws)
         target = eval_schur(f, disk_to_halfplane(ws))
         err = np.linalg.norm(rec - target, axis=(1, 2))
@@ -252,7 +252,7 @@ def _dense_case(shape, rank_deficient, grid_size, redundant, noise):
     f = random_pencil(rng, *shape, rank_deficient=rank_deficient)
     dk = DiskKernelEvaluator(f)
     ws = disk_grid(shape[0], grid_size, seed=grid_size)
-    tables, svals = dk.theta_table(ws), dk.view.eval_double_cayley(ws)
+    tables, svals = dk.theta_table(ws), DiskFunctionView(f).eval_double_cayley(ws)
     if redundant:
         tables = [np.concatenate([t, t], axis=1) / np.sqrt(2) for t in tables]
     if noise:
@@ -293,7 +293,7 @@ class TestDenseReference:
         f = random_pencil(rng, *shape, rank_deficient=rank_deficient)
         dk = DiskKernelEvaluator(f)
         ws = disk_grid(shape[0], grid_size, seed=grid_size)
-        tables, svals = dk.theta_table(ws), dk.view.eval_double_cayley(ws)
+        tables, svals = dk.theta_table(ws), DiskFunctionView(f).eval_double_cayley(ws)
         if redundant:
             # [theta; theta] / sqrt(2) keeps every kernel, so the generator
             # span has numerical rank below m + n however large the grid
@@ -344,7 +344,7 @@ def _pencil(kind):
 def _synthesis(f, grid_size=15, seed=3):
     ws = disk_grid(f.num_vars, grid_size, seed=seed)
     dk = DiskKernelEvaluator(f)
-    return build_colligation(ws, dk.theta_table(ws), dk.view.eval_double_cayley(ws)), ws
+    return build_colligation(ws, dk.theta_table(ws), DiskFunctionView(f).eval_double_cayley(ws)), ws
 
 
 def _dense(c):

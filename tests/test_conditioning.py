@@ -15,6 +15,7 @@ import posreal.cayley as cayley
 import posreal.colligation as colligation
 from posreal.calculus import calc_realized, make_tuple
 from posreal.cayley import (
+    DiskFunctionView,
     DiskKernelEvaluator,
     f_plus_i_condition_bound,
     i_minus_s_condition_bound,
@@ -49,6 +50,7 @@ from posreal.pencil import (
 )
 from posreal.sampling import (
     disk_grid,
+    halfplane_grid,
     random_accretive_tuple,
     random_diagonalizable_accretive_pair,
     random_pencil,
@@ -59,7 +61,7 @@ SINGULAR = "d(z) is numerically singular (condition inf); boundary or outside-do
 
 def _d_blocks(f, pts):
     n = f.dim_u
-    return np.tensordot(pts, f.pencil.stacked(), axes=(1, 0))[:, n:, n:]
+    return np.tensordot(pts, f.pencil.stacked, axes=(1, 0))[:, n:, n:]
 
 
 def _assert_sound(bound, mats):
@@ -78,6 +80,19 @@ def _point_sets(rng, num_vars, count=40):
     signs = rng.choice([-1.0, 1.0], (count, num_vars))
     mixed = signs * rng.random((count, num_vars)) + 1j * rng.standard_normal((count, num_vars))
     return {"right": right, "rotated": rotated, "quadrants": quadrants, "mixed": mixed}
+
+
+def _d_constants(f):
+    """lambda_min(sum_k Re d_k), the norm bounds, negative parts and skew norms, written out."""
+    n = f.dim_u
+    ds = [m[n:, n:] for m in f.pencil.coeffs]
+    herm = [hermitian_part(d) for d in ds]
+    eigs = [eigh_or_refuse(h)[0] for h in herm]
+    lam = float(eigh_or_refuse(sum(herm))[0][0])
+    skew = np.array([np.linalg.norm(d - h) for d, h in zip(ds, herm)])
+    norms = np.array([max(-w[0], w[-1]) for w in eigs]) + skew
+    neg = np.array([max(-w[0], 0.0) for w in eigs])
+    return lam, norms, neg, skew
 
 
 class TestDConditionBound:
@@ -109,14 +124,7 @@ class TestDConditionBound:
     @staticmethod
     def _per_call_bound(f, pts):
         """The bound with its pencil-only constants rebuilt on every call."""
-        n = f.dim_u
-        ds = [m[n:, n:] for m in f.pencil.coeffs]
-        herm = [hermitian_part(d) for d in ds]
-        eigs = [eigh_or_refuse(h)[0] for h in herm]
-        lam = float(eigh_or_refuse(sum(herm))[0][0])
-        skew = np.array([np.linalg.norm(d - h) for d, h in zip(ds, herm)])
-        norms = np.array([max(-w[0], w[-1]) for w in eigs]) + skew
-        neg = np.array([max(-w[0], 0.0) for w in eigs])
+        lam, norms, neg, skew = _d_constants(f)
         start, gap = argument_arc(pts)
         theta = start + (np.pi - gap / 2.0)
         re = (np.exp(-1j * theta)[:, None] * pts).real
@@ -185,6 +193,74 @@ class TestDConditionBound:
             _assert_sound(d_condition_bound(f, pts), _d_blocks(f, pts))
 
 
+def _a_of(f, pts):
+    return np.tensordot(pts, f.pencil.stacked, axes=(1, 0))
+
+
+class TestAConditionBound:
+    """The A(z) certificate of ``eval_long_resolvent``: ``PencilBound`` of the whole coefficients."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bound_dominates_condition(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        num_vars = 1 + seed % 4
+        rank_deficient = bool(seed % 2)
+        f = random_pencil(rng, num_vars, 1 + seed % 3, 2 + 3 * seed, rank_deficient=rank_deficient)
+        covered = np.linalg.eigvalsh(sum(f.pencil.coeffs))[0] > 1e-8
+        for name, pts in _point_sets(rng, num_vars).items():
+            finite = _assert_sound(f.a_bound.bound(pts), _a_of(f, pts))
+            if name != "mixed" and covered:
+                # sum_k A_k is positive definite: every rotated polyhalfplane is covered
+                assert np.all(finite), name
+        assert covered or rank_deficient
+
+    def test_unchecked_non_hermitian_pencils(self):
+        rng = np.random.default_rng(13)
+        finite = 0
+        for trial in range(20):
+            coeffs = []
+            for _ in range(2):
+                g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+                s = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+                shift, skew = (0.02, 0.02) if trial % 2 else (0.3, 0.5)
+                coeffs.append(g @ g.conj().T - shift * np.eye(4) + skew * (s - s.conj().T))
+            f = RealizedFunction(PsdPencil.from_coeffs(coeffs, 1, validate=False), compressed=True)
+            for pts in _point_sets(rng, 2).values():
+                finite += int(np.sum(_assert_sound(f.a_bound.bound(pts), _a_of(f, pts))))
+        assert finite > 0  # the corrections are exercised, not only the +inf fallback
+
+    def test_off_the_domain_proves_nothing(self, rng):
+        f = random_pencil(rng, 3, 2, 3)
+        pts = _point_sets(rng, 3)["mixed"]
+        start, gap = argument_arc(pts)
+        off = np.concatenate([pts[gap <= np.pi], [[1.0, -1.0, 1.0], [1.0, 0.0, 2.0], [1j, -1j, 1.0]]])
+        assert len(off) > 3
+        assert np.all(f.a_bound.bound(off) == np.inf)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (3, 2, 4), (3, 1, 0), (1, 2, 5)])
+    def test_long_resolvent_runs_no_estimate_on_a(self, monkeypatch, shape):
+        import posreal.pencil as pencil
+
+        stage, estimated = [None], []
+        guard, cond = pencil._refuse_ill_conditioned, np.linalg.cond
+
+        def spy(mats, pol, what, bound=None):
+            stage[0] = what
+            return guard(mats, pol, what, bound=bound)
+
+        def counting(mats, *args, **kwargs):
+            estimated.append(stage[0])
+            return cond(mats, *args, **kwargs)
+
+        monkeypatch.setattr(pencil, "_refuse_ill_conditioned", spy)
+        monkeypatch.setattr(np.linalg, "cond", counting)
+        f = random_pencil(np.random.default_rng(sum(shape)), *shape)
+        zs = halfplane_grid(shape[0], 100, seed=2)
+        assert pencil.eval_long_resolvent(f, zs).shape == (len(zs), shape[1], shape[1])
+        assert stage[0] == "the U-corner of A(z)^{-1}"
+        assert "A(z)" not in estimated
+
+
 class TestGuard:
     def test_bound_never_changes_the_decision(self):
         near = np.diag([1.0, 1e-12]).astype(complex)
@@ -232,43 +308,69 @@ def _d_of_tuple(f, mats):
     return sum(np.kron(a[n:, n:], r) for a, r in zip(f.pencil.coeffs, mats))
 
 
+def _valid_tuple_cases(seed):
+    """(f, mats, beta): random pencils under certified and hand-made accretive tuples."""
+    rng = np.random.default_rng(300 + seed)
+    num_vars = 1 + seed % 3
+    f = random_pencil(rng, num_vars, 1 + seed % 2, 2 + 4 * seed, rank_deficient=bool(seed % 2))
+    for dim in (1, 2, 3, 4):
+        tuples = [random_accretive_tuple(rng, num_vars, dim) for _ in range(3)]
+        tuples.append(random_diagonalizable_accretive_pair(rng, dim, num_vars)[0])
+        for r in tuples:
+            yield f, r.mats, r.bound
+        for _ in range(3):
+            yield (f,) + _accretive_mats(rng, num_vars, dim)
+
+
+def _unvalidated_tuple_cases():
+    """(f, mats, beta): unchecked pencils with indefinite and skew d-blocks under accretive tuples."""
+    rng = np.random.default_rng(12)
+    for trial in range(40):
+        coeffs = []
+        for _ in range(2):
+            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            s = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            # slightly indefinite Hermitian part plus a skew part, both
+            # small enough that the correction terms often leave a bound
+            shift, skew = (0.02, 0.02) if trial % 2 else (0.3, 0.5)
+            coeffs.append(g @ g.conj().T - shift * np.eye(4) + skew * (s - s.conj().T))
+        f = RealizedFunction(PsdPencil.from_coeffs(coeffs, 1, validate=False), compressed=True)
+        for dim in (1, 2, 3):
+            yield (f,) + _accretive_mats(rng, 2, dim, skew=0.1)
+
+
 class TestDTupleConditionBound:
     @pytest.mark.parametrize("seed", range(6))
     def test_bound_dominates_condition(self, seed):
-        rng = np.random.default_rng(300 + seed)
-        num_vars = 1 + seed % 3
-        f = random_pencil(rng, num_vars, 1 + seed % 2, 2 + 4 * seed,
-                          rank_deficient=bool(seed % 2))
-        for dim in (1, 2, 3, 4):
-            tuples = [random_accretive_tuple(rng, num_vars, dim) for _ in range(3)]
-            tuples.append(random_diagonalizable_accretive_pair(rng, dim, num_vars)[0])
-            for r in tuples:
-                bound = d_tuple_condition_bound(f, r.mats, r.bound)
-                # a valid pencil under a certified accretive tuple is always covered
-                assert np.all(_assert_sound(np.array([bound]), _d_of_tuple(f, r.mats)[None]))
-            for _ in range(3):
-                mats, beta = _accretive_mats(rng, num_vars, dim)
-                bound = d_tuple_condition_bound(f, mats, beta)
-                assert np.all(_assert_sound(np.array([bound]), _d_of_tuple(f, mats)[None]))
+        for f, mats, beta in _valid_tuple_cases(seed):
+            bound = d_tuple_condition_bound(f, mats, beta)
+            # a valid pencil under an accretive tuple is always covered
+            assert np.all(_assert_sound(np.array([bound]), _d_of_tuple(f, mats)[None]))
 
     def test_unvalidated_indefinite_and_skew_blocks(self):
-        rng = np.random.default_rng(12)
         finite = 0
-        for trial in range(40):
-            coeffs = []
-            for _ in range(2):
-                g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-                s = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-                # slightly indefinite Hermitian part plus a skew part, both
-                # small enough that the correction terms often leave a bound
-                shift, skew = (0.02, 0.02) if trial % 2 else (0.3, 0.5)
-                coeffs.append(g @ g.conj().T - shift * np.eye(4) + skew * (s - s.conj().T))
-            f = RealizedFunction(PsdPencil.from_coeffs(coeffs, 1, validate=False), compressed=True)
-            for dim in (1, 2, 3):
-                mats, beta = _accretive_mats(rng, 2, dim, skew=0.1)
-                bound = d_tuple_condition_bound(f, mats, beta)
-                finite += int(np.all(_assert_sound(np.array([bound]), _d_of_tuple(f, mats)[None])))
+        for f, mats, beta in _unvalidated_tuple_cases():
+            bound = d_tuple_condition_bound(f, mats, beta)
+            finite += int(np.all(_assert_sound(np.array([bound]), _d_of_tuple(f, mats)[None])))
         assert finite > 0  # the corrections are exercised, not only the +inf fallback
+
+    @staticmethod
+    def _written_out(f, mats, beta):
+        """The d(R) bound with its own constants and formula, as before ``PencilBound``."""
+        lam, norms, neg, skew = _d_constants(f)
+        mags = np.linalg.norm(np.asarray(mats), axis=(1, 2))
+        half = 0.5 * beta
+        den = half * lam - (mags - half) @ neg - mags @ skew
+        if not (half > 0 and den > 0):
+            return np.inf
+        return float(mags @ norms / den)
+
+    def test_same_bits_as_the_written_out_bound(self):
+        cases = [c for seed in range(6) for c in _valid_tuple_cases(seed)]
+        cases += list(_unvalidated_tuple_cases())
+        for f, mats, beta in cases:
+            got = d_tuple_condition_bound(f, mats, beta)
+            assert got.hex() == self._written_out(f, mats, beta).hex()
 
     def test_singular_d_under_accretive_tuple_is_not_certified(self):
         # d(R) = d_1 (x) R_1 with an indefinite d_1 is singular for R_1 = I
@@ -316,7 +418,7 @@ class TestFPlusIConditionBound:
     @pytest.mark.parametrize("shape", [(2, 1, 2), (3, 2, 4), (3, 4, 32), (2, 3, 3)])
     def test_positive_real_values_are_covered(self, rng, shape):
         f = random_pencil(rng, *shape, rank_deficient=shape[1] > 2)
-        fv = DiskKernelEvaluator(f).view.eval_F(disk_grid(shape[0], 60, seed=3))
+        fv = DiskFunctionView(f).eval_F(disk_grid(shape[0], 60, seed=3))
         n = fv.shape[-1]
         finite = _assert_sound(f_plus_i_condition_bound(fv), fv + np.eye(n))
         # Re F >= 0, but Gershgorin discs may still reach -1 for a few values
@@ -471,7 +573,7 @@ class TestTransferConditionBound:
         f = random_pencil(rng, 3, 2, 4)
         ws = disk_grid(3, 20, seed=4)
         dk = DiskKernelEvaluator(f)
-        c = build_colligation(ws, dk.theta_table(ws), dk.view.eval_double_cayley(ws)).colligation
+        c = build_colligation(ws, dk.theta_table(ws), DiskFunctionView(f).eval_double_cayley(ws)).colligation
         a = c.blocks()[0]
         sys = np.eye(c.dim_state) - a[None] * c.state_weights(ws)[:, None, :]
         assert np.all(_assert_sound(transfer_condition_bound(c, ws), sys))
@@ -506,7 +608,7 @@ class TestGramResidual:
         f = random_pencil(rng, *shape)
         ws = disk_grid(shape[0], 16, seed=int(rng.integers(1000)))
         dk = DiskKernelEvaluator(f)
-        tables, svals = dk.theta_table(ws), dk.view.eval_double_cayley(ws)
+        tables, svals = dk.theta_table(ws), DiskFunctionView(f).eval_double_cayley(ws)
         syn = build_colligation(ws, tables, svals)
         assert abs(syn.gram_residual - _dense_gram_residual(ws, tables, svals)) <= 1e-12
 
@@ -516,7 +618,7 @@ class TestGramResidual:
         f = random_pencil(rng, 2 + seed % 2, 2, 3)
         ws = disk_grid(f.num_vars, 12, seed=seed)
         dk = DiskKernelEvaluator(f)
-        tables, svals = dk.theta_table(ws), dk.view.eval_double_cayley(ws)
+        tables, svals = dk.theta_table(ws), DiskFunctionView(f).eval_double_cayley(ws)
         e = rng.standard_normal(svals.shape) + 1j * rng.standard_normal(svals.shape)
         slope = _dense_gram_residual(ws, tables, svals + 1e-6 * e) / 1e-6
         seen = set()
@@ -563,7 +665,7 @@ class TestReflectionConditionBound:
         f = random_pencil(rng, *shape, rank_deficient=rank_deficient)
         ws = disk_grid(shape[0], 20, seed=int(rng.integers(1000)))
         dk = DiskKernelEvaluator(f)
-        c = build_colligation(ws, dk.theta_table(ws), dk.view.eval_double_cayley(ws)).colligation
+        c = build_colligation(ws, dk.theta_table(ws), DiskFunctionView(f).eval_double_cayley(ws)).colligation
         edge = 0.999 * np.exp(2j * np.pi * rng.random((40, shape[0])))
         mixed = np.concatenate([0.999 * np.exp(2j * np.pi * rng.random((20, 1))),
                                 0.2 * rng.random((20, shape[0] - 1))], axis=1)
@@ -610,11 +712,18 @@ class TestReflectionConditionBound:
             colligation.reflection_transfer(v[1:] * [[0.0], [1.0]], (1,), np.array([[0.5]]))
         assert not guarded[-1][2][0] < 1e9
 
+    def test_empty_reflection_factor(self, guarded):
+        # U = I has no eigenvalue -1: V has no columns, M(w) is 0 x 0 and S(w) = I
+        c = AglerColligation((1, 1), 1, np.eye(3), selfadjoint=True, reflection=np.zeros((3, 0)))
+        assert np.array_equal(transfer_eval(c, np.array([[0.1, 0.2], [-0.5, 0.3j]])),
+                              np.ones((2, 1, 1), dtype=complex))
+        assert guarded[-1][2].tolist() == [0.0, 0.0]
+
     def test_clears_on_disk_grids_without_the_estimate(self, monkeypatch, rng):
         f = random_pencil(rng, 3, 2, 4)
         ws = disk_grid(3, 60, seed=8)
         dk = DiskKernelEvaluator(f)
-        c = build_colligation(ws, dk.theta_table(ws), dk.view.eval_double_cayley(ws)).colligation
+        c = build_colligation(ws, dk.theta_table(ws), DiskFunctionView(f).eval_double_cayley(ws)).colligation
 
         def no_estimate(*args, **kwargs):
             raise AssertionError("the condition estimate was called")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from posreal import core, sampling
-from posreal.cayley import DiskKernelEvaluator
+from posreal.cayley import DiskFunctionView, DiskKernelEvaluator
 from posreal.colligation import AglerColligation, agler_identity_residual, build_colligation
 from posreal.core import ShapeError, cross_gram_residual, hermitian_split_residuals
 from posreal.kernels import (
@@ -107,9 +107,9 @@ def _library_and_dense(identity, f, g):
     if identity == "herglotz":
         xis = [disk.xi(k, ws) for k in range(f.num_vars)]
         return (disk.herglotz_identity_residuals(ws),
-                dense_disk(ws, xis, xis, disk.view.eval_F(ws), herglotz=True, scaled=True))
+                dense_disk(ws, xis, xis, DiskFunctionView(f).eval_F(ws), herglotz=True, scaled=True))
     thetas = disk.theta_table(ws)
-    svals = disk.view.eval_double_cayley(ws)
+    svals = DiskFunctionView(f).eval_double_cayley(ws)
     if identity == "schur":
         return (disk.schur_identity_residuals(ws),
                 dense_disk(ws, thetas, thetas, svals, herglotz=False, scaled=True))
@@ -131,7 +131,7 @@ def test_broken_colligation_matches_relatively():
     f = PENCILS["random"]()
     ws = sampling.disk_grid(f.num_vars, core._ROW_BLOCK + 3, 3)
     disk = DiskKernelEvaluator(f)
-    c = build_colligation(ws, disk.theta_table(ws), disk.view.eval_double_cayley(ws)).colligation
+    c = build_colligation(ws, disk.theta_table(ws), DiskFunctionView(f).eval_double_cayley(ws)).colligation
     u = c.U.copy()
     u[0, -1] += 0.3  # still selfadjoint, no longer unitary
     u[-1, 0] += 0.3

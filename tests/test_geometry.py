@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from posreal.cayley import DiskKernelEvaluator
+from posreal.cayley import DiskFunctionView, DiskKernelEvaluator
 from posreal.colligation import AglerColligation, build_colligation
 from posreal.core import DEFAULT_POLICY, ShapeError, ValidationError, eigh_or_refuse, hermitian_part
 from posreal.geometry import (
@@ -286,7 +286,7 @@ class TestRealColligations:
     def test_synthesized_from_real_pencil(self, parallel):
         dk = DiskKernelEvaluator(parallel)
         ws = disk_grid(2, 10, seed=13)  # conjugate-closed by construction
-        syn = build_colligation(ws, dk.theta_table(ws), dk.view.eval_double_cayley(ws))
+        syn = build_colligation(ws, dk.theta_table(ws), DiskFunctionView(parallel).eval_double_cayley(ws))
         c = syn.colligation
         ix = AntiUnitaryInvolution.conjugation(c.dim_state)
         iu = AntiUnitaryInvolution.conjugation(c.n)

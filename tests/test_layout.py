@@ -14,8 +14,8 @@ it out as ``... if ....ndim == 1 else ...``.
 
 Every call of the guard passes a certified ``bound=``, so the condition
 estimate runs only where no proven inequality clears a matrix.  The
-exceptions are the two guards of ``pencil.eval_long_resolvent``, which
-have no certificate yet and are listed by function and stage.
+exception is the U-corner guard of ``pencil.eval_long_resolvent``, which
+has no certificate yet and is listed by function and stage.
 
 Every function that calls ``np.linalg.solve`` or ``np.linalg.inv`` also
 calls the guard, so no system is solved unguarded.  The exceptions are
@@ -39,7 +39,6 @@ ALLOWED = {"_refuse_ill_conditioned"}
 GUARD = "_refuse_ill_conditioned"
 # (function, stage) of the guard calls that may run the estimate alone
 UNCERTIFIED = {
-    ("eval_long_resolvent", "A(z)"),
     ("eval_long_resolvent", "the U-corner of A(z)^{-1}"),
 }
 # functions that may solve or invert without the guard

@@ -122,7 +122,7 @@ class TestEvalSchur:
         assert np.array_equal(vals, eval_schur(f, zs))
         assert sol.shape == (len(zs), f.dim_h, f.dim_u)
         n = f.dim_u
-        az = np.tensordot(zs, f.pencil.stacked(), axes=(1, 0))
+        az = np.tensordot(zs, f.pencil.stacked, axes=(1, 0))
         assert np.allclose(az[:, n:, n:] @ sol, az[:, n:, :n])
 
 

@@ -8,7 +8,15 @@ import pytest
 
 from posreal.cayley import disk_to_halfplane
 from posreal.pencil import eval_schur
-from posreal.sampling import _halton, disk_grid, halfplane_grid, random_pencil
+from posreal import calculus
+from posreal.core import ValidationError
+from posreal.sampling import (
+    _halton,
+    disk_grid,
+    halfplane_grid,
+    random_diagonalizable_accretive_pair,
+    random_pencil,
+)
 
 
 def rounded_set(pts):
@@ -99,17 +107,38 @@ def test_import_leaves_scipy_stats_and_linalg_unloaded():
     code = ("import sys\n"
             "import numpy as np\n"
             "from posreal import realize\n"
-            "from posreal.cayley import DiskKernelEvaluator\n"
+            "from posreal.cayley import DiskFunctionView, DiskKernelEvaluator\n"
             "from posreal.colligation import build_colligation\n"
             "from posreal.kernels import pencil_from_kernel_samples, sample_kernels\n"
             "from posreal.sampling import disk_grid, halfplane_grid\n"
             "f = realize([np.array([[1.0, 1.0], [1.0, 1.0]]), np.diag([0.0, 1.0])], 1)\n"
             "ws = disk_grid(2, 4, 0)\n"
             "dk = DiskKernelEvaluator(f)\n"
-            "build_colligation(ws, dk.theta_table(ws), dk.view.eval_double_cayley(ws))\n"
+            "build_colligation(ws, dk.theta_table(ws), DiskFunctionView(f).eval_double_cayley(ws))\n"
             "pencil_from_kernel_samples(sample_kernels(f, halfplane_grid(2, 4, 0)))\n"
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("error, raised", [(ValidationError, False), (TypeError, True)])
+def test_accretive_pair_redraws_only_a_refused_draw(monkeypatch, error, raised):
+    """A draw that does not certify is redrawn; a programming error propagates instead of looping."""
+    make_tuple, calls = calculus.make_tuple, []
+
+    def first_draw_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise error("first draw")
+        return make_tuple(*args, **kwargs)
+
+    monkeypatch.setattr(calculus, "make_tuple", first_draw_fails)
+    rng = np.random.default_rng(4)
+    if raised:
+        with pytest.raises(error, match="first draw"):
+            random_diagonalizable_accretive_pair(rng, 3)
+    else:
+        random_diagonalizable_accretive_pair(rng, 3)
+        assert len(calls) >= 2
