@@ -210,9 +210,6 @@ class TaylorCoefficients:
         if np.any(self.coeffs[_total_degree(self.num_vars, self.degree) > self.degree]):
             raise ValidationError(f"Taylor table has a nonzero entry above degree {self.degree}")
 
-    def coeff(self, t: tuple) -> np.ndarray:
-        return self.coeffs[tuple(t)]
-
     def tail_bound(self, rho: float) -> float:
         """Bound on sum_{|t| > degree} ||F_t|| rho^{|t|} by Cauchy estimates.
 
@@ -494,6 +491,10 @@ def von_neumann_check(coeffs: TaylorCoefficients, t: CommutingTuple,
 # Randomized hunt harness
 
 
+# Norm of the random contraction tuples that ``hunt`` draws.
+HUNT_RADIUS = 0.35
+
+
 @dataclass(frozen=True)
 class HuntConfig:
     """Configuration of the randomized counterexample hunt.
@@ -508,7 +509,6 @@ class HuntConfig:
     dim: int = 4
     seed: int = 0
     degree: int = 40
-    radius: float = 0.35
 
     def __post_init__(self):
         # the genuinely open territory starts at three variables; two are
@@ -536,7 +536,7 @@ def hunt(config: HuntConfig, candidates, pol: TolerancePolicy = DEFAULT_POLICY):
 
     for trial in range(config.trials):
         t = random_contraction_tuple(rng, config.num_vars, config.dim,
-                                     target_norm=config.radius, pol=pol)
+                                     target_norm=HUNT_RADIUS, pol=pol)
         for name, coeffs in prepared:
             norm, tail, violation = von_neumann_check(coeffs, t, pol)
             yield {

@@ -208,21 +208,22 @@ def run_verification(f: RealizedFunction, seed: int = 0, grid_size: int = 25,
         syn = build_colligation(ws, thetas, svals, pol)
         coll = syn.colligation
     except PosrealError as exc:
-        for name in ("colligation-unitarity", "colligation-selfadjointness",
-                     "colligation-transfer-match", "inverse-double-cayley-recovery"):
-            report.add_error(name, pol.residual_tol, exc)
-        report.add_error("colligation-spectrum-margin", pol.margin, exc, margin=True)
-    if coll is not None:
-        report.add_residual("colligation-unitarity", syn.unitarity_residual, pol.residual_tol)
-        report.add_residual("colligation-selfadjointness", syn.selfadjointness_residual,
-                            pol.residual_tol)
-        report.add_residual("colligation-transfer-match", syn.interpolation_residual,
-                            pol.residual_tol)
-        margin("colligation-spectrum-margin", pol.margin,
-               lambda: spectrum_condition(coll, pol)[1])
+        syn = exc
 
-        residual("inverse-double-cayley-recovery", pol.residual_tol,
-                 lambda: relative_residual(inv_value_cayley(syn.values, pol), vals))
+    def synthesis():
+        # a failed synthesis fails each row that reads it, with its message
+        if coll is None:
+            raise syn
+        return syn
+
+    residual("colligation-unitarity", pol.residual_tol, lambda: synthesis().unitarity_residual)
+    residual("colligation-selfadjointness", pol.residual_tol,
+             lambda: synthesis().selfadjointness_residual)
+    residual("colligation-transfer-match", pol.residual_tol, lambda: synthesis().interpolation_residual)
+    margin("colligation-spectrum-margin", pol.margin,
+           lambda: spectrum_condition(synthesis().colligation, pol)[1])
+    residual("inverse-double-cayley-recovery", pol.residual_tol,
+             lambda: relative_residual(inv_value_cayley(synthesis().values, pol), vals))
 
     if iota_u is not None:
         if iota_h is None:

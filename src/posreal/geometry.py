@@ -3,7 +3,8 @@
 The evaluation domain is the union of rotated open polyhalfplanes: a
 point belongs to it iff some half-plane direction exp(i theta) sees all
 coordinates strictly in its right half-plane.  Membership reduces to a
-circular-gap test on the coordinate arguments.  The module also hosts
+circular-gap test (``core.argument_arc``), and the de-homogenized
+domain is the slice z_N = 1 of the same test.  The module also hosts
 the four-polyhalfplane sign conditions equivalent to homogeneity plus
 positivity, the de-homogenization bijection, and anti-unitary
 involutions for the operator analogue of realness.
@@ -12,6 +13,7 @@ involutions for the operator analogue of realness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,32 +53,56 @@ __all__ = [
 ]
 
 
-def _coverage_arc(z: np.ndarray) -> tuple[float, float] | None:
-    """Open arc of directions theta covering all arguments of z within pi/2.
-
-    Returns (lo, hi) with hi - lo < pi describing {theta : all args lie
-    in (theta - pi/2, theta + pi/2)}, or None when empty.  The arc is
-    computed from the largest circular gap between sorted arguments.
-    """
-    start, gap = (float(v[0]) for v in argument_arc(z[None, :]))
-    if gap <= np.pi:
-        return None
-    spread = 2.0 * np.pi - gap                   # points occupy [start, start+spread]
-    return start + spread - np.pi / 2.0, start + np.pi / 2.0
-
-
-def in_omega(z) -> bool:
+def in_omega(z):
     """Membership in the open union of rotated polyhalfplanes.
 
-    True iff no coordinate vanishes and the open half-arcs centered at
-    the coordinate arguments intersect, i.e. the largest circular gap
-    between arguments strictly exceeds pi.  Boundary points (gap equal
-    to pi, or a zero coordinate) are outside: the domain is open.
+    ``z`` is one point (N,) or a batch (B, N).  True iff no coordinate
+    vanishes and the largest circular gap between the coordinate
+    arguments (``core.argument_arc``) strictly exceeds pi: then the open
+    half-arcs centered at the arguments intersect.  Boundary points (gap
+    equal to pi, or a zero coordinate) are outside, as are points with
+    no coordinates and points with a NaN coordinate.
     """
+    pts = np.atleast_2d(np.asarray(z, dtype=complex))
+    if pts.shape[1] == 0:
+        return like_points(z, np.zeros(len(pts), dtype=bool))
+    return like_points(z, np.all(pts != 0, axis=1) & (argument_arc(pts)[1] > np.pi))
+
+
+def in_omega_plus(z):
+    """Membership in the de-homogenized domain {z' : (z', 1) in Omega}.
+
+    ``in_omega`` of (z', 1) for one point z' or each row of a batch.  A
+    direction exp(i theta) sees the appended coordinate 1 in its open
+    right half-plane iff cos theta > 0, so this is the arc test on z'
+    with the covering direction restricted to theta in (-pi/2, pi/2).
+    The empty point (zero variables) is inside: constants are
+    admissible.  A zero coordinate is outside.
+    """
+    pts = np.atleast_2d(np.asarray(z, dtype=complex))
+    return like_points(z, in_omega(np.pad(pts, ((0, 0), (0, 1)), constant_values=1.0)))
+
+
+@lru_cache(maxsize=8)
+def _direction_ring(resolution: int, half: bool) -> np.ndarray:
+    """Read-only exp(-i theta), theta = 2 pi j / resolution or (``half``) the right half-circle's cells."""
+    j = np.arange(resolution)
+    thetas = np.pi * (j + 0.5) / resolution - np.pi / 2.0 if half else 2.0 * np.pi * j / resolution
+    ring = np.exp(-1j * thetas)
+    ring.flags.writeable = False
+    return ring
+
+
+def _oracle_scan(z, resolution: int, half: bool, empty: bool) -> bool:
+    """Some grid direction sees every coordinate in its open right half-plane; ``empty`` if none."""
+    if resolution < 10_000:
+        raise ValidationError("oracle resolution must be at least 10^4")
     z = np.asarray(z, dtype=complex).ravel()
-    if z.size == 0 or np.any(z == 0):
+    if z.size == 0:
+        return empty
+    if np.any(z == 0):
         return False
-    return _coverage_arc(z) is not None
+    return bool(np.any(np.all((_direction_ring(resolution, half)[:, None] * z).real > 0, axis=1)))
 
 
 def in_omega_oracle(z, resolution: int = 100_000) -> bool:
@@ -85,14 +111,7 @@ def in_omega_oracle(z, resolution: int = 100_000) -> bool:
     Agrees with ``in_omega`` for points whose angular margin from the
     boundary exceeds the grid step.
     """
-    if resolution < 10_000:
-        raise ValidationError("oracle resolution must be at least 10^4")
-    z = np.asarray(z, dtype=complex).ravel()
-    if z.size == 0 or np.any(z == 0):
-        return False
-    thetas = 2.0 * np.pi * np.arange(resolution) / resolution
-    rot = np.exp(-1j * thetas)[:, None] * z[None, :]
-    return bool(np.any(np.all(rot.real > 0, axis=1)))
+    return _oracle_scan(z, resolution, half=False, empty=False)
 
 
 def in_omega_oracle_batch(pts, resolution: int = 100_000) -> np.ndarray:
@@ -107,9 +126,7 @@ def in_omega_oracle_batch(pts, resolution: int = 100_000) -> np.ndarray:
     """
     if resolution < 10_000:
         raise ValidationError("oracle resolution must be at least 10^4")
-    pts = np.asarray(pts, dtype=complex)
-    if pts.ndim == 1:
-        pts = pts[None, :]
+    pts = np.atleast_2d(np.asarray(pts, dtype=complex))
     nonzero = np.all(pts != 0, axis=1)
     centers = np.angle(pts) * resolution / (2.0 * np.pi)  # (B, N) index units
     half = resolution / 4.0
@@ -125,41 +142,9 @@ def in_omega_oracle_batch(pts, resolution: int = 100_000) -> np.ndarray:
     return nonzero & (hi > lo) & exists
 
 
-def in_omega_plus(z) -> bool:
-    """Membership in the de-homogenized domain: directions restricted to Re > 0.
-
-    Same arc test as ``in_omega`` but the covering direction must lie in
-    the open right half-circle.  The empty point (zero variables) is
-    inside: constants are admissible.
-    """
-    z = np.asarray(z, dtype=complex).ravel()
-    if z.size == 0:
-        return True
-    if np.any(z == 0):
-        return False
-    arc = _coverage_arc(z)
-    if arc is None:
-        return False
-    lo, hi = arc
-    # Intersect the open arc (lo, hi) with (-pi/2, pi/2) on the circle:
-    # two open arcs, each no longer than pi, meet iff the circular
-    # distance of their centers is less than half the sum of lengths.
-    c1, l1 = (lo + hi) / 2.0, hi - lo
-    dist = abs((c1 + np.pi) % (2.0 * np.pi) - np.pi)  # circular distance to 0
-    return bool(dist < (l1 + np.pi) / 2.0)
-
-
 def in_omega_plus_oracle(z, resolution: int = 100_000) -> bool:
-    if resolution < 10_000:
-        raise ValidationError("oracle resolution must be at least 10^4")
-    z = np.asarray(z, dtype=complex).ravel()
-    if z.size == 0:
-        return True
-    if np.any(z == 0):
-        return False
-    thetas = np.pi * (np.arange(resolution) + 0.5) / resolution - np.pi / 2.0
-    rot = np.exp(-1j * thetas)[:, None] * z[None, :]
-    return bool(np.any(np.all(rot.real > 0, axis=1)))
+    """Brute-force ``in_omega_plus``: scan directions on a grid of the open right half-circle."""
+    return _oracle_scan(z, resolution, half=True, empty=True)
 
 
 def four_quadrant_check(evaluator, num_vars: int, rng, samples: int = 50,
@@ -225,9 +210,8 @@ def homogenize(g, num_vars: int):
         if np.any(last == 0):
             raise ValidationError("homogenization requires a nonzero last coordinate")
         quot = pts[:, :-1] / last[:, None]
-        for q in quot:
-            if not in_omega_plus(q):
-                raise ValidationError("quotient point outside the de-homogenized domain")
+        if not np.all(in_omega_plus(quot)):
+            raise ValidationError("quotient point outside the de-homogenized domain")
         return like_points(z, last[:, None, None] * as_evaluator(g, pol)(quot))
 
     return evaluate

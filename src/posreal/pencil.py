@@ -370,13 +370,25 @@ def eval_long_resolvent(f: RealizedFunction, z, pol: TolerancePolicy = DEFAULT_P
     Must agree with ``eval_schur`` wherever both are defined; requires
     A(z) and the corner itself to be invertible, otherwise refuses
     (f(z) can be non-invertible while the Schur form is still valid).
+
+    Both guards read the A(z) certificate b = num/den of ``a_bound``.
+    With B = exp(-i theta) A(z), ``PencilBound`` proves Re B >= den I and
+    ||B|| <= num.  For x = B y, Re(x* B^{-1} x) = Re(y* B* y) >= den ||y||^2
+    >= (den/num^2) ||x||^2, so Re B^{-1} >= (den/num^2) I.  The corner
+    C = E* A^{-1} E then has sigma_min(C) >= den/num^2 (its rotation
+    exp(i theta) C has that Hermitian floor) and ||C|| <= ||B^{-1}|| <= 1/den,
+    hence cond C <= (num/den)^2 = b^2.  Forming C by inversion perturbs it
+    by about b^3 eps relative to sigma_min(C), at most 0.08 where b^2
+    clears the guard at the default psd_slack of 1e-10; the guard's
+    factor 2 absorbs that, and a bound only skips the estimate.
     """
     pts = as_points(z, f.num_vars)
     n = f.dim_u
     az = eval_pencil(f.pencil, pts)
-    _refuse_ill_conditioned(az, pol, "A(z)", bound=f.a_bound.bound(pts))
+    bound = f.a_bound.bound(pts)
+    _refuse_ill_conditioned(az, pol, "A(z)", bound=bound)
     corner = np.linalg.inv(az)[:, :n, :n]
-    _refuse_ill_conditioned(corner, pol, "the U-corner of A(z)^{-1}")
+    _refuse_ill_conditioned(corner, pol, "the U-corner of A(z)^{-1}", bound=bound ** 2)
     return like_points(z, np.linalg.inv(corner))
 
 

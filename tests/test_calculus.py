@@ -318,7 +318,7 @@ class TestTaylorSources:
         by_quadrature = taylor_from_function(view.eval_double_cayley, num_vars, 2, degree=degree,
                                              grid_size=grid_size)
         for t_idx in np.ndindex(by_recursion.coeffs.shape[:num_vars]):
-            assert np.linalg.norm(by_recursion.coeff(t_idx) - by_quadrature.coeff(t_idx)) < 1e-10
+            assert np.linalg.norm(by_recursion.coeffs[t_idx] - by_quadrature.coeffs[t_idx]) < 1e-10
 
     @pytest.mark.parametrize("num_vars, degree", [(2, 12), (3, 6)])
     def test_herglotz_coefficients_equal_cauchy_product(self, rng, num_vars, degree):
@@ -334,12 +334,12 @@ class TestTaylorSources:
 
         g = {}  # G = (I - S)^{-1}, solved one coefficient at a time
         for t in idx:
-            rhs = eye * (sum(t) == 0) + sum(sch.coeff(s) @ g[r] for s, r in below(t) if sum(s))
-            g[t] = np.linalg.solve(eye - sch.coeff(idx[0]), rhs)
+            rhs = eye * (sum(t) == 0) + sum(sch.coeffs[s] @ g[r] for s, r in below(t) if sum(s))
+            g[t] = np.linalg.solve(eye - sch.coeffs[idx[0]], rhs)
         herglotz = herglotz_taylor_from_schur(sch)
         for t in idx:
-            want = g[t] + sum(sch.coeff(s) @ g[r] for s, r in below(t))  # F = (I + S) G
-            assert np.linalg.norm(herglotz.coeff(t) - want) <= 1e-12 * (1.0 + np.linalg.norm(want))
+            want = g[t] + sum(sch.coeffs[s] @ g[r] for s, r in below(t))  # F = (I + S) G
+            assert np.linalg.norm(herglotz.coeffs[t] - want) <= 1e-12 * (1.0 + np.linalg.norm(want))
 
     def test_herglotz_base_goes_through_the_guard(self):
         # I - S_0 = diag(1e-11, 1): condition 1e11, above 1/psd_slack
@@ -367,7 +367,7 @@ class TestTaylorSources:
         w = np.array([0.2 - 0.1j, 0.15 + 0.2j])
         view = DiskFunctionView(f)
         direct = view.eval_F(w)
-        summed = sum(co.coeff(t) * w[0] ** t[0] * w[1] ** t[1]
+        summed = sum(co.coeffs[t] * w[0] ** t[0] * w[1] ** t[1]
                      for t in np.ndindex(co.coeffs.shape[:2]))
         assert np.linalg.norm(summed - direct) < 1e-10
 

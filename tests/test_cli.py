@@ -13,7 +13,7 @@ from posreal.cayley import DiskKernelEvaluator, disk_to_halfplane, inv_double_ca
 from posreal.cli import main, run_verification
 from posreal.colligation import build_colligation, transfer_eval
 from posreal.core import DEFAULT_POLICY, eigh_or_refuse, hermitian_part
-from posreal.pencil import PsdPencil
+from posreal.pencil import PsdPencil, RealizedFunction, compress_realization
 from posreal.sampling import disk_grid, halfplane_grid, random_pencil
 
 
@@ -52,6 +52,17 @@ class TestVerify:
         assert code == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
+
+    def test_failed_synthesis_keeps_the_row_order(self):
+        # a pencil whose synthesis fails reports the rows of a passing one, in the same order
+        f = random_pencil(np.random.default_rng(1), 2, 2, 3)
+        coeffs = [a.copy() for a in f.pencil.coeffs]
+        coeffs[1] = -coeffs[1]
+        bad = compress_realization(RealizedFunction(PsdPencil.from_coeffs(coeffs, 2, validate=False)))
+        passed, failed = (run_verification(g, seed=1, grid_size=12).checks for g in (f, bad))
+        assert [r.name for r in failed] == [r.name for r in passed]
+        assert all(r.error for r in failed if "colligation" in r.name or "recovery" in r.name)
+        assert not any(r.error for r in passed)
 
     def test_determinism(self, parallel_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

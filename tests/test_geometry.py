@@ -21,7 +21,7 @@ from posreal.geometry import (
     is_iota_symmetric,
     taylor_realness_residual,
 )
-from posreal.pencil import diagonal_realization, realize
+from posreal.pencil import d_condition_bound, diagonal_realization, realize
 from posreal.sampling import disk_grid, halfplane_grid, random_pencil
 
 
@@ -74,6 +74,57 @@ class TestOmegaMembership:
             t = 0.1 + 3 * rng.random()
             lam = np.exp(2j * np.pi * rng.random())
             assert in_omega(t * z) and in_omega(lam * z)
+
+
+class TestBatchedPredicates:
+    """``in_omega`` and its slice ``in_omega_plus`` take one point or a batch."""
+
+    @staticmethod
+    def _points(rng, num_vars, count=600):
+        # test 08's distribution, with some zero coordinates
+        pts = rng.standard_normal((count, num_vars)) + 1j * rng.standard_normal((count, num_vars))
+        pts[::37, -1] = 0
+        return pts
+
+    @pytest.mark.parametrize("num_vars", range(1, 6))
+    def test_batch_equals_single_point_calls(self, rng, num_vars):
+        pts = self._points(rng, num_vars)
+        for predicate in (in_omega, in_omega_plus):
+            batch = predicate(pts)
+            assert batch.shape == (len(pts),)
+            assert np.array_equal(batch, [predicate(z) for z in pts])
+
+    def test_plus_is_the_slice_of_omega(self, rng):
+        for num_vars in range(0, 5):
+            pts = self._points(rng, num_vars) if num_vars else np.zeros((3, 0))
+            ones = np.ones((len(pts), 1))
+            assert np.array_equal(in_omega_plus(pts), in_omega(np.concatenate([pts, ones], axis=1)))
+
+    def test_nan_is_outside_as_in_the_oracle(self):
+        for z in ([np.nan], [1.0, np.nan], [np.nan + 1j, 1j]):
+            assert not in_omega(z) and not in_omega_oracle(z, 10_000)
+            assert not in_omega_plus(z)
+
+    def test_two_dimensional_input_is_a_batch(self):
+        assert in_omega(np.array([[1, 1], [-1, -1]])).tolist() == [True, True]
+        assert in_omega_plus(np.array([[1, 1], [-1, -1]])).tolist() == [True, False]
+
+    def test_conventions_for_no_and_zero_coordinates(self):
+        assert not in_omega([]) and in_omega_plus([])
+        assert in_omega(np.zeros((2, 0))).tolist() == [False, False]
+        assert in_omega_plus(np.zeros((2, 0))).tolist() == [True, True]
+        assert not in_omega([0.0]) and not in_omega_plus([0.0])
+        assert not in_omega_plus([1.0, 0.0])
+
+    def test_predicate_and_d_certificate_read_one_arc(self, rng):
+        # with sum_k d_k positive definite and Hermitian PSD d_k, the d(z)
+        # bound is finite exactly where the arc test admits the point
+        for num_vars in range(1, 6):
+            f = random_pencil(rng, num_vars, 2, 3)
+            n = f.dim_u
+            assert np.linalg.eigvalsh(sum(a[n:, n:] for a in f.pencil.coeffs))[0] > 0
+            pts = self._points(rng, num_vars)
+            assert np.array_equal(np.isfinite(d_condition_bound(f, pts)), in_omega(pts))
 
 
 class TestOmegaPlus:
@@ -195,6 +246,13 @@ class TestDehomogenization:
             h(np.array([1.0, 0.0]))
         with pytest.raises(ValidationError):
             h(np.array([-1.0, 1.0]))  # quotient -1 outside the half domain
+
+    def test_refuses_a_batch_with_one_quotient_outside(self, parallel):
+        h = homogenize(dehomogenize(parallel), 2)
+        pts = np.array([[1.0, 1.0], [2.0 + 1j, 1.0], [1.0, -1.0]])
+        with pytest.raises(ValidationError, match="^quotient point outside the de-homogenized domain$"):
+            h(pts)
+        assert h(pts[:2]).shape == (2, 1, 1)
 
 
 class TestInvolutions:

@@ -13,9 +13,8 @@ value alone out) lives in ``core.like_points``; no other module spells
 it out as ``... if ....ndim == 1 else ...``.
 
 Every call of the guard passes a certified ``bound=``, so the condition
-estimate runs only where no proven inequality clears a matrix.  The
-exception is the U-corner guard of ``pencil.eval_long_resolvent``, which
-has no certificate yet and is listed by function and stage.
+estimate runs only where no proven inequality clears a matrix.  There is
+no exception: the allow-list of uncertified calls is empty.
 
 Every function that calls ``np.linalg.solve`` or ``np.linalg.inv`` also
 calls the guard, so no system is solved unguarded.  The exceptions are
@@ -38,9 +37,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "posreal"
 ALLOWED = {"_refuse_ill_conditioned"}
 GUARD = "_refuse_ill_conditioned"
 # (function, stage) of the guard calls that may run the estimate alone
-UNCERTIFIED = {
-    ("eval_long_resolvent", "the U-corner of A(z)^{-1}"),
-}
+UNCERTIFIED = set()
 # functions that may solve or invert without the guard
 UNGUARDED_SOLVES = {
     "ldu_factor_residual",
@@ -172,7 +169,8 @@ def test_every_guard_call_passes_a_bound(path):
 
 
 def test_uncertified_guards_still_exist():
-    # an allow-list entry whose call is gone (or now certified) must be dropped
+    # an allow-list entry whose call is gone (or now certified) must be dropped;
+    # with the list empty, every guard call passes bound=
     found = set()
     for path in MODULES:
         found |= set(unbounded_guard_calls(path.read_text()))
