@@ -33,7 +33,6 @@ from .pencil import (
     RealizedFunction,
     compress,
     compress_realization,
-    diagonal_realization,
     eval_long_resolvent,
     eval_pencil,
     eval_schur,
@@ -44,10 +43,8 @@ from .kernels import (
     KernelEvaluator,
     KernelSampleSet,
     check_psd_kernel,
-    factor_kernel_samples,
     kernel_identity_residual,
     pencil_from_kernel_samples,
-    phi,
     plus_minus_residuals,
     psi,
     sample_kernels,
@@ -56,7 +53,6 @@ from .cayley import (
     DiskFunctionView,
     DiskKernelEvaluator,
     disk_to_halfplane,
-    halfplane_to_disk,
     inv_double_cayley,
     inv_value_cayley,
     value_cayley,
@@ -99,7 +95,6 @@ from .geometry import (
     in_omega_plus,
     is_iota_real_function,
     is_iota_real_operator,
-    is_iota_symmetric,
     taylor_realness_residual,
 )
 from .netlist import Network, network_pencil, parse_netlist

@@ -25,13 +25,12 @@ from .core import (
     like_points,
 )
 from .colligation import reflection_transfer, transfer_identity_residuals
-from .kernels import KernelEvaluator, plus_minus_residuals
+from .kernels import KernelEvaluator
 from .pencil import RealizedFunction, _refuse_ill_conditioned, as_evaluator
 
 __all__ = [
     "BOUNDARY_GUARD",
     "disk_to_halfplane",
-    "halfplane_to_disk",
     "value_cayley",
     "inv_value_cayley",
     "f_plus_i_condition_bound",
@@ -53,14 +52,6 @@ def disk_to_halfplane(w) -> np.ndarray:
     if np.any(np.abs(w) >= 1.0 - BOUNDARY_GUARD):
         raise ValidationError("disk point too close to the unit circle")
     return (1.0 + w) / (1.0 - w)
-
-
-def halfplane_to_disk(z) -> np.ndarray:
-    """w_k = (z_k - 1) / (z_k + 1) coordinatewise, inverse of ``disk_to_halfplane``."""
-    z = np.asarray(z, dtype=complex)
-    if np.any(z.real <= BOUNDARY_GUARD):
-        raise ValidationError("halfplane point too close to the imaginary axis")
-    return (z - 1.0) / (z + 1.0)
 
 
 def f_plus_i_condition_bound(values) -> np.ndarray:
@@ -188,9 +179,11 @@ class DiskKernelEvaluator:
     Theta_k    = theta_k(o)* theta_k(w)      (Schur-side kernels)
 
     Everything is an evaluator view over the pencil; no power-series
-    coefficients are stored on this path.  The Herglotz side reads F(w)
-    and every phi_k(z(w)) from one ``KernelSampleSet`` at z(w): one d(z)
-    solve.  The theta tables and S(w) come from one M(w) solve (``schur_tables``).
+    coefficients are stored on this path.  ``xi`` reads phi_k(z(w)) from
+    one ``KernelSampleSet`` at z(w), one d(z) solve; it is the reference
+    that the theta tables are checked against.  The theta tables and S(w)
+    come from one M(w) solve (``schur_tables``), and the Schur-side
+    identity residuals read them.
     """
 
     def __init__(self, f: RealizedFunction, pol: TolerancePolicy = DEFAULT_POLICY):
@@ -205,17 +198,10 @@ class DiskKernelEvaluator:
         return self.f.num_vars
 
     def xi(self, k: int, w) -> np.ndarray:
+        """xi_k(w), an m_k x n matrix from phi_k(z(w)); batched over disk points."""
         pts = as_points(w, self.num_vars)
         table = self.kernels.phi_table(disk_to_halfplane(pts)).factors[k]
         return like_points(w, (np.sqrt(2.0) / (1.0 - pts[:, k]))[:, None, None] * table)
-
-    def xi_kernel(self, k: int, w, omega) -> np.ndarray:
-        xw = np.atleast_3d(self.xi(k, w))
-        xo = np.atleast_3d(self.xi(k, omega))
-        return np.squeeze(xo.conj().swapaxes(-1, -2) @ xw)
-
-    def theta(self, k: int, w) -> np.ndarray:
-        return like_points(w, self.schur_tables(w)[0][k])
 
     def schur_tables(self, grid) -> tuple[list[np.ndarray], np.ndarray]:
         """Tables theta_k (g, m_k, n) for every k and S(w) (g, n, n) on the grid.
@@ -238,25 +224,6 @@ class DiskKernelEvaluator:
     def theta_table(self, grid) -> list[np.ndarray]:
         """theta_k on the grid for every k, one (g, m_k, n) array each; see ``schur_tables``."""
         return self.schur_tables(grid)[0]
-
-    def theta_kernel(self, k: int, w, omega) -> np.ndarray:
-        tw = np.atleast_3d(self.theta(k, w))
-        to = np.atleast_3d(self.theta(k, omega))
-        return np.squeeze(to.conj().swapaxes(-1, -2) @ tw)
-
-    def herglotz_identity_residuals(self, grid) -> tuple[float, float]:
-        """Residuals of the disk-side sum/difference identities for F.
-
-        plus:  F(w) + F(o)* = sum_k (1 - conj(o_k) w_k) Xi_k(w, o)
-        minus: F(w) - F(o)* = sum_k (w_k - conj(o_k)) Xi_k(w, o)
-
-        This is the halfplane pair of ``kernels.plus_minus_residuals`` at
-        z = z(w), zeta = z(o): (1 - w_k) xi_k(w) = sqrt(2) phi_k(z) and
-        (1 + w_k) xi_k(w) / 2 = z_k phi_k(z) / sqrt(2) give the same
-        cross-Gram, and 1 + ||F(w)|| = 1 + ||f(z)|| the same scale.
-        """
-        pts = as_points(grid, self.num_vars)
-        return plus_minus_residuals(self.f, disk_to_halfplane(pts), self.pol)
 
     def schur_identity_residuals(self, grid) -> tuple[float, float]:
         """Residuals of the disk-side identities for the double Cayley transform.

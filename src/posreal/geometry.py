@@ -45,7 +45,6 @@ __all__ = [
     "iota_real_residual",
     "iota_symmetric_residual",
     "is_iota_real_operator",
-    "is_iota_symmetric",
     "is_iota_real_function",
     "check_real_pencil",
     "check_real_colligation",
@@ -127,6 +126,8 @@ def in_omega_oracle_batch(pts, resolution: int = 100_000) -> np.ndarray:
     if resolution < 10_000:
         raise ValidationError("oracle resolution must be at least 10^4")
     pts = np.atleast_2d(np.asarray(pts, dtype=complex))
+    if pts.shape[1] == 0:
+        return np.zeros(len(pts), dtype=bool)  # as ``in_omega_oracle([])``
     nonzero = np.all(pts != 0, axis=1)
     centers = np.angle(pts) * resolution / (2.0 * np.pi)  # (B, N) index units
     half = resolution / 4.0
@@ -283,11 +284,6 @@ def iota_symmetric_residual(a, iota: AntiUnitaryInvolution) -> float:
 def is_iota_real_operator(a, iota: AntiUnitaryInvolution,
                           pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
     return iota_real_residual(a, iota) <= pol.residual_tol * scale_of(a)
-
-
-def is_iota_symmetric(a, iota: AntiUnitaryInvolution,
-                      pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    return iota_symmetric_residual(a, iota) <= pol.residual_tol * scale_of(a)
 
 
 def is_iota_real_function(evaluator, iota: AntiUnitaryInvolution, samples,

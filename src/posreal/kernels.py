@@ -4,9 +4,8 @@ Every realized function satisfies f(z) = sum_k z_k Phi_k(z, zeta) for
 the PSD kernels Phi_k(z, zeta) = psi(zeta)* A_k psi(z), where
 psi(z) = [I ; -d(z)^{-1} c(z)].  This module produces the kernels and
 their Gram factors analytically from a pencil, verifies the defining
-identities on grids, certifies and factors sampled kernels, and rebuilds
-a pencil from kernel samples through the embedding of the sampled factor
-spans.
+identities on grids, certifies sampled kernels, and rebuilds a pencil
+from kernel samples through the embedding of the sampled factor spans.
 
 f and psi share the solve d(z)^{-1} c(z), so sampling a grid is one
 ``pencil.schur_solve``: ``KernelEvaluator.phi_table`` returns f and every
@@ -45,11 +44,9 @@ __all__ = [
     "KernelEvaluator",
     "KernelSampleSet",
     "psi",
-    "phi",
     "kernel_identity_residual",
     "plus_minus_residuals",
     "check_psd_kernel",
-    "factor_kernel_samples",
     "sample_kernels",
     "pencil_from_kernel_samples",
 ]
@@ -117,11 +114,6 @@ class KernelEvaluator:
         return KernelSampleSet(pts, tuple(s @ ps for s in self.factors), vals)
 
 
-def phi(f: RealizedFunction, k: int, z, zeta, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Phi_k(z, zeta) for the k-th variable (0-based k)."""
-    return KernelEvaluator(f, pol).phi(k, z, zeta)
-
-
 def _identity_families(ks: KernelSampleSet):
     """x = [phi; I], y = [z.phi; -f] and the scale 1 + ||f(b)|| of the kernel identity.
 
@@ -181,22 +173,6 @@ def check_psd_kernel(samples, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
     return spec.hermitian and spec.ok
 
 
-def factor_kernel_samples(gram, n: int, pol: TolerancePolicy = DEFAULT_POLICY) -> list[np.ndarray]:
-    """Columns-of-factor reconstruction of a PSD block Gram.
-
-    Returns factors phi(z_j) of minimal rank with
-    phi(z_nu)* phi(z_mu) equal to the (nu, mu) block of the Gram.
-    """
-    g = as_matrix(gram, square=True)
-    if n <= 0 or g.shape[0] % n:
-        raise ShapeError("Gram size must be a multiple of the block dimension")
-    try:
-        s = psd_sqrt(g, pol)
-    except ValidationError as exc:
-        raise ValidationError(f"indefinite kernel Gram: {exc}") from exc
-    return [s[:, j * n:(j + 1) * n] for j in range(g.shape[0] // n)]
-
-
 @dataclass(frozen=True)
 class KernelSampleSet:
     """Sampled kernel data: grid, per-variable factors, function values.
@@ -251,10 +227,6 @@ class KernelSampleSet:
         if len(hits) == 0:
             raise ValidationError("sample grid must contain the base point e = (1, ..., 1)")
         return int(hits[0])
-
-    def stacked_factor(self, j: int) -> np.ndarray:
-        """phi(z_j): all per-variable factors stacked into one column block."""
-        return np.vstack([tab[j] for tab in self.factors])
 
     def identity_residual(self) -> float:
         """Residual of f(z) = sum_k z_k phi_k(zeta)* phi_k(z) over grid x grid."""

@@ -31,7 +31,6 @@ from .core import (
     hermitian_part,
     eigh_or_refuse,
     psd_spectrum,
-    relative_residual,
 )
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "d_tuple_condition_bound",
     "eval_long_resolvent",
     "sum_realization",
-    "diagonal_realization",
     "realize",
     "MAX_COEFF_ENTRY",
 ]
@@ -420,38 +418,3 @@ def sum_realization(f1: RealizedFunction, f2: RealizedFunction) -> RealizedFunct
     pencil = PsdPencil(f1.num_vars, n, p1 + p2, tuple(coeffs),
                        validated=f1.pencil.validated and f2.pencil.validated)
     return RealizedFunction(pencil, compressed=f1.compressed and f2.compressed)
-
-
-def diagonal_realization(coeffs, pol: TolerancePolicy = DEFAULT_POLICY) -> RealizedFunction:
-    """p = 0 realization of sum_k z_k E_k from PSD coefficients E_k on U."""
-    mats = [as_matrix(e, square=True) for e in coeffs]
-    n = mats[0].shape[0]
-    pencil = PsdPencil.from_coeffs(mats, n, pol)
-    return RealizedFunction(pencil, compressed=True)
-
-
-def ldu_factor_residual(f: RealizedFunction, z, pol: TolerancePolicy = DEFAULT_POLICY) -> float:
-    """Residual of the block LDU identity behind the long resolvent form.
-
-    Assembling [[I, -b d^{-1}], [0, I]] A(z) [[I, 0], [-d^{-1} c, I]]
-    must reproduce diag(f(z), d(z)).  f(z) and d^{-1} c come from
-    ``schur_solve``, so the realization must be compressed.
-    """
-    pts = as_points(z, f.num_vars)
-    n, p = f.dim_u, f.dim_h
-    if p == 0:
-        return 0.0
-    fz, dinv_c = schur_solve(f, pts, pol)
-    az = eval_pencil(f.pencil, pts)
-    b, d = az[:, :n, n:], az[:, n:, n:]
-    b_dinv = np.linalg.solve(d.conj().transpose(0, 2, 1), b.conj().transpose(0, 2, 1))
-    b_dinv = b_dinv.conj().transpose(0, 2, 1)
-    left = np.broadcast_to(np.eye(n + p, dtype=complex), az.shape).copy()
-    right = left.copy()
-    left[:, :n, n:] = -b_dinv
-    right[:, n:, :n] = -dinv_c
-    formed = left @ az @ right
-    target = np.zeros_like(az)
-    target[:, :n, :n] = fz
-    target[:, n:, n:] = d
-    return relative_residual(formed, target)

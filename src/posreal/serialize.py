@@ -122,7 +122,9 @@ def pencil_from_json(data: dict, validate: bool = True, pol=None) -> PsdPencil:
     try:
         num_vars, n, p = int(data["N"]), int(data["n"]), int(data["p"])
         raw = data["coeffs"]
-    except (KeyError, TypeError, ValueError) as exc:
+        if not isinstance(raw, list):
+            raise TypeError(f"coeffs must be a list, not {type(raw).__name__}")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed pencil JSON: {exc}") from exc
     if len(raw) != num_vars:
         raise ValidationError(f"pencil JSON declares N={num_vars} but has {len(raw)} coefficients")
@@ -145,7 +147,7 @@ def colligation_from_json(data: dict) -> AglerColligation:
         n = int(data["n"])
         u = matrix_from_json(data["U"])
         sa = bool(data.get("selfadjoint", False))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed colligation JSON: {exc}") from exc
     return AglerColligation(dims, n, u, selfadjoint=sa)
 

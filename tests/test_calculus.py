@@ -34,7 +34,7 @@ from posreal.core import (
     hermitian_part,
     operator_norm,
 )
-from posreal.pencil import PsdPencil, RealizedFunction, diagonal_realization, realize
+from posreal.pencil import PsdPencil, RealizedFunction, realize
 from posreal.sampling import (
     disk_grid,
     random_accretive_tuple,
@@ -194,7 +194,7 @@ class TestCalcRealized:
         assert np.allclose(calc_realized(parallel, r), np.diag([2 / 3, 2 / 3]))
 
     def test_coordinate_function(self, rng):
-        f = diagonal_realization([np.array([[1.0]]), np.array([[0.0]])])
+        f = realize([np.array([[1.0]]), np.array([[0.0]])], 1)
         r = random_accretive_tuple(rng, 2, 4)
         assert np.allclose(calc_realized(f, r), np.kron(np.eye(1), r.mats[0]))
 

@@ -576,6 +576,32 @@ class TestInputErrors:
         assert main(["eval", "--pencil", parallel_file, "--point", point]) == 2
         assert "finite coordinates" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key, index, value", [
+        ("verify", "N", None, float("inf")), ("verify", "n", None, float("inf")),
+        ("verify", "p", None, float("inf")), ("verify", "coeffs", None, 3),
+        ("verify", "coeffs", None, None), ("colligate", "n", None, float("inf")),
+        ("colligate", "dims", 0, float("inf")),
+    ])
+    def test_malformed_field_is_input_error(self, parallel_file, tmp_path, capsys,
+                                            command, key, index, value):
+        # each of these used to escape the loader as a traceback with exit 1
+        if command == "verify":
+            source, argv = parallel_file, ["verify", "--grid", "3", "--pencil"]
+        else:
+            source = str(tmp_path / "colligation.json")
+            assert main(["colligate", "--pencil", parallel_file, "--grid", "5", "--out", source]) == 0
+            argv = ["colligate", "--colligation"]
+        data = serialize.load(source)
+        if index is None:
+            data[key] = value
+        else:
+            data[key][index] = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(data))  # inf is written as Infinity
+        capsys.readouterr()
+        assert main(argv + [str(path)]) == 2
+        assert "malformed" in capsys.readouterr().err
+
 
 class TestAglerGrid:
     @pytest.fixture

@@ -13,8 +13,7 @@ from posreal.colligation import (
     spectrum_condition,
     transfer_eval,
 )
-from posreal.core import DEFAULT_POLICY, NumericalRefusalError, ShapeError, ValidationError
-from posreal.kernels import factor_kernel_samples
+from posreal.core import DEFAULT_POLICY, NumericalRefusalError, ShapeError, ValidationError, psd_sqrt
 from posreal.netlist import network_pencil, parse_netlist
 from posreal.pencil import eval_schur
 from posreal.sampling import disk_grid, random_pencil
@@ -138,7 +137,7 @@ class TestSynthesis:
         # synthesizes a selfadjoint dilation interpolating D0 there
         d0 = np.diag([0.5, -0.25])
         grid = np.array([[0.0]], dtype=complex)
-        defect = factor_kernel_samples(np.eye(2) - d0 @ d0, 2)[0]
+        defect = psd_sqrt(np.eye(2) - d0 @ d0)
         thetas = [defect[None]]
         svals = d0[None].astype(complex)
         syn = build_colligation(grid, thetas, svals)

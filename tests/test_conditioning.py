@@ -46,7 +46,6 @@ from posreal.pencil import (
     d_condition_bound,
     d_tuple_condition_bound,
     eval_schur,
-    ldu_factor_residual,
 )
 from posreal.sampling import (
     disk_grid,
@@ -172,8 +171,7 @@ class TestDConditionBound:
     def test_off_domain_singular_point_refused(self, parallel):
         z = np.array([1.0, -1.0])
         assert d_condition_bound(parallel, z[None])[0] == np.inf
-        for call in (lambda: eval_schur(parallel, z), lambda: psi(parallel, z),
-                     lambda: ldu_factor_residual(parallel, z)):
+        for call in (lambda: eval_schur(parallel, z), lambda: psi(parallel, z)):
             with pytest.raises(NumericalRefusalError) as err:
                 call()
             assert str(err.value) == SINGULAR

@@ -113,6 +113,10 @@ class TestPsdSqrt:
         assert s.shape[0] == 1  # numerical rank
         assert np.linalg.norm(s.conj().T @ s - m) < 1e-12
 
+    def test_zero_matrix_has_an_empty_factor(self):
+        # rank zero: no rows, one column per coordinate
+        assert psd_sqrt(np.zeros((3, 3))).shape == (0, 3)
+
     def test_rejects_indefinite(self):
         with pytest.raises(ValidationError):
             psd_sqrt([[1, 2], [2, 1]])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from posreal import core, sampling
-from posreal.cayley import DiskFunctionView, DiskKernelEvaluator
+from posreal.cayley import DiskFunctionView, DiskKernelEvaluator, disk_to_halfplane
 from posreal.colligation import AglerColligation, agler_identity_residual, build_colligation
 from posreal.core import ShapeError, cross_gram_residual, hermitian_split_residuals
 from posreal.kernels import (
@@ -22,7 +22,7 @@ from posreal.kernels import (
     plus_minus_residuals,
     sample_kernels,
 )
-from posreal.pencil import diagonal_realization, realize
+from posreal.pencil import realize
 
 
 def _pair_kernels(lefts, rights):
@@ -88,7 +88,7 @@ def _rank_deficient():
 PENCILS = {
     "random": lambda: sampling.random_pencil(np.random.default_rng(5), 3, 2, 4),
     "rank-deficient": _rank_deficient,
-    "p0": lambda: diagonal_realization([np.eye(2), np.diag([1.0, 3.0])]),
+    "p0": lambda: realize([np.eye(2), np.diag([1.0, 3.0])], 2),
 }
 
 
@@ -106,7 +106,7 @@ def _library_and_dense(identity, f, g):
     disk = DiskKernelEvaluator(f)
     if identity == "herglotz":
         xis = [disk.xi(k, ws) for k in range(f.num_vars)]
-        return (disk.herglotz_identity_residuals(ws),
+        return (plus_minus_residuals(f, disk_to_halfplane(ws)),
                 dense_disk(ws, xis, xis, DiskFunctionView(f).eval_F(ws), herglotz=True, scaled=True))
     thetas = disk.theta_table(ws)
     svals = DiskFunctionView(f).eval_double_cayley(ws)

@@ -7,15 +7,13 @@ from posreal.kernels import (
     KernelEvaluator,
     KernelSampleSet,
     check_psd_kernel,
-    factor_kernel_samples,
     kernel_identity_residual,
     pencil_from_kernel_samples,
-    phi,
     plus_minus_residuals,
     psi,
     sample_kernels,
 )
-from posreal.pencil import diagonal_realization, eval_schur
+from posreal.pencil import eval_schur
 from posreal.sampling import halfplane_grid, random_pencil, random_psd
 
 
@@ -25,7 +23,7 @@ class TestPsi:
         assert np.allclose(psi(parallel, [1, 1]), [[1.0], [-0.5]])
 
     def test_p0_identity(self):
-        f = diagonal_realization([np.eye(2), np.eye(2)])
+        f = realize([np.eye(2), np.eye(2)], 2)
         assert np.allclose(psi(f, [1, 1]), np.eye(2))
 
     def test_boundary_point_with_invertible_d(self, parallel):
@@ -35,18 +33,18 @@ class TestPsi:
 
 class TestPhi:
     def test_parallel_first_kernel(self, parallel):
-        assert np.allclose(phi(parallel, 0, [1, 1], [1, 1]), [[0.25]])
+        assert np.allclose(KernelEvaluator(parallel).phi(0, [1, 1], [1, 1]), [[0.25]])
 
     def test_parallel_second_kernel(self, parallel):
-        assert np.allclose(phi(parallel, 1, [1, 1], [1, 1]), [[0.25]])
+        assert np.allclose(KernelEvaluator(parallel).phi(1, [1, 1], [1, 1]), [[0.25]])
 
     def test_p0_kernels_constant(self, rng):
         e1 = np.array([[2.0, 1.0], [1.0, 1.0]])
-        f = diagonal_realization([e1, np.eye(2)])
+        ev = KernelEvaluator(realize([e1, np.eye(2)], 2))
         za = np.array([1 + 0.5j, 2.0])
         zb = np.array([0.3, 1 - 0.2j])
-        assert np.allclose(phi(f, 0, za, zb), e1)
-        assert np.allclose(phi(f, 0, zb, za), e1)
+        assert np.allclose(ev.phi(0, za, zb), e1)
+        assert np.allclose(ev.phi(0, zb, za), e1)
 
     @pytest.mark.parametrize("shape", [(3, 2, 4), (2, 1, 0)])
     def test_phi_table_is_factors_times_psi_and_f(self, shape):
@@ -132,30 +130,6 @@ class TestPsdKernelCheck:
         assert not check_psd_kernel(samples)
 
 
-class TestFactorKernelSamples:
-    def test_single_point(self):
-        out = factor_kernel_samples(np.array([[4.0]]), 1)
-        assert np.allclose(out[0], [[2.0]])
-
-    def test_parallel_gram_rebuild(self, parallel):
-        grid = np.array([[1, 1], [2, 1]], dtype=complex)
-        ev = KernelEvaluator(parallel)
-        gram = np.block([[ev.phi(0, grid[mu], grid[nu]) for mu in range(2)] for nu in range(2)])
-        factors = factor_kernel_samples(gram, 1)
-        assert factors[0].shape[0] == 1  # rank one
-        rebuilt = np.block([[factors[nu].conj().T @ factors[mu] for mu in range(2)]
-                            for nu in range(2)])
-        assert np.linalg.norm(rebuilt - gram) < 1e-12
-
-    def test_zero_kernel(self):
-        factors = factor_kernel_samples(np.zeros((3, 3)), 1)
-        assert all(f.shape == (0, 1) for f in factors)
-
-    def test_indefinite_rejected(self):
-        with pytest.raises(ValidationError):
-            factor_kernel_samples(np.array([[1, 2], [2, 1.0]]), 1)
-
-
 class TestReconstruction:
     @pytest.mark.parametrize("shape, rank_deficient, grid_size", [
         ((2, 1, 3), False, 3), ((2, 1, 3), False, 25), ((3, 2, 4), True, 6),
@@ -166,9 +140,9 @@ class TestReconstruction:
         f = random_pencil(rng, *shape, rank_deficient=rank_deficient)
         ks = sample_kernels(f, halfplane_grid(shape[0], grid_size, seed=grid_size))
         base = ks.base_index()
-        phi_e = ks.stacked_factor(base)
-        diffs = np.hstack([ks.stacked_factor(j) - phi_e
-                           for j in range(len(ks.grid)) if j != base])
+        phis = np.concatenate(ks.factors, axis=1)  # phi(z_j): the factors stacked per point
+        phi_e = phis[base]
+        diffs = np.hstack([phis[j] - phi_e for j in range(len(ks.grid)) if j != base])
         floor = DEFAULT_POLICY.psd_slack * max(np.linalg.norm(diffs, 2),
                                                1.0 + np.linalg.norm(phi_e, 2))
         assert pencil_from_kernel_samples(ks).dim_h == np.linalg.matrix_rank(diffs, tol=floor)
@@ -182,7 +156,7 @@ class TestReconstruction:
         assert np.max(err) < 1e-8
 
     def test_p0_exact(self):
-        f = diagonal_realization([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        f = realize([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], 2)
         grid = halfplane_grid(2, 5, seed=5)
         rebuilt = pencil_from_kernel_samples(sample_kernels(f, grid))
         assert rebuilt.dim_h == 0

@@ -18,29 +18,40 @@ no exception: the allow-list of uncertified calls is empty.
 
 Every function that calls ``np.linalg.solve`` or ``np.linalg.inv`` also
 calls the guard, so no system is solved unguarded.  The exceptions are
-listed by function: the named cross-checks ``ldu_factor_residual`` and
-``pointwise_diagonal_oracle``, and the sampler
-``random_diagonalizable_accretive_pair``, which redraws a matrix whose
-condition exceeds 10 before inverting it.
+listed by function: the named cross-check ``pointwise_diagonal_oracle``,
+and the sampler ``random_diagonalizable_accretive_pair``, which redraws a
+matrix whose condition exceeds 10 before inverting it.
 
 ``np.linalg.cond`` is called only inside the guard, so there is one
 conditioning estimate and one refusal threshold.  The exception is that
 same sampler, whose redraw is not a refusal.
+
+No orphans: a public definition (top-level function or class, or public
+method of a public class) that no library code mentions outside its own
+body is kept only with a row in the README's paper-to-code map, as a
+paper statement, a named cross-check or a benchmark pin.  The rows whose
+library-caller column reads "none" are exactly the orphans, every row
+names an existing definition and an existing test, and every other row's
+definition does have a library caller.  So an alias or wrapper that only
+tests call cannot be added without the map saying why it stays.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "posreal"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "posreal"
+README = TESTS.parent / "README.md"
+MAP_HEADING = "## Paper-to-code map"
 ALLOWED = {"_refuse_ill_conditioned"}
 GUARD = "_refuse_ill_conditioned"
 # (function, stage) of the guard calls that may run the estimate alone
 UNCERTIFIED = set()
 # functions that may solve or invert without the guard
 UNGUARDED_SOLVES = {
-    "ldu_factor_residual",
     "pointwise_diagonal_oracle",
     "random_diagonalizable_accretive_pair",
 }
@@ -142,6 +153,65 @@ def condition_estimates(source: str) -> list[str]:
     """
     return list(dict.fromkeys(func for func, call in calls_by_function(source)
                               if ast.unparse(call.func) == "np.linalg.cond"))
+
+
+def public_definitions(module: str, tree: ast.Module) -> dict[str, ast.AST]:
+    """``module.name`` (or ``module.Class.name``) of each public top-level function
+    and class and of each public method of a public class, mapped to its node."""
+    found = {}
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        found[f"{module}.{node.name}"] = node
+        for sub in node.body if isinstance(node, ast.ClassDef) else ():
+            if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                found[f"{module}.{node.name}.{sub.name}"] = sub
+    return found
+
+
+def mentions(node: ast.AST) -> Counter:
+    """How often each identifier occurs as a ``Name`` or an ``Attribute`` in ``node``."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def orphans(sources: dict[str, str]) -> set[str]:
+    """Public definitions of the {module: source} package that no code mentions outside their own body."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    everywhere = sum((mentions(tree) for tree in trees.values()), Counter())
+    return {key for module, tree in trees.items()
+            for key, node in public_definitions(module, tree).items()
+            if everywhere[node.name] == mentions(node)[node.name]}
+
+
+def paper_map(readme: str) -> list[tuple[str, str, str]]:
+    """(definition, test, library caller) of each row of the README's paper-to-code map.
+
+    The table's columns are statement, definition, test and library caller;
+    the definition and the test are the backticked text of their cells.
+    """
+    section = readme.split(MAP_HEADING + "\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("|")][2:]
+    cells = [[c.strip() for c in row.strip().strip("|").split("|")] for row in rows]
+    return [(name.strip("`"), test.strip("`"), caller) for _, name, test, caller in cells]
+
+
+def resolves(path: Path, dotted: list[str]) -> bool:
+    """The file at ``path`` defines the top-level ``dotted[0]``, then ``dotted[1]`` inside it, ..."""
+    if not path.is_file():
+        return False
+    body = ast.parse(path.read_text()).body
+    for name in dotted:
+        node = next((n for n in body if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                     and n.name == name), None)
+        if node is None:
+            return False
+        body = node.body
+    return True
+
+
+def library_sources() -> dict[str, str]:
+    return {path.stem: path.read_text() for path in MODULES if path.name != "__init__.py"}
 
 
 def test_package_modules_found():
@@ -274,3 +344,35 @@ def test_rule_detects_private_imports(source, hits):
 ])
 def test_rule_detects_single_point_copies(source, hits):
     assert single_point_copies(source) == hits
+
+
+def test_every_orphan_has_a_row_in_the_paper_map():
+    kept = {name for name, _, caller in paper_map(README.read_text()) if caller == "none"}
+    assert orphans(library_sources()) == kept
+
+
+def test_every_paper_map_row_resolves():
+    sources = library_sources()
+    defined = set().union(*(public_definitions(m, ast.parse(s)) for m, s in sources.items()))
+    lonely = orphans(sources)
+    for name, test, caller in paper_map(README.read_text()):
+        assert caller in ("yes", "none"), name
+        assert name in defined, name
+        assert (name in lonely) == (caller == "none"), name
+        file, *dotted = test.split("::")
+        assert resolves(TESTS / file, dotted), test
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f(): pass\ndef g():\n    return f()\n", {"m.g"}),
+    # a mention inside its own body is not a caller
+    ("def f(n):\n    return f(n - 1)\n", {"m.f"}),
+    ("class C:\n    def a(self): pass\n    def b(self):\n        return self.a()\n",
+     {"m.C", "m.C.b"}),
+    ("def f(): pass\nx = posreal.f\n", set()),
+    ("def _h(): pass\nclass _C:\n    def a(self): pass\n", set()),
+    ("def f():\n    def inner(): pass\n", {"m.f"}),
+    ('def f():\n    """f, in prose only"""\n', {"m.f"}),
+])
+def test_rule_detects_orphans(source, found):
+    assert orphans({"m": source}) == found
