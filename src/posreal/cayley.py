@@ -233,6 +233,4 @@ class DiskKernelEvaluator:
         """
         pts = as_points(grid, self.num_vars)
         thetas, sv = self.schur_tables(pts)
-        weights = np.repeat(pts, self.kernels.factor_ranks, axis=1)
-        return transfer_identity_residuals(weights, np.concatenate(thetas, axis=1), sv,
-                                           1.0 + np.linalg.norm(sv, axis=(1, 2)))
+        return transfer_identity_residuals(pts, thetas, sv, 1.0 + np.linalg.norm(sv, axis=(1, 2)))

@@ -210,7 +210,8 @@ def reflection_transfer(v: np.ndarray, dims, pts: np.ndarray,
     blocks = [vu] + [v[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
     grams = hermitian_part(np.stack([blk.conj().T @ blk for blk in blocks]))
     z = (1.0 + pts) / (1.0 - pts)
-    m = grams[0] + np.tensordot(z, grams[1:], axes=(1, 0))
+    m = np.tensordot(z, grams[1:], axes=(1, 0))
+    m += grams[0]
     weights = np.concatenate([np.ones((len(z), 1)), z], axis=1)
     _refuse_ill_conditioned(m, pol, "M(w)", bound=PencilBound.of(grams).bound(weights))
     t = np.linalg.solve(m, np.broadcast_to(vu.conj().T, (len(pts),) + vu.T.shape))
@@ -250,33 +251,45 @@ def transfer_condition_bound(c: AglerColligation, w) -> np.ndarray:
     return out
 
 
-def _transfer_families(weights, factors, values) -> tuple[np.ndarray, np.ndarray]:
-    """P = (col_k((w_k + 1) h_k); I + S) and M = (col_k((w_k - 1) h_k); I - S), (g, m+n, n) each.
+def _family_rows(grid, tables, values) -> np.ndarray:
+    """P(w)^T and M(w)^T on the grid as one (2, g, n, m+n) stack, filled block by block.
 
-    ``factors`` stacks the blocks h_k of the factor tables (g, m, n),
-    ``weights`` (g, m) repeats w_k over the rows of block k and ``values``
-    is S on the grid (g, n, n).
+    P = (col_k((w_k + 1) h_k); I + S) and M = (col_k((w_k - 1) h_k); I - S)
+    for the points ``grid`` (g, N), the tables h_k (g, m_k, n) of
+    ``tables`` and S on the grid ``values`` (g, n, n).  Conjugated in
+    place, the stack holds the adjoints P* and M*.
     """
-    wts = weights[:, :, None]
-    eye = np.eye(values.shape[-1])
-    return (np.concatenate([(wts + 1.0) * factors, eye + values], axis=1),
-            np.concatenate([(wts - 1.0) * factors, eye - values], axis=1))
+    g, n = values.shape[:2]
+    m = sum(t.shape[1] for t in tables)
+    rows = np.empty((2, g, n, m + n), dtype=complex)
+    lo = 0
+    for k, t in enumerate(tables):
+        hi = lo + t.shape[1]
+        for i, wk in enumerate((grid[:, k] + 1.0, grid[:, k] - 1.0)):
+            np.multiply(wk[:, None, None], t.transpose(0, 2, 1), out=rows[i, :, :, lo:hi])
+        lo = hi
+    eye = np.eye(n)
+    np.add(eye, values.transpose(0, 2, 1), out=rows[0, :, :, m:])
+    np.subtract(eye, values.transpose(0, 2, 1), out=rows[1, :, :, m:])
+    return rows
 
 
-def transfer_identity_residuals(weights, factors, values, scale=None) -> tuple[float, float]:
+def transfer_identity_residuals(grid, tables, values, scale=None) -> tuple[float, float]:
     """Residuals of the disk-side transfer identities over grid x grid.
 
     plus:  I - S(o)* S(w) = sum_k (1 - conj(o_k) w_k) h_k(o)* h_k(w)
     minus: S(w) - S(o)*   = sum_k (w_k - conj(o_k)) h_k(o)* h_k(w)
 
-    Arguments are those of ``_transfer_families``; ``scale`` is passed to
+    Arguments are those of ``_family_rows``; ``scale`` is passed to
     ``hermitian_split_residuals``.  The pair is the Hermitian split of
     E(o, w) = M(o)* P(w) / 2: the sum E(o, w) + E(w, o)* is
     -sum_k (1 - conj(o_k) w_k) h_k(o)* h_k(w) + I - S(o)* S(w), and the
     difference is -sum_k (w_k - conj(o_k)) h_k(o)* h_k(w) + S(w) - S(o)*.
     """
-    p, m = _transfer_families(weights, factors, values)
-    return hermitian_split_residuals(m, p / 2.0, scale)
+    p_rows, m_rows = _family_rows(grid, tables, values)
+    p_rows *= 0.5  # exact, in place: the rows of P / 2
+    np.conjugate(m_rows, out=m_rows)  # M*
+    return hermitian_split_residuals(m_rows, p_rows, scale)
 
 
 def agler_identity_residual(c: AglerColligation, grid,
@@ -299,7 +312,9 @@ def agler_identity_residual(c: AglerColligation, grid,
     pts = as_points(grid, c.num_vars)
     # without a reflection factor the state solve also gives S(w)
     pw, h = _state_solve(c, pts, pol)
-    return transfer_identity_residuals(pw, h, _transfer_values(c, pts, pol, state=(pw, h)))
+    bounds = np.cumsum((0,) + c.dims)
+    blocks = [h[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return transfer_identity_residuals(pts, blocks, _transfer_values(c, pts, pol, state=(pw, h)))
 
 
 def spectrum_condition(c: AglerColligation, pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[bool, float]:
@@ -403,10 +418,11 @@ def build_colligation(grid, theta_tables, schur_samples,
     dims = tuple(t.shape[1] for t in tables)
     m = sum(dims)
 
-    # P and M, n columns per grid point: (g, m+n, n) each.
-    h = np.concatenate(tables, axis=1) if m else np.zeros((g, 0, n), dtype=complex)
-    pm = np.stack(_transfer_families(np.repeat(pts, dims, axis=1), h, svals))
-    rp, rm = np.linalg.qr(pm.conj().transpose(0, 1, 3, 2).reshape(2, g * n, m + n), mode="r")
+    # P* and M*, n rows per grid point: the (2, g n, m+n) stack that the QR reads.
+    adj = _family_rows(pts, tables, svals)
+    np.conjugate(adj, out=adj)
+    rp, rm = np.linalg.qr(adj.reshape(2, g * n, m + n), mode="r")
+    del adj
     r1 = np.concatenate([rp, rm]) / np.sqrt(2.0)
     r2 = np.concatenate([rp, -rm]) / np.sqrt(2.0)
     svecs, sing, vh = np.linalg.svd(r1.conj().T, full_matrices=False)

@@ -41,6 +41,7 @@ __all__ = [
     "is_psd",
     "psd_sqrt",
     "eigh_or_refuse",
+    "eigvalsh_or_refuse",
 ]
 
 
@@ -158,25 +159,19 @@ def argument_arc(pts) -> tuple[np.ndarray, np.ndarray]:
     return start, gap
 
 
-def _families(x, y, scale):
-    """Two (g, M, n) families of one shape as complex arrays, and the (g,) scale."""
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    if x.ndim != 3 or x.shape != y.shape:
-        raise ShapeError(f"expected two (g, M, n) families of one shape, got {x.shape}, {y.shape}")
-    return x, y, np.ones(len(x)) if scale is None else np.asarray(scale, dtype=float)
+def _row_views(x_adj, y_rows, scale):
+    """The (g n, M) views of two (g, n, M) families of one shape, n and the (g,) scale.
 
-
-def _adjoint_rows(a) -> np.ndarray:
-    """(g n, M) matrix whose row (c, i) is column i of a(c)*, conjugated."""
-    g, m, n = a.shape
-    return np.conjugate(a.transpose(0, 2, 1), order="C").reshape(g * n, m)  # one copy
-
-
-def _columns(a) -> np.ndarray:
-    """(M, g n) matrix whose column (b, j) is column j of a(b)."""
-    g, m, n = a.shape
-    return a.transpose(1, 0, 2).reshape(m, g * n)
+    Complex C-ordered input, as the library passes, is not copied.
+    """
+    x_adj = np.asarray(x_adj, dtype=complex)
+    y_rows = np.asarray(y_rows, dtype=complex)
+    if x_adj.ndim != 3 or x_adj.shape != y_rows.shape:
+        raise ShapeError("expected two (g, n, M) families of one shape, "
+                         f"got {x_adj.shape}, {y_rows.shape}")
+    g, n, m = x_adj.shape
+    scale = np.ones(g) if scale is None else np.asarray(scale, dtype=float)
+    return x_adj.reshape(g * n, m), y_rows.reshape(g * n, m), n, scale
 
 
 def _block_norms(gram, n: int) -> np.ndarray:
@@ -185,11 +180,14 @@ def _block_norms(gram, n: int) -> np.ndarray:
     return np.sqrt(np.einsum("aibj,aibj->ab", v, v))
 
 
-def cross_gram_residual(x, y, scale=None) -> float:
+def cross_gram_residual(x_adj, y_rows, scale=None) -> float:
     """Largest ||x(c)* y(b)|| / scale(b) over all pairs of grid points (b, c).
 
-    ``x`` and ``y`` stack one M x n matrix per grid point, shape (g, M, n);
-    the norm is the Frobenius norm and ``scale`` (g,) defaults to 1.  A
+    The families come in the (g, n, M) row layout that the products read:
+    ``x_adj[c]`` is the adjoint x(c)* and ``y_rows[b]`` the transpose
+    y(b)^T of the M x n matrices x(c) and y(b), so that reshaped to
+    (g n, M) both are views and x(c)* y(b) = x_adj[c] @ y_rows[b].T.  The
+    norm is the Frobenius norm and ``scale`` (g,) defaults to 1.  A
     two-point identity "weighted kernels sum to a target" holds exactly
     when such a cross-Gram vanishes, with the factor tables, the weights
     and the target stacked into x and y.  The Gram is formed _ROW_BLOCK
@@ -197,22 +195,20 @@ def cross_gram_residual(x, y, scale=None) -> float:
     O(_ROW_BLOCK g n^2), not O(g^2 n^2).  Entries that overflow give a
     NaN or Inf residual, silently: a NaN is kept, so the caller refuses.
     """
-    x, y, scale = _families(x, y, scale)
-    n = x.shape[-1]
-    xh, yt = _adjoint_rows(x), _columns(y)
+    xh, yr, n, scale = _row_views(x_adj, y_rows, scale)
     worst = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for b in range(0, len(scale), _ROW_BLOCK):
-            res = _block_norms(xh @ yt[:, b * n:(b + _ROW_BLOCK) * n], n) / scale[b:b + _ROW_BLOCK]
+            res = _block_norms(xh @ yr[b * n:(b + _ROW_BLOCK) * n].T, n) / scale[b:b + _ROW_BLOCK]
             worst = np.maximum(worst, np.max(res))  # unlike max(), keeps a NaN
     return float(worst)
 
 
-def hermitian_split_residuals(x, y, scale=None) -> tuple[float, float]:
+def hermitian_split_residuals(x_adj, y_rows, scale=None) -> tuple[float, float]:
     """Largest ||E(c, b) + E(b, c)*|| / scale(b) and ||E(c, b) - E(b, c)*|| / scale(b).
 
     E(c, b) = x(c)* y(b) is the cross-Gram of ``cross_gram_residual``
-    (same shapes, norm and scale); the two residuals are its Hermitian
+    (same layout, norm and scale); the two residuals are its Hermitian
     and skew-Hermitian parts over all pairs (b, c).  A sum/difference
     pair of two-point identities is such a split of one kernel identity:
     with x = [phi; I] and y = [z.phi; -f], E(c, b) + E(b, c)* is
@@ -225,23 +221,23 @@ def hermitian_split_residuals(x, y, scale=None) -> tuple[float, float]:
     The pair (b, c) mirrors (c, b): its blocks are the adjoints, of the
     same norm, divided by scale(c).  So E is formed in tiles of
     _ROW_BLOCK x _ROW_BLOCK points, and only the tiles C <= B, each once:
-    one product gives E[C, B], one E[B, C]*, and the block norms of their
-    sum and difference serve both (C, B) and (B, C).  That is a quarter
-    of the work of two cross-Grams of inner dimension 2M, in memory
-    O(_ROW_BLOCK^2 n^2) beyond the families.
+    one product gives E[C, B] = x_adj[C] y_rows[B]^T, and the conjugate
+    of y_rows[C] x_adj[B]^T is E[B, C]*, since y(c)* x(b) = conj(y(c)^T
+    conj(x(b))).  The block norms of their sum and difference serve both
+    (C, B) and (B, C).  That is a quarter of the work of two cross-Grams
+    of inner dimension 2M, in memory O(_ROW_BLOCK^2 n^2) beyond the
+    families, which are read in place.
     """
-    x, y, scale = _families(x, y, scale)
-    n = x.shape[-1]
-    xh, yt = _adjoint_rows(x), _columns(y)
-    yh, xt = _adjoint_rows(y), _columns(x)
+    xh, yr, n, scale = _row_views(x_adj, y_rows, scale)
     worst = np.zeros(2)
     with np.errstate(over="ignore", invalid="ignore"):
         for b in range(0, len(scale), _ROW_BLOCK):
             rows_b = slice(b * n, (b + _ROW_BLOCK) * n)
             for c in range(0, b + 1, _ROW_BLOCK):
                 rows_c = slice(c * n, (c + _ROW_BLOCK) * n)
-                tile = xh[rows_c] @ yt[:, rows_b]  # E(c, b)
-                mirror = yh[rows_c] @ xt[:, rows_b]  # E(b, c)*
+                tile = xh[rows_c] @ yr[rows_b].T  # E(c, b)
+                mirror = yr[rows_c] @ xh[rows_b].T
+                np.conjugate(mirror, out=mirror)  # E(b, c)*
                 for i, norms in enumerate((_block_norms(tile + mirror, n),
                                            _block_norms(tile - mirror, n))):
                     worst[i] = np.maximum.reduce([  # keeps a NaN
@@ -273,6 +269,14 @@ def eigh_or_refuse(m) -> tuple[np.ndarray, np.ndarray]:
         return np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
         raise NumericalRefusalError(f"eigendecomposition failed: {exc}") from exc
+
+
+def eigvalsh_or_refuse(m) -> np.ndarray:
+    """Ascending Hermitian eigenvalues of a matrix or a stack; LAPACK breakdown becomes a refusal."""
+    try:
+        return np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
+        raise NumericalRefusalError(f"eigenvalue computation failed: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -115,19 +115,28 @@ class KernelEvaluator:
 
 
 def _identity_families(ks: KernelSampleSet):
-    """x = [phi; I], y = [z.phi; -f] and the scale 1 + ||f(b)|| of the kernel identity.
+    """The kernel identity's families x = [phi; I], y = [z.phi; -f] and scale 1 + ||f(b)||.
 
     phi = [phi_1; ...; phi_N] and z.phi scales block k by z_k; then
     x(c)* y(b) = sum_k z_k(b) phi_k(c)* phi_k(b) - f(b) vanishes on every
-    pair of grid points exactly when the identity holds.
+    pair of grid points exactly when the identity holds.  The families
+    come in the (g, n, M) row layout of ``core.cross_gram_residual``,
+    x* = [phi*, I] and y^T = [(z.phi)^T, -f^T], filled block by block
+    into one (2, g, n, M) buffer.
     """
-    phis = np.concatenate(ks.factors, axis=1)
-    weights = np.repeat(ks.grid, [t.shape[1] for t in ks.factors], axis=1)
     fvals = ks.f_samples
-    eye = np.broadcast_to(np.eye(fvals.shape[-1], dtype=complex), fvals.shape)
-    return (np.concatenate([phis, eye], axis=1),
-            np.concatenate([weights[:, :, None] * phis, -fvals], axis=1),
-            1.0 + np.linalg.norm(fvals, axis=(1, 2)))
+    g, n = fvals.shape[:2]
+    m = sum(t.shape[1] for t in ks.factors)
+    rows = np.empty((2, g, n, m + n), dtype=complex)
+    lo = 0
+    for k, t in enumerate(ks.factors):
+        hi = lo + t.shape[1]
+        np.conjugate(t.transpose(0, 2, 1), out=rows[0, :, :, lo:hi])
+        np.multiply(ks.grid[:, k, None, None], t.transpose(0, 2, 1), out=rows[1, :, :, lo:hi])
+        lo = hi
+    rows[0, :, :, m:] = np.eye(n)
+    np.negative(fvals.transpose(0, 2, 1), out=rows[1, :, :, m:])
+    return rows[0], rows[1], 1.0 + np.linalg.norm(fvals, axis=(1, 2))
 
 
 def kernel_identity_residual(f: RealizedFunction, grid,
@@ -250,9 +259,10 @@ def pencil_from_kernel_samples(ks: KernelSampleSet,
         A_k = V* P_k V,   V = [phi(e), Q_H],
 
     with P_k the coordinate projector onto the k-th factor block and
-    Q_H the leading left singular vectors of the stacked differences, an
-    orthonormal basis of their span: the rank counts the singular values
-    above psd_slack max(sigma_1, scale of phi(e)).  The result
+    Q_H the leading left singular vectors of the stacked differences (from
+    the SVD of the R factor of their adjoint), an orthonormal basis of
+    their span: the rank counts the singular values above
+    psd_slack max(sigma_1, scale of phi(e)).  The result
     interpolates the samples at every grid point, and reproduces the
     generating function off-grid once the grid saturates the difference
     span.
@@ -266,8 +276,12 @@ def pencil_from_kernel_samples(ks: KernelSampleSet,
     phis = np.concatenate(ks.factors, axis=1)
     phi_e = phis[base]
     if len(phis) > 1:
-        stacked = np.hstack(np.delete(phis, base, axis=0) - phi_e)
-        q, sing, _ = np.linalg.svd(stacked, full_matrices=False)
+        # stacked* = Q R, so stacked = R* Q* and the small R* has the left
+        # singular vectors and singular values of stacked (the route of
+        # ``colligation.build_colligation``)
+        diffs = np.delete(phis, base, axis=0) - phi_e
+        r = np.linalg.qr(diffs.conj().transpose(0, 2, 1).reshape(-1, len(phi_e)), mode="r")
+        q, sing, _ = np.linalg.svd(r.conj().T, full_matrices=False)
         # floor at the factor scale so all-roundoff difference columns
         # (constant psi, e.g. one variable) do not fake rank
         floor = pol.psd_slack * max(sing.max(initial=0.0), scale_of(phi_e))

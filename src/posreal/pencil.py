@@ -29,7 +29,7 @@ from .core import (
     as_points,
     like_points,
     hermitian_part,
-    eigh_or_refuse,
+    eigvalsh_or_refuse,
     psd_spectrum,
 )
 
@@ -162,11 +162,11 @@ class PencilBound:
 
     @classmethod
     def of(cls, coeffs) -> "PencilBound":
-        """The constants of a (K, r, r) stack: one eigendecomposition per H_j and one of their sum."""
+        """The constants of a (K, r, r) stack: the eigenvalues of each H_j and of their sum."""
         herm = [hermitian_part(p) for p in coeffs]
-        eigs = [eigh_or_refuse(h)[0] for h in herm]
+        eigs = [eigvalsh_or_refuse(h) for h in herm]
         skew = np.array([np.linalg.norm(p - h) for p, h in zip(coeffs, herm)])
-        return cls(lam=float(np.min(eigh_or_refuse(sum(herm))[0], initial=np.inf)),
+        return cls(lam=float(np.min(eigvalsh_or_refuse(sum(herm)), initial=np.inf)),
                    norms=np.array([np.max(np.abs(w), initial=0.0) for w in eigs]) + skew,
                    neg=np.array([-np.min(w, initial=0.0) for w in eigs]),
                    skew=skew)

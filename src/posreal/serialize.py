@@ -65,7 +65,7 @@ def _from_pairs(data, ndim: int, what: str, layout: str) -> np.ndarray:
     """
     try:
         a = np.ascontiguousarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # an integer beyond float range overflows
         raise ValidationError(f"malformed {what} JSON: {exc}") from exc
     if a.ndim != ndim + 1 or a.shape[-1] != 2:
         raise ValidationError(f"{what} JSON must be {layout}")
@@ -82,7 +82,7 @@ def matrix_to_json(m) -> list:
 def matrix_from_json(data, rows: int | None = None, cols: int | None = None) -> np.ndarray:
     try:
         a = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed matrix JSON: {exc}") from exc
     if a.size == 0:
         out = np.zeros((a.shape[0] if a.ndim >= 2 else 0, 0), dtype=complex)
@@ -116,15 +116,29 @@ def pencil_to_json(obj) -> dict:
     }
 
 
+def _count(value) -> int:
+    """A JSON integer; a bool, float or string is refused rather than truncated."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer count, got {value!r}")
+    return value
+
+
+def _flag(value) -> bool:
+    """A JSON boolean; any other value is refused rather than read as truthy."""
+    if type(value) is not bool:
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 def pencil_from_json(data: dict, validate: bool = True, pol=None) -> PsdPencil:
     from .core import DEFAULT_POLICY
 
     try:
-        num_vars, n, p = int(data["N"]), int(data["n"]), int(data["p"])
+        num_vars, n, p = _count(data["N"]), _count(data["n"]), _count(data["p"])
         raw = data["coeffs"]
         if not isinstance(raw, list):
             raise TypeError(f"coeffs must be a list, not {type(raw).__name__}")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed pencil JSON: {exc}") from exc
     if len(raw) != num_vars:
         raise ValidationError(f"pencil JSON declares N={num_vars} but has {len(raw)} coefficients")
@@ -143,11 +157,11 @@ def colligation_to_json(c: AglerColligation) -> dict:
 
 def colligation_from_json(data: dict) -> AglerColligation:
     try:
-        dims = tuple(int(d) for d in data["dims"])
-        n = int(data["n"])
+        dims = tuple(_count(d) for d in data["dims"])
+        n = _count(data["n"])
         u = matrix_from_json(data["U"])
-        sa = bool(data.get("selfadjoint", False))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        sa = _flag(data.get("selfadjoint", False))
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed colligation JSON: {exc}") from exc
     return AglerColligation(dims, n, u, selfadjoint=sa)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,19 @@ from posreal import realize
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240801)
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(fn)`` calls fn() under tracemalloc: (its result, the peak of traced bytes)."""
+    def run(fn):
+        tracemalloc.start()
+        try:
+            out = fn()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return run
 
 
 @pytest.fixture

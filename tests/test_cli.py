@@ -581,10 +581,15 @@ class TestInputErrors:
         ("verify", "p", None, float("inf")), ("verify", "coeffs", None, 3),
         ("verify", "coeffs", None, None), ("colligate", "n", None, float("inf")),
         ("colligate", "dims", 0, float("inf")),
+        ("verify", "coeffs", 0, [[[10 ** 400, 0.0]]]),
+        ("verify", "N", None, 2.5), ("verify", "p", None, 2.5), ("verify", "n", None, True),
+        ("colligate", "dims", 0, 2.5), ("colligate", "selfadjoint", None, "x"),
+        ("colligate", "selfadjoint", None, None), ("colligate", "selfadjoint", None, []),
     ])
     def test_malformed_field_is_input_error(self, parallel_file, tmp_path, capsys,
                                             command, key, index, value):
-        # each of these used to escape the loader as a traceback with exit 1
+        # the first eight used to escape the loader as a traceback with exit 1;
+        # int() truncated the other counts and bool() read any flag as truthy
         if command == "verify":
             source, argv = parallel_file, ["verify", "--grid", "3", "--pencil"]
         else:

@@ -1,11 +1,11 @@
 import dataclasses
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from posreal.cayley import DiskFunctionView, DiskKernelEvaluator, disk_to_halfplane, inv_double_cayley
+from posreal.cli import run_verification
 from posreal.colligation import (
     AglerColligation,
     agler_identity_residual,
@@ -76,9 +76,9 @@ class TestIdentities:
         seen = []
         real = colligation.transfer_identity_residuals
 
-        def spy(weights, factors, values, scale=None):
+        def spy(grid, tables, values, scale=None):
             seen.append(values)
-            return real(weights, factors, values, scale)
+            return real(grid, tables, values, scale)
 
         def second_solve(*args, **kwargs):
             raise AssertionError("S(w) solved apart from the identity's own solve")
@@ -409,17 +409,20 @@ class TestReflectionRoute:
         with pytest.raises(ValidationError, match=message):
             AglerColligation((1,), 1, flip.U, selfadjoint=selfadjoint, reflection=factor)
 
-    def test_transfer_memory_stays_at_the_factor_size(self):
+    def test_transfer_memory_stays_at_the_factor_size(self, traced_peak):
         # the dense route peaks at about 36 MiB here: (99, 108, 108) stacks
         f = random_pencil(np.random.default_rng(0), 3, 4, 32)
         syn, ws = _synthesis(f, grid_size=100, seed=1)
-        tracemalloc.start()
-        try:
-            transfer_eval(syn.colligation, ws)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: transfer_eval(syn.colligation, ws))[1]
         assert peak <= 8 * 2 ** 20
+
+    def test_verification_holds_one_copy_of_each_grid_table(self, traced_peak):
+        # one copy of each grid table peaks at 11.8 MiB here; extra copies of
+        # the synthesis stack or of the kernel families (22.95 MiB) exceed the bound
+        f = random_pencil(np.random.default_rng(0), 3, 4, 32)
+        report, peak = traced_peak(lambda: run_verification(f, seed=1, grid_size=300))
+        assert report.verdict
+        assert peak <= 15 * 2 ** 20
 
 
 class TestOneStateSolve:

@@ -6,7 +6,6 @@ computed before they went through ``core.cross_gram_residual``; the
 library values must agree with them to roundoff.
 """
 
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -151,6 +150,11 @@ def test_stateless_colligation(u):
     assert max(got) < 1e-12
 
 
+def _rows(x, y):
+    """The (g, n, M) row layout of the primitives: x(c)* and y(b)^T."""
+    return x.conj().transpose(0, 2, 1), y.transpose(0, 2, 1)
+
+
 @pytest.mark.parametrize("g", [1, 5, 2 * core._ROW_BLOCK + 3])
 def test_primitive_on_explicit_families(g):
     rng = np.random.default_rng(g)
@@ -160,23 +164,18 @@ def test_primitive_on_explicit_families(g):
     scale[-1] = 1e-3  # the largest ratio sits in the last, partial block
     want = max(np.linalg.norm(x[c].conj().T @ y[b]) / scale[b]
                for b in range(g) for c in range(g))
-    assert cross_gram_residual(x, y, scale) == pytest.approx(want, rel=1e-13)
-    assert cross_gram_residual(x, y) == pytest.approx(
+    assert cross_gram_residual(*_rows(x, y), scale) == pytest.approx(want, rel=1e-13)
+    assert cross_gram_residual(*_rows(x, y)) == pytest.approx(
         max(np.linalg.norm(x[c].conj().T @ y[b]) for b in range(g) for c in range(g)), rel=1e-13)
     with pytest.raises(ShapeError):
-        cross_gram_residual(x, y[:, :2])
+        cross_gram_residual(*_rows(x, y[:, :2]))
 
 
-def test_memory_stays_blockwise():
+def test_memory_stays_blockwise(traced_peak):
     f = sampling.random_pencil(np.random.default_rng(1), 3, 4, 4)
     zs = sampling.halfplane_grid(3, 600, 1)
     dense_bytes = 3 * 600 ** 2 * 4 ** 2 * 16  # one (N, g, g, n, n) complex tensor
-    tracemalloc.start()
-    try:
-        res = kernel_identity_residual(f, zs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    res, peak = traced_peak(lambda: kernel_identity_residual(f, zs))
     assert res < 1e-12
     assert peak < dense_bytes / 10
 
@@ -204,13 +203,13 @@ def test_split_on_explicit_families(g):
         # the worst pair (c, b) has b in an earlier tile than c: only the
         # mirror of the tile (b, c) covers it
         assert b // core._ROW_BLOCK < c // core._ROW_BLOCK
-    got = hermitian_split_residuals(x, y, scale)
+    got = hermitian_split_residuals(*_rows(x, y), scale)
     assert got[0] == pytest.approx(plus, rel=1e-13)
     assert got[1] == pytest.approx(minus, rel=1e-13)
     want = _brute_split(x, y, np.ones(g))
-    assert hermitian_split_residuals(x, y) == pytest.approx(want[:2], rel=1e-13)
+    assert hermitian_split_residuals(*_rows(x, y)) == pytest.approx(want[:2], rel=1e-13)
     with pytest.raises(ShapeError):
-        hermitian_split_residuals(x, y[:, :2])
+        hermitian_split_residuals(*_rows(x, y[:, :2]))
 
 
 @pytest.mark.parametrize("where", [0, -1])
@@ -222,22 +221,17 @@ def test_split_keeps_a_nan(where):
     x[where, 1, 0] = np.nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.all(np.isnan(hermitian_split_residuals(x, y)))
-        assert np.isnan(cross_gram_residual(x, y))
+        assert np.all(np.isnan(hermitian_split_residuals(*_rows(x, y))))
+        assert np.isnan(cross_gram_residual(*_rows(x, y)))
         y[where, 1, 0] = 1e160  # overflow in the products is silent
         x[where, 1, 0] = 1e160
-        assert not np.any(np.isfinite(hermitian_split_residuals(x, y)))
+        assert not np.any(np.isfinite(hermitian_split_residuals(*_rows(x, y))))
 
 
-def test_split_memory_stays_tilewise():
+def test_split_memory_stays_tilewise(traced_peak):
     f = sampling.random_pencil(np.random.default_rng(1), 3, 4, 4)
     zs = sampling.halfplane_grid(3, 600, 1)
     dense_bytes = 3 * 600 ** 2 * 4 ** 2 * 16  # one (N, g, g, n, n) complex tensor
-    tracemalloc.start()
-    try:
-        res = plus_minus_residuals(f, zs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    res, peak = traced_peak(lambda: plus_minus_residuals(f, zs))
     assert max(res) < 1e-12
     assert peak < dense_bytes / 10
