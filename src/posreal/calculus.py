@@ -28,7 +28,7 @@ from .core import (
     ValidationError,
     as_matrix,
     hermitian_part,
-    eigh_or_refuse,
+    eigvalsh_or_refuse,
     operator_norm,
     scale_of,
 )
@@ -131,7 +131,7 @@ def make_tuple(mats, pol: TolerancePolicy = DEFAULT_POLICY, require: str | None 
     if comm > pol.commutator_tol:
         raise ValidationError(f"commutator norm {comm:.3e} exceeds tolerance")
     rho = float(np.max(norms))
-    accr = float(np.min(eigh_or_refuse(hermitian_part(stack) * 2.0)[0][:, 0]))
+    accr = float(np.min(eigvalsh_or_refuse(hermitian_part(stack) * 2.0)[:, 0]))
     # a tuple that is both is a contraction, unless accretive is required
     if rho <= 1.0 - pol.margin and require != "accretive":
         kind, bound = "contraction", rho
@@ -391,11 +391,11 @@ def herglotz_taylor_from_schur(schur: TaylorCoefficients,
 
 def calc_series(coeffs: TaylorCoefficients, t: CommutingTuple,
                 pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[np.ndarray, float]:
-    """Partial sum of F(T) = sum_t F_t (x) T^t plus a certified tail bound.
+    """Partial sum of F(T) = sum_t F_t (x) T^t plus a Cauchy tail estimate.
 
-    The tuple must be a strict contraction tuple; the tail combines the
-    coefficient Cauchy estimate carried by ``coeffs`` with the largest
-    member norm.
+    The tuple must be a strict contraction tuple.  The tail, at its largest member
+    norm, bounds the rest only if ``coeffs.sup_bound`` does: proven (1) for
+    ``taylor_from_colligation``, sampled times TAYLOR_SUP_SAFETY otherwise.
     """
     if t.kind != "contraction":
         raise ValidationError("series calculus needs a strict contraction tuple")
@@ -449,8 +449,7 @@ def accretive_positivity_check(f: RealizedFunction, r: CommutingTuple,
     inputs falsifies the realization, not the tuple.
     """
     val = calc_realized(f, r, pol)
-    w = eigh_or_refuse(val + val.conj().T)[0]
-    lo = float(w[0])
+    lo = float(eigvalsh_or_refuse(val + val.conj().T)[0])
     return lo >= -pol.psd_slack * scale_of(val), lo
 
 

@@ -21,13 +21,10 @@ from .calculus import (
     accretive_positivity_check,
     calc_realized,
     calc_series,
-    herglotz_taylor_from_schur,
     HuntConfig,
     hunt,
-    inverse_operator_cayley,
     operator_cayley,
     taylor_from_function,
-    TAYLOR_SUP_RADIUS,
 )
 from .cayley import (
     DiskFunctionView,
@@ -37,7 +34,7 @@ from .cayley import (
     value_cayley,
 )
 from .colligation import agler_identity_residual, build_colligation, spectrum_condition
-from .core import DEFAULT_POLICY, NumericalRefusalError, PosrealError, TolerancePolicy, ValidationError, hermitian_part, eigh_or_refuse, psd_spectrum, relative_residual
+from .core import DEFAULT_POLICY, NumericalRefusalError, PosrealError, ShapeError, TolerancePolicy, ValidationError, hermitian_part, eigvalsh_or_refuse, psd_spectrum, relative_residual
 from .geometry import (
     AntiUnitaryInvolution,
     check_real_colligation,
@@ -48,7 +45,7 @@ from .geometry import (
 from .kernels import pencil_from_kernel_samples, sample_kernels
 from .netlist import network_pencil, parse_netlist
 from .pencil import RealizedFunction, as_evaluator, compress_realization, eval_schur
-from .sampling import disk_grid, halfplane_grid, random_accretive_tuple, random_pencil
+from .sampling import disk_grid, halfplane_grid, random_accretive_tuple, random_contraction_tuple, random_pencil
 
 __all__ = ["main", "run_verification", "VerificationReport"]
 
@@ -175,7 +172,7 @@ def run_verification(f: RealizedFunction, seed: int = 0, grid_size: int = 25,
              lambda: float(np.max(np.linalg.norm(
                  f(zs.conj(), pol) - vals.conj().transpose(0, 2, 1), axis=(1, 2)) / scales)))
     margin("positivity-min-re-eigenvalue", -pol.psd_slack,
-           lambda: float(np.min(eigh_or_refuse(hermitian_part(vals))[0][:, 0] / scales)))
+           lambda: float(np.min(eigvalsh_or_refuse(hermitian_part(vals))[:, 0] / scales)))
 
     def kernel_identity():
         if disk_error is not None:
@@ -296,12 +293,15 @@ def _load_iota(path: str | None):
     if not path:
         return None, None
     data = serialize.load(path)
-    iota_u = AntiUnitaryInvolution(serialize.matrix_from_json(data["J_U"]))
-    iota_u.validate()
-    iota_h = None
-    if "J_H" in data:
-        iota_h = AntiUnitaryInvolution(serialize.matrix_from_json(data["J_H"]))
-        iota_h.validate()
+    try:
+        iota_u = AntiUnitaryInvolution(serialize.matrix_from_json(data["J_U"]))
+        iota_h = (AntiUnitaryInvolution(serialize.matrix_from_json(data["J_H"]))
+                  if "J_H" in data else None)
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"malformed iota JSON: {exc}") from exc
+    for iota in (iota_u, iota_h):
+        if iota is not None:
+            iota.validate()
     return iota_u, iota_h
 
 
@@ -313,6 +313,8 @@ def _cmd_verify(args) -> int:
     pol = _policy_from(args)
     f = _load_pencil(args.pencil, pol, validate=False)
     iota_u, iota_h = _load_iota(args.iota)
+    if iota_u is not None and iota_u.dim != f.dim_u:
+        raise ShapeError(f"--iota J_U is {iota_u.dim} x {iota_u.dim}, the pencil's n is {f.dim_u}")
     report = run_verification(f, seed=args.seed, grid_size=args.grid, pol=pol,
                               iota_u=iota_u, iota_h=iota_h)
     report.print()
@@ -413,17 +415,12 @@ def _cmd_calculus(args) -> int:
     pol = _policy_from(args)
     f = _load_pencil(args.pencil, pol)
     rng = np.random.default_rng(args.seed)
-    view = DiskFunctionView(f, pol=pol)
-    schur_coeffs = taylor_from_function(view.eval_double_cayley, f.num_vars, f.dim_u,
-                                        degree=args.degree)
-    sup_pts = TAYLOR_SUP_RADIUS * disk_grid(f.num_vars, 16, args.seed)
-    sup_bound = 2.0 * float(np.max(np.linalg.norm(view.eval_F(sup_pts), ord=2, axis=(1, 2))))
-    fcoeffs = herglotz_taylor_from_schur(schur_coeffs, sup_bound=sup_bound,
-                                         sup_radius=TAYLOR_SUP_RADIUS, pol=pol)
+    fcoeffs = taylor_from_function(DiskFunctionView(f, pol=pol).eval_F, f.num_vars, f.dim_u,
+                                   degree=args.degree)
     rows = []
     failed = False
     for i in range(args.tuples):
-        t = inverse_operator_cayley(random_accretive_tuple(rng, f.num_vars, args.dim, pol=pol), pol)
+        t = random_contraction_tuple(rng, f.num_vars, args.dim, target_norm=0.5, pol=pol)
         r = random_accretive_tuple(rng, f.num_vars, args.dim, pol=pol)  # independent check tuple
         ok, lo = accretive_positivity_check(f, r, pol)
         series_val, tail = calc_series(fcoeffs, t, pol)

@@ -36,6 +36,7 @@ from .core import (
     hermitian_part,
     hermitian_split_residuals,
     eigh_or_refuse,
+    eigvalsh_or_refuse,
     operator_norm,
     relative_residual,
 )
@@ -324,7 +325,7 @@ def spectrum_condition(c: AglerColligation, pol: TolerancePolicy = DEFAULT_POLIC
     """
     d = c.blocks()[3]
     if c.selfadjoint:
-        eigs = eigh_or_refuse(hermitian_part(d))[0].astype(complex)
+        eigs = eigvalsh_or_refuse(hermitian_part(d)).astype(complex)
     else:
         eigs = np.linalg.eigvals(d)
     dist = float(np.min(np.abs(1.0 - eigs))) if eigs.size else 1.0

@@ -27,7 +27,7 @@ from .core import (
     as_points,
     like_points,
     hermitian_part,
-    eigh_or_refuse,
+    eigvalsh_or_refuse,
     operator_norm,
     scale_of,
 )
@@ -171,7 +171,7 @@ def four_quadrant_check(evaluator, num_vars: int, rng, samples: int = 50,
         else:
             test = 1j * (vals.conj().transpose(0, 2, 1) - vals)
         slack = pol.psd_slack * (1.0 + np.linalg.norm(vals, axis=(1, 2)))
-        if np.any(eigh_or_refuse(hermitian_part(sign * test))[0][:, 0] < -slack):
+        if np.any(eigvalsh_or_refuse(hermitian_part(sign * test))[:, 0] < -slack):
             return False
     return True
 
@@ -291,6 +291,8 @@ def is_iota_real_function(evaluator, iota: AntiUnitaryInvolution, samples,
     """Check iota f(conj z) iota = f(z) on a conjugate-closed sample set."""
     pts = np.asarray(samples, dtype=complex)
     vals = np.asarray(evaluator(pts), dtype=complex)
+    if vals.shape[-1] != iota.dim:
+        raise ShapeError("function and involution dimensions differ")
     vals_conj = np.asarray(evaluator(pts.conj()), dtype=complex)
     for v, vc in zip(vals, vals_conj):
         res = operator_norm(iota.conjugate_operator(vc) - v)

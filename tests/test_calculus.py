@@ -10,6 +10,7 @@ import posreal.calculus as calculus
 from posreal.calculus import (
     CommutingTuple,
     HuntConfig,
+    TAYLOR_RADIUS,
     TaylorCoefficients,
     accretive_positivity_check,
     calc_realized,
@@ -30,7 +31,7 @@ from posreal.core import (
     ShapeError,
     TolerancePolicy,
     ValidationError,
-    eigh_or_refuse,
+    eigvalsh_or_refuse,
     hermitian_part,
     operator_norm,
 )
@@ -79,7 +80,7 @@ class TestMakeTuple:
 
     @staticmethod
     def _per_matrix_loop(mats):
-        """(commutator norm, largest norm, accretivity bound) with one norm or eigh per matrix."""
+        """(commutator norm, largest norm, accretivity bound) with one norm or eigvalsh per matrix."""
         worst = 0.0
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
@@ -87,7 +88,7 @@ class TestMakeTuple:
                 den = 1.0 + operator_norm(mats[i]) * operator_norm(mats[j])
                 worst = max(worst, operator_norm(comm) / den)
         rho = max(operator_norm(m) for m in mats)
-        accr = min(float(eigh_or_refuse(hermitian_part(m) * 2.0)[0][0]) for m in mats)
+        accr = min(float(eigvalsh_or_refuse(hermitian_part(m) * 2.0)[0]) for m in mats)
         return worst, rho, accr
 
     def test_stacked_certificate_equals_per_matrix_loop(self):
@@ -360,6 +361,17 @@ class TestTaylorSources:
         monkeypatch.setattr(np.linalg, "cond", lambda m: calls.append(m) or cond(m))
         herglotz_taylor_from_schur(sch)
         assert calls == []
+
+    def test_herglotz_inversion_matches_the_direct_table(self, rng):
+        # F's table by quadrature of F, as `posreal calculus` builds it, against
+        # the Herglotz series of the Schur-side table
+        f = random_pencil(rng, 2, 2, 3)
+        view = DiskFunctionView(f)
+        direct = taylor_from_function(view.eval_F, 2, 2, degree=45)
+        inverted = herglotz_taylor_from_schur(taylor_from_function(view.eval_double_cayley, 2, 2,
+                                                                   degree=45))
+        gap = np.linalg.norm(direct.coeffs - inverted.coeffs, axis=(-2, -1))
+        assert np.all(gap <= 1e-12 * TAYLOR_RADIUS ** -np.indices(gap.shape).sum(axis=0))
 
     def test_herglotz_series_inverts_cayley(self, rng):
         f = random_pencil(rng, 2, 1, 2)

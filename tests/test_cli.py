@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from posreal import kernels, serialize
-from posreal.cayley import DiskKernelEvaluator, disk_to_halfplane, inv_double_cayley
+from posreal import cli, kernels, serialize
+from posreal.calculus import TAYLOR_SUP_RADIUS, calc_series
+from posreal.cayley import DiskFunctionView, DiskKernelEvaluator, disk_to_halfplane, inv_double_cayley
 from posreal.cli import main, run_verification
 from posreal.colligation import build_colligation, transfer_eval
 from posreal.core import DEFAULT_POLICY, eigh_or_refuse, hermitian_part
@@ -84,6 +85,17 @@ class TestVerify:
         assert main(["verify", "--pencil", parallel_file, "--grid", "10",
                      "--iota", str(path)]) == 0
 
+    @pytest.mark.parametrize("iota", [
+        [[[1.0, 0.0]]], "J_U", 1.0, None,
+        {"J_U": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+    ], ids=["list", "string", "number", "null", "J_U-2x2-on-n-1"])
+    def test_malformed_iota_is_input_error(self, parallel_file, tmp_path, capsys, iota):
+        path = tmp_path / "iota.json"
+        serialize.dump(iota, str(path))
+        assert main(["verify", "--pencil", parallel_file, "--grid", "10",
+                     "--iota", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 # Every row of run_verification(random_pencil(default_rng(2026), 2, 2, 3),
 # seed=3, grid_size=12) as (name, value.hex(), tol.hex(), pass), recorded
@@ -96,6 +108,8 @@ class TestVerify:
 # the sum and difference generator families (a new orthonormal basis of
 # the same span: U moves in its last bits), and again when the theta
 # tables and S(w) came from one M(w) solve instead of a division by F + I.
+# The calculus-positivity row was recorded again when the eigenvalue-only
+# checks moved from eigh to eigvalsh (a last-bit change).
 GOLDEN_ROWS = [
     ("pencil-coefficients-psd", "0x0.0p+0", "0x1.b7cdfd9d7bdbbp-34", True),
     ("homogeneity", "0x1.2a6c38dfdde4ep-52", "0x1.12e0be826d695p-30", True),
@@ -103,7 +117,7 @@ GOLDEN_ROWS = [
     ("positivity-min-re-eigenvalue", "0x1.5937371cd0606p-3", "-0x1.b7cdfd9d7bdbbp-34", True),
     ("kernel-identity", "0x1.09ae489d44e12p-49", "0x1.12e0be826d695p-30", True),
     ("four-quadrant-conditions", "0x1.0000000000000p+0", "0x1.0000000000000p+0", True),
-    ("calculus-positivity-min-eig", "0x1.10a6ed0d9b4a3p+1", "-0x1.b7cdfd9d7bdbbp-34", True),
+    ("calculus-positivity-min-eig", "0x1.10a6ed0d9b4a4p+1", "-0x1.b7cdfd9d7bdbbp-34", True),
     ("colligation-unitarity", "0x1.d610278e610b9p-49", "0x1.12e0be826d695p-30", True),
     ("colligation-selfadjointness", "0x1.70c73c0c05e07p-51", "0x1.12e0be826d695p-30", True),
     ("colligation-transfer-match", "0x1.4971b7b714c6fp-52", "0x1.12e0be826d695p-30", True),
@@ -123,14 +137,16 @@ GOLDEN_ROWS = [
 # again under one BLAS thread: their last bits follow the thread count
 # and, within one process, the calls that ran before, so the rows are
 # computed in a fresh process with OMP_NUM_THREADS=OPENBLAS_NUM_THREADS=1.
+# The two positivity rows were recorded again when the eigenvalue-only
+# checks moved from eigh to eigvalsh (one and eight units in the last place).
 GOLDEN_ROWS_BENCH_SHAPE = [
     ('pencil-coefficients-psd', '0x0.0p+0', '0x1.b7cdfd9d7bdbbp-34', True),
     ('homogeneity', '0x1.c237b67c38c37p-51', '0x1.12e0be826d695p-30', True),
     ('conjugate-symmetry', '0x1.21e6a226bc2e2p-52', '0x1.12e0be826d695p-30', True),
-    ('positivity-min-re-eigenvalue', '0x1.2b739065ad313p-3', '-0x1.b7cdfd9d7bdbbp-34', True),
+    ('positivity-min-re-eigenvalue', '0x1.2b739065ad314p-3', '-0x1.b7cdfd9d7bdbbp-34', True),
     ('kernel-identity', '0x1.5390dfa34df9ep-49', '0x1.12e0be826d695p-30', True),
     ('four-quadrant-conditions', '0x1.0000000000000p+0', '0x1.0000000000000p+0', True),
-    ('calculus-positivity-min-eig', '0x1.d869de8c9e022p+1', '-0x1.b7cdfd9d7bdbbp-34', True),
+    ('calculus-positivity-min-eig', '0x1.d869de8c9e01ap+1', '-0x1.b7cdfd9d7bdbbp-34', True),
     ('colligation-unitarity', '0x1.4bf0b3ef9d2a5p-47', '0x1.12e0be826d695p-30', True),
     ('colligation-selfadjointness', '0x1.1889a789938cep-49', '0x1.12e0be826d695p-30', True),
     ('colligation-transfer-match', '0x1.7b0bab7575875p-51', '0x1.12e0be826d695p-30', True),
@@ -404,6 +420,24 @@ class TestPipelines:
         assert main(["calculus", "--pencil", parallel_file, "--tuples", "2",
                      "--dim", "3", "--seed", "4", "--degree", "30"]) == 0
         assert "pass" in capsys.readouterr().out
+
+    def test_calculus_tail_reads_the_sup_of_the_sup_torus(self, parallel, parallel_file,
+                                                          monkeypatch, capsys):
+        tables = []
+
+        def spy(coeffs, t, pol=DEFAULT_POLICY):
+            tables.append(coeffs)
+            return calc_series(coeffs, t, pol)
+
+        monkeypatch.setattr(cli, "calc_series", spy)
+        assert main(["calculus", "--pencil", parallel_file, "--tuples", "1",
+                     "--dim", "2", "--seed", "4", "--degree", "30"]) == 0
+        ring = TAYLOR_SUP_RADIUS * np.exp(2j * np.pi * np.arange(64) / 64)
+        torus = np.stack(np.meshgrid(ring, ring, indexing="ij"), axis=-1).reshape(-1, 2)
+        sup = float(np.max(np.linalg.norm(DiskFunctionView(parallel).eval_F(torus), 2, axis=(1, 2))))
+        assert len(tables) == 1
+        assert tables[0].sup_radius == TAYLOR_SUP_RADIUS
+        assert tables[0].sup_bound >= sup
 
 
 class TestHunt:

@@ -3,7 +3,7 @@ import pytest
 
 from posreal.cayley import DiskFunctionView, DiskKernelEvaluator
 from posreal.colligation import AglerColligation, build_colligation
-from posreal.core import DEFAULT_POLICY, ShapeError, ValidationError, eigh_or_refuse, hermitian_part
+from posreal.core import DEFAULT_POLICY, ShapeError, ValidationError, eigvalsh_or_refuse, hermitian_part
 from posreal.geometry import (
     AntiUnitaryInvolution,
     check_real_colligation,
@@ -176,7 +176,7 @@ class TestFourQuadrant:
 
     @staticmethod
     def _per_matrix_loop(evaluator, num_vars, rng, samples, pol=DEFAULT_POLICY):
-        """The check with one eigendecomposition per sample: (verdict, min eigenvalues per quadrant)."""
+        """The check with one eigvalsh per sample: (verdict, min eigenvalues per quadrant)."""
         base = rng.standard_normal((samples, num_vars)) ** 2 + 0.05
         base = base + 1j * rng.standard_normal((samples, num_vars))
         seen = []
@@ -188,7 +188,7 @@ class TestFourQuadrant:
             else:
                 test = 1j * (vals.conj().transpose(0, 2, 1) - vals)
             slack = pol.psd_slack * (1.0 + np.linalg.norm(vals, axis=(1, 2)))
-            seen.append(np.array([eigh_or_refuse(hermitian_part(v))[0][0] for v in sign * test]))
+            seen.append(np.array([eigvalsh_or_refuse(hermitian_part(v))[0] for v in sign * test]))
             if np.any(seen[-1] < -slack):
                 return False, seen
         return True, seen
@@ -206,11 +206,11 @@ class TestFourQuadrant:
         stacked = []
 
         def spy(m):
-            out = eigh_or_refuse(m)
-            stacked.append(out[0][:, 0])
+            out = eigvalsh_or_refuse(m)
+            stacked.append(out[:, 0])
             return out
 
-        monkeypatch.setattr(geometry, "eigh_or_refuse", spy)
+        monkeypatch.setattr(geometry, "eigvalsh_or_refuse", spy)
         verdict = four_quadrant_check(evaluator, num_vars, np.random.default_rng(5), samples=40)
         expected, loop = self._per_matrix_loop(evaluator, num_vars, np.random.default_rng(5), 40)
         assert verdict == expected == (case != "non-homogeneous")
@@ -314,6 +314,11 @@ class TestRealFunctions:
         iota = AntiUnitaryInvolution.conjugation(1)
         pts = halfplane_grid(2, 6, seed=11)
         assert is_iota_real_function(lambda p: parallel(p), iota, pts)
+
+    def test_function_of_another_dimension_is_refused(self, parallel):
+        pts = halfplane_grid(2, 6, seed=11)
+        with pytest.raises(ShapeError, match="dimensions differ"):
+            is_iota_real_function(lambda p: parallel(p), AntiUnitaryInvolution.conjugation(2), pts)
 
     def test_check_real_pencil(self, parallel):
         iu = AntiUnitaryInvolution.conjugation(1)
