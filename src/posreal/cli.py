@@ -243,9 +243,7 @@ def run_verification(f: RealizedFunction, seed: int = 0, grid_size: int = 25,
 
 
 def _policy_from(args) -> TolerancePolicy:
-    if getattr(args, "tol", None) is None:
-        return DEFAULT_POLICY
-    return TolerancePolicy(residual_tol=args.tol)
+    return DEFAULT_POLICY if args.tol is None else TolerancePolicy(residual_tol=args.tol)
 
 
 def _load_pencil(path: str, pol: TolerancePolicy, validate: bool = True) -> RealizedFunction:
@@ -265,10 +263,8 @@ def _parse_point(text: str, num_vars: int) -> np.ndarray:
 
 
 def _collect_points(args, num_vars: int) -> np.ndarray:
-    pts = []
-    for text in args.point or []:
-        pts.append(_parse_point(text, num_vars))
-    if getattr(args, "points", None):
+    pts = [_parse_point(text, num_vars) for text in args.point or []]
+    if args.points:
         pts.extend(serialize.points_from_json(serialize.load(args.points)))
     if not pts:
         raise ValidationError("no evaluation points given (use --point or --points)")
@@ -315,6 +311,9 @@ def _cmd_verify(args) -> int:
     iota_u, iota_h = _load_iota(args.iota)
     if iota_u is not None and iota_u.dim != f.dim_u:
         raise ShapeError(f"--iota J_U is {iota_u.dim} x {iota_u.dim}, the pencil's n is {f.dim_u}")
+    if iota_h is not None and iota_h.dim != f.dim_h:
+        raise ShapeError(f"--iota J_H is {iota_h.dim} x {iota_h.dim}, the pencil's p is {f.dim_h} "
+                         "(counted after compression)")
     report = run_verification(f, seed=args.seed, grid_size=args.grid, pol=pol,
                               iota_u=iota_u, iota_h=iota_h)
     report.print()
@@ -520,13 +519,16 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, pencil=True):
         if pencil:
             p.add_argument("--pencil", required=True, help="pencil JSON file")
-        p.add_argument("--grid", type=_positive_int, default=25, help="sample grid size")
-        p.add_argument("--seed", type=_seed, default=0, help="randomness seed (echoed in reports)")
         p.add_argument("--tol", type=float, default=None, help="override residual tolerance")
         p.add_argument("--out", default=None, help="write the result to this file")
 
+    def grid_and_seed(p):
+        p.add_argument("--grid", type=_positive_int, default=25, help="sample grid size")
+        p.add_argument("--seed", type=_seed, default=0, help="randomness seed (echoed in reports)")
+
     p = sub.add_parser("verify", help="run the full property battery on a pencil")
     common(p)
+    grid_and_seed(p)
     p.add_argument("--iota", default=None,
                    help="JSON file with unitary parts J_U (and optionally J_H) of involutions")
     p.set_defaults(func=_cmd_verify)
@@ -539,6 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cayley", help="evaluate the disk-side transforms F and C(f)")
     common(p)
+    grid_and_seed(p)
     p.add_argument("--point", action="append", help="disk point, comma-separated")
     p.add_argument("--points", default=None, help="JSON file with a disk point list")
     p.set_defaults(func=_cmd_cayley)
@@ -548,6 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--pencil", default=None, help="pencil JSON file (for sampling)")
     mode.add_argument("--rebuild", default=None, help="kernel sample JSON to rebuild from")
     common(p, pencil=False)
+    grid_and_seed(p)
     p.set_defaults(func=_cmd_kernels)
 
     p = sub.add_parser("colligate",
@@ -556,10 +560,12 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--pencil", default=None, help="pencil JSON file (for synthesis)")
     mode.add_argument("--colligation", default=None, help="existing colligation JSON to check")
     common(p, pencil=False)
+    grid_and_seed(p)
     p.set_defaults(func=_cmd_colligate)
 
     p = sub.add_parser("calculus", help="functional-calculus cross-checks on random tuples")
     common(p)
+    p.add_argument("--seed", type=_seed, default=0, help="randomness seed (echoed in reports)")
     p.add_argument("--tuples", type=_positive_int, default=5)
     p.add_argument("--dim", type=_positive_int, default=3)
     p.add_argument("--degree", type=_positive_int, default=40, help="series truncation degree")
@@ -567,8 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("netlist", help="convert a conductance netlist to a pencil")
     p.add_argument("--netlist", required=True, help="netlist text file")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--out", default=None)
+    common(p, pencil=False)
     p.set_defaults(func=_cmd_netlist)
 
     p = sub.add_parser("hunt", help="randomized search for calculus-positivity violations")

@@ -16,6 +16,7 @@ routine would loosen it), the Frobenius-scaled positivity rows and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -70,7 +71,9 @@ class TolerancePolicy:
     """Global numerical tolerances.
 
     All tolerances are applied relative to matrix norm where a norm
-    exists (via ``scale_of``), absolute for scalars.
+    exists (via ``scale_of``), absolute for scalars.  ``residual_tol``
+    (the CLI's ``--tol``) is the one a run can set; the other three are
+    fixed, and the certificates are proven against them.
 
     Attributes
     ----------
@@ -85,16 +88,15 @@ class TolerancePolicy:
         Strictness margin for contractivity / accretivity claims.
     """
 
-    psd_slack: float = 1e-10
+    psd_slack: ClassVar[float] = 1e-10
     residual_tol: float = 1e-9
-    commutator_tol: float = 1e-10
-    margin: float = 1e-6
+    commutator_tol: ClassVar[float] = 1e-10
+    margin: ClassVar[float] = 1e-6
 
     def __post_init__(self):
-        for name in ("psd_slack", "residual_tol", "commutator_tol", "margin"):
-            # NaN compares false both ways; every gate would then silently fail
-            if not getattr(self, name) >= 0:
-                raise ValidationError(f"tolerance {name} must be nonnegative")
+        # NaN compares false both ways; every gate would then silently fail
+        if not self.residual_tol >= 0:
+            raise ValidationError("tolerance residual_tol must be nonnegative")
 
 
 DEFAULT_POLICY = TolerancePolicy()

@@ -332,8 +332,7 @@ def check_real_colligation(c, iota_x: AntiUnitaryInvolution, iota_u: AntiUnitary
     return is_iota_real_operator(c.U, big, pol)
 
 
-def taylor_realness_residual(f, step: float = 1e-3,
-                             pol: TolerancePolicy = DEFAULT_POLICY) -> float:
+def taylor_realness_residual(f, pol: TolerancePolicy = DEFAULT_POLICY) -> float:
     """Worst deviation of order-<=2 Taylor coefficients at e from real symmetry.
 
     Central finite differences at the base point e = (1, ..., 1); the
@@ -341,6 +340,7 @@ def taylor_realness_residual(f, step: float = 1e-3,
     conjugation-real function the coefficients must be real symmetric.
     """
     n = f.num_vars
+    step = 1e-3  # central-difference step
     evaluate = as_evaluator(f, pol)
 
     def val(shifts) -> np.ndarray:

@@ -297,7 +297,7 @@ def pencil_from_kernel_samples(ks: KernelSampleSet,
     for k in range(ks.num_vars):
         vk = v[offsets[k]:offsets[k + 1]]
         coeffs.append(vk.conj().T @ vk)
-    pencil = PsdPencil(ks.num_vars, n, qh.shape[1], tuple(coeffs), validated=True)
+    pencil = PsdPencil(ks.num_vars, n, qh.shape[1], tuple(coeffs))
     rebuilt = RealizedFunction(pencil, compressed=True)
 
     worst = relative_residual(rebuilt(ks.grid, pol), ks.f_samples)

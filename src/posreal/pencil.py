@@ -73,7 +73,6 @@ class PsdPencil:
     dim_u: int
     dim_h: int
     coeffs: tuple
-    validated: bool = True
 
     @classmethod
     def from_coeffs(cls, coeffs, dim_u: int, pol: TolerancePolicy = DEFAULT_POLICY,
@@ -108,7 +107,7 @@ class PsdPencil:
                     raise ValidationError(
                         f"coefficient {k + 1} is not PSD (min eigenvalue {spec.min_eig:.3e})")
             mats = tuple(hermitian_part(m) for m in mats)
-        return cls(len(mats), dim_u, dim - dim_u, mats, validated=validate)
+        return cls(len(mats), dim_u, dim - dim_u, mats)
 
     @property
     def dim(self) -> int:
@@ -267,7 +266,7 @@ def compress(pencil: PsdPencil, pol: TolerancePolicy = DEFAULT_POLICY) -> PsdPen
     t[:n, :n] = np.eye(n)
     t[n:, n:] = basis
     coeffs = tuple(t.conj().T @ m @ t for m in pencil.coeffs)
-    return PsdPencil(pencil.num_vars, n, basis.shape[1], coeffs, validated=pencil.validated)
+    return PsdPencil(pencil.num_vars, n, basis.shape[1], coeffs)
 
 
 def compress_realization(f: RealizedFunction, pol: TolerancePolicy = DEFAULT_POLICY) -> RealizedFunction:
@@ -377,7 +376,7 @@ def eval_long_resolvent(f: RealizedFunction, z, pol: TolerancePolicy = DEFAULT_P
     exp(i theta) C has that Hermitian floor) and ||C|| <= ||B^{-1}|| <= 1/den,
     hence cond C <= (num/den)^2 = b^2.  Forming C by inversion perturbs it
     by about b^3 eps relative to sigma_min(C), at most 0.08 where b^2
-    clears the guard at the default psd_slack of 1e-10; the guard's
+    clears the guard at the fixed psd_slack of 1e-10; the guard's
     factor 2 absorbs that, and a bound only skips the estimate.
     """
     pts = as_points(z, f.num_vars)
@@ -415,6 +414,5 @@ def sum_realization(f1: RealizedFunction, f2: RealizedFunction) -> RealizedFunct
         m[n:n + p1, n:n + p1] = d1
         m[n + p1:, n + p1:] = d2
         coeffs.append(m)
-    pencil = PsdPencil(f1.num_vars, n, p1 + p2, tuple(coeffs),
-                       validated=f1.pencil.validated and f2.pencil.validated)
+    pencil = PsdPencil(f1.num_vars, n, p1 + p2, tuple(coeffs))
     return RealizedFunction(pencil, compressed=f1.compressed and f2.compressed)

@@ -94,9 +94,9 @@ def disk_grid(num_vars: int, count: int = 25, seed: int = 0,
 
 
 def halfplane_grid(num_vars: int, count: int = 25, seed: int = 0,
-                   conjugate_closed: bool = True, include_base: bool = True) -> np.ndarray:
+                   include_base: bool = True) -> np.ndarray:
     """Image of ``disk_grid`` under the variable Cayley map (center -> e)."""
-    w = disk_grid(num_vars, count, seed, conjugate_closed, include_zero=include_base)
+    w = disk_grid(num_vars, count, seed, include_zero=include_base)
     return disk_to_halfplane(w)
 
 
@@ -125,16 +125,14 @@ def random_pencil(rng, num_vars: int, dim_u: int, dim_h: int,
     return compress_realization(RealizedFunction(pencil), pol)
 
 
-def _random_commuting(rng, num_vars: int, dim: int, real: bool = False) -> list[np.ndarray]:
+def _random_commuting(rng, num_vars: int, dim: int) -> list[np.ndarray]:
     """Commuting family from polynomials of one random seed matrix."""
-    s = rng.standard_normal((dim, dim))
-    if not real:
-        s = s + 1j * rng.standard_normal((dim, dim))
+    s = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     s /= max(np.linalg.norm(s, 2), 1e-12)
     mats = []
     eye = np.eye(dim, dtype=complex)
     for _ in range(num_vars):
-        c = rng.standard_normal(3) + (0 if real else 1j * rng.standard_normal(3))
+        c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         mats.append(c[0] * eye + c[1] * s + c[2] * s @ s)
     return mats
 
@@ -149,12 +147,11 @@ def random_contraction_tuple(rng, num_vars: int, dim: int, target_norm: float = 
     return make_tuple(mats, pol, require="contraction")
 
 
-def random_accretive_tuple(rng, num_vars: int, dim: int, target_norm: float = 0.5,
-                           pol: TolerancePolicy = DEFAULT_POLICY):
-    """Strictly accretive commuting tuple via the operator Cayley map."""
-    from .calculus import make_tuple, operator_cayley
+def random_accretive_tuple(rng, num_vars: int, dim: int, pol: TolerancePolicy = DEFAULT_POLICY):
+    """Strictly accretive commuting tuple: the operator Cayley image of a norm-0.5 contraction."""
+    from .calculus import operator_cayley
 
-    return operator_cayley(random_contraction_tuple(rng, num_vars, dim, target_norm, pol), pol)
+    return operator_cayley(random_contraction_tuple(rng, num_vars, dim, 0.5, pol), pol)
 
 
 def random_diagonalizable_accretive_pair(rng, dim: int, num_vars: int = 2,

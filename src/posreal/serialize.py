@@ -31,7 +31,7 @@ import json
 import numpy as np
 
 from .colligation import AglerColligation
-from .core import ShapeError, ValidationError, as_matrix
+from .core import DEFAULT_POLICY, ShapeError, ValidationError, as_matrix
 from .kernels import KernelSampleSet
 from .pencil import PsdPencil, RealizedFunction
 
@@ -130,9 +130,7 @@ def _flag(value) -> bool:
     return value
 
 
-def pencil_from_json(data: dict, validate: bool = True, pol=None) -> PsdPencil:
-    from .core import DEFAULT_POLICY
-
+def pencil_from_json(data: dict, validate: bool = True, pol=DEFAULT_POLICY) -> PsdPencil:
     try:
         num_vars, n, p = _count(data["N"]), _count(data["n"]), _count(data["p"])
         raw = data["coeffs"]
@@ -143,7 +141,7 @@ def pencil_from_json(data: dict, validate: bool = True, pol=None) -> PsdPencil:
     if len(raw) != num_vars:
         raise ValidationError(f"pencil JSON declares N={num_vars} but has {len(raw)} coefficients")
     coeffs = [matrix_from_json(m, rows=n + p, cols=n + p) for m in raw]
-    return PsdPencil.from_coeffs(coeffs, n, pol or DEFAULT_POLICY, validate=validate)
+    return PsdPencil.from_coeffs(coeffs, n, pol, validate=validate)
 
 
 def colligation_to_json(c: AglerColligation) -> dict:

@@ -91,9 +91,10 @@ class TestMakeTuple:
         accr = min(float(eigvalsh_or_refuse(hermitian_part(m) * 2.0)[0]) for m in mats)
         return worst, rho, accr
 
-    def test_stacked_certificate_equals_per_matrix_loop(self):
+    def test_stacked_certificate_equals_per_matrix_loop(self, monkeypatch):
         rng = np.random.default_rng(8)
-        loose = TolerancePolicy(commutator_tol=10.0)  # admits non-commuting families
+        monkeypatch.setattr(TolerancePolicy, "commutator_tol", 10.0)  # admits non-commuting families
+        loose = TolerancePolicy()
         families = [random_contraction_tuple(rng, 3, 4).mats, random_accretive_tuple(rng, 2, 3).mats,
                     [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(4)],
                     [np.diag([0.5, -2.0])], [np.eye(2), 3.0 * np.eye(2)]]
@@ -342,7 +343,7 @@ class TestTaylorSources:
             want = g[t] + sum(sch.coeffs[s] @ g[r] for s, r in below(t))  # F = (I + S) G
             assert np.linalg.norm(herglotz.coeffs[t] - want) <= 1e-12 * (1.0 + np.linalg.norm(want))
 
-    def test_herglotz_base_goes_through_the_guard(self):
+    def test_herglotz_base_goes_through_the_guard(self, monkeypatch):
         # I - S_0 = diag(1e-11, 1): condition 1e11, above 1/psd_slack
         sch = np.zeros((3, 2, 2), dtype=complex)
         sch[0] = np.diag([1.0 - 1e-11, 0.0])
@@ -351,7 +352,8 @@ class TestTaylorSources:
                            match=r"^I - S\(0\) is numerically singular \(condition 1\.000e\+11\)"):
             herglotz_taylor_from_schur(table)
         # the guard reads the policy it is given
-        herglotz_taylor_from_schur(table, pol=TolerancePolicy(psd_slack=1e-12))
+        monkeypatch.setattr(TolerancePolicy, "psd_slack", 1e-12)
+        herglotz_taylor_from_schur(table, pol=TolerancePolicy())
 
     def test_herglotz_base_of_a_pencil_needs_no_estimate(self, rng, monkeypatch):
         f = random_pencil(rng, 2, 2, 3)

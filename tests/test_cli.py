@@ -1,7 +1,11 @@
+import argparse
+import ast
+import inspect
 import json
 import os
 import subprocess
 import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -95,6 +99,16 @@ class TestVerify:
         assert main(["verify", "--pencil", parallel_file, "--grid", "10",
                      "--iota", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_J_H_of_another_size_is_input_error(self, tmp_path, capsys):
+        # p is counted after compression
+        pencil, iota = tmp_path / "pencil.json", tmp_path / "iota.json"
+        serialize.dump(serialize.pencil_to_json(random_pencil(np.random.default_rng(3), 3, 1, 3)),
+                       str(pencil))
+        serialize.dump({"J_U": [[[1.0, 0.0]]], "J_H": [[[1.0, 0.0]]]}, str(iota))
+        assert main(["verify", "--pencil", str(pencil), "--grid", "5", "--iota", str(iota)]) == 2
+        err = capsys.readouterr().err
+        assert "J_H is 1 x 1, the pencil's p is 3" in err and "after compression" in err
 
 
 # Every row of run_verification(random_pencil(default_rng(2026), 2, 2, 3),
@@ -500,7 +514,7 @@ class TestHunt:
 
 class TestGridSize:
     @pytest.mark.parametrize("command,grid", [
-        ("verify", "0"), ("verify", "-3"), ("cayley", "0"), ("calculus", "-1"),
+        ("verify", "0"), ("verify", "-3"), ("cayley", "0"),
         ("kernels", "0"), ("kernels", "-3"), ("colligate", "0"), ("colligate", "-3"),
     ])
     def test_nonpositive_grid_is_usage_error(self, parallel_file, capsys, command, grid):
@@ -516,6 +530,16 @@ class TestGridSize:
 
     def test_grid_of_one_runs(self, parallel_file):
         assert main(["colligate", "--pencil", parallel_file, "--grid", "1"]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--point", "1,1", "--grid", "5"], ["eval", "--point", "1,1", "--seed", "1"],
+        ["calculus", "--grid", "5"],
+    ], ids=["eval-grid", "eval-seed", "calculus-grid"])
+    def test_option_the_command_does_not_read_is_usage_error(self, parallel_file, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--pencil", parallel_file])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 def _scaled_pencil_file(tmp_path, largest):
@@ -712,3 +736,61 @@ class TestTaylorCap:
         HuntConfig(num_vars=3, degree=63)  # a 128^3 table, the largest admitted at N = 3
         with pytest.raises(ValidationError, match="above the cap"):
             HuntConfig(num_vars=3, degree=64)
+
+
+def _is_args(node) -> bool:
+    return isinstance(node, ast.Name) and node.id == "args"
+
+
+def unread_options(parser: argparse.ArgumentParser) -> list[tuple[str, str]]:
+    """(command, dest) of each subcommand option that its handler never reads.
+
+    An option counts as read when ``args.<dest>`` or ``getattr(args,
+    "<dest>", ...)`` appears in the handler (the subparser's ``func``
+    default) or in a function of the handler's module that it calls by
+    name, such as ``cli._policy_from`` or ``cli._collect_points``.
+    """
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    unread = []
+    for command, sub in subparsers[0].choices.items():
+        handler = sub.get_default("func")
+        trees = [ast.parse(textwrap.dedent(inspect.getsource(handler)))]
+        for node in ast.walk(trees[0]):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                helper = handler.__globals__.get(node.func.id)
+                if inspect.isfunction(helper) and helper.__module__ == handler.__module__:
+                    trees.append(ast.parse(textwrap.dedent(inspect.getsource(helper))))
+        read = set()
+        for node in (n for tree in trees for n in ast.walk(tree)):
+            if isinstance(node, ast.Attribute) and _is_args(node.value):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "getattr" and len(node.args) >= 2
+                    and _is_args(node.args[0]) and isinstance(node.args[1], ast.Constant)):
+                read.add(node.args[1].value)
+        unread += [(command, a.dest) for a in sub._actions
+                   if not isinstance(a, argparse._HelpAction) and a.dest not in read]
+    return unread
+
+
+class TestEveryOptionIsRead:
+    def test_every_cli_option_is_read_by_its_handler(self):
+        assert unread_options(cli.build_parser()) == []
+
+    def test_an_unread_option_is_caught(self):
+        parser = argparse.ArgumentParser()
+        sub = parser.add_subparsers(dest="command")
+        p = sub.add_parser("toy")
+        p.add_argument("--used")
+        p.add_argument("--unused")
+        p.add_argument("--via-helper")
+        p.set_defaults(func=_toy_handler)
+        assert unread_options(parser) == [("toy", "unused")]
+
+
+def _toy_helper(args):
+    return getattr(args, "via_helper")
+
+
+def _toy_handler(args):
+    return args.used, _toy_helper(args)

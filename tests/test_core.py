@@ -23,14 +23,22 @@ from posreal.pencil import PsdPencil, RealizedFunction, compress, compress_reali
 
 def test_tolerances_must_be_nonnegative():
     with pytest.raises(ValidationError):
-        TolerancePolicy(psd_slack=-1e-3)
+        TolerancePolicy(residual_tol=-1e-3)
 
 
-@pytest.mark.parametrize("name", ["psd_slack", "residual_tol", "commutator_tol", "margin"])
+@pytest.mark.parametrize("name", ["residual_tol"])
 def test_nan_tolerance_is_refused(name):
     # a NaN tolerance fails every comparison, so each gate would silently fail
     with pytest.raises(ValidationError, match=f"tolerance {name} must be nonnegative"):
         TolerancePolicy(**{name: float("nan")})
+
+
+@pytest.mark.parametrize("name", ["psd_slack", "commutator_tol", "margin"])
+def test_fixed_tolerances_cannot_be_set(name):
+    # the conditioning certificates are proven against the fixed psd_slack
+    with pytest.raises(TypeError):
+        TolerancePolicy(**{name: 1e-12})
+    assert getattr(DEFAULT_POLICY, name) == getattr(TolerancePolicy, name)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan), complex(np.inf, 0.0)])

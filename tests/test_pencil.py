@@ -25,7 +25,7 @@ class TestConstruction:
 
     def test_unchecked_variant_allows_indefinite(self):
         pencil = PsdPencil.from_coeffs([np.array([[1, 2], [2, 1]])], 1, validate=False)
-        assert not pencil.validated
+        assert np.linalg.eigvalsh(pencil.coeffs[0])[0] == pytest.approx(-1.0)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ShapeError):

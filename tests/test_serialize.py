@@ -48,7 +48,7 @@ def test_pencil_validation_on_load():
     with pytest.raises(ValidationError):
         serialize.pencil_from_json(data)
     pencil = serialize.pencil_from_json(data, validate=False)
-    assert not pencil.validated
+    assert np.linalg.eigvalsh(pencil.coeffs[0])[0] == -1.0
 
 
 def test_colligation_roundtrip():
