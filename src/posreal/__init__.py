@@ -12,6 +12,7 @@ Library layout:
 - ``netlist``:     conductance networks as rank-one pencils
 - ``serialize``:   JSON formats
 - ``sampling``:    seeded grids and random test objects
+- ``verify``:      the verification battery as one declared table
 - ``cli``:         command-line entry point
 """
 

@@ -33,7 +33,7 @@ from .core import (
     scale_of,
 )
 from .pencil import RealizedFunction, _refuse_ill_conditioned, d_tuple_condition_bound
-from .sampling import random_contraction_tuple
+from .sampling import random_accretive_tuple, random_contraction_tuple, random_pencil
 from .serialize import matrix_to_json
 
 __all__ = [
@@ -54,7 +54,9 @@ __all__ = [
     "accretive_positivity_check",
     "von_neumann_check",
     "pointwise_diagonal_oracle",
+    "calculus_cross_checks",
     "HuntConfig",
+    "pencil_controls",
     "hunt",
 ]
 
@@ -486,6 +488,31 @@ def von_neumann_check(coeffs: TaylorCoefficients, t: CommutingTuple,
     return norm, tail, bool(norm > 1.0 + tail + pol.psd_slack)
 
 
+def calculus_cross_checks(f: RealizedFunction, seed: int, tuples: int, dim: int, degree: int,
+                          pol: TolerancePolicy = DEFAULT_POLICY):
+    """Yield one record per random tuple: the cross-checks of ``posreal calculus``.
+
+    F's Taylor table (``taylor_from_function`` of ``DiskFunctionView.eval_F``)
+    is summed on a strict contraction T of norm 0.5 and compared with f(R)
+    at R = operator_cayley(T); they agree within the tail plus
+    residual_tol (1 + ||f(R)||).  Positivity is certified on an
+    independent accretive tuple.
+    """
+    rng = np.random.default_rng(seed)
+    fcoeffs = taylor_from_function(DiskFunctionView(f, pol=pol).eval_F, f.num_vars, f.dim_u,
+                                   degree=degree)
+    for i in range(tuples):
+        t = random_contraction_tuple(rng, f.num_vars, dim, target_norm=0.5, pol=pol)
+        r = random_accretive_tuple(rng, f.num_vars, dim, pol=pol)  # independent check tuple
+        ok, lo = accretive_positivity_check(f, r, pol)
+        series_val, tail = calc_series(fcoeffs, t, pol)
+        realized_val = calc_realized(f, operator_cayley(t, pol), pol)
+        gap = float(np.linalg.norm(series_val - realized_val, 2))
+        budget = tail + pol.residual_tol * (1.0 + np.linalg.norm(realized_val, 2))
+        yield {"tuple": i, "positivity_min_eig": lo, "positive": bool(ok),
+               "series_vs_realized": gap, "tail": tail, "agree": bool(gap <= budget)}
+
+
 # ---------------------------------------------------------------------------
 # Randomized hunt harness
 
@@ -515,6 +542,13 @@ class HuntConfig:
         if self.num_vars < 2:
             raise ValidationError("the hunt needs at least two variables")
         _taylor_grid_size(self.num_vars, self.degree)
+
+
+def pencil_controls(config: HuntConfig, count: int, pol: TolerancePolicy = DEFAULT_POLICY) -> list:
+    """``count`` random (num_vars, 1, 3) pencils drawn from seed + 1: the hunt's negative controls."""
+    rng = np.random.default_rng(config.seed + 1)
+    return [(f"pencil-control-{i}", random_pencil(rng, config.num_vars, 1, 3, pol=pol))
+            for i in range(count)]
 
 
 def hunt(config: HuntConfig, candidates, pol: TolerancePolicy = DEFAULT_POLICY):

@@ -12,230 +12,29 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import serialize
-from .calculus import (
-    accretive_positivity_check,
-    calc_realized,
-    calc_series,
-    HuntConfig,
-    hunt,
-    operator_cayley,
-    taylor_from_function,
-)
-from .cayley import (
-    DiskFunctionView,
-    DiskKernelEvaluator,
-    disk_to_halfplane,
-    inv_value_cayley,
-    value_cayley,
-)
-from .colligation import agler_identity_residual, build_colligation, spectrum_condition
-from .core import DEFAULT_POLICY, NumericalRefusalError, PosrealError, ShapeError, TolerancePolicy, ValidationError, hermitian_part, eigvalsh_or_refuse, psd_spectrum, relative_residual
-from .geometry import (
-    AntiUnitaryInvolution,
-    check_real_colligation,
-    check_real_pencil,
-    four_quadrant_check,
-    is_iota_real_function,
-)
+from . import serialize, verify
+from .calculus import HuntConfig, calculus_cross_checks, hunt, pencil_controls
+from .cayley import DiskFunctionView, DiskKernelEvaluator, value_cayley
+from .colligation import agler_identity_residual, build_colligation
+from .core import DEFAULT_POLICY, NumericalRefusalError, PosrealError, ShapeError, TolerancePolicy, ValidationError
+from .geometry import AntiUnitaryInvolution
 from .kernels import pencil_from_kernel_samples, sample_kernels
 from .netlist import network_pencil, parse_netlist
-from .pencil import RealizedFunction, as_evaluator, compress_realization, eval_schur
-from .sampling import disk_grid, halfplane_grid, random_accretive_tuple, random_contraction_tuple, random_pencil
+from .pencil import RealizedFunction, compress_realization, eval_schur
+from .sampling import disk_grid, halfplane_grid
 
-__all__ = ["main", "run_verification", "VerificationReport"]
-
-
-# finite sentinel recorded when a check cannot run at all (structural
-# failure upstream); keeps every reported residual finite
-UNRUNNABLE = 1e30
-
-
-@dataclass
-class CheckRow:
-    name: str
-    value: float
-    tol: float
-    passed: bool
-    error: str | None = None
-
-    def as_dict(self) -> dict:
-        out = {"name": self.name, "value": self.value, "tol": self.tol, "pass": self.passed}
-        if self.error:
-            out["error"] = self.error
-        return out
-
-
-@dataclass
-class VerificationReport:
-    seed: int
-    grid_size: int
-    checks: list = field(default_factory=list)
-
-    def add_residual(self, name: str, value: float, tol: float) -> None:
-        self.checks.append(CheckRow(name, float(value), float(tol), bool(value <= tol)))
-
-    def add_margin(self, name: str, value: float, floor: float) -> None:
-        self.checks.append(CheckRow(name, float(value), float(floor), bool(value >= floor)))
-
-    def add_error(self, name: str, tol: float, exc: Exception, margin: bool = False) -> None:
-        value = -UNRUNNABLE if margin else UNRUNNABLE
-        self.checks.append(CheckRow(name, value, float(tol), False, error=str(exc)))
-
-    @property
-    def verdict(self) -> bool:
-        return all(row.passed for row in self.checks)
-
-    def as_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "grid_size": self.grid_size,
-            "checks": [row.as_dict() for row in self.checks],
-            "verdict": self.verdict,
-        }
-
-    def print(self, out=None) -> None:
-        out = out or sys.stdout
-        for row in self.checks:
-            status = "pass" if row.passed else "FAIL"
-            note = f"  [{row.error}]" if row.error else ""
-            print(f"{status:4s}  {row.name:32s} value={row.value:.3e} tol={row.tol:.3e}{note}",
-                  file=out)
-        print(f"verdict: {'pass' if self.verdict else 'FAIL'}", file=out)
+__all__ = ["main", "run_verification"]
 
 
 def run_verification(f: RealizedFunction, seed: int = 0, grid_size: int = 25,
                      pol: TolerancePolicy = DEFAULT_POLICY,
                      iota_u: AntiUnitaryInvolution | None = None,
-                     iota_h: AntiUnitaryInvolution | None = None) -> VerificationReport:
-    """Full property battery for one realization.
-
-    Covers the desk-verifiable clauses of the equivalence package: PSD
-    pencil validity, the kernel identity, homogeneity, symmetry,
-    positivity and the four-quadrant conditions, calculus positivity on
-    random accretive tuples, and the selfadjoint colligation roundtrip;
-    realness checks run when an involution is supplied.
-    """
-    rng = np.random.default_rng(seed)
-    report = VerificationReport(seed=seed, grid_size=grid_size)
-
-    def residual(name, tol, fn):
-        try:
-            report.add_residual(name, fn(), tol)
-        except PosrealError as exc:
-            report.add_error(name, tol, exc)
-
-    def margin(name, floor, fn):
-        try:
-            report.add_margin(name, fn(), floor)
-        except PosrealError as exc:
-            report.add_error(name, floor, exc, margin=True)
-
-    # one KernelEvaluator (a psd_sqrt per coefficient) serves the kernel
-    # identity and the disk-side tables; a failure to build it fails the
-    # rows that need it, each with the same message
-    try:
-        disk, disk_error = DiskKernelEvaluator(f, pol), None
-    except PosrealError as exc:
-        disk, disk_error = None, exc
-
-    psd_worst = 0.0
-    for a in f.pencil.coeffs:
-        spec = psd_spectrum(a, pol)  # an unchecked load may be non-Hermitian: no Hermitian test
-        psd_worst = max(psd_worst, -spec.min_eig / spec.scale)
-    report.add_residual("pencil-coefficients-psd", psd_worst, pol.psd_slack)
-
-    # The halfplane grid is the Cayley image of the disk grid, so one d(z)
-    # solve on zs gives f there, F on ws (F(w) = f(z(w))) and the phi
-    # tables for the kernel identity.
-    ws = disk_grid(f.num_vars, grid_size, seed)
-    zs = disk_to_halfplane(ws)
-    if disk_error is None:
-        samples = disk.kernels.phi_table(zs)
-        vals = samples.f_samples
-    else:
-        vals = f(zs, pol)
-    scales = 1.0 + np.linalg.norm(vals, axis=(1, 2))
-
-    def homogeneity():
-        lam = 0.5 + 1.5 * rng.random(len(zs))
-        lam = lam * np.exp(1j * 2.0 * np.pi * rng.random(len(zs)))
-        hom = f(lam[:, None] * zs, pol) - lam[:, None, None] * vals
-        return float(np.max(np.linalg.norm(hom, axis=(1, 2)) / scales))
-
-    residual("homogeneity", pol.residual_tol, homogeneity)
-    residual("conjugate-symmetry", pol.residual_tol,
-             lambda: float(np.max(np.linalg.norm(
-                 f(zs.conj(), pol) - vals.conj().transpose(0, 2, 1), axis=(1, 2)) / scales)))
-    margin("positivity-min-re-eigenvalue", -pol.psd_slack,
-           lambda: float(np.min(eigvalsh_or_refuse(hermitian_part(vals))[:, 0] / scales)))
-
-    def kernel_identity():
-        if disk_error is not None:
-            raise disk_error
-        return samples.identity_residual()
-
-    residual("kernel-identity", pol.residual_tol, kernel_identity)
-    margin("four-quadrant-conditions", 1.0,
-           lambda: 1.0 if four_quadrant_check(as_evaluator(f, pol), f.num_vars, rng,
-                                              samples=grid_size, pol=pol) else 0.0)
-
-    def calculus_floor():
-        worst = np.inf
-        for _ in range(3):
-            r = random_accretive_tuple(rng, f.num_vars, 3, pol=pol)
-            worst = min(worst, accretive_positivity_check(f, r, pol)[1])
-        return worst
-
-    margin("calculus-positivity-min-eig", -pol.psd_slack, calculus_floor)
-
-    # F on the disk grid (the values on zs) is the recovery target, and one
-    # M(w) solve gives the theta tables and the Schur-side samples; the
-    # synthesis hands back its transfer values and residuals.
-    coll = None
-    try:
-        if disk_error is not None:
-            raise disk_error
-        del samples  # the phi tables are dead here; keep them out of the synthesis' peak memory
-        thetas, svals = disk.schur_tables(ws)
-        syn = build_colligation(ws, thetas, svals, pol)
-        coll = syn.colligation
-    except PosrealError as exc:
-        syn = exc
-
-    def synthesis():
-        # a failed synthesis fails each row that reads it, with its message
-        if coll is None:
-            raise syn
-        return syn
-
-    residual("colligation-unitarity", pol.residual_tol, lambda: synthesis().unitarity_residual)
-    residual("colligation-selfadjointness", pol.residual_tol,
-             lambda: synthesis().selfadjointness_residual)
-    residual("colligation-transfer-match", pol.residual_tol, lambda: synthesis().interpolation_residual)
-    margin("colligation-spectrum-margin", pol.margin,
-           lambda: spectrum_condition(synthesis().colligation, pol)[1])
-    residual("inverse-double-cayley-recovery", pol.residual_tol,
-             lambda: relative_residual(inv_value_cayley(synthesis().values, pol), vals))
-
-    if iota_u is not None:
-        if iota_h is None:
-            iota_h = AntiUnitaryInvolution.conjugation(f.dim_h)
-        margin("iota-real-pencil", 1.0,
-               lambda: 1.0 if check_real_pencil(f, iota_u, iota_h, pol) else 0.0)
-        margin("iota-real-function", 1.0,
-               lambda: 1.0 if is_iota_real_function(as_evaluator(f, pol), iota_u, zs, pol)
-               else 0.0)
-        if coll is not None:
-            iota_x = AntiUnitaryInvolution.conjugation(coll.dim_state)
-            margin("iota-real-colligation", 1.0,
-                   lambda: 1.0 if check_real_colligation(coll, iota_x, iota_u, pol) else 0.0)
-
-    return report
+                     iota_h: AntiUnitaryInvolution | None = None) -> verify.VerificationReport:
+    """``verify.run_verification`` under the name that ``perfbench`` traces and calls."""
+    return verify.run_verification(f, seed, grid_size, pol, iota_u, iota_h)
 
 
 # ---------------------------------------------------------------------------
@@ -378,19 +177,13 @@ def _cmd_colligate(args) -> int:
         # check an existing colligation file instead of synthesizing
         coll = serialize.colligation_from_json(serialize.load(args.colligation))
         ws = disk_grid(coll.num_vars, args.grid, args.seed)
-        unit = coll.unitarity_residual()
-        sa = coll.selfadjointness_residual()
-        ok_spec, margin = spectrum_condition(coll, pol)
+        (unit, sa, margin), identity, verdict = verify.check_colligation(coll, ws, pol)
         print(f"state dims: {list(coll.dims)}  io dim: {coll.n}")
-        print(f"unitarity residual:       {unit:.3e}")
-        print(f"selfadjointness residual: {sa:.3e}")
-        print(f"spectrum margin at 1:     {margin:.3e}")
-        verdict = unit <= pol.residual_tol and margin >= pol.margin
-        if coll.selfadjoint:
-            verdict = verdict and sa <= pol.residual_tol
-            plus, minus = agler_identity_residual(coll, ws, pol)
-            print(f"identity residuals:       plus={plus:.3e} minus={minus:.3e}")
-            verdict = verdict and max(plus, minus) <= pol.residual_tol
+        print(f"unitarity residual:       {unit.value:.3e}")
+        print(f"selfadjointness residual: {sa.value:.3e}")
+        print(f"spectrum margin at 1:     {margin.value:.3e}")
+        if identity is not None:
+            print(f"identity residuals:       plus={identity[0]:.3e} minus={identity[1]:.3e}")
         print(f"verdict: {'pass' if verdict else 'FAIL'}")
         return 0 if verdict else 1
     f = _load_pencil(args.pencil, pol)
@@ -413,26 +206,15 @@ def _cmd_colligate(args) -> int:
 def _cmd_calculus(args) -> int:
     pol = _policy_from(args)
     f = _load_pencil(args.pencil, pol)
-    rng = np.random.default_rng(args.seed)
-    fcoeffs = taylor_from_function(DiskFunctionView(f, pol=pol).eval_F, f.num_vars, f.dim_u,
-                                   degree=args.degree)
     rows = []
     failed = False
-    for i in range(args.tuples):
-        t = random_contraction_tuple(rng, f.num_vars, args.dim, target_norm=0.5, pol=pol)
-        r = random_accretive_tuple(rng, f.num_vars, args.dim, pol=pol)  # independent check tuple
-        ok, lo = accretive_positivity_check(f, r, pol)
-        series_val, tail = calc_series(fcoeffs, t, pol)
-        realized_val = calc_realized(f, operator_cayley(t, pol), pol)
-        agree = float(np.linalg.norm(series_val - realized_val, 2))
-        budget = tail + pol.residual_tol * (1.0 + np.linalg.norm(realized_val, 2))
-        row = {"tuple": i, "positivity_min_eig": lo, "positive": bool(ok),
-               "series_vs_realized": agree, "tail": tail,
-               "agree": bool(agree <= budget)}
+    for row in calculus_cross_checks(f, args.seed, args.tuples, args.dim, args.degree, pol):
         rows.append(row)
-        failed = failed or not (row["positive"] and row["agree"])
-        status = "pass" if row["positive"] and row["agree"] else "FAIL"
-        print(f"{status:4s}  tuple {i}: min-eig={lo:.3e} series-vs-realized={agree:.3e} (tail {tail:.1e})")
+        ok = row["positive"] and row["agree"]
+        failed = failed or not ok
+        print(f"{'pass' if ok else 'FAIL':4s}  tuple {row['tuple']}: "
+              f"min-eig={row['positivity_min_eig']:.3e} "
+              f"series-vs-realized={row['series_vs_realized']:.3e} (tail {row['tail']:.1e})")
     if args.out:
         serialize.dump({"seed": args.seed, "rows": rows}, args.out)
     return 1 if failed else 0
@@ -468,11 +250,8 @@ def _cmd_hunt(args) -> int:
     pol = _policy_from(args)
     config = HuntConfig(num_vars=args.num_vars, trials=args.trials, dim=args.dim,
                         seed=args.seed, degree=args.degree)
-    rng = np.random.default_rng(args.seed + 1)
-    candidates = []
-    for i in range(args.candidates):
-        f = random_pencil(rng, args.num_vars, 1, 3, pol=pol)
-        candidates.append((f"pencil-control-{i}", f))
+    candidates = pencil_controls(config, args.candidates, pol)
+    controls = {name for name, _ in candidates}
     if args.candidate:
         candidates.append((args.candidate, _load_candidate(args.candidate)))
     sink = open(args.out, "w") if args.out else sys.stdout
@@ -489,7 +268,7 @@ def _cmd_hunt(args) -> int:
           f"violations: {len(violations)}", file=sys.stderr)
     # pencil-backed controls satisfy the von Neumann inequality, so a
     # violation among them is a fault of the harness and fails the run
-    return 1 if any(name.startswith("pencil-control-") for name in violations) else 0
+    return 1 if any(name in controls for name in violations) else 0
 
 
 def _int_at_least(lower: int):

@@ -189,10 +189,10 @@ class DehomogenizedView:
         return like_points(zp, as_evaluator(self.source, pol)(full))
 
 
-def dehomogenize(f, num_vars: int | None = None) -> DehomogenizedView:
-    n = getattr(f, "num_vars", num_vars)
+def dehomogenize(f) -> DehomogenizedView:
+    n = getattr(f, "num_vars", None)
     if n is None:
-        raise ValidationError("num_vars required for callable sources")
+        raise ValidationError("de-homogenization needs a source with num_vars")
     if n < 2:
         raise ValidationError("de-homogenization needs at least two variables")
     return DehomogenizedView(f, n)

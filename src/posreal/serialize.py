@@ -57,16 +57,23 @@ def _pairs(a: np.ndarray) -> list:
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def _from_pairs(data, ndim: int, what: str, layout: str) -> np.ndarray:
-    """Complex array of ``ndim`` axes from nested [re, im] pairs.
-
-    The pairs are reinterpreted as complex128 in place, so every float,
-    including -0.0, comes back bit for bit.
-    """
+def _floats(data, what: str) -> np.ndarray:
+    """Nested JSON numbers as one float array; a bool, which float() would read as 1.0 or 0.0, is refused."""
     try:
         a = np.ascontiguousarray(data, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:  # an integer beyond float range overflows
         raise ValidationError(f"malformed {what} JSON: {exc}") from exc
+    if a.size and (np.frompyfunc(type, 1, 1)(np.array(data, dtype=object)) == bool).any():
+        raise ValidationError(f"malformed {what} JSON: true or false where a number is expected")
+    return a
+
+
+def _from_pairs(a: np.ndarray, ndim: int, what: str, layout: str) -> np.ndarray:
+    """Complex array of ``ndim`` axes from the float array of nested [re, im] pairs.
+
+    The pairs are reinterpreted as complex128 in place, so every float,
+    including -0.0, comes back bit for bit.
+    """
     if a.ndim != ndim + 1 or a.shape[-1] != 2:
         raise ValidationError(f"{what} JSON must be {layout}")
     return a.view(complex)[..., 0]
@@ -80,10 +87,7 @@ def matrix_to_json(m) -> list:
 
 
 def matrix_from_json(data, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    try:
-        a = np.asarray(data, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"malformed matrix JSON: {exc}") from exc
+    a = _floats(data, "matrix")
     if a.size == 0:
         out = np.zeros((a.shape[0] if a.ndim >= 2 else 0, 0), dtype=complex)
     else:
@@ -103,7 +107,7 @@ def points_to_json(pts) -> list:
 
 
 def points_from_json(data) -> np.ndarray:
-    return _from_pairs(data, 2, "points", "a list of [re, im] coordinate lists")
+    return _from_pairs(_floats(data, "points"), 2, "points", "a list of [re, im] coordinate lists")
 
 
 def pencil_to_json(obj) -> dict:
@@ -222,7 +226,7 @@ def kernel_samples_from_json(data: dict) -> KernelSampleSet:
         if isinstance(raw, dict):
             f_samples = _unpack(raw, len(grid), None, "f_samples")
         else:
-            f_samples = _from_pairs(np.asarray(raw, dtype=float), 3, "matrix", _MATRIX_LAYOUT)
+            f_samples = _from_pairs(_floats(raw, "kernel sample"), 3, "matrix", _MATRIX_LAYOUT)
         factors = []
         for tab in data["factors"]:
             if isinstance(tab, dict):
@@ -230,7 +234,7 @@ def kernel_samples_from_json(data: dict) -> KernelSampleSet:
                 continue
             if len(tab) != len(grid):
                 raise ValidationError("factor table length disagrees with the grid")
-            a = np.asarray(tab, dtype=float)
+            a = _floats(tab, "kernel sample")
             if a.shape == (len(grid), 0):
                 # an empty factor block: every grid point has zero rows
                 factors.append(np.zeros((len(grid), 0, f_samples.shape[1]), dtype=complex))

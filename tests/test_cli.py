@@ -12,10 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from posreal import cli, kernels, serialize
+from posreal import calculus, cli, kernels, serialize
 from posreal.calculus import TAYLOR_SUP_RADIUS, calc_series
 from posreal.cayley import DiskFunctionView, DiskKernelEvaluator, disk_to_halfplane, inv_double_cayley
-from posreal.cli import main, run_verification
+from posreal.cli import main
+from posreal.verify import run_verification
 from posreal.colligation import build_colligation, transfer_eval
 from posreal.core import DEFAULT_POLICY, eigh_or_refuse, hermitian_part
 from posreal.pencil import PsdPencil, RealizedFunction, compress_realization
@@ -443,7 +444,7 @@ class TestPipelines:
             tables.append(coeffs)
             return calc_series(coeffs, t, pol)
 
-        monkeypatch.setattr(cli, "calc_series", spy)
+        monkeypatch.setattr(calculus, "calc_series", spy)
         assert main(["calculus", "--pencil", parallel_file, "--tuples", "1",
                      "--dim", "2", "--seed", "4", "--degree", "30"]) == 0
         ring = TAYLOR_SUP_RADIUS * np.exp(2j * np.pi * np.arange(64) / 64)
@@ -643,13 +644,20 @@ class TestInputErrors:
         ("verify", "N", None, 2.5), ("verify", "p", None, 2.5), ("verify", "n", None, True),
         ("colligate", "dims", 0, 2.5), ("colligate", "selfadjoint", None, "x"),
         ("colligate", "selfadjoint", None, None), ("colligate", "selfadjoint", None, []),
+        ("kernels", "f_samples", None, [[[[10 ** 400, 0.0]]]] * 3),
+        ("kernels", "factors", 0, [[[[10 ** 400, 0.0]]]] * 3),
     ])
     def test_malformed_field_is_input_error(self, parallel_file, tmp_path, capsys,
                                             command, key, index, value):
-        # the first eight used to escape the loader as a traceback with exit 1;
-        # int() truncated the other counts and bool() read any flag as truthy
+        # the first eight and the last two (nested-pairs kernel tables) used to
+        # escape the loader as a traceback with exit 1; int() truncated the
+        # other counts and bool() read any flag as truthy
         if command == "verify":
             source, argv = parallel_file, ["verify", "--grid", "3", "--pencil"]
+        elif command == "kernels":
+            source = str(tmp_path / "samples.json")
+            assert main(["kernels", "--pencil", parallel_file, "--grid", "3", "--out", source]) == 0
+            argv = ["kernels", "--rebuild"]
         else:
             source = str(tmp_path / "colligation.json")
             assert main(["colligate", "--pencil", parallel_file, "--grid", "5", "--out", source]) == 0
@@ -666,20 +674,61 @@ class TestInputErrors:
         assert "malformed" in capsys.readouterr().err
 
 
+def _with_a_boolean(kind, parallel_file, tmp_path):
+    """(argv, file) of a run whose input file of ``kind`` has ``true`` where a number belongs."""
+    if kind == "pencil":
+        data = serialize.load(parallel_file)
+        data["coeffs"][0][0][0] = [True, 0.0]
+        argv = ["verify", "--grid", "3", "--pencil"]
+    elif kind == "colligation":
+        source = str(tmp_path / "colligation.json")
+        assert main(["colligate", "--pencil", parallel_file, "--grid", "5", "--out", source]) == 0
+        data = serialize.load(source)
+        data["U"][0][0][1] = False
+        argv = ["colligate", "--colligation"]
+    elif kind == "kernel-samples":
+        source = str(tmp_path / "samples.json")
+        assert main(["kernels", "--pencil", parallel_file, "--grid", "3", "--out", source]) == 0
+        data = serialize.load(source)
+        data["grid"][0][0] = [True, 0.0]
+        argv = ["kernels", "--rebuild"]
+    elif kind == "points":
+        data = [[[True, 0.0], [1.0, 0.0]]]
+        argv = ["eval", "--pencil", parallel_file, "--points"]
+    else:
+        data = {"J_U": [[[True, 0.0]]]}
+        argv = ["verify", "--grid", "3", "--pencil", parallel_file, "--iota"]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(data))
+    return argv + [str(path)]
+
+
+@pytest.mark.parametrize("kind", ["pencil", "colligation", "kernel-samples", "points", "iota"])
+def test_boolean_where_a_number_belongs_is_input_error(parallel_file, tmp_path, capsys, kind):
+    # float() reads true as 1.0 and false as 0.0; a count (_count) and a flag
+    # (_flag) already refuse a value of the other kind
+    argv = _with_a_boolean(kind, parallel_file, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "true or false where a number is expected" in capsys.readouterr().err
+
+
 class TestAglerGrid:
     @pytest.fixture
     def received(self, monkeypatch):
         """Records the number of points each Agler identity check is given."""
-        from posreal import cli
+        from posreal.colligation import agler_identity_residual
 
         seen = []
-        real = cli.agler_identity_residual
 
         def spy(coll, ws, pol):
             seen.append(len(ws))
-            return real(coll, ws, pol)
+            return agler_identity_residual(coll, ws, pol)
 
-        monkeypatch.setattr(cli, "agler_identity_residual", spy)
+        # every binding: synthesis in the CLI, the check of a loaded file in verify
+        for name, module in list(sys.modules.items()):
+            if name.startswith("posreal") and getattr(module, "agler_identity_residual", None) is agler_identity_residual:
+                monkeypatch.setattr(module, "agler_identity_residual", spy)
         return seen
 
     # disk_grid(N, g) holds g points for odd g: (g - 1) / 2 draws, their

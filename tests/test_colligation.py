@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from posreal.cayley import DiskFunctionView, DiskKernelEvaluator, disk_to_halfplane, inv_double_cayley
-from posreal.cli import run_verification
+from posreal.verify import run_verification
 from posreal.colligation import (
     AglerColligation,
     agler_identity_residual,

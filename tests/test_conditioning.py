@@ -22,7 +22,7 @@ from posreal.cayley import (
     inv_value_cayley,
     value_cayley,
 )
-from posreal.cli import run_verification
+from posreal.verify import run_verification
 from posreal.colligation import (
     AglerColligation,
     build_colligation,

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posreal.cli import run_verification
+from posreal.verify import run_verification
 from posreal.core import (
     DEFAULT_POLICY,
     TolerancePolicy,

@@ -253,6 +253,13 @@ class TestDehomogenization:
         with pytest.raises(ValidationError):
             h(np.array([-1.0, 1.0]))  # quotient -1 outside the half domain
 
+    def test_source_without_num_vars_is_refused(self):
+        # a bare callable does not say how many variables it takes
+        with pytest.raises(ValidationError, match="needs a source with num_vars"):
+            dehomogenize(lambda z, pol=None: z)
+        with pytest.raises(TypeError):
+            dehomogenize(lambda z, pol=None: z, 2)
+
     def test_refuses_a_batch_with_one_quotient_outside(self, parallel):
         h = homogenize(dehomogenize(parallel), 2)
         pts = np.array([[1.0, 1.0], [2.0 + 1j, 1.0], [1.0, -1.0]])

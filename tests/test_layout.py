@@ -26,6 +26,11 @@ matrix whose condition exceeds 10 before inverting it.
 conditioning estimate and one refusal threshold.  The exception is that
 same sampler, whose redraw is not a refusal.
 
+The command line only parses, calls and prints: ``cli.py`` makes no
+``np.linalg`` call, so every norm, solve and decomposition of a run
+lives in a library module, where the verification battery and the
+other subcommands' math are.
+
 No orphans: a public definition (top-level function or class, or public
 method of a public class) that no library code mentions outside its own
 body is kept only with a row in the README's paper-to-code map, as a
@@ -153,6 +158,12 @@ def condition_estimates(source: str) -> list[str]:
     """
     return list(dict.fromkeys(func for func, call in calls_by_function(source)
                               if ast.unparse(call.func) == "np.linalg.cond"))
+
+
+def linalg_calls(source: str) -> list[str]:
+    """The ``np.linalg`` functions a module calls, each listed once, in source order."""
+    return list(dict.fromkeys(name for _, call in calls_by_function(source)
+                              if (name := ast.unparse(call.func)).startswith("np.linalg.")))
 
 
 def public_definitions(module: str, tree: ast.Module) -> dict[str, ast.AST]:
@@ -312,6 +323,21 @@ def test_condition_estimators_still_exist():
 ])
 def test_rule_detects_condition_estimates(source, hits):
     assert condition_estimates(source) == hits
+
+
+def test_cli_does_no_linear_algebra():
+    assert linalg_calls((PACKAGE / "cli.py").read_text()) == []
+
+
+@pytest.mark.parametrize("source, hits", [
+    ("def f(v):\n    return np.linalg.norm(v, 2)\n", ["np.linalg.norm"]),
+    ("x = np.linalg.solve(a, b)\ny = np.linalg.norm(x) + np.linalg.norm(b)\n",
+     ["np.linalg.solve", "np.linalg.norm"]),
+    ('def f(v):\n    """np.linalg.norm(v), in prose"""\n    return library_norm(v)\n', []),
+    ("def f(v):\n    return np.asarray(v), np.stack([v])\n", []),
+])
+def test_rule_detects_linalg_calls(source, hits):
+    assert linalg_calls(source) == hits
 
 
 @pytest.mark.parametrize("source, missing", [
