@@ -127,8 +127,10 @@ class _Run:
 
     def __init__(self, f: RealizedFunction, seed: int, grid_size: int, pol: TolerancePolicy,
                  iota_u: AntiUnitaryInvolution | None, iota_h: AntiUnitaryInvolution | None):
-        self.f, self.grid_size, self.pol, self.iota_u = f, grid_size, pol, iota_u
-        self.iota_h = AntiUnitaryInvolution.conjugation(f.dim_h) if iota_h is None else iota_h
+        self.f, self.grid_size, self.pol = f, grid_size, pol
+        if iota_u is not None and iota_h is None:
+            iota_h = AntiUnitaryInvolution.conjugation(f.dim_h)
+        self.iota_u, self.iota_h = iota_u, iota_h
         self.rng = np.random.default_rng(seed)
         self.disk = _attempt(DiskKernelEvaluator, f, pol)  # a psd_sqrt per coefficient
         self.ws = disk_grid(f.num_vars, grid_size, seed)
