@@ -64,10 +64,10 @@ def _parse_point(text: str, num_vars: int) -> np.ndarray:
 def _collect_points(args, num_vars: int) -> np.ndarray:
     pts = [_parse_point(text, num_vars) for text in args.point or []]
     if args.points:
-        pts.extend(serialize.points_from_json(serialize.load(args.points)))
+        pts.extend(serialize.points_from_json(serialize.load(args.points), num_vars))
     if not pts:
         raise ValidationError("no evaluation points given (use --point or --points)")
-    return np.stack([np.asarray(p, dtype=complex) for p in pts])
+    return np.stack(pts)
 
 
 def _print_matrices(points, values, label: str) -> None:
@@ -84,22 +84,6 @@ def _write_or_print(data: dict, out: str | None) -> None:
         print(serialize.dumps(data))
 
 
-def _load_iota(path: str | None):
-    if not path:
-        return None, None
-    data = serialize.load(path)
-    try:
-        iota_u = AntiUnitaryInvolution(serialize.matrix_from_json(data["J_U"]))
-        iota_h = (AntiUnitaryInvolution(serialize.matrix_from_json(data["J_H"]))
-                  if "J_H" in data else None)
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed iota JSON: {exc}") from exc
-    for iota in (iota_u, iota_h):
-        if iota is not None:
-            iota.validate()
-    return iota_u, iota_h
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -107,7 +91,7 @@ def _load_iota(path: str | None):
 def _cmd_verify(args) -> int:
     pol = _policy_from(args)
     f = _load_pencil(args.pencil, pol, validate=False)
-    iota_u, iota_h = _load_iota(args.iota)
+    iota_u, iota_h = serialize.iota_from_json(serialize.load(args.iota)) if args.iota else (None, None)
     if iota_u is not None and iota_u.dim != f.dim_u:
         raise ShapeError(f"--iota J_U is {iota_u.dim} x {iota_u.dim}, the pencil's n is {f.dim_u}")
     if iota_h is not None and iota_h.dim != f.dim_h:

@@ -4,6 +4,11 @@ Complex matrices serialize as row-major arrays of [re, im] pairs; the
 pencil, colligation, and kernel-sample formats wrap them with their
 shape metadata.  Arrays are encoded and decoded whole, never one entry
 at a time, and every file is written in one compact form (``dumps``).
+Every array field is read by one reader (``_array``, or ``_unpack`` for
+a packed table) against the shape its document declares, and every
+entry must be a JSON number.  Each refusal is a ``ValidationError``
+that names the document and the field (a bare matrix, as in a ``--iota``
+file, is named "matrix JSON").
 
 The two bulk arrays of a kernel-sample document, each ``factors[k]``
 table (g, m_k, n) and ``f_samples`` (g, n, n), are written packed:
@@ -31,7 +36,8 @@ import json
 import numpy as np
 
 from .colligation import AglerColligation
-from .core import DEFAULT_POLICY, ShapeError, ValidationError, as_matrix
+from .core import DEFAULT_POLICY, ValidationError, as_matrix
+from .geometry import AntiUnitaryInvolution
 from .kernels import KernelSampleSet
 from .pencil import PsdPencil, RealizedFunction
 
@@ -44,6 +50,7 @@ __all__ = [
     "pencil_from_json",
     "colligation_to_json",
     "colligation_from_json",
+    "iota_from_json",
     "kernel_samples_to_json",
     "kernel_samples_from_json",
     "dumps",
@@ -57,46 +64,52 @@ def _pairs(a: np.ndarray) -> list:
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def _floats(data, what: str) -> np.ndarray:
-    """Nested JSON numbers as one float array; a bool, which float() would read as 1.0 or 0.0, is refused."""
-    try:
-        a = np.ascontiguousarray(data, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:  # an integer beyond float range overflows
-        raise ValidationError(f"malformed {what} JSON: {exc}") from exc
-    if a.size and (np.frompyfunc(type, 1, 1)(np.array(data, dtype=object)) == bool).any():
-        raise ValidationError(f"malformed {what} JSON: true or false where a number is expected")
-    return a
+def _spec(shape: tuple) -> str:
+    return "(" + ", ".join("*" if s is None else str(s) for s in shape) + ")"
 
 
-def _from_pairs(a: np.ndarray, ndim: int, what: str, layout: str) -> np.ndarray:
-    """Complex array of ``ndim`` axes from the float array of nested [re, im] pairs.
+def _fits(shape: tuple, declared: tuple) -> bool:
+    return len(shape) == len(declared) and all(d is None or s == d for s, d in zip(shape, declared))
 
-    The pairs are reinterpreted as complex128 in place, so every float,
-    including -0.0, comes back bit for bit.
+
+_TYPE = np.frompyfunc(type, 1, 1)
+
+
+def _array(data, shape: tuple, what: str) -> np.ndarray:
+    """The complex array of the declared ``shape`` from nested [re, im] pairs.
+
+    Each axis of ``shape`` is a length, or None for any length.  Every
+    leaf must be a JSON number: a bool, string or null is refused, not
+    read as a number.  JSON writes an empty array only down to its first
+    empty axis (``[]`` for a (0, n) matrix), so the axes below it take
+    their declared length, or 0.  The pairs are reinterpreted as
+    complex128 in place, so every float, -0.0 included, comes back bit
+    for bit.  ``what`` names the document and field in each refusal.
     """
-    if a.ndim != ndim + 1 or a.shape[-1] != 2:
-        raise ValidationError(f"{what} JSON must be {layout}")
-    return a.view(complex)[..., 0]
-
-
-_MATRIX_LAYOUT = "rows of [re, im] pairs"
+    declared = (*shape, 2)
+    a = np.array(data, dtype=object)
+    got = a.shape + (tuple(d or 0 for d in declared[a.ndim:]) if a.size == 0 else ())
+    if not _fits(got, declared):  # ragged lists nest only as deep as they agree
+        raise ValidationError(f"malformed {what}: lists nested as {_spec(got)} where "
+                              f"{_spec(declared)} is declared, the last axis [re, im]")
+    types = _TYPE(a)
+    bad = (types != float) & (types != int)
+    if bad.any():
+        at = tuple(np.argwhere(bad)[0])
+        raise ValidationError(f"malformed {what}: {json.dumps(a[at])} at "
+                              f"{''.join(f'[{i}]' for i in at)} where a number is expected")
+    try:
+        return a.reshape(got).astype(float).view(complex)[..., 0]
+    except (OverflowError, ValueError) as exc:  # an integer beyond float range, or an empty axis too long
+        raise ValidationError(f"malformed {what}: {exc}") from exc
 
 
 def matrix_to_json(m) -> list:
     return _pairs(as_matrix(m))
 
 
-def matrix_from_json(data, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    a = _floats(data, "matrix")
-    if a.size == 0:
-        out = np.zeros((a.shape[0] if a.ndim >= 2 else 0, 0), dtype=complex)
-    else:
-        out = _from_pairs(a, 2, "matrix", _MATRIX_LAYOUT)
-    if rows is not None and out.shape[0] != rows:
-        raise ShapeError(f"expected {rows} rows, got {out.shape[0]}")
-    if cols is not None and out.shape[1] != cols:
-        raise ShapeError(f"expected {cols} columns, got {out.shape[1]}")
-    return out
+def matrix_from_json(data) -> np.ndarray:
+    return _array(data, (None, None), "matrix JSON")
 
 
 def points_to_json(pts) -> list:
@@ -106,8 +119,9 @@ def points_to_json(pts) -> list:
     return _pairs(p)
 
 
-def points_from_json(data) -> np.ndarray:
-    return _from_pairs(_floats(data, "points"), 2, "points", "a list of [re, im] coordinate lists")
+def points_from_json(data, num_vars: int) -> np.ndarray:
+    """A (B, num_vars) point array; a point with another coordinate count is refused."""
+    return _array(data, (None, num_vars), "points JSON")
 
 
 def pencil_to_json(obj) -> dict:
@@ -138,14 +152,10 @@ def pencil_from_json(data: dict, validate: bool = True, pol=DEFAULT_POLICY) -> P
     try:
         num_vars, n, p = _count(data["N"]), _count(data["n"]), _count(data["p"])
         raw = data["coeffs"]
-        if not isinstance(raw, list):
-            raise TypeError(f"coeffs must be a list, not {type(raw).__name__}")
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed pencil JSON: {exc}") from exc
-    if len(raw) != num_vars:
-        raise ValidationError(f"pencil JSON declares N={num_vars} but has {len(raw)} coefficients")
-    coeffs = [matrix_from_json(m, rows=n + p, cols=n + p) for m in raw]
-    return PsdPencil.from_coeffs(coeffs, n, pol, validate=validate)
+    coeffs = _array(raw, (num_vars, n + p, n + p), "pencil JSON coeffs")
+    return PsdPencil.from_coeffs(list(coeffs), n, pol, validate=validate)
 
 
 def colligation_to_json(c: AglerColligation) -> dict:
@@ -161,11 +171,24 @@ def colligation_from_json(data: dict) -> AglerColligation:
     try:
         dims = tuple(_count(d) for d in data["dims"])
         n = _count(data["n"])
-        u = matrix_from_json(data["U"])
+        raw = data["U"]
         sa = _flag(data.get("selfadjoint", False))
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed colligation JSON: {exc}") from exc
-    return AglerColligation(dims, n, u, selfadjoint=sa)
+    size = sum(dims) + n
+    return AglerColligation(dims, n, _array(raw, (size, size), "colligation JSON U"), selfadjoint=sa)
+
+
+def iota_from_json(data: dict) -> tuple:
+    """The involutions (iota_U, iota_H) of a ``--iota`` file, each validated; iota_H is None without J_H."""
+    if not (isinstance(data, dict) and "J_U" in data):
+        raise ValidationError("malformed iota JSON: needs an object with a J_U matrix")
+    iotas = tuple(AntiUnitaryInvolution(matrix_from_json(data[key])) if key in data else None
+                  for key in ("J_U", "J_H"))
+    for iota in iotas:
+        if iota is not None:
+            iota.validate()
+    return iotas
 
 
 _PACKED = "complex128_le_base64"
@@ -177,34 +200,33 @@ def _pack(a: np.ndarray) -> dict:
     return {"shape": list(raw.shape), _PACKED: base64.b64encode(raw).decode("ascii")}
 
 
-def _unpack(data: dict, rows: int, cols: int | None, what: str) -> np.ndarray:
-    """A writable native complex128 array of three axes from a packed table.
+def _unpack(data: dict, shape: tuple, what: str) -> np.ndarray:
+    """A writable native complex128 array of the declared ``shape`` from a packed table.
 
-    The table must have ``rows`` rows and ``cols`` entries on its last
-    axis (``cols=None``: as many as on its middle axis).  The values are
-    checked for finiteness by ``KernelSampleSet``, which every decoded
-    table goes into.
+    The values are checked for finiteness by ``KernelSampleSet``, which
+    every decoded table goes into.
     """
-    shape = data.get("shape")
-    if not (isinstance(shape, list) and len(shape) == 3
-            and all(type(s) is int and s >= 0 for s in shape)):
-        raise ValidationError(f"packed {what} shape must be three non-negative integers")
+    got = data.get("shape")
+    if not (isinstance(got, list) and len(got) == 3 and all(type(s) is int and s >= 0 for s in got)):
+        raise ValidationError(f"malformed {what}: packed shape must be three non-negative integers")
     payload = data.get(_PACKED)
     if not isinstance(payload, str):
-        raise ValidationError(f"packed {what} needs a {_PACKED} string")
+        raise ValidationError(f"malformed {what}: needs a {_PACKED} string")
     try:
         raw = base64.b64decode(payload, validate=True)
     except ValueError as exc:
-        raise ValidationError(f"packed {what} is not valid base64: {exc}") from exc
-    need = 16 * shape[0] * shape[1] * shape[2]  # Python ints: no overflow
+        raise ValidationError(f"malformed {what}: not valid base64: {exc}") from exc
+    need = 16 * got[0] * got[1] * got[2]  # Python ints: no overflow
     if len(raw) != need:
-        raise ValidationError(f"packed {what} of shape {shape} needs {need} bytes, "
-                              f"got {len(raw)}")
-    if shape[0] != rows:
-        raise ValidationError(f"packed {what} has {shape[0]} rows, the grid has {rows}")
-    if shape[2] != (shape[1] if cols is None else cols):
-        raise ValidationError(f"packed {what} of shape {shape} has the wrong last axis")
-    return np.frombuffer(raw, dtype="<c16").astype(complex).reshape(shape)
+        raise ValidationError(f"malformed {what}: packed shape {got} needs {need} bytes, got {len(raw)}")
+    if not _fits(got, shape):
+        raise ValidationError(f"malformed {what}: packed shape {_spec(got)} where {_spec(shape)} is declared")
+    return np.frombuffer(raw, dtype="<c16").astype(complex).reshape(got)
+
+
+def _table(data, shape: tuple, what: str) -> np.ndarray:
+    """A kernel-sample table: packed if a JSON object, else nested [re, im] pairs."""
+    return _unpack(data, shape, what) if isinstance(data, dict) else _array(data, shape, what)
 
 
 def kernel_samples_to_json(ks: KernelSampleSet) -> dict:
@@ -221,28 +243,16 @@ def kernel_samples_to_json(ks: KernelSampleSet) -> dict:
 def kernel_samples_from_json(data: dict) -> KernelSampleSet:
     """Decode a kernel-sample document; each table may be packed or nested pairs."""
     try:
-        grid = points_from_json(data["grid"])
-        raw = data["f_samples"]
-        if isinstance(raw, dict):
-            f_samples = _unpack(raw, len(grid), None, "f_samples")
-        else:
-            f_samples = _from_pairs(_floats(raw, "kernel sample"), 3, "matrix", _MATRIX_LAYOUT)
-        factors = []
-        for tab in data["factors"]:
-            if isinstance(tab, dict):
-                factors.append(_unpack(tab, len(grid), f_samples.shape[1], "factor table"))
-                continue
-            if len(tab) != len(grid):
-                raise ValidationError("factor table length disagrees with the grid")
-            a = _floats(tab, "kernel sample")
-            if a.shape == (len(grid), 0):
-                # an empty factor block: every grid point has zero rows
-                factors.append(np.zeros((len(grid), 0, f_samples.shape[1]), dtype=complex))
-            else:
-                factors.append(_from_pairs(a, 3, "matrix", _MATRIX_LAYOUT))
-    except (KeyError, TypeError, ValueError) as exc:
+        grid, raw, tables = data["grid"], data["f_samples"], data["factors"]
+        if not isinstance(tables, list):
+            raise TypeError(f"factors must be a list, not {type(tables).__name__}")
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed kernel sample JSON: {exc}") from exc
-    return KernelSampleSet(grid, tuple(factors), f_samples)
+    grid = _array(grid, (None, len(tables)), "kernel sample JSON grid")
+    f_samples = _table(raw, (len(grid), None, None), "kernel sample JSON f_samples")
+    factors = tuple(_table(t, (len(grid), None, f_samples.shape[1]), f"kernel sample JSON factors[{k}]")
+                    for k, t in enumerate(tables))
+    return KernelSampleSet(grid, factors, f_samples)
 
 
 def dumps(obj) -> str:

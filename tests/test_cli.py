@@ -583,6 +583,16 @@ class TestInputErrors:
         assert main(["eval", "--pencil", parallel_file, "--points", str(pts)]) == 2
         assert "malformed points JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "cayley"])
+    def test_points_file_of_another_width_is_input_error(self, parallel_file, tmp_path, capsys,
+                                                          command):
+        # np.stack of the --point and --points coordinates raised ValueError (exit 1)
+        pts = tmp_path / "pts.json"
+        serialize.dump(serialize.points_to_json(np.array([[0.5, 0.5, 0.5]])), str(pts))
+        argv = [command, "--pencil", parallel_file, "--point", "0.5,0.5", "--points", str(pts)]
+        assert main(argv) == 2
+        assert "malformed points JSON: lists nested as (1, 3, 2) where (*, 2, 2)" in capsys.readouterr().err
+
     def test_pencil_directory_is_input_error(self, tmp_path, capsys):
         assert main(["eval", "--pencil", str(tmp_path), "--point", "1,1"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -674,43 +684,51 @@ class TestInputErrors:
         assert "malformed" in capsys.readouterr().err
 
 
-def _with_a_boolean(kind, parallel_file, tmp_path):
-    """(argv, file) of a run whose input file of ``kind`` has ``true`` where a number belongs."""
+def _with_a_leaf(kind, leaf, parallel_file, tmp_path):
+    """argv of a run whose input file of ``kind`` has ``leaf`` where a number belongs."""
     if kind == "pencil":
         data = serialize.load(parallel_file)
-        data["coeffs"][0][0][0] = [True, 0.0]
+        data["coeffs"][0][0][0] = [leaf, 0.0]
         argv = ["verify", "--grid", "3", "--pencil"]
     elif kind == "colligation":
         source = str(tmp_path / "colligation.json")
         assert main(["colligate", "--pencil", parallel_file, "--grid", "5", "--out", source]) == 0
         data = serialize.load(source)
-        data["U"][0][0][1] = False
+        data["U"][0][0][1] = leaf
         argv = ["colligate", "--colligation"]
     elif kind == "kernel-samples":
         source = str(tmp_path / "samples.json")
         assert main(["kernels", "--pencil", parallel_file, "--grid", "3", "--out", source]) == 0
         data = serialize.load(source)
-        data["grid"][0][0] = [True, 0.0]
+        data["grid"][0][0] = [leaf, 0.0]
         argv = ["kernels", "--rebuild"]
     elif kind == "points":
-        data = [[[True, 0.0], [1.0, 0.0]]]
+        data = [[[leaf, 0.0], [1.0, 0.0]]]
         argv = ["eval", "--pencil", parallel_file, "--points"]
     else:
-        data = {"J_U": [[[True, 0.0]]]}
+        data = {"J_U": [[[leaf, 0.0]]]}
         argv = ["verify", "--grid", "3", "--pencil", parallel_file, "--iota"]
     path = tmp_path / f"{kind}.json"
     path.write_text(json.dumps(data))
     return argv + [str(path)]
 
 
-@pytest.mark.parametrize("kind", ["pencil", "colligation", "kernel-samples", "points", "iota"])
-def test_boolean_where_a_number_belongs_is_input_error(parallel_file, tmp_path, capsys, kind):
-    # float() reads true as 1.0 and false as 0.0; a count (_count) and a flag
-    # (_flag) already refuse a value of the other kind
-    argv = _with_a_boolean(kind, parallel_file, tmp_path)
+KINDS = ["pencil", "colligation", "kernel-samples", "points", "iota"]
+
+
+@pytest.mark.parametrize("kind, leaf", [
+    *(pytest.param(kind, kind != "colligation", id=kind) for kind in KINDS),
+    *(pytest.param(kind, "0.5", id=f"{kind}-string") for kind in KINDS),
+    *(pytest.param(kind, None, id=f"{kind}-null") for kind in KINDS),
+])
+def test_boolean_where_a_number_belongs_is_input_error(parallel_file, tmp_path, capsys, kind, leaf):
+    # float() reads true as 1.0 and false as 0.0, numpy parsed "0.5" as 0.5 and
+    # read null as NaN; a count (_count) and a flag (_flag) already refuse a
+    # value of the other kind
+    argv = _with_a_leaf(kind, leaf, parallel_file, tmp_path)
     capsys.readouterr()
     assert main(argv) == 2
-    assert "true or false where a number is expected" in capsys.readouterr().err
+    assert "where a number is expected" in capsys.readouterr().err
 
 
 class TestAglerGrid:

@@ -38,7 +38,11 @@ paper statement, a named cross-check or a benchmark pin.  The rows whose
 library-caller column reads "none" are exactly the orphans, every row
 names an existing definition and an existing test, and every other row's
 definition does have a library caller.  So an alias or wrapper that only
-tests call cannot be added without the map saying why it stays.
+tests call cannot be added without the map saying why it stays.  A
+caller of a top-level function or class is resolved per module, through
+the module's own definitions, its ``from`` imports and its module
+aliases, so two modules' definitions of one name are told apart; a
+method's callers are still counted by name.
 """
 
 import ast
@@ -186,13 +190,59 @@ def mentions(node: ast.AST) -> Counter:
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
+def top_level_mentions(module: str, tree: ast.Module, node: ast.AST) -> Counter:
+    """How often each top-level ``module.name`` of the package is mentioned in ``node``,
+    a part of ``module`` whose syntax tree is ``tree``.
+
+    A bare name resolves through the module's own top-level definitions
+    and its ``from`` imports; ``alias.name`` resolves through a module
+    alias (``from . import alias`` or ``import posreal.alias``).
+    """
+    bare = {n.name: f"{module}.{n.name}" for n in tree.body
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    aliases = {}
+    for imp in ast.walk(tree):
+        if isinstance(imp, ast.ImportFrom) and (imp.level or (imp.module or "").startswith("posreal")):
+            source = (imp.module or "").removeprefix("posreal").lstrip(".")
+            for a in imp.names:
+                if source:
+                    bare[a.asname or a.name] = f"{source}.{a.name}"
+                else:
+                    aliases[a.asname or a.name] = a.name
+        elif isinstance(imp, ast.Import):
+            for a in imp.names:
+                if a.name.startswith("posreal.") and a.asname:
+                    aliases[a.asname] = a.name.removeprefix("posreal.")
+    found = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and n.id in bare:
+            found[bare[n.id]] += 1
+        elif (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+              and n.value.id in aliases):
+            found[f"{aliases[n.value.id]}.{n.attr}"] += 1
+    return found
+
+
 def orphans(sources: dict[str, str]) -> set[str]:
-    """Public definitions of the {module: source} package that no code mentions outside their own body."""
+    """Public definitions of the {module: source} package that no code mentions outside their own body.
+
+    A top-level function or class counts only the mentions that resolve
+    to it (``top_level_mentions``), so two modules' definitions of one
+    name are told apart; a method counts every mention of its name.
+    """
     trees = {module: ast.parse(source) for module, source in sources.items()}
     everywhere = sum((mentions(tree) for tree in trees.values()), Counter())
-    return {key for module, tree in trees.items()
-            for key, node in public_definitions(module, tree).items()
-            if everywhere[node.name] == mentions(node)[node.name]}
+    resolved = sum((top_level_mentions(m, tree, tree) for m, tree in trees.items()), Counter())
+    found = set()
+    for module, tree in trees.items():
+        for key, node in public_definitions(module, tree).items():
+            if key.count(".") == 1:
+                lonely = resolved[key] == top_level_mentions(module, tree, node)[key]
+            else:
+                lonely = everywhere[node.name] == mentions(node)[node.name]
+            if lonely:
+                found.add(key)
+    return found
 
 
 def paper_map(readme: str) -> list[tuple[str, str, str]]:
@@ -395,10 +445,31 @@ def test_every_paper_map_row_resolves():
     ("def f(n):\n    return f(n - 1)\n", {"m.f"}),
     ("class C:\n    def a(self): pass\n    def b(self):\n        return self.a()\n",
      {"m.C", "m.C.b"}),
-    ("def f(): pass\nx = posreal.f\n", set()),
+    # ``posreal`` is no module alias here, so ``posreal.f`` does not resolve to m.f
+    ("def f(): pass\nx = posreal.f\n", {"m.f"}),
     ("def _h(): pass\nclass _C:\n    def a(self): pass\n", set()),
     ("def f():\n    def inner(): pass\n", {"m.f"}),
     ('def f():\n    """f, in prose only"""\n', {"m.f"}),
 ])
 def test_rule_detects_orphans(source, found):
     assert orphans({"m": source}) == found
+
+
+@pytest.mark.parametrize("sources, found", [
+    # two modules define one name: a.run is called by b.run, b.run by no one
+    ({"a": "def run(): pass\n", "b": "from . import a\ndef run():\n    return a.run()\n"},
+     {"b.run"}),
+    # a bare name of another module's definition needs a from-import
+    ({"a": "def f(): pass\n", "b": "def f(): pass\nx = f()\n"}, {"a.f"}),
+    ({"a": "def f(): pass\n", "b": "from .a import f as g\nx = g()\n"}, set()),
+    ({"a": "def f(): pass\n", "b": "from posreal.a import f\nx = f()\n"}, set()),
+    ({"a": "def f(): pass\n", "b": "import posreal.a as pa\nx = pa.f()\n"}, set()),
+    ({"a": "def f(): pass\n", "b": "from posreal import a\nx = a.f\n"}, set()),
+    # a module alias reaches only its own module's definition
+    ({"a": "def f(): pass\n", "b": "def f(): pass\n", "c": "from . import a\nx = a.f()\n"},
+     {"b.f"}),
+    # a method counts every mention of its name
+    ({"a": "class C:\n    def go(self): pass\n", "b": "x = thing.go()\n"}, {"a.C"}),
+])
+def test_rule_resolves_top_level_names_per_module(sources, found):
+    assert orphans(sources) == found

@@ -31,7 +31,7 @@ def test_malformed_matrix():
 
 def test_points_roundtrip(rng):
     pts = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-    assert np.array_equal(serialize.points_from_json(serialize.points_to_json(pts)), pts)
+    assert np.array_equal(serialize.points_from_json(serialize.points_to_json(pts), 3), pts)
 
 
 def test_pencil_roundtrip(rng):
@@ -232,9 +232,9 @@ def test_malformed_kernel_samples(kind):
 @pytest.mark.parametrize("kind, message", [
     ("ragged-table", "malformed kernel sample JSON"),
     ("ragged-f-samples", "malformed kernel sample JSON"),
-    ("table-length", "factor table length disagrees with the grid"),
-    ("last-axis", r"matrix JSON must be rows of \[re, im\] pairs"),
-    ("f-samples-last-axis", r"matrix JSON must be rows of \[re, im\] pairs"),
+    ("table-length", r"factors\[0\]: lists nested as \(1, 1, 1, 2\) where \(2, \*, 1, 2\) is declared"),
+    ("last-axis", r"factors\[0\]: lists nested as \(2, 1, 1, 4\) where \(2, \*, 1, 2\) is declared"),
+    ("f-samples-last-axis", r"f_samples: lists nested as \(2, 1, 1\) where \(2, \*, \*, 2\) is declared"),
 ])
 def test_malformed_kernel_sample_messages(kind, message):
     with pytest.raises(ValidationError, match=message):
@@ -318,9 +318,9 @@ def _bad_packed(f, kind):
     ("negative-shape", "three non-negative integers"),
     ("non-int-shape", "three non-negative integers"),
     ("huge-shape", "needs"),
-    ("row-count", "rows, the grid has"),
-    ("n-mismatch", "wrong last axis"),
-    ("f-samples-not-square", "wrong last axis"),
+    ("row-count", "factors[0]: packed shape (6, 1, 1) where (5, *, 1) is declared"),
+    ("n-mismatch", "factors[0]: packed shape (5, 1, 2) where (5, *, 1) is declared"),
+    ("f-samples-not-square", "f_samples must be a (g, n, n) array"),
     ("missing-payload", "complex128_le_base64"),
 ])
 def test_rebuild_from_malformed_packed_tables_is_input_error(tmp_path, capsys, parallel,
