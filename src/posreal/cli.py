@@ -206,8 +206,12 @@ def _cmd_calculus(args) -> int:
 
 def _cmd_netlist(args) -> int:
     pol = _policy_from(args)
-    with open(args.netlist) as fh:
-        net = parse_netlist(fh.read())
+    try:
+        with open(args.netlist, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{args.netlist} is not UTF-8 text: {exc}") from exc
+    net = parse_netlist(text)
     f = network_pencil(net, pol)
     print(f"network pencil: N={f.num_vars} n={f.dim_u} p={f.dim_h}")
     _write_or_print(serialize.pencil_to_json(f), args.out)

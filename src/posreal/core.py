@@ -101,8 +101,9 @@ class TolerancePolicy:
 
 DEFAULT_POLICY = TolerancePolicy()
 
-# Grid points b per block of the Gram formed in ``cross_gram_residual`` and
-# ``hermitian_split_residuals``.
+# Grid points per side of the square tiles of the Gram formed in
+# ``cross_gram_residual`` and ``hermitian_split_residuals``: a tile holds
+# (_ROW_BLOCK n)^2 entries whatever the grid size.
 _ROW_BLOCK = 32
 
 
@@ -192,17 +193,21 @@ def cross_gram_residual(x_adj, y_rows, scale=None) -> float:
     norm is the Frobenius norm and ``scale`` (g,) defaults to 1.  A
     two-point identity "weighted kernels sum to a target" holds exactly
     when such a cross-Gram vanishes, with the factor tables, the weights
-    and the target stacked into x and y.  The Gram is formed _ROW_BLOCK
-    points b at a time, one matrix product each, so memory is
-    O(_ROW_BLOCK g n^2), not O(g^2 n^2).  Entries that overflow give a
+    and the target stacked into x and y.  The Gram is formed in tiles of
+    _ROW_BLOCK x _ROW_BLOCK points (c, b), one matrix product each, so
+    memory beyond the families, which are read in place, is
+    O(_ROW_BLOCK^2 n^2) at any grid size.  Entries that overflow give a
     NaN or Inf residual, silently: a NaN is kept, so the caller refuses.
     """
     xh, yr, n, scale = _row_views(x_adj, y_rows, scale)
     worst = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for b in range(0, len(scale), _ROW_BLOCK):
-            res = _block_norms(xh @ yr[b * n:(b + _ROW_BLOCK) * n].T, n) / scale[b:b + _ROW_BLOCK]
-            worst = np.maximum(worst, np.max(res))  # unlike max(), keeps a NaN
+            cols_b = yr[b * n:(b + _ROW_BLOCK) * n].T
+            for c in range(0, len(scale), _ROW_BLOCK):
+                tile = xh[c * n:(c + _ROW_BLOCK) * n] @ cols_b  # E(c, b)
+                res = _block_norms(tile, n) / scale[b:b + _ROW_BLOCK]
+                worst = np.maximum(worst, np.max(res))  # unlike max(), keeps a NaN
     return float(worst)
 
 

@@ -247,6 +247,26 @@ def sample_kernels(f: RealizedFunction, grid, pol: TolerancePolicy = DEFAULT_POL
     return KernelEvaluator(f, pol).phi_table(grid)
 
 
+def _difference_adjoint(ks: KernelSampleSet, base: int) -> np.ndarray:
+    """The ((g - 1) n, m) adjoint of the stacked differences phi(b) - phi(e), b != e.
+
+    Block b holds the rows conj(phi(b) - phi(e))^T, in grid order, filled
+    from each factor table in place: one buffer, no stacked copy of phi.
+    """
+    g, n = ks.f_samples.shape[:2]
+    m = sum(t.shape[1] for t in ks.factors)
+    rows = np.empty((g - 1, n, m), dtype=complex)
+    lo = 0
+    for t in ks.factors:
+        hi = lo + t.shape[1]
+        block, t_e = rows[:, :, lo:hi], t[base].T
+        np.subtract(t[:base].transpose(0, 2, 1), t_e, out=block[:base])
+        np.subtract(t[base + 1:].transpose(0, 2, 1), t_e, out=block[base:])
+        np.conjugate(block, out=block)
+        lo = hi
+    return rows.reshape(-1, m)
+
+
 def pencil_from_kernel_samples(ks: KernelSampleSet,
                                pol: TolerancePolicy = DEFAULT_POLICY) -> RealizedFunction:
     """Rebuild a PSD pencil realization from sampled kernel factors.
@@ -266,6 +286,10 @@ def pencil_from_kernel_samples(ks: KernelSampleSet,
     interpolates the samples at every grid point, and reproduces the
     generating function off-grid once the grid saturates the difference
     span.
+
+    The QR reads one buffer (``_difference_adjoint``), filled straight
+    from the factor tables and freed before the interpolation check: the
+    only copy of the samples made beside the kernel identity's families.
     """
     res = ks.identity_residual()
     if not res <= pol.residual_tol:  # a NaN residual fails too
@@ -273,14 +297,12 @@ def pencil_from_kernel_samples(ks: KernelSampleSet,
             f"kernel identity violated on input samples (residual {res:.3e})")
     base = ks.base_index()
     n = ks.dim_u
-    phis = np.concatenate(ks.factors, axis=1)
-    phi_e = phis[base]
-    if len(phis) > 1:
+    phi_e = np.concatenate([t[base] for t in ks.factors])
+    if len(ks.grid) > 1:
         # stacked* = Q R, so stacked = R* Q* and the small R* has the left
         # singular vectors and singular values of stacked (the route of
         # ``colligation.build_colligation``)
-        diffs = np.delete(phis, base, axis=0) - phi_e
-        r = np.linalg.qr(diffs.conj().transpose(0, 2, 1).reshape(-1, len(phi_e)), mode="r")
+        r = np.linalg.qr(_difference_adjoint(ks, base), mode="r")  # frees the buffer
         q, sing, _ = np.linalg.svd(r.conj().T, full_matrices=False)
         # floor at the factor scale so all-roundoff difference columns
         # (constant psi, e.g. one variable) do not fake rank

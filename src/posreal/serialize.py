@@ -3,7 +3,11 @@
 Complex matrices serialize as row-major arrays of [re, im] pairs; the
 pencil, colligation, and kernel-sample formats wrap them with their
 shape metadata.  Arrays are encoded and decoded whole, never one entry
-at a time, and every file is written in one compact form (``dumps``).
+at a time, and every document has one compact text form (``dumps``).
+``dump`` encodes a document straight into its UTF-8 file, so the text
+is never held whole in memory; the file holds the bytes of ``dumps``
+and a newline.  ``load`` refuses a file that is not UTF-8, or that nests
+arrays deeper than the parser's recursion limit, as a ``ValidationError``.
 Every array field is read by one reader (``_array``, or ``_unpack`` for
 a packed table) against the shape its document declares, and every
 entry must be a JSON number.  Each refusal is a ``ValidationError``
@@ -255,21 +259,39 @@ def kernel_samples_from_json(data: dict) -> KernelSampleSet:
     return KernelSampleSet(grid, factors, f_samples)
 
 
+_SEPARATORS = (",", ":")
+
+
 def dumps(obj) -> str:
     """The one text form of every JSON file and stream: compact, on one line.
 
-    ``json.dumps`` without indent runs CPython's C encoder; floats are
-    written with ``repr`` and so load back exactly.
+    It is the form of ``dump``'s files and of the documents the CLI
+    prints and ``hunt`` streams.  ``json.dumps`` without indent runs
+    CPython's C encoder; floats are written with ``repr`` and so load
+    back exactly.
     """
-    return json.dumps(obj, separators=(",", ":"))
+    return json.dumps(obj, separators=_SEPARATORS)
 
 
 def dump(obj, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps(obj))
+    """Write ``dumps(obj)`` and a newline to ``path`` as UTF-8.
+
+    ``json.dump`` writes the text piece by piece as it encodes, so at
+    most one encoded string (the largest is a packed table's payload) is
+    held beside ``obj``, never the whole document.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, separators=_SEPARATORS)
         fh.write("\n")
 
 
 def load(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    """The JSON document of a UTF-8 file; text that is not UTF-8, or arrays
+    nested past the parser's recursion limit, are a ``ValidationError``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError(f"{path} nests JSON arrays or objects too deeply to read") from exc

@@ -10,6 +10,10 @@ not finite as a float (``NaN``, ``Infinity``, ``1e400``, ``10**400``)
 must exit 2; a list one entry shorter or longer and a deleted key may
 leave a valid file, so they only have to end in a documented exit code.
 
+A file that is not UTF-8, or that nests arrays past the JSON parser's
+recursion limit, exits 2 too, whichever command reads it; so does a
+netlist that is not UTF-8.
+
 Malformed text for the numeric options exits 2 as well: argparse leaves
 through ``SystemExit(2)`` and a NaN or negative ``--tol`` is refused by
 the tolerance policy.
@@ -140,6 +144,29 @@ def test_one_malformed_field_never_escapes(files, kind, mutation, pick):
         assert code == 2
     else:
         assert code in (0, 1, 2, 3)
+
+
+RAW = {
+    "not-utf8": b"\xff\xfe\x00" + b"[]",  # a UTF-16 byte-order mark is not UTF-8
+    "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("raw", sorted(RAW))
+@pytest.mark.parametrize("kind", ["pencil", "colligation", "packed-samples", "points", "iota"])
+def test_raw_bytes_are_input_errors(files, capsys, kind, raw):
+    root, docs = files
+    path = root / f"raw-{kind}-{raw}.json"
+    path.write_bytes(RAW[raw])
+    assert main(docs[kind][1] + [str(path)]) == 2
+    assert ("UTF-8" if raw == "not-utf8" else "too deeply") in capsys.readouterr().err
+
+
+def test_netlist_that_is_not_utf8_is_input_error(files, capsys):
+    path = files[0] / "raw.net"
+    path.write_bytes(RAW["not-utf8"] + b"\nports P\nbranch P GND z1 1\n")
+    assert main(["netlist", "--netlist", str(path)]) == 2
+    assert "UTF-8" in capsys.readouterr().err
 
 
 def _int_is_valid(text: str) -> bool:

@@ -155,15 +155,26 @@ def _rows(x, y):
     return x.conj().transpose(0, 2, 1), y.transpose(0, 2, 1)
 
 
-@pytest.mark.parametrize("g", [1, 5, 2 * core._ROW_BLOCK + 3])
-def test_primitive_on_explicit_families(g):
+_EDGE = 2 * core._ROW_BLOCK + 3  # two full tiles and a partial one
+
+
+@pytest.mark.parametrize("g, corner", [pytest.param(g, "b-last", id=str(g)) for g in (1, 5, _EDGE)]
+                         + [pytest.param(_EDGE, "c-last-b-first", id=f"{_EDGE}-c-last-b-first")])
+def test_primitive_on_explicit_families(g, corner):
     rng = np.random.default_rng(g)
     x = rng.standard_normal((g, 3, 2)) + 1j * rng.standard_normal((g, 3, 2))
     y = rng.standard_normal((g, 3, 2)) + 1j * rng.standard_normal((g, 3, 2))
     scale = 1.0 + rng.random(g)
-    scale[-1] = 1e-3  # the largest ratio sits in the last, partial block
-    want = max(np.linalg.norm(x[c].conj().T @ y[b]) / scale[b]
-               for b in range(g) for c in range(g))
+    if corner == "b-last":
+        scale[-1] = 1e-3  # the largest ratio has b in the last, partial tile
+    else:
+        scale[0] = 1e-3  # ... b in the first tile and c in the last, partial one
+        x[-1] *= 10.0
+    ratios = np.array([[np.linalg.norm(x[c].conj().T @ y[b]) / scale[b] for b in range(g)]
+                       for c in range(g)])
+    c, b = np.unravel_index(np.argmax(ratios), ratios.shape)
+    assert b == g - 1 if corner == "b-last" else (c, b) == (g - 1, 0)
+    want = ratios[c, b]
     assert cross_gram_residual(*_rows(x, y), scale) == pytest.approx(want, rel=1e-13)
     assert cross_gram_residual(*_rows(x, y)) == pytest.approx(
         max(np.linalg.norm(x[c].conj().T @ y[b]) for b in range(g) for c in range(g)), rel=1e-13)
@@ -178,6 +189,18 @@ def test_memory_stays_blockwise(traced_peak):
     res, peak = traced_peak(lambda: kernel_identity_residual(f, zs))
     assert res < 1e-12
     assert peak < dense_bytes / 10
+    # beyond the two families, read in place, the cross-Gram holds tiles of
+    # a fixed size: quadrupling the grid adds at most one tile to the peak
+    n, m = 4, 28
+    tile = (core._ROW_BLOCK * n) ** 2 * 16
+    peaks = []
+    for g in (150, 600):
+        rng = np.random.default_rng(g)
+        x = rng.standard_normal((g, n, m)) + 1j * rng.standard_normal((g, n, m))
+        y = rng.standard_normal((g, n, m)) + 1j * rng.standard_normal((g, n, m))
+        scale = 1.0 + rng.random(g)
+        peaks.append(traced_peak(lambda: cross_gram_residual(x, y, scale))[1])
+    assert peaks[1] - peaks[0] <= tile
 
 
 def _brute_split(x, y, scale):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from posreal import realize
-from posreal.core import DEFAULT_POLICY, ValidationError
+from posreal.core import DEFAULT_POLICY, ValidationError, scale_of
 from posreal.kernels import (
     KernelEvaluator,
     KernelSampleSet,
@@ -254,6 +254,56 @@ class TestReconstruction:
             holdout = halfplane_grid(2, 10, seed=int(rng.integers(1 << 30))) * (1 + 0.1j)
             err = np.linalg.norm(rebuilt(holdout) - f(holdout), axis=(1, 2))
             assert np.max(err / (1 + np.linalg.norm(f(holdout), axis=(1, 2)))) < 1e-8
+
+
+def _rebuilt_coeffs_reference(ks, pol=DEFAULT_POLICY):
+    """The coefficients of ``pencil_from_kernel_samples`` through its former staging:
+    concatenate the tables, delete the base row, subtract phi(e), conjugate,
+    and reshape the transpose into the QR input."""
+    base = ks.base_index()
+    phis = np.concatenate(ks.factors, axis=1)
+    phi_e = phis[base]
+    diffs = np.delete(phis, base, axis=0) - phi_e
+    r = np.linalg.qr(diffs.conj().transpose(0, 2, 1).reshape(-1, len(phi_e)), mode="r")
+    q, sing, _ = np.linalg.svd(r.conj().T, full_matrices=False)
+    floor = pol.psd_slack * max(sing.max(initial=0.0), scale_of(phi_e))
+    v = np.hstack([phi_e, q[:, :int(np.sum(sing > floor))]])
+    offsets = np.cumsum([0] + [t.shape[1] for t in ks.factors])
+    return [v[lo:hi].conj().T @ v[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
+
+
+def _hex(a):
+    return [x.hex() for x in np.asarray(a).view(float).ravel()]
+
+
+class TestRebuildStaging:
+    @pytest.mark.parametrize("at", ["first", "middle", "last"])
+    def test_coefficients_match_former_staging_bitwise(self, at):
+        f = random_pencil(np.random.default_rng(3), 3, 2, 4, rank_deficient=True)
+        ks = sample_kernels(f, halfplane_grid(3, 40, seed=2))
+        # move the base point, so the rows before and after it are both filled
+        g = len(ks.grid)
+        order = np.delete(np.arange(g), ks.base_index())
+        order = np.insert(order, {"first": 0, "middle": g // 2, "last": g - 1}[at], ks.base_index())
+        ks = KernelSampleSet(ks.grid[order], tuple(t[order] for t in ks.factors), ks.f_samples[order])
+        got = pencil_from_kernel_samples(ks).pencil.coeffs
+        want = _rebuilt_coeffs_reference(ks)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert _hex(a) == _hex(b)
+
+    def test_memory_stays_near_one_families_buffer(self, traced_peak):
+        f = random_pencil(np.random.default_rng(1), 3, 2, 4)
+        ks = sample_kernels(f, halfplane_grid(3, 1000, seed=1))
+        g, n = ks.f_samples.shape[:2]
+        m = sum(t.shape[1] for t in ks.factors)
+        families = 2 * g * n * (m + n) * 16  # the kernel identity's (2, g, n, m + n) buffer
+        rebuilt, peak = traced_peak(lambda: pencil_from_kernel_samples(ks))
+        assert rebuilt.dim_h > 0
+        # the QR input, (g - 1) n m entries, and LAPACK's copy of it are held
+        # after the families are freed; beyond them only buffers of a fixed
+        # size (cross-Gram tiles, numpy's ufunc buffers) add to the peak
+        assert peak < 1.5 * families
 
 
 class TestKernelHomogeneity:

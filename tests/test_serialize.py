@@ -168,13 +168,38 @@ def test_legacy_indented_files_load(tmp_path, rng):
         assert np.array_equal(a, b)
 
 
-def test_files_are_one_compact_line(tmp_path):
+def _documents(rng):
+    """A document of each kind that the CLI writes with ``dump``."""
+    f = random_pencil(rng, 3, 2, 3)
+    ks = sample_kernels(f, halfplane_grid(3, 9, seed=4))
+    u = np.array([[0.0, 1.0], [1.0, -0.0]], dtype=complex)
+    return [
+        serialize.pencil_to_json(f),
+        serialize.colligation_to_json(AglerColligation((1,), 1, u, selfadjoint=True)),
+        serialize.kernel_samples_to_json(ks),
+        serialize.kernel_samples_to_json(_signed_zero_samples()),
+        _old_kernel_samples(ks),  # nested [re, im] tables
+        serialize.points_to_json(halfplane_grid(3, 5, seed=2)),
+    ]
+
+
+def test_files_are_one_compact_line(tmp_path, rng):
+    path = tmp_path / "doc.json"
+    for data in _documents(rng):
+        serialize.dump(data, str(path))
+        raw = path.read_bytes()  # the streamed writer emits the bytes of dumps
+        assert raw == (serialize.dumps(data) + "\n").encode("utf-8")
+        assert raw.count(b"\n") == 1 and b" " not in raw
+
+
+def test_dump_never_holds_the_document_text(tmp_path, traced_peak):
+    f = random_pencil(np.random.default_rng(31), 3, 4, 16)
+    doc = serialize.kernel_samples_to_json(sample_kernels(f, halfplane_grid(3, 300, seed=1)))
+    length = len(serialize.dumps(doc))
     path = tmp_path / "samples.json"
-    data = serialize.kernel_samples_to_json(_signed_zero_samples())
-    serialize.dump(data, str(path))
-    text = path.read_text()
-    assert text == serialize.dumps(data) + "\n"
-    assert text.count("\n") == 1 and " " not in text
+    _, peak = traced_peak(lambda: serialize.dump(doc, str(path)))
+    assert os.path.getsize(path) == length + 1
+    assert peak < length
 
 
 def test_dump_load_roundtrips_exactly(tmp_path, rng):
