@@ -38,6 +38,7 @@ from .core import (
     eigh_or_refuse,
     eigvalsh_or_refuse,
     operator_norm,
+    point_blocks,
     relative_residual,
 )
 from .pencil import PencilBound, _refuse_ill_conditioned
@@ -205,29 +206,52 @@ def reflection_transfer(v: np.ndarray, dims, pts: np.ndarray,
     guard is certified by ``pencil.PencilBound`` of the Grams (V_u* V_u,
     V_1* V_1, ...) at weights (1, z_1, ...), which lie in the open right
     halfplane inside the open polydisk (+inf where mu lambda_min(V* V) <= 0).
+
+    M(w) is formed, guarded and solved one ``core.point_blocks`` block at
+    a time into the two outputs, with the certificate computed once, so
+    no (B, r, r) stack is held.  Every value keeps the bits of one
+    whole-batch solve, and a refusal reads as in ``pencil.schur_solve``.
     """
     bounds = np.cumsum((0,) + tuple(dims))
     vu = v[bounds[-1]:]
     blocks = [vu] + [v[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
     grams = hermitian_part(np.stack([blk.conj().T @ blk for blk in blocks]))
     z = (1.0 + pts) / (1.0 - pts)
-    m = np.tensordot(z, grams[1:], axes=(1, 0))
-    m += grams[0]
     weights = np.concatenate([np.ones((len(z), 1)), z], axis=1)
-    _refuse_ill_conditioned(m, pol, "M(w)", bound=PencilBound.of(grams).bound(weights))
-    t = np.linalg.solve(m, np.broadcast_to(vu.conj().T, (len(pts),) + vu.T.shape))
-    return t, np.eye(len(vu)) - 2.0 * (vu @ t)
+    bound = PencilBound.of(grams).bound(weights)
+    n, r = vu.shape
+    t = np.empty((len(pts), r, n), dtype=complex)
+    svals = np.empty((len(pts), n, n), dtype=complex)
+    flat = grams[1:].reshape(len(dims), r * r)
+    for blk in point_blocks(len(pts)):
+        m = np.dot(z[blk], flat).reshape(blk.stop - blk.start, r, r)  # sum_k z_k V_k* V_k
+        m += grams[0]
+        _refuse_ill_conditioned(m, pol, "M(w)", bound=bound[blk])
+        t[blk] = np.linalg.solve(m, np.broadcast_to(vu.conj().T, (len(m), r, n)))
+        np.subtract(np.eye(n), 2.0 * (vu @ t[blk]), out=svals[blk])
+    return t, svals
 
 
 def _state_solve(c: AglerColligation, pts: np.ndarray,
                  pol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
-    """P(w) as state weights (B, x) and (I - A P(w))^{-1} B (B, x, n), behind the guard."""
+    """P(w) as state weights (B, x) and (I - A P(w))^{-1} B (B, x, n), behind the guard.
+
+    I - A P(w) is formed, guarded and solved one ``core.point_blocks``
+    block at a time, with the certificate computed once, so no (B, x, x)
+    stack is held; every bit and refusal is that of a whole-batch solve,
+    as in ``pencil.schur_solve``.
+    """
     a, b, _, _ = c.blocks()
     x = c.dim_state
     pw = c.state_weights(pts)
-    sys = np.broadcast_to(np.eye(x, dtype=complex), (len(pts), x, x)) - a[None] * pw[:, None, :]
-    _refuse_ill_conditioned(sys, pol, "I - A P(w)", bound=transfer_condition_bound(c, pts))
-    return pw, np.linalg.solve(sys, np.broadcast_to(b, (len(pts),) + b.shape))
+    bound = transfer_condition_bound(c, pts)
+    sol = np.empty((len(pts), x, b.shape[1]), dtype=complex)
+    for blk in point_blocks(len(pts)):
+        w = pw[blk]
+        sys = np.broadcast_to(np.eye(x, dtype=complex), (len(w), x, x)) - a[None] * w[:, None, :]
+        _refuse_ill_conditioned(sys, pol, "I - A P(w)", bound=bound[blk])
+        sol[blk] = np.linalg.solve(sys, np.broadcast_to(b, (len(sys),) + b.shape))
+    return pw, sol
 
 
 def _transfer_from_state(c: AglerColligation, pw: np.ndarray, sol: np.ndarray) -> np.ndarray:
@@ -252,26 +276,23 @@ def transfer_condition_bound(c: AglerColligation, w) -> np.ndarray:
     return out
 
 
-def _family_rows(grid, tables, values) -> np.ndarray:
-    """P(w)^T and M(w)^T on the grid as one (2, g, n, m+n) stack, filled block by block.
+def _family_rows(grid, tables, values, op) -> np.ndarray:
+    """P(w)^T (``op`` np.add) or M(w)^T (np.subtract) on the grid, (g, n, m+n), filled block by block.
 
     P = (col_k((w_k + 1) h_k); I + S) and M = (col_k((w_k - 1) h_k); I - S)
     for the points ``grid`` (g, N), the tables h_k (g, m_k, n) of
     ``tables`` and S on the grid ``values`` (g, n, n).  Conjugated in
-    place, the stack holds the adjoints P* and M*.
+    place, the rows hold the adjoint P* or M*.
     """
     g, n = values.shape[:2]
     m = sum(t.shape[1] for t in tables)
-    rows = np.empty((2, g, n, m + n), dtype=complex)
+    rows = np.empty((g, n, m + n), dtype=complex)
     lo = 0
     for k, t in enumerate(tables):
         hi = lo + t.shape[1]
-        for i, wk in enumerate((grid[:, k] + 1.0, grid[:, k] - 1.0)):
-            np.multiply(wk[:, None, None], t.transpose(0, 2, 1), out=rows[i, :, :, lo:hi])
+        np.multiply(op(grid[:, k], 1.0)[:, None, None], t.transpose(0, 2, 1), out=rows[:, :, lo:hi])
         lo = hi
-    eye = np.eye(n)
-    np.add(eye, values.transpose(0, 2, 1), out=rows[0, :, :, m:])
-    np.subtract(eye, values.transpose(0, 2, 1), out=rows[1, :, :, m:])
+    op(np.eye(n), values.transpose(0, 2, 1), out=rows[:, :, m:])
     return rows
 
 
@@ -281,13 +302,14 @@ def transfer_identity_residuals(grid, tables, values, scale=None) -> tuple[float
     plus:  I - S(o)* S(w) = sum_k (1 - conj(o_k) w_k) h_k(o)* h_k(w)
     minus: S(w) - S(o)*   = sum_k (w_k - conj(o_k)) h_k(o)* h_k(w)
 
-    Arguments are those of ``_family_rows``; ``scale`` is passed to
+    ``grid``, ``tables`` and ``values`` are those of ``_family_rows``,
+    which builds P and M one at a time; ``scale`` is passed to
     ``hermitian_split_residuals``.  The pair is the Hermitian split of
     E(o, w) = M(o)* P(w) / 2: the sum E(o, w) + E(w, o)* is
     -sum_k (1 - conj(o_k) w_k) h_k(o)* h_k(w) + I - S(o)* S(w), and the
     difference is -sum_k (w_k - conj(o_k)) h_k(o)* h_k(w) + S(w) - S(o)*.
     """
-    p_rows, m_rows = _family_rows(grid, tables, values)
+    p_rows, m_rows = (_family_rows(grid, tables, values, op) for op in (np.add, np.subtract))
     p_rows *= 0.5  # exact, in place: the rows of P / 2
     np.conjugate(m_rows, out=m_rows)  # M*
     return hermitian_split_residuals(m_rows, p_rows, scale)
@@ -350,6 +372,18 @@ class ColligationSynthesis:
     selfadjointness_residual: float
 
 
+def _adjoint_r(pts, tables, svals, op) -> np.ndarray:
+    """R_P (``op`` np.add) or R_M (np.subtract) of ``build_colligation``.
+
+    The R factor of the thin QR of P* or M*, n rows per grid point.  Each
+    adjoint is built alone and freed on return, since numpy's qr copies
+    its whole input.
+    """
+    adj = _family_rows(pts, tables, svals, op)
+    np.conjugate(adj, out=adj)
+    return np.linalg.qr(adj.reshape(-1, adj.shape[2]), mode="r")
+
+
 def build_colligation(grid, theta_tables, schur_samples,
                       pol: TolerancePolicy = DEFAULT_POLICY) -> ColligationSynthesis:
     """Synthesize a selfadjoint unitary colligation interpolating grid data.
@@ -381,7 +415,7 @@ def build_colligation(grid, theta_tables, schur_samples,
 
     where P and M stack (col_k((w_k + 1) theta_k(w)); I + S(w)) and
     (col_k((w_k - 1) theta_k(w)); I - S(w)), the families whose Hermitian
-    split ``transfer_identity_residuals`` takes.  One batched thin QR of the
+    split ``transfer_identity_residuals`` takes.  A thin QR of each of the
     two half-size adjoints, P* = Q_P R_P and M* = Q_M R_M, gives
     [D ; R]* = Q [R1 | R2] with Q = T diag(Q_P, Q_M) orthonormal columns,
     R1 = [R_P ; R_M] / sqrt(2) and R2 = [R_P ; -R_M] / sqrt(2).  Exactly in
@@ -404,6 +438,12 @@ def build_colligation(grid, theta_tables, schur_samples,
     the closest involutive unitary and the achieved residuals are
     reported in the result rather than hidden.  Larger residuals are
     rejected.
+
+    Memory: P* and M* are built and QR-factored one at a time, each freed
+    after its QR, and the small factors (R_P, R_M, R1, R2 and the SVD)
+    are freed before the interpolation check.  That check evaluates
+    S on the grid through the blocked M(w) solve of ``reflection_transfer``,
+    so beyond its (g, r, n) and (g, n, n) outputs it holds one block of M(w).
     """
     pts = as_points(grid, len(theta_tables))
     g, num_vars = pts.shape
@@ -419,11 +459,7 @@ def build_colligation(grid, theta_tables, schur_samples,
     dims = tuple(t.shape[1] for t in tables)
     m = sum(dims)
 
-    # P* and M*, n rows per grid point: the (2, g n, m+n) stack that the QR reads.
-    adj = _family_rows(pts, tables, svals)
-    np.conjugate(adj, out=adj)
-    rp, rm = np.linalg.qr(adj.reshape(2, g * n, m + n), mode="r")
-    del adj
+    rp, rm = (_adjoint_r(pts, tables, svals, op) for op in (np.add, np.subtract))
     r1 = np.concatenate([rp, rm]) / np.sqrt(2.0)
     r2 = np.concatenate([rp, -rm]) / np.sqrt(2.0)
     svecs, sing, vh = np.linalg.svd(r1.conj().T, full_matrices=False)
@@ -451,6 +487,8 @@ def build_colligation(grid, theta_tables, schur_samples,
     u_full = np.eye(m + n, dtype=complex) + q @ (w0 - np.eye(rank, dtype=complex)) @ q.conj().T
     coll = AglerColligation(dims, n, u_full, selfadjoint=True, reflection=q @ evecs[:, evals < 0])
     unit, sa = coll.validate(pol)
+    # nothing reads the factors again: free them before the g-point transfer check
+    del rp, rm, r1, r2, svecs, vh, q
 
     tv = transfer_eval(coll, pts, pol)
     interp = relative_residual(tv, svals)

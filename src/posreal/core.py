@@ -33,6 +33,7 @@ __all__ = [
     "hermitian_part",
     "operator_norm",
     "argument_arc",
+    "point_blocks",
     "cross_gram_residual",
     "hermitian_split_residuals",
     "relative_residual",
@@ -101,9 +102,10 @@ class TolerancePolicy:
 
 DEFAULT_POLICY = TolerancePolicy()
 
-# Grid points per side of the square tiles of the Gram formed in
-# ``cross_gram_residual`` and ``hermitian_split_residuals``: a tile holds
-# (_ROW_BLOCK n)^2 entries whatever the grid size.
+# Grid points per block of ``point_blocks``: per side of the square tiles
+# of the Gram formed in ``cross_gram_residual`` and
+# ``hermitian_split_residuals``, which hold (_ROW_BLOCK n)^2 entries
+# whatever the grid size, and per solve of the grid solves.
 _ROW_BLOCK = 32
 
 
@@ -162,6 +164,40 @@ def argument_arc(pts) -> tuple[np.ndarray, np.ndarray]:
     return start, gap
 
 
+def point_blocks(count: int) -> list[slice]:
+    """Consecutive slices of _ROW_BLOCK points that cover range(count).
+
+    Every grid loop (the Gram tiles here, the d(z), M(w) and I - A P(w)
+    solves) walks its points in these blocks, so its working memory is
+    that of one block whatever the grid size.  A last block of one point
+    joins the block before it: a product with one row takes BLAS's
+    vector path, whose last bits can differ from the matrix path that
+    the same row takes in a larger product, so every point of a grid of
+    two or more gets the bits of one whole-grid product.
+    """
+    starts = list(range(0, count, _ROW_BLOCK))
+    if count > 1 and count % _ROW_BLOCK == 1:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [count])]
+
+
+def _rows(points: slice, n: int) -> slice:
+    """The rows of a block of points in a (g n, M) row view."""
+    return slice(points.start * n, points.stop * n)
+
+
+def _tile_buffers(count: int, blocks: list[slice], n: int) -> np.ndarray:
+    """``count`` flat buffers, each large enough for the tile of two of the blocks."""
+    side = n * max((s.stop - s.start for s in blocks), default=0)
+    return np.empty((count, side * side), dtype=complex)
+
+
+def _tile(buf: np.ndarray, c: slice, b: slice, n: int) -> np.ndarray:
+    """The C-contiguous (|c| n, |b| n) tile at the front of a flat buffer."""
+    rows, cols = (c.stop - c.start) * n, (b.stop - b.start) * n
+    return buf[:rows * cols].reshape(rows, cols)
+
+
 def _row_views(x_adj, y_rows, scale):
     """The (g n, M) views of two (g, n, M) families of one shape, n and the (g,) scale.
 
@@ -194,19 +230,22 @@ def cross_gram_residual(x_adj, y_rows, scale=None) -> float:
     two-point identity "weighted kernels sum to a target" holds exactly
     when such a cross-Gram vanishes, with the factor tables, the weights
     and the target stacked into x and y.  The Gram is formed in tiles of
-    _ROW_BLOCK x _ROW_BLOCK points (c, b), one matrix product each, so
-    memory beyond the families, which are read in place, is
-    O(_ROW_BLOCK^2 n^2) at any grid size.  Entries that overflow give a
-    NaN or Inf residual, silently: a NaN is kept, so the caller refuses.
+    two ``point_blocks`` (c, b), one matrix product each, written into one
+    reused buffer, so memory beyond the families, which are read in
+    place, is one tile, O(_ROW_BLOCK^2 n^2), at any grid size.  Entries
+    that overflow give a NaN or Inf residual, silently: a NaN is kept, so
+    the caller refuses.
     """
     xh, yr, n, scale = _row_views(x_adj, y_rows, scale)
+    blocks = point_blocks(len(scale))
+    buf = _tile_buffers(1, blocks, n)[0]
     worst = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for b in range(0, len(scale), _ROW_BLOCK):
-            cols_b = yr[b * n:(b + _ROW_BLOCK) * n].T
-            for c in range(0, len(scale), _ROW_BLOCK):
-                tile = xh[c * n:(c + _ROW_BLOCK) * n] @ cols_b  # E(c, b)
-                res = _block_norms(tile, n) / scale[b:b + _ROW_BLOCK]
+        for b in blocks:
+            cols_b = yr[_rows(b, n)].T
+            for c in blocks:
+                tile = np.matmul(xh[_rows(c, n)], cols_b, out=_tile(buf, c, b, n))  # E(c, b)
+                res = _block_norms(tile, n) / scale[b]
                 worst = np.maximum(worst, np.max(res))  # unlike max(), keeps a NaN
     return float(worst)
 
@@ -226,30 +265,33 @@ def hermitian_split_residuals(x_adj, y_rows, scale=None) -> tuple[float, float]:
     difference w - conj(o), the Herglotz sum/difference weights.
 
     The pair (b, c) mirrors (c, b): its blocks are the adjoints, of the
-    same norm, divided by scale(c).  So E is formed in tiles of
-    _ROW_BLOCK x _ROW_BLOCK points, and only the tiles C <= B, each once:
+    same norm, divided by scale(c).  So E is formed in tiles of two
+    ``point_blocks``, and only the tiles C <= B, each once:
     one product gives E[C, B] = x_adj[C] y_rows[B]^T, and the conjugate
     of y_rows[C] x_adj[B]^T is E[B, C]*, since y(c)* x(b) = conj(y(c)^T
     conj(x(b))).  The block norms of their sum and difference serve both
     (C, B) and (B, C).  That is a quarter of the work of two cross-Grams
-    of inner dimension 2M, in memory O(_ROW_BLOCK^2 n^2) beyond the
-    families, which are read in place.
+    of inner dimension 2M.  The two products and their sum or difference
+    are written into three reused tile buffers, so memory beyond the
+    families, which are read in place, is three tiles, O(_ROW_BLOCK^2 n^2).
     """
     xh, yr, n, scale = _row_views(x_adj, y_rows, scale)
+    blocks = point_blocks(len(scale))
+    bufs = _tile_buffers(3, blocks, n)
     worst = np.zeros(2)
     with np.errstate(over="ignore", invalid="ignore"):
-        for b in range(0, len(scale), _ROW_BLOCK):
-            rows_b = slice(b * n, (b + _ROW_BLOCK) * n)
-            for c in range(0, b + 1, _ROW_BLOCK):
-                rows_c = slice(c * n, (c + _ROW_BLOCK) * n)
-                tile = xh[rows_c] @ yr[rows_b].T  # E(c, b)
-                mirror = yr[rows_c] @ xh[rows_b].T
+        for b in blocks:
+            rows_b = _rows(b, n)
+            for c in point_blocks(b.stop):  # the blocks up to and including b
+                rows_c = _rows(c, n)
+                tile = np.matmul(xh[rows_c], yr[rows_b].T, out=_tile(bufs[0], c, b, n))  # E(c, b)
+                mirror = np.matmul(yr[rows_c], xh[rows_b].T, out=_tile(bufs[1], c, b, n))
                 np.conjugate(mirror, out=mirror)  # E(b, c)*
-                for i, norms in enumerate((_block_norms(tile + mirror, n),
-                                           _block_norms(tile - mirror, n))):
+                part = _tile(bufs[2], c, b, n)
+                for i, op in enumerate((np.add, np.subtract)):
+                    norms = _block_norms(op(tile, mirror, out=part), n)
                     worst[i] = np.maximum.reduce([  # keeps a NaN
-                        worst[i], np.max(norms / scale[b:b + _ROW_BLOCK]),
-                        np.max(norms / scale[c:c + _ROW_BLOCK, None])])
+                        worst[i], np.max(norms / scale[b]), np.max(norms / scale[c, None])])
     return float(worst[0]), float(worst[1])
 
 

@@ -30,6 +30,7 @@ from .core import (
     like_points,
     hermitian_part,
     eigvalsh_or_refuse,
+    point_blocks,
     psd_spectrum,
 )
 
@@ -128,8 +129,14 @@ class PsdPencil:
 
 
 def eval_pencil(pencil: PsdPencil, z) -> np.ndarray:
-    """A(z) = sum_k z_k A_k; batched over points."""
-    return like_points(z, np.tensordot(as_points(z, pencil.num_vars), pencil.stacked, axes=(1, 0)))
+    """A(z) = sum_k z_k A_k; batched over points.
+
+    One (B, N) x (N, dim^2) product, the one ``np.tensordot`` forms,
+    without its per-call set-up: the grid solves call this once a block.
+    """
+    pts = as_points(z, pencil.num_vars)
+    flat = np.dot(pts, pencil.stacked.reshape(pencil.num_vars, -1))
+    return like_points(z, flat.reshape(len(pts), pencil.dim, pencil.dim))
 
 
 @dataclass(frozen=True)
@@ -347,18 +354,34 @@ def schur_solve(f: RealizedFunction, z,
     so boundary evaluations stay detectable.  The guard first tries the
     certificate ``d_condition_bound``; points it does not clear fall back
     to the computed condition number, so the decision is the same.
+
+    The points are taken in ``core.point_blocks``: A(z) is assembled,
+    guarded and solved one block at a time into the two outputs, so the
+    working memory beyond them is one block's A(z), (n + p)^2 entries a
+    point, whatever the batch size.  Every value has the bits of one
+    whole-batch solve.  The certificate is computed once for the batch.
+    A refusal is raised by the first block that holds a refused d(z), and
+    its message gives the worst condition within that block: the same
+    text as one whole-batch guard, unless a later block holds a refused
+    d(z) of larger condition.
     """
     if not f.compressed:
         raise ValidationError("realization must be compressed before Schur evaluation")
     pts = as_points(z, f.num_vars)
-    n = f.dim_u
-    az = eval_pencil(f.pencil, pts)
-    a, b, c, d = az[:, :n, :n], az[:, :n, n:], az[:, n:, :n], az[:, n:, n:]
-    if f.dim_h == 0:
-        return a, c
-    _refuse_ill_conditioned(d, pol, "d(z)", bound=d_condition_bound(f, pts))
-    sol = np.linalg.solve(d, c)
-    return a - b @ sol, sol
+    n, p = f.dim_u, f.dim_h
+    vals = np.empty((len(pts), n, n), dtype=complex)
+    sol = np.empty((len(pts), p, n), dtype=complex)
+    bound = d_condition_bound(f, pts)
+    for blk in point_blocks(len(pts)):
+        az = eval_pencil(f.pencil, pts[blk])
+        a, b, c, d = az[:, :n, :n], az[:, :n, n:], az[:, n:, :n], az[:, n:, n:]
+        if p == 0:
+            vals[blk] = a
+            continue
+        _refuse_ill_conditioned(d, pol, "d(z)", bound=bound[blk])
+        sol[blk] = np.linalg.solve(d, c)
+        np.subtract(a, b @ sol[blk], out=vals[blk])
+    return vals, sol
 
 
 def eval_long_resolvent(f: RealizedFunction, z, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:

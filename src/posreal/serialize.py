@@ -276,12 +276,30 @@ def dumps(obj) -> str:
 def dump(obj, path: str) -> None:
     """Write ``dumps(obj)`` and a newline to ``path`` as UTF-8.
 
-    ``json.dump`` writes the text piece by piece as it encodes, so at
-    most one encoded string (the largest is a packed table's payload) is
-    held beside ``obj``, never the whole document.
+    A document (an object with string keys) is written member by member,
+    and a member that is a list item by item, each piece by the C encoder
+    of ``dumps``; the pieces join to the bytes of ``dumps(obj)``.  So at
+    most one piece (the largest is a packed table or a pencil coefficient)
+    is held beside ``obj``, never the whole document text, and no piece
+    goes through ``json.dump``'s pure-Python encoder.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, separators=_SEPARATORS)
+        if not (isinstance(obj, dict) and all(isinstance(key, str) for key in obj)):
+            fh.write(dumps(obj))
+        else:
+            fh.write("{")
+            for i, (key, value) in enumerate(obj.items()):
+                fh.write(("," if i else "") + dumps(key) + ":")
+                if isinstance(value, list):
+                    fh.write("[")
+                    for j, item in enumerate(value):
+                        if j:
+                            fh.write(",")
+                        fh.write(dumps(item))  # no concatenation: a piece may be a table
+                    fh.write("]")
+                else:
+                    fh.write(dumps(value))
+            fh.write("}")
         fh.write("\n")
 
 

@@ -655,8 +655,37 @@ class TestGramResidual:
         assert seen == {"exact", "approximate", "reject"}
 
 
+def _reflection_pencils(v, dims, pts):
+    """M(w) = V_u* V_u + sum_k z_k V_k* V_k at each point, written out here."""
+    bounds = np.cumsum((0,) + tuple(dims))
+    vu = v[bounds[-1]:]
+    m = np.broadcast_to(vu.conj().T @ vu, (len(pts),) + (v.shape[1],) * 2).copy()
+    z = (1.0 + pts) / (1.0 - pts)
+    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        m += z[:, k, None, None] * (v[lo:hi].conj().T @ v[lo:hi])
+    return m
+
+
+def _assert_covers_once(guarded, stage, expected):
+    """The guard calls of one evaluation: their stacks, concatenated in call
+    order, are ``expected`` (every point exactly once), each call guards
+    ``stage``, and every bound is finite and sound."""
+    assert guarded and [what for what, _, _ in guarded] == [stage] * len(guarded)
+    mats = np.concatenate([mats for _, mats, _ in guarded])
+    bound = np.concatenate([bound for _, _, bound in guarded])
+    assert mats.shape == expected.shape and bound.shape == (len(expected),)
+    assert np.max(np.abs(mats - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert np.all(np.isfinite(bound))
+    _assert_sound(bound, mats)
+
+
 class TestReflectionConditionBound:
-    """The M(w) certificate of the reflection route, read off the guard it is given to."""
+    """The M(w) certificate of the reflection route, read off the guard it is given to.
+
+    The M(w) solve guards its points in blocks, so each evaluation is
+    checked over all of its guard calls: together they cover every point
+    exactly once, each with a finite bound that dominates its condition.
+    """
 
     @pytest.fixture
     def guarded(self, monkeypatch):
@@ -683,13 +712,10 @@ class TestReflectionConditionBound:
                                 0.2 * rng.random((20, shape[0] - 1))], axis=1)
         # every Re z_k > 1 here, so mu = 1 comes from the V_u* V_u term
         near_one = 0.9 + 0.05 * (rng.random((20, shape[0])) + 1j * rng.random((20, shape[0])))
-        guarded.clear()
         for pts in (ws, edge, mixed, near_one):
+            guarded.clear()
             transfer_eval(c, pts)
-        assert [what for what, _, _ in guarded] == ["M(w)"] * 4
-        for _, mats, bound in guarded:
-            assert np.all(np.isfinite(bound))
-            _assert_sound(bound, mats)
+            _assert_covers_once(guarded, "M(w)", _reflection_pencils(c.reflection, c.dims, pts))
 
     @pytest.mark.parametrize("shape, rank_deficient", [
         ((2, 2, 3), False), ((3, 2, 4), True), ((3, 1, 3), True), ((2, 2, 0), False),
@@ -704,12 +730,11 @@ class TestReflectionConditionBound:
         mixed = np.concatenate([0.999 * np.exp(2j * np.pi * rng.random((20, 1))),
                                 0.2 * rng.random((20, shape[0] - 1))], axis=1)
         for pts in (ws, edge, mixed):
+            guarded.clear()
             dk.schur_tables(pts)
-        assert [what for what, _, _ in guarded] == ["M(w)"] * 3
-        for _, mats, bound in guarded:
-            assert mats.shape[1:] == (f.pencil.dim, f.pencil.dim)
-            assert np.all(np.isfinite(bound))
-            _assert_sound(bound, mats)
+            expected = _reflection_pencils(dk.factor, dk.kernels.factor_ranks, pts)
+            assert expected.shape[1:] == (f.pencil.dim, f.pencil.dim)
+            _assert_covers_once(guarded, "M(w)", expected)
 
     def test_off_polydisk_and_rank_deficient_factors_prove_nothing(self, guarded):
         # V_1 = I and V_u = (1, 1): at w = 3, z = -2 and M = V_u* V_u - 2 I is
