@@ -223,7 +223,7 @@ def reflection_transfer(v: np.ndarray, dims, pts: np.ndarray,
     t = np.empty((len(pts), r, n), dtype=complex)
     svals = np.empty((len(pts), n, n), dtype=complex)
     flat = grams[1:].reshape(len(dims), r * r)
-    for blk in point_blocks(len(pts)):
+    for blk in point_blocks(len(pts), r * r):
         m = np.dot(z[blk], flat).reshape(blk.stop - blk.start, r, r)  # sum_k z_k V_k* V_k
         m += grams[0]
         _refuse_ill_conditioned(m, pol, "M(w)", bound=bound[blk])
@@ -246,7 +246,7 @@ def _state_solve(c: AglerColligation, pts: np.ndarray,
     pw = c.state_weights(pts)
     bound = transfer_condition_bound(c, pts)
     sol = np.empty((len(pts), x, b.shape[1]), dtype=complex)
-    for blk in point_blocks(len(pts)):
+    for blk in point_blocks(len(pts), x * x):
         w = pw[blk]
         sys = np.broadcast_to(np.eye(x, dtype=complex), (len(w), x, x)) - a[None] * w[:, None, :]
         _refuse_ill_conditioned(sys, pol, "I - A P(w)", bound=bound[blk])

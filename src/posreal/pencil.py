@@ -129,14 +129,14 @@ class PsdPencil:
 
 
 def eval_pencil(pencil: PsdPencil, z) -> np.ndarray:
-    """A(z) = sum_k z_k A_k; batched over points.
+    """A(z) = sum_k z_k A_k; batched over points."""
+    return like_points(z, _assemble(pencil, as_points(z, pencil.num_vars)))
 
-    One (B, N) x (N, dim^2) product, the one ``np.tensordot`` forms,
-    without its per-call set-up: the grid solves call this once a block.
-    """
-    pts = as_points(z, pencil.num_vars)
+
+def _assemble(pencil: PsdPencil, pts: np.ndarray) -> np.ndarray:
+    """A(z) at validated (B, N) points: the one (B, N) x (N, dim^2) product of ``np.tensordot``."""
     flat = np.dot(pts, pencil.stacked.reshape(pencil.num_vars, -1))
-    return like_points(z, flat.reshape(len(pts), pencil.dim, pencil.dim))
+    return flat.reshape(len(pts), pencil.dim, pencil.dim)
 
 
 @dataclass(frozen=True)
@@ -355,11 +355,11 @@ def schur_solve(f: RealizedFunction, z,
     certificate ``d_condition_bound``; points it does not clear fall back
     to the computed condition number, so the decision is the same.
 
-    The points are taken in ``core.point_blocks``: A(z) is assembled,
-    guarded and solved one block at a time into the two outputs, so the
-    working memory beyond them is one block's A(z), (n + p)^2 entries a
-    point, whatever the batch size.  Every value has the bits of one
-    whole-batch solve.  The certificate is computed once for the batch.
+    The points are taken in the ``core.point_blocks`` of (n + p)^2
+    entries a point: A(z) is assembled, guarded and solved one block at a
+    time into the two outputs, so the working memory beyond them is one
+    block's A(z), whatever the batch size.  Every value has the bits of
+    one whole-batch solve.  The certificate is computed once for the batch.
     A refusal is raised by the first block that holds a refused d(z), and
     its message gives the worst condition within that block: the same
     text as one whole-batch guard, unless a later block holds a refused
@@ -372,8 +372,8 @@ def schur_solve(f: RealizedFunction, z,
     vals = np.empty((len(pts), n, n), dtype=complex)
     sol = np.empty((len(pts), p, n), dtype=complex)
     bound = d_condition_bound(f, pts)
-    for blk in point_blocks(len(pts)):
-        az = eval_pencil(f.pencil, pts[blk])
+    for blk in point_blocks(len(pts), (n + p) ** 2):
+        az = _assemble(f.pencil, pts[blk])
         a, b, c, d = az[:, :n, :n], az[:, :n, n:], az[:, n:, :n], az[:, n:, n:]
         if p == 0:
             vals[blk] = a

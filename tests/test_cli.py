@@ -124,13 +124,15 @@ class TestVerify:
 # the same span: U moves in its last bits), and again when the theta
 # tables and S(w) came from one M(w) solve instead of a division by F + I.
 # The calculus-positivity row was recorded again when the eigenvalue-only
-# checks moved from eigh to eigvalsh (a last-bit change).
+# checks moved from eigh to eigvalsh (a last-bit change), and the
+# kernel-identity row when the two-point residuals became column bounds
+# from a thin QR (a bound above the pair maximum, not a last-bit change).
 GOLDEN_ROWS = [
     ("pencil-coefficients-psd", "0x0.0p+0", "0x1.b7cdfd9d7bdbbp-34", True),
     ("homogeneity", "0x1.2a6c38dfdde4ep-52", "0x1.12e0be826d695p-30", True),
     ("conjugate-symmetry", "0x1.c02e79bef6d8fp-53", "0x1.12e0be826d695p-30", True),
     ("positivity-min-re-eigenvalue", "0x1.5937371cd0606p-3", "-0x1.b7cdfd9d7bdbbp-34", True),
-    ("kernel-identity", "0x1.09ae489d44e12p-49", "0x1.12e0be826d695p-30", True),
+    ("kernel-identity", "0x1.3c5e60aca787bp-48", "0x1.12e0be826d695p-30", True),
     ("four-quadrant-conditions", "0x1.0000000000000p+0", "0x1.0000000000000p+0", True),
     ("calculus-positivity-min-eig", "0x1.10a6ed0d9b4a4p+1", "-0x1.b7cdfd9d7bdbbp-34", True),
     ("colligation-unitarity", "0x1.d610278e610b9p-49", "0x1.12e0be826d695p-30", True),
@@ -153,13 +155,15 @@ GOLDEN_ROWS = [
 # and, within one process, the calls that ran before, so the rows are
 # computed in a fresh process with OMP_NUM_THREADS=OPENBLAS_NUM_THREADS=1.
 # The two positivity rows were recorded again when the eigenvalue-only
-# checks moved from eigh to eigvalsh (one and eight units in the last place).
+# checks moved from eigh to eigvalsh (one and eight units in the last place),
+# and the kernel-identity row when the two-point residuals became column
+# bounds from a thin QR.
 GOLDEN_ROWS_BENCH_SHAPE = [
     ('pencil-coefficients-psd', '0x0.0p+0', '0x1.b7cdfd9d7bdbbp-34', True),
     ('homogeneity', '0x1.c237b67c38c37p-51', '0x1.12e0be826d695p-30', True),
     ('conjugate-symmetry', '0x1.21e6a226bc2e2p-52', '0x1.12e0be826d695p-30', True),
     ('positivity-min-re-eigenvalue', '0x1.2b739065ad314p-3', '-0x1.b7cdfd9d7bdbbp-34', True),
-    ('kernel-identity', '0x1.5390dfa34df9ep-49', '0x1.12e0be826d695p-30', True),
+    ('kernel-identity', '0x1.42625c821206cp-47', '0x1.12e0be826d695p-30', True),
     ('four-quadrant-conditions', '0x1.0000000000000p+0', '0x1.0000000000000p+0', True),
     ('calculus-positivity-min-eig', '0x1.d869de8c9e01ap+1', '-0x1.b7cdfd9d7bdbbp-34', True),
     ('colligation-unitarity', '0x1.4bf0b3ef9d2a5p-47', '0x1.12e0be826d695p-30', True),

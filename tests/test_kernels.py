@@ -302,7 +302,8 @@ class TestRebuildStaging:
         assert rebuilt.dim_h > 0
         # the QR input, (g - 1) n m entries, and LAPACK's copy of it are held
         # after the families are freed; beyond them only buffers of a fixed
-        # size (cross-Gram tiles, numpy's ufunc buffers) add to the peak
+        # size (one point block of the two-point TSQR, numpy's ufunc buffers)
+        # add to the peak
         assert peak < 1.5 * families
 
 

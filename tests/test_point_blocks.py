@@ -2,10 +2,12 @@
 
 ``pencil.schur_solve``, ``colligation.reflection_transfer`` and
 ``colligation._state_solve`` assemble, guard and solve their systems one
-``core.point_blocks`` block at a time.  Each reference below is the
-single-batch solve they replaced, written out here: every value must
-keep its bits, and a refusal its text, while the working memory stays
-that of one block.
+``core.point_blocks`` block at a time, each block sized by the entries of
+one point's matrix.  Each reference below is the single-batch solve they
+replaced, written out here: every value must keep its bits, and a
+refusal its text, while the working memory stays that of one block.
+The grid sizes of each shape come from the block size of its solve, so
+that every case crosses block edges.
 """
 
 import numpy as np
@@ -19,7 +21,20 @@ from posreal.core import DEFAULT_POLICY, NumericalRefusalError, hermitian_part, 
 from posreal.pencil import _refuse_ill_conditioned, d_condition_bound, schur_solve
 from posreal.sampling import random_pencil
 
-SIZES = [1, core._ROW_BLOCK, core._ROW_BLOCK + 1, 2 * core._ROW_BLOCK + 3]
+
+def _block(entries):
+    """Points per block of a loop that holds ``entries`` a point: the rule of ``point_blocks``."""
+    return max(core._ROW_BLOCK, core._ROW_BLOCK ** 3 // max(entries, 1))
+
+
+def _sizes(entries):
+    """One point, one block, one block and the merged one-point rest, two blocks and a partial one."""
+    b = _block(entries)
+    return [1, b, b + 1, 2 * b + 3]
+
+
+# the test ids name each size at the default block of _ROW_BLOCK points
+SIZES = [pytest.param(i, id=str(g)) for i, g in enumerate(_sizes(core._ROW_BLOCK ** 2))]
 
 
 def _same_bits(got, want):
@@ -75,9 +90,25 @@ def test_point_blocks_cover_the_grid(count):
     assert max(sizes, default=0) <= core._ROW_BLOCK + 1
 
 
+@pytest.mark.parametrize("entries, block", [(0, 32768), (1, 32768), (16, 2048), (36, 910),
+                                            (35 ** 2, 32), (36 ** 2, 32), (40 ** 2, 32)])
+@pytest.mark.parametrize("extra", [0, 1, 2, 3])
+def test_blocks_are_sized_by_the_entries_a_point(entries, block, extra):
+    # max(_ROW_BLOCK, _ROW_BLOCK^3 // entries) points: at most _ROW_BLOCK^3
+    # entries a block, and never fewer than _ROW_BLOCK points
+    assert _block(entries) == block
+    count = 2 * block + extra
+    blocks = point_blocks(count, entries)
+    assert [i for s in blocks for i in range(s.start, s.stop)] == list(range(count))
+    want = [block, block + 1] if extra == 1 else [block, block] + [extra] * (extra > 1)
+    assert [s.stop - s.start for s in blocks] == want
+    assert point_blocks(count, core._ROW_BLOCK ** 2) == point_blocks(count)
+
+
 @pytest.mark.parametrize("shape", [(2, 1, 2), (3, 2, 4), (3, 4, 32), (2, 2, 0)])
-@pytest.mark.parametrize("g", SIZES)
-def test_schur_solve_keeps_the_bits_of_one_solve(shape, g):
+@pytest.mark.parametrize("which", SIZES)
+def test_schur_solve_keeps_the_bits_of_one_solve(shape, which):
+    g = _sizes((shape[1] + shape[2]) ** 2)[which]
     f = random_pencil(np.random.default_rng(sum(shape) + g), *shape)
     pts = _halfplane_points(np.random.default_rng(g), shape[0], g)
     vals, sol = schur_solve(f, pts)
@@ -87,9 +118,11 @@ def test_schur_solve_keeps_the_bits_of_one_solve(shape, g):
 
 
 @pytest.mark.parametrize("shape", [(2, 1, 2), (3, 2, 4), (3, 4, 32)])
-@pytest.mark.parametrize("g", SIZES)
-def test_reflection_transfer_keeps_the_bits_of_one_solve(shape, g):
+@pytest.mark.parametrize("which", SIZES)
+def test_reflection_transfer_keeps_the_bits_of_one_solve(shape, which):
+    g = _sizes((shape[1] + shape[2]) ** 2)[which]
     dk = DiskKernelEvaluator(random_pencil(np.random.default_rng(sum(shape) + g), *shape))
+    assert dk.factor.shape[1] == shape[1] + shape[2]  # r, the side of M(w)
     pts = _disk_points(np.random.default_rng(g), shape[0], g)
     got = reflection_transfer(dk.factor, dk.kernels.factor_ranks, pts)
     for part, want in zip(got, _reflection_whole(dk.factor, dk.kernels.factor_ranks, pts)):
@@ -97,8 +130,9 @@ def test_reflection_transfer_keeps_the_bits_of_one_solve(shape, g):
 
 
 @pytest.mark.parametrize("dims, n", [((1, 2), 1), ((3, 1, 2), 2), ((4, 4, 4), 4)])
-@pytest.mark.parametrize("g", SIZES)
-def test_state_solve_keeps_the_bits_of_one_solve(dims, n, g):
+@pytest.mark.parametrize("which", SIZES)
+def test_state_solve_keeps_the_bits_of_one_solve(dims, n, which):
+    g = _sizes(sum(dims) ** 2)[which]
     rng = np.random.default_rng(g + n)
     size = sum(dims) + n
     u = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
@@ -135,10 +169,13 @@ class TestRefusals:
         return _refusal(lambda: _refuse_ill_conditioned(d, DEFAULT_POLICY, "d(z)",
                                                         bound=d_condition_bound(f, pts)))
 
-    @pytest.mark.parametrize("where", [0, core._ROW_BLOCK + 5, 2 * core._ROW_BLOCK + 1])
+    BLOCK = _block(6 ** 2)  # of the (3, 2, 4) pencil's d(z) solve
+
+    @pytest.mark.parametrize("where", [pytest.param(where, id=str(label)) for where, label in [
+        (0, 0), (BLOCK + 5, core._ROW_BLOCK + 5), (2 * BLOCK + 1, 2 * core._ROW_BLOCK + 1)]])
     def test_refusal_in_one_block_prints_the_whole_batch_text(self, where):
         f = random_pencil(np.random.default_rng(9), 3, 2, 4)
-        pts = self._grid(f, 2 * core._ROW_BLOCK + 3, {where: 1e-13, where + 1: 3e-13})
+        pts = self._grid(f, 2 * self.BLOCK + 3, {where: 1e-13, where + 1: 3e-13})
         text = _refusal(lambda: schur_solve(f, pts))
         assert "d(z) is numerically singular" in text
         assert text == self._whole(f, pts)
@@ -146,16 +183,16 @@ class TestRefusals:
     def test_a_worse_refusal_in_a_later_block_is_not_the_one_printed(self):
         # the one case the text can differ: the first refusing block is reported
         f = random_pencil(np.random.default_rng(9), 3, 2, 4)
-        pts = self._grid(f, 2 * core._ROW_BLOCK + 3, {3: 1e-11, 2 * core._ROW_BLOCK: 0.0})
+        pts = self._grid(f, 2 * self.BLOCK + 3, {3: 1e-11, 3 + self.BLOCK: 0.0})
         text = _refusal(lambda: schur_solve(f, pts))
-        assert text == _refusal(lambda: schur_solve(f, pts[:core._ROW_BLOCK]))
+        assert text == _refusal(lambda: schur_solve(f, pts[:self.BLOCK]))
         assert text != self._whole(f, pts)
 
 
 def test_schur_solve_memory_is_one_block(traced_peak):
     # beyond its outputs, a fourfold grid adds at most one block's A(z) to the peak
     f = random_pencil(np.random.default_rng(16), 3, 4, 32)
-    block = core._ROW_BLOCK * f.pencil.dim ** 2 * 16
+    block = _block(f.pencil.dim ** 2) * f.pencil.dim ** 2 * 16
     extra = []
     for g in (150, 600):
         pts = _halfplane_points(np.random.default_rng(g), 3, g)
