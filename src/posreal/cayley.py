@@ -23,6 +23,7 @@ from .core import (
     ValidationError,
     as_points,
     like_points,
+    neumann_condition_bound,
 )
 from .colligation import reflection_transfer, transfer_identity_residuals
 from .kernels import KernelEvaluator
@@ -80,18 +81,16 @@ def f_plus_i_condition_bound(values) -> np.ndarray:
 def i_minus_s_condition_bound(values) -> np.ndarray:
     """Certified upper bound on cond(I - S) for stacked values S (B, n, n); +inf where none is proven.
 
-    With s = min(||S||_F, sqrt(||S||_1 ||S||_inf)) >= ||S|| and s < 1,
-    sigma_min(I - S) >= 1 - s and ||I - S|| <= 1 + s, so cond(I - S) <= (1 + s)/(1 - s).
+    s = min(||S||_F, sqrt(||S||_1 ||S||_inf)) >= ||S||, so
+    ``core.neumann_condition_bound`` gives cond(I - S) <= (1 + s)/(1 - s)
+    when s < 1.
     """
     sv = np.asarray(values, dtype=complex)
-    out = np.full(sv.shape[0], np.inf)
     with np.errstate(over="ignore", invalid="ignore"):  # as in f_plus_i_condition_bound
         mags = np.abs(sv)  # ||S||_1 and ||S||_inf are the largest column and row sums of |S|
         norm_1, norm_inf = (np.max(mags.sum(axis=a), axis=1, initial=0.0) for a in (1, 2))
         s = np.minimum(np.linalg.norm(sv, axis=(1, 2)), np.sqrt(norm_1 * norm_inf))
-        ok = s < 1.0
-        out[ok] = (1.0 + s[ok]) / (1.0 - s[ok])
-    return out
+    return neumann_condition_bound(s)
 
 
 def _right_divide(x: np.ndarray, y: np.ndarray, pol: TolerancePolicy, what: str,

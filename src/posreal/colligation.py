@@ -37,6 +37,8 @@ from .core import (
     hermitian_split_residuals,
     eigh_or_refuse,
     eigvalsh_or_refuse,
+    factor_rows,
+    neumann_condition_bound,
     operator_norm,
     point_blocks,
     relative_residual,
@@ -263,37 +265,24 @@ def _transfer_from_state(c: AglerColligation, pw: np.ndarray, sol: np.ndarray) -
 def transfer_condition_bound(c: AglerColligation, w) -> np.ndarray:
     """Certified upper bound on cond(I - A P(w)) at each point; +inf where none is proven.
 
-    With rho = ||A|| max_k |w_k| >= ||A P(w)||, the Neumann series gives
-    sigma_min(I - A P(w)) >= 1 - rho and ||I - A P(w)|| <= 1 + rho, so
-    cond <= (1 + rho) / (1 - rho) when rho < 1.  ||A|| is computed, not
-    assumed to be at most 1.
+    rho = ||A|| max_k |w_k| >= ||A P(w)||, so ``core.neumann_condition_bound``
+    gives cond <= (1 + rho) / (1 - rho) when rho < 1.  ||A|| is computed,
+    not assumed to be at most 1.
     """
     pts = as_points(w, c.num_vars)
     rho = operator_norm(c.blocks()[0]) * np.max(np.abs(pts), axis=1, initial=0.0)
-    out = np.full(len(pts), np.inf)
-    ok = rho < 1.0
-    out[ok] = (1.0 + rho[ok]) / (1.0 - rho[ok])
-    return out
+    return neumann_condition_bound(rho)
 
 
-def _family_rows(grid, tables, values, op) -> np.ndarray:
-    """P(w)^T (``op`` np.add) or M(w)^T (np.subtract) on the grid, (g, n, m+n), filled block by block.
+def _transfer_rows(grid, tables, values):
+    """P^T, then M^T, on the grid (g, n, m + n): ``core.factor_rows`` at weights w_k +- 1, tails I +- S^T.
 
-    P = (col_k((w_k + 1) h_k); I + S) and M = (col_k((w_k - 1) h_k); I - S)
-    for the points ``grid`` (g, N), the tables h_k (g, m_k, n) of
-    ``tables`` and S on the grid ``values`` (g, n, n).  Conjugated in
-    place, the rows hold the adjoint P* or M*.
+    A generator, so a caller that consumes one before asking for the
+    other holds one at a time.
     """
-    g, n = values.shape[:2]
-    m = sum(t.shape[1] for t in tables)
-    rows = np.empty((g, n, m + n), dtype=complex)
-    lo = 0
-    for k, t in enumerate(tables):
-        hi = lo + t.shape[1]
-        np.multiply(op(grid[:, k], 1.0)[:, None, None], t.transpose(0, 2, 1), out=rows[:, :, lo:hi])
-        lo = hi
-    op(np.eye(n), values.transpose(0, 2, 1), out=rows[:, :, m:])
-    return rows
+    eye, s_t = np.eye(values.shape[-1]), values.transpose(0, 2, 1)
+    yield factor_rows(tables, grid + 1.0, eye + s_t)
+    yield factor_rows(tables, grid - 1.0, eye - s_t)
 
 
 def transfer_identity_residuals(grid, tables, values, scale=None) -> tuple[float, float]:
@@ -302,14 +291,16 @@ def transfer_identity_residuals(grid, tables, values, scale=None) -> tuple[float
     plus:  I - S(o)* S(w) = sum_k (1 - conj(o_k) w_k) h_k(o)* h_k(w)
     minus: S(w) - S(o)*   = sum_k (w_k - conj(o_k)) h_k(o)* h_k(w)
 
-    ``grid``, ``tables`` and ``values`` are those of ``_family_rows``,
-    which builds P and M one at a time; ``scale`` is passed to
-    ``hermitian_split_residuals``.  The pair is the Hermitian split of
-    E(o, w) = M(o)* P(w) / 2: the sum E(o, w) + E(w, o)* is
+    For the points ``grid`` (g, N), the tables h_k (g, m_k, n) of
+    ``tables`` and S on the grid ``values`` (g, n, n), P and M stack
+    (col_k((w_k + 1) h_k); I + S) and (col_k((w_k - 1) h_k); I - S);
+    ``_transfer_rows`` lays out P^T and M^T, one at a time.  ``scale`` is
+    passed to ``hermitian_split_residuals``.  The pair is the Hermitian
+    split of E(o, w) = M(o)* P(w) / 2: the sum E(o, w) + E(w, o)* is
     -sum_k (1 - conj(o_k) w_k) h_k(o)* h_k(w) + I - S(o)* S(w), and the
     difference is -sum_k (w_k - conj(o_k)) h_k(o)* h_k(w) + S(w) - S(o)*.
     """
-    p_rows, m_rows = (_family_rows(grid, tables, values, op) for op in (np.add, np.subtract))
+    p_rows, m_rows = _transfer_rows(grid, tables, values)
     p_rows *= 0.5  # exact, in place: the rows of P / 2
     np.conjugate(m_rows, out=m_rows)  # M*
     return hermitian_split_residuals(m_rows, p_rows, scale)
@@ -372,16 +363,13 @@ class ColligationSynthesis:
     selfadjointness_residual: float
 
 
-def _adjoint_r(pts, tables, svals, op) -> np.ndarray:
-    """R_P (``op`` np.add) or R_M (np.subtract) of ``build_colligation``.
+def _adjoint_r(rows) -> np.ndarray:
+    """The R factor of the thin QR of the adjoint of (g, n, m + n) rows, conjugated in place.
 
-    The R factor of the thin QR of P* or M*, n rows per grid point.  Each
-    adjoint is built alone and freed on return, since numpy's qr copies
-    its whole input.
+    Each adjoint is freed on return, since numpy's qr copies its whole input.
     """
-    adj = _family_rows(pts, tables, svals, op)
-    np.conjugate(adj, out=adj)
-    return np.linalg.qr(adj.reshape(-1, adj.shape[2]), mode="r")
+    np.conjugate(rows, out=rows)
+    return np.linalg.qr(rows.reshape(-1, rows.shape[2]), mode="r")
 
 
 def build_colligation(grid, theta_tables, schur_samples,
@@ -459,7 +447,7 @@ def build_colligation(grid, theta_tables, schur_samples,
     dims = tuple(t.shape[1] for t in tables)
     m = sum(dims)
 
-    rp, rm = (_adjoint_r(pts, tables, svals, op) for op in (np.add, np.subtract))
+    rp, rm = map(_adjoint_r, _transfer_rows(pts, tables, svals))  # map keeps no rows between calls
     r1 = np.concatenate([rp, rm]) / np.sqrt(2.0)
     r2 = np.concatenate([rp, -rm]) / np.sqrt(2.0)
     svecs, sing, vh = np.linalg.svd(r1.conj().T, full_matrices=False)

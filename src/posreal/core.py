@@ -34,6 +34,10 @@ __all__ = [
     "operator_norm",
     "argument_arc",
     "point_blocks",
+    "neumann_condition_bound",
+    "factor_rows",
+    "family_r",
+    "column_bound",
     "cross_gram_residual",
     "hermitian_split_residuals",
     "relative_residual",
@@ -186,19 +190,22 @@ def _rows(points: slice, n: int) -> slice:
     return slice(points.start * n, points.stop * n)
 
 
-def _row_views(x_adj, y_rows, scale):
-    """The (g n, M) views of two (g, n, M) families of one shape, n, M and the (g,) scale.
+def _row_view(rows) -> tuple[np.ndarray, tuple]:
+    """The (g n, M) view of a (g, n, M) family, and that shape; complex C-ordered input is not copied."""
+    rows = np.asarray(rows, dtype=complex)
+    if rows.ndim != 3:
+        raise ShapeError(f"expected a (g, n, M) family, got shape {rows.shape}")
+    g, n, m = rows.shape
+    return rows.reshape(g * n, m), rows.shape
 
-    Complex C-ordered input, as the library passes, is not copied.
-    """
-    x_adj = np.asarray(x_adj, dtype=complex)
-    y_rows = np.asarray(y_rows, dtype=complex)
-    if x_adj.ndim != 3 or x_adj.shape != y_rows.shape:
-        raise ShapeError("expected two (g, n, M) families of one shape, "
-                         f"got {x_adj.shape}, {y_rows.shape}")
-    g, n, m = x_adj.shape
-    scale = np.ones(g) if scale is None else np.asarray(scale, dtype=float)
-    return x_adj.reshape(g * n, m), y_rows.reshape(g * n, m), n, m, scale
+
+def _row_views(x_adj, y_rows, scale):
+    """The (g n, M) views of two (g, n, M) families of one shape, n, M and the (g,) scale."""
+    (xh, shape), (yr, y_shape) = _row_view(x_adj), _row_view(y_rows)
+    if shape != y_shape:
+        raise ShapeError(f"expected two (g, n, M) families of one shape, got {shape}, {y_shape}")
+    scale = np.ones(shape[0]) if scale is None else np.asarray(scale, dtype=float)
+    return xh, yr, shape[1], shape[2], scale
 
 
 def _tsqr_r(blocks: list[slice], n: int, width: int, fill) -> np.ndarray:
@@ -220,48 +227,120 @@ def _tsqr_r(blocks: list[slice], n: int, width: int, fill) -> np.ndarray:
     return stage[:k].copy()
 
 
+def neumann_condition_bound(s) -> np.ndarray:
+    """Certified cond(I - X) <= (1 + s) / (1 - s) for bounds s >= ||X|| below 1; +inf elsewhere.
+
+    ``s`` holds one proven upper bound on the operator norm of X per
+    matrix.  Where s < 1 the Neumann series of (I - X)^{-1} converges:
+    ||(I - X)^{-1}|| <= sum_j s^j = 1 / (1 - s), so sigma_min(I - X) >=
+    1 - s, while ||I - X|| <= 1 + s; the ratio bounds the condition
+    number.  Where s >= 1, and where s is NaN (every comparison is
+    false), nothing is proven and the entry is +inf.
+    """
+    s = np.asarray(s, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):  # at s = 1 or +inf, discarded
+        return np.where(s < 1.0, (1.0 + s) / (1.0 - s), np.inf)
+
+
+def factor_rows(tables, weights, tail, out=None) -> np.ndarray:
+    """The (g, n, m + n) rows [w_1 h_1^T, ..., w_N h_N^T, tail] of a two-point family.
+
+    ``tables`` holds the N factor tables h_k (g, m_k, n), m = sum_k m_k;
+    ``weights`` (g, N) scales block k at each point by w_k, or is None
+    for plain copies; ``tail`` (g, n, n), a broadcast view included,
+    fills the last n columns; the rows are written into ``out`` when it
+    is given.  This is the one writer of the row layout
+    that ``family_r``, ``column_bound`` and the two-point residuals read:
+    reshaped to (g n, m + n), point c holds rows c n to c n + n - 1.
+    Callers finish a family in place (conjugate it, scale it, negate
+    its tail), so it is held once.
+    """
+    m = sum(t.shape[1] for t in tables)
+    rows = np.empty(tail.shape[:2] + (m + tail.shape[2],), dtype=complex) if out is None else out
+    lo = 0
+    for k, t in enumerate(tables):
+        block = rows[:, :, lo:lo + t.shape[1]]
+        lo += t.shape[1]
+        if weights is None:
+            block[...] = t.transpose(0, 2, 1)
+        else:
+            np.multiply(weights[:, k, None, None], t.transpose(0, 2, 1), out=block)
+    rows[:, :, m:] = tail
+    return rows
+
+
 def _point_norms(prod: np.ndarray, count: int) -> np.ndarray:
     """Frobenius norms of the ``count`` equal row groups of a C-contiguous complex matrix."""
     v = prod.view(float).reshape(count, -1)
     return np.sqrt(np.einsum("ij,ij->i", v, v))
 
 
+def family_r(x_adj) -> np.ndarray:
+    """R of the thin QR X = Q R of the (g n, M) stack X of a (g, n, M) family x(c)*.
+
+    R has min(g n, M) rows and comes from ``_tsqr_r``, one point block of
+    rows at a time, so beyond the family, read in place, it holds one
+    block and R.  TSQR is backward stable (Demmel, Grigori, Hoemmen &
+    Langou, SIAM J. Sci. Comput. 34, 2012): R is exact for some X + dX
+    with ||dX||_F <= c eps ||X||_F.  So anything read from R, such as
+    R T for X T = Q (R T), carries roundoff of order eps ||X||_F ||T||,
+    not of the size of X T itself.  Overflow gives NaN or Inf, silently.
+    """
+    xh, (g, n, _) = _row_view(x_adj)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _tsqr_r(point_blocks(g), n, xh.shape[1], lambda out, b: np.copyto(out, xh[_rows(b, n)]))
+
+
+def column_bound(r, y_rows, scale=None) -> float:
+    """Largest ||R y(b)||_F / scale(b) over the points b of a (g, n, M) family y(b)^T.
+
+    With R = ``family_r`` of the x(c)*, this is the largest column norm
+    ||E(:, b)||_F / scale(b) of the cross-Gram E(c, b) = x(c)* y(b):
+    E(:, b) = X y(b) = Q R y(b) and Q has orthonormal columns.  The
+    products are formed a point block at a time, from (R y(b))^T =
+    y(b)^T R^T; ``scale`` (g,) defaults to 1.  A NaN is kept (unlike
+    max()), so the caller refuses; overflow is silent.  No points give 0.0.
+    """
+    yr, (g, n, _) = _row_view(y_rows)
+    r_t = r.T
+    scale = np.ones(g) if scale is None else np.asarray(scale, dtype=float)
+    worst = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in point_blocks(g):
+            norms = _point_norms(yr[_rows(b, n)] @ r_t, b.stop - b.start)
+            worst = np.maximum(worst, np.max(norms / scale[b]))
+    return float(worst)
+
+
 def cross_gram_residual(x_adj, y_rows, scale=None) -> float:
     """Largest column norm ||E(:, b)||_F / scale(b) of the cross-Gram E(c, b) = x(c)* y(b).
 
-    The families come in the (g, n, M) row layout that the products read:
-    ``x_adj[c]`` is the adjoint x(c)* and ``y_rows[b]`` the transpose
-    y(b)^T of the M x n matrices x(c) and y(b), so that reshaped to
-    (g n, M) both are views and x(c)* y(b) = x_adj[c] @ y_rows[b].T.
-    ``scale`` (g,) defaults to 1.  A two-point identity "weighted kernels
-    sum to a target" holds exactly when such a cross-Gram vanishes, with
-    the factor tables, the weights and the target stacked into x and y.
+    The families come in the (g, n, M) row layout that the products read
+    (``factor_rows`` writes it): ``x_adj[c]`` is the adjoint x(c)* and
+    ``y_rows[b]`` the transpose y(b)^T of the M x n matrices x(c) and
+    y(b), so that reshaped to (g n, M) both are views and x(c)* y(b) =
+    x_adj[c] @ y_rows[b].T.  ``scale`` (g,) defaults to 1.  A two-point
+    identity "weighted kernels sum to a target" holds exactly when such a
+    cross-Gram vanishes, with the factor tables, the weights and the
+    target stacked into x and y.
 
     The value bounds every pair: ||E(c, b)||_F <= ||E(:, b)||_F for all c.
     With X = QR the thin QR of the (g n, M) stack of the x(c)*, E(:, b) =
     Q R y(b) and Q has orthonormal columns, so ||E(:, b)||_F =
-    ||R y(b)||_F: O(g n M^2) work, not the g^2 n^2 M of all pairs.  R
-    comes from ``_tsqr_r`` and the products a point block at a time, so
-    memory beyond the families, read in place, is one block and R.
+    ||R y(b)||_F: O(g n M^2) work, not the g^2 n^2 M of all pairs.  It is
+    ``column_bound`` over ``family_r``, so memory beyond the families,
+    read in place, is one block and R.
 
-    Roundoff.  TSQR is backward stable (Demmel, Grigori, Hoemmen & Langou,
-    SIAM J. Sci. Comput. 34, 2012): R is exact for X + dX, ||dX||_F <=
-    c eps ||X||_F, so the value is ||E(:, b)||_F up to c eps ||X||_F
+    Roundoff.  R is exact for X + dX, ||dX||_F <= c eps ||X||_F (see
+    ``family_r``), so the value is ||E(:, b)||_F up to c eps ||X||_F
     ||y(b)||_F, and ||X||_F grows like sqrt(g).  On identities that hold
     it reads 8 (g = 100) to 73 (g = 3000) times the largest pair on random
     (3, 4, 16) and (3, 4, 32) pencils, 3.6e-13 at g = 3000: a residual for
     ``residual_tol``, not a certificate.  Overflow gives a NaN or Inf,
     silently; a NaN is kept, so the caller refuses.  No points give 0.0.
     """
-    xh, yr, n, m, scale = _row_views(x_adj, y_rows, scale)
-    blocks = point_blocks(len(scale))
-    worst = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        r_t = _tsqr_r(blocks, n, m, lambda out, b: np.copyto(out, xh[_rows(b, n)])).T
-        for b in blocks:  # ||R y(b)|| for the points b of the block, from (R y(b))^T
-            norms = _point_norms(yr[_rows(b, n)] @ r_t, b.stop - b.start)
-            worst = np.maximum(worst, np.max(norms / scale[b]))  # unlike max(), keeps a NaN
-    return float(worst)
+    _row_views(x_adj, y_rows, scale)  # refuses families of two shapes before any work
+    return column_bound(family_r(x_adj), y_rows, scale)
 
 
 def hermitian_split_residuals(x_adj, y_rows, scale=None) -> tuple[float, float]:

@@ -27,9 +27,12 @@ from .core import (
     ValidationError,
     as_matrix,
     as_points,
-    like_points,
+    column_bound,
     cross_gram_residual,
+    factor_rows,
+    family_r,
     hermitian_split_residuals,
+    like_points,
     psd_spectrum,
     psd_sqrt,
     relative_residual,
@@ -120,23 +123,23 @@ def _identity_families(ks: KernelSampleSet):
     phi = [phi_1; ...; phi_N] and z.phi scales block k by z_k; then
     x(c)* y(b) = sum_k z_k(b) phi_k(c)* phi_k(b) - f(b) vanishes on every
     pair of grid points exactly when the identity holds.  The families
-    come in the (g, n, M) row layout of ``core.cross_gram_residual``,
-    x* = [phi*, I] and y^T = [(z.phi)^T, -f^T], filled block by block
-    into one (2, g, n, M) buffer.
+    come in the (g, n, M) row layout of ``core.factor_rows``,
+    x* = [phi*, I] and y^T = [(z.phi)^T, -f^T], each finished in place.
+    Both live in one (2, g, n, M) allocation: glibc raises its mmap
+    threshold to the largest mapped block freed, so one block of this
+    size keeps a pass's other large buffers on the heap; two halves freed
+    apart cost about 2,300 more page faults (fresh zeroed pages) in a
+    kernels pass on a (3, 4, 16) pencil at g = 300.
     """
     fvals = ks.f_samples
     g, n = fvals.shape[:2]
     m = sum(t.shape[1] for t in ks.factors)
     rows = np.empty((2, g, n, m + n), dtype=complex)
-    lo = 0
-    for k, t in enumerate(ks.factors):
-        hi = lo + t.shape[1]
-        np.conjugate(t.transpose(0, 2, 1), out=rows[0, :, :, lo:hi])
-        np.multiply(ks.grid[:, k, None, None], t.transpose(0, 2, 1), out=rows[1, :, :, lo:hi])
-        lo = hi
-    rows[0, :, :, m:] = np.eye(n)
-    np.negative(fvals.transpose(0, 2, 1), out=rows[1, :, :, m:])
-    return rows[0], rows[1], 1.0 + np.linalg.norm(fvals, axis=(1, 2))
+    x_adj = factor_rows(ks.factors, None, np.broadcast_to(np.eye(n), (g, n, n)), out=rows[0])
+    np.conjugate(x_adj[:, :, :m], out=x_adj[:, :, :m])
+    y_rows = factor_rows(ks.factors, ks.grid, fvals.transpose(0, 2, 1), out=rows[1])
+    np.negative(y_rows[:, :, m:], out=y_rows[:, :, m:])
+    return x_adj, y_rows, 1.0 + np.linalg.norm(fvals, axis=(1, 2))
 
 
 def kernel_identity_residual(f: RealizedFunction, grid,
@@ -247,26 +250,6 @@ def sample_kernels(f: RealizedFunction, grid, pol: TolerancePolicy = DEFAULT_POL
     return KernelEvaluator(f, pol).phi_table(grid)
 
 
-def _difference_adjoint(ks: KernelSampleSet, base: int) -> np.ndarray:
-    """The ((g - 1) n, m) adjoint of the stacked differences phi(b) - phi(e), b != e.
-
-    Block b holds the rows conj(phi(b) - phi(e))^T, in grid order, filled
-    from each factor table in place: one buffer, no stacked copy of phi.
-    """
-    g, n = ks.f_samples.shape[:2]
-    m = sum(t.shape[1] for t in ks.factors)
-    rows = np.empty((g - 1, n, m), dtype=complex)
-    lo = 0
-    for t in ks.factors:
-        hi = lo + t.shape[1]
-        block, t_e = rows[:, :, lo:hi], t[base].T
-        np.subtract(t[:base].transpose(0, 2, 1), t_e, out=block[:base])
-        np.subtract(t[base + 1:].transpose(0, 2, 1), t_e, out=block[base:])
-        np.conjugate(block, out=block)
-        lo = hi
-    return rows.reshape(-1, m)
-
-
 def pencil_from_kernel_samples(ks: KernelSampleSet,
                                pol: TolerancePolicy = DEFAULT_POLICY) -> RealizedFunction:
     """Rebuild a PSD pencil realization from sampled kernel factors.
@@ -279,48 +262,49 @@ def pencil_from_kernel_samples(ks: KernelSampleSet,
         A_k = V* P_k V,   V = [phi(e), Q_H],
 
     with P_k the coordinate projector onto the k-th factor block and
-    Q_H the leading left singular vectors of the stacked differences (from
-    the SVD of the R factor of their adjoint), an orthonormal basis of
-    their span: the rank counts the singular values above
-    psd_slack max(sigma_1, scale of phi(e)).  The result
-    interpolates the samples at every grid point, and reproduces the
-    generating function off-grid once the grid saturates the difference
-    span.
+    Q_H the leading left singular vectors of the stacked differences
+    D = [phi(b) - phi(e)]_b, an orthonormal basis of their span: the rank
+    counts the singular values above psd_slack max(sigma_1, scale of
+    phi(e)).  The result interpolates the samples at every grid point,
+    and reproduces the generating function off-grid once the grid
+    saturates the difference span.
 
-    The QR reads one buffer (``_difference_adjoint``), filled straight
-    from the factor tables and freed before the interpolation check: the
-    only copy of the samples made beside the kernel identity's families.
+    One factorization serves the gate and the span.  The gate is the
+    kernel identity's column bound over R, the TSQR factor of the stack
+    X of the x(c)* = [phi(c)*, I] (``core.family_r``).  With
+    T = [I_m; -phi(e)*], row block c of X T is phi(c)* - phi(e)*, so
+    D* = X T up to its zero block at c = e, and X = Q R gives
+    D = (R T)* Q*.  Q has orthonormal columns, so the SVD
+    (R T)* = W S V* yields D = W S (Q V)*: the left singular vectors and
+    singular values of D are those of the small m x min(g n, M) matrix
+    (R T)*.  A single point gives R T = 0 up to roundoff, hence rank 0.
+
+    Roundoff: R is exact for X + dX with ||dX||_F <= c eps ||X||_F, so
+    the differences read from R carry errors of order eps ||x(c)||
+    rather than eps ||phi(c) - phi(e)||; the rebuild's interpolation
+    residual reads about 4e-15 on the kernels benchmark's pencils.
+    Beside R, only the kernel identity's families are held, and they
+    are freed before the interpolation check.
     """
-    res = ks.identity_residual()
+    x_adj, y_rows, scale = _identity_families(ks)
+    r = family_r(x_adj)
+    res = column_bound(r, y_rows, scale)
+    del x_adj, y_rows
     if not res <= pol.residual_tol:  # a NaN residual fails too
         raise ValidationError(
             f"kernel identity violated on input samples (residual {res:.3e})")
     base = ks.base_index()
-    n = ks.dim_u
     phi_e = np.concatenate([t[base] for t in ks.factors])
-    if len(ks.grid) > 1:
-        # stacked* = Q R, so stacked = R* Q* and the small R* has the left
-        # singular vectors and singular values of stacked (the route of
-        # ``colligation.build_colligation``)
-        r = np.linalg.qr(_difference_adjoint(ks, base), mode="r")  # frees the buffer
-        q, sing, _ = np.linalg.svd(r.conj().T, full_matrices=False)
-        # floor at the factor scale so all-roundoff difference columns
-        # (constant psi, e.g. one variable) do not fake rank
-        floor = pol.psd_slack * max(sing.max(initial=0.0), scale_of(phi_e))
-        rank = int(np.sum(sing > floor))
-        qh = q[:, :rank]
-    else:
-        qh = np.zeros((phi_e.shape[0], 0), dtype=complex)
+    m = len(phi_e)
+    q, sing, _ = np.linalg.svd((r[:, :m] - r[:, m:] @ phi_e.conj().T).conj().T, full_matrices=False)
+    # floor at the factor scale so all-roundoff difference columns
+    # (constant psi, e.g. one variable, or a single point) do not fake rank
+    floor = pol.psd_slack * max(sing.max(initial=0.0), scale_of(phi_e))
+    qh = q[:, :int(np.sum(sing > floor))]
     v = np.hstack([phi_e, qh])
-
-    ranks = [tab.shape[1] for tab in ks.factors]
-    offsets = np.concatenate([[0], np.cumsum(ranks)])
-    coeffs = []
-    for k in range(ks.num_vars):
-        vk = v[offsets[k]:offsets[k + 1]]
-        coeffs.append(vk.conj().T @ vk)
-    pencil = PsdPencil(ks.num_vars, n, qh.shape[1], tuple(coeffs))
-    rebuilt = RealizedFunction(pencil, compressed=True)
+    offsets = np.cumsum([0] + [t.shape[1] for t in ks.factors])
+    coeffs = tuple(v[lo:hi].conj().T @ v[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:]))
+    rebuilt = RealizedFunction(PsdPencil(ks.num_vars, ks.dim_u, qh.shape[1], coeffs), compressed=True)
 
     worst = relative_residual(rebuilt(ks.grid, pol), ks.f_samples)
     if not worst <= pol.residual_tol:

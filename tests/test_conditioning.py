@@ -36,6 +36,7 @@ from posreal.core import (
     argument_arc,
     eigvalsh_or_refuse,
     hermitian_part,
+    neumann_condition_bound,
 )
 from posreal.kernels import psi
 from posreal.pencil import (
@@ -515,6 +516,38 @@ class TestIMinusSConditionBound:
         eye = np.eye(2)
         expect = _guard_outcome(lambda: _refuse_ill_conditioned(eye - sv, DEFAULT_POLICY, "I - S(w)"))
         assert _guard_outcome(lambda: inv_value_cayley(sv)) == expect
+
+
+def _former_neumann(s):
+    """(1 + s)/(1 - s) where s < 1, +inf elsewhere, as each caller computed it before
+    ``core.neumann_condition_bound``."""
+    out = np.full(len(s), np.inf)
+    ok = s < 1.0
+    out[ok] = (1.0 + s[ok]) / (1.0 - s[ok])
+    return out
+
+
+class TestNeumannConditionBound:
+    def test_values_and_unproven_entries(self):
+        s = np.array([0.0, 0.5, 1.0 - 1e-12, 1.0, 2.0, np.inf, np.nan])
+        got = neumann_condition_bound(s)
+        assert got[0] == 1.0 and got[1] == 3.0
+        assert got[2] == (1.0 + s[2]) / (1.0 - s[2])
+        assert np.all(got[3:] == np.inf)  # s >= 1, and a NaN, prove nothing
+
+    def test_callers_keep_their_bits(self, rng):
+        sv = _indefinite_values(rng, 300, 3)
+        sv *= (rng.uniform(0.1, 2.0, 300) / np.linalg.norm(sv, axis=(1, 2)))[:, None, None]
+        mags = np.abs(sv)
+        s = np.minimum(np.linalg.norm(sv, axis=(1, 2)),
+                       np.sqrt(np.max(mags.sum(axis=1), axis=1) * np.max(mags.sum(axis=2), axis=1)))
+        assert np.array_equal(i_minus_s_condition_bound(sv).view(np.uint64), _former_neumann(s).view(np.uint64))
+        c = _random_contraction(rng, (2, 1, 3), 2, 0.9)
+        pts = np.concatenate([disk_grid(3, 40, seed=6), 1.6 * disk_grid(3, 40, seed=7)])
+        rho = np.linalg.norm(c.blocks()[0], 2) * np.max(np.abs(pts), axis=1)
+        want = _former_neumann(rho)
+        assert np.array_equal(transfer_condition_bound(c, pts).view(np.uint64), want.view(np.uint64))
+        assert 0 < np.sum(np.isfinite(want)) < len(pts)
 
 
 class TestVerifyNeedsNoEstimate:

@@ -376,3 +376,71 @@ class TestOneCorruptedSample:
                             lambda *args, **kw: self._moved(transfer_values(*args, **kw), self.BAD))
         got = agler_identity_residual(c, ws)
         assert min(got) > DEFAULT_POLICY.residual_tol
+
+
+def _former_identity_rows(ks):
+    """x* = [phi*, I] and y^T = [(z.phi)^T, -f^T] as the kernel identity filled them
+    before ``core.factor_rows``: one (2, g, n, m + n) buffer."""
+    fvals = ks.f_samples
+    g, n = fvals.shape[:2]
+    m = sum(t.shape[1] for t in ks.factors)
+    rows = np.empty((2, g, n, m + n), dtype=complex)
+    lo = 0
+    for k, t in enumerate(ks.factors):
+        hi = lo + t.shape[1]
+        np.conjugate(t.transpose(0, 2, 1), out=rows[0, :, :, lo:hi])
+        np.multiply(ks.grid[:, k, None, None], t.transpose(0, 2, 1), out=rows[1, :, :, lo:hi])
+        lo = hi
+    rows[0, :, :, m:] = np.eye(n)
+    np.negative(fvals.transpose(0, 2, 1), out=rows[1, :, :, m:])
+    return rows[0], rows[1]
+
+
+def _former_transfer_rows(grid, tables, values, op):
+    """P^T (op np.add) or M^T (np.subtract) as the colligation filled them before
+    ``core.factor_rows``."""
+    g, n = values.shape[:2]
+    m = sum(t.shape[1] for t in tables)
+    rows = np.empty((g, n, m + n), dtype=complex)
+    lo = 0
+    for k, t in enumerate(tables):
+        hi = lo + t.shape[1]
+        np.multiply(op(grid[:, k], 1.0)[:, None, None], t.transpose(0, 2, 1), out=rows[:, :, lo:hi])
+        lo = hi
+    op(np.eye(n), values.transpose(0, 2, 1), out=rows[:, :, m:])
+    return rows
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("g", [1, 33, 67])
+@pytest.mark.parametrize("shape", [(3, 2, 4), (3, 4, 32)])
+def test_factor_rows_keeps_the_former_layouts(shape, g, monkeypatch):
+    import posreal.kernels as kernels
+
+    f = sampling.random_pencil(np.random.default_rng(g), *shape)
+    ks = sample_kernels(f, sampling.halfplane_grid(shape[0], g, 5))
+    for got, want in zip(kernels._identity_families(ks)[:2], _former_identity_rows(ks)):
+        assert got.shape == want.shape and np.array_equal(_bits(got), _bits(want))
+
+    # P^T and M^T, as the Schur-side residuals and the synthesis receive them
+    # from factor_rows (copied before they are finished in place)
+    seen = []
+    real = colligation.factor_rows
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1].copy()
+
+    monkeypatch.setattr(colligation, "factor_rows", spy)
+    ws = sampling.disk_grid(shape[0], g, 5)
+    disk = DiskKernelEvaluator(f)
+    thetas, svals = disk.schur_tables(ws)
+    disk.schur_identity_residuals(ws)
+    build_colligation(ws, thetas, svals)
+    want = [_former_transfer_rows(ws, thetas, svals, op) for op in (np.add, np.subtract)]
+    assert len(seen) == 4
+    for got, ref in zip(seen, want + want):
+        assert got.shape == ref.shape and np.array_equal(_bits(got), _bits(ref))
