@@ -406,7 +406,7 @@ def build_colligation(grid, theta_tables, schur_samples,
     split ``transfer_identity_residuals`` takes.  A thin QR of each of the
     two half-size adjoints, P* = Q_P R_P and M* = Q_M R_M, gives
     [D ; R]* = Q [R1 | R2] with Q = T diag(Q_P, Q_M) orthonormal columns,
-    R1 = [R_P ; R_M] / sqrt(2) and R2 = [R_P ; -R_M] / sqrt(2).  Exactly in
+    R1 = [R_P ; R_M] / sqrt(2) and R2 = J R1, J = diag(I, -I).  Exactly in
     arithmetic ||D* D|| = ||R1||^2, and both gate matrices reduce to one:
     R1 R1* - R2 R2* and R1 R2* - R2 R1* are [[0, +-R_P R_M*], [R_M R_P*, 0]],
     so ||D* D - R* R|| = ||D* R - R* D|| = ||R_P R_M*||, an (m+n)-square
@@ -417,18 +417,33 @@ def build_colligation(grid, theta_tables, schur_samples,
     R1* = W S V* of the (m+n)-row factor, Q V has orthonormal columns,
     so S are the singular values of D and W its left singular vectors.
     The rank r counts S_i > psd_slack S_1, and q = W_r spans the range.
-    In that basis x = q* D = S_r (Q V_r)* and y = q* R = q* R2* Q*, so
-    the swap y x^+ is  W0 = q* R2* V_r S_r^{-1}.  U does not depend on
-    which orthonormal basis of the range is used.
+    In that basis x = q* D = S_r (Q V_r)* and, as R2* = R1* J,
+    y = q* R = S_r V_r* J Q*, so the swap y x^+ is W0 = S_r K S_r^{-1}
+    with the Hermitian
+
+        K = V_r* J V_r = V_P* V_P - V_M* V_M,
+
+    V_P and V_M the rows of V_r against R_P and R_M (R_P has
+    min(g n, m + n) rows).  On data that satisfy both identities the
+    swap is an isometric involution of the range, so its matrix W0 in
+    the orthonormal basis q is Hermitian: S_r K S_r^{-1} = S_r^{-1} K S_r
+    gives S_r^2 K = K S_r^2, so K commutes with S_r and W0 = K, with
+    eigenvalues +-1.  Then U = I + q (K - I) q* = I - 2 V V* with
+    V = q E_-, E_- the eigenvectors of K for negative eigenvalues.  U does
+    not depend on which orthonormal basis of the range is used.
 
     When the data satisfies the identities only approximately (Gram
-    residual above residual_tol but below 1e-6) the swap is replaced by
-    the closest involutive unitary and the achieved residuals are
-    reported in the result rather than hidden.  Larger residuals are
-    rejected.
+    residual above residual_tol but below 1e-6) K is replaced by its
+    sign, for Hermitian K also its unitary polar factor and so the
+    closest unitary to it (Higham, Functions of Matrices, 2008, chs. 5
+    and 8); U = I - 2 V V* keeps the same V.  No singular value is
+    divided by, so cond(S_r) does not amplify the data error.  The
+    achieved residuals are reported in the result rather than hidden.
+    An eigenvalue of K within 0.5 of zero is refused, and larger Gram
+    residuals are rejected.
 
     Memory: P* and M* are built and QR-factored one at a time, each freed
-    after its QR, and the small factors (R_P, R_M, R1, R2 and the SVD)
+    after its QR, and the small factors (R_P, R_M, R1 and the SVD)
     are freed before the interpolation check.  That check evaluates
     S on the grid through the blocked M(w) solve of ``reflection_transfer``,
     so beyond its (g, r, n) and (g, n, n) outputs it holds one block of M(w).
@@ -449,7 +464,6 @@ def build_colligation(grid, theta_tables, schur_samples,
 
     rp, rm = map(_adjoint_r, _transfer_rows(pts, tables, svals))  # map keeps no rows between calls
     r1 = np.concatenate([rp, rm]) / np.sqrt(2.0)
-    r2 = np.concatenate([rp, -rm]) / np.sqrt(2.0)
     svecs, sing, vh = np.linalg.svd(r1.conj().T, full_matrices=False)
     top = sing.max(initial=0.0)
     gram_res = operator_norm(rp @ rm.conj().T) / (1.0 + top ** 2)
@@ -460,23 +474,18 @@ def build_colligation(grid, theta_tables, schur_samples,
     rank = int(np.sum(sing > pol.psd_slack * top))
     if rank == 0 and m + n > 0 and g > 0:
         raise NumericalRefusalError("rank collapse: generator span is empty")
-    q = svecs[:, :rank]
-    # Swap on the span, then projection to the nearest selfadjoint unitary:
-    # the unitary factor of the Hermitian part is the eigenvalue sign function.
-    w0 = (q.conj().T @ r2.conj().T @ vh[:rank].conj().T) / sing[:rank]
-    herm = hermitian_part(w0)
-    evals, evecs = eigh_or_refuse(herm)
+    # the swap on the span in the basis W_r: K = V_r* J V_r with J = diag(I, -I)
+    vp, vm = vh[:rank, :len(rp)], vh[:rank, len(rp):]
+    evals, evecs = eigh_or_refuse(vp @ vp.conj().T - vm @ vm.conj().T)
     if np.any(np.abs(evals) < 0.5):
         raise NumericalRefusalError("swap isometry is not close to an involution")
-    w0 = (evecs * np.sign(evals)) @ evecs.conj().T
-
-    # w0 - I = -2 E_- E_-* with E_- the eigenvectors of negative eigenvalues,
-    # so U = I - 2 V V* with V = q E_-: the factor of the transfer route.
-    u_full = np.eye(m + n, dtype=complex) + q @ (w0 - np.eye(rank, dtype=complex)) @ q.conj().T
-    coll = AglerColligation(dims, n, u_full, selfadjoint=True, reflection=q @ evecs[:, evals < 0])
+    # sign(K) = I - 2 E_- E_-*, so U = I - 2 V V* with V = W_r E_-
+    v = svecs[:, :rank] @ evecs[:, evals < 0]
+    u = np.eye(m + n) - 2.0 * (v @ v.conj().T)
+    coll = AglerColligation(dims, n, u, selfadjoint=True, reflection=v)
     unit, sa = coll.validate(pol)
     # nothing reads the factors again: free them before the g-point transfer check
-    del rp, rm, r1, r2, svecs, vh, q
+    del rp, rm, r1, svecs, vh, vp, vm
 
     tv = transfer_eval(coll, pts, pol)
     interp = relative_residual(tv, svals)

@@ -127,6 +127,11 @@ class TestVerify:
 # checks moved from eigh to eigvalsh (a last-bit change), and the
 # kernel-identity row when the two-point residuals became column bounds
 # from a thin QR (a bound above the pair maximum, not a last-bit change).
+# The five colligation rows were recorded again when U = I - 2 V V* came
+# from the sign of the span's Hermitian swap K instead of the
+# pseudo-inverse swap: U moves in its last bits, and the selfadjointness
+# row reads 0 here because V V* is formed Hermitian up to the rounding of
+# its two triangles.
 GOLDEN_ROWS = [
     ("pencil-coefficients-psd", "0x0.0p+0", "0x1.b7cdfd9d7bdbbp-34", True),
     ("homogeneity", "0x1.2a6c38dfdde4ep-52", "0x1.12e0be826d695p-30", True),
@@ -135,11 +140,11 @@ GOLDEN_ROWS = [
     ("kernel-identity", "0x1.3c5e60aca787bp-48", "0x1.12e0be826d695p-30", True),
     ("four-quadrant-conditions", "0x1.0000000000000p+0", "0x1.0000000000000p+0", True),
     ("calculus-positivity-min-eig", "0x1.10a6ed0d9b4a4p+1", "-0x1.b7cdfd9d7bdbbp-34", True),
-    ("colligation-unitarity", "0x1.d610278e610b9p-49", "0x1.12e0be826d695p-30", True),
-    ("colligation-selfadjointness", "0x1.70c73c0c05e07p-51", "0x1.12e0be826d695p-30", True),
-    ("colligation-transfer-match", "0x1.4971b7b714c6fp-52", "0x1.12e0be826d695p-30", True),
-    ("colligation-spectrum-margin", "0x1.ad2de616b97d6p-2", "0x1.0c6f7a0b5ed8dp-20", True),
-    ("inverse-double-cayley-recovery", "0x1.263f2c22f3a1ap-49", "0x1.12e0be826d695p-30", True),
+    ("colligation-unitarity", "0x1.42319dad780a4p-48", "0x1.12e0be826d695p-30", True),
+    ("colligation-selfadjointness", "0x0.0p+0", "0x1.12e0be826d695p-30", True),
+    ("colligation-transfer-match", "0x1.896e19e76a73ep-52", "0x1.12e0be826d695p-30", True),
+    ("colligation-spectrum-margin", "0x1.ad2de616b97d8p-2", "0x1.0c6f7a0b5ed8dp-20", True),
+    ("inverse-double-cayley-recovery", "0x1.00340116495a5p-49", "0x1.12e0be826d695p-30", True),
 ]
 
 
@@ -157,7 +162,9 @@ GOLDEN_ROWS = [
 # The two positivity rows were recorded again when the eigenvalue-only
 # checks moved from eigh to eigvalsh (one and eight units in the last place),
 # and the kernel-identity row when the two-point residuals became column
-# bounds from a thin QR.
+# bounds from a thin QR.  The five colligation rows were recorded again,
+# under one BLAS thread, when U = I - 2 V V* came from the sign of the
+# span's Hermitian swap K instead of the pseudo-inverse swap.
 GOLDEN_ROWS_BENCH_SHAPE = [
     ('pencil-coefficients-psd', '0x0.0p+0', '0x1.b7cdfd9d7bdbbp-34', True),
     ('homogeneity', '0x1.c237b67c38c37p-51', '0x1.12e0be826d695p-30', True),
@@ -166,11 +173,11 @@ GOLDEN_ROWS_BENCH_SHAPE = [
     ('kernel-identity', '0x1.42625c821206cp-47', '0x1.12e0be826d695p-30', True),
     ('four-quadrant-conditions', '0x1.0000000000000p+0', '0x1.0000000000000p+0', True),
     ('calculus-positivity-min-eig', '0x1.d869de8c9e01ap+1', '-0x1.b7cdfd9d7bdbbp-34', True),
-    ('colligation-unitarity', '0x1.4bf0b3ef9d2a5p-47', '0x1.12e0be826d695p-30', True),
-    ('colligation-selfadjointness', '0x1.1889a789938cep-49', '0x1.12e0be826d695p-30', True),
-    ('colligation-transfer-match', '0x1.7b0bab7575875p-51', '0x1.12e0be826d695p-30', True),
-    ('colligation-spectrum-margin', '0x1.31bd2b2e252a4p-2', '0x1.0c6f7a0b5ed8dp-20', True),
-    ('inverse-double-cayley-recovery', '0x1.68cd412f50121p-49', '0x1.12e0be826d695p-30', True),
+    ('colligation-unitarity', '0x1.b11cfd5eee6e0p-47', '0x1.12e0be826d695p-30', True),
+    ('colligation-selfadjointness', '0x0.0p+0', '0x1.12e0be826d695p-30', True),
+    ('colligation-transfer-match', '0x1.2f5f03a053a2dp-50', '0x1.12e0be826d695p-30', True),
+    ('colligation-spectrum-margin', '0x1.31bd2b2e252a8p-2', '0x1.0c6f7a0b5ed8dp-20', True),
+    ('inverse-double-cayley-recovery', '0x1.ae72f0e11617cp-49', '0x1.12e0be826d695p-30', True),
 ]
 
 # argv[1] is "True" for a validated load, "False" for the unchecked load the benchmark uses
@@ -686,6 +693,22 @@ class TestInputErrors:
         capsys.readouterr()
         assert main(argv + [str(path)]) == 2
         assert "malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("ports\nbranch P GND z1 1\n", "line 1: ports line needs at least one name"),
+    ("ports P P\nbranch P GND z1 1\n", "line 1: duplicate port P"),
+    ("ports P\nbranch P GND z1\n", "line 2: branch needs nodeA nodeB z<k> weight"),
+    ("ports P\nbranch P GND z1 1\nbranch M M z2 1\n", "line 3: branch endpoints coincide"),
+    ("ports P\nbranch P GND z1 one\n", "line 2: bad weight 'one'"),
+    ("ports P\nbranch P GND z1 1\nresistor P GND 1\n", "line 3: unknown directive 'resistor'"),
+    ("# no ports line\nbranch P GND z1 1\n", "netlist declares no ports"),
+])
+def test_malformed_netlist_is_input_error(tmp_path, capsys, text, message):
+    net = tmp_path / "bad.net"
+    net.write_text(text)
+    assert main(["netlist", "--netlist", str(net)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def _with_a_leaf(kind, leaf, parallel_file, tmp_path):

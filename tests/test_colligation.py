@@ -206,6 +206,39 @@ class TestSynthesis:
         with pytest.raises(ValidationError):
             build_colligation(grid, thetas, svals)
 
+    def test_no_io_dimension_is_a_rank_collapse(self):
+        # n = 0 samples span nothing in a state space of dimension 1
+        grid = np.array([[0.0], [0.5]], dtype=complex)
+        with pytest.raises(NumericalRefusalError, match="rank collapse"):
+            build_colligation(grid, [np.zeros((2, 1, 0), dtype=complex)], np.zeros((2, 0, 0)))
+
+    def test_swap_far_from_an_involution_is_refused(self, monkeypatch, parallel):
+        import posreal.colligation as colligation
+
+        real = colligation.eigh_or_refuse
+
+        def one_eigenvalue_at_a_tenth(m):
+            evals, evecs = real(m)
+            evals[0] = 0.1
+            return evals, evecs
+
+        monkeypatch.setattr(colligation, "eigh_or_refuse", one_eigenvalue_at_a_tenth)
+        dk, view = DiskKernelEvaluator(parallel), DiskFunctionView(parallel)
+        ws = disk_grid(2, 6, seed=5)
+        with pytest.raises(NumericalRefusalError, match="not close to an involution"):
+            build_colligation(ws, dk.theta_table(ws), view.eval_double_cayley(ws))
+
+    def test_transfer_off_the_samples_is_refused(self, monkeypatch, parallel):
+        import posreal.colligation as colligation
+
+        real = colligation.transfer_eval
+        monkeypatch.setattr(colligation, "transfer_eval",
+                            lambda c, w, pol=DEFAULT_POLICY: real(c, w, pol) + 1e-6)
+        dk, view = DiskKernelEvaluator(parallel), DiskFunctionView(parallel)
+        ws = disk_grid(2, 6, seed=5)
+        with pytest.raises(NumericalRefusalError, match="fails to interpolate"):
+            build_colligation(ws, dk.theta_table(ws), view.eval_double_cayley(ws))
+
     def test_transfer_conjugate_symmetry(self, parallel, rng):
         dk = DiskKernelEvaluator(parallel)
         ws = disk_grid(2, 8, seed=6)
@@ -268,9 +301,28 @@ DENSE_CASES = [
 ]
 
 
+def _dense_sign_synthesis(grid, tables, svals, pol=DEFAULT_POLICY):
+    """Dense reference of the sign route, with no QR and no T rotation.
+
+    SVD D = W S V* of the explicit generator matrix, K = V_r* Pi V_r with
+    Pi the swap of D's two column halves (so D Pi = R), and U = I - 2 V V*
+    with V = W_r E_-, E_- the eigenvectors of K for negative eigenvalues.
+    Returns (U, rank).
+    """
+    dmat, _ = _dense_generators(grid, tables, svals)
+    w, s, vh = np.linalg.svd(dmat, full_matrices=False)
+    rank = int(np.sum(s > pol.psd_slack * s[0]))
+    vr, half = vh[:rank].conj().T, dmat.shape[1] // 2
+    k = vr.conj().T @ np.concatenate([vr[half:], vr[:half]])
+    evals, evecs = np.linalg.eigh((k + k.conj().T) / 2)
+    v = w[:, :rank] @ evecs[:, evals < 0]
+    return np.eye(len(w)) - 2.0 * (v @ v.conj().T), rank
+
+
 def _dense_synthesis(grid, tables, svals, pol=DEFAULT_POLICY):
-    """Dense reference route: SVD basis of the explicit generator matrix,
-    least-squares swap, eigen-sign projection.  Returns (U, rank)."""
+    """Dense reference of the least-squares route: SVD basis of the explicit
+    generator matrix, least-squares swap, eigen-sign projection of its
+    Hermitian part.  On exact data it gives the sign route's U.  Returns (U, rank)."""
     dmat, rmat = _dense_generators(grid, tables, svals)
     u, s, _ = np.linalg.svd(dmat, full_matrices=False)
     rank = int(np.sum(s > pol.psd_slack * s[0]))
@@ -283,7 +335,7 @@ def _dense_synthesis(grid, tables, svals, pol=DEFAULT_POLICY):
 
 
 class TestDenseReference:
-    """build_colligation works from a QR and a small SVD; the dense route must agree."""
+    """build_colligation works from a QR and a small SVD; the dense sign route must agree."""
 
     @pytest.mark.parametrize("shape, rank_deficient, grid_size, redundant", DENSE_CASES)
     @pytest.mark.parametrize("perturbed", [False, True])
@@ -306,11 +358,16 @@ class TestDenseReference:
             assert DEFAULT_POLICY.residual_tol < syn.gram_residual <= 1e-6
         else:
             assert syn.gram_residual <= DEFAULT_POLICY.residual_tol
-        u_ref, rank_ref = _dense_synthesis(ws, tables, svals)
+        u_ref, rank_ref = _dense_sign_synthesis(ws, tables, svals)
         assert syn.rank == rank_ref
         if redundant:
             assert syn.rank < syn.colligation.U.shape[0]
         assert np.max(np.abs(syn.colligation.U - u_ref)) < 1e-9
+        if not perturbed:
+            # the two regularizations differ only off the identities
+            u_lsq, rank_lsq = _dense_synthesis(ws, tables, svals)
+            assert syn.rank == rank_lsq
+            assert np.max(np.abs(syn.colligation.U - u_lsq)) < 1e-9
 
     @pytest.mark.parametrize("shape, rank_deficient, grid_size, redundant", DENSE_CASES)
     @pytest.mark.parametrize("perturbed", [False, True])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from posreal import realize
-from posreal.core import DEFAULT_POLICY, ValidationError, scale_of
+from posreal.core import DEFAULT_POLICY, NumericalRefusalError, ValidationError, scale_of
 from posreal.kernels import (
     KernelEvaluator,
     KernelSampleSet,
@@ -191,6 +191,19 @@ class TestReconstruction:
         bad = KernelSampleSet(ks.grid, ks.factors, ks.f_samples + 0.3)
         with pytest.raises(ValidationError):
             pencil_from_kernel_samples(bad)
+
+    def test_rebuild_off_the_samples_is_refused(self, monkeypatch, parallel):
+        # valid samples, but a rebuilt pencil that misses them by 1e-6
+        import posreal.kernels as kernels
+
+        class Shifted(RealizedFunction):
+            def __call__(self, z, pol=DEFAULT_POLICY):
+                return super().__call__(z, pol) + 1e-6
+
+        monkeypatch.setattr(kernels, "RealizedFunction", Shifted)
+        ks = sample_kernels(parallel, halfplane_grid(2, 6, seed=4))
+        with pytest.raises(NumericalRefusalError, match="reconstruction failed to interpolate"):
+            pencil_from_kernel_samples(ks)
 
     def test_rejects_overflowing_samples(self, parallel):
         # finite samples whose identity residual overflows to NaN are an
