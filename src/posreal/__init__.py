@@ -63,6 +63,7 @@ from .colligation import (
     ColligationSynthesis,
     agler_identity_residual,
     build_colligation,
+    colligation_from_kernel_samples,
     spectrum_condition,
     transfer_eval,
 )

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import serialize, verify
 from .calculus import HuntConfig, calculus_cross_checks, hunt, pencil_controls
-from .cayley import DiskFunctionView, DiskKernelEvaluator, value_cayley
-from .colligation import agler_identity_residual, build_colligation
+from .cayley import DiskFunctionView, disk_to_halfplane, value_cayley
+from .colligation import agler_identity_residual, colligation_from_kernel_samples
 from .core import DEFAULT_POLICY, NumericalRefusalError, PosrealError, ShapeError, TolerancePolicy, ValidationError
 from .geometry import AntiUnitaryInvolution
 from .kernels import pencil_from_kernel_samples, sample_kernels
@@ -172,10 +172,9 @@ def _cmd_colligate(args) -> int:
         return 0 if verdict else 1
     f = _load_pencil(args.pencil, pol)
     ws = disk_grid(f.num_vars, args.grid, args.seed)
-    disk = DiskKernelEvaluator(f, pol)
-    # one M(w) solve gives theta and S(w)
-    thetas, svals = disk.schur_tables(ws)
-    syn = build_colligation(ws, thetas, svals, pol)
+    # one d(z) solve gives f and the phi tables on z(ws)
+    ks = sample_kernels(f, disk_to_halfplane(ws), pol)
+    syn = colligation_from_kernel_samples(ws, ks, value_cayley(ks.f_samples, pol), pol)
     coll = syn.colligation
     plus, minus = agler_identity_residual(coll, ws, pol)
     print(f"state dims: {list(coll.dims)}  io dim: {coll.n}")

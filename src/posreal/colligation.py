@@ -5,8 +5,12 @@ X (+) U with a state splitting X = X_1 (+) ... (+) X_N; its transfer
 function is S(w) = D + C P(w) (I - A P(w))^{-1} B with
 P(w) = sum_k w_k P_k.  Transfer functions of *selfadjoint* unitary
 colligations with 1 outside the spectrum of S(0) are exactly the double
-Cayley transforms of realized functions; synthesis from grid data uses
-the finite lurking-isometry model.
+Cayley transforms of realized functions.  Synthesis from grid data is
+the finite lurking isometry (Agler, Oper. Theory Adv. Appl. 48, 1990)
+read off the kernel rebuild: ``colligation_from_kernel_samples`` takes
+the rebuild's factor v from the kernel identity's R and returns the
+reflection of the span of V = [-v; E*]; ``build_colligation`` converts
+disk-side samples (theta tables and S) to that input.
 
 A selfadjoint unitary U is a reflection U = I - 2 V V* with V* V = I_r,
 r the multiplicity of its eigenvalue -1.  Synthesis holds V exactly and
@@ -35,7 +39,6 @@ from .core import (
     like_points,
     hermitian_part,
     hermitian_split_residuals,
-    eigh_or_refuse,
     eigvalsh_or_refuse,
     factor_rows,
     neumann_condition_bound,
@@ -43,6 +46,7 @@ from .core import (
     point_blocks,
     relative_residual,
 )
+from .kernels import KernelSampleSet, rebuild_factor
 from .pencil import PencilBound, _refuse_ill_conditioned
 
 __all__ = [
@@ -54,6 +58,7 @@ __all__ = [
     "transfer_identity_residuals",
     "spectrum_condition",
     "ColligationSynthesis",
+    "colligation_from_kernel_samples",
     "build_colligation",
 ]
 
@@ -274,17 +279,6 @@ def transfer_condition_bound(c: AglerColligation, w) -> np.ndarray:
     return neumann_condition_bound(rho)
 
 
-def _transfer_rows(grid, tables, values):
-    """P^T, then M^T, on the grid (g, n, m + n): ``core.factor_rows`` at weights w_k +- 1, tails I +- S^T.
-
-    A generator, so a caller that consumes one before asking for the
-    other holds one at a time.
-    """
-    eye, s_t = np.eye(values.shape[-1]), values.transpose(0, 2, 1)
-    yield factor_rows(tables, grid + 1.0, eye + s_t)
-    yield factor_rows(tables, grid - 1.0, eye - s_t)
-
-
 def transfer_identity_residuals(grid, tables, values, scale=None) -> tuple[float, float]:
     """Residuals of the disk-side transfer identities over grid x grid.
 
@@ -294,13 +288,15 @@ def transfer_identity_residuals(grid, tables, values, scale=None) -> tuple[float
     For the points ``grid`` (g, N), the tables h_k (g, m_k, n) of
     ``tables`` and S on the grid ``values`` (g, n, n), P and M stack
     (col_k((w_k + 1) h_k); I + S) and (col_k((w_k - 1) h_k); I - S);
-    ``_transfer_rows`` lays out P^T and M^T, one at a time.  ``scale`` is
+    ``core.factor_rows`` lays out P^T and M^T.  ``scale`` is
     passed to ``hermitian_split_residuals``.  The pair is the Hermitian
     split of E(o, w) = M(o)* P(w) / 2: the sum E(o, w) + E(w, o)* is
     -sum_k (1 - conj(o_k) w_k) h_k(o)* h_k(w) + I - S(o)* S(w), and the
     difference is -sum_k (w_k - conj(o_k)) h_k(o)* h_k(w) + S(w) - S(o)*.
     """
-    p_rows, m_rows = _transfer_rows(grid, tables, values)
+    eye, s_t = np.eye(values.shape[-1]), values.transpose(0, 2, 1)
+    p_rows = factor_rows(tables, grid + 1.0, eye + s_t)
+    m_rows = factor_rows(tables, grid - 1.0, eye - s_t)
     p_rows *= 0.5  # exact, in place: the rows of P / 2
     np.conjugate(m_rows, out=m_rows)  # M*
     return hermitian_split_residuals(m_rows, p_rows, scale)
@@ -350,8 +346,10 @@ class ColligationSynthesis:
     """Synthesized colligation plus the residuals achieved on the input data.
 
     ``values`` is its transfer function S on the synthesis grid (g, n, n);
-    the unitarity and selfadjointness residuals are those of U that
-    ``validate`` measured.
+    ``gram_residual`` is the kernel identity's cross-Gram residual that
+    gated the synthesis; ``rank`` is the multiplicity r of the eigenvalue
+    -1 of U, the column count of its reflection factor; the unitarity and
+    selfadjointness residuals are those of U that ``validate`` measured.
     """
 
     colligation: AglerColligation
@@ -363,133 +361,110 @@ class ColligationSynthesis:
     selfadjointness_residual: float
 
 
-def _adjoint_r(rows) -> np.ndarray:
-    """The R factor of the thin QR of the adjoint of (g, n, m + n) rows, conjugated in place.
+def colligation_from_kernel_samples(grid, ks: KernelSampleSet, schur_values,
+                                    pol: TolerancePolicy = DEFAULT_POLICY,
+                                    gate: tuple[float, np.ndarray] | None = None) -> ColligationSynthesis:
+    """The selfadjoint unitary colligation of the kernel rebuild, checked against S on a disk grid.
 
-    Each adjoint is freed on return, since numpy's qr copies its whole input.
+    ``ks`` holds f and the phi tables on zs = z(grid), the Cayley image of
+    the disk grid (g, N), which must contain w = 0 (z(0) is the base point
+    e); ``schur_values`` is S = (F - I)(F + I)^{-1} on the grid (g, n, n),
+    the target of the interpolation check; ``gate`` is
+    ``ks.identity_gate()``, computed here unless the caller holds it.
+
+    ``kernels.rebuild_factor`` reads the rebuild's factor v = [phi(e), Q_H]
+    (m x (n + p'), row block k of m_k rows) from the gate's R, and
+    refuses samples off the kernel identity.  The rebuilt pencil has the
+    coefficients A_k = v_k* v_k.  Its colligation is the forward map of
+    V = [-v; E*], E* = [I_n 0]: with the SVD V = W Sigma Z*, cut at
+    psd_slack Sigma_1, U = I - 2 W W* with reflection factor W, r = rank
+    columns, and state dimensions (m_1, ..., m_N), the widths of the phi
+    tables at any grid size.
+
+    Proof.  On data that satisfy the identity, phi(e) is orthogonal to
+    Q_H, so V* V = diag(phi(e)* phi(e) + I, I) >= I: every singular value
+    is at least 1, nothing is cut, and W = V Z Sigma^{-1}.  The r x r
+    pencil of ``transfer_eval`` is then
+    M'(w) = W_u* W_u + sum_k z_k W_k* W_k = Sigma^{-1} Z* M(w) Z Sigma^{-1}
+    with M(w) = E E* + sum_k z_k v_k* v_k = A(z) + E E* of the rebuilt
+    pencil, so S'(w) = I - 2 W_u M'(w)^{-1} W_u* = I - 2 E* M(w)^{-1} E.
+    For psi = [I; -d(z)^{-1} c(z)] of the rebuilt pencil, A(z) psi = E f(z)
+    and E* psi = I give M(w) psi = E (F + I), so M(w)^{-1} E =
+    psi (F + I)^{-1} and S' = I - 2 (F + I)^{-1} = (F - I)(F + I)^{-1}, the
+    double Cayley transform of the rebuilt pencil.  That pencil
+    interpolates f on zs, so S' interpolates S on the grid, and the check
+    refuses otherwise; off the grid S' is the double Cayley transform of
+    f once the grid saturates the difference span.  The sign of v makes
+    the state response h_k(w) = -2 / (1 - w_k) W_k M'(w)^{-1} W_u* equal
+    2 / (1 - w_k) v_k psi (F + I)^{-1}, which is theta_k(w) on the grid
+    (there v psi = phi, since Q_H* diag(z) phi(z) = 0 by the identity and
+    Q_H spans the differences), so U swaps
+    (col_k(w_k theta_k(w) u); u) and (col_k(theta_k(w) u); S(w) u): it is
+    the lurking isometry of the transfer identities, the U that the swap
+    of those two families defines on their span.
+
+    Memory: beside the samples and R it holds V and its SVD, (m + n)
+    square at most, then the transfer check's T and S from the blocked
+    M(w) solve of ``reflection_transfer`` and one block of M(w).
     """
-    np.conjugate(rows, out=rows)
-    return np.linalg.qr(rows.reshape(-1, rows.shape[2]), mode="r")
+    gate = ks.identity_gate() if gate is None else gate
+    v = rebuild_factor(ks, gate, pol)
+    n = ks.dim_u
+    w, sing, _ = np.linalg.svd(np.vstack([-v, np.eye(n, v.shape[1])]), full_matrices=False)
+    rank = int(np.sum(sing > pol.psd_slack * sing.max(initial=0.0)))
+    if rank == 0 and len(w):
+        raise NumericalRefusalError("rank collapse: the rebuilt factor spans nothing")
+    w = w[:, :rank]
+    coll = AglerColligation(tuple(t.shape[1] for t in ks.factors), n, np.eye(len(w)) - 2.0 * (w @ w.conj().T),
+                            selfadjoint=True, reflection=w)
+    unit, sa = coll.validate(pol)
+    tv = transfer_eval(coll, as_points(grid, ks.num_vars), pol)
+    interp = relative_residual(tv, schur_values)
+    if not interp <= pol.residual_tol:
+        raise NumericalRefusalError(
+            f"synthesized colligation fails to interpolate (residual {interp:.3e})")
+    return ColligationSynthesis(coll, interp, gate[0], rank, tv, unit, sa)
 
 
 def build_colligation(grid, theta_tables, schur_samples,
                       pol: TolerancePolicy = DEFAULT_POLICY) -> ColligationSynthesis:
-    """Synthesize a selfadjoint unitary colligation interpolating grid data.
+    """Synthesize a selfadjoint unitary colligation from disk-side samples: theta tables and S.
 
-    Inputs are a polydisk grid (g, N), per-variable factor tables
-    theta_tables[k] of shape (g, m_k, n) with
+    Inputs are a polydisk grid (g, N) that contains w = 0, per-variable
+    factor tables theta_tables[k] of shape (g, m_k, n) with
     Theta_k(w, o) = theta_k(o)* theta_k(w), and the Schur-side values
-    schur_samples (g, n, n).
+    schur_samples (g, n, n).  This converts them to halfplane kernel
+    samples and calls ``colligation_from_kernel_samples``.
 
-    The two families of vectors in (+)_k C^{m_k} (+) C^n
-
-        d(w, u) = (col_k(w_k theta_k(w) u); u)
-        r(w, u) = (col_k(theta_k(w) u);     S(w) u)
-
-    have equal Grams and a Hermitian cross-Gram exactly when the sampled
-    data satisfies both transfer identities; the swap d <-> r is then a
-    well-defined isometric involution of their joint span.  It extends
-    by the identity on the orthogonal complement to the selfadjoint
-    unitary U; by construction U d(w, u) = r(w, u) makes the transfer
-    interpolate S at every grid node.
-
-    The gates and the swap are computed in the small space, never
-    forming the 2gn x 2gn Grams.  The stacked generator matrices
-    D = [D_d R_r] and R = [R_r D_d] (n columns per grid point, D_d of the
-    d-vectors, R_r of the r-vectors) differ by a block swap, so with the
-    orthogonal T = [[I, I], [I, -I]] / sqrt(2)
-
-        [D ; R]* = T diag(P*, M*) T,   P = D_d + R_r,  M = D_d - R_r,
-
-    where P and M stack (col_k((w_k + 1) theta_k(w)); I + S(w)) and
-    (col_k((w_k - 1) theta_k(w)); I - S(w)), the families whose Hermitian
-    split ``transfer_identity_residuals`` takes.  A thin QR of each of the
-    two half-size adjoints, P* = Q_P R_P and M* = Q_M R_M, gives
-    [D ; R]* = Q [R1 | R2] with Q = T diag(Q_P, Q_M) orthonormal columns,
-    R1 = [R_P ; R_M] / sqrt(2) and R2 = J R1, J = diag(I, -I).  Exactly in
-    arithmetic ||D* D|| = ||R1||^2, and both gate matrices reduce to one:
-    R1 R1* - R2 R2* and R1 R2* - R2 R1* are [[0, +-R_P R_M*], [R_M R_P*, 0]],
-    so ||D* D - R* R|| = ||D* R - R* D|| = ||R_P R_M*||, an (m+n)-square
-    norm.  These are identities, not bounds, so both gates below keep
-    their meaning.
-
-    The same factor carries the range of D = R1* Q*.  With the SVD
-    R1* = W S V* of the (m+n)-row factor, Q V has orthonormal columns,
-    so S are the singular values of D and W its left singular vectors.
-    The rank r counts S_i > psd_slack S_1, and q = W_r spans the range.
-    In that basis x = q* D = S_r (Q V_r)* and, as R2* = R1* J,
-    y = q* R = S_r V_r* J Q*, so the swap y x^+ is W0 = S_r K S_r^{-1}
-    with the Hermitian
-
-        K = V_r* J V_r = V_P* V_P - V_M* V_M,
-
-    V_P and V_M the rows of V_r against R_P and R_M (R_P has
-    min(g n, m + n) rows).  On data that satisfy both identities the
-    swap is an isometric involution of the range, so its matrix W0 in
-    the orthonormal basis q is Hermitian: S_r K S_r^{-1} = S_r^{-1} K S_r
-    gives S_r^2 K = K S_r^2, so K commutes with S_r and W0 = K, with
-    eigenvalues +-1.  Then U = I + q (K - I) q* = I - 2 V V* with
-    V = q E_-, E_- the eigenvectors of K for negative eigenvalues.  U does
-    not depend on which orthonormal basis of the range is used.
-
-    When the data satisfies the identities only approximately (Gram
-    residual above residual_tol but below 1e-6) K is replaced by its
-    sign, for Hermitian K also its unitary polar factor and so the
-    closest unitary to it (Higham, Functions of Matrices, 2008, chs. 5
-    and 8); U = I - 2 V V* keeps the same V.  No singular value is
-    divided by, so cond(S_r) does not amplify the data error.  The
-    achieved residuals are reported in the result rather than hidden.
-    An eigenvalue of K within 0.5 of zero is refused, and larger Gram
-    residuals are rejected.
-
-    Memory: P* and M* are built and QR-factored one at a time, each freed
-    after its QR, and the small factors (R_P, R_M, R1 and the SVD)
-    are freed before the interpolation check.  That check evaluates
-    S on the grid through the blocked M(w) solve of ``reflection_transfer``,
-    so beyond its (g, r, n) and (g, n, n) outputs it holds one block of M(w).
+    The conversion.  With z = z(w), the Cayley change of variables maps
+    F = (I + S)(I - S)^{-1} = 2 (I - S)^{-1} - I and
+    phi_k(z) = (1 - w_k) theta_k(w) (I - S)^{-1} = (1 - w_k) / 2 theta_k(w) (F + I),
+    the inverse of theta_k = 2 / (1 - w_k) phi_k (F + I)^{-1} (see
+    ``cayley.DiskKernelEvaluator.schur_tables``).  The transfer identities
+    I - S(o)* S(w) = sum_k (1 - conj(o_k) w_k) Theta_k(w, o) and
+    S(w) - S(o)* = sum_k (w_k - conj(o_k)) Theta_k(w, o) then hold exactly
+    when f(z) = sum_k z_k phi_k(zeta)* phi_k(z) does on zs, since
+    multiplying the first by (F(o) + I)* / 2 on the left and (F(w) + I) / 2 on the
+    right gives the Herglotz pair F(w) + F(o)* = sum_k (1 - conj(o_k) w_k) xi_k(o)* xi_k(w) with
+    xi_k = sqrt(2) / (1 - w_k) phi_k.  So data off the transfer identities are
+    refused by the kernel identity gate.  The division by I - S is one
+    guarded right division (``cayley.inv_value_cayley``), so data with 1 in
+    the spectrum of some S(w), outside the class premise, are refused.  A
+    grid without w = 0 has no base point and is refused
+    (``ValidationError``), as are points near the unit circle.
     """
+    from .cayley import disk_to_halfplane, inv_value_cayley  # cayley imports this module
+
     pts = as_points(grid, len(theta_tables))
-    g, num_vars = pts.shape
-    if g == 0:
+    if len(pts) == 0:
         raise ShapeError("colligation synthesis needs at least one grid point")
     svals = np.asarray(schur_samples, dtype=complex)
-    if svals.shape[0] != g:
+    if svals.shape[0] != len(pts):
         raise ShapeError("one Schur-side sample per grid point required")
-    n = svals.shape[1]
-    tables = [np.asarray(t, dtype=complex) for t in theta_tables]
-    if not all(np.isfinite(a).all() for a in (svals, *tables)):
+    if not all(np.isfinite(a).all() for a in (svals, *theta_tables)):
         raise ValidationError("colligation samples contain NaN or Inf entries")
-    dims = tuple(t.shape[1] for t in tables)
-    m = sum(dims)
-
-    rp, rm = map(_adjoint_r, _transfer_rows(pts, tables, svals))  # map keeps no rows between calls
-    r1 = np.concatenate([rp, rm]) / np.sqrt(2.0)
-    svecs, sing, vh = np.linalg.svd(r1.conj().T, full_matrices=False)
-    top = sing.max(initial=0.0)
-    gram_res = operator_norm(rp @ rm.conj().T) / (1.0 + top ** 2)
-    if gram_res > 1e-6:
-        raise ValidationError(
-            f"samples violate the transfer identities (Gram residual {gram_res:.3e})")
-
-    rank = int(np.sum(sing > pol.psd_slack * top))
-    if rank == 0 and m + n > 0 and g > 0:
-        raise NumericalRefusalError("rank collapse: generator span is empty")
-    # the swap on the span in the basis W_r: K = V_r* J V_r with J = diag(I, -I)
-    vp, vm = vh[:rank, :len(rp)], vh[:rank, len(rp):]
-    evals, evecs = eigh_or_refuse(vp @ vp.conj().T - vm @ vm.conj().T)
-    if np.any(np.abs(evals) < 0.5):
-        raise NumericalRefusalError("swap isometry is not close to an involution")
-    # sign(K) = I - 2 E_- E_-*, so U = I - 2 V V* with V = W_r E_-
-    v = svecs[:, :rank] @ evecs[:, evals < 0]
-    u = np.eye(m + n) - 2.0 * (v @ v.conj().T)
-    coll = AglerColligation(dims, n, u, selfadjoint=True, reflection=v)
-    unit, sa = coll.validate(pol)
-    # nothing reads the factors again: free them before the g-point transfer check
-    del rp, rm, r1, svecs, vh, vp, vm
-
-    tv = transfer_eval(coll, pts, pol)
-    interp = relative_residual(tv, svals)
-    if gram_res <= pol.residual_tol and interp > pol.residual_tol:
-        raise NumericalRefusalError(
-            f"synthesized colligation fails to interpolate (residual {interp:.3e})")
-    return ColligationSynthesis(coll, interp, gram_res, rank, tv, unit, sa)
+    fvals = inv_value_cayley(svals, pol)
+    plus = fvals + np.eye(svals.shape[1])  # F + I = 2 (I - S)^{-1}
+    phis = [(0.5 * (1.0 - pts[:, k]))[:, None, None] * (t @ plus) for k, t in enumerate(theta_tables)]
+    return colligation_from_kernel_samples(pts, KernelSampleSet(disk_to_halfplane(pts), phis, fvals),
+                                           svals, pol)

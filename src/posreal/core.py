@@ -10,7 +10,7 @@ eigenvalues against the one scale 1 + ||M||.  Other scales keep their
 own checks: ``calculus.accretive_positivity_check`` (f(R) + f(R)*, so the
 routine would loosen it), the Frobenius-scaled positivity rows and
 ``geometry.four_quadrant_check``, and the singular-value rank floors of
-``kernels.pencil_from_kernel_samples`` and ``colligation.build_colligation``.
+``kernels.rebuild_factor`` and ``colligation.colligation_from_kernel_samples``.
 """
 
 from __future__ import annotations

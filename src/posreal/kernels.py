@@ -51,6 +51,7 @@ __all__ = [
     "plus_minus_residuals",
     "check_psd_kernel",
     "sample_kernels",
+    "rebuild_factor",
     "pencil_from_kernel_samples",
 ]
 
@@ -242,12 +243,63 @@ class KernelSampleSet:
 
     def identity_residual(self) -> float:
         """Residual of f(z) = sum_k z_k phi_k(zeta)* phi_k(z) over grid x grid."""
-        return cross_gram_residual(*_identity_families(self))
+        return self.identity_gate()[0]
+
+    def identity_gate(self) -> tuple[float, np.ndarray]:
+        """The kernel identity's residual and R, the TSQR factor of its x(c)* (``core.family_r``).
+
+        The residual is ``core.column_bound`` over R, bit for bit the value
+        of ``identity_residual``.  The families are freed on return, so a
+        caller that keeps the pair holds R alone (M x M at most).
+        """
+        x_adj, y_rows, scale = _identity_families(self)
+        r = family_r(x_adj)
+        return column_bound(r, y_rows, scale), r
 
 
 def sample_kernels(f: RealizedFunction, grid, pol: TolerancePolicy = DEFAULT_POLICY) -> KernelSampleSet:
     """Sample factored kernels and function values of a realization."""
     return KernelEvaluator(f, pol).phi_table(grid)
+
+
+def rebuild_factor(ks: KernelSampleSet, gate: tuple[float, np.ndarray],
+                   pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
+    """The rebuild's factor v = [phi(e), Q_H] (m x (n + p')), read from the kernel identity's R.
+
+    ``gate`` is ``ks.identity_gate()``, (residual, R); samples whose
+    residual exceeds residual_tol are refused.  Row block k of v has the
+    m_k rows of phi_k.  phi(e) is the stacked factor at the base point e
+    and Q_H the leading left singular vectors of the stacked differences
+    D = [phi(b) - phi(e)]_b, an orthonormal basis of their span: the rank
+    counts the singular values above psd_slack max(sigma_1, scale of
+    phi(e)).  On data that satisfy the identity phi(e) is orthogonal to
+    that span (the identity at (c, e) and at (e, e) gives
+    (phi(c) - phi(e))* phi(e) = f(e) - f(e) = 0).
+
+    The span is read from R.  With R the TSQR factor of the stack X of
+    the x(c)* = [phi(c)*, I] and T = [I_m; -phi(e)*], row block c of X T
+    is phi(c)* - phi(e)*, so D* = X T up to its zero block at c = e, and
+    X = Q R gives D = (R T)* Q*.  Q has orthonormal columns, so the SVD
+    (R T)* = W S V* yields D = W S (Q V)*: the left singular vectors and
+    singular values of D are those of the small m x min(g n, M) matrix
+    (R T)*.  A single point gives R T = 0 up to roundoff, hence rank 0.
+
+    Roundoff: R is exact for X + dX with ||dX||_F <= c eps ||X||_F, so
+    the differences read from R carry errors of order eps ||x(c)||
+    rather than eps ||phi(c) - phi(e)||.
+    """
+    res, r = gate
+    if not res <= pol.residual_tol:  # a NaN residual fails too
+        raise ValidationError(
+            f"kernel identity violated on input samples (residual {res:.3e})")
+    base = ks.base_index()
+    phi_e = np.concatenate([t[base] for t in ks.factors])
+    m = len(phi_e)
+    q, sing, _ = np.linalg.svd((r[:, :m] - r[:, m:] @ phi_e.conj().T).conj().T, full_matrices=False)
+    # floor at the factor scale so all-roundoff difference columns
+    # (constant psi, e.g. one variable, or a single point) do not fake rank
+    floor = pol.psd_slack * max(sing.max(initial=0.0), scale_of(phi_e))
+    return np.hstack([phi_e, q[:, :int(np.sum(sing > floor))]])
 
 
 def pencil_from_kernel_samples(ks: KernelSampleSet,
@@ -259,52 +311,22 @@ def pencil_from_kernel_samples(ks: KernelSampleSet,
     {phi(e) u} and the span over the grid of {(phi(zeta) - phi(e)) u}
     are orthogonal; the coefficients are
 
-        A_k = V* P_k V,   V = [phi(e), Q_H],
+        A_k = v_k* v_k,   v = [phi(e), Q_H],
 
-    with P_k the coordinate projector onto the k-th factor block and
-    Q_H the leading left singular vectors of the stacked differences
-    D = [phi(b) - phi(e)]_b, an orthonormal basis of their span: the rank
-    counts the singular values above psd_slack max(sigma_1, scale of
-    phi(e)).  The result interpolates the samples at every grid point,
-    and reproduces the generating function off-grid once the grid
-    saturates the difference span.
+    with v_k the k-th factor block of ``rebuild_factor`` and Q_H an
+    orthonormal basis of the difference span.  The result interpolates
+    the samples at every grid point, and reproduces the generating
+    function off-grid once the grid saturates the difference span.
 
-    One factorization serves the gate and the span.  The gate is the
-    kernel identity's column bound over R, the TSQR factor of the stack
-    X of the x(c)* = [phi(c)*, I] (``core.family_r``).  With
-    T = [I_m; -phi(e)*], row block c of X T is phi(c)* - phi(e)*, so
-    D* = X T up to its zero block at c = e, and X = Q R gives
-    D = (R T)* Q*.  Q has orthonormal columns, so the SVD
-    (R T)* = W S V* yields D = W S (Q V)*: the left singular vectors and
-    singular values of D are those of the small m x min(g n, M) matrix
-    (R T)*.  A single point gives R T = 0 up to roundoff, hence rank 0.
-
-    Roundoff: R is exact for X + dX with ||dX||_F <= c eps ||X||_F, so
-    the differences read from R carry errors of order eps ||x(c)||
-    rather than eps ||phi(c) - phi(e)||; the rebuild's interpolation
-    residual reads about 4e-15 on the kernels benchmark's pencils.
-    Beside R, only the kernel identity's families are held, and they
-    are freed before the interpolation check.
+    One factorization serves the gate and the span: ``rebuild_factor``
+    reads the span from the kernel identity gate's R, so only R is held
+    beside the samples; the interpolation residual reads about 4e-15 on
+    the kernels benchmark's pencils.
     """
-    x_adj, y_rows, scale = _identity_families(ks)
-    r = family_r(x_adj)
-    res = column_bound(r, y_rows, scale)
-    del x_adj, y_rows
-    if not res <= pol.residual_tol:  # a NaN residual fails too
-        raise ValidationError(
-            f"kernel identity violated on input samples (residual {res:.3e})")
-    base = ks.base_index()
-    phi_e = np.concatenate([t[base] for t in ks.factors])
-    m = len(phi_e)
-    q, sing, _ = np.linalg.svd((r[:, :m] - r[:, m:] @ phi_e.conj().T).conj().T, full_matrices=False)
-    # floor at the factor scale so all-roundoff difference columns
-    # (constant psi, e.g. one variable, or a single point) do not fake rank
-    floor = pol.psd_slack * max(sing.max(initial=0.0), scale_of(phi_e))
-    qh = q[:, :int(np.sum(sing > floor))]
-    v = np.hstack([phi_e, qh])
+    v = rebuild_factor(ks, ks.identity_gate(), pol)
     offsets = np.cumsum([0] + [t.shape[1] for t in ks.factors])
     coeffs = tuple(v[lo:hi].conj().T @ v[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:]))
-    rebuilt = RealizedFunction(PsdPencil(ks.num_vars, ks.dim_u, qh.shape[1], coeffs), compressed=True)
+    rebuilt = RealizedFunction(PsdPencil(ks.num_vars, ks.dim_u, v.shape[1] - ks.dim_u, coeffs), compressed=True)
 
     worst = relative_residual(rebuilt(ks.grid, pol), ks.f_samples)
     if not worst <= pol.residual_tol:

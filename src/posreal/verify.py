@@ -15,12 +15,14 @@ from typing import Callable
 import numpy as np
 
 from .calculus import accretive_positivity_check
-from .cayley import DiskKernelEvaluator, disk_to_halfplane, inv_value_cayley
-from .colligation import AglerColligation, agler_identity_residual, build_colligation, spectrum_condition
+from .cayley import disk_to_halfplane, inv_value_cayley, value_cayley
+from .colligation import (AglerColligation, agler_identity_residual, colligation_from_kernel_samples,
+                          spectrum_condition)
 from .core import (DEFAULT_POLICY, PosrealError, TolerancePolicy, eigvalsh_or_refuse, hermitian_part,
                    psd_spectrum, relative_residual)
 from .geometry import (AntiUnitaryInvolution, check_real_colligation, check_real_pencil,
                        four_quadrant_check, is_iota_real_function)
+from .kernels import KernelEvaluator
 from .pencil import RealizedFunction, as_evaluator
 from .sampling import disk_grid, random_accretive_tuple
 
@@ -121,8 +123,10 @@ class _Run:
     """The shared inputs of one run, each computed once.
 
     zs is the Cayley image of the disk grid ws, so one d(z) solve gives
-    f on zs (F on ws, the recovery target) and the phi tables there.  A
-    failed evaluator or synthesis fails each row that reads it alike.
+    f on zs (F on ws, the recovery target) and the phi tables there.  The
+    kernel identity's (residual, R) is formed once, with the samples; its
+    row reads the residual and the synthesis reads R.  A failed evaluator
+    or synthesis fails each row that reads it alike.
     """
 
     def __init__(self, f: RealizedFunction, seed: int, grid_size: int, pol: TolerancePolicy,
@@ -132,25 +136,24 @@ class _Run:
             iota_h = AntiUnitaryInvolution.conjugation(f.dim_h)
         self.iota_u, self.iota_h = iota_u, iota_h
         self.rng = np.random.default_rng(seed)
-        self.disk = _attempt(DiskKernelEvaluator, f, pol)  # a psd_sqrt per coefficient
+        kernels = _attempt(KernelEvaluator, f, pol)  # a psd_sqrt per coefficient
         self.ws = disk_grid(f.num_vars, grid_size, seed)
         self.zs = disk_to_halfplane(self.ws)
-        if isinstance(self.disk, PosrealError):
-            self.samples, self.vals = self.disk, f(self.zs, pol)
+        if isinstance(kernels, PosrealError):
+            self.samples = self.gate = kernels
+            self.vals = f(self.zs, pol)
         else:
-            self.samples = self.disk.kernels.phi_table(self.zs)
+            self.samples = kernels.phi_table(self.zs)
             self.vals = self.samples.f_samples
+            self.gate = self.samples.identity_gate()
         self.scales = 1.0 + np.linalg.norm(self.vals, axis=(1, 2))
         self._synthesis = None
 
     def synthesis(self):
-        """The colligation synthesized from one M(w) solve on ws (its theta tables and S)."""
+        """The colligation of the kernel rebuild from the gate's R, checked against S on ws."""
         if self._synthesis is None:
-            # only the kernel-identity row, which runs before, reads the phi
-            # tables; keep them out of the synthesis' peak memory
-            self.samples = None
-            self._synthesis = _attempt(lambda: build_colligation(
-                self.ws, *_read(self.disk).schur_tables(self.ws), self.pol))
+            self._synthesis = _attempt(lambda: colligation_from_kernel_samples(
+                self.ws, _read(self.samples), value_cayley(self.vals, self.pol), self.pol, gate=self.gate))
         return _read(self._synthesis)
 
 
@@ -194,7 +197,7 @@ BATTERY = (
     Check("positivity-min-re-eigenvalue", "margin", lambda pol: -pol.psd_slack,
           lambda run: float(np.min(eigvalsh_or_refuse(hermitian_part(run.vals))[:, 0] / run.scales))),
     Check("kernel-identity", "residual", lambda pol: pol.residual_tol,
-          lambda run: _read(run.samples).identity_residual()),
+          lambda run: _read(run.gate)[0]),
     Check("four-quadrant-conditions", "margin", lambda pol: 1.0,
           lambda run: float(four_quadrant_check(as_evaluator(run.f, run.pol), run.f.num_vars, run.rng,
                                                 samples=run.grid_size, pol=run.pol))),

@@ -14,10 +14,10 @@ import pytest
 
 from posreal import calculus, cli, kernels, serialize
 from posreal.calculus import TAYLOR_SUP_RADIUS, calc_series
-from posreal.cayley import DiskFunctionView, DiskKernelEvaluator, disk_to_halfplane, inv_double_cayley
+from posreal.cayley import DiskFunctionView, DiskKernelEvaluator, disk_to_halfplane, inv_double_cayley, value_cayley
 from posreal.cli import main
 from posreal.verify import run_verification
-from posreal.colligation import build_colligation, transfer_eval
+from posreal.colligation import colligation_from_kernel_samples, transfer_eval
 from posreal.core import DEFAULT_POLICY, eigh_or_refuse, hermitian_part
 from posreal.pencil import PsdPencil, RealizedFunction, compress_realization
 from posreal.sampling import disk_grid, halfplane_grid, random_pencil
@@ -131,7 +131,13 @@ class TestVerify:
 # from the sign of the span's Hermitian swap K instead of the
 # pseudo-inverse swap: U moves in its last bits, and the selfadjointness
 # row reads 0 here because V V* is formed Hermitian up to the rounding of
-# its two triangles.
+# its two triangles.  The four rows below that moved were recorded again,
+# under one BLAS thread, when the synthesis moved to the forward map of
+# the kernel rebuild, read from the kernel identity's R (old -> new hex):
+# unitarity 0x1.42319dad780a4p-48 -> 0x1.b76ff6c7ad986p-49, transfer-match
+# 0x1.896e19e76a73ep-52 -> 0x1.333ee5ec12e4fp-50, spectrum-margin
+# 0x1.ad2de616b97d8p-2 -> 0x1.ad2de616b97dcp-2, recovery
+# 0x1.00340116495a5p-49 -> 0x1.fde6d8bd3c0bep-50.
 GOLDEN_ROWS = [
     ("pencil-coefficients-psd", "0x0.0p+0", "0x1.b7cdfd9d7bdbbp-34", True),
     ("homogeneity", "0x1.2a6c38dfdde4ep-52", "0x1.12e0be826d695p-30", True),
@@ -140,11 +146,11 @@ GOLDEN_ROWS = [
     ("kernel-identity", "0x1.3c5e60aca787bp-48", "0x1.12e0be826d695p-30", True),
     ("four-quadrant-conditions", "0x1.0000000000000p+0", "0x1.0000000000000p+0", True),
     ("calculus-positivity-min-eig", "0x1.10a6ed0d9b4a4p+1", "-0x1.b7cdfd9d7bdbbp-34", True),
-    ("colligation-unitarity", "0x1.42319dad780a4p-48", "0x1.12e0be826d695p-30", True),
+    ("colligation-unitarity", "0x1.b76ff6c7ad986p-49", "0x1.12e0be826d695p-30", True),
     ("colligation-selfadjointness", "0x0.0p+0", "0x1.12e0be826d695p-30", True),
-    ("colligation-transfer-match", "0x1.896e19e76a73ep-52", "0x1.12e0be826d695p-30", True),
-    ("colligation-spectrum-margin", "0x1.ad2de616b97d8p-2", "0x1.0c6f7a0b5ed8dp-20", True),
-    ("inverse-double-cayley-recovery", "0x1.00340116495a5p-49", "0x1.12e0be826d695p-30", True),
+    ("colligation-transfer-match", "0x1.333ee5ec12e4fp-50", "0x1.12e0be826d695p-30", True),
+    ("colligation-spectrum-margin", "0x1.ad2de616b97dcp-2", "0x1.0c6f7a0b5ed8dp-20", True),
+    ("inverse-double-cayley-recovery", "0x1.fde6d8bd3c0bep-50", "0x1.12e0be826d695p-30", True),
 ]
 
 
@@ -164,7 +170,12 @@ GOLDEN_ROWS = [
 # and the kernel-identity row when the two-point residuals became column
 # bounds from a thin QR.  The five colligation rows were recorded again,
 # under one BLAS thread, when U = I - 2 V V* came from the sign of the
-# span's Hermitian swap K instead of the pseudo-inverse swap.
+# span's Hermitian swap K instead of the pseudo-inverse swap, and the three
+# that moved again, under one BLAS thread, when the synthesis moved to the
+# forward map of the kernel rebuild (old -> new hex): unitarity
+# 0x1.b11cfd5eee6e0p-47 -> 0x1.03640d156e8c8p-47, transfer-match
+# 0x1.2f5f03a053a2dp-50 -> 0x1.14a4772fdb972p-50, recovery
+# 0x1.ae72f0e11617cp-49 -> 0x1.33c0ee7ffdb25p-49.
 GOLDEN_ROWS_BENCH_SHAPE = [
     ('pencil-coefficients-psd', '0x0.0p+0', '0x1.b7cdfd9d7bdbbp-34', True),
     ('homogeneity', '0x1.c237b67c38c37p-51', '0x1.12e0be826d695p-30', True),
@@ -173,11 +184,11 @@ GOLDEN_ROWS_BENCH_SHAPE = [
     ('kernel-identity', '0x1.42625c821206cp-47', '0x1.12e0be826d695p-30', True),
     ('four-quadrant-conditions', '0x1.0000000000000p+0', '0x1.0000000000000p+0', True),
     ('calculus-positivity-min-eig', '0x1.d869de8c9e01ap+1', '-0x1.b7cdfd9d7bdbbp-34', True),
-    ('colligation-unitarity', '0x1.b11cfd5eee6e0p-47', '0x1.12e0be826d695p-30', True),
+    ('colligation-unitarity', '0x1.03640d156e8c8p-47', '0x1.12e0be826d695p-30', True),
     ('colligation-selfadjointness', '0x0.0p+0', '0x1.12e0be826d695p-30', True),
-    ('colligation-transfer-match', '0x1.2f5f03a053a2dp-50', '0x1.12e0be826d695p-30', True),
+    ('colligation-transfer-match', '0x1.14a4772fdb972p-50', '0x1.12e0be826d695p-30', True),
     ('colligation-spectrum-margin', '0x1.31bd2b2e252a8p-2', '0x1.0c6f7a0b5ed8dp-20', True),
-    ('inverse-double-cayley-recovery', '0x1.ae72f0e11617cp-49', '0x1.12e0be826d695p-30', True),
+    ('inverse-double-cayley-recovery', '0x1.33c0ee7ffdb25p-49', '0x1.12e0be826d695p-30', True),
 ]
 
 # argv[1] is "True" for a validated load, "False" for the unchecked load the benchmark uses
@@ -200,9 +211,10 @@ def _separate_evaluation_rows(f, seed, grid_size, pol=DEFAULT_POLICY):
     """The rows that reuse grid values, each computed on its own as before the reuse.
 
     Positivity takes one eigendecomposition per point; the synthesis gets
-    the theta tables and Schur values from their own M(w) solve; the
-    colligation residuals are measured again on U; recovery solves the
-    transfer function again and evaluates F again.
+    the phi tables from their own d(z) solve, S from its own division by
+    F + I and R from its own kernel identity gate; the colligation
+    residuals are measured again on U; recovery solves the transfer
+    function again and evaluates F again.
     """
     zs = halfplane_grid(f.num_vars, grid_size, seed)
     vals = f(zs, pol)
@@ -210,7 +222,8 @@ def _separate_evaluation_rows(f, seed, grid_size, pol=DEFAULT_POLICY):
     rows = {"positivity-min-re-eigenvalue": min(
         float(eigh_or_refuse(hermitian_part(v))[0][0]) / s for v, s in zip(vals, scales))}
     ws = disk_grid(f.num_vars, grid_size, seed)
-    syn = build_colligation(ws, *DiskKernelEvaluator(f, pol).schur_tables(ws), pol)
+    ks = kernels.sample_kernels(f, disk_to_halfplane(ws), pol)
+    syn = colligation_from_kernel_samples(ws, ks, value_cayley(ks.f_samples, pol), pol)
     coll = syn.colligation
     rec = inv_double_cayley(lambda pts: transfer_eval(coll, pts, pol), ws, pol)
     fvals = f(disk_to_halfplane(ws), pol)
@@ -324,25 +337,35 @@ class TestVerificationReuse:
         # M(w) = A(z) + E E*, E = [I_n; 0]
         m_ws = np.tensordot(zs, f.pencil.stacked, axes=(1, 0))
         m_ws[:, :2, :2] += np.eye(2)
-        solves, plus_solves = [], []
+        solves, r_solves, plus_solves = [], [], []
         real = np.linalg.solve
 
         def spy(a, b):
             solves.append(np.shape(a) == m_ws.shape and np.allclose(a, m_ws, rtol=1e-13, atol=1e-13))
+            # the synthesized colligation's r x r pencil; r = n + p here
+            r_solves.append(np.shape(a) == m_ws.shape)
             plus_solves.append(np.shape(a) == plus_t.shape
                                and np.allclose(a, plus_t, rtol=1e-13, atol=0))
             return real(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", spy)
+        if run == "schur_identity_residuals":
+            assert max(DiskKernelEvaluator(f).schur_identity_residuals(ws)) < 1e-10
+            # the theta tables and S(w) share one M(w) solve, and nothing divides by F(w) + I
+            assert sum(solves) == 1
+            assert sum(plus_solves) == 0
+            return
         if run == "run_verification":
             assert run_verification(f, seed=1, grid_size=12).verdict
-        elif run == "colligate":
-            assert main(["colligate", "--pencil", str(path), "--grid", "12", "--seed", "1"]) == 0
         else:
-            assert max(DiskKernelEvaluator(f).schur_identity_residuals(ws)) < 1e-10
-        # the theta tables and S(w) share one M(w) solve, and nothing divides by F(w) + I
-        assert sum(solves) == 1
-        assert sum(plus_solves) == 0
+            assert main(["colligate", "--pencil", str(path), "--grid", "12", "--seed", "1"]) == 0
+        # the synthesis reads the phi tables, so the pencil's M(w) is not
+        # solved; the synthesized colligation's is, once, in transfer_eval
+        # (colligate's Agler identity residuals solve it again for their S),
+        # and F(w) + I is divided once, for the target S
+        assert sum(solves) == 0
+        assert sum(r_solves) == (1 if run == "run_verification" else 2)
+        assert sum(plus_solves) == 1
 
 
 class TestEval:
@@ -791,8 +814,8 @@ class TestAglerGrid:
 
 
 def test_colligate_writes_the_synthesis_of_separately_evaluated_data(tmp_path, capsys):
-    # U must equal the synthesis from the theta tables and S(w) of a
-    # separate schur_tables call, bit for bit
+    # U must equal the synthesis from the phi tables of a separate
+    # sample_kernels call and S = C(f), bit for bit
     f = random_pencil(np.random.default_rng(6), 3, 2, 4)
     pencil_path, out = tmp_path / "pencil.json", tmp_path / "coll.json"
     serialize.dump(serialize.pencil_to_json(f), str(pencil_path))
@@ -800,7 +823,8 @@ def test_colligate_writes_the_synthesis_of_separately_evaluated_data(tmp_path, c
                  "--out", str(out)]) == 0
     loaded = serialize.colligation_from_json(serialize.load(str(out)))
     ws = disk_grid(f.num_vars, 11, 2)
-    syn = build_colligation(ws, *DiskKernelEvaluator(f).schur_tables(ws))
+    ks = kernels.sample_kernels(f, disk_to_halfplane(ws))
+    syn = colligation_from_kernel_samples(ws, ks, value_cayley(ks.f_samples))
     assert np.array_equal(loaded.U, syn.colligation.U)
 
 

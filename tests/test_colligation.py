@@ -4,16 +4,19 @@ import json
 import numpy as np
 import pytest
 
-from posreal.cayley import DiskFunctionView, DiskKernelEvaluator, disk_to_halfplane, inv_double_cayley
+from posreal.cayley import (DiskFunctionView, DiskKernelEvaluator, disk_to_halfplane, inv_double_cayley,
+                            value_cayley)
 from posreal.verify import run_verification
 from posreal.colligation import (
     AglerColligation,
     agler_identity_residual,
     build_colligation,
+    colligation_from_kernel_samples,
     spectrum_condition,
     transfer_eval,
 )
 from posreal.core import DEFAULT_POLICY, NumericalRefusalError, ShapeError, ValidationError, psd_sqrt
+from posreal.kernels import KernelSampleSet, sample_kernels
 from posreal.netlist import network_pencil, parse_netlist
 from posreal.pencil import eval_schur
 from posreal.sampling import disk_grid, random_pencil
@@ -145,14 +148,17 @@ class TestSynthesis:
         assert np.max(np.abs(transfer_eval(syn.colligation, grid) - d0)) < 1e-10
 
     def test_constant_symmetry_everywhere(self):
-        # D0 with D0^2 = I has zero defect and a genuinely constant transfer
-        d0 = np.diag([1.0, -1.0])
+        # D0 = -I has zero defect and a genuinely constant transfer; a
+        # symmetry with eigenvalue 1 is F = infinity there, outside the
+        # class premise, and the conversion to F refuses it
         grid = np.array([[0.0], [0.4], [-0.4]], dtype=complex)
         thetas = [np.zeros((3, 0, 2), dtype=complex)]
-        svals = np.broadcast_to(d0, (3, 2, 2)).astype(complex)
-        syn = build_colligation(grid, thetas, svals)
+        d0 = -np.eye(2)
+        syn = build_colligation(grid, thetas, np.broadcast_to(d0, (3, 2, 2)).astype(complex))
         probe = np.array([[0.6j], [-0.2 + 0.3j]])
         assert np.max(np.abs(transfer_eval(syn.colligation, probe) - d0)) < 1e-12
+        with pytest.raises(NumericalRefusalError, match=r"I - S\(w\) is numerically singular"):
+            build_colligation(grid, thetas, np.broadcast_to(np.diag([1.0, -1.0]), (3, 2, 2)))
 
     def test_parallel_roundtrip_with_holdout(self, parallel):
         dk, view = DiskKernelEvaluator(parallel), DiskFunctionView(parallel)
@@ -212,20 +218,11 @@ class TestSynthesis:
         with pytest.raises(NumericalRefusalError, match="rank collapse"):
             build_colligation(grid, [np.zeros((2, 1, 0), dtype=complex)], np.zeros((2, 0, 0)))
 
-    def test_swap_far_from_an_involution_is_refused(self, monkeypatch, parallel):
-        import posreal.colligation as colligation
-
-        real = colligation.eigh_or_refuse
-
-        def one_eigenvalue_at_a_tenth(m):
-            evals, evecs = real(m)
-            evals[0] = 0.1
-            return evals, evecs
-
-        monkeypatch.setattr(colligation, "eigh_or_refuse", one_eigenvalue_at_a_tenth)
+    def test_grid_without_the_center_is_refused(self, parallel):
+        # the conversion needs w = 0, whose image z = e is the rebuild's base point
         dk, view = DiskKernelEvaluator(parallel), DiskFunctionView(parallel)
-        ws = disk_grid(2, 6, seed=5)
-        with pytest.raises(NumericalRefusalError, match="not close to an involution"):
+        ws = disk_grid(2, 6, seed=5, include_zero=False)
+        with pytest.raises(ValidationError, match="base point"):
             build_colligation(ws, dk.theta_table(ws), view.eval_double_cayley(ws))
 
     def test_transfer_off_the_samples_is_refused(self, monkeypatch, parallel):
@@ -270,14 +267,6 @@ def _dense_generators(grid, tables, svals):
     return np.hstack(list(d_cols) + list(r_cols)), np.hstack(list(r_cols) + list(d_cols))
 
 
-def _dense_gate(grid, tables, svals):
-    """max(||D* D - R* R||, ||D* R - R* D||) / (1 + ||D||^2) from the explicit matrices."""
-    dmat, rmat = _dense_generators(grid, tables, svals)
-    dh, rh = dmat.conj().T, rmat.conj().T
-    return max(np.linalg.norm(dh @ dmat - rh @ rmat, 2),
-               np.linalg.norm(dh @ rmat - rh @ dmat, 2)) / (1.0 + np.linalg.norm(dmat, 2) ** 2)
-
-
 def _dense_case(shape, rank_deficient, grid_size, redundant, noise):
     """Grid, theta tables and Schur samples of one TestDenseReference case, off by ``noise``."""
     rng = np.random.default_rng(sum(shape) + grid_size)
@@ -307,7 +296,7 @@ def _dense_sign_synthesis(grid, tables, svals, pol=DEFAULT_POLICY):
     SVD D = W S V* of the explicit generator matrix, K = V_r* Pi V_r with
     Pi the swap of D's two column halves (so D Pi = R), and U = I - 2 V V*
     with V = W_r E_-, E_- the eigenvectors of K for negative eigenvalues.
-    Returns (U, rank).
+    Returns (U, r), r the multiplicity of the eigenvalue -1 of U.
     """
     dmat, _ = _dense_generators(grid, tables, svals)
     w, s, vh = np.linalg.svd(dmat, full_matrices=False)
@@ -316,13 +305,14 @@ def _dense_sign_synthesis(grid, tables, svals, pol=DEFAULT_POLICY):
     k = vr.conj().T @ np.concatenate([vr[half:], vr[:half]])
     evals, evecs = np.linalg.eigh((k + k.conj().T) / 2)
     v = w[:, :rank] @ evecs[:, evals < 0]
-    return np.eye(len(w)) - 2.0 * (v @ v.conj().T), rank
+    return np.eye(len(w)) - 2.0 * (v @ v.conj().T), v.shape[1]
 
 
 def _dense_synthesis(grid, tables, svals, pol=DEFAULT_POLICY):
     """Dense reference of the least-squares route: SVD basis of the explicit
     generator matrix, least-squares swap, eigen-sign projection of its
-    Hermitian part.  On exact data it gives the sign route's U.  Returns (U, rank)."""
+    Hermitian part.  On exact data it gives the sign route's U.  Returns (U, r),
+    r the multiplicity of the eigenvalue -1 of U."""
     dmat, rmat = _dense_generators(grid, tables, svals)
     u, s, _ = np.linalg.svd(dmat, full_matrices=False)
     rank = int(np.sum(s > pol.psd_slack * s[0]))
@@ -331,58 +321,56 @@ def _dense_synthesis(grid, tables, svals, pol=DEFAULT_POLICY):
     swap = np.linalg.lstsq(x.conj().T, y.conj().T, rcond=np.finfo(float).eps)[0].conj().T
     evals, evecs = np.linalg.eigh((swap + swap.conj().T) / 2)
     swap = (evecs * np.sign(evals)) @ evecs.conj().T
-    return np.eye(len(u)) + q @ (swap - np.eye(rank)) @ q.conj().T, rank
+    return np.eye(len(u)) + q @ (swap - np.eye(rank)) @ q.conj().T, int(np.sum(evals < 0))
 
 
 class TestDenseReference:
-    """build_colligation works from a QR and a small SVD; the dense sign route must agree."""
+    """build_colligation works from the kernel identity's R and two small SVDs; the dense routes must agree."""
 
     @pytest.mark.parametrize("shape, rank_deficient, grid_size, redundant", DENSE_CASES)
     @pytest.mark.parametrize("perturbed", [False, True])
-    def test_matches_dense_route(self, shape, rank_deficient, grid_size, redundant, perturbed):
-        rng = np.random.default_rng(sum(shape) + grid_size)
-        f = random_pencil(rng, *shape, rank_deficient=rank_deficient)
-        dk = DiskKernelEvaluator(f)
-        ws = disk_grid(shape[0], grid_size, seed=grid_size)
-        tables, svals = dk.theta_table(ws), DiskFunctionView(f).eval_double_cayley(ws)
-        if redundant:
-            # [theta; theta] / sqrt(2) keeps every kernel, so the generator
-            # span has numerical rank below m + n however large the grid
-            tables = [np.concatenate([t, t], axis=1) / np.sqrt(2) for t in tables]
+    def test_matches_dense_route(self, shape, rank_deficient, grid_size, redundant, perturbed,
+                                 dense_kernel_gate):
+        # redundant: [theta; theta] / sqrt(2) keeps every kernel, so the
+        # generator span has numerical rank below m + n however large the grid
+        ws, tables, svals = _dense_case(shape, rank_deficient, grid_size, redundant,
+                                        1e-8 if perturbed else 0.0)
         if perturbed:
-            # data off the identities by ~1e-8: the nearest-involution path
-            svals = svals + 1e-8 * (rng.standard_normal(svals.shape)
-                                    + 1j * rng.standard_normal(svals.shape))
+            # data off the identities by ~1e-8 are refused, not regularized
+            assert dense_kernel_gate(ws, tables, svals) > DEFAULT_POLICY.residual_tol
+            with pytest.raises(ValidationError, match="kernel identity violated"):
+                build_colligation(ws, tables, svals)
+            return
         syn = build_colligation(ws, tables, svals)
-        if perturbed:
-            assert DEFAULT_POLICY.residual_tol < syn.gram_residual <= 1e-6
-        else:
-            assert syn.gram_residual <= DEFAULT_POLICY.residual_tol
-        u_ref, rank_ref = _dense_sign_synthesis(ws, tables, svals)
-        assert syn.rank == rank_ref
+        assert syn.gram_residual <= DEFAULT_POLICY.residual_tol
+        for reference in (_dense_sign_synthesis, _dense_synthesis):
+            u_ref, rank_ref = reference(ws, tables, svals)
+            assert syn.rank == rank_ref
+            assert np.max(np.abs(syn.colligation.U - u_ref)) < 1e-9
         if redundant:
             assert syn.rank < syn.colligation.U.shape[0]
-        assert np.max(np.abs(syn.colligation.U - u_ref)) < 1e-9
-        if not perturbed:
-            # the two regularizations differ only off the identities
-            u_lsq, rank_lsq = _dense_synthesis(ws, tables, svals)
-            assert syn.rank == rank_lsq
-            assert np.max(np.abs(syn.colligation.U - u_lsq)) < 1e-9
 
     @pytest.mark.parametrize("shape, rank_deficient, grid_size, redundant", DENSE_CASES)
     @pytest.mark.parametrize("perturbed", [False, True])
     def test_gate_equals_the_dense_gram_residual(self, shape, rank_deficient, grid_size,
-                                                 redundant, perturbed):
-        # the one half-size gate norm is the value of both explicit Gram gates
+                                                 redundant, perturbed, dense_kernel_gate):
+        # the column bound over R is the kernel identity's dense column norm,
+        # read from gram_residual, or from the refusal's four digits
         data = _dense_case(shape, rank_deficient, grid_size, redundant, 1e-8 if perturbed else 0.0)
-        ref = _dense_gate(*data)
-        assert abs(build_colligation(*data).gram_residual - ref) <= 1e-12 + 1e-6 * ref
+        ref = dense_kernel_gate(*data)
+        if not perturbed:
+            assert abs(build_colligation(*data).gram_residual - ref) <= 1e-12 + 1e-6 * ref
+            return
+        with pytest.raises(ValidationError, match="kernel identity violated") as refused:
+            build_colligation(*data)
+        assert float(str(refused.value).split("residual ")[1].rstrip(")")) == pytest.approx(ref, rel=1e-3)
 
     @pytest.mark.parametrize("shape, rank_deficient, grid_size, redundant", DENSE_CASES[:4])
-    def test_data_off_by_1e_5_still_refused(self, shape, rank_deficient, grid_size, redundant):
+    def test_data_off_by_1e_5_still_refused(self, shape, rank_deficient, grid_size, redundant,
+                                            dense_kernel_gate):
         data = _dense_case(shape, rank_deficient, grid_size, redundant, 1e-5)
-        assert _dense_gate(*data) > 1e-6
-        with pytest.raises(ValidationError, match="Gram residual"):
+        assert dense_kernel_gate(*data) > DEFAULT_POLICY.residual_tol
+        with pytest.raises(ValidationError, match="kernel identity violated"):
             build_colligation(*data)
 
 
@@ -406,6 +394,50 @@ def _synthesis(f, grid_size=15, seed=3):
 def _dense(c):
     """The same colligation without its reflection factor: S by the state solve."""
     return dataclasses.replace(c, reflection=None)
+
+
+FORWARD_PENCILS = ["(3, 4, 32)", "(3, 2, 4)", "(2, 1, 2)", "(2, 2, 0)", "(1, 2, 5)",
+                   "rank-deficient (3, 2, 4)", "bridge"]
+
+
+def _forward_pencil(kind):
+    if kind == "bridge":
+        return network_pencil(parse_netlist(BRIDGE))
+    i = FORWARD_PENCILS.index(kind)
+    shape = tuple(int(x) for x in kind.split("(")[1].rstrip(")").split(","))
+    return random_pencil(np.random.default_rng(100 + i), *shape, rank_deficient=kind.startswith("rank"))
+
+
+class TestForwardMap:
+    """The colligation of the kernel rebuild: U = I - 2 W W* from the SVD of V = [-v; E*]."""
+
+    @pytest.mark.parametrize("grid_size", [1, 5, 40])
+    @pytest.mark.parametrize("kind", FORWARD_PENCILS)
+    def test_transfer_is_the_double_cayley_transform(self, kind, grid_size):
+        f = _forward_pencil(kind)
+        ws = disk_grid(f.num_vars, grid_size, seed=3)
+        ks = sample_kernels(f, disk_to_halfplane(ws))
+        syn = colligation_from_kernel_samples(ws, ks, value_cayley(ks.f_samples))
+        c, tol = syn.colligation, DEFAULT_POLICY.residual_tol
+        # the state keeps the phi tables' widths, even where the grid
+        # does not saturate the difference span
+        assert c.dims == tuple(t.shape[1] for t in ks.factors)
+        assert np.linalg.norm(c.reflection.conj().T @ c.reflection - np.eye(syn.rank)) <= tol
+        assert c.unitarity_residual() <= tol
+        assert spectrum_condition(c)[0]
+        if syn.rank - f.dim_u == f.dim_h:  # p' = p: the grid saturates the span
+            probe = disk_grid(f.num_vars, 40, seed=99, include_zero=False)
+            want = DiskFunctionView(f).eval_double_cayley(probe)
+            assert np.max(np.abs(transfer_eval(c, probe) - want)) <= 1e-12
+
+    def test_samples_off_the_kernel_identity_are_refused(self):
+        f = _forward_pencil("(3, 2, 4)")
+        ws = disk_grid(f.num_vars, 9, seed=3)
+        ks = sample_kernels(f, disk_to_halfplane(ws))
+        svals = value_cayley(ks.f_samples)
+        off = KernelSampleSet(ks.grid, ks.factors, ks.f_samples * (1.0 + 1e-6))
+        with pytest.raises(ValidationError, match="kernel identity violated"):
+            colligation_from_kernel_samples(ws, off, svals)
 
 
 class TestReflectionRoute:

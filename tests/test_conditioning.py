@@ -2,9 +2,10 @@
 
 The guard may skip its condition estimate only on a proven bound, so
 every bound is checked against ``np.linalg.cond`` on random pencils,
-tuples, value stacks and colligations, on and off the evaluation domain.  The Gram residual of
-colligation synthesis is checked against the dense 2gn x 2gn
-computation, written out here as the independent cross-check.
+tuples, value stacks and colligations, on and off the evaluation domain.  The gate of
+colligation synthesis, the kernel identity residual of the converted
+data, is checked against the dense all-pairs computation of the
+``dense_kernel_gate`` fixture, the independent cross-check.
 """
 
 import numpy as np
@@ -624,68 +625,47 @@ class TestTransferConditionBound:
         assert np.all(_assert_sound(transfer_condition_bound(c, ws), sys))
 
 
-def _dense_gram_residual(ws, tables, svals):
-    """The 2gn x 2gn Gram computation: ||G_d - G_r||, ||X - X*|| over 1 + ||G_d||."""
-    g, n = svals.shape[:2]
-    dims = [t.shape[1] for t in tables]
-    h = np.concatenate(tables, axis=1)
-    d_vecs = np.concatenate([np.repeat(ws, dims, axis=1)[:, :, None] * h,
-                             np.broadcast_to(np.eye(n), (g, n, n))], axis=1)
-    r_vecs = np.concatenate([h, svals], axis=1)
-    dmat = np.hstack(list(d_vecs) + list(r_vecs))
-    rmat = np.hstack(list(r_vecs) + list(d_vecs))
-    gram_d = dmat.conj().T @ dmat
-    gram_r = rmat.conj().T @ rmat
-    cross = dmat.conj().T @ rmat
-    scale = 1.0 + np.linalg.norm(gram_d, 2)
-    return max(np.linalg.norm(gram_d - gram_r, 2), np.linalg.norm(cross - cross.conj().T, 2)) / scale
-
-
-def _gate(res, pol=DEFAULT_POLICY):
-    if res > 1e-6:
-        return "reject"
-    return "exact" if res <= pol.residual_tol else "approximate"
-
-
 class TestGramResidual:
+    """The synthesis' gate is the kernel identity residual of the converted data."""
+
     @pytest.mark.parametrize("shape", [(2, 1, 2), (3, 2, 4), (2, 3, 3)])
-    def test_matches_dense(self, rng, shape):
+    def test_matches_dense(self, rng, shape, dense_kernel_gate):
         f = random_pencil(rng, *shape)
         ws = disk_grid(shape[0], 16, seed=int(rng.integers(1000)))
         dk = DiskKernelEvaluator(f)
         tables, svals = dk.theta_table(ws), DiskFunctionView(f).eval_double_cayley(ws)
         syn = build_colligation(ws, tables, svals)
-        assert abs(syn.gram_residual - _dense_gram_residual(ws, tables, svals)) <= 1e-12
+        assert abs(syn.gram_residual - dense_kernel_gate(ws, tables, svals)) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_gates_follow_dense_decision(self, seed):
+    def test_gates_follow_dense_decision(self, seed, dense_kernel_gate):
         rng = np.random.default_rng(100 + seed)
         f = random_pencil(rng, 2 + seed % 2, 2, 3)
         ws = disk_grid(f.num_vars, 12, seed=seed)
         dk = DiskKernelEvaluator(f)
         tables, svals = dk.theta_table(ws), DiskFunctionView(f).eval_double_cayley(ws)
         e = rng.standard_normal(svals.shape) + 1j * rng.standard_normal(svals.shape)
-        slope = _dense_gram_residual(ws, tables, svals + 1e-6 * e) / 1e-6
+        slope = dense_kernel_gate(ws, tables, svals + 1e-6 * e) / 1e-6
         seen = set()
         for target in (0.5e-9, 2e-9, 1e-8, 0.5e-6, 2e-6, 1e-4):
             perturbed = svals + (target / slope) * e
-            dense = _dense_gram_residual(ws, tables, perturbed)
-            expected = _gate(dense)
+            dense = dense_kernel_gate(ws, tables, perturbed)
+            expected = "exact" if dense <= DEFAULT_POLICY.residual_tol else "reject"
             seen.add(expected)
             try:
                 syn = build_colligation(ws, tables, perturbed)
             except ValidationError as exc:
                 assert expected == "reject", (target, dense)
-                assert "Gram residual" in str(exc)
+                assert "kernel identity violated" in str(exc)
                 continue
             except NumericalRefusalError as exc:
                 # only the interpolation check of exact data may refuse
                 assert expected == "exact", (target, dense)
                 assert "interpolate" in str(exc)
                 continue
-            assert _gate(syn.gram_residual) == expected, (target, dense, syn.gram_residual)
+            assert expected == "exact", (target, dense, syn.gram_residual)
             assert abs(syn.gram_residual - dense) <= 1e-12
-        assert seen == {"exact", "approximate", "reject"}
+        assert seen == {"exact", "reject"}
 
 
 def _reflection_pencils(v, dims, pts):

@@ -1,15 +1,18 @@
 """The declared check table of ``posreal verify`` and the readers of its rows."""
 
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from posreal import cli
-from posreal.cayley import DiskKernelEvaluator
-from posreal.colligation import AglerColligation, build_colligation
+from posreal.cayley import DiskKernelEvaluator, disk_to_halfplane, value_cayley
+from posreal.colligation import AglerColligation, colligation_from_kernel_samples
 from posreal.core import DEFAULT_POLICY, ValidationError
 from posreal.geometry import AntiUnitaryInvolution
+from posreal.kernels import sample_kernels
+from posreal.netlist import network_pencil, parse_netlist
 from posreal.pencil import PsdPencil, RealizedFunction, compress_realization
 from posreal.sampling import disk_grid, random_pencil
 from posreal.verify import BATTERY, UNRUNNABLE, Check, check_colligation, run_verification
@@ -72,9 +75,11 @@ def test_the_colligation_realness_row_needs_a_synthesis(valid):
 
 
 def test_loaded_colligation_is_judged_by_the_battery_rows():
+    # the colligation that verify synthesizes, from the phi tables on z(ws) and S = C(f)
     f = random_pencil(np.random.default_rng(6), 3, 2, 4)
     ws = disk_grid(f.num_vars, 11, 2)
-    coll = build_colligation(ws, *DiskKernelEvaluator(f).schur_tables(ws)).colligation
+    ks = sample_kernels(f, disk_to_halfplane(ws))
+    coll = colligation_from_kernel_samples(ws, ks, value_cayley(ks.f_samples)).colligation
     rows, identity, verdict = check_colligation(coll, ws)
     report = {r.name: r for r in run_verification(f, seed=2, grid_size=11).checks}
     assert [r.name for r in rows] == [c.name for c in BATTERY if c.loaded is not None]
@@ -105,6 +110,59 @@ def test_unitarity_is_measured_once_by_the_synthesis(monkeypatch):
     f = random_pencil(np.random.default_rng(3), 2, 2, 3)
     assert run_verification(f, seed=1, grid_size=9).verdict
     assert len(calls) == 1  # by the synthesis' validate gate; the row reads its result
+
+
+def test_the_kernel_identity_r_is_formed_once_and_the_synthesis_runs_no_qr(monkeypatch):
+    import posreal.core as core
+    import posreal.verify as verify
+
+    factored = []
+    real_r = core.family_r
+
+    def spy(x_adj):
+        factored.append(1)
+        return real_r(x_adj)
+
+    # every binding, the defining module's and each from-import copy
+    for name, module in list(sys.modules.items()):
+        if name.startswith("posreal") and getattr(module, "family_r", None) is real_r:
+            monkeypatch.setattr(module, "family_r", spy)
+
+    synthesized = []
+    real_synthesis = verify.colligation_from_kernel_samples
+
+    def no_qr(*args, **kwargs):
+        raise AssertionError("the synthesis ran a QR")
+
+    def synthesis_without_qr(*args, **kwargs):
+        synthesized.append(1)
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "qr", no_qr)
+            return real_synthesis(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "colligation_from_kernel_samples", synthesis_without_qr)
+    for shape in [(3, 4, 32), (3, 2, 4)]:
+        factored.clear()
+        f = random_pencil(np.random.default_rng(7), *shape)
+        # 100 points span several TSQR blocks of R, which the synthesis shares
+        assert run_verification(f, seed=3, grid_size=100).verdict
+        assert factored == [1]
+    assert synthesized == [1, 1]
+
+
+@pytest.mark.parametrize("kind, passed", [("bridge", True), ("real", True), ("complex", False)])
+def test_colligation_realness_row(kind, passed):
+    # the synthesized U is real in the phi tables' coordinates for a real
+    # pencil under conjugation, and not for a complex one
+    if kind == "bridge":
+        f = network_pencil(parse_netlist(
+            "ports A B\nbranch A M z1 1\nbranch M GND z2 2\nbranch B M z3 1\nbranch A B z1 0.5\n"))
+    else:
+        f = random_pencil(np.random.default_rng(8), 3, 2, 4, real=kind == "real")
+    iota = AntiUnitaryInvolution.conjugation(f.dim_u)
+    rows = {r.name: r for r in run_verification(f, seed=2, grid_size=30, iota_u=iota).checks}
+    assert rows["iota-real-colligation"].passed is passed
+    assert rows["iota-real-pencil"].passed is passed
 
 
 def test_the_benchmark_name_runs_the_library_battery():
