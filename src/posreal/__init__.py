@@ -64,6 +64,7 @@ from .colligation import (
     agler_identity_residual,
     build_colligation,
     colligation_from_kernel_samples,
+    colligation_from_pencil,
     spectrum_condition,
     transfer_eval,
 )

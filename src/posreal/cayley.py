@@ -8,8 +8,9 @@ transforms of the kernel factors.  The operator Cayley maps of the
 calculus module are the value maps applied to a stacked tuple.
 Every division by F + I (or I - S) is one guarded right division, whose
 guard first tries a proven condition bound (``f_plus_i_condition_bound``,
-``i_minus_s_condition_bound``).  The theta tables and S of a pencil on a
-grid come from one M(w) solve instead (``DiskKernelEvaluator.schur_tables``).
+``i_minus_s_condition_bound``).  The theta tables of a pencil divide by
+nothing: they are the state response of its colligation
+(``colligation.colligation_from_pencil``), whose transfer function is S.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .core import (
     like_points,
     neumann_condition_bound,
 )
-from .colligation import reflection_transfer, transfer_identity_residuals
+from .colligation import colligation_from_pencil, state_response
 from .kernels import KernelEvaluator
 from .pencil import RealizedFunction, _refuse_ill_conditioned, as_evaluator
 
@@ -178,19 +179,18 @@ class DiskKernelEvaluator:
     Theta_k    = theta_k(o)* theta_k(w)      (Schur-side kernels)
 
     Everything is an evaluator view over the pencil; no power-series
-    coefficients are stored on this path.  ``xi`` reads phi_k(z(w)) from
-    one ``KernelSampleSet`` at z(w), one d(z) solve; it is the reference
-    that the theta tables are checked against.  The theta tables and S(w)
-    come from one M(w) solve (``schur_tables``), and the Schur-side
-    identity residuals read them.
+    coefficients are stored on this path.  ``theta_table`` is the state
+    response of the pencil's colligation
+    (``colligation.colligation_from_pencil``), whose transfer identities
+    are the Schur-side identities (``colligation.agler_identity_residual``).
+    ``xi`` reads phi_k(z(w)) from one ``KernelSampleSet`` at z(w), one
+    d(z) solve; divided by F + I it is the cross-check of the theta tables.
     """
 
     def __init__(self, f: RealizedFunction, pol: TolerancePolicy = DEFAULT_POLICY):
         self.f = f
         self.pol = pol
         self.kernels = KernelEvaluator(f, pol)
-        # V = [L_1; ...; L_N; E*], E = [I_n; 0] the inclusion of U into U (+) H
-        self.factor = np.concatenate(self.kernels.factors + (np.eye(f.dim_u, f.pencil.dim),))
 
     @property
     def num_vars(self) -> int:
@@ -202,34 +202,8 @@ class DiskKernelEvaluator:
         table = self.kernels.phi_table(disk_to_halfplane(pts)).factors[k]
         return like_points(w, (np.sqrt(2.0) / (1.0 - pts[:, k]))[:, None, None] * table)
 
-    def schur_tables(self, grid) -> tuple[list[np.ndarray], np.ndarray]:
-        """Tables theta_k (g, m_k, n) for every k and S(w) (g, n, n) on the grid.
-
-        ``colligation.reflection_transfer`` of V = [L_1; ...; L_N; E*], with
-        L_k* L_k = A_k (the ``psd_sqrt`` factors) and E = [I_n; 0], gives
-        T = M(w)^{-1} E for M(w) = A(z) + E E* at z = z(w), S = I - 2 E* T,
-        and theta_k = 2/(1 - w_k) L_k T.  Proof: A(z) psi = E f(z) and
-        E* psi = I for psi = [I ; -d(z)^{-1} c(z)], so M(w) psi = E (F + I),
-        T = psi (F + I)^{-1}, S = I - 2 (F + I)^{-1} = (F - I)(F + I)^{-1} and
-        L_k T = (1 - w_k)/sqrt(2) xi_k (F + I)^{-1}.  V* V = A(e) + E E* is
-        positive definite for a compressed pencil, so the M(w) guard clears.
-        """
+    def theta_table(self, grid) -> list[np.ndarray]:
+        """theta_k on the grid for every k, one (g, m_k, n) array each, from one state solve."""
         pts = as_points(grid, self.num_vars)
         disk_to_halfplane(pts)  # refuses points near the unit circle
-        t, svals = reflection_transfer(self.factor, self.kernels.factor_ranks, pts, self.pol)
-        return [(2.0 / (1.0 - pts[:, k]))[:, None, None] * (lk @ t)
-                for k, lk in enumerate(self.kernels.factors)], svals
-
-    def theta_table(self, grid) -> list[np.ndarray]:
-        """theta_k on the grid for every k, one (g, m_k, n) array each; see ``schur_tables``."""
-        return self.schur_tables(grid)[0]
-
-    def schur_identity_residuals(self, grid) -> tuple[float, float]:
-        """Residuals of the disk-side identities for the double Cayley transform.
-
-        plus:  I - S(o)* S(w) = sum_k (1 - conj(o_k) w_k) Theta_k(w, o)
-        minus: S(w) - S(o)*   = sum_k (w_k - conj(o_k)) Theta_k(w, o)
-        """
-        pts = as_points(grid, self.num_vars)
-        thetas, sv = self.schur_tables(pts)
-        return transfer_identity_residuals(pts, thetas, sv, 1.0 + np.linalg.norm(sv, axis=(1, 2)))
+        return state_response(colligation_from_pencil(self.f, self.pol), pts, self.pol)[0]

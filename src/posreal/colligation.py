@@ -5,12 +5,16 @@ X (+) U with a state splitting X = X_1 (+) ... (+) X_N; its transfer
 function is S(w) = D + C P(w) (I - A P(w))^{-1} B with
 P(w) = sum_k w_k P_k.  Transfer functions of *selfadjoint* unitary
 colligations with 1 outside the spectrum of S(0) are exactly the double
-Cayley transforms of realized functions.  Synthesis from grid data is
-the finite lurking isometry (Agler, Oper. Theory Adv. Appl. 48, 1990)
-read off the kernel rebuild: ``colligation_from_kernel_samples`` takes
-the rebuild's factor v from the kernel identity's R and returns the
-reflection of the span of V = [-v; E*]; ``build_colligation`` converts
-disk-side samples (theta tables and S) to that input.
+Cayley transforms of realized functions.  Both directions from a
+factor are one forward map, the reflection of the span of V = [-v; E*]:
+``colligation_from_pencil`` takes v from the pencil's own ``psd_sqrt``
+factors, and synthesis from grid data, the finite lurking isometry
+(Agler, Oper. Theory Adv. Appl. 48, 1990) read off the kernel rebuild,
+takes the rebuild's factor v from the kernel identity's R
+(``colligation_from_kernel_samples``); ``build_colligation`` converts
+disk-side samples (theta tables and S) to that input.  The state
+response h = (I - A P(w))^{-1} B (``state_response``) gives the tables
+of the transfer identities, the Agler decomposition of S.
 
 A selfadjoint unitary U is a reflection U = I - 2 V V* with V* V = I_r,
 r the multiplicity of its eigenvalue -1.  Synthesis holds V exactly and
@@ -46,19 +50,21 @@ from .core import (
     point_blocks,
     relative_residual,
 )
-from .kernels import KernelSampleSet, rebuild_factor
-from .pencil import PencilBound, _refuse_ill_conditioned
+from .kernels import KernelEvaluator, KernelSampleSet, rebuild_factor
+from .pencil import PencilBound, RealizedFunction, _refuse_ill_conditioned
 
 __all__ = [
     "AglerColligation",
     "transfer_eval",
     "reflection_transfer",
+    "state_response",
     "transfer_condition_bound",
     "agler_identity_residual",
     "transfer_identity_residuals",
     "spectrum_condition",
     "ColligationSynthesis",
     "colligation_from_kernel_samples",
+    "colligation_from_pencil",
     "build_colligation",
 ]
 
@@ -183,29 +189,20 @@ def transfer_eval(c: AglerColligation, w, pol: TolerancePolicy = DEFAULT_POLICY)
     computed condition number where it does not clear, so the decision
     is the same.
     """
-    return like_points(w, _transfer_values(c, as_points(w, c.num_vars), pol))
-
-
-def _transfer_values(c: AglerColligation, pts: np.ndarray, pol: TolerancePolicy,
-                     state: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """S on the points (B, n, n) by the route ``transfer_eval`` documents.
-
-    ``state`` is an already guarded dense solve ``_state_solve(c, pts, pol)``;
-    it is used only where the dense route is taken.
-    """
+    pts = as_points(w, c.num_vars)
     d = c.blocks()[3]
     if c.dim_state == 0:
-        return np.broadcast_to(d, (len(pts),) + d.shape).copy()
-    if c.reflection is not None and np.all(np.abs(pts) < 1.0):
-        return reflection_transfer(c.reflection, c.dims, pts, pol)[1]
-    if state is None:
-        state = _state_solve(c, pts, pol)
-    return _transfer_from_state(c, *state)
+        values = np.broadcast_to(d, (len(pts),) + d.shape).copy()
+    elif c.reflection is not None and np.all(np.abs(pts) < 1.0):
+        values = reflection_transfer(c.reflection, c.dims, pts, pol)
+    else:
+        values = state_response(c, pts, pol)[1]
+    return like_points(w, values)
 
 
 def reflection_transfer(v: np.ndarray, dims, pts: np.ndarray,
-                        pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[np.ndarray, np.ndarray]:
-    """T = M(w)^{-1} V_u* (B, r, n) and S(w) = I - 2 V_u T (B, n, n) on a batch of disk points.
+                        pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
+    """S(w) = I - 2 V_u M(w)^{-1} V_u* (B, n, n) on a batch of disk points.
 
     ``v`` = (V_1; ...; V_N; V_u) has dims[k] rows in V_k, and
     M(w) = V_u* V_u + sum_k z_k V_k* V_k, z_k = (1 + w_k) / (1 - w_k), is
@@ -215,9 +212,10 @@ def reflection_transfer(v: np.ndarray, dims, pts: np.ndarray,
     halfplane inside the open polydisk (+inf where mu lambda_min(V* V) <= 0).
 
     M(w) is formed, guarded and solved one ``core.point_blocks`` block at
-    a time into the two outputs, with the certificate computed once, so
-    no (B, r, r) stack is held.  Every value keeps the bits of one
-    whole-batch solve, and a refusal reads as in ``pencil.schur_solve``.
+    a time into S, with the certificate computed once, so neither a
+    (B, r, r) stack nor a (B, r, n) stack of T = M(w)^{-1} V_u* is held.
+    Every value keeps the bits of one whole-batch solve, and a refusal
+    reads as in ``pencil.schur_solve``.
     """
     bounds = np.cumsum((0,) + tuple(dims))
     vu = v[bounds[-1]:]
@@ -227,16 +225,15 @@ def reflection_transfer(v: np.ndarray, dims, pts: np.ndarray,
     weights = np.concatenate([np.ones((len(z), 1)), z], axis=1)
     bound = PencilBound.of(grams).bound(weights)
     n, r = vu.shape
-    t = np.empty((len(pts), r, n), dtype=complex)
     svals = np.empty((len(pts), n, n), dtype=complex)
     flat = grams[1:].reshape(len(dims), r * r)
     for blk in point_blocks(len(pts), r * r):
         m = np.dot(z[blk], flat).reshape(blk.stop - blk.start, r, r)  # sum_k z_k V_k* V_k
         m += grams[0]
         _refuse_ill_conditioned(m, pol, "M(w)", bound=bound[blk])
-        t[blk] = np.linalg.solve(m, np.broadcast_to(vu.conj().T, (len(m), r, n)))
-        np.subtract(np.eye(n), 2.0 * (vu @ t[blk]), out=svals[blk])
-    return t, svals
+        t = np.linalg.solve(m, np.broadcast_to(vu.conj().T, (len(m), r, n)))
+        np.subtract(np.eye(n), 2.0 * (vu @ t), out=svals[blk])
+    return svals
 
 
 def _state_solve(c: AglerColligation, pts: np.ndarray,
@@ -261,10 +258,20 @@ def _state_solve(c: AglerColligation, pts: np.ndarray,
     return pw, sol
 
 
-def _transfer_from_state(c: AglerColligation, pw: np.ndarray, sol: np.ndarray) -> np.ndarray:
-    """S(w) = D + C P(w) sol from the state solve sol = (I - A P(w))^{-1} B."""
+def state_response(c: AglerColligation, grid,
+                   pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[list[np.ndarray], np.ndarray]:
+    """Blocks h_k (g, d_k, n) of h(w) = (I - A P(w))^{-1} B and S(w) = D + C P(w) h(w) (g, n, n).
+
+    Both come from one guarded state solve (``_state_solve``); this is
+    the dense route of ``transfer_eval`` and the h tables of the transfer
+    identities.  For the colligation of a pencil
+    (``colligation_from_pencil``) h_k is theta_k.
+    """
+    pts = as_points(grid, c.num_vars)
+    pw, h = _state_solve(c, pts, pol)
     _, _, cc, d = c.blocks()
-    return d[None] + cc[None] @ (pw[:, :, None] * sol)
+    bounds = np.cumsum((0,) + c.dims)
+    return [h[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])], d[None] + cc[None] @ (pw[:, :, None] * h)
 
 
 def transfer_condition_bound(c: AglerColligation, w) -> np.ndarray:
@@ -309,22 +316,20 @@ def agler_identity_residual(c: AglerColligation, grid,
     plus:  I - S(o)* S(w) = sum_k (1 - conj(o_k) w_k) h_k(o)* h_k(w)
     minus: S(w) - S(o)*   = sum_k (w_k - conj(o_k)) h_k(o)* h_k(w)
 
-    with h(w) = (I - A P(w))^{-1} B from one state solve, h_k its block k.
-    For unitary U the plus identity holds: (h(w); S(w)) = U (P(w) h(w); I).
-    The minus identity holds when U is also selfadjoint, so the residual
-    grows with any unitarity or selfadjointness defect.  S(w) is the value
-    ``transfer_eval`` gives; the factors come from the state solve on U,
-    so for a colligation with a reflection factor the identities also
-    check V against the blocks of U.
+    with h(w) = (I - A P(w))^{-1} B, h_k its block k, and S(w) from the
+    same state solve (``state_response``).  For unitary U the plus
+    identity holds: (h(w); S(w)) = U (P(w) h(w); I).  The minus identity
+    holds when U is also selfadjoint, so the residual grows with any
+    unitarity or selfadjointness defect.  Both read the blocks of U, not
+    a reflection factor, so for a colligation with one they also check
+    V against U.  For ``colligation_from_pencil(f)`` this is the
+    Agler-Schur decomposition of the double Cayley transform of f, with
+    the kernels Theta_k(w, o) = theta_k(o)* theta_k(w).
     """
     if not c.selfadjoint:
         raise ValidationError("identity residuals are defined for selfadjoint colligations")
     pts = as_points(grid, c.num_vars)
-    # without a reflection factor the state solve also gives S(w)
-    pw, h = _state_solve(c, pts, pol)
-    bounds = np.cumsum((0,) + c.dims)
-    blocks = [h[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-    return transfer_identity_residuals(pts, blocks, _transfer_values(c, pts, pol, state=(pw, h)))
+    return transfer_identity_residuals(pts, *state_response(c, pts, pol))
 
 
 def spectrum_condition(c: AglerColligation, pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[bool, float]:
@@ -404,26 +409,57 @@ def colligation_from_kernel_samples(grid, ks: KernelSampleSet, schur_values,
     of those two families defines on their span.
 
     Memory: beside the samples and R it holds V and its SVD, (m + n)
-    square at most, then the transfer check's T and S from the blocked
-    M(w) solve of ``reflection_transfer`` and one block of M(w).
+    square at most, then the transfer check's S from the blocked M(w)
+    solve of ``reflection_transfer``, with one block of M(w) and T.
     """
     gate = ks.identity_gate() if gate is None else gate
-    v = rebuild_factor(ks, gate, pol)
-    n = ks.dim_u
-    w, sing, _ = np.linalg.svd(np.vstack([-v, np.eye(n, v.shape[1])]), full_matrices=False)
-    rank = int(np.sum(sing > pol.psd_slack * sing.max(initial=0.0)))
-    if rank == 0 and len(w):
-        raise NumericalRefusalError("rank collapse: the rebuilt factor spans nothing")
-    w = w[:, :rank]
-    coll = AglerColligation(tuple(t.shape[1] for t in ks.factors), n, np.eye(len(w)) - 2.0 * (w @ w.conj().T),
-                            selfadjoint=True, reflection=w)
+    coll = _forward_map(rebuild_factor(ks, gate, pol), tuple(t.shape[1] for t in ks.factors), ks.dim_u, pol)
     unit, sa = coll.validate(pol)
     tv = transfer_eval(coll, as_points(grid, ks.num_vars), pol)
     interp = relative_residual(tv, schur_values)
     if not interp <= pol.residual_tol:
         raise NumericalRefusalError(
             f"synthesized colligation fails to interpolate (residual {interp:.3e})")
-    return ColligationSynthesis(coll, interp, gate[0], rank, tv, unit, sa)
+    return ColligationSynthesis(coll, interp, gate[0], coll.reflection.shape[1], tv, unit, sa)
+
+
+def _forward_map(v: np.ndarray, dims: tuple, n: int, pol: TolerancePolicy) -> AglerColligation:
+    """The selfadjoint unitary colligation U = I - 2 W W* of the SVD V = [-v; E*] = W Sigma Z*.
+
+    ``v`` is m x r with row block k of dims[k] rows, E* = [I_n 0]; the
+    singular values are cut at psd_slack Sigma_1, and W keeps the rank
+    columns above the cut as the reflection factor.
+    """
+    w, sing, _ = np.linalg.svd(np.vstack([-v, np.eye(n, v.shape[1])]), full_matrices=False)
+    rank = int(np.sum(sing > pol.psd_slack * sing.max(initial=0.0)))
+    if rank == 0 and len(w):
+        raise NumericalRefusalError("rank collapse: the factor spans nothing")
+    w = w[:, :rank]
+    return AglerColligation(dims, n, np.eye(len(w)) - 2.0 * (w @ w.conj().T), selfadjoint=True, reflection=w)
+
+
+def colligation_from_pencil(f: RealizedFunction, pol: TolerancePolicy = DEFAULT_POLICY) -> AglerColligation:
+    """The selfadjoint unitary colligation whose transfer function is the double Cayley transform of f.
+
+    The forward map of the pencil's own factor: with the ``psd_sqrt``
+    factors L_k (L_k* L_k = A_k, rank A_k rows) and E = [I_n; 0], the SVD
+    V = [-L_1; ...; -L_N; E*] = W Sigma Z* gives U = I - 2 W W*, reflection
+    factor W and state dimensions (rank A_1, ..., rank A_N).  An
+    uncompressed realization is refused, as by ``kernels.KernelEvaluator``.
+
+    Proof.  V* V = A(e) + E E* is positive definite for a compressed
+    pencil, so nothing is cut and W = V Z Sigma^{-1}.  The r x r pencil of
+    ``transfer_eval`` is M'(w) = Sigma^{-1} Z* M(w) Z Sigma^{-1} with
+    M(w) = A(z) + E E*, z = z(w), so S'(w) = I - 2 E* M(w)^{-1} E.  For
+    psi = [I; -d(z)^{-1} c(z)], A(z) psi = E f(z) and E* psi = I give
+    M(w) psi = E (F + I), hence M(w)^{-1} E = psi (F + I)^{-1} and
+    S' = I - 2 (F + I)^{-1} = (F - I)(F + I)^{-1}.  The state response
+    h_k(w) = -2 / (1 - w_k) W_k M'(w)^{-1} W_u* (see ``transfer_eval``)
+    is 2 / (1 - w_k) L_k psi (F + I)^{-1} = sqrt(2) xi_k(w) (F + I)^{-1},
+    the theta table, by the sign of L (``cayley.DiskKernelEvaluator``).
+    """
+    factors = KernelEvaluator(f, pol).factors
+    return _forward_map(np.concatenate(factors), tuple(len(lk) for lk in factors), f.dim_u, pol)
 
 
 def build_colligation(grid, theta_tables, schur_samples,
@@ -440,7 +476,7 @@ def build_colligation(grid, theta_tables, schur_samples,
     F = (I + S)(I - S)^{-1} = 2 (I - S)^{-1} - I and
     phi_k(z) = (1 - w_k) theta_k(w) (I - S)^{-1} = (1 - w_k) / 2 theta_k(w) (F + I),
     the inverse of theta_k = 2 / (1 - w_k) phi_k (F + I)^{-1} (see
-    ``cayley.DiskKernelEvaluator.schur_tables``).  The transfer identities
+    ``colligation_from_pencil``).  The transfer identities
     I - S(o)* S(w) = sum_k (1 - conj(o_k) w_k) Theta_k(w, o) and
     S(w) - S(o)* = sum_k (w_k - conj(o_k)) Theta_k(w, o) then hold exactly
     when f(z) = sum_k z_k phi_k(zeta)* phi_k(z) does on zs, since

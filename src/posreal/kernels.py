@@ -89,10 +89,6 @@ class KernelEvaluator:
         self.pol = pol
         self.factors = tuple(psd_sqrt(a, pol) for a in f.pencil.coeffs)
 
-    @property
-    def factor_ranks(self) -> tuple[int, ...]:
-        return tuple(s.shape[0] for s in self.factors)
-
     def psi(self, z) -> np.ndarray:
         return psi(self.f, z, self.pol)
 

@@ -10,6 +10,7 @@ from posreal.cayley import (
     inv_value_cayley,
     value_cayley,
 )
+from posreal.colligation import agler_identity_residual, colligation_from_pencil, transfer_eval
 from posreal.core import NumericalRefusalError, ValidationError
 from posreal.kernels import kernel_identity_residual, plus_minus_residuals, sample_kernels
 from posreal.pencil import eval_schur, realize
@@ -38,33 +39,44 @@ def _m_of(f, zs):
     return az
 
 
-@pytest.mark.parametrize("call, d_solves", [
-    (lambda f, ws, zs: sample_kernels(f, zs), 1),
-    (lambda f, ws, zs: kernel_identity_residual(f, zs), 1),
-    (lambda f, ws, zs: plus_minus_residuals(f, zs), 1),
-    (lambda f, ws, zs: DiskKernelEvaluator(f).theta_table(ws), 0),
-    (lambda f, ws, zs: DiskKernelEvaluator(f).schur_identity_residuals(ws), 0),
+def _state_of(f, ws):
+    """I - A P(w) of the pencil's colligation at the points ws."""
+    c = colligation_from_pencil(f)
+    return np.eye(c.dim_state) - c.blocks()[0][None] * c.state_weights(ws)[:, None, :]
+
+
+@pytest.mark.parametrize("call, d_solves, m_solves, state_solves", [
+    (lambda f, ws, zs: sample_kernels(f, zs), 1, 0, 0),
+    (lambda f, ws, zs: kernel_identity_residual(f, zs), 1, 0, 0),
+    (lambda f, ws, zs: plus_minus_residuals(f, zs), 1, 0, 0),
+    (lambda f, ws, zs: DiskKernelEvaluator(f).theta_table(ws), 0, 0, 1),
+    (lambda f, ws, zs: agler_identity_residual(colligation_from_pencil(f), ws), 0, 0, 1),
 ], ids=["sample_kernels", "kernel_identity_residual", "plus_minus_residuals", "theta_table",
         "schur_identity_residuals"])
-def test_d_on_the_grid_is_solved_once(monkeypatch, call, d_solves):
+def test_d_on_the_grid_is_solved_once(monkeypatch, call, d_solves, m_solves, state_solves):
     # f and the phi tables come from one KernelSampleSet, so one d(z) solve;
-    # the Schur side solves M(w) = A(z) + E E* once instead, and not d(z)
+    # the Schur side (the theta tables and the identities of the pencil's
+    # colligation) solves its state system I - A P(w) once instead, and
+    # neither d(z) nor M(w) = A(z) + E E*
     f = random_pencil(np.random.default_rng(4), 3, 2, 4)
     ws = disk_grid(f.num_vars, 12, seed=1)
     zs = disk_to_halfplane(ws)
-    m_zs = _m_of(f, zs)
+    m_zs, state_ws = _m_of(f, zs), _state_of(f, ws)
     solves = _spy_d_solves(monkeypatch, f, zs)
     real = np.linalg.solve
-    m_solves = []
+    m_solves_seen, state_solves_seen = [], []
 
     def spy(a, b):
-        m_solves.append(np.shape(a) == m_zs.shape and np.allclose(a, m_zs, rtol=1e-13, atol=1e-13))
+        m_solves_seen.append(np.shape(a) == m_zs.shape and np.allclose(a, m_zs, rtol=1e-13, atol=1e-13))
+        state_solves_seen.append(np.shape(a) == state_ws.shape
+                                 and np.allclose(a, state_ws, rtol=1e-13, atol=1e-13))
         return real(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", spy)
     call(f, ws, zs)
     assert sum(solves) == d_solves
-    assert sum(m_solves) == 1 - d_solves
+    assert sum(m_solves_seen) == m_solves
+    assert sum(state_solves_seen) == state_solves
 
 
 class TestVariableCayley:
@@ -190,15 +202,14 @@ class TestKernelTransforms:
         f = realize([np.array([[1.0]])], 1)
         dk = DiskKernelEvaluator(f)
         w, o = 0.25, -0.3 + 0.2j
-        theta_w, theta_o = dk.schur_tables(np.array([[w], [o]]))[0][0]
+        theta_w, theta_o = dk.theta_table(np.array([[w], [o]]))[0]
         theta_val = theta_o.conj().T @ theta_w
         assert np.allclose(theta_val, 1.0)
 
     def test_parallel_identities(self, parallel):
-        dk = DiskKernelEvaluator(parallel)
         ws = disk_grid(2, 8, seed=31)
         hp, hm = plus_minus_residuals(parallel, disk_to_halfplane(ws))
-        sp, sm = dk.schur_identity_residuals(ws)
+        sp, sm = agler_identity_residual(colligation_from_pencil(parallel), ws)
         assert max(hp, hm, sp, sm) < 1e-10
 
     def test_theta_table_matches_per_variable_formula(self, rng):
@@ -215,12 +226,14 @@ class TestKernelTransforms:
 
     @pytest.mark.parametrize("shape", [(3, 1, 3), (2, 2, 3), (3, 4, 32), (2, 1, 0)])
     def test_schur_tables_match_the_value_cayley_route(self, shape):
-        # the M(w) route against the division of xi and F - I by F + I,
-        # the independent cross-check that DiskFunctionView still computes
+        # the Schur-side tables of the pencil's colligation (theta from its
+        # state solve, S from its M(w) solve) against the division of xi and
+        # F - I by F + I, the independent cross-check that DiskFunctionView
+        # still computes
         f = random_pencil(np.random.default_rng(sum(shape)), *shape)
         dk = DiskKernelEvaluator(f)
         ws = disk_grid(shape[0], 30, seed=2)
-        thetas, svals = dk.schur_tables(ws)
+        thetas, svals = dk.theta_table(ws), transfer_eval(colligation_from_pencil(f), ws)
         fv = DiskFunctionView(f).eval_F(ws)
         plus_t = (fv + np.eye(shape[1])).transpose(0, 2, 1)
 
@@ -255,14 +268,14 @@ class TestKernelTransforms:
         monkeypatch.setattr(pencil, "schur_solve", forbidden("schur_solve"))
         monkeypatch.setattr(kernels, "schur_solve", forbidden("schur_solve"))
         monkeypatch.setattr(np.linalg, "cond", forbidden("np.linalg.cond"))
-        thetas, svals = dk.schur_tables(ws)
+        thetas, svals = dk.theta_table(ws), transfer_eval(colligation_from_pencil(f), ws)
         assert calls == []
         assert len(thetas) == shape[0] and svals.shape == (len(ws), shape[1], shape[1])
 
     def test_schur_tables_refuse_points_near_the_circle(self, parallel):
         dk = DiskKernelEvaluator(parallel)
         with pytest.raises(ValidationError, match="too close to the unit circle"):
-            dk.schur_tables(np.array([[0.2, 1.0 - 1e-12]]))
+            dk.theta_table(np.array([[0.2, 1.0 - 1e-12]]))
 
     def test_theta_kernel_value_map_conjugation(self, rng):
         # Theta_k(w, o) must equal 2 (F(o)* + I)^{-1} Xi_k(w, o) (F(w) + I)^{-1}
@@ -273,7 +286,7 @@ class TestKernelTransforms:
         for _ in range(5):
             w = 0.6 * (rng.random(2) - 0.5) + 0.6j * (rng.random(2) - 0.5)
             o = 0.6 * (rng.random(2) - 0.5) + 0.6j * (rng.random(2) - 0.5)
-            thetas = dk.schur_tables(np.array([w, o]))[0]
+            thetas = dk.theta_table(np.array([w, o]))
             for k in range(2):
                 theta = thetas[k][1].conj().T @ thetas[k][0]
                 xi = dk.xi(k, o).conj().T @ dk.xi(k, w)
@@ -285,10 +298,9 @@ class TestKernelTransforms:
 
     def test_random_pencil_identities(self, rng):
         f = random_pencil(rng, 3, 2, 4, rank_deficient=True)
-        dk = DiskKernelEvaluator(f)
         ws = disk_grid(3, 8, seed=41)
         hp, hm = plus_minus_residuals(f, disk_to_halfplane(ws))
-        sp, sm = dk.schur_identity_residuals(ws)
+        sp, sm = agler_identity_residual(colligation_from_pencil(f), ws)
         assert max(hp, hm, sp, sm) < 1e-9
 
 

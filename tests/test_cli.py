@@ -14,10 +14,11 @@ import pytest
 
 from posreal import calculus, cli, kernels, serialize
 from posreal.calculus import TAYLOR_SUP_RADIUS, calc_series
-from posreal.cayley import DiskFunctionView, DiskKernelEvaluator, disk_to_halfplane, inv_double_cayley, value_cayley
+from posreal.cayley import DiskFunctionView, disk_to_halfplane, inv_double_cayley, value_cayley
 from posreal.cli import main
 from posreal.verify import run_verification
-from posreal.colligation import colligation_from_kernel_samples, transfer_eval
+from posreal.colligation import (agler_identity_residual, colligation_from_kernel_samples, colligation_from_pencil,
+                                 transfer_eval)
 from posreal.core import DEFAULT_POLICY, eigh_or_refuse, hermitian_part
 from posreal.pencil import PsdPencil, RealizedFunction, compress_realization
 from posreal.sampling import disk_grid, halfplane_grid, random_pencil
@@ -350,9 +351,10 @@ class TestVerificationReuse:
 
         monkeypatch.setattr(np.linalg, "solve", spy)
         if run == "schur_identity_residuals":
-            assert max(DiskKernelEvaluator(f).schur_identity_residuals(ws)) < 1e-10
-            # the theta tables and S(w) share one M(w) solve, and nothing divides by F(w) + I
-            assert sum(solves) == 1
+            assert max(agler_identity_residual(colligation_from_pencil(f), ws)) < 1e-10
+            # the theta tables and S(w) share one state solve of the pencil's
+            # colligation: no M(w) is solved, and nothing divides by F(w) + I
+            assert sum(r_solves) == 0
             assert sum(plus_solves) == 0
             return
         if run == "run_verification":
@@ -361,10 +363,10 @@ class TestVerificationReuse:
             assert main(["colligate", "--pencil", str(path), "--grid", "12", "--seed", "1"]) == 0
         # the synthesis reads the phi tables, so the pencil's M(w) is not
         # solved; the synthesized colligation's is, once, in transfer_eval
-        # (colligate's Agler identity residuals solve it again for their S),
-        # and F(w) + I is divided once, for the target S
+        # (colligate's Agler identity residuals read S from their state
+        # solve), and F(w) + I is divided once, for the target S
         assert sum(solves) == 0
-        assert sum(r_solves) == (1 if run == "run_verification" else 2)
+        assert sum(r_solves) == 1
         assert sum(plus_solves) == 1
 
 

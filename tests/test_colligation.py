@@ -12,13 +12,14 @@ from posreal.colligation import (
     agler_identity_residual,
     build_colligation,
     colligation_from_kernel_samples,
+    colligation_from_pencil,
     spectrum_condition,
     transfer_eval,
 )
 from posreal.core import DEFAULT_POLICY, NumericalRefusalError, ShapeError, ValidationError, psd_sqrt
 from posreal.kernels import KernelSampleSet, sample_kernels
 from posreal.netlist import network_pencil, parse_netlist
-from posreal.pencil import eval_schur
+from posreal.pencil import RealizedFunction, eval_schur
 from posreal.sampling import disk_grid, random_pencil
 from posreal.serialize import colligation_from_json, colligation_to_json, dumps
 
@@ -75,7 +76,8 @@ class TestIdentities:
         ws = disk_grid(f.num_vars, 11, seed=2)
         dk = DiskKernelEvaluator(f)
         c = build_colligation(ws, dk.theta_table(ws), DiskFunctionView(f).eval_double_cayley(ws)).colligation
-        expected = transfer_eval(c, ws)
+        # S read from the state solve: the bits of transfer_eval's dense route
+        expected = transfer_eval(_dense(c), ws)
         seen = []
         real = colligation.transfer_identity_residuals
 
@@ -88,6 +90,7 @@ class TestIdentities:
 
         monkeypatch.setattr(colligation, "transfer_identity_residuals", spy)
         monkeypatch.setattr(colligation, "transfer_eval", second_solve)
+        monkeypatch.setattr(colligation, "reflection_transfer", second_solve)
         agler_identity_residual(c, ws)
         assert np.array_equal(seen[0], expected)
 
@@ -397,7 +400,7 @@ def _dense(c):
 
 
 FORWARD_PENCILS = ["(3, 4, 32)", "(3, 2, 4)", "(2, 1, 2)", "(2, 2, 0)", "(1, 2, 5)",
-                   "rank-deficient (3, 2, 4)", "bridge"]
+                   "rank-deficient (3, 2, 4)", "bridge", "(3, 1, 3)"]
 
 
 def _forward_pencil(kind):
@@ -409,7 +412,30 @@ def _forward_pencil(kind):
 
 
 class TestForwardMap:
-    """The colligation of the kernel rebuild: U = I - 2 W W* from the SVD of V = [-v; E*]."""
+    """U = I - 2 W W* from the SVD of V = [-v; E*]: v from the kernel rebuild, or the pencil's own L."""
+
+    @pytest.mark.parametrize("kind", FORWARD_PENCILS)
+    def test_pencil_colligation_is_the_double_cayley_transform(self, kind):
+        f = _forward_pencil(kind)
+        c, tol = colligation_from_pencil(f), DEFAULT_POLICY.residual_tol
+        assert c.dims == tuple(int(np.linalg.matrix_rank(a)) for a in f.pencil.coeffs)
+        assert c.reflection.shape[1] == f.dim_u + f.dim_h
+        assert c.unitarity_residual() <= tol and c.selfadjointness_residual() <= tol
+        assert spectrum_condition(c)[0]
+        probe = disk_grid(f.num_vars, 40, seed=99, include_zero=False)
+        view, dk = DiskFunctionView(f), DiskKernelEvaluator(f)
+        assert np.max(np.abs(transfer_eval(c, probe) - view.eval_double_cayley(probe))) <= 1e-12
+        # the sign of L makes the state response theta_k = sqrt(2) xi_k (F + I)^{-1}
+        plus_t = (view.eval_F(probe) + np.eye(f.dim_u)).transpose(0, 2, 1)
+        for k, table in enumerate(dk.theta_table(probe)):
+            want = np.sqrt(2.0) * np.linalg.solve(plus_t, dk.xi(k, probe).transpose(0, 2, 1)).transpose(0, 2, 1)
+            assert np.max(np.abs(table - want)) <= 1e-12
+        assert max(agler_identity_residual(c, probe)) <= tol
+
+    def test_uncompressed_pencil_is_refused(self):
+        f = _forward_pencil("(3, 2, 4)")
+        with pytest.raises(ValidationError, match="compressed realization"):
+            colligation_from_pencil(RealizedFunction(f.pencil))
 
     @pytest.mark.parametrize("grid_size", [1, 5, 40])
     @pytest.mark.parametrize("kind", FORWARD_PENCILS)

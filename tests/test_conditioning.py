@@ -735,17 +735,18 @@ class TestReflectionConditionBound:
         ((3, 1, 0), False), ((3, 4, 32), False),
     ])
     def test_pencil_factor_bound_dominates_condition(self, rng, guarded, shape, rank_deficient):
-        # the Schur side of a pencil: V = [L_1; ...; L_N; E*], M(w) = A(z) + E E*
+        # the Schur side of a pencil: the reflection factor W of its colligation,
+        # the SVD of V = [-L_1; ...; -L_N; E*], and M(w) congruent to A(z) + E E*
         f = random_pencil(rng, *shape, rank_deficient=rank_deficient)
-        dk = DiskKernelEvaluator(f)
+        c = colligation.colligation_from_pencil(f)
         ws = disk_grid(shape[0], 30, seed=int(rng.integers(1000)))
         edge = 0.999 * np.exp(2j * np.pi * rng.random((40, shape[0])))
         mixed = np.concatenate([0.999 * np.exp(2j * np.pi * rng.random((20, 1))),
                                 0.2 * rng.random((20, shape[0] - 1))], axis=1)
         for pts in (ws, edge, mixed):
             guarded.clear()
-            dk.schur_tables(pts)
-            expected = _reflection_pencils(dk.factor, dk.kernels.factor_ranks, pts)
+            transfer_eval(c, pts)
+            expected = _reflection_pencils(c.reflection, c.dims, pts)
             assert expected.shape[1:] == (f.pencil.dim, f.pencil.dim)
             _assert_covers_once(guarded, "M(w)", expected)
 

@@ -122,8 +122,9 @@ def _library_and_dense(identity, f, g):
     thetas = disk.theta_table(ws)
     svals = DiskFunctionView(f).eval_double_cayley(ws)
     if identity == "schur":
-        return (disk.schur_identity_residuals(ws),
-                dense_disk(ws, thetas, thetas, svals, herglotz=False, scaled=True))
+        # the transfer identities of the pencil's colligation, whose tables are theta
+        return (agler_identity_residual(colligation.colligation_from_pencil(f), ws),
+                dense_disk(ws, thetas, thetas, svals, herglotz=False, scaled=False))
     coll = build_colligation(ws, thetas, svals).colligation
     return agler_identity_residual(coll, ws), dense_agler(coll, ws)
 
@@ -350,30 +351,32 @@ class TestOneCorruptedSample:
         assert main(["kernels", "--rebuild", str(path)]) == 2
         assert "kernel identity violated" in capsys.readouterr().err
 
+    def _corrupt_s(self, monkeypatch):
+        """Move S, as the state solve hands it to the transfer identities, at one point."""
+        state_response = colligation.state_response
+
+        def corrupted(c, grid, pol=DEFAULT_POLICY):
+            tables, svals = state_response(c, grid, pol)
+            return tables, self._moved(svals, self.BAD)
+
+        monkeypatch.setattr(colligation, "state_response", corrupted)
+
     def test_schur_pair(self, f, monkeypatch):
-        schur_tables = DiskKernelEvaluator.schur_tables
-
-        def corrupted(evaluator, grid):
-            thetas, svals = schur_tables(evaluator, grid)
-            return thetas, self._moved(svals, self.BAD)
-
-        monkeypatch.setattr(DiskKernelEvaluator, "schur_tables", corrupted)
         ws = sampling.disk_grid(f.num_vars, self.GRID, 3)
-        disk = DiskKernelEvaluator(f)
-        thetas, svals = disk.schur_tables(ws)
-        pairs = dense_disk(ws, thetas, thetas, svals, herglotz=False, scaled=True)
-        got = disk.schur_identity_residuals(ws)
+        c = colligation.colligation_from_pencil(f)
+        self._corrupt_s(monkeypatch)
+        thetas, svals = colligation.state_response(c, ws)
+        pairs = dense_disk(ws, thetas, thetas, svals, herglotz=False, scaled=False)
+        got = agler_identity_residual(c, ws)
         assert min(pairs) > DEFAULT_POLICY.residual_tol
         assert got[0] >= pairs[0] and got[1] >= pairs[1]
 
     def test_agler_pair(self, f, monkeypatch):
         ws = sampling.disk_grid(f.num_vars, self.GRID, 3)
         disk = DiskKernelEvaluator(f)
-        c = build_colligation(ws, *disk.schur_tables(ws)).colligation
+        c = build_colligation(ws, disk.theta_table(ws), DiskFunctionView(f).eval_double_cayley(ws)).colligation
         assert max(agler_identity_residual(c, ws)) < 1e-12
-        transfer_values = colligation._transfer_values
-        monkeypatch.setattr(colligation, "_transfer_values",
-                            lambda *args, **kw: self._moved(transfer_values(*args, **kw), self.BAD))
+        self._corrupt_s(monkeypatch)
         got = agler_identity_residual(c, ws)
         assert min(got) > DEFAULT_POLICY.residual_tol
 
@@ -425,9 +428,9 @@ def test_factor_rows_keeps_the_former_layouts(shape, g, monkeypatch):
     for got, want in zip(kernels._identity_families(ks)[:2], _former_identity_rows(ks)):
         assert got.shape == want.shape and np.array_equal(_bits(got), _bits(want))
 
-    # P^T and M^T, as the Schur-side residuals receive them from factor_rows
-    # (copied before they are finished in place); the synthesis reads the
-    # kernel identity's families instead
+    # P^T and M^T, as the Schur-side residuals of the pencil's colligation
+    # receive them from factor_rows (copied before they are finished in
+    # place); the synthesis reads the kernel identity's families instead
     seen = []
     real = colligation.factor_rows
 
@@ -437,9 +440,9 @@ def test_factor_rows_keeps_the_former_layouts(shape, g, monkeypatch):
 
     monkeypatch.setattr(colligation, "factor_rows", spy)
     ws = sampling.disk_grid(shape[0], g, 5)
-    disk = DiskKernelEvaluator(f)
-    thetas, svals = disk.schur_tables(ws)
-    disk.schur_identity_residuals(ws)
+    c = colligation.colligation_from_pencil(f)
+    thetas, svals = colligation.state_response(c, ws)
+    agler_identity_residual(c, ws)
     want = [_former_transfer_rows(ws, thetas, svals, op) for op in (np.add, np.subtract)]
     assert len(seen) == 2
     for got, ref in zip(seen, want):

@@ -15,8 +15,7 @@ import pytest
 
 import posreal.colligation as colligation
 from posreal import core
-from posreal.cayley import DiskKernelEvaluator
-from posreal.colligation import AglerColligation, reflection_transfer
+from posreal.colligation import AglerColligation, colligation_from_pencil, reflection_transfer
 from posreal.core import DEFAULT_POLICY, NumericalRefusalError, hermitian_part, point_blocks
 from posreal.pencil import _refuse_ill_conditioned, d_condition_bound, schur_solve
 from posreal.sampling import random_pencil
@@ -61,7 +60,7 @@ def _schur_whole(f, pts):
 
 
 def _reflection_whole(v, dims, pts):
-    """T = M(w)^{-1} V_u* and S = I - 2 V_u T from one M(w) stack over all points."""
+    """S = I - 2 V_u M(w)^{-1} V_u* from one M(w) stack over all points."""
     bounds = np.cumsum((0,) + tuple(dims))
     vu = v[bounds[-1]:]
     blocks = [vu] + [v[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
@@ -69,7 +68,7 @@ def _reflection_whole(v, dims, pts):
     m = np.tensordot((1.0 + pts) / (1.0 - pts), grams[1:], axes=(1, 0))
     m += grams[0]
     t = np.linalg.solve(m, np.broadcast_to(vu.conj().T, (len(pts),) + vu.T.shape))
-    return t, np.eye(len(vu)) - 2.0 * (vu @ t)
+    return np.eye(len(vu)) - 2.0 * (vu @ t)
 
 
 def _state_whole(c, pts):
@@ -121,12 +120,10 @@ def test_schur_solve_keeps_the_bits_of_one_solve(shape, which):
 @pytest.mark.parametrize("which", SIZES)
 def test_reflection_transfer_keeps_the_bits_of_one_solve(shape, which):
     g = _sizes((shape[1] + shape[2]) ** 2)[which]
-    dk = DiskKernelEvaluator(random_pencil(np.random.default_rng(sum(shape) + g), *shape))
-    assert dk.factor.shape[1] == shape[1] + shape[2]  # r, the side of M(w)
+    c = colligation_from_pencil(random_pencil(np.random.default_rng(sum(shape) + g), *shape))
+    assert c.reflection.shape[1] == shape[1] + shape[2]  # r, the side of M(w)
     pts = _disk_points(np.random.default_rng(g), shape[0], g)
-    got = reflection_transfer(dk.factor, dk.kernels.factor_ranks, pts)
-    for part, want in zip(got, _reflection_whole(dk.factor, dk.kernels.factor_ranks, pts)):
-        _same_bits(part, want)
+    _same_bits(reflection_transfer(c.reflection, c.dims, pts), _reflection_whole(c.reflection, c.dims, pts))
 
 
 @pytest.mark.parametrize("dims, n", [((1, 2), 1), ((3, 1, 2), 2), ((4, 4, 4), 4)])
