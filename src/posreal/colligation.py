@@ -351,10 +351,11 @@ class ColligationSynthesis:
     """Synthesized colligation plus the residuals achieved on the input data.
 
     ``values`` is its transfer function S on the synthesis grid (g, n, n);
-    ``gram_residual`` is the kernel identity's cross-Gram residual that
-    gated the synthesis; ``rank`` is the multiplicity r of the eigenvalue
-    -1 of U, the column count of its reflection factor; the unitarity and
-    selfadjointness residuals are those of U that ``validate`` measured.
+    ``gram_residual`` is the kernel identity's residual that gated the
+    synthesis, read from the samples' ``identity_gate``; ``rank`` is the
+    multiplicity r of the eigenvalue -1 of U, the column count of its
+    reflection factor; the unitarity and selfadjointness residuals are
+    those of U that ``validate`` measured.
     """
 
     colligation: AglerColligation
@@ -367,18 +368,17 @@ class ColligationSynthesis:
 
 
 def colligation_from_kernel_samples(grid, ks: KernelSampleSet, schur_values,
-                                    pol: TolerancePolicy = DEFAULT_POLICY,
-                                    gate: tuple[float, np.ndarray] | None = None) -> ColligationSynthesis:
+                                    pol: TolerancePolicy = DEFAULT_POLICY) -> ColligationSynthesis:
     """The selfadjoint unitary colligation of the kernel rebuild, checked against S on a disk grid.
 
     ``ks`` holds f and the phi tables on zs = z(grid), the Cayley image of
     the disk grid (g, N), which must contain w = 0 (z(0) is the base point
     e); ``schur_values`` is S = (F - I)(F + I)^{-1} on the grid (g, n, n),
-    the target of the interpolation check; ``gate`` is
-    ``ks.identity_gate()``, computed here unless the caller holds it.
+    the target of the interpolation check.
 
     ``kernels.rebuild_factor`` reads the rebuild's factor v = [phi(e), Q_H]
-    (m x (n + p'), row block k of m_k rows) from the gate's R, and
+    (m x (n + p'), row block k of m_k rows) from the R of
+    ``ks.identity_gate``, formed once per set whoever reads it first, and
     refuses samples off the kernel identity.  The rebuilt pencil has the
     coefficients A_k = v_k* v_k.  Its colligation is the forward map of
     V = [-v; E*], E* = [I_n 0]: with the SVD V = W Sigma Z*, cut at
@@ -412,15 +412,14 @@ def colligation_from_kernel_samples(grid, ks: KernelSampleSet, schur_values,
     square at most, then the transfer check's S from the blocked M(w)
     solve of ``reflection_transfer``, with one block of M(w) and T.
     """
-    gate = ks.identity_gate() if gate is None else gate
-    coll = _forward_map(rebuild_factor(ks, gate, pol), tuple(t.shape[1] for t in ks.factors), ks.dim_u, pol)
+    coll = _forward_map(rebuild_factor(ks, pol), tuple(t.shape[1] for t in ks.factors), ks.dim_u, pol)
     unit, sa = coll.validate(pol)
     tv = transfer_eval(coll, as_points(grid, ks.num_vars), pol)
     interp = relative_residual(tv, schur_values)
     if not interp <= pol.residual_tol:
         raise NumericalRefusalError(
             f"synthesized colligation fails to interpolate (residual {interp:.3e})")
-    return ColligationSynthesis(coll, interp, gate[0], coll.reflection.shape[1], tv, unit, sa)
+    return ColligationSynthesis(coll, interp, ks.identity_gate[0], coll.reflection.shape[1], tv, unit, sa)
 
 
 def _forward_map(v: np.ndarray, dims: tuple, n: int, pol: TolerancePolicy) -> AglerColligation:

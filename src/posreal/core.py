@@ -38,7 +38,6 @@ __all__ = [
     "factor_rows",
     "family_r",
     "column_bound",
-    "cross_gram_residual",
     "hermitian_split_residuals",
     "relative_residual",
     "scale_of",
@@ -86,7 +85,7 @@ class TolerancePolicy:
         Eigenvalue floor for PSD certification and rank decisions.
     residual_tol:
         Acceptable residual for identities that hold exactly in
-        arithmetic on valid inputs.
+        arithmetic on valid inputs; finite and nonnegative.
     commutator_tol:
         Ceiling on pairwise commutator norms of certified tuples.
     margin:
@@ -99,9 +98,10 @@ class TolerancePolicy:
     margin: ClassVar[float] = 1e-6
 
     def __post_init__(self):
-        # NaN compares false both ways; every gate would then silently fail
-        if not self.residual_tol >= 0:
-            raise ValidationError("tolerance residual_tol must be nonnegative")
+        # NaN compares false both ways, so every gate would silently fail;
+        # +inf would silently pass every residual
+        if not 0 <= self.residual_tol < float("inf"):
+            raise ValidationError("tolerance residual_tol must be nonnegative and finite")
 
 
 DEFAULT_POLICY = TolerancePolicy()
@@ -199,15 +199,6 @@ def _row_view(rows) -> tuple[np.ndarray, tuple]:
     return rows.reshape(g * n, m), rows.shape
 
 
-def _row_views(x_adj, y_rows, scale):
-    """The (g n, M) views of two (g, n, M) families of one shape, n, M and the (g,) scale."""
-    (xh, shape), (yr, y_shape) = _row_view(x_adj), _row_view(y_rows)
-    if shape != y_shape:
-        raise ShapeError(f"expected two (g, n, M) families of one shape, got {shape}, {y_shape}")
-    scale = np.ones(shape[0]) if scale is None else np.asarray(scale, dtype=float)
-    return xh, yr, shape[1], shape[2], scale
-
-
 def _tsqr_r(blocks: list[slice], n: int, width: int, fill) -> np.ndarray:
     """R of the thin QR of a (g n, width) stack, taken one point block of rows at a time (TSQR).
 
@@ -292,14 +283,32 @@ def family_r(x_adj) -> np.ndarray:
 
 
 def column_bound(r, y_rows, scale=None) -> float:
-    """Largest ||R y(b)||_F / scale(b) over the points b of a (g, n, M) family y(b)^T.
+    """Largest column norm ||E(:, b)||_F / scale(b) of the cross-Gram E(c, b) = x(c)* y(b).
 
-    With R = ``family_r`` of the x(c)*, this is the largest column norm
-    ||E(:, b)||_F / scale(b) of the cross-Gram E(c, b) = x(c)* y(b):
-    E(:, b) = X y(b) = Q R y(b) and Q has orthonormal columns.  The
+    ``r`` is ``family_r`` of the x(c)*, and ``y_rows`` holds the y(b)^T
+    in the (g, n, M) row layout that ``factor_rows`` writes: reshaped to
+    (g n, M) both families are views and x(c)* y(b) = x_adj[c] @
+    y_rows[b].T.  ``scale`` (g,) defaults to 1.  A two-point identity
+    "weighted kernels sum to a target" holds exactly when such a
+    cross-Gram vanishes, with the factor tables, the weights and the
+    target stacked into x and y.
+
+    The value bounds every pair: ||E(c, b)||_F <= ||E(:, b)||_F for all c.
+    With X = QR the thin QR of the (g n, M) stack of the x(c)*, E(:, b) =
+    Q R y(b) and Q has orthonormal columns, so ||E(:, b)||_F =
+    ||R y(b)||_F: O(g n M^2) work, not the g^2 n^2 M of all pairs.  The
     products are formed a point block at a time, from (R y(b))^T =
-    y(b)^T R^T; ``scale`` (g,) defaults to 1.  A NaN is kept (unlike
-    max()), so the caller refuses; overflow is silent.  No points give 0.0.
+    y(b)^T R^T, so memory beyond the families, read in place, is one
+    block and R.
+
+    Roundoff.  R is exact for X + dX, ||dX||_F <= c eps ||X||_F (see
+    ``family_r``), so the value is ||E(:, b)||_F up to c eps ||X||_F
+    ||y(b)||_F, and ||X||_F grows like sqrt(g).  On identities that hold
+    it reads 8 (g = 100) to 73 (g = 3000) times the largest pair on random
+    (3, 4, 16) and (3, 4, 32) pencils, 3.6e-13 at g = 3000: a residual for
+    ``residual_tol``, not a certificate.  Overflow gives a NaN or Inf,
+    silently; a NaN is kept (unlike max()), so the caller refuses.  No
+    points give 0.0.
     """
     yr, (g, n, _) = _row_view(y_rows)
     r_t = r.T
@@ -312,41 +321,10 @@ def column_bound(r, y_rows, scale=None) -> float:
     return float(worst)
 
 
-def cross_gram_residual(x_adj, y_rows, scale=None) -> float:
-    """Largest column norm ||E(:, b)||_F / scale(b) of the cross-Gram E(c, b) = x(c)* y(b).
-
-    The families come in the (g, n, M) row layout that the products read
-    (``factor_rows`` writes it): ``x_adj[c]`` is the adjoint x(c)* and
-    ``y_rows[b]`` the transpose y(b)^T of the M x n matrices x(c) and
-    y(b), so that reshaped to (g n, M) both are views and x(c)* y(b) =
-    x_adj[c] @ y_rows[b].T.  ``scale`` (g,) defaults to 1.  A two-point
-    identity "weighted kernels sum to a target" holds exactly when such a
-    cross-Gram vanishes, with the factor tables, the weights and the
-    target stacked into x and y.
-
-    The value bounds every pair: ||E(c, b)||_F <= ||E(:, b)||_F for all c.
-    With X = QR the thin QR of the (g n, M) stack of the x(c)*, E(:, b) =
-    Q R y(b) and Q has orthonormal columns, so ||E(:, b)||_F =
-    ||R y(b)||_F: O(g n M^2) work, not the g^2 n^2 M of all pairs.  It is
-    ``column_bound`` over ``family_r``, so memory beyond the families,
-    read in place, is one block and R.
-
-    Roundoff.  R is exact for X + dX, ||dX||_F <= c eps ||X||_F (see
-    ``family_r``), so the value is ||E(:, b)||_F up to c eps ||X||_F
-    ||y(b)||_F, and ||X||_F grows like sqrt(g).  On identities that hold
-    it reads 8 (g = 100) to 73 (g = 3000) times the largest pair on random
-    (3, 4, 16) and (3, 4, 32) pencils, 3.6e-13 at g = 3000: a residual for
-    ``residual_tol``, not a certificate.  Overflow gives a NaN or Inf,
-    silently; a NaN is kept, so the caller refuses.  No points give 0.0.
-    """
-    _row_views(x_adj, y_rows, scale)  # refuses families of two shapes before any work
-    return column_bound(family_r(x_adj), y_rows, scale)
-
-
 def hermitian_split_residuals(x_adj, y_rows, scale=None) -> tuple[float, float]:
     """Column bounds of E(c, b) + E(b, c)* and E(c, b) - E(b, c)*, each over scale(b).
 
-    E(c, b) = x(c)* y(b) is the cross-Gram of ``cross_gram_residual``
+    E(c, b) = x(c)* y(b) is the cross-Gram of ``column_bound``
     (same layout, norm and scale); the two residuals bound its Hermitian
     and skew-Hermitian parts over all pairs (b, c).  A sum/difference
     pair of two-point identities is such a split of one kernel identity:
@@ -360,13 +338,17 @@ def hermitian_split_residuals(x_adj, y_rows, scale=None) -> tuple[float, float]:
     Since E(b, c)* = y(c)* x(b), E(c, b) +- E(b, c)* = a(c) [y(b); +-x(b)]
     with a(c) = [x(c)*, y(c)*].  With R = [R1, R2] of the thin QR of the
     (g n, 2M) stack of the a(c), split after M columns, the proof of
-    ``cross_gram_residual`` gives ||E(c, b) +- E(b, c)*||_F <= ||R1 y(b)
+    ``column_bound`` gives ||E(c, b) +- E(b, c)*||_F <= ||R1 y(b)
     +- R2 x(b)||_F for all c: one TSQR serves both, holding one block and
     R (2M x 2M).  Roundoff, NaN and Inf are as there (5 to 59 times the
     largest pair at g = 100 to 3000).
     """
-    xh, yr, n, m, scale = _row_views(x_adj, y_rows, scale)
-    blocks = point_blocks(len(scale))
+    (xh, shape), (yr, y_shape) = _row_view(x_adj), _row_view(y_rows)
+    if shape != y_shape:
+        raise ShapeError(f"expected two (g, n, M) families of one shape, got {shape}, {y_shape}")
+    g, n, m = shape
+    scale = np.ones(g) if scale is None else np.asarray(scale, dtype=float)
+    blocks = point_blocks(g)
     worst = np.zeros(2)
     with np.errstate(over="ignore", invalid="ignore"):
         r_t = _tsqr_r(blocks, n, 2 * m, lambda out, b: np.concatenate(  # the rows a(c) of block b

@@ -16,6 +16,7 @@ reads that set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .core import (
     as_matrix,
     as_points,
     column_bound,
-    cross_gram_residual,
     factor_rows,
     family_r,
     hermitian_split_residuals,
@@ -141,8 +141,14 @@ def _identity_families(ks: KernelSampleSet):
 
 def kernel_identity_residual(f: RealizedFunction, grid,
                              pol: TolerancePolicy = DEFAULT_POLICY) -> float:
-    """Max over grid x grid of ||f(z) - sum_k z_k Phi_k(z, zeta)|| / (1+||f(z)||)."""
-    return cross_gram_residual(*_identity_families(KernelEvaluator(f, pol).phi_table(grid)))
+    """Max over grid x grid of ||f(z) - sum_k z_k Phi_k(z, zeta)|| / (1+||f(z)||).
+
+    This is ``sample_kernels(f, grid, pol).identity_residual()``, read off
+    the gate directly: perfbench/tracer.py counts the dense-tensor bytes
+    of each two-point span, so a nested ``identity_residual`` span would
+    count this residual twice.
+    """
+    return sample_kernels(f, grid, pol).identity_gate[0]
 
 
 def plus_minus_residuals(f: RealizedFunction, grid,
@@ -190,6 +196,9 @@ class KernelSampleSet:
                 containing the base point e = (1, ..., 1)
     factors:    per variable k an (g, m_k, n) array of phi_k samples
     f_samples:  (g, n, n) function values
+
+    The set is frozen and no library code writes its arrays after
+    construction, so ``identity_gate`` is formed at most once per set.
     """
 
     grid: np.ndarray
@@ -239,14 +248,17 @@ class KernelSampleSet:
 
     def identity_residual(self) -> float:
         """Residual of f(z) = sum_k z_k phi_k(zeta)* phi_k(z) over grid x grid."""
-        return self.identity_gate()[0]
+        return self.identity_gate[0]
 
+    @cached_property
     def identity_gate(self) -> tuple[float, np.ndarray]:
         """The kernel identity's residual and R, the TSQR factor of its x(c)* (``core.family_r``).
 
-        The residual is ``core.column_bound`` over R, bit for bit the value
-        of ``identity_residual``.  The families are freed on return, so a
-        caller that keeps the pair holds R alone (M x M at most).
+        The residual is ``core.column_bound`` over R.  It is formed on the
+        first read and kept: the rebuild, the colligation synthesis and
+        ``verify``'s kernel-identity row all read this one pair.  The
+        families are freed on return, so the set holds R alone beside its
+        samples (M x M at most).
         """
         x_adj, y_rows, scale = _identity_families(self)
         r = family_r(x_adj)
@@ -258,19 +270,18 @@ def sample_kernels(f: RealizedFunction, grid, pol: TolerancePolicy = DEFAULT_POL
     return KernelEvaluator(f, pol).phi_table(grid)
 
 
-def rebuild_factor(ks: KernelSampleSet, gate: tuple[float, np.ndarray],
-                   pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
+def rebuild_factor(ks: KernelSampleSet, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """The rebuild's factor v = [phi(e), Q_H] (m x (n + p')), read from the kernel identity's R.
 
-    ``gate`` is ``ks.identity_gate()``, (residual, R); samples whose
-    residual exceeds residual_tol are refused.  Row block k of v has the
-    m_k rows of phi_k.  phi(e) is the stacked factor at the base point e
-    and Q_H the leading left singular vectors of the stacked differences
-    D = [phi(b) - phi(e)]_b, an orthonormal basis of their span: the rank
-    counts the singular values above psd_slack max(sigma_1, scale of
-    phi(e)).  On data that satisfy the identity phi(e) is orthogonal to
-    that span (the identity at (c, e) and at (e, e) gives
-    (phi(c) - phi(e))* phi(e) = f(e) - f(e) = 0).
+    The gate is ``ks.identity_gate``, (residual, R), formed once per
+    set; samples whose residual exceeds residual_tol are refused.  Row
+    block k of v has the m_k rows of phi_k.  phi(e) is the stacked
+    factor at the base point e and Q_H the leading left singular vectors
+    of the stacked differences D = [phi(b) - phi(e)]_b, an orthonormal
+    basis of their span: the rank counts the singular values above
+    psd_slack max(sigma_1, scale of phi(e)).  On data that satisfy the
+    identity phi(e) is orthogonal to that span (the identity at (c, e)
+    and at (e, e) gives (phi(c) - phi(e))* phi(e) = f(e) - f(e) = 0).
 
     The span is read from R.  With R the TSQR factor of the stack X of
     the x(c)* = [phi(c)*, I] and T = [I_m; -phi(e)*], row block c of X T
@@ -284,7 +295,7 @@ def rebuild_factor(ks: KernelSampleSet, gate: tuple[float, np.ndarray],
     the differences read from R carry errors of order eps ||x(c)||
     rather than eps ||phi(c) - phi(e)||.
     """
-    res, r = gate
+    res, r = ks.identity_gate
     if not res <= pol.residual_tol:  # a NaN residual fails too
         raise ValidationError(
             f"kernel identity violated on input samples (residual {res:.3e})")
@@ -315,11 +326,11 @@ def pencil_from_kernel_samples(ks: KernelSampleSet,
     function off-grid once the grid saturates the difference span.
 
     One factorization serves the gate and the span: ``rebuild_factor``
-    reads the span from the kernel identity gate's R, so only R is held
+    reads the span from the set's ``identity_gate``, so only R is held
     beside the samples; the interpolation residual reads about 4e-15 on
     the kernels benchmark's pencils.
     """
-    v = rebuild_factor(ks, ks.identity_gate(), pol)
+    v = rebuild_factor(ks, pol)
     offsets = np.cumsum([0] + [t.shape[1] for t in ks.factors])
     coeffs = tuple(v[lo:hi].conj().T @ v[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:]))
     rebuilt = RealizedFunction(PsdPencil(ks.num_vars, ks.dim_u, v.shape[1] - ks.dim_u, coeffs), compressed=True)

@@ -124,9 +124,10 @@ class _Run:
 
     zs is the Cayley image of the disk grid ws, so one d(z) solve gives
     f on zs (F on ws, the recovery target) and the phi tables there.  The
-    kernel identity's (residual, R) is formed once, with the samples; its
-    row reads the residual and the synthesis reads R.  A failed evaluator
-    or synthesis fails each row that reads it alike.
+    kernel identity's (residual, R) is the samples' ``identity_gate``,
+    formed here, right after them: its row reads the residual and the
+    synthesis reads R, neither forming it again.  A failed evaluator or
+    synthesis fails each row that reads it alike.
     """
 
     def __init__(self, f: RealizedFunction, seed: int, grid_size: int, pol: TolerancePolicy,
@@ -140,20 +141,21 @@ class _Run:
         self.ws = disk_grid(f.num_vars, grid_size, seed)
         self.zs = disk_to_halfplane(self.ws)
         if isinstance(kernels, PosrealError):
-            self.samples = self.gate = kernels
+            self.samples = kernels
             self.vals = f(self.zs, pol)
         else:
             self.samples = kernels.phi_table(self.zs)
             self.vals = self.samples.f_samples
-            self.gate = self.samples.identity_gate()
+            # formed before any row runs, so the run's LAPACK calls keep their order
+            self.samples.identity_gate
         self.scales = 1.0 + np.linalg.norm(self.vals, axis=(1, 2))
         self._synthesis = None
 
     def synthesis(self):
-        """The colligation of the kernel rebuild from the gate's R, checked against S on ws."""
+        """The colligation of the kernel rebuild from the samples' R, checked against S on ws."""
         if self._synthesis is None:
             self._synthesis = _attempt(lambda: colligation_from_kernel_samples(
-                self.ws, _read(self.samples), value_cayley(self.vals, self.pol), self.pol, gate=self.gate))
+                self.ws, _read(self.samples), value_cayley(self.vals, self.pol), self.pol))
         return _read(self._synthesis)
 
 
@@ -197,7 +199,7 @@ BATTERY = (
     Check("positivity-min-re-eigenvalue", "margin", lambda pol: -pol.psd_slack,
           lambda run: float(np.min(eigvalsh_or_refuse(hermitian_part(run.vals))[:, 0] / run.scales))),
     Check("kernel-identity", "residual", lambda pol: pol.residual_tol,
-          lambda run: _read(run.gate)[0]),
+          lambda run: _read(run.samples).identity_gate[0]),
     Check("four-quadrant-conditions", "margin", lambda pol: 1.0,
           lambda run: float(four_quadrant_check(as_evaluator(run.f, run.pol), run.f.num_vars, run.rng,
                                                 samples=run.grid_size, pol=run.pol))),

@@ -662,6 +662,11 @@ class TestInputErrors:
         assert main(["verify", "--pencil", parallel_file, "--grid", "5", "--tol", "nan"]) == 2
         assert "tolerance residual_tol must be nonnegative" in capsys.readouterr().err
 
+    def test_infinite_tolerance_is_input_error(self, parallel_file, capsys):
+        # +inf would pass every residual row whatever the pencil
+        assert main(["verify", "--pencil", parallel_file, "--grid", "5", "--tol", "inf"]) == 2
+        assert "tolerance residual_tol must be nonnegative and finite" in capsys.readouterr().err
+
     def test_negative_candidates_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["hunt", "--trials", "1", "--degree", "3", "--candidates", "-1"])

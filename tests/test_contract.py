@@ -178,7 +178,7 @@ def _int_is_valid(text: str) -> bool:
 
 def _tol_is_valid(text: str) -> bool:
     try:
-        return float(text) >= 0
+        return 0 <= float(text) < float("inf")
     except ValueError:
         return False
 

@@ -28,9 +28,11 @@ def test_tolerances_must_be_nonnegative():
 
 @pytest.mark.parametrize("name", ["residual_tol"])
 def test_nan_tolerance_is_refused(name):
-    # a NaN tolerance fails every comparison, so each gate would silently fail
-    with pytest.raises(ValidationError, match=f"tolerance {name} must be nonnegative"):
-        TolerancePolicy(**{name: float("nan")})
+    # a NaN tolerance fails every comparison, so each gate would silently
+    # fail; an infinite one would silently pass every residual
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match=f"tolerance {name} must be nonnegative"):
+            TolerancePolicy(**{name: value})
 
 
 @pytest.mark.parametrize("name", ["psd_slack", "commutator_tol", "margin"])

@@ -2,7 +2,7 @@
 
 Each reference below builds the full (N, g, g, n, n) kernel tensor and
 the two-point target over grid x grid, as the identity residuals were
-computed before they went through ``core.cross_gram_residual``.  On
+computed before they went through ``core.column_bound``.  On
 identities that hold, both are roundoff and agree to it.  Where the
 identity fails, the library value is the column bound of the core
 docstrings: it is at least the largest pair, and it equals the largest
@@ -19,7 +19,7 @@ from posreal import core, sampling, serialize
 from posreal.cayley import DiskFunctionView, DiskKernelEvaluator, disk_to_halfplane
 from posreal.cli import main
 from posreal.colligation import AglerColligation, agler_identity_residual, build_colligation
-from posreal.core import DEFAULT_POLICY, ShapeError, cross_gram_residual, hermitian_split_residuals
+from posreal.core import DEFAULT_POLICY, ShapeError, column_bound, family_r, hermitian_split_residuals
 from posreal.kernels import (
     KernelEvaluator,
     KernelSampleSet,
@@ -170,6 +170,11 @@ def _rows(x, y):
     return x.conj().transpose(0, 2, 1), y.transpose(0, 2, 1)
 
 
+def _column_bound(x_adj, y_rows, scale=None):
+    """The cross-Gram column bound of two row families: ``column_bound`` over ``family_r``."""
+    return column_bound(family_r(x_adj), y_rows, scale)
+
+
 _EDGE = 2 * core._ROW_BLOCK + 3  # two full point blocks and a partial one
 
 
@@ -198,15 +203,13 @@ def test_primitive_on_explicit_families(g, corner):
     assert b == g - 1 if corner == "b-last" else (c, b) == (g - 1, 0)
     columns = _dense_columns(x, y, scale)
     assert np.argmax(columns) == b
-    got = cross_gram_residual(*_rows(x, y), scale)
+    got = _column_bound(*_rows(x, y), scale)
     assert got >= ratios[c, b] * (1 - 1e-13)  # at g = 1 the column is the pair
     assert got == pytest.approx(columns[b], rel=1e-12)
-    unscaled = cross_gram_residual(*_rows(x, y))
+    unscaled = _column_bound(*_rows(x, y))
     assert unscaled >= max(np.linalg.norm(x[c].conj().T @ y[b])
                            for b in range(g) for c in range(g)) * (1 - 1e-13)
     assert unscaled == pytest.approx(np.max(_dense_columns(x, y, np.ones(g))), rel=1e-12)
-    with pytest.raises(ShapeError):
-        cross_gram_residual(*_rows(x, y[:, :2]))
 
 
 def test_memory_stays_blockwise(traced_peak):
@@ -219,7 +222,7 @@ def test_memory_stays_blockwise(traced_peak):
     # beyond the two families, read in place, the TSQR and the products hold
     # one point block of rows and R: quadrupling the grid adds at most one
     # block's rows to the peak
-    assert _growth(traced_peak, cross_gram_residual, 4, 28) <= core._ROW_BLOCK * 4 * 28 * 16
+    assert _growth(traced_peak, _column_bound, 4, 28) <= core._ROW_BLOCK * 4 * 28 * 16
 
 
 def _growth(traced_peak, residual, n, m):
@@ -279,7 +282,7 @@ def test_split_keeps_a_nan(where):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert np.all(np.isnan(hermitian_split_residuals(*_rows(x, y))))
-        assert np.isnan(cross_gram_residual(*_rows(x, y)))
+        assert np.isnan(_column_bound(*_rows(x, y)))
         y[where, 1, 0] = 1e160  # overflow in the products is silent
         x[where, 1, 0] = 1e160
         assert not np.any(np.isfinite(hermitian_split_residuals(*_rows(x, y))))

@@ -11,7 +11,7 @@ from posreal.cayley import DiskKernelEvaluator, disk_to_halfplane, value_cayley
 from posreal.colligation import AglerColligation, colligation_from_kernel_samples
 from posreal.core import DEFAULT_POLICY, ValidationError
 from posreal.geometry import AntiUnitaryInvolution
-from posreal.kernels import sample_kernels
+from posreal.kernels import pencil_from_kernel_samples, rebuild_factor, sample_kernels
 from posreal.netlist import network_pencil, parse_netlist
 from posreal.pencil import PsdPencil, RealizedFunction, compress_realization
 from posreal.sampling import disk_grid, random_pencil
@@ -112,9 +112,9 @@ def test_unitarity_is_measured_once_by_the_synthesis(monkeypatch):
     assert len(calls) == 1  # by the synthesis' validate gate; the row reads its result
 
 
-def test_the_kernel_identity_r_is_formed_once_and_the_synthesis_runs_no_qr(monkeypatch):
+def _count_family_r(monkeypatch) -> list:
+    """A list that grows by one at each call of ``core.family_r``, the kernel identity's TSQR."""
     import posreal.core as core
-    import posreal.verify as verify
 
     factored = []
     real_r = core.family_r
@@ -127,7 +127,13 @@ def test_the_kernel_identity_r_is_formed_once_and_the_synthesis_runs_no_qr(monke
     for name, module in list(sys.modules.items()):
         if name.startswith("posreal") and getattr(module, "family_r", None) is real_r:
             monkeypatch.setattr(module, "family_r", spy)
+    return factored
 
+
+def test_the_kernel_identity_r_is_formed_once_and_the_synthesis_runs_no_qr(monkeypatch):
+    import posreal.verify as verify
+
+    factored = _count_family_r(monkeypatch)
     synthesized = []
     real_synthesis = verify.colligation_from_kernel_samples
 
@@ -148,6 +154,20 @@ def test_the_kernel_identity_r_is_formed_once_and_the_synthesis_runs_no_qr(monke
         assert run_verification(f, seed=3, grid_size=100).verdict
         assert factored == [1]
     assert synthesized == [1, 1]
+
+
+def test_one_sample_set_forms_its_gate_once_for_every_reader(monkeypatch):
+    factored = _count_family_r(monkeypatch)
+    f = random_pencil(np.random.default_rng(7), 3, 2, 4)
+    ws = disk_grid(f.num_vars, 40, 3)
+    ks = sample_kernels(f, disk_to_halfplane(ws))
+    residual = ks.identity_residual()
+    v = rebuild_factor(ks)
+    rebuilt = pencil_from_kernel_samples(ks)
+    syn = colligation_from_kernel_samples(ws, ks, value_cayley(ks.f_samples))
+    assert factored == [1]
+    assert residual <= DEFAULT_POLICY.residual_tol and syn.gram_residual == residual
+    assert v.shape[1] == rebuilt.dim_u + rebuilt.dim_h
 
 
 @pytest.mark.parametrize("kind, passed", [("bridge", True), ("real", True), ("complex", False)])
