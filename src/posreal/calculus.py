@@ -13,9 +13,8 @@ candidate counterexamples.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,14 +67,14 @@ class CommutingTuple:
     kind is "contraction" when every member has norm <= 1 - margin
     (bound = the largest norm), "accretive" when every R_k + R_k* is
     bounded below by a positive multiple of the identity (bound = that
-    multiple), and "none" otherwise.
+    multiple), and "none" otherwise.  A tuple is immutable and caches
+    nothing: ``calc_series`` forms the powers of each member it sums.
     """
 
     mats: tuple
     commutator_norm: float
     kind: str
     bound: float
-    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_vars(self) -> int:
@@ -84,23 +83,6 @@ class CommutingTuple:
     @property
     def dim(self) -> int:
         return self.mats[0].shape[0]
-
-    def powers(self, degree: int) -> np.ndarray:
-        """T^t on the (degree + 1)^N cube, zero above total degree ``degree``.
-
-        Formed once per degree and kept read-only: every series on this
-        tuple (each candidate of a hunt trial) shares the table.
-        """
-        if degree not in self._powers:
-            simplex = _simplex(self.num_vars, degree)
-            table = np.zeros((degree + 1,) * self.num_vars + (self.dim, self.dim), dtype=complex)
-            table[simplex[0]] = np.eye(self.dim)
-            for idx in simplex[1:]:
-                k = next(i for i, v in enumerate(idx) if v)
-                table[idx] = self.mats[k] @ table[idx[:k] + (idx[k] - 1,) + idx[k + 1:]]
-            table.flags.writeable = False
-            self._powers[degree] = table
-        return self._powers[degree]
 
 
 def _max_commutator(mats: np.ndarray, norms: np.ndarray) -> float:
@@ -170,9 +152,6 @@ def _total_degree(num_vars: int, degree: int) -> np.ndarray:
     return np.indices((degree + 1,) * num_vars).sum(axis=0)
 
 
-# a process indexes tables of a few (N, degree) pairs; the bound keeps it
-# from holding the index list of every table it ever built
-@functools.lru_cache(maxsize=8)
 def _simplex(num_vars: int, degree: int) -> tuple:
     """The multi-indices with |t| <= degree, in C order.
 
@@ -391,23 +370,42 @@ def herglotz_taylor_from_schur(schur: TaylorCoefficients,
 # Series and closed-form calculus
 
 
+def _power_stack(mat: np.ndarray, degree: int) -> np.ndarray:
+    """[I, M, ..., M^degree] as a (degree + 1, m, m) stack, from degree products."""
+    out = np.empty((degree + 1,) + mat.shape, dtype=complex)
+    out[0] = np.eye(len(mat))
+    for j in range(degree):
+        out[j + 1] = mat @ out[j]
+    return out
+
+
 def calc_series(coeffs: TaylorCoefficients, t: CommutingTuple,
                 pol: TolerancePolicy = DEFAULT_POLICY) -> tuple[np.ndarray, float]:
     """Partial sum of F(T) = sum_t F_t (x) T^t plus a Cauchy tail estimate.
 
-    The tuple must be a strict contraction tuple.  The tail, at its largest member
-    norm, bounds the rest only if ``coeffs.sup_bound`` does: proven (1) for
-    ``taylor_from_colligation``, sampled times TAYLOR_SUP_SAFETY otherwise.
+    The tuple must be a strict contraction tuple.  Its members commute, so
+    T^t = T_1^{t_1} ... T_N^{t_N}, and the sum runs one member at a time
+    against [I, T_k, ..., T_k^d]: the table is read in place and no table
+    of every T^t is formed.  The tail, at the largest member norm, bounds
+    the rest only if ``coeffs.sup_bound`` does: proven (1) for
+    ``taylor_from_colligation``; otherwise sampled times TAYLOR_SUP_SAFETY,
+    and the tail is an estimate.
     """
     if t.kind != "contraction":
         raise ValidationError("series calculus needs a strict contraction tuple")
     m = t.dim
     n = coeffs.dim
+    d = coeffs.degree
     if coeffs.num_vars != t.num_vars:
         raise ShapeError("coefficient table and tuple disagree on the number of variables")
-    # sum_t F_t[i, j] T^t[a, b] as one product, then into the kron layout (i a, j b)
-    out = coeffs.coeffs.reshape(-1, n * n).T @ t.powers(coeffs.degree).reshape(-1, m * m)
-    out = out.reshape(n, n, m, m).transpose(0, 2, 1, 3).reshape(n * m, n * m)
+    # sum over t_1 as one product on a view of the table: out[t_2, ..., t_N, i, j, a, b]
+    out = coeffs.coeffs.reshape(d + 1, -1).T @ _power_stack(t.mats[0], d).reshape(d + 1, -1)
+    out = out.reshape((d + 1,) * (t.num_vars - 1) + (n, n, m, m))
+    # then over each later t_k, with T_k^{t_k} multiplied on the right
+    for tk in t.mats[1:]:
+        out = np.tensordot(out, _power_stack(tk, d), axes=([0, -1], [0, 1]))
+    # into the kron layout (i a, j b)
+    out = out.transpose(0, 2, 1, 3).reshape(n * m, n * m)
     tail = coeffs.tail_bound(t.bound)
     if not math.isfinite(tail):
         raise NumericalRefusalError("tail bound unavailable for the requested radius")
@@ -420,7 +418,8 @@ def calc_realized(f: RealizedFunction, r: CommutingTuple,
 
     f(R) = a(R) - b(R) d(R)^{-1} c(R) with a(R) = sum_k a_k (x) R_k and
     so on.  Agrees with the series route through the operator Cayley
-    map within the certified truncation error.  The guard on d(R) first
+    map within the series' estimated truncation error (a bound where the
+    table's sup is proven, see ``calc_series``).  The guard on d(R) first
     tries ``pencil.d_tuple_condition_bound``: Re d(R) dominates
     (beta/2)(sum_k d_k) (x) I for the tuple's accretivity bound beta.
     """
@@ -481,7 +480,8 @@ def von_neumann_check(coeffs: TaylorCoefficients, t: CommutingTuple,
     """Norm of a Schur-side function on a contraction tuple, with tail.
 
     Returns (norm, tail, violation); the flag is raised only when the
-    norm exceeds 1 by more than the certified tail plus the PSD slack.
+    norm exceeds 1 by more than the estimated tail plus the PSD slack
+    (a bound only where the table's sup is proven, see ``calc_series``).
     """
     val, tail = calc_series(coeffs, t, pol)
     norm = operator_norm(val)

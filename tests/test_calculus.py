@@ -1,6 +1,8 @@
+import functools
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -170,20 +172,39 @@ class TestCalcSeries:
         with pytest.raises(NumericalRefusalError):
             calc_series(co, t)
 
-    def test_single_product_equals_kron_loop(self, rng):
-        # n = 2 != m = 3 pins the reshape and transpose into the kron layout
+    @pytest.mark.parametrize("num_vars", [1, 2, 3, 4])
+    def test_member_by_member_sum_equals_kron_loop(self, rng, num_vars):
+        # n = 2 != m = 3 pins the reshape and transpose into the kron layout;
+        # N = 1 is the first product alone, N = 4 adds three tensordot steps
         degree = 5
-        shape = (degree + 1,) * 3 + (2, 2)
+        shape = (degree + 1,) * num_vars + (2, 2)
         table = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        table[np.indices(shape[:3]).sum(axis=0) > degree] = 0.0
-        idx = [t for t in itertools.product(range(degree + 1), repeat=3) if sum(t) <= degree]
-        co = TaylorCoefficients(3, 2, degree, table, sup_radius=1.0, sup_bound=1.0)
-        t = random_contraction_tuple(rng, 3, 3, target_norm=0.3)
+        table[np.indices(shape[:num_vars]).sum(axis=0) > degree] = 0.0
+        idx = [t for t in itertools.product(range(degree + 1), repeat=num_vars) if sum(t) <= degree]
+        co = TaylorCoefficients(num_vars, 2, degree, table, sup_radius=1.0, sup_bound=1.0)
+        t = random_contraction_tuple(rng, num_vars, 3, target_norm=0.3)
         val, _ = calc_series(co, t)
-        want = sum(np.kron(table[s], np.linalg.matrix_power(t.mats[0], s[0])
-                           @ np.linalg.matrix_power(t.mats[1], s[1])
-                           @ np.linalg.matrix_power(t.mats[2], s[2])) for s in idx)
+        # T^s as the ordered product T_1^{s_1} ... T_N^{s_N}
+        want = sum(np.kron(table[s], functools.reduce(
+            np.matmul, [np.linalg.matrix_power(tk, sk) for tk, sk in zip(t.mats, s)]))
+            for s in idx)
         assert np.linalg.norm(val - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_working_memory_stays_below_twice_the_table(self, rng):
+        # no (degree + 1)^N m^2 table of the powers T^t and no copy of the coefficients
+        degree = 255
+        shape = (degree + 1,) * 2 + (1, 1)
+        table = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        table[np.indices(shape[:2]).sum(axis=0) > degree] = 0.0
+        co = TaylorCoefficients(2, 1, degree, table, sup_radius=1.0, sup_bound=1.0)
+        t = random_contraction_tuple(rng, 2, 6, target_norm=0.3)
+        tracemalloc.start()
+        try:
+            calc_series(co, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * co.coeffs.nbytes
 
 
 class TestCalcRealized:
@@ -404,20 +425,18 @@ class TestHunt:
         records = list(hunt(config, [("geometric-mean", geo_mean)]))
         assert not any(r["violation"] for r in records)
 
-    def test_each_trial_forms_its_powers_once(self, rng, monkeypatch):
+    def test_records_equal_a_fresh_table_and_tuple(self, rng, monkeypatch):
         controls = [("a", random_pencil(rng, 3, 1, 2)), ("b", random_pencil(rng, 3, 1, 3))]
         config = HuntConfig(num_vars=3, trials=3, dim=2, seed=5, degree=6)
-        tuples, builds = [], []
-        draw, simplex = calculus.random_contraction_tuple, calculus._simplex
+        tuples = []
+        draw = calculus.random_contraction_tuple
 
         def keep(*args, **kwargs):
             tuples.append(draw(*args, **kwargs))
             return tuples[-1]
 
         monkeypatch.setattr(calculus, "random_contraction_tuple", keep)
-        monkeypatch.setattr(calculus, "_simplex", lambda *a: builds.append(a) or simplex(*a))
         records = list(hunt(config, controls))
-        assert builds == [(3, 6)] * 3  # one table per trial, shared by both candidates
         # the same records as a series with a table of its own per candidate
         tables = {name: taylor_from_function(DiskFunctionView(f).eval_double_cayley, 3, 1, 6)
                   for name, f in controls}
