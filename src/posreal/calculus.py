@@ -31,7 +31,7 @@ from .core import (
     operator_norm,
     scale_of,
 )
-from .pencil import RealizedFunction, _refuse_ill_conditioned, d_tuple_condition_bound
+from .pencil import RealizedFunction, d_tuple_condition_bound, guarded_solve
 from .sampling import random_accretive_tuple, random_contraction_tuple, random_pencil
 from .serialize import matrix_to_json
 
@@ -340,24 +340,25 @@ def herglotz_taylor_from_schur(schur: TaylorCoefficients,
     Exact series algebra: with G = (I - S)^{-1}, the Cauchy product
     gives (I - S_0) G_t = [t = 0] I + sum_{0 < s <= t} S_s G_{t-s}, and
     (I - S) G = I gives F = (I + S) G = 2 G - I, so F_t = 2 G_t - [t = 0] I.
-    The guard on I - S_0 is certified by ``cayley.i_minus_s_condition_bound``.
+    I - S_0 is solved once, G_0 = (I - S_0)^{-1} by ``pencil.guarded_solve``,
+    whose guard is certified by ``cayley.i_minus_s_condition_bound``; each
+    later G_t = G_0 sum_{0 < s <= t} S_s G_{t-s} is one product.
     """
     n = schur.dim
     eye = np.eye(n, dtype=complex)
     sch = schur.coeffs
     simplex = _simplex(schur.num_vars, schur.degree)
     s0 = sch[simplex[0]]
-    base = eye - s0
-    _refuse_ill_conditioned(base[None], pol, "I - S(0)", bound=i_minus_s_condition_bound(s0[None]))
     g = np.zeros_like(sch)
-    g[simplex[0]] = np.linalg.solve(base, eye)
+    g[simplex[0]] = guarded_solve((eye - s0)[None], eye, pol, "I - S(0)",
+                                  i_minus_s_condition_bound(s0[None]))[0]
+    g0 = g[simplex[0]]
     for t in simplex[1:]:
         # sum_{s <= t} S_s G_{t-s} over the box s <= t; the s = 0 term
         # is zero because G_t is not yet filled in
         box = tuple(slice(v + 1) for v in t)
         rev = tuple(slice(v, None, -1) for v in t)
-        g[t] = np.linalg.solve(base, np.einsum("sij,sjk->ik", sch[box].reshape(-1, n, n),
-                                               g[rev].reshape(-1, n, n)))
+        g[t] = g0 @ np.einsum("sij,sjk->ik", sch[box].reshape(-1, n, n), g[rev].reshape(-1, n, n))
     f = 2.0 * g
     f[simplex[0]] -= eye
     out = TaylorCoefficients(schur.num_vars, n, schur.degree, f)
@@ -438,8 +439,7 @@ def calc_realized(f: RealizedFunction, r: CommutingTuple,
     if f.dim_h == 0:
         return big
     a, b, c, d = big[:nm, :nm], big[:nm, nm:], big[nm:, :nm], big[nm:, nm:]
-    _refuse_ill_conditioned(d[None], pol, "d(R)", bound=[d_tuple_condition_bound(f, r.mats, r.bound)])
-    return a - b @ np.linalg.solve(d, c)
+    return a - b @ guarded_solve(d[None], c, pol, "d(R)", [d_tuple_condition_bound(f, r.mats, r.bound)])[0]
 
 
 def accretive_positivity_check(f: RealizedFunction, r: CommutingTuple,

@@ -6,11 +6,12 @@ F -> (F - I)(F + I)^{-1} on operator values, their composition (the
 double Cayley transform of a realized function), and the induced
 transforms of the kernel factors.  The operator Cayley maps of the
 calculus module are the value maps applied to a stacked tuple.
-Every division by F + I (or I - S) is one guarded right division, whose
-guard first tries a proven condition bound (``f_plus_i_condition_bound``,
-``i_minus_s_condition_bound``).  The theta tables of a pencil divide by
-nothing: they are the state response of its colligation
-(``colligation.colligation_from_pencil``), whose transfer function is S.
+Every division by F + I (or I - S) is one right division through
+``pencil.guarded_solve``, whose guard first tries a proven condition
+bound (``f_plus_i_condition_bound``, ``i_minus_s_condition_bound``).
+The theta tables of a pencil divide by nothing: they are the state
+response of its colligation (``colligation.colligation_from_pencil``),
+whose transfer function is S.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .core import (
 )
 from .colligation import colligation_from_pencil, state_response
 from .kernels import KernelEvaluator
-from .pencil import RealizedFunction, _refuse_ill_conditioned, as_evaluator
+from .pencil import RealizedFunction, as_evaluator, guarded_solve
 
 __all__ = [
     "BOUNDARY_GUARD",
@@ -96,10 +97,13 @@ def i_minus_s_condition_bound(values) -> np.ndarray:
 
 def _right_divide(x: np.ndarray, y: np.ndarray, pol: TolerancePolicy, what: str,
                   bound: np.ndarray) -> np.ndarray:
-    """X Y^{-1} on stacks (B, r, n) and (B, n, n): one guard on Y (named ``what``,
-    certified by ``bound`` where it clears), one LU solve."""
-    _refuse_ill_conditioned(y, pol, what, bound=bound)
-    return np.linalg.solve(y.transpose(0, 2, 1), x.transpose(0, 2, 1)).transpose(0, 2, 1)
+    """X Y^{-1} on stacks (B, r, n) and (B, n, n): (Y^T)^{-1} X^T, one ``pencil.guarded_solve``.
+
+    Y^T is guarded under the name ``what`` and certified by ``bound``
+    where it clears: a transpose keeps the singular values, so both the
+    certificate of Y and its condition number are those of Y^T.
+    """
+    return guarded_solve(y.transpose(0, 2, 1), x.transpose(0, 2, 1), pol, what, bound).transpose(0, 2, 1)
 
 
 def value_cayley(values, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:

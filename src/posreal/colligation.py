@@ -51,7 +51,7 @@ from .core import (
     relative_residual,
 )
 from .kernels import KernelEvaluator, KernelSampleSet, rebuild_factor
-from .pencil import PencilBound, RealizedFunction, _refuse_ill_conditioned
+from .pencil import PencilBound, RealizedFunction, guarded_solve
 
 __all__ = [
     "AglerColligation",
@@ -206,10 +206,11 @@ def reflection_transfer(v: np.ndarray, dims, pts: np.ndarray,
 
     ``v`` = (V_1; ...; V_N; V_u) has dims[k] rows in V_k, and
     M(w) = V_u* V_u + sum_k z_k V_k* V_k, z_k = (1 + w_k) / (1 - w_k), is
-    formed and solved here only (``transfer_eval`` derives S from it).  Its
-    guard is certified by ``pencil.PencilBound`` of the Grams (V_u* V_u,
-    V_1* V_1, ...) at weights (1, z_1, ...), which lie in the open right
-    halfplane inside the open polydisk (+inf where mu lambda_min(V* V) <= 0).
+    formed here only (``transfer_eval`` derives S from it) and solved by
+    ``pencil.guarded_solve``.  Its guard is certified by ``pencil.PencilBound``
+    of the Grams (V_u* V_u, V_1* V_1, ...) at weights (1, z_1, ...), which
+    lie in the open right halfplane inside the open polydisk (+inf where
+    mu lambda_min(V* V) <= 0).
 
     M(w) is formed, guarded and solved one ``core.point_blocks`` block at
     a time into S, with the certificate computed once, so neither a
@@ -230,17 +231,16 @@ def reflection_transfer(v: np.ndarray, dims, pts: np.ndarray,
     for blk in point_blocks(len(pts), r * r):
         m = np.dot(z[blk], flat).reshape(blk.stop - blk.start, r, r)  # sum_k z_k V_k* V_k
         m += grams[0]
-        _refuse_ill_conditioned(m, pol, "M(w)", bound=bound[blk])
-        t = np.linalg.solve(m, np.broadcast_to(vu.conj().T, (len(m), r, n)))
+        t = guarded_solve(m, np.broadcast_to(vu.conj().T, (len(m), r, n)), pol, "M(w)", bound[blk])
         np.subtract(np.eye(n), 2.0 * (vu @ t), out=svals[blk])
     return svals
 
 
 def _state_solve(c: AglerColligation, pts: np.ndarray,
                  pol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
-    """P(w) as state weights (B, x) and (I - A P(w))^{-1} B (B, x, n), behind the guard.
+    """P(w) as state weights (B, x) and (I - A P(w))^{-1} B (B, x, n), from ``pencil.guarded_solve``.
 
-    I - A P(w) is formed, guarded and solved one ``core.point_blocks``
+    I - A P(w) is formed and solved (guard first) one ``core.point_blocks``
     block at a time, with the certificate computed once, so no (B, x, x)
     stack is held; every bit and refusal is that of a whole-batch solve,
     as in ``pencil.schur_solve``.
@@ -253,8 +253,8 @@ def _state_solve(c: AglerColligation, pts: np.ndarray,
     for blk in point_blocks(len(pts), x * x):
         w = pw[blk]
         sys = np.broadcast_to(np.eye(x, dtype=complex), (len(w), x, x)) - a[None] * w[:, None, :]
-        _refuse_ill_conditioned(sys, pol, "I - A P(w)", bound=bound[blk])
-        sol[blk] = np.linalg.solve(sys, np.broadcast_to(b, (len(sys),) + b.shape))
+        sol[blk] = guarded_solve(sys, np.broadcast_to(b, (len(sys),) + b.shape), pol, "I - A P(w)",
+                                 bound[blk])
     return pw, sol
 
 

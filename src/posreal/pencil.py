@@ -9,6 +9,12 @@ Schur complement
 is a homogeneous degree-one positive-real function.  This module
 evaluates f (Schur form and the long-resolvent cross-check), compresses
 degenerate H directions, and composes realizations.
+
+It also holds the library's one guarded solve, ``guarded_solve``: every
+resolvent of the package (d(z), d(R), F + I, I - S, M(w), I - A P(w),
+A(z) and its U-corner) is solved there, behind the one conditioning
+guard, which refuses a numerically singular matrix instead of
+regularizing it.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ __all__ = [
     "compress",
     "eval_schur",
     "schur_solve",
+    "guarded_solve",
     "d_condition_bound",
     "d_tuple_condition_bound",
     "eval_long_resolvent",
@@ -284,6 +291,7 @@ def _refuse_ill_conditioned(mats: np.ndarray, pol: TolerancePolicy, what: str,
                             bound=None) -> None:
     """Refuse a stack of square matrices if any is numerically singular.
 
+    Its one library caller is ``guarded_solve``, which passes the bound.
     The decision is the computed condition number: a matrix is refused
     when ``np.linalg.cond`` exceeds 1/psd_slack (or is not finite).
     ``bound`` optionally gives a certified upper bound on each matrix's
@@ -312,6 +320,19 @@ def _refuse_ill_conditioned(mats: np.ndarray, pol: TolerancePolicy, what: str,
         raise NumericalRefusalError(
             f"{what} is numerically singular (condition {worst:.3e}); "
             "boundary or outside-domain evaluation")
+
+
+def guarded_solve(mats: np.ndarray, rhs, pol: TolerancePolicy, what: str, bound) -> np.ndarray:
+    """mats^{-1} rhs on a (B, r, r) stack: the library's one guarded solve.
+
+    ``_refuse_ill_conditioned`` first refuses (never regularizes) a stack
+    holding a numerically singular matrix, named ``what`` in the message,
+    and skips the condition estimate where the certificate ``bound``
+    clears; then one LU solve with partial pivoting.  ``bound`` is
+    required: each caller passes the certificate of its matrix.
+    """
+    _refuse_ill_conditioned(mats, pol, what, bound=bound)
+    return np.linalg.solve(mats, rhs)
 
 
 def d_condition_bound(f: RealizedFunction, z) -> np.ndarray:
@@ -349,9 +370,9 @@ def schur_solve(f: RealizedFunction, z,
     kernel columns [I ; -d(z)^{-1} c(z)] from the second with f from the
     first, so sampling f and its kernels on a grid solves d(z) once.
 
-    d(z) is inverted by LU with partial pivoting; evaluation is refused
-    (never regularized) when the condition of d(z) exceeds 1/psd_slack,
-    so boundary evaluations stay detectable.  The guard first tries the
+    d(z) is solved by ``guarded_solve``: evaluation is refused (never
+    regularized) when the condition of d(z) exceeds 1/psd_slack, so
+    boundary evaluations stay detectable.  The guard first tries the
     certificate ``d_condition_bound``; points it does not clear fall back
     to the computed condition number, so the decision is the same.
 
@@ -378,8 +399,7 @@ def schur_solve(f: RealizedFunction, z,
         if p == 0:
             vals[blk] = a
             continue
-        _refuse_ill_conditioned(d, pol, "d(z)", bound=bound[blk])
-        sol[blk] = np.linalg.solve(d, c)
+        sol[blk] = guarded_solve(d, c, pol, "d(z)", bound[blk])
         np.subtract(a, b @ sol[blk], out=vals[blk])
     return vals, sol
 
@@ -401,15 +421,17 @@ def eval_long_resolvent(f: RealizedFunction, z, pol: TolerancePolicy = DEFAULT_P
     by about b^3 eps relative to sigma_min(C), at most 0.08 where b^2
     clears the guard at the fixed psd_slack of 1e-10; the guard's
     factor 2 absorbs that, and a bound only skips the estimate.
+
+    Both inverses are ``guarded_solve`` against an identity, which runs
+    the LAPACK gesv of numpy's inverse and so gives its bits.
     """
     pts = as_points(z, f.num_vars)
     n = f.dim_u
     az = eval_pencil(f.pencil, pts)
     bound = f.a_bound.bound(pts)
-    _refuse_ill_conditioned(az, pol, "A(z)", bound=bound)
-    corner = np.linalg.inv(az)[:, :n, :n]
-    _refuse_ill_conditioned(corner, pol, "the U-corner of A(z)^{-1}", bound=bound ** 2)
-    return like_points(z, np.linalg.inv(corner))
+    corner = guarded_solve(az, np.eye(f.pencil.dim), pol, "A(z)", bound)[:, :n, :n]
+    return like_points(z, guarded_solve(corner, np.eye(n), pol, "the U-corner of A(z)^{-1}",
+                                        bound ** 2))
 
 
 def sum_realization(f1: RealizedFunction, f2: RealizedFunction) -> RealizedFunction:

@@ -364,6 +364,29 @@ class TestTaylorSources:
             want = g[t] + sum(sch.coeffs[s] @ g[r] for s, r in below(t))  # F = (I + S) G
             assert np.linalg.norm(herglotz.coeffs[t] - want) <= 1e-12 * (1.0 + np.linalg.norm(want))
 
+    @pytest.mark.parametrize("num_vars, n, p, degree", [(1, 1, 3, 40), (2, 1, 2, 30), (1, 2, 3, 40),
+                                                        (2, 2, 3, 45)])
+    def test_herglotz_equals_the_per_index_solve_recursion(self, rng, num_vars, n, p, degree):
+        # the recursion solves I - S_0 once and multiplies by G_0; the former
+        # one solved I - S_0 again at every multi-index
+        f = random_pencil(rng, num_vars, n, p)
+        sch = taylor_from_function(DiskFunctionView(f).eval_double_cayley, num_vars, n, degree=degree)
+        idx = sorted((t for t in itertools.product(range(degree + 1), repeat=num_vars)
+                      if sum(t) <= degree), key=sum)
+        eye = np.eye(n, dtype=complex)
+        base = eye - sch.coeffs[idx[0]]
+        g = np.zeros_like(sch.coeffs)
+        g[idx[0]] = np.linalg.solve(base, eye)
+        for t in idx[1:]:
+            box = tuple(slice(v + 1) for v in t)
+            rev = tuple(slice(v, None, -1) for v in t)
+            g[t] = np.linalg.solve(base, np.einsum("sij,sjk->ik", sch.coeffs[box].reshape(-1, n, n),
+                                                   g[rev].reshape(-1, n, n)))
+        former = 2.0 * g
+        former[idx[0]] -= eye
+        gap = np.linalg.norm(herglotz_taylor_from_schur(sch).coeffs - former, axis=(-2, -1))
+        assert np.max(gap) <= 1e-14 * np.max(np.linalg.norm(former, axis=(-2, -1)))
+
     def test_herglotz_base_goes_through_the_guard(self, monkeypatch):
         # I - S_0 = diag(1e-11, 1): condition 1e11, above 1/psd_slack
         sch = np.zeros((3, 2, 2), dtype=complex)

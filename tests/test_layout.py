@@ -3,7 +3,9 @@
 Private helpers (names with a leading underscore) are not imported
 across modules: a helper that another module needs becomes public.  The
 one exception is the conditioning guard ``_refuse_ill_conditioned``,
-whose home the benchmark tracer pins until the guard moves to ``core``.
+whose home the benchmark tracer pins until the guard moves to ``core``;
+only ``kernels`` binds it, for the benchmark's test of that tracer, and
+every other module reaches the guard through ``pencil.guarded_solve``.
 
 Every name a module lists in ``__all__`` is bound at its top level, so
 deleting a function or class also means deleting its export.
@@ -12,15 +14,18 @@ The single-point convention of batched evaluators (one point in, its
 value alone out) lives in ``core.like_points``; no other module spells
 it out as ``... if ....ndim == 1 else ...``.
 
-Every call of the guard passes a certified ``bound=``, so the condition
-estimate runs only where no proven inequality clears a matrix.  There is
-no exception: the allow-list of uncertified calls is empty.
+The guard has one library call, in ``pencil.guarded_solve``, which
+passes it the required ``bound``; no call of ``guarded_solve`` passes a
+literal ``None`` there.  So the condition estimate runs only where no
+proven inequality clears a matrix.
 
-Every function that calls ``np.linalg.solve`` or ``np.linalg.inv`` also
-calls the guard, so no system is solved unguarded.  The exceptions are
-listed by function: the named cross-check ``pointwise_diagonal_oracle``,
-and the sampler ``random_diagonalizable_accretive_pair``, which redraws a
-matrix whose condition exceeds 10 before inverting it.
+``np.linalg.solve`` and ``np.linalg.inv`` are called only in
+``pencil.guarded_solve``, right after its guard, so no system is solved
+unguarded; a function that calls the guard and then solves by itself
+breaks the rule too.  The exceptions are listed by function: the named
+cross-check ``calculus.pointwise_diagonal_oracle``, and the sampler
+``sampling.random_diagonalizable_accretive_pair``, which redraws a matrix
+whose condition exceeds 10 before inverting it.
 
 ``np.linalg.cond`` is called only inside the guard, so there is one
 conditioning estimate and one refusal threshold.  The exception is that
@@ -57,12 +62,13 @@ README = TESTS.parent / "README.md"
 MAP_HEADING = "## Paper-to-code map"
 ALLOWED = {"_refuse_ill_conditioned"}
 GUARD = "_refuse_ill_conditioned"
-# (function, stage) of the guard calls that may run the estimate alone
-UNCERTIFIED = set()
+# the one function that calls the guard, and the one that solves behind it
+GUARDED_SOLVE = "guarded_solve"
+GUARDED_SOLVE_SITE = "pencil.guarded_solve"
 # functions that may solve or invert without the guard
 UNGUARDED_SOLVES = {
-    "pointwise_diagonal_oracle",
-    "random_diagonalizable_accretive_pair",
+    "calculus.pointwise_diagonal_oracle",
+    "sampling.random_diagonalizable_accretive_pair",
 }
 SOLVERS = {"np.linalg.solve", "np.linalg.inv"}
 # functions that may call the condition estimate
@@ -124,17 +130,36 @@ def calls_by_function(source: str) -> list[tuple[str, ast.Call]]:
     return found
 
 
-def unbounded_guard_calls(source: str) -> list[tuple[str, str]]:
-    """(enclosing function, stage) of every guard call without a ``bound=`` keyword.
+def _called(call: ast.Call) -> str | None:
+    """The called name, bare or the last part of a dotted name."""
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
 
-    The stage is the third positional argument when it is a string
-    literal, else its source text.
+
+def guard_callers(source: str) -> list[str]:
+    """The innermost enclosing function of every guard call, once per call, in source order."""
+    return [func for func, call in calls_by_function(source) if _called(call) == GUARD]
+
+
+def uncertified_guard_calls(source: str) -> list[tuple[str, str]]:
+    """(enclosing function, stage) of every guard call that may lack a certified bound.
+
+    That is a guard call outside a function named ``guarded_solve``, a guard
+    call inside one without a ``bound=`` keyword, and a ``guarded_solve``
+    call whose bound (fifth positional argument or ``bound=``) is missing or
+    the literal ``None``.  The stage is the argument after ``pol`` when it
+    is a string literal, else its source text.
     """
     found = []
     for func, call in calls_by_function(source):
-        name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
-        if name == GUARD and not any(k.arg == "bound" for k in call.keywords):
-            stage = call.args[2] if len(call.args) > 2 else None
+        name = _called(call)
+        if name not in (GUARD, GUARDED_SOLVE):
+            continue
+        pos = 2 if name == GUARD else 3
+        keys = {k.arg: k.value for k in call.keywords}
+        bound = keys.get("bound", call.args[4] if name == GUARDED_SOLVE and len(call.args) > 4 else None)
+        uncertified = bound is None or (isinstance(bound, ast.Constant) and bound.value is None)
+        if (name == GUARD and func != GUARDED_SOLVE) or uncertified:
+            stage = call.args[pos] if len(call.args) > pos else keys.get("what")
             text = (stage.value if isinstance(stage, ast.Constant)
                     else ast.unparse(stage) if stage is not None else "")
             found.append((func, text))
@@ -142,17 +167,14 @@ def unbounded_guard_calls(source: str) -> list[tuple[str, str]]:
 
 
 def unguarded_solves(source: str) -> list[str]:
-    """Functions that call ``np.linalg.solve`` or ``np.linalg.inv`` but not the guard.
+    """Functions that call ``np.linalg.solve`` or ``np.linalg.inv``, each listed once, in source order.
 
-    A call counts for the innermost function that contains it.
+    A call counts for the innermost function that contains it, and a
+    guard call beside it does not excuse it: the only guarded solve is
+    ``pencil.guarded_solve``'s own, which the module rule allows by name.
     """
-    calls: dict[str, set] = {}
-    for func, call in calls_by_function(source):
-        name = ast.unparse(call.func)
-        kind = "solve" if name in SOLVERS else "guard" if name.split(".")[-1] == GUARD else None
-        if kind:
-            calls.setdefault(func, set()).add(kind)
-    return [func for func, kinds in calls.items() if kinds == {"solve"}]
+    return list(dict.fromkeys(func for func, call in calls_by_function(source)
+                              if ast.unparse(call.func) in SOLVERS))
 
 
 def condition_estimates(source: str) -> list[str]:
@@ -296,55 +318,78 @@ def test_single_point_convention_only_in_core(path):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_guard_call_passes_a_bound(path):
-    assert set(unbounded_guard_calls(path.read_text())) <= UNCERTIFIED
+    assert uncertified_guard_calls(path.read_text()) == []
 
 
-def test_uncertified_guards_still_exist():
-    # an allow-list entry whose call is gone (or now certified) must be dropped;
-    # with the list empty, every guard call passes bound=
-    found = set()
-    for path in MODULES:
-        found |= set(unbounded_guard_calls(path.read_text()))
-    assert found == UNCERTIFIED
+def test_the_guard_has_one_library_call():
+    # in pencil.guarded_solve, which every guarded matrix goes through
+    found = [f"{path.stem}.{func}" for path in MODULES for func in guard_callers(path.read_text())]
+    assert found == [GUARDED_SOLVE_SITE]
+
+
+def test_only_pencil_and_kernels_name_the_guard():
+    # pencil defines and calls it; kernels binds it for the benchmark's tracer test
+    assert [path.name for path in MODULES if GUARD in path.read_text()] == ["kernels.py", "pencil.py"]
 
 
 @pytest.mark.parametrize("source, hits", [
     ("def f(m, pol):\n    _refuse_ill_conditioned(m, pol, 'X')\n", [("f", "X")]),
-    ("def f(m, pol, b):\n    _refuse_ill_conditioned(m, pol, 'X', bound=b)\n", []),
+    # a bounded guard call outside guarded_solve: the old rule accepted it
+    ("def f(m, pol, b):\n    _refuse_ill_conditioned(m, pol, 'X', bound=b)\n", [("f", "X")]),
     ("def f(m, pol, w):\n    pencil._refuse_ill_conditioned(m, pol, w)\n", [("f", "w")]),
     ("class C:\n    def g(self, m):\n        _refuse_ill_conditioned(m, self.pol, 'Y')\n",
      [("g", "Y")]),
     ("_refuse_ill_conditioned(m, pol, 'top')\n", [("<module>", "top")]),
+    ("def guarded_solve(m, b, pol, what, bound):\n    _refuse_ill_conditioned(m, pol, what, bound=bound)\n"
+     "    return np.linalg.solve(m, b)\n", []),
+    ("def guarded_solve(m, b, pol, what, bound):\n    _refuse_ill_conditioned(m, pol, what)\n",
+     [("guarded_solve", "what")]),
+    ("def guarded_solve(m, b, pol, what, bound):\n    _refuse_ill_conditioned(m, pol, what, bound=None)\n",
+     [("guarded_solve", "what")]),
+    # the guard of guarded_solve does not cover a nested function
+    ("def guarded_solve(m, b, pol, what, bound):\n"
+     "    def g():\n        _refuse_ill_conditioned(m, pol, 'X', bound=bound)\n    g()\n", [("g", "X")]),
+    ("def f(m, b, pol, c):\n    return guarded_solve(m, b, pol, 'X', c)\n", []),
+    ("def f(m, b, pol):\n    return pencil.guarded_solve(m, b, pol, 'X', bound=[1.0])\n", []),
+    ("def f(m, b, pol):\n    return guarded_solve(m, b, pol, 'X', None)\n", [("f", "X")]),
+    ("def f(m, b, pol):\n    return pencil.guarded_solve(m, b, pol, what='X', bound=None)\n", [("f", "X")]),
+    ("def f(m, b, pol):\n    return guarded_solve(m, b, pol, 'X')\n", [("f", "X")]),
 ])
 def test_rule_detects_unbounded_guard_calls(source, hits):
-    assert unbounded_guard_calls(source) == hits
+    assert uncertified_guard_calls(source) == hits
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_solve_is_guarded(path):
-    assert set(unguarded_solves(path.read_text())) <= UNGUARDED_SOLVES
+    # a direct solve is allowed in guarded_solve and the two named unguarded functions only
+    sites = {f"{path.stem}.{func}" for func in unguarded_solves(path.read_text())}
+    assert sites <= UNGUARDED_SOLVES | {GUARDED_SOLVE_SITE}
 
 
 def test_unguarded_solves_still_exist():
-    # an allow-list entry whose solve is gone (or now guarded) must be dropped
+    # an allow-list entry whose solve is gone must be dropped
     found = set()
     for path in MODULES:
-        found |= set(unguarded_solves(path.read_text()))
-    assert found == UNGUARDED_SOLVES
+        found |= {f"{path.stem}.{func}" for func in unguarded_solves(path.read_text())}
+    assert found == UNGUARDED_SOLVES | {GUARDED_SOLVE_SITE}
 
 
 @pytest.mark.parametrize("source, hits", [
     ("def f(m, b):\n    return np.linalg.solve(m, b)\n", ["f"]),
     ("def f(m):\n    return np.linalg.inv(m)\n", ["f"]),
+    # a guard call beside a solve does not make it the guarded solve: the old rule accepted these
     ("def f(m, b, pol):\n    _refuse_ill_conditioned(m, pol, 'X', bound=1.0)\n"
-     "    return np.linalg.solve(m, b)\n", []),
+     "    return np.linalg.solve(m, b)\n", ["f"]),
     ("def f(m, b, pol):\n    pencil._refuse_ill_conditioned(m, pol, 'X', bound=1.0)\n"
-     "    return np.linalg.inv(m)\n", []),
-    # the guard of an enclosing function does not cover a nested one
+     "    return np.linalg.inv(m)\n", ["f"]),
     ("def f(m, b, pol):\n    _refuse_ill_conditioned(m, pol, 'X', bound=1.0)\n"
      "    def g():\n        return np.linalg.solve(m, b)\n    return g()\n", ["g"]),
     ("class C:\n    def g(self, m):\n        return np.linalg.solve(m, m)\n", ["g"]),
     ("def f(m):\n    return np.linalg.cond(m), np.linalg.eigh(m)\n", []),
+    ("def f(m, b, pol, c):\n    return guarded_solve(m, b, pol, 'X', c)\n", []),
+    ("def guarded_solve(m, b, pol, what, bound):\n    _refuse_ill_conditioned(m, pol, what, bound=bound)\n"
+     "    return np.linalg.solve(m, b)\n", ["guarded_solve"]),
+    ("def f(m, b):\n    x = np.linalg.solve(m, b)\n    return np.linalg.inv(m) @ x\n", ["f"]),
 ])
 def test_rule_detects_unguarded_solves(source, hits):
     assert unguarded_solves(source) == hits

@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
 
-from posreal.core import NumericalRefusalError, ShapeError, ValidationError, hermitian_part, is_psd
+from posreal.core import (
+    DEFAULT_POLICY,
+    NumericalRefusalError,
+    ShapeError,
+    ValidationError,
+    hermitian_part,
+    is_psd,
+)
 from posreal.pencil import (
     MAX_COEFF_ENTRY,
     PsdPencil,
     RealizedFunction,
+    _refuse_ill_conditioned,
     compress,
     compress_realization,
     eval_long_resolvent,
@@ -156,6 +164,23 @@ class TestLongResolvent:
                 except NumericalRefusalError:
                     continue  # f(z) itself singular; Schur form still valid
                 assert np.allclose(lr, eval_schur(f, z), atol=1e-8)
+
+    @pytest.mark.parametrize("shape", [(3, 4, 32), (3, 2, 4), (2, 1, 2), (2, 2, 0), (1, 2, 5)])
+    def test_bits_of_the_guarded_inverse_route(self, shape):
+        # both inverses are solves against an identity now; the former route
+        # guarded A(z) and its U-corner and inverted each with np.linalg.inv
+        f = random_pencil(np.random.default_rng(sum(shape)), *shape)
+        zs = halfplane_grid(shape[0], 40, seed=3)
+        n = f.dim_u
+        az = eval_pencil(f.pencil, zs)
+        bound = f.a_bound.bound(zs)
+        _refuse_ill_conditioned(az, DEFAULT_POLICY, "A(z)", bound=bound)
+        corner = np.linalg.inv(az)[:, :n, :n]
+        _refuse_ill_conditioned(corner, DEFAULT_POLICY, "the U-corner of A(z)^{-1}", bound=bound ** 2)
+        former = np.linalg.inv(corner)
+        got = eval_long_resolvent(f, zs)
+        assert got.shape == former.shape == (len(zs), n, n)
+        assert np.array_equal(got.view(np.uint64), former.view(np.uint64))
 
 
 class TestComposition:
