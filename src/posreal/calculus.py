@@ -350,7 +350,7 @@ def herglotz_taylor_from_schur(schur: TaylorCoefficients,
     simplex = _simplex(schur.num_vars, schur.degree)
     s0 = sch[simplex[0]]
     g = np.zeros_like(sch)
-    g[simplex[0]] = guarded_solve((eye - s0)[None], eye, pol, "I - S(0)",
+    g[simplex[0]] = guarded_solve((eye - s0)[None], eye[None], pol, "I - S(0)",
                                   i_minus_s_condition_bound(s0[None]))[0]
     g0 = g[simplex[0]]
     for t in simplex[1:]:
@@ -439,7 +439,7 @@ def calc_realized(f: RealizedFunction, r: CommutingTuple,
     if f.dim_h == 0:
         return big
     a, b, c, d = big[:nm, :nm], big[:nm, nm:], big[nm:, :nm], big[nm:, nm:]
-    return a - b @ guarded_solve(d[None], c, pol, "d(R)", [d_tuple_condition_bound(f, r.mats, r.bound)])[0]
+    return a - b @ guarded_solve(d[None], c[None], pol, "d(R)", [d_tuple_condition_bound(f, r.mats, r.bound)])[0]
 
 
 def accretive_positivity_check(f: RealizedFunction, r: CommutingTuple,

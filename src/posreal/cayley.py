@@ -100,8 +100,12 @@ def _right_divide(x: np.ndarray, y: np.ndarray, pol: TolerancePolicy, what: str,
     """X Y^{-1} on stacks (B, r, n) and (B, n, n): (Y^T)^{-1} X^T, one ``pencil.guarded_solve``.
 
     Y^T is guarded under the name ``what`` and certified by ``bound``
-    where it clears: a transpose keeps the singular values, so both the
-    certificate of Y and its condition number are those of Y^T.
+    where it clears: a transpose keeps the singular values, so the
+    certificate of Y holds for Y^T.  The estimate is ``np.linalg.cond`` of
+    Y^T, which equals that of Y in exact arithmetic but not always to the
+    last bit: a Y within roundoff of the 1/psd_slack threshold may be
+    decided the other way, and the last printed digit of a refusal's
+    condition may differ from that of Y's own estimate.
     """
     return guarded_solve(y.transpose(0, 2, 1), x.transpose(0, 2, 1), pol, what, bound).transpose(0, 2, 1)
 

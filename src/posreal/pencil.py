@@ -330,7 +330,15 @@ def guarded_solve(mats: np.ndarray, rhs, pol: TolerancePolicy, what: str, bound)
     and skips the condition estimate where the certificate ``bound``
     clears; then one LU solve with partial pivoting.  ``bound`` is
     required: each caller passes the certificate of its matrix.
+
+    ``rhs`` must be a stack of matrices with the ndim of ``mats``
+    (broadcast over the batch axis).  numpy before 2.0 reads an ``rhs``
+    of one fewer axis as a stack of vectors, so a 2-D ``rhs`` against a
+    3-D stack would solve different systems on different numpy versions;
+    it is refused instead.
     """
+    if np.ndim(rhs) != np.ndim(mats):
+        raise ShapeError(f"{what}: right-hand side of ndim {np.ndim(rhs)} for a stack of ndim {np.ndim(mats)}")
     _refuse_ill_conditioned(mats, pol, what, bound=bound)
     return np.linalg.solve(mats, rhs)
 
@@ -429,8 +437,8 @@ def eval_long_resolvent(f: RealizedFunction, z, pol: TolerancePolicy = DEFAULT_P
     n = f.dim_u
     az = eval_pencil(f.pencil, pts)
     bound = f.a_bound.bound(pts)
-    corner = guarded_solve(az, np.eye(f.pencil.dim), pol, "A(z)", bound)[:, :n, :n]
-    return like_points(z, guarded_solve(corner, np.eye(n), pol, "the U-corner of A(z)^{-1}",
+    corner = guarded_solve(az, np.eye(f.pencil.dim)[None], pol, "A(z)", bound)[:, :n, :n]
+    return like_points(z, guarded_solve(corner, np.eye(n)[None], pol, "the U-corner of A(z)^{-1}",
                                         bound ** 2))
 
 

@@ -364,16 +364,23 @@ class TestTaylorSources:
             want = g[t] + sum(sch.coeffs[s] @ g[r] for s, r in below(t))  # F = (I + S) G
             assert np.linalg.norm(herglotz.coeffs[t] - want) <= 1e-12 * (1.0 + np.linalg.norm(want))
 
-    @pytest.mark.parametrize("num_vars, n, p, degree", [(1, 1, 3, 40), (2, 1, 2, 30), (1, 2, 3, 40),
-                                                        (2, 2, 3, 45)])
-    def test_herglotz_equals_the_per_index_solve_recursion(self, rng, num_vars, n, p, degree):
+    @pytest.mark.parametrize("num_vars, n, p, degree, sigma", [(1, 1, 3, 40, None), (2, 1, 2, 30, None),
+                                                               (1, 2, 3, 40, None), (2, 2, 3, 45, None),
+                                                               (1, 2, 3, 8, 2e-10), (2, 2, 3, 6, 2e-10)])
+    def test_herglotz_equals_the_per_index_solve_recursion(self, rng, num_vars, n, p, degree, sigma):
         # the recursion solves I - S_0 once and multiplies by G_0; the former
-        # one solved I - S_0 again at every multi-index
+        # one solved I - S_0 again at every multi-index.  With ``sigma``,
+        # I - S_0 = U diag(sigma, 1) V* has condition 1/sigma = 5e9, which
+        # the guard still accepts (refusal above 1/psd_slack = 1e10)
         f = random_pencil(rng, num_vars, n, p)
         sch = taylor_from_function(DiskFunctionView(f).eval_double_cayley, num_vars, n, degree=degree)
         idx = sorted((t for t in itertools.product(range(degree + 1), repeat=num_vars)
                       if sum(t) <= degree), key=sum)
         eye = np.eye(n, dtype=complex)
+        if sigma is not None:
+            u, v = (np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0] for _ in range(2))
+            sch.coeffs[idx[0]] = eye - u @ np.diag([sigma, 1.0]) @ v.conj().T
+            assert np.linalg.cond(eye - sch.coeffs[idx[0]]) == pytest.approx(1.0 / sigma)
         base = eye - sch.coeffs[idx[0]]
         g = np.zeros_like(sch.coeffs)
         g[idx[0]] = np.linalg.solve(base, eye)

@@ -19,6 +19,7 @@ from posreal.pencil import (
     eval_long_resolvent,
     eval_pencil,
     eval_schur,
+    guarded_solve,
     realize,
     schur_solve,
     sum_realization,
@@ -181,6 +182,17 @@ class TestLongResolvent:
         got = eval_long_resolvent(f, zs)
         assert got.shape == former.shape == (len(zs), n, n)
         assert np.array_equal(got.view(np.uint64), former.view(np.uint64))
+
+    def test_guarded_solve_takes_a_stack_of_right_hand_sides(self):
+        # numpy before 2.0 reads a right-hand side of one fewer axis as a
+        # stack of vectors, so one of the stack's ndim (broadcast over the
+        # batch) is the only form that solves the same systems on every numpy
+        mats = np.stack([2.0 * np.eye(2), 4.0 * np.eye(2)])
+        got = guarded_solve(mats, np.eye(2)[None], DEFAULT_POLICY, "X", np.ones(2))
+        assert np.array_equal(got, np.stack([0.5 * np.eye(2), 0.25 * np.eye(2)]))
+        for rhs in (np.eye(2), np.ones(2), np.ones((1, 2, 2, 1))):
+            with pytest.raises(ShapeError, match=r"^X: right-hand side of ndim \d for a stack of ndim 3$"):
+                guarded_solve(mats, rhs, DEFAULT_POLICY, "X", np.ones(2))
 
 
 class TestComposition:
