@@ -423,9 +423,9 @@ def calc_realized(f: RealizedFunction, r: CommutingTuple,
     table's sup is proven, see ``calc_series``).  The guard on d(R) first
     tries ``pencil.d_tuple_condition_bound``: Re d(R) dominates
     (beta/2)(sum_k d_k) (x) I for the tuple's accretivity bound beta.
+    The guard refuses d(R) of an uncompressed degenerate H, and at p = 0
+    d(R) is empty and f(R) = a(R).
     """
-    if not f.compressed:
-        raise ValidationError("realized calculus needs a compressed realization")
     if f.num_vars != r.num_vars:
         raise ShapeError("realization and tuple disagree on the number of variables")
     if r.kind != "accretive":
@@ -436,8 +436,6 @@ def calc_realized(f: RealizedFunction, r: CommutingTuple,
     big = np.zeros((f.pencil.dim * r.dim,) * 2, dtype=complex)
     for ak, rk in zip(f.pencil.coeffs, r.mats):
         big += np.kron(ak, rk)
-    if f.dim_h == 0:
-        return big
     a, b, c, d = big[:nm, :nm], big[:nm, nm:], big[nm:, :nm], big[nm:, nm:]
     return a - b @ guarded_solve(d[None], c[None], pol, "d(R)", [d_tuple_condition_bound(f, r.mats, r.bound)])[0]
 

@@ -164,9 +164,6 @@ class DiskFunctionView:
         """Schur-side value (F(w) - I)(F(w) + I)^{-1}; contractive on the class."""
         return like_points(w, value_cayley(self.eval_F(as_points(w, self.num_vars)), self.pol))
 
-    def __call__(self, w) -> np.ndarray:
-        return self.eval_double_cayley(w)
-
 
 def inv_double_cayley(schur_eval, w, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """Recover F(w) = (I + S(w))(I - S(w))^{-1} from a Schur-side evaluator.

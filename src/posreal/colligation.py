@@ -443,11 +443,17 @@ def colligation_from_pencil(f: RealizedFunction, pol: TolerancePolicy = DEFAULT_
     The forward map of the pencil's own factor: with the ``psd_sqrt``
     factors L_k (L_k* L_k = A_k, rank A_k rows) and E = [I_n; 0], the SVD
     V = [-L_1; ...; -L_N; E*] = W Sigma Z* gives U = I - 2 W W*, reflection
-    factor W and state dimensions (rank A_1, ..., rank A_N).  An
-    uncompressed realization is refused, as by ``kernels.KernelEvaluator``.
+    factor W and state dimensions (rank A_1, ..., rank A_N).
 
     Proof.  V* V = A(e) + E E* is positive definite for a compressed
-    pencil, so nothing is cut and W = V Z Sigma^{-1}.  The r x r pencil of
+    pencil, so nothing is cut and W = V Z Sigma^{-1}.  An uncompressed
+    pencil gives the colligation of its compression, up to a unitary on
+    each state space: the kernel of V is the common kernel of the A_k in
+    H (the x = [0; h] with A_k x = 0 for every k), which the cut removes,
+    so W W* is the projection onto the range of V.  With T = diag(I, Q_H)
+    the compression's embedding, V T has that range, and the compressed
+    factors are Q_k L_k T for unitaries Q_k, so the compression's U is
+    Q U Q* with Q = diag(Q_1, ..., Q_N, I).  The r x r pencil of
     ``transfer_eval`` is M'(w) = Sigma^{-1} Z* M(w) Z Sigma^{-1} with
     M(w) = A(z) + E E*, z = z(w), so S'(w) = I - 2 E* M(w)^{-1} E.  For
     psi = [I; -d(z)^{-1} c(z)], A(z) psi = E f(z) and E* psi = I give

@@ -68,9 +68,11 @@ def _f_and_psi(f: RealizedFunction, pts: np.ndarray,
 
 
 def psi(f: RealizedFunction, z, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """The (n+p) x n column [I ; -d(z)^{-1} c(z)]; batched over points."""
-    if not f.compressed:
-        raise ValidationError("kernel evaluation needs a compressed realization")
+    """The (n+p) x n column [I ; -d(z)^{-1} c(z)]; batched over points.
+
+    Refused by the d(z) guard of ``pencil.schur_solve`` where d(z) is
+    numerically singular, as at every z for an uncompressed degenerate H.
+    """
     return like_points(z, _f_and_psi(f, as_points(z, f.num_vars), pol)[1])
 
 
@@ -79,23 +81,18 @@ class KernelEvaluator:
 
     The factor of the k-th kernel is phi_k(z) = S_k psi(z) where S_k is
     the rank-revealing PSD square root of A_k, so that
-    Phi_k(z, zeta) = phi_k(zeta)* phi_k(z).
+    Phi_k(z, zeta) = phi_k(zeta)* phi_k(z).  The factors S_k need no
+    solve; every value at a point goes through the d(z) guard of ``psi``.
     """
 
     def __init__(self, f: RealizedFunction, pol: TolerancePolicy = DEFAULT_POLICY):
-        if not f.compressed:
-            raise ValidationError("kernel evaluation needs a compressed realization")
         self.f = f
         self.pol = pol
         self.factors = tuple(psd_sqrt(a, pol) for a in f.pencil.coeffs)
 
-    def psi(self, z) -> np.ndarray:
-        return psi(self.f, z, self.pol)
-
     def phi_factor(self, k: int, z) -> np.ndarray:
         """phi_k(z), an m_k x n matrix; batched over points."""
-        ps = self.psi(z)
-        return self.factors[k] @ ps
+        return self.factors[k] @ psi(self.f, z, self.pol)
 
     def phi(self, k: int, z, zeta) -> np.ndarray:
         """Phi_k(z, zeta) = psi(zeta)* A_k psi(z)."""
@@ -333,7 +330,7 @@ def pencil_from_kernel_samples(ks: KernelSampleSet,
     v = rebuild_factor(ks, pol)
     offsets = np.cumsum([0] + [t.shape[1] for t in ks.factors])
     coeffs = tuple(v[lo:hi].conj().T @ v[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:]))
-    rebuilt = RealizedFunction(PsdPencil(ks.num_vars, ks.dim_u, v.shape[1] - ks.dim_u, coeffs), compressed=True)
+    rebuilt = RealizedFunction(PsdPencil(ks.num_vars, ks.dim_u, v.shape[1] - ks.dim_u, coeffs))
 
     worst = relative_residual(rebuilt(ks.grid, pol), ks.f_samples)
     if not worst <= pol.residual_tol:

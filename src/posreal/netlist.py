@@ -130,5 +130,4 @@ def network_pencil(net: Network, pol: TolerancePolicy = DEFAULT_POLICY) -> Reali
         raise ValidationError(
             "internal node block is singular for all z (island disconnected "
             "from ports and ground)")
-    pencil = PsdPencil.from_coeffs(coeffs, n, pol)
-    return RealizedFunction(pencil, compressed=True)
+    return RealizedFunction(PsdPencil.from_coeffs(coeffs, n, pol))

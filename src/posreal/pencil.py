@@ -8,7 +8,10 @@ Schur complement
 
 is a homogeneous degree-one positive-real function.  This module
 evaluates f (Schur form and the long-resolvent cross-check), compresses
-degenerate H directions, and composes realizations.
+degenerate H directions, and composes realizations.  A realization is
+its pencil: compression is a normalization, not a precondition, since a
+degenerate H leaves f unchanged and makes d(z) singular at every z,
+which the guard refuses.
 
 It also holds the library's one guarded solve, ``guarded_solve``: every
 resolvent of the package (d(z), d(R), F + I, I - S, M(w), I - A P(w),
@@ -211,15 +214,17 @@ class PencilBound:
 
 @dataclass(frozen=True)
 class RealizedFunction:
-    """A pencil together with the compression state of its H block.
+    """The Schur complement f of a pencil, with the pencil's cached certificates.
 
-    After compression the summed d-blocks are positive definite, so
-    d(z) is invertible on every rotated polyhalfplane and the Schur
-    complement is defined on the whole evaluation domain.
+    A degenerate H (a common kernel of the d_k) leaves f unchanged, since
+    ker d_k is contained in ker b_k, but makes d(z) singular at every z:
+    every evaluation of such a realization is refused by the d(z) guard
+    of ``guarded_solve``.  ``compress_realization`` drops the common
+    kernel, after which the summed d-blocks are positive definite and
+    d(z) is invertible on every rotated polyhalfplane.
     """
 
     pencil: PsdPencil
-    compressed: bool = False
 
     @property
     def num_vars(self) -> int:
@@ -266,11 +271,9 @@ def compress(pencil: PsdPencil, pol: TolerancePolicy = DEFAULT_POLICY) -> PsdPen
     Because each coefficient is PSD, ker d_k is contained in ker b_k,
     so removing ker(sum_k d_k) leaves the Schur complement unchanged
     while making sum_k d_k positive definite.  No-op when already
-    compressed.
+    compressed (p = 0 included).
     """
     n, p = pencil.dim_u, pencil.dim_h
-    if p == 0:
-        return pencil
     spec = psd_spectrum(hermitian_part(sum(pencil.coeffs)[n:, n:]), pol)
     keep = spec.kept
     if np.all(keep):
@@ -284,7 +287,7 @@ def compress(pencil: PsdPencil, pol: TolerancePolicy = DEFAULT_POLICY) -> PsdPen
 
 
 def compress_realization(f: RealizedFunction, pol: TolerancePolicy = DEFAULT_POLICY) -> RealizedFunction:
-    return RealizedFunction(compress(f.pencil, pol), compressed=True)
+    return RealizedFunction(compress(f.pencil, pol))
 
 
 def _refuse_ill_conditioned(mats: np.ndarray, pol: TolerancePolicy, what: str,
@@ -329,7 +332,9 @@ def guarded_solve(mats: np.ndarray, rhs, pol: TolerancePolicy, what: str, bound)
     holding a numerically singular matrix, named ``what`` in the message,
     and skips the condition estimate where the certificate ``bound``
     clears; then one LU solve with partial pivoting.  ``bound`` is
-    required: each caller passes the certificate of its matrix.
+    required: each caller passes the certificate of its matrix.  An
+    empty system (r = 0, as d(z) of a pencil with p = 0) has the empty
+    solution, returned without a LAPACK call.
 
     ``rhs`` must be a stack of matrices with the ndim of ``mats``
     (broadcast over the batch axis).  numpy before 2.0 reads an ``rhs``
@@ -340,7 +345,8 @@ def guarded_solve(mats: np.ndarray, rhs, pol: TolerancePolicy, what: str, bound)
     if np.ndim(rhs) != np.ndim(mats):
         raise ShapeError(f"{what}: right-hand side of ndim {np.ndim(rhs)} for a stack of ndim {np.ndim(mats)}")
     _refuse_ill_conditioned(mats, pol, what, bound=bound)
-    return np.linalg.solve(mats, rhs)
+    # the empty system's solution is the empty product, broadcast as solve would
+    return np.linalg.solve(mats, rhs) if mats.shape[-1] else mats @ rhs
 
 
 def d_condition_bound(f: RealizedFunction, z) -> np.ndarray:
@@ -380,9 +386,11 @@ def schur_solve(f: RealizedFunction, z,
 
     d(z) is solved by ``guarded_solve``: evaluation is refused (never
     regularized) when the condition of d(z) exceeds 1/psd_slack, so
-    boundary evaluations stay detectable.  The guard first tries the
-    certificate ``d_condition_bound``; points it does not clear fall back
-    to the computed condition number, so the decision is the same.
+    boundary evaluations, and every evaluation of an uncompressed
+    degenerate H, stay detectable.  At p = 0 the solve is empty and
+    f(z) = a(z).  The guard first tries the certificate
+    ``d_condition_bound``; points it does not clear fall back to the
+    computed condition number, so the decision is the same.
 
     The points are taken in the ``core.point_blocks`` of (n + p)^2
     entries a point: A(z) is assembled, guarded and solved one block at a
@@ -394,8 +402,6 @@ def schur_solve(f: RealizedFunction, z,
     text as one whole-batch guard, unless a later block holds a refused
     d(z) of larger condition.
     """
-    if not f.compressed:
-        raise ValidationError("realization must be compressed before Schur evaluation")
     pts = as_points(z, f.num_vars)
     n, p = f.dim_u, f.dim_h
     vals = np.empty((len(pts), n, n), dtype=complex)
@@ -404,9 +410,6 @@ def schur_solve(f: RealizedFunction, z,
     for blk in point_blocks(len(pts), (n + p) ** 2):
         az = _assemble(f.pencil, pts[blk])
         a, b, c, d = az[:, :n, :n], az[:, :n, n:], az[:, n:, :n], az[:, n:, n:]
-        if p == 0:
-            vals[blk] = a
-            continue
         sol[blk] = guarded_solve(d, c, pol, "d(z)", bound[blk])
         np.subtract(a, b @ sol[blk], out=vals[blk])
     return vals, sol
@@ -430,14 +433,17 @@ def eval_long_resolvent(f: RealizedFunction, z, pol: TolerancePolicy = DEFAULT_P
     clears the guard at the fixed psd_slack of 1e-10; the guard's
     factor 2 absorbs that, and a bound only skips the estimate.
 
-    Both inverses are ``guarded_solve`` against an identity, which runs
-    the LAPACK gesv of numpy's inverse and so gives its bits.
+    Both are ``guarded_solve``s, which run the LAPACK gesv of numpy's
+    inverse: the corner solves A(z) against the n columns of E and keeps
+    the first n rows, and f(z) solves the corner against the identity,
+    so both give the bits of the inverses.  This is the one cross-check
+    that forms a (g, n + p, n + p) stack of A(z).
     """
     pts = as_points(z, f.num_vars)
     n = f.dim_u
     az = eval_pencil(f.pencil, pts)
     bound = f.a_bound.bound(pts)
-    corner = guarded_solve(az, np.eye(f.pencil.dim)[None], pol, "A(z)", bound)[:, :n, :n]
+    corner = guarded_solve(az, np.eye(f.pencil.dim, n)[None], pol, "A(z)", bound)[:, :n]
     return like_points(z, guarded_solve(corner, np.eye(n)[None], pol, "the U-corner of A(z)^{-1}",
                                         bound ** 2))
 
@@ -468,4 +474,4 @@ def sum_realization(f1: RealizedFunction, f2: RealizedFunction) -> RealizedFunct
         m[n + p1:, n + p1:] = d2
         coeffs.append(m)
     pencil = PsdPencil(f1.num_vars, n, p1 + p2, tuple(coeffs))
-    return RealizedFunction(pencil, compressed=f1.compressed and f2.compressed)
+    return RealizedFunction(pencil)

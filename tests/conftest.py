@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from posreal import realize
+from posreal.pencil import PsdPencil, RealizedFunction
+from posreal.sampling import random_pencil
 
 
 @pytest.fixture
@@ -52,6 +54,19 @@ def parallel():
     """Realization of z1 z2 / (z1 + z2) (two conductances in series)."""
     return realize([np.array([[1.0, 1.0], [1.0, 1.0]]),
                     np.array([[0.0, 0.0], [0.0, 1.0]])], 1)
+
+
+@pytest.fixture
+def padded():
+    """A random (2, 2, 3) pencil with two dead H directions appended, as a realization, not compressed.
+
+    The dead directions are zero rows and columns of every coefficient,
+    so the realization has the values of the pencil's, and its d(z) is
+    singular at every z.
+    """
+    pencil = random_pencil(np.random.default_rng(9), 2, 2, 3).pencil
+    coeffs = tuple(np.pad(a, (0, 2)) for a in pencil.coeffs)
+    return RealizedFunction(PsdPencil(pencil.num_vars, pencil.dim_u, pencil.dim_h + 2, coeffs))
 
 
 def parallel_value(z):

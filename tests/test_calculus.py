@@ -250,7 +250,7 @@ class TestCalcRealized:
             assert all(in_omega_plus(q) for q in quot_eigs)
             g = dehomogenize(f)
             g_val = pointwise_diagonal_oracle(
-                RealizedFunction(f.pencil, compressed=True), v,
+                RealizedFunction(f.pencil), v,
                 np.concatenate([quot_eigs, np.ones((4, 1))], axis=1))
             big = np.kron(np.eye(f.dim_u), t.mats[2]) @ g_val
             lo = np.linalg.eigvalsh(big + big.conj().T)[0]
@@ -277,7 +277,7 @@ class TestPositivity:
         # unchecked pencil with an indefinite coefficient: f(z) = -z1 + z2
         pencil = PsdPencil.from_coeffs(
             [np.array([[-1.0]]), np.array([[1.0]])], 1, validate=False)
-        f = RealizedFunction(pencil, compressed=True)
+        f = RealizedFunction(pencil)
         r = make_tuple([2 * np.eye(2), 0.5 * np.eye(2)], require="accretive")
         ok, lo = accretive_positivity_check(f, r)
         assert not ok and lo < -1

@@ -19,7 +19,7 @@ from posreal.colligation import (
 from posreal.core import DEFAULT_POLICY, NumericalRefusalError, ShapeError, ValidationError, psd_sqrt
 from posreal.kernels import KernelSampleSet, sample_kernels
 from posreal.netlist import network_pencil, parse_netlist
-from posreal.pencil import RealizedFunction, eval_schur
+from posreal.pencil import compress_realization, eval_schur
 from posreal.sampling import disk_grid, random_pencil
 from posreal.serialize import colligation_from_json, colligation_to_json, dumps
 
@@ -432,10 +432,12 @@ class TestForwardMap:
             assert np.max(np.abs(table - want)) <= 1e-12
         assert max(agler_identity_residual(c, probe)) <= tol
 
-    def test_uncompressed_pencil_is_refused(self):
-        f = _forward_pencil("(3, 2, 4)")
-        with pytest.raises(ValidationError, match="compressed realization"):
-            colligation_from_pencil(RealizedFunction(f.pencil))
+    def test_uncompressed_pencil_gives_the_colligation_of_its_compression(self, padded):
+        # the SVD cut removes exactly the two dead H directions
+        c, want = colligation_from_pencil(padded), colligation_from_pencil(compress_realization(padded))
+        assert c.dims == want.dims and c.reflection.shape == want.reflection.shape
+        ws = disk_grid(padded.num_vars, 40, seed=7)
+        assert np.max(np.abs(transfer_eval(c, ws) - transfer_eval(want, ws))) <= 1e-14
 
     @pytest.mark.parametrize("grid_size", [1, 5, 40])
     @pytest.mark.parametrize("kind", FORWARD_PENCILS)

@@ -117,7 +117,7 @@ class TestDConditionBound:
                 s = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
                 # slightly indefinite Hermitian part plus a skew part
                 coeffs.append(g @ g.conj().T - 0.3 * np.eye(4) + 0.5 * (s - s.conj().T))
-            f = RealizedFunction(PsdPencil.from_coeffs(coeffs, 1, validate=False), compressed=True)
+            f = RealizedFunction(PsdPencil.from_coeffs(coeffs, 1, validate=False))
             for pts in _point_sets(rng, 2).values():
                 _assert_sound(d_condition_bound(f, pts), _d_blocks(f, pts))
 
@@ -143,7 +143,7 @@ class TestDConditionBound:
             f = random_pencil(rng, 3, 2, 4, rank_deficient=True)
         else:
             coeffs = [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(2)]
-            f = RealizedFunction(PsdPencil.from_coeffs(coeffs, 1, validate=False), compressed=True)
+            f = RealizedFunction(PsdPencil.from_coeffs(coeffs, 1, validate=False))
         calls = []
 
         def counting(m):
@@ -161,7 +161,7 @@ class TestDConditionBound:
         # d(z) = diag(z1, z2 - z1/2) is singular at (1, 1/2) although the
         # summed d-blocks diag(1, 1/2) are positive definite
         coeffs = [np.diag([0.0, 1.0, -0.5]), np.diag([0.0, 0.0, 1.0])]
-        f = RealizedFunction(PsdPencil.from_coeffs(coeffs, 1, validate=False), compressed=True)
+        f = RealizedFunction(PsdPencil.from_coeffs(coeffs, 1, validate=False))
         z = np.array([1.0, 0.5])
         assert d_condition_bound(f, z[None])[0] == np.inf
         with pytest.raises(NumericalRefusalError):
@@ -234,7 +234,7 @@ class TestAConditionBound:
                 s = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
                 shift, skew = (0.02, 0.02) if trial % 2 else (0.3, 0.5)
                 coeffs.append(g @ g.conj().T - shift * np.eye(4) + skew * (s - s.conj().T))
-            f = RealizedFunction(PsdPencil.from_coeffs(coeffs, 1, validate=False), compressed=True)
+            f = RealizedFunction(PsdPencil.from_coeffs(coeffs, 1, validate=False))
             for pts in _point_sets(rng, 2).values():
                 finite += int(np.sum(_assert_sound(f.a_bound.bound(pts), _a_of(f, pts))))
                 _assert_corner_sound(f, pts)
@@ -343,7 +343,7 @@ def _unvalidated_tuple_cases():
             # small enough that the correction terms often leave a bound
             shift, skew = (0.02, 0.02) if trial % 2 else (0.3, 0.5)
             coeffs.append(g @ g.conj().T - shift * np.eye(4) + skew * (s - s.conj().T))
-        f = RealizedFunction(PsdPencil.from_coeffs(coeffs, 1, validate=False), compressed=True)
+        f = RealizedFunction(PsdPencil.from_coeffs(coeffs, 1, validate=False))
         for dim in (1, 2, 3):
             yield (f,) + _accretive_mats(rng, 2, dim, skew=0.1)
 
@@ -384,7 +384,7 @@ class TestDTupleConditionBound:
     def test_singular_d_under_accretive_tuple_is_not_certified(self):
         # d(R) = d_1 (x) R_1 with an indefinite d_1 is singular for R_1 = I
         coeffs = [np.diag([1.0, 1.0, -1.0]), np.diag([1.0, 0.0, 2.0])]
-        f = RealizedFunction(PsdPencil.from_coeffs(coeffs, 1, validate=False), compressed=True)
+        f = RealizedFunction(PsdPencil.from_coeffs(coeffs, 1, validate=False))
         r = make_tuple([np.eye(2), 1e-3 * np.eye(2)], require="accretive")
         assert d_tuple_condition_bound(f, r.mats, r.bound) == np.inf
         assert d_tuple_condition_bound(f, r.mats, 0.0) == np.inf
@@ -394,7 +394,7 @@ class TestDTupleConditionBound:
         # r_1 = (1 + i)/2 and r_2 = (1 - i)/2 (Re r_k = 1/2) d_1 r_1 + d_2 r_2 = 0,
         # so d(R) = diag(0, 2) is singular under a tuple with beta = 1
         coeffs = [np.diag([1.0, 1.0 + 1j]), np.diag([1.0, 1.0 - 1j])]
-        f = RealizedFunction(PsdPencil.from_coeffs(coeffs, 1, validate=False), compressed=True)
+        f = RealizedFunction(PsdPencil.from_coeffs(coeffs, 1, validate=False))
         r = make_tuple([np.diag([0.5 + 0.5j, 1.0]), np.diag([0.5 - 0.5j, 1.0])], require="accretive")
         assert r.bound == pytest.approx(1.0)
         assert np.linalg.cond(_d_of_tuple(f, r.mats)) > 1e15
@@ -410,7 +410,7 @@ class TestDTupleConditionBound:
     def test_near_singular_d_keeps_the_decision(self, eps):
         # d(R) = diag(1, eps) (x) R: its condition crosses 1/psd_slack as eps falls
         coeffs = [np.diag([1.0, 1.0, eps]), np.diag([1.0, 0.5, eps])]
-        f = RealizedFunction(PsdPencil.from_coeffs(coeffs, 1, validate=False), compressed=True)
+        f = RealizedFunction(PsdPencil.from_coeffs(coeffs, 1, validate=False))
         r = make_tuple([np.diag([1.0, 2.0]), np.diag([1.5, 1.0])], require="accretive")
         d = _d_of_tuple(f, r.mats)
         expect = _guard_outcome(lambda: _refuse_ill_conditioned(d[None], DEFAULT_POLICY, "d(R)"))

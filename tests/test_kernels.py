@@ -54,7 +54,7 @@ class TestPhi:
         grid = halfplane_grid(f.num_vars, 10, seed=2)
         ks = ev.phi_table(grid)
         assert isinstance(ks, KernelSampleSet)
-        ps = ev.psi(grid)
+        ps = psi(ev.f, grid)
         for k in range(f.num_vars):
             assert np.array_equal(ks.factors[k], ev.factors[k] @ ps)
         assert np.array_equal(ks.f_samples, f(grid))
@@ -334,7 +334,7 @@ class TestRebuildStaging:
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert np.array_equal(a[:n, :n].view(np.uint64), b[:n, :n].view(np.uint64))
-        former = RealizedFunction(PsdPencil(ks.num_vars, n, p, tuple(want)), compressed=True)
+        former = RealizedFunction(PsdPencil(ks.num_vars, n, p, tuple(want)))
         fresh = halfplane_grid(ks.num_vars, 50, seed=9) * (1 + 0.07j)
         for pts in (ks.grid, fresh):
             assert _relative_gap(rebuilt(pts), former(pts)) <= 1e-12

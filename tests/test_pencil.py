@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+
+from posreal.calculus import calc_realized, make_tuple
 
 from posreal.core import (
     DEFAULT_POLICY,
@@ -9,6 +13,7 @@ from posreal.core import (
     hermitian_part,
     is_psd,
 )
+from posreal.kernels import psi, sample_kernels
 from posreal.pencil import (
     MAX_COEFF_ENTRY,
     PsdPencil,
@@ -25,6 +30,7 @@ from posreal.pencil import (
     sum_realization,
 )
 from posreal.sampling import halfplane_grid, random_pencil
+
 
 
 class TestConstruction:
@@ -54,7 +60,7 @@ class TestConstruction:
         vs = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
         es = vs.conj().transpose(0, 2, 1) @ vs
         f = realize(es, 2)
-        assert f.dim_h == 0 and f.compressed
+        assert f.dim_h == 0
         zs = halfplane_grid(3, 6, seed=1)
         assert np.allclose(f(zs), np.einsum("bk,kij->bij", zs, es), rtol=1e-13, atol=1e-13)
 
@@ -85,7 +91,7 @@ class TestCompress:
             [np.diag([a1, 0.0]), np.diag([a2, 0.0])], 1)
         out = compress(pencil)
         assert out.dim_h == 0
-        f = RealizedFunction(out, compressed=True)
+        f = RealizedFunction(out)
         z = np.array([1.7 + 0.3j, 0.4 - 0.1j])
         assert np.allclose(f(z), (a1 * z[0] + a2 * z[1]) * np.eye(1))
 
@@ -120,10 +126,20 @@ class TestEvalSchur:
         z = 0.3 + 1.2j
         assert np.allclose(eval_schur(f, [z]), z * e)
 
-    def test_refuses_uncompressed(self, parallel):
-        raw = RealizedFunction(parallel.pencil, compressed=False)
-        with pytest.raises(ValidationError):
-            eval_schur(raw, [1, 1])
+    def test_degenerate_h_is_refused_by_the_d_guard(self, parallel, padded):
+        # a realization is its pencil: H padded with two dead directions
+        # still realizes f, and its d(z) and d(R) are singular everywhere
+        zs = halfplane_grid(2, 6, seed=2)
+        r = make_tuple([np.eye(2), 2.0 * np.eye(2)], require="accretive")
+        for call, what in ((lambda: eval_schur(padded, zs), "d(z)"), (lambda: psi(padded, zs), "d(z)"),
+                           (lambda: sample_kernels(padded, zs), "d(z)"), (lambda: calc_realized(padded, r), "d(R)")):
+            with pytest.raises(NumericalRefusalError, match=rf"^{re.escape(what)} is numerically singular "
+                                                            r"\(condition inf\)"):
+                call()
+        # a realization built straight from a compressed pencil is that realization
+        pts = halfplane_grid(2, 9, seed=5)
+        assert np.array_equal(RealizedFunction(parallel.pencil)(pts).view(np.uint64),
+                              parallel(pts).view(np.uint64))
 
     def test_refuses_singular_d(self, parallel):
         # d(z) = z1 + z2 vanishes on the anti-diagonal
