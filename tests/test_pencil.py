@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from posreal.calculus import calc_realized, make_tuple
-
 from posreal.core import (
     DEFAULT_POLICY,
     NumericalRefusalError,
@@ -30,7 +29,6 @@ from posreal.pencil import (
     sum_realization,
 )
 from posreal.sampling import halfplane_grid, random_pencil
-
 
 
 class TestConstruction:
